@@ -60,13 +60,13 @@ def bench(n: int, reps: int, quick: bool) -> int:
     baseline_outputs = None
     started = time.perf_counter()
     for _ in range(reps):
-        result = program.run("run", [n], dispatch="legacy", pool=False)
+        result = program.run("run", [n], engine="legacy", pool=False)
         baseline_outputs = _output_bits(result.interpreter,
                                         int(result.value), count)
     baseline_wall = time.perf_counter() - started
 
     # Fast path: one pooled interpreter reused across reps.
-    interp = program.interpreter(dispatch="fast", pool=True)
+    interp = program.interpreter(engine="fast", pool=True)
     fast_outputs = None
     started = time.perf_counter()
     for _ in range(reps):

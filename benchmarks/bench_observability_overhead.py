@@ -54,7 +54,7 @@ def bench(n: int, reps: int, quick: bool) -> int:
     program = CompilerDriver(backend="mpfr").compile(source, name="gemm")
 
     # One pooled fast-path interpreter per mode, warmed before timing.
-    control_interp = program.interpreter(dispatch="fast", pool=True)
+    control_interp = program.interpreter(engine="fast", pool=True)
     control_interp.run("run", [n])
 
     # Install + tear down a real telemetry session (and a run-ledger
@@ -65,7 +65,7 @@ def bench(n: int, reps: int, quick: bool) -> int:
         with telemetry_session(trace=True, metrics=True):
             with ledger_session(os.path.join(tmp, "ledger.jsonl")):
                 program.run("run", [n], engine="fast", pool=True)
-    disabled_interp = program.interpreter(dispatch="fast", pool=True)
+    disabled_interp = program.interpreter(engine="fast", pool=True)
     disabled_interp.run("run", [n])
 
     control = []
@@ -95,7 +95,7 @@ def bench(n: int, reps: int, quick: bool) -> int:
         ledger_records = sum(1 for line in open(path) if line.strip())
 
     with telemetry_session(trace=True, metrics=True) as (tracer, registry):
-        enabled_interp = program.interpreter(dispatch="fast", pool=True)
+        enabled_interp = program.interpreter(engine="fast", pool=True)
         enabled_interp.run("run", [n])
         enabled = [_timed_run(enabled_interp, n) for _ in range(reps)]
         spans = sum(1 for e in tracer.events if e["ph"] == "X")

@@ -210,6 +210,7 @@ class MPFRLoweringPass(ModulePass):
         #: when LICM hoisted the conversion out of the loop.
         self._deferred_casts: Dict[int, CastInst] = {}
         self._entry_insert_index = 0
+        copied_phis = self._phis_needing_objects(func)
 
         # Pass A: retype pointer-typed values in place (arguments were
         # retyped by _rewrite_signature; geps/phis/selects keep their
@@ -250,6 +251,9 @@ class MPFRLoweringPass(ModulePass):
                             inst.set_operand(
                                 i, self._materialize_literal(op, near))
 
+        if copied_phis:
+            self._give_phis_objects(copied_phis)
+
         # Object reuse (paper item 7): coalesce temporaries with disjoint
         # single-block live ranges.
         if self.reuse_objects:
@@ -257,6 +261,167 @@ class MPFRLoweringPass(ModulePass):
 
         # Insert clears before every return.
         self._insert_clears()
+
+    # ------------------------------------------------------------ #
+    # Loop-carried phis (SSA destruction's lost-copy problem)
+    # ------------------------------------------------------------ #
+
+    def _phis_needing_objects(self, func: Function) -> Dict[PhiInst,
+                                                             VPFloatType]:
+        """The vpfloat phis that must own an object; -> phi -> its type.
+
+        A lowered vpfloat phi is a pointer to the object of the value
+        that flowed in.  That object is written again when its defining
+        instruction re-executes (or, for a phi that owns an object, by
+        the copies on the edges into the phi's block).  A phi still live
+        at such a write would read the new value: the rotation
+        ``b = a; a = f(a, b)`` loses ``b``.  Only those phis get an
+        object of their own, so loops without the hazard lower exactly
+        as before.  Runs on the SSA form, before any rewriting.
+        """
+        phis = [inst for block in func.blocks for inst in block.instructions
+                if isinstance(inst, PhiInst) and is_mpfr_vpfloat(inst.type)
+                and self._attr_at_entry(inst.type.prec_attr)
+                and self._attr_at_entry(inst.type.exp_attr)]
+        if not phis:
+            return {}
+        preds: Dict[object, List] = {block: [] for block in func.blocks}
+        for block in func.blocks:
+            for succ in block.successors():
+                if block not in preds[succ]:
+                    preds[succ].append(block)
+        index = {id(inst): i for block in func.blocks
+                 for i, inst in enumerate(block.instructions)}
+        live_out = {phi: self._live_out_blocks(phi, preds) for phi in phis}
+        end = len(index) + 1  # after every instruction of a block
+
+        def writes(phi, chosen):
+            """(block, index) points writing an object ``phi`` may point
+            to, and whether one is an edge copy the phi reads after."""
+            points, edge_hazard = [], False
+            stack, seen = [(v, b) for v, b in phi.incoming], set()
+            while stack:
+                value, via = stack.pop()
+                if id(value) in seen:
+                    continue
+                seen.add(id(value))
+                if value in chosen:
+                    blocks = preds[value.parent]
+                    points.extend((b, end) for b in blocks)
+                    edge_hazard |= via in blocks
+                elif isinstance(value, PhiInst):
+                    stack.extend((v, via) for v in value.operands)
+                elif isinstance(value, SelectInst):
+                    stack.extend((v, via) for v in value.operands[1:])
+                elif isinstance(value, LoadInst) and \
+                        not isinstance(value.pointer, GlobalVariable) and \
+                        self._alias_is_safe(value):
+                    continue  # aliases its element: nothing rewrites it
+                elif isinstance(value, Instruction):
+                    points.append((value.parent, index[id(value)]))
+            return points, edge_hazard
+
+        def live_after(phi, block, position) -> bool:
+            if block in live_out[phi]:
+                return True
+            return any(user.parent is block and
+                       not isinstance(user, PhiInst) and
+                       index[id(user)] > position for user in phi.users)
+
+        chosen: Dict[PhiInst, VPFloatType] = {}
+        changed = True
+        while changed:
+            changed = False
+            for phi in phis:
+                if phi in chosen:
+                    continue
+                points, edge_hazard = writes(phi, chosen)
+                if edge_hazard or any(live_after(phi, block, position)
+                                      for block, position in points):
+                    chosen[phi] = phi.type
+                    changed = True
+        return chosen
+
+    @staticmethod
+    def _live_out_blocks(value: Value, preds) -> set:
+        """Blocks at whose end the SSA ``value`` is live (a phi use
+        counts at the end of its incoming block)."""
+        live_in, live_out = set(), set()
+        home = value.parent
+        work = []
+        for user in value.users:
+            if isinstance(user, PhiInst):
+                work.extend(("out", b) for v, b in user.incoming
+                            if v is value)
+            elif user.parent is not home:
+                work.append(("in", user.parent))
+        while work:
+            side, block = work.pop()
+            if side == "out":
+                if block in live_out:
+                    continue
+                live_out.add(block)
+                if block is not home:
+                    work.append(("in", block))
+            elif block not in live_in:
+                live_in.add(block)
+                work.extend(("out", pred) for pred in preds[block])
+        return live_out
+
+    def _give_phis_objects(self, phis: Dict[PhiInst, VPFloatType]) -> None:
+        """Replace each phi by an object of its own, set on every
+        incoming edge.  The copies of one edge are a parallel copy:
+        sequenced so no source is overwritten before it is read."""
+        objects = {phi: self._new_temp(vptype, phi)
+                   for phi, vptype in phis.items()}
+        setter = self._declare("mpfr_set", VOID, (MPFR_PTR, MPFR_PTR))
+        by_block: Dict[object, List[PhiInst]] = {}
+        for phi in phis:
+            by_block.setdefault(phi.parent, []).append(phi)
+        for block, group in by_block.items():
+            for pred in list(dict.fromkeys(group[0].incoming_blocks)):
+                copies = []
+                for phi in group:
+                    source = phi.incoming_for_block(pred)
+                    source = objects.get(source, source)
+                    if source is not objects[phi]:
+                        copies.append((objects[phi], source, phis[phi]))
+                position = self._edge_position(pred, block)
+                while copies:
+                    ready = next((c for c in copies
+                                  if not any(other[1] is c[0]
+                                             for other in copies)), None)
+                    if ready is None:
+                        # A cycle: save one destination's old value.
+                        dest, _src, vptype = copies[0]
+                        saved = self._new_temp(vptype, position)
+                        self._insert_before(position.parent, position,
+                                            CallInst(setter, [saved, dest]))
+                        copies = [(d, saved if s is dest else s, t)
+                                  for d, s, t in copies]
+                        continue
+                    copies.remove(ready)
+                    self._insert_before(position.parent, position,
+                                        CallInst(setter, list(ready[:2])))
+        for phi, obj in objects.items():
+            phi.replace_all_uses_with(obj)
+            phi.erase_from_parent()
+
+    def _edge_position(self, pred, block) -> Instruction:
+        """Where copies for the edge ``pred -> block`` go: before the
+        predecessor's terminator, or in a new block splitting the edge
+        when the predecessor also branches elsewhere."""
+        term = pred.terminator
+        if all(target is block for target in term.targets):
+            return term
+        split = self.func.add_block("phi.copy", after=pred)
+        split.append(BranchInst([block]))
+        term.targets = [split if target is block else target
+                        for target in term.targets]
+        for phi in block.phis():
+            phi.incoming_blocks = [split if b is pred else b
+                                   for b in phi.incoming_blocks]
+        return split.terminator
 
     # ------------------------------------------------------------ #
     # Object reuse (paper §III-C1 item 7)
@@ -832,12 +997,23 @@ class MPFRLoweringPass(ModulePass):
         block = inst.parent
         position = block.instructions[block.instructions.index(inst) + 1]
         if is_mpfr_vpfloat(old_type) and inst.count is None:
-            # Scalar local that stayed in memory (escaped address).
+            # Scalar local that stayed in memory (escaped address, or
+            # -O0).  The stack slot moves to the entry so it dominates
+            # the clears at every return; a local declared inside a loop
+            # body is then initialized once there, like a temporary.
             prec = self._prec_value(old_type)
             init2 = self._declare("mpfr_init2", VOID, (MPFR_PTR, I32, I32))
-            self._insert_before(block, position,
-                                CallInst(init2, [inst, prec,
-                                                 old_type.exp_attr]))
+            call = CallInst(init2, [inst, prec, old_type.exp_attr])
+            if block is self.func.entry:
+                self._insert_before(block, position, call)
+            else:
+                block.instructions.remove(inst)
+                self._insert_at_entry(inst)
+                if self._attr_at_entry(prec) and \
+                        self._attr_at_entry(old_type.exp_attr):
+                    self._insert_at_entry(call)
+                else:
+                    self._insert_before(block, position, call)
             self.scalar_clears.append(inst)
             return
         # Array (fixed or VLA) of vpfloat elements.

@@ -78,12 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution engine (default: 'jit' for the "
                              "mpfr backend, else 'fast'; 'jit' compiles "
                              "IR functions to specialized Python source, "
-                             "'unfused' disables superinstruction "
-                             "fusion, 'legacy' is the reference tree "
-                             "walker)")
-    parser.add_argument("--dispatch", dest="engine",
-                        choices=("jit", "fast", "unfused", "legacy"),
-                        default=None, help=argparse.SUPPRESS)
+                             "'legacy' is the reference tree walker)")
     parser.add_argument("--no-pool", action="store_true",
                         help="disable the runtime MPFR object pool")
     parser.add_argument("--kernel-tier",

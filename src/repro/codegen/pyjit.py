@@ -73,7 +73,7 @@ from ..ir import (
     UnreachableInst,
     VPFloatType,
 )
-from ..observability.tracer import CAT_COMPILE
+from ..observability import CAT_COMPILE, observe
 from . import CODEGEN_VERSION
 from .batch_kernels import select_batch_kernel
 from .smallfloat import select_scalar_kernel
@@ -1298,27 +1298,18 @@ class JitEngine:
         cached = self._entries.get(id(func), self)
         if cached is not self:
             return cached
-        tracer = self.interp.tracer
-        if tracer is not None:
-            with tracer.span(f"codegen:{func.name}",
-                             cat=CAT_COMPILE) as span:
-                entry, status, reason, was_cached = \
-                    self._materialize(func)
-                span.args["cached"] = was_cached
-                span.args["status"] = status
-                if reason:
-                    span.args["reason"] = reason
-        else:
+        with observe(f"codegen:{func.name}", cat=CAT_COMPILE) as obs:
             entry, status, reason, was_cached = self._materialize(func)
-        metrics = self.interp.metrics
-        if metrics is not None:
+            obs.arg(cached=was_cached, status=status)
+            if reason:
+                obs.arg(reason=reason)
             if status == "jit":
-                metrics.inc("codegen.functions.jit")
-                metrics.inc(f"codegen.fn.{func.name}.jit")
+                obs.count("codegen.functions.jit")
+                obs.count(f"codegen.fn.{func.name}.jit")
             else:
                 slug = (reason or "unknown").replace(" ", "-")
-                metrics.inc("codegen.functions.fallback")
-                metrics.inc(f"codegen.fn.{func.name}.fallback.{slug}")
+                obs.count("codegen.functions.fallback")
+                obs.count(f"codegen.fn.{func.name}.fallback.{slug}")
         self._entries[id(func)] = entry
         return entry
 
@@ -1336,14 +1327,12 @@ class JitEngine:
                 emitter = FunctionEmitter(interp, func)
                 source = emitter.emit()
             except _Unsupported as e:
+                store.record(name, "fallback", reason=str(e))
+                return None, "fallback", str(e), False
+            finally:
                 if metrics is not None:
                     metrics.observe("codegen.emit_seconds",
                                     time.perf_counter() - t0)
-                store.record(name, "fallback", reason=str(e))
-                return None, "fallback", str(e), False
-            if metrics is not None:
-                metrics.observe("codegen.emit_seconds",
-                                time.perf_counter() - t0)
             store.record(name, "jit", source=source,
                          line_map=emitter.line_map)
             record = store.lookup(name)

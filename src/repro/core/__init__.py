@@ -26,17 +26,9 @@ from ..lang import analyze, parse
 from ..observability import (
     CAT_CACHE,
     CAT_COMPILE,
-    CAT_RUNTIME,
-    absorb_mpfr_stats,
     absorb_pass_timings,
-    absorb_profile,
-    absorb_report,
-    absorb_tier_stats,
-    absorb_unum_stats,
-    current_ledger,
     current_metrics,
-    current_tracer,
-    report_fields,
+    observe,
 )
 from ..passes import build_o3_pipeline
 from ..passes.polly import optimize_unit
@@ -48,7 +40,7 @@ from .cache import CacheStats, CompileCache, as_compile_cache, \
 BACKENDS = ("none", "mpfr", "boost", "unum")
 
 #: Execution engines, fastest first (see README "Execution engines").
-ENGINES = ("jit", "fast", "unfused", "legacy")
+ENGINES = ("jit", "fast", "legacy")
 
 __all__ = [
     "BACKENDS", "CacheStats", "CompileCache", "CompileOptions",
@@ -71,6 +63,16 @@ def resolve_engine(engine: Optional[str], backend: str) -> str:
         raise ValueError(f"unknown engine {engine!r}; "
                          f"choose from {ENGINES}")
     return engine
+
+
+def _check_kernel_tier(kernel_tier: str) -> str:
+    """Validate a kernel-tier policy name (auto/generic/small)."""
+    from ..codegen.smallfloat import KERNEL_TIER_POLICIES
+
+    if kernel_tier not in KERNEL_TIER_POLICIES:
+        raise ValueError(f"unknown kernel tier {kernel_tier!r}; "
+                         f"choose from {KERNEL_TIER_POLICIES}")
+    return kernel_tier
 
 
 @dataclass
@@ -114,7 +116,7 @@ class CompiledProgram:
         self._batch_codegen_key: Optional[str] = None
         self._batch_store = None
         #: Engine the driver was configured for; ``run()`` falls back
-        #: to it when neither ``engine`` nor ``dispatch`` is passed.
+        #: to it when no ``engine`` is passed.
         self._default_engine: Optional[str] = None
         #: Kernel-tier policy the driver was configured for
         #: (auto/generic/small); per-run ``kernel_tier=`` overrides it.
@@ -130,29 +132,21 @@ class CompiledProgram:
 
     # ------------------------------------------------------------ #
 
-    def _resolve_mode(self, dispatch: Optional[str],
-                      engine: Optional[str]) -> str:
-        """``engine`` wins over the legacy ``dispatch`` alias; ``None``
-        for both picks the driver's engine, then the backend default
+    def _resolve_mode(self, engine: Optional[str]) -> str:
+        """``None`` picks the driver's engine, then the backend default
         (jit for mpfr)."""
-        mode = engine if engine is not None else dispatch
-        if mode is None:
-            mode = self._default_engine
-        if mode is None:
+        if engine is None:
+            engine = self._default_engine
+        if engine is None:
             return resolve_engine(None, self.options.backend)
-        return mode
+        return engine
 
     def _resolve_tier(self, kernel_tier: Optional[str]) -> str:
         """Per-run override wins; None falls back to the driver's
         policy (auto when the program never saw a driver)."""
         if kernel_tier is None:
             return getattr(self, "_kernel_tier", "auto")
-        from ..codegen.smallfloat import KERNEL_TIER_POLICIES
-
-        if kernel_tier not in KERNEL_TIER_POLICIES:
-            raise ValueError(f"unknown kernel tier {kernel_tier!r}; "
-                             f"choose from {KERNEL_TIER_POLICIES}")
-        return kernel_tier
+        return _check_kernel_tier(kernel_tier)
 
     def _codegen_store_for(self, mode: str):
         if mode != "jit":
@@ -193,7 +187,6 @@ class CompiledProgram:
     def run(self, name: str, args: Optional[List[object]] = None,
             cache: bool = True, max_steps: int = 500_000_000,
             coprocessor=None, costs=None,
-            dispatch: Optional[str] = None,
             profile: bool = False,
             pool: Optional[bool] = None,
             engine: Optional[str] = None,
@@ -202,52 +195,35 @@ class CompiledProgram:
 
         ``costs`` selects a CycleCosts profile (default: Xeon-calibrated;
         pass ``ROCKET_CYCLE_COSTS`` for the Fig. 2 FPGA baseline).
-        ``engine`` picks the execution engine (:data:`ENGINES`;
-        ``dispatch`` is the pre-engine spelling of the same knob and
-        still works; ``None`` for both means the backend default --
-        the specializing jit for mpfr, fused closures otherwise).
+        ``engine`` picks the execution engine (:data:`ENGINES`; ``None``
+        means the driver's engine, else the backend default -- the
+        specializing jit for mpfr, fused closures otherwise).
         ``profile``/``pool`` configure the interpreter's observability
         layer and MPFR object pool (``pool`` defaults per backend: on
         except for Boost).  ``kernel_tier`` overrides the driver's
         kernel-tier policy for this run (auto/generic/small: the jit
         engine's precision-specialized fast-path kernels vs the
         generic ones; bit-identical either way)."""
-        accounting = CostAccounting(costs=costs,
-                                    cache=CacheModel() if cache else None)
-        tracer = current_tracer()
-        ledger = current_ledger()
-        wall0 = time.perf_counter() if ledger is not None else 0.0
-        span = tracer.span(f"execute:{name}", cat=CAT_RUNTIME,
-                           args={"backend": self.options.backend}) \
-            if tracer is not None else None
-        if self.options.backend == "unum":
-            from ..runtime.unum_machine import UnumMachine
-
-            machine = UnumMachine(self.asm, accounting=accounting,
-                                  coprocessor=coprocessor,
-                                  max_steps=max_steps)
-            try:
+        backend = self.options.backend
+        if backend == "unum":
+            machine = self.machine(cache=cache, coprocessor=coprocessor,
+                                   max_steps=max_steps, costs=costs)
+            with observe(f"execute:{name}", event="run",
+                         backend=backend) as obs:
                 value = machine.run(name, args)
-            finally:
-                if span is not None:
-                    tracer.finish(span)
-            report = accounting.report
-            report.cycles += machine.scalar_cycles + \
-                machine.coprocessor.cycles
-            report.serial_cycles = report.cycles - report.parallel_cycles
+                report = machine.accounting.report
+                report.cycles += machine.scalar_cycles + \
+                    machine.coprocessor.cycles
+                report.serial_cycles = \
+                    report.cycles - report.parallel_cycles
+                obs.attach(report, machine)
+                obs.note(function=name, backend=backend, engine=None)
             result = ExecutionResult(value, report, machine.stdout)
             result.machine = machine
-            registry = current_metrics()
-            if registry is not None:
-                absorb_report(registry, report)
-                absorb_unum_stats(registry, machine)
-            if ledger is not None:
-                ledger.record("run", function=name, backend="unum",
-                              engine=None,
-                              wall_seconds=time.perf_counter() - wall0,
-                              **report_fields(report))
             return result
-        mode = self._resolve_mode(dispatch, engine)
+        accounting = CostAccounting(costs=costs,
+                                    cache=CacheModel() if cache else None)
+        mode = self._resolve_mode(engine)
         tier = self._resolve_tier(kernel_tier)
         interpreter = Interpreter(self.module, accounting=accounting,
                                   max_steps=max_steps, dispatch=mode,
@@ -255,31 +231,22 @@ class CompiledProgram:
                                   mpfr_pool=self._pool_default(pool),
                                   codegen_store=self._codegen_store_for(mode),
                                   kernel_tier=tier)
-        try:
-            result = interpreter.run(name, args)
-        finally:
-            if span is not None:
-                span.args["cycles"] = accounting.report.cycles
-                tracer.finish(span)
-        result.interpreter = interpreter
-        registry = current_metrics()
-        tier_stats = interpreter.tier_stats
-        if registry is not None:
-            absorb_report(registry, result.report)
-            absorb_mpfr_stats(registry, interpreter.mpfr.stats)
+        with observe(f"execute:{name}", event="run",
+                     backend=backend) as obs:
+            try:
+                result = interpreter.run(name, args)
+            finally:
+                obs.arg(cycles=accounting.report.cycles)
+            result.interpreter = interpreter
+            obs.attach(result.report, interpreter.mpfr.stats)
             if result.profile is not None:
-                absorb_profile(registry, result.profile)
+                obs.attach(result.profile)
+            tier_stats = interpreter.tier_stats
             if tier_stats is not None and tier_stats.total_ops():
-                absorb_tier_stats(registry, tier_stats)
-        if ledger is not None:
-            extra = {}
-            if tier_stats is not None and tier_stats.total_ops():
-                extra["kernel_tier"] = tier
-                extra["kernel_tiers"] = tier_stats.as_dict()
-            ledger.record("run", function=name,
-                          backend=self.options.backend, engine=mode,
-                          wall_seconds=time.perf_counter() - wall0,
-                          **extra, **report_fields(result.report))
+                obs.attach(tier_stats)
+                obs.note(kernel_tier=tier,
+                         kernel_tiers=tier_stats.as_dict())
+            obs.note(function=name, backend=backend, engine=mode)
         return result
 
     def run_batch(self, name: str, args: Optional[List[object]] = None,
@@ -312,102 +279,63 @@ class CompiledProgram:
                 f"not {self.options.backend!r}")
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
-        tracer = current_tracer()
-        ledger = current_ledger()
-        wall0 = time.perf_counter() if ledger is not None else 0.0
-        span = tracer.span(f"execute-batch:{name}", cat=CAT_RUNTIME,
-                           args={"backend": self.options.backend,
-                                 "lanes": lanes}) \
-            if tracer is not None else None
-        registry = current_metrics()
         tier = self._resolve_tier(kernel_tier)
         interpreter = BatchInterpreter(
             self.module, lanes, accounting=accounting,
             max_steps=max_steps, mpfr_pool=self._pool_default(pool),
             codegen_store=self._batch_codegen_store(),
             kernel_tier=tier)
-        try:
+        batch_ctx = interpreter.batch
+        with observe(f"execute-batch:{name}", event="batch_run",
+                     backend=self.options.backend, lanes=lanes) as obs:
+            obs.note(function=name, backend=self.options.backend,
+                     engine="jit", lanes=lanes)
             try:
                 result = interpreter.run(name, args)
             except (BatchDivergence, BatchUnsupported) as exc:
-                interpreter.batch.serial_fallback_lanes += lanes
-                interpreter.batch.flush(registry)
-                if span is not None:
-                    span.args["fallback"] = str(exc)
-                serial = self._run_batch_serial(
-                    name, args, lanes, cache=cache, max_steps=max_steps,
-                    costs=costs, pool=pool, reason=str(exc))
-                if ledger is not None:
-                    ledger.record(
-                        "batch_run", function=name,
-                        backend=self.options.backend, engine="jit",
-                        lanes=lanes, mode="serial",
-                        fallback_reason=str(exc),
-                        wall_seconds=time.perf_counter() - wall0,
-                        **report_fields(serial.reports[0]))
-                return serial
-        finally:
-            if span is not None:
-                span.args["cycles"] = accounting.report.cycles
-                tracer.finish(span)
-        values = [lane_view(result.value, i) for i in range(lanes)]
-        batch_ctx = interpreter.batch
-        np_counters = (batch_ctx.np_ops, batch_ctx.np_lanes,
-                       batch_ctx.np_bailouts)
-        interpreter.batch.flush(registry)
-        if registry is not None:
-            absorb_report(registry, result.report)
-            absorb_mpfr_stats(registry, interpreter.mpfr.stats)
-        if ledger is not None:
-            extra = {}
-            if np_counters != (0, 0, 0):
-                extra["kernel_tier"] = tier
-                extra["kernel_tiers"] = {
-                    "batch_np": {"ops": np_counters[0],
-                                 "lanes": np_counters[1],
-                                 "bailouts": np_counters[2]}}
-            ledger.record("batch_run", function=name,
-                          backend=self.options.backend, engine="jit",
-                          lanes=lanes, mode="batched",
-                          wall_seconds=time.perf_counter() - wall0,
-                          **extra, **report_fields(result.report))
+                batch_ctx.serial_fallback_lanes += lanes
+                batch_ctx.flush(current_metrics())
+                obs.arg(fallback=str(exc))
+                # Per-lane serial jit runs stand in for the batch; their
+                # own boundaries already fed the metrics.
+                runs = [self.run(name, args, cache=cache,
+                                 max_steps=max_steps, costs=costs,
+                                 pool=pool, engine="jit")
+                        for _ in range(lanes)]
+                obs.attach(runs[0].report, absorb=False)
+                obs.note(mode="serial", fallback_reason=str(exc))
+                return BatchResult(
+                    lanes=lanes, values=[run.value for run in runs],
+                    reports=[run.report for run in runs],
+                    stdout=runs[-1].stdout, mode="serial",
+                    fallback_reason=str(exc),
+                    interpreter=runs[-1].interpreter)
+            finally:
+                obs.arg(cycles=accounting.report.cycles)
+            values = [lane_view(result.value, i) for i in range(lanes)]
+            if (batch_ctx.np_ops, batch_ctx.np_lanes,
+                    batch_ctx.np_bailouts) != (0, 0, 0):
+                obs.note(kernel_tier=tier, kernel_tiers={"batch_np": {
+                    "ops": batch_ctx.np_ops, "lanes": batch_ctx.np_lanes,
+                    "bailouts": batch_ctx.np_bailouts}})
+            batch_ctx.flush(current_metrics())
+            obs.attach(result.report, interpreter.mpfr.stats)
+            obs.note(mode="batched")
         return BatchResult(lanes=lanes, values=values,
                            reports=[result.report] * lanes,
                            stdout=result.stdout, mode="batched",
                            interpreter=interpreter)
 
-    def _run_batch_serial(self, name, args, lanes, cache, max_steps,
-                          costs, pool, reason):
-        """Per-lane serial jit runs standing in for a bailed-out batch."""
-        from ..runtime.batch import BatchResult
-
-        values: List[object] = []
-        reports: List[object] = []
-        stdout: List[str] = []
-        interpreter = None
-        for _ in range(lanes):
-            result = self.run(name, args, cache=cache,
-                              max_steps=max_steps, costs=costs,
-                              pool=pool, engine="jit")
-            values.append(result.value)
-            reports.append(result.report)
-            stdout = result.stdout
-            interpreter = result.interpreter
-        return BatchResult(lanes=lanes, values=values, reports=reports,
-                           stdout=stdout, mode="serial",
-                           fallback_reason=reason,
-                           interpreter=interpreter)
-
     def interpreter(self, cache: bool = True,
                     max_steps: int = 500_000_000, costs=None,
-                    dispatch: Optional[str] = None, profile: bool = False,
+                    profile: bool = False,
                     pool: Optional[bool] = None,
                     engine: Optional[str] = None,
                     kernel_tier: Optional[str] = None) -> Interpreter:
         """A fresh interpreter over the compiled module (mpfr/boost/none)."""
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
-        mode = self._resolve_mode(dispatch, engine)
+        mode = self._resolve_mode(engine)
         return Interpreter(self.module, accounting=accounting,
                            max_steps=max_steps, dispatch=mode,
                            profile=profile,
@@ -454,80 +382,41 @@ class CompilerDriver:
         #: default to; like ``engine`` it is an execution knob, hashed
         #: into the fingerprint because the jit sidecar's emitted code
         #: binds kernels at emission time.
-        from ..codegen.smallfloat import KERNEL_TIER_POLICIES
-
-        if kernel_tier not in KERNEL_TIER_POLICIES:
-            raise ValueError(f"unknown kernel tier {kernel_tier!r}; "
-                             f"choose from {KERNEL_TIER_POLICIES}")
-        self.kernel_tier = kernel_tier
+        self.kernel_tier = _check_kernel_tier(kernel_tier)
 
     def compile(self, source: str, name: str = "module") -> CompiledProgram:
-        ledger = current_ledger()
-        if ledger is None:
-            return self._compile_entry(source, name, {})
-        info: dict = {}
-        wall0 = time.perf_counter()
-        program = self._compile_entry(source, name, info)
-        cached = info.get("cached", False)
-        ledger.record(
-            "compile", name=name, backend=self.options.backend,
-            engine=self.engine, opt_level=self.options.opt_level,
-            polly=self.options.polly, fingerprint=info.get("key"),
-            cached=cached,
-            wall_seconds=time.perf_counter() - wall0,
-            # A cached program carries the *original* compile's pass
-            # timings in its pickle; only a fresh compile's are this
-            # event's.
-            passes=dict(program.pass_timings) if not cached else None,
-        )
-        return program
-
-    def _compile_entry(self, source: str, name: str,
-                       info: dict) -> CompiledProgram:
-        """The compile flow proper; fills ``info`` with the cache
-        ``key`` and ``cached`` flag for the ledger wrapper."""
-        tracer = current_tracer()
-        registry = current_metrics()
-        if registry is not None:
-            registry.inc("compile.count")
+        options = self.options
         cache = self.cache
-        if cache is None:
-            if tracer is None:
-                return self._finish(self._compile(source, name))
-            with tracer.span(f"compile:{name}", cat=CAT_COMPILE,
-                             args={"backend": self.options.backend,
-                                   "cached": False}):
-                return self._finish(self._compile(source, name))
-        key = cache.fingerprint(source, self.options, name,
-                                engine=self.engine,
-                                kernel_tier=self.kernel_tier)
-        batch_key = cache.fingerprint(source, self.options, name,
-                                      engine=self.engine, batch=True,
-                                      kernel_tier=self.kernel_tier)
-        info["key"] = key
-        if tracer is None:
-            program = cache.get(key)
-            info["cached"] = program is not None
-            if program is None:
-                program = self._compile(source, name)
-                cache.put(key, program)
+        key = batch_key = program = None
+        with observe(f"compile:{name}", cat=CAT_COMPILE, event="compile",
+                     backend=options.backend) as obs:
+            obs.count("compile.count")
+            if cache is not None:
+                key = cache.fingerprint(source, options, name,
+                                        engine=self.engine,
+                                        kernel_tier=self.kernel_tier)
+                batch_key = cache.fingerprint(source, options, name,
+                                              engine=self.engine,
+                                              batch=True,
+                                              kernel_tier=self.kernel_tier)
+                with observe("cache.lookup", cat=CAT_CACHE) as lookup:
+                    program = cache.get(key)
+                    lookup.arg(hit=program is not None)
+            cached = program is not None
+            obs.arg(cached=cached)
+            if cached:
+                obs.count("compile.cache_hits")
             else:
-                if registry is not None:
-                    registry.inc("compile.cache_hits")
-            return self._finish(program, key, batch_key)
-        with tracer.span(f"compile:{name}", cat=CAT_COMPILE,
-                         args={"backend": self.options.backend}) as span:
-            with tracer.span("cache.lookup", cat=CAT_CACHE) as lookup:
-                program = cache.get(key)
-                lookup.args["hit"] = program is not None
-            span.args["cached"] = program is not None
-            info["cached"] = program is not None
-            if program is None:
                 program = self._compile(source, name)
-                cache.put(key, program)
-            else:
-                if registry is not None:
-                    registry.inc("compile.cache_hits")
+                if cache is not None:
+                    cache.put(key, program)
+            obs.note(name=name, backend=options.backend, engine=self.engine,
+                     opt_level=options.opt_level, polly=options.polly,
+                     fingerprint=key, cached=cached,
+                     # A cached program carries the *original* compile's
+                     # pass timings in its pickle; only a fresh
+                     # compile's are this event's.
+                     passes=None if cached else dict(program.pass_timings))
         return self._finish(program, key, batch_key)
 
     def _finish(self, program: CompiledProgram,
@@ -548,18 +437,14 @@ class CompilerDriver:
 
     def _compile(self, source: str, name: str = "module") -> CompiledProgram:
         options = self.options
-        tracer = current_tracer()
-        front_span = tracer.span("frontend", cat=CAT_COMPILE) \
-            if tracer is not None else None
-        unit = analyze(parse(source))
-        tiled = 0
-        if options.polly:
-            tiled = optimize_unit(unit, options.polly_tile)
-            if tiled:
-                unit = analyze(unit)  # re-resolve the new declarations
-        module = generate_ir(unit, name, verify=options.verify)
-        if front_span is not None:
-            tracer.finish(front_span)
+        with observe("frontend", cat=CAT_COMPILE):
+            unit = analyze(parse(source))
+            tiled = 0
+            if options.polly:
+                tiled = optimize_unit(unit, options.polly_tile)
+                if tiled:
+                    unit = analyze(unit)  # re-resolve the new declarations
+            module = generate_ir(unit, name, verify=options.verify)
         timings: dict = {}
         if options.opt_level >= 2:
             pipeline = build_o3_pipeline(
@@ -568,47 +453,46 @@ class CompilerDriver:
                 enable_unroll=options.enable_unroll,
                 contract_fma=options.contract_fma,
             )
-            if tracer is not None:
-                with tracer.span("o3-pipeline", cat=CAT_COMPILE):
-                    stats = pipeline.run(module)
-            else:
+            with observe("o3-pipeline", cat=CAT_COMPILE):
                 stats = pipeline.run(module)
             timings.update(stats.timings)
             if options.verify:
                 verify_module(module)
         asm = None
-        lowering_span = None
-        if tracer is not None and options.backend != "none":
-            lowering_span = tracer.span(f"lowering:{options.backend}",
-                                        cat=CAT_COMPILE)
-        lowering_started = time.perf_counter()
-        if options.backend == "mpfr":
-            MPFRLoweringPass(
-                reuse_objects=options.reuse_objects,
-                specialize_scalars=options.specialize_scalars,
-                in_place_stores=options.in_place_stores,
-            ).run_module(module)
-            if options.verify:
-                verify_module(module)
-            timings["mpfr-lowering"] = time.perf_counter() - lowering_started
-        elif options.backend == "boost":
-            BoostLoweringPass().run_module(module)
-            if options.verify:
-                verify_module(module)
-            timings["boost-lowering"] = time.perf_counter() - lowering_started
-        elif options.backend == "unum":
-            from ..backends.unum_backend import compile_to_unum
-
-            asm = compile_to_unum(module)
-            timings["unum-codegen"] = time.perf_counter() - lowering_started
-        if lowering_span is not None:
-            tracer.finish(lowering_span)
+        if options.backend != "none":
+            with observe(f"lowering:{options.backend}", cat=CAT_COMPILE):
+                asm = self._lower(module, timings)
         registry = current_metrics()
         if registry is not None:
             registry.inc("compile.fresh")
             absorb_pass_timings(registry, timings)
         return CompiledProgram(module, options, asm=asm, tiled_nests=tiled,
                                pass_timings=timings)
+
+    def _lower(self, module: Module, timings: dict):
+        """Run the backend; records its wall time in ``timings`` and
+        returns the unum assembly (None for the MPFR backends)."""
+        options = self.options
+        started = time.perf_counter()
+        if options.backend == "unum":
+            from ..backends.unum_backend import compile_to_unum
+
+            asm = compile_to_unum(module)
+            timings["unum-codegen"] = time.perf_counter() - started
+            return asm
+        if options.backend == "mpfr":
+            MPFRLoweringPass(
+                reuse_objects=options.reuse_objects,
+                specialize_scalars=options.specialize_scalars,
+                in_place_stores=options.in_place_stores,
+            ).run_module(module)
+        else:
+            BoostLoweringPass().run_module(module)
+        if options.verify:
+            verify_module(module)
+        timings[f"{options.backend}-lowering"] = \
+            time.perf_counter() - started
+        return None
 
 
 def compile_source(source: str, backend: str = "mpfr", cache=None,

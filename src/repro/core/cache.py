@@ -377,9 +377,10 @@ class CompileCache:
                 except OSError:
                     pass
                 raise
-        except OSError:
-            # Read-only/filled disk: persisting is best-effort; the
-            # memory tier still serves this process.
+        except (OSError, pickle.PicklingError, RecursionError, TypeError):
+            # Read-only/filled disk, or a program too deeply nested (or
+            # holding an object) pickle cannot write: persisting is
+            # best-effort; the memory tier still serves this process.
             self._count_error()
             return
         self._evict_if_needed()

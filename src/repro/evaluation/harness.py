@@ -8,13 +8,12 @@ memory so accuracy experiments can compare at full precision.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..bigfloat import BigFloat
 from ..core import CompilerDriver
-from ..observability import current_ledger, current_metrics, report_fields
+from ..observability import observe
 from ..runtime import CostReport
 from ..runtime.batch import lane_view
 from ..unum import UnumConfig, UnumCoprocessor, decode as unum_decode
@@ -145,15 +144,14 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                read_outputs: bool = True,
                coprocessor: Optional[UnumCoprocessor] = None,
                max_steps: int = 500_000_000, costs=None,
-               dispatch: Optional[str] = None, profile: bool = False,
+               profile: bool = False,
                pool: Optional[bool] = None,
                compile_cache=_UNSET, engine: Optional[str] = None,
                validate: bool = False, batch: Optional[int] = None,
                **driver_kwargs) -> RunOutcome:
     """Compile + execute one PolyBench kernel; extract its outputs.
 
-    ``engine`` selects the execution engine (``dispatch`` is the older
-    spelling of the same knob; ``None`` for both picks the backend
+    ``engine`` selects the execution engine (``None`` picks the backend
     default), ``profile``/``pool`` the observability layer and MPFR
     pool (see :meth:`CompiledProgram.run`); they are ignored by the
     unum machine backend.  ``compile_cache`` is a
@@ -181,112 +179,82 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     the ``exact`` invariant."""
     spec = KERNELS[kernel]
     source = source_for(kernel, canonical_source_ftype(ftype))
-    registry = current_metrics()
-    if registry is not None:
-        registry.inc("eval.points")
-        registry.inc(f"eval.backend.{backend}")
-    ledger = current_ledger()
-    wall0 = time.perf_counter() if ledger is not None else 0.0
-    if compile_cache is _UNSET:
-        compile_cache = _COMPILE_CACHE
-    if engine is None:
-        engine = dispatch
-    if batch is not None:
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        if backend != "mpfr":
-            raise ValueError("batched execution requires the mpfr "
-                             f"backend, not {backend!r}")
-        if engine not in (None, "jit"):
-            raise ValueError("batched execution runs on the jit engine; "
-                             f"pass engine=None or 'jit', not {engine!r}")
-    driver = CompilerDriver(backend=backend, polly=polly,
-                            cache=compile_cache, engine=engine,
-                            **driver_kwargs)
-    program = driver.compile(source, name=f"{kernel}-{backend}")
-    kind, params = parse_ftype(ftype)
+    with observe(None, event="eval_point") as obs:
+        obs.count("eval.points")
+        obs.count(f"eval.backend.{backend}")
+        obs.note(kernel=kernel, ftype=ftype, backend=backend, n=n)
+        if compile_cache is _UNSET:
+            compile_cache = _COMPILE_CACHE
+        if batch is not None:
+            if batch < 1:
+                raise ValueError(f"batch must be >= 1, got {batch}")
+            if backend != "mpfr":
+                raise ValueError("batched execution requires the mpfr "
+                                 f"backend, not {backend!r}")
+            if engine not in (None, "jit"):
+                raise ValueError(
+                    "batched execution runs on the jit engine; "
+                    f"pass engine=None or 'jit', not {engine!r}")
+        driver = CompilerDriver(backend=backend, polly=polly,
+                                cache=compile_cache, engine=engine,
+                                **driver_kwargs)
+        program = driver.compile(source, name=f"{kernel}-{backend}")
+        kind, params = parse_ftype(ftype)
 
-    if batch is not None:
-        outcome = _run_kernel_batched(program, spec, kernel, ftype,
-                                      backend, n, batch, cache=cache,
-                                      max_steps=max_steps, costs=costs,
-                                      pool=pool,
-                                      read_outputs=read_outputs,
-                                      validate=validate)
-        if ledger is not None:
-            ledger.record("eval_point", kernel=kernel, ftype=ftype,
-                          backend=backend, n=n, engine="jit",
-                          lanes=batch,
-                          wall_seconds=time.perf_counter() - wall0,
-                          **report_fields(outcome.report))
-        return outcome
+        if batch is not None:
+            outcome = _run_kernel_batched(
+                program, spec, kernel, ftype, backend, n, batch,
+                cache=cache, max_steps=max_steps, costs=costs, pool=pool,
+                read_outputs=read_outputs, validate=validate)
+            obs.note(engine="jit", lanes=batch)
+            obs.attach(outcome.report, absorb=False)
+            return outcome
 
-    if backend == "unum":
-        if coprocessor is None:
-            config = UnumConfig(params["ess"], params["fss"],
-                                params.get("size"))
-            coprocessor = UnumCoprocessor(wgp=min(512, config.precision))
-        machine = program.machine(cache=cache, coprocessor=coprocessor,
-                                  max_steps=max_steps, costs=costs)
-        value = machine.run("run", [n])
-        report = machine.accounting.report
-        report.cycles += machine.scalar_cycles + machine.coprocessor.cycles
-        report.serial_cycles = report.cycles - report.parallel_cycles
-        if registry is not None:
-            from ..observability import absorb_report, absorb_unum_stats
+        if backend == "unum":
+            if coprocessor is None:
+                config = UnumConfig(params["ess"], params["fss"],
+                                    params.get("size"))
+                coprocessor = UnumCoprocessor(
+                    wgp=min(512, config.precision))
+            machine = program.machine(cache=cache, coprocessor=coprocessor,
+                                      max_steps=max_steps, costs=costs)
+            value = machine.run("run", [n])
+            report = machine.accounting.report
+            report.cycles += machine.scalar_cycles + \
+                machine.coprocessor.cycles
+            report.serial_cycles = report.cycles - report.parallel_cycles
+            obs.note(engine=None)
+            obs.attach(report, machine)
+            outputs: List[Number] = []
+            if read_outputs:
+                outputs = _read_unum_outputs(machine, int(value),
+                                             spec.outputs(n), params)
+            return RunOutcome(kernel, ftype, backend, n, outputs, report,
+                              value, pass_timings=program.pass_timings)
 
-            absorb_report(registry, report)
-            absorb_unum_stats(registry, machine)
-        if ledger is not None:
-            ledger.record("eval_point", kernel=kernel, ftype=ftype,
-                          backend=backend, n=n, engine=None,
-                          wall_seconds=time.perf_counter() - wall0,
-                          **report_fields(report))
-        outputs: List[Number] = []
+        result = program.run("run", [n], cache=cache, max_steps=max_steps,
+                             costs=costs, engine=engine, profile=profile,
+                             pool=pool)
+        outputs = []
         if read_outputs:
-            outputs = _read_unum_outputs(machine, int(value),
-                                         spec.outputs(n), params)
-        return RunOutcome(kernel, ftype, backend, n, outputs, report, value,
-                          pass_timings=program.pass_timings)
-
-    result = program.run("run", [n], cache=cache, max_steps=max_steps,
-                         costs=costs, engine=engine, profile=profile,
-                         pool=pool)
-    outputs = []
-    if read_outputs:
-        outputs = _read_interpreter_outputs(
-            result.interpreter, int(result.value), spec.outputs(n),
-            ftype, backend)
-    outcome = RunOutcome(kernel, ftype, backend, n, outputs, result.report,
-                         result.value,
-                         mpfr_stats=result.interpreter.mpfr.stats,
-                         profile=result.profile,
-                         pass_timings=program.pass_timings)
-    validated = None
-    if validate:
-        try:
+            outputs = _read_interpreter_outputs(
+                result.interpreter, int(result.value), spec.outputs(n),
+                ftype, backend)
+        outcome = RunOutcome(kernel, ftype, backend, n, outputs,
+                             result.report, result.value,
+                             mpfr_stats=result.interpreter.mpfr.stats,
+                             profile=result.profile,
+                             pass_timings=program.pass_timings)
+        obs.note(engine=engine)
+        # The run's own boundary already fed the metrics.
+        obs.attach(result.report, absorb=False)
+        if validate:
+            obs.note(validated=False)  # recorded if validation raises
             outcome.certificate = _validate_run(
                 program, spec, outcome, engine=engine, cache=cache,
                 max_steps=max_steps, costs=costs)
-            validated = True
-        except Exception:
-            if ledger is not None:
-                ledger.record(
-                    "eval_point", kernel=kernel, ftype=ftype,
-                    backend=backend, n=n, engine=engine,
-                    validated=False,
-                    wall_seconds=time.perf_counter() - wall0,
-                    **report_fields(result.report))
-            raise
-    if ledger is not None:
-        fields = report_fields(result.report)
-        if validated is not None:
-            fields["validated"] = validated
-        ledger.record("eval_point", kernel=kernel, ftype=ftype,
-                      backend=backend, n=n, engine=engine,
-                      wall_seconds=time.perf_counter() - wall0,
-                      **fields)
-    return outcome
+            obs.note(validated=True)
+        return outcome
 
 
 def _run_kernel_batched(program, spec, kernel: str, ftype: str,
@@ -396,7 +364,7 @@ def _validate_run(program, spec, outcome: RunOutcome,
     # witness only when the primary run extracted them.
     read_outputs = bool(outcome.outputs)
 
-    def observe(run_engine, run_pool, run_tier=None):
+    def rerun(run_engine, run_pool, run_tier=None):
         result = program.run("run", [outcome.n], cache=cache,
                              max_steps=max_steps, costs=costs,
                              engine=run_engine, pool=run_pool,
@@ -412,16 +380,16 @@ def _validate_run(program, spec, outcome: RunOutcome,
     for candidate in ENGINES:
         if candidate == reference_engine:
             continue
-        values, report = observe(candidate, None)
+        values, report = rerun(candidate, None)
         candidates.append((f"engine.{candidate}", "exact",
                            values, report))
     if backend != "boost":
-        values, report = observe(reference_engine, False)
+        values, report = rerun(reference_engine, False)
         candidates.append(("pool.off", "traffic", values, report))
     if reference_engine == "jit":
         # generic↔specialized: the jit engine with the fast-path kernel
         # tier forced off must reproduce the reference bit-for-bit.
-        values, report = observe("jit", None, run_tier="generic")
+        values, report = rerun("jit", None, run_tier="generic")
         candidates.append(("tier.generic",
                            TRANSITIONS["generic↔specialized"],
                            values, report))

@@ -49,6 +49,7 @@ from ..observability import (
     current_tracer,
     install_ledger,
     install_telemetry,
+    observe,
 )
 from .harness import RunOutcome, run_kernel, set_compile_cache
 
@@ -146,33 +147,23 @@ def _run_shard(fn: Callable, shard: List[Tuple[int, tuple]],
     the results home as picklable plain data.
     """
     want_trace, want_metrics = telemetry
-    if not (want_trace or want_metrics):
-        results = []
-        for index, args in shard:
-            try:
-                results.append((index, True, fn(*args)))
-            except Exception:
-                results.append((index, False, traceback.format_exc()))
-        return results, None
     tracer = Tracer() if want_trace else None
     registry = MetricsRegistry() if want_metrics else None
     previous = install_telemetry(tracer, registry)
     try:
-        span = tracer.span("worker.shard", cat=CAT_WORKER,
-                           args={"tasks": len(shard)}) \
-            if tracer is not None else None
-        results = []
-        for index, args in shard:
-            try:
-                results.append((index, True, fn(*args)))
-            except Exception:
-                results.append((index, False, traceback.format_exc()))
-        if span is not None:
-            span.args["failures"] = sum(1 for _, ok, _ in results
-                                        if not ok)
-            tracer.finish(span)
+        with observe("worker.shard", cat=CAT_WORKER,
+                     tasks=len(shard)) as obs:
+            results = []
+            for index, args in shard:
+                try:
+                    results.append((index, True, fn(*args)))
+                except Exception:
+                    results.append((index, False, traceback.format_exc()))
+            obs.arg(failures=sum(1 for _, ok, _ in results if not ok))
     finally:
         install_telemetry(*previous)
+    if tracer is None and registry is None:
+        return results, None
     payload = {
         "events": list(tracer.events) if tracer is not None else None,
         "metrics": registry.to_dict() if registry is not None else None,

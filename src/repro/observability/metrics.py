@@ -189,15 +189,6 @@ def _fmt(value) -> str:
 # Absorb adapters: fold the stack's private counter objects in.
 # ----------------------------------------------------------------- #
 
-def absorb_cache_stats(registry: MetricsRegistry, stats) -> None:
-    """Fold a :class:`~repro.core.cache.CacheStats` snapshot in."""
-    registry.inc("compile.cache.memory_hits", stats.memory_hits)
-    registry.inc("compile.cache.disk_hits", stats.disk_hits)
-    registry.inc("compile.cache.misses", stats.misses)
-    registry.inc("compile.cache.stores", stats.stores)
-    registry.inc("compile.cache.errors", stats.errors)
-
-
 def absorb_mpfr_stats(registry: MetricsRegistry, stats) -> None:
     """Fold one run's :class:`~repro.bigfloat.MpfrStats` in (pool
     hit/miss traffic, allocation counts, per-entry-point calls)."""

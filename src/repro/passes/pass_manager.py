@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..ir import Function, Module, verify_module
-from ..observability import CAT_PASS, current_tracer
+from ..observability import CAT_PASS, observe
 
 
 @dataclass
@@ -60,27 +60,24 @@ class PassManager:
         return self
 
     def run(self, module: Module) -> PassStatistics:
-        tracer = current_tracer()
         for pass_ in self.passes:
-            span = tracer.span(f"pass:{pass_.name}", cat=CAT_PASS) \
-                if tracer is not None else None
-            started = time.perf_counter()
-            changed_total = 0
-            if isinstance(pass_, ModulePass):
-                changed = pass_.run_module(module)
-                changed_total += int(changed)
-                self.stats.record(pass_.name, changed)
-            else:
-                for func in list(module.functions.values()):
-                    if func.is_declaration:
-                        continue
-                    changed = pass_.run(func)
+            with observe(f"pass:{pass_.name}", cat=CAT_PASS) as obs:
+                started = time.perf_counter()
+                changed_total = 0
+                if isinstance(pass_, ModulePass):
+                    changed = pass_.run_module(module)
                     changed_total += int(changed)
                     self.stats.record(pass_.name, changed)
-            self.stats.record_time(pass_.name, time.perf_counter() - started)
-            if span is not None:
-                span.args["changes"] = changed_total
-                tracer.finish(span)
+                else:
+                    for func in list(module.functions.values()):
+                        if func.is_declaration:
+                            continue
+                        changed = pass_.run(func)
+                        changed_total += int(changed)
+                        self.stats.record(pass_.name, changed)
+                self.stats.record_time(pass_.name,
+                                       time.perf_counter() - started)
+                obs.arg(changes=changed_total)
             if self.verify_each:
                 verify_module(module)
         return self.stats

@@ -15,8 +15,7 @@ function: :class:`FunctionCompiler` turns every basic block into a
 - ``phi_moves``: per-predecessor staged phi assignments, so the block
   header does no list comprehension over ``block.phis()`` per execution.
 
-With ``fuse=True`` (the interpreter's default ``"fast"`` mode) the
-compiler additionally peephole-fuses the dominant adjacent pairs into
+The compiler also peephole-fuses the dominant adjacent pairs into
 single *superinstruction* closures at table-build time:
 
 - ``load`` feeding an adjacent binary op (the loaded value skips the
@@ -150,19 +149,15 @@ class CompiledFunction:
 
 
 class FunctionCompiler:
-    """Compiles one function's blocks into closure tables.
+    """Compiles one function's blocks into closure tables, fusing
+    superinstructions (see the module docstring)."""
 
-    ``fuse`` enables superinstruction fusion (see the module docstring);
-    with it off the tables are a 1:1 instruction-to-closure mapping.
-    """
-
-    def __init__(self, interp, fuse: bool = False) -> None:
+    def __init__(self, interp) -> None:
         # Imported here (not at module scope) to avoid a circular import
         # with .interpreter, which imports this module at load time.
         from .interpreter import VPRuntimeError, _f32, _mask_int
 
         self.interp = interp
-        self.fuse = fuse
         self._vpr = VPRuntimeError
         self._f32 = _f32
         self._mask = _mask_int
@@ -195,7 +190,7 @@ class FunctionCompiler:
                     body.append(inst)
             cb.tally = sorted(tally.items())
             fused_cmp = None
-            if (self.fuse and body and term_inst is not None
+            if (body and term_inst is not None
                     and isinstance(term_inst, BranchInst)
                     and term_inst.is_conditional
                     and isinstance(body[-1], (ICmpInst, FCmpInst))
@@ -214,9 +209,8 @@ class FunctionCompiler:
     def _compile_steps(self, body: List) -> List[Callable]:
         steps: List[Callable] = []
         i, n = 0, len(body)
-        fuse = self.fuse
         while i < n:
-            if fuse and i + 1 < n:
+            if i + 1 < n:
                 fused = self._try_fuse(body[i], body[i + 1])
                 if fused is not None:
                     steps.append(fused)

@@ -146,9 +146,8 @@ class Interpreter:
     ``"fast"`` (default) compiles each function's blocks to closure
     tables on first call (:mod:`repro.runtime.dispatch`) with
     superinstruction fusion of adjacent load+arith / arith+store /
-    cmp+branch pairs; ``"unfused"`` uses the same closure tables
-    without fusion; ``"legacy"`` walks the original per-instruction
-    isinstance chain.  All four charge identical cycles.
+    cmp+branch pairs; ``"legacy"`` walks the original per-instruction
+    isinstance chain.  All three charge identical cycles.
 
     ``mpfr_pool`` enables the runtime free-list in the backing
     :class:`~repro.bigfloat.MpfrLibrary`: ``mpfr_clear`` parks handles
@@ -171,7 +170,7 @@ class Interpreter:
                  pool_limit: int = 1024,
                  codegen_store=None,
                  kernel_tier: str = "auto"):
-        if dispatch not in ("jit", "fast", "unfused", "legacy"):
+        if dispatch not in ("jit", "fast", "legacy"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.module = module
         self.accounting = accounting or CostAccounting(cache=None)
@@ -525,10 +524,7 @@ class Interpreter:
 
     def _compile_function(self, func: Function) -> CompiledFunction:
         if self._compiler is None:
-            # jit fallback functions execute on the fused tables: the
-            # closure engine's fastest configuration.
-            self._compiler = FunctionCompiler(
-                self, fuse=(self.dispatch in ("fast", "jit")))
+            self._compiler = FunctionCompiler(self)
         compiled = self._compiler.compile(func)
         self._compiled_functions[id(func)] = compiled
         return compiled

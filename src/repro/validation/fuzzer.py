@@ -4,7 +4,8 @@ Generalizes the ad-hoc ``random_program`` strategy of
 ``tests/test_differential.py`` into a first-class generator over a small
 SSA-shaped IR (:class:`FuzzProgram`): each :class:`FuzzOp` defines one
 value from literals and earlier values (add/sub/mul/div, neg/abs/sqrt,
-and a bounded ``acc = acc * m + a`` loop).  One program drives two
+a bounded ``acc = acc * m + a`` loop, and a loop-carried rotation
+``t = a * m + b; b = a; a = t``).  One program drives two
 independent differentials:
 
 * :func:`cross_check_rounding` -- evaluate the program directly through
@@ -14,7 +15,7 @@ independent differentials:
   modes**; results must be bit-identical BigFloats.
 * :func:`cross_check_engines` -- render the program to dialect source,
   compile it through the real frontend/optimizer, and execute it across
-  backends (none/mpfr/boost), optimization levels (-O0/-O3), all four
+  backends (none/mpfr/boost), optimization levels (-O0/-O3), all three
   execution engines, and the pool toggle; the returned doubles must be
   bit-identical.
 
@@ -50,10 +51,18 @@ MIN_PRECISION = 24
 MAX_PRECISION = 512
 
 #: Operations over earlier values.  ``lit`` introduces a literal;
-#: ``loop`` runs ``acc = acc * m + a`` for a bounded trip count.
+#: ``loop`` runs ``acc = acc * m + a`` for a bounded trip count;
+#: ``rotate`` runs ``t = a * m + b; b = a; a = t`` (two loop-carried
+#: values, one copied into the other: SSA destruction's lost-copy shape).
 BINARY_OPS = ("add", "sub", "mul", "div")
 UNARY_OPS = ("neg", "abs", "sqrt")
-ALL_OPS = ("lit",) + BINARY_OPS + UNARY_OPS + ("loop",)
+LOOP_OPS = ("loop", "rotate")
+ALL_OPS = ("lit",) + BINARY_OPS + UNARY_OPS + LOOP_OPS
+
+#: Trip-count bound per loop op.  Rotations may run past the -O3
+#: unroller's full-unroll limit (8), so their loop-carried phis can
+#: survive to the backends.
+_MAX_TRIPS = {"loop": 5, "rotate": 12}
 
 _SOURCE_BINOP = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
@@ -70,7 +79,8 @@ class FuzzOp:
     """One instruction: defines value ``v<i>`` from earlier values.
 
     ``args`` holds value indexes for arithmetic ops, the literal text
-    for ``lit``, and ``(trips, acc, m, a)`` for ``loop``.
+    for ``lit``, ``(trips, acc, m, a)`` for ``loop`` and
+    ``(trips, a, b, m)`` for ``rotate``.
     """
 
     op: str
@@ -80,7 +90,7 @@ class FuzzOp:
         """Indexes of earlier values this op reads."""
         if self.op == "lit":
             return ()
-        if self.op == "loop":
+        if self.op in LOOP_OPS:
             return tuple(self.args[1:])
         return tuple(self.args)
 
@@ -148,6 +158,14 @@ class FuzzProgram:
                 lines.append(f"  for (int i = 0; i < {trips}; i++) "
                              f"v{i} = v{i} * v{m} + v{a};")
                 continue
+            elif op.op == "rotate":
+                trips, a, b, m = op.args
+                lines.append(f"  {ftype} v{i} = v{a};")
+                lines.append(f"  {ftype} r{i} = v{b};")
+                lines.append(f"  for (int i = 0; i < {trips}; i++) {{ "
+                             f"{ftype} t = v{i} * v{m} + r{i}; "
+                             f"r{i} = v{i}; v{i} = t; }}")
+                continue
             else:  # pragma: no cover - __post_init__ rejects these
                 raise AssertionError(op.op)
             lines.append(f"  {ftype} v{i} = {rhs};")
@@ -203,13 +221,21 @@ def eval_reference(program: FuzzProgram,
             values.append(table[op.op](values[a], values[b], prec, rm))
         elif op.op in UNARY_OPS:
             values.append(table[op.op](values[op.args[0]], prec, rm))
-        else:  # loop
+        elif op.op == "loop":
             trips, acc, m, a = op.args
             current = values[acc]
             for _ in range(trips):
                 current = table["add"](
                     table["mul"](current, values[m], prec, rm),
                     values[a], prec, rm)
+            values.append(current)
+        else:  # rotate
+            trips, a, b, m = op.args
+            current, previous = values[a], values[b]
+            for _ in range(trips):
+                current, previous = table["add"](
+                    table["mul"](current, values[m], prec, rm),
+                    previous, prec, rm), current
             values.append(current)
     return values[-1]
 
@@ -245,13 +271,25 @@ def eval_mpfr_api(program: FuzzProgram, rm: RoundingMode = RNDN,
             lib.abs(dst, handles[op.args[0]], rm)
         elif op.op == "sqrt":
             lib.sqrt(dst, handles[op.args[0]], rm)
-        else:  # loop
+        elif op.op == "loop":
             trips, acc, m, a = op.args
             lib.set(dst, handles[acc], rm)
             scratch = lib.init2(prec)
             for _ in range(trips):
                 lib.mul(scratch, dst, handles[m], rm)
                 lib.add(dst, scratch, handles[a], rm)
+            lib.clear(scratch)
+        else:  # rotate
+            trips, a, b, m = op.args
+            lib.set(dst, handles[a], rm)
+            previous, scratch = lib.init2(prec), lib.init2(prec)
+            lib.set(previous, handles[b], rm)
+            for _ in range(trips):
+                lib.mul(scratch, dst, handles[m], rm)
+                lib.add(scratch, scratch, previous, rm)
+                lib.set(previous, dst, rm)
+                lib.set(dst, scratch, rm)
+            lib.clear(previous)
             lib.clear(scratch)
     result = handles[-1].value
     for handle in handles:
@@ -310,7 +348,6 @@ ENGINE_CONFIGS: Tuple[Tuple[str, str, int, Optional[str],
     ("none.O3.legacy", "none", 3, "legacy", None),
     ("mpfr.O3.jit", "mpfr", 3, "jit", None),
     ("mpfr.O3.fast", "mpfr", 3, "fast", None),
-    ("mpfr.O3.unfused", "mpfr", 3, "unfused", None),
     ("mpfr.O3.legacy", "mpfr", 3, "legacy", None),
     ("mpfr.O3.jit.no-pool", "mpfr", 3, "jit", False),
     ("boost.O3.fast", "boost", 3, "fast", None),
@@ -498,8 +535,8 @@ def _random_literal(rng: random.Random) -> str:
 def generate_program(rng: random.Random,
                      prec: Optional[int] = None,
                      max_ops: int = 14) -> FuzzProgram:
-    """One random program (used by the CLI fuzz driver; the hypothesis
-    strategy below mirrors this construction for shrinkable tests)."""
+    """One random program (the CLI fuzz driver's and, through
+    :func:`fuzz_programs`, the property tests' generator)."""
     if prec is None:
         prec = rng.randint(MIN_PRECISION, MAX_PRECISION)
     n_lits = rng.randint(1, 3)
@@ -519,60 +556,24 @@ def generate_program(rng: random.Random,
             op = rng.choice(UNARY_OPS)
             ops.append(FuzzOp(op, (rng.randrange(idx),)))
         else:
-            ops.append(FuzzOp("loop", (rng.randint(1, 5),
-                                       rng.randrange(idx),
-                                       rng.randrange(idx),
-                                       rng.randrange(idx))))
+            op = rng.choice(LOOP_OPS)
+            ops.append(FuzzOp(op, (rng.randint(1, _MAX_TRIPS[op]),
+                                   rng.randrange(idx),
+                                   rng.randrange(idx),
+                                   rng.randrange(idx))))
     return FuzzProgram(prec, tuple(ops))
 
 
 def fuzz_programs(max_ops: int = 10,
                   precisions: Optional[Sequence[int]] = None):
-    """A hypothesis strategy over :class:`FuzzProgram` (test-suite
-    entry point; imports hypothesis lazily so the fuzz CLI does not
-    depend on it)."""
+    """A hypothesis strategy over :class:`FuzzProgram`:
+    :func:`generate_program` driven by a hypothesis-controlled random
+    source, so failures shrink (test-suite entry point; imports
+    hypothesis lazily so the fuzz CLI does not depend on it)."""
     from hypothesis import strategies as st
 
     precision_strategy = (st.sampled_from(tuple(precisions))
                           if precisions else
                           st.integers(MIN_PRECISION, MAX_PRECISION))
-
-    @st.composite
-    def _program(draw):
-        prec = draw(precision_strategy)
-        n_lits = draw(st.integers(1, 3))
-        ops: List[FuzzOp] = []
-        for _ in range(n_lits):
-            ops.append(FuzzOp("lit", (draw(_literals()),)))
-        n_body = draw(st.integers(1, max(1, max_ops - n_lits)))
-        for _ in range(n_body):
-            idx = len(ops)
-            kind = draw(st.integers(0, 9))
-            if kind == 0:
-                ops.append(FuzzOp("lit", (draw(_literals()),)))
-            elif kind <= 6:
-                op = draw(st.sampled_from(BINARY_OPS))
-                ops.append(FuzzOp(op, (draw(st.integers(0, idx - 1)),
-                                       draw(st.integers(0, idx - 1)))))
-            elif kind <= 8:
-                op = draw(st.sampled_from(UNARY_OPS))
-                ops.append(FuzzOp(op, (draw(st.integers(0, idx - 1)),)))
-            else:
-                ops.append(FuzzOp("loop",
-                                  (draw(st.integers(1, 4)),
-                                   draw(st.integers(0, idx - 1)),
-                                   draw(st.integers(0, idx - 1)),
-                                   draw(st.integers(0, idx - 1)))))
-        return FuzzProgram(prec, tuple(ops))
-
-    def _literals():
-        whole = st.integers(-60, 60)
-        frac = st.sampled_from(("0", "25", "5", "125", "333", "9999"))
-        exp = st.integers(-40, 40)
-        plain = st.builds(lambda w, f: f"{w}.{f}", whole, frac)
-        scientific = st.builds(lambda w, f, e: f"{w}.{f}e{e:+d}",
-                               whole, frac, exp)
-        special = st.sampled_from(_SPECIAL_LITERALS)
-        return st.one_of(plain, scientific, special)
-
-    return _program()
+    return st.builds(generate_program, st.randoms(), precision_strategy,
+                     st.just(max_ops))

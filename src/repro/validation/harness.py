@@ -5,7 +5,7 @@ configuration and a set of *candidate* configurations, then assemble a
 :class:`~repro.validation.certificate.Certificate`:
 
 * :func:`validate_engines` -- the engine transitions (legacy <-> the
-  fused/unfused closure tables <-> the specializing jit) plus the MPFR
+  closure tables <-> the specializing jit) plus the MPFR
   pool toggle, under the ``exact`` / ``traffic`` report invariants.
 * :func:`validate_passes` -- the pass transitions (-O0 vs -O3 and each
   -O3 pipeline switch), value-equivalence with ``sane`` report checks.
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..core import ENGINES, CompilerDriver, resolve_engine
-from ..observability import CAT_VALIDATE, current_metrics, current_tracer
+from ..observability import CAT_VALIDATE, current_metrics, observe
 from .certificate import (
     TRANSITIONS,
     Certificate,
@@ -105,12 +105,8 @@ def validate_engines(source: str, func: str, args: Sequence = (),
     reference_engine = resolve_engine(engine, backend)
     candidates = [e for e in (engines or ENGINES)
                   if e != reference_engine]
-    tracer = current_tracer()
-    span = tracer.span(f"validate:{name}", cat=CAT_VALIDATE,
-                       args={"kind": "engine",
-                             "reference": reference_engine}) \
-        if tracer is not None else None
-    try:
+    with observe(f"validate:{name}", cat=CAT_VALIDATE,
+                 kind="engine", reference=reference_engine):
         ref_values, ref_report = _observe(
             source, name, func, args, backend, reference_engine, None,
             cache=cache, max_steps=max_steps, **driver_kwargs)
@@ -137,9 +133,6 @@ def validate_engines(source: str, func: str, args: Sequence = (),
             certificate.add(make_check(
                 "pool.off", "traffic", ref_values, values,
                 ref_report, report))
-    finally:
-        if span is not None:
-            tracer.finish(span)
     return finish_certificate(certificate, strict)
 
 
@@ -166,11 +159,7 @@ def validate_tiers(source: str, func: str, args: Sequence = (),
                          "not unum")
     strictness = TRANSITIONS["generic↔specialized"]
     reference_engine = resolve_engine(engine, backend)
-    tracer = current_tracer()
-    span = tracer.span(f"validate:{name}", cat=CAT_VALIDATE,
-                       args={"kind": "kernel-tier"}) \
-        if tracer is not None else None
-    try:
+    with observe(f"validate:{name}", cat=CAT_VALIDATE, kind="kernel-tier"):
         ref_values, ref_report = _observe(
             source, name, func, args, backend, reference_engine, None,
             cache=cache, max_steps=max_steps, kernel_tier="small",
@@ -205,9 +194,6 @@ def validate_tiers(source: str, func: str, args: Sequence = (),
                         f"tier.generic.batch{lanes}", strictness,
                         batch_ref_values, tokens,
                         batch_ref_report, snapshot))
-    finally:
-        if span is not None:
-            tracer.finish(span)
     return finish_certificate(certificate, strict)
 
 
@@ -228,11 +214,7 @@ def validate_passes(source: str, func: str, args: Sequence = (),
         raise ValueError("pass validation applies to the interpreter "
                          "backends (none/mpfr/boost), not unum")
     reference_engine = resolve_engine(engine, backend)
-    tracer = current_tracer()
-    span = tracer.span(f"validate:{name}", cat=CAT_VALIDATE,
-                       args={"kind": "pass"}) \
-        if tracer is not None else None
-    try:
+    with observe(f"validate:{name}", cat=CAT_VALIDATE, kind="pass"):
         ref_values, ref_report = _observe(
             source, name, func, args, backend, reference_engine, None,
             opt_level=3, cache=cache, max_steps=max_steps,
@@ -258,9 +240,6 @@ def validate_passes(source: str, func: str, args: Sequence = (),
             certificate.add(make_check(
                 f"pass.no-{switch[len('enable_'):]}", "sane",
                 ref_values, values, ref_report, report))
-    finally:
-        if span is not None:
-            tracer.finish(span)
     return finish_certificate(certificate, strict)
 
 
@@ -294,19 +273,12 @@ def certificate_for_outcomes(subject: str, reference_label: str,
         witness=dict(witness or {}))
     certificate.witness.setdefault("value_digest",
                                    values_digest(reference[0]))
-    tracer = current_tracer()
-    span = tracer.span(f"validate:{subject}", cat=CAT_VALIDATE,
-                       args={"kind": "engine",
-                             "reference": reference_label}) \
-        if tracer is not None else None
-    try:
+    with observe(f"validate:{subject}", cat=CAT_VALIDATE,
+                 kind="engine", reference=reference_label):
         for label, strictness, values, report in candidates:
             certificate.add(make_check(
                 label, strictness, ref_values, values_token(values),
                 ref_report, _as_snapshot(report)))
-    finally:
-        if span is not None:
-            tracer.finish(span)
     return finish_certificate(certificate, strict)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observability import current_metrics
-from .fuzzer import FuzzOp, FuzzProgram
+from .fuzzer import LOOP_OPS, FuzzOp, FuzzProgram
 
 #: Simpler literal spellings, tried in order during simplification.
 SIMPLE_LITERALS = ("1.0", "0.0", "2.0", "0.5")
@@ -44,9 +44,9 @@ def _rebuild(program: FuzzProgram,
                 return None
         if op.op == "lit":
             ops.append(op)
-        elif op.op == "loop":
+        elif op.op in LOOP_OPS:
             trips = op.args[0]
-            ops.append(FuzzOp("loop", (trips,) + tuple(
+            ops.append(FuzzOp(op.op, (trips,) + tuple(
                 renumber[r] for r in op.args[1:])))
         else:
             ops.append(FuzzOp(op.op, tuple(
@@ -111,7 +111,7 @@ def _redirect(program: FuzzProgram, failing: _Memo) -> FuzzProgram:
         for i, op in enumerate(program.ops):
             if op.op == "lit":
                 continue
-            head = (op.args[:1] if op.op == "loop" else ())
+            head = (op.args[:1] if op.op in LOOP_OPS else ())
             refs = list(op.args[len(head):])
             for slot, current in enumerate(refs):
                 for target in range(current):
@@ -145,9 +145,9 @@ def _simplify(program: FuzzProgram, failing: _Memo) -> FuzzProgram:
                         program = candidate
                         changed = True
                         break
-            elif op.op == "loop" and op.args[0] > 1:
+            elif op.op in LOOP_OPS and op.args[0] > 1:
                 ops = list(program.ops)
-                ops[i] = FuzzOp("loop", (op.args[0] - 1,) + op.args[1:])
+                ops[i] = FuzzOp(op.op, (op.args[0] - 1,) + op.args[1:])
                 candidate = FuzzProgram(program.prec, tuple(ops))
                 if failing(candidate):
                     program = candidate

@@ -247,3 +247,48 @@ class TestDynamicPrecisionLowering:
         got = program.run("run_blas", [200, 16]).value
         expect = sum((1.0 + 3.0 * i) ** 2 for i in range(16))
         assert got == expect
+
+
+class TestLoopCarriedValues:
+    """A lowered vpfloat phi points at the object of the value that
+    flowed in; a rotation (``ym2 = ym1; ym1 = y``) must copy, or ``ym2``
+    reads the next iteration's ``y`` (SSA destruction's lost copy)."""
+
+    ROTATION = """
+    double f(int n) {
+      vpfloat<mpfr, 16, 128> y = 0.0;
+      vpfloat<mpfr, 16, 128> ym1 = 0.0;
+      vpfloat<mpfr, 16, 128> ym2 = 0.0;
+      vpfloat<mpfr, 16, 128> s = 0.0;
+      for (int i = 0; i < n; i = i + 1) {
+        vpfloat<mpfr, 16, 128> t = ym1;  /* a local inside the loop */
+        y = 2.0 * t + ym2 + 1.0;
+        s = s + y;
+        ym2 = ym1;
+        ym1 = y;
+      }
+      return (double)s;
+    }
+    """
+
+    @pytest.mark.parametrize("backend", ["mpfr", "boost"])
+    @pytest.mark.parametrize("opt_level", [0, 3])
+    def test_rotation_matches_reference(self, backend, opt_level):
+        reference = compile_source(self.ROTATION, backend="none",
+                                   opt_level=opt_level).run("f", [5])
+        assert reference.value == 81.0
+        got = compile_source(self.ROTATION, backend=backend,
+                             opt_level=opt_level).run("f", [5])
+        assert got.value == reference.value
+
+    def test_reduction_gets_no_copies(self):
+        """A reduction reads its phi before the next value overwrites
+        the phi's object: no copy, so its cycles are unchanged."""
+        source = """
+        double sum(int n, vpfloat<mpfr, 16, 128> *X) {
+          vpfloat<mpfr, 16, 128> s = 0.0;
+          for (int i = 0; i < n; i++) s = s + X[i];
+          return (double)s;
+        }
+        """
+        assert "mpfr_set" not in call_names(lower(source).get_function("sum"))

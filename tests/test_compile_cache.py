@@ -1,6 +1,7 @@
 """Persistent compile cache: fingerprint invalidation + disk roundtrip."""
 
 import pickle
+import threading
 
 import pytest
 
@@ -128,8 +129,29 @@ class TestCacheTiers:
         assert cache.get("k") is None
         assert not list((tmp_path / "c").glob("*.vpc"))
 
+    def test_unpicklable_program_counts_error_and_stays_in_memory(
+            self, tmp_path):
+        cache = CompileCache(tmp_path / "c")
+        cache.put("k", threading.Lock())  # pickle cannot write a lock
+        assert cache.stats.errors == 1
+        assert cache.get("k") is not None  # the memory tier serves it
+        assert not list((tmp_path / "c").glob("*"))  # no temp left over
+
 
 class TestDriverIntegration:
+    def test_program_too_deep_to_pickle_compiles_and_runs(self, tmp_path):
+        """adi on boost lowers to IR nested deeper than pickle's
+        recursion limit: the disk write fails, the compile does not."""
+        source = source_for("adi", "vpfloat<mpfr, 16, 128>")
+        driver = CompilerDriver(backend="boost", cache=tmp_path / "c")
+        program = driver.compile(source, name="adi-boost")
+        assert driver.cache.stats.errors == 1
+        assert driver.compile(source, name="adi-boost") is program
+        fresh = CompilerDriver(backend="boost").compile(source,
+                                                        name="adi-boost")
+        assert program.run("run", [4]).report.cycles == \
+            fresh.run("run", [4]).report.cycles
+
     def test_driver_hits_share_programs(self, tmp_path):
         cache = CompileCache(tmp_path / "c")
         driver = CompilerDriver(backend="mpfr", cache=cache)

@@ -6,8 +6,8 @@ from repro.workloads.polybench import source_for
 
 def _run_both(source, func, args, backend, n_or_args=None):
     program = compile_source(source, backend=backend)
-    legacy = program.run(func, args, dispatch="legacy", pool=False)
-    fast = program.run(func, args, dispatch="fast", pool=False)
+    legacy = program.run(func, args, engine="legacy", pool=False)
+    fast = program.run(func, args, engine="fast", pool=False)
     return legacy, fast
 
 
@@ -85,19 +85,19 @@ class TestDispatchEquivalence:
 
 
 class TestSuperinstructionFusion:
-    """Fused ("fast"), unfused, and legacy engines must agree on
-    outputs and on every cycle category, bit for bit."""
+    """The fused closure tables ("fast") and the legacy walker must
+    agree on outputs and on every cycle category, bit for bit."""
 
     def _run_all(self, source, func, args, backend, n_points=0):
         program = compile_source(source, backend=backend)
         results = {}
-        for dispatch in ("legacy", "unfused", "fast"):
-            r = program.run(func, args, dispatch=dispatch, pool=False)
-            results[dispatch] = (
+        for engine in ("legacy", "fast"):
+            r = program.run(func, args, engine=engine, pool=False)
+            results[engine] = (
                 r.value, r.report.cycles, r.report.instructions,
                 dict(r.report.by_category), r.report.mpfr_calls,
                 r.report.heap_allocations)
-        assert results["fast"] == results["unfused"] == results["legacy"]
+        assert results["fast"] == results["legacy"]
         return results["fast"]
 
     def test_gemm_all_engines(self):
@@ -118,13 +118,11 @@ class TestSuperinstructionFusion:
         source = source_for("gemm", "vpfloat<mpfr, 16, 128>")
         program = compile_source(source, backend="none")
         interp = Interpreter(program.module, dispatch="fast")
-        compiler = FunctionCompiler(interp, fuse=True)
-        unfused = FunctionCompiler(interp, fuse=False)
         func = program.module.get_function("run")
-        fused_steps = sum(
-            len(b.steps) for b in compiler.compile(func).blocks.values())
-        plain_steps = sum(
-            len(b.steps) for b in unfused.compile(func).blocks.values())
+        blocks = FunctionCompiler(interp).compile(func).blocks.values()
+        fused_steps = sum(len(b.steps) for b in blocks)
+        # One step per non-terminator instruction without fusion.
+        plain_steps = sum(b.count - 1 for b in blocks)
         assert fused_steps < plain_steps
 
     def test_multi_user_producers_write_through(self):
@@ -193,9 +191,9 @@ class TestRuntimePrecisionFreshness:
         """
         for backend in ("none", "mpfr"):
             program = compile_source(source, backend=backend)
-            for dispatch in ("fast", "legacy"):
-                result = program.run("f", [200], dispatch=dispatch)
-                assert result.value == 2.0 ** -69, (backend, dispatch)
+            for engine in ("fast", "legacy"):
+                result = program.run("f", [200], engine=engine)
+                assert result.value == 2.0 ** -69, (backend, engine)
 
     def test_vp_config_cache_across_runs(self):
         """One interpreter, different runtime attrs: the per-config cache
@@ -236,8 +234,8 @@ class TestProfile:
     def test_profile_matches_between_dispatch_modes(self):
         source = source_for("gemm", "vpfloat<mpfr, 16, 128>")
         program = compile_source(source, backend="mpfr")
-        fast = program.run("run", [4], profile=True, dispatch="fast")
-        legacy = program.run("run", [4], profile=True, dispatch="legacy")
+        fast = program.run("run", [4], profile=True, engine="fast")
+        legacy = program.run("run", [4], profile=True, engine="legacy")
         assert fast.profile.opcode_counts == legacy.profile.opcode_counts
         assert fast.profile.builtin_calls == legacy.profile.builtin_calls
 

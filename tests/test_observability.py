@@ -245,12 +245,12 @@ class TestCompilerTelemetry:
         assert registry.histograms["precision.mpfr.bits"]
 
     def test_precision_histograms_per_dispatch(self):
-        for dispatch in ("fast", "unfused", "legacy"):
+        for engine in ("fast", "legacy"):
             program = compile_source(SRC, backend="none")
             with telemetry_session(metrics=True) as (_, registry):
-                program.run("run", [8], dispatch=dispatch)
+                program.run("run", [8], engine=engine)
             hist = registry.histograms.get("precision.op.fadd.bits")
-            assert hist and 256 in hist, dispatch
+            assert hist and 256 in hist, engine
             assert registry.counters["precision.rounding.RNDN"] > 0
 
 
@@ -433,3 +433,60 @@ class TestUnumTelemetry:
         from repro.observability.stats import render_unum_summary
 
         assert render_unum_summary({"counters": {"x": 1}}) == ""
+
+
+class TestObserveSpine:
+    """``observe`` is each boundary's one instrumentation point: one
+    span and one ledger record per boundary, nothing when disabled."""
+
+    def test_disabled_path_is_the_shared_noop(self):
+        from repro.observability import (
+            NULL_OBSERVATION,
+            install_ledger,
+            observe,
+        )
+
+        previous = install_ledger(None)
+        try:
+            first = observe("execute:f", event="run", backend="mpfr")
+            second = observe("frontend", cat=CAT_COMPILE)
+        finally:
+            install_ledger(previous)
+        assert first is NULL_OBSERVATION and second is NULL_OBSERVATION
+        report = compile_source(SRC, backend="mpfr").run("run", [2]).report
+        with first as obs:
+            obs.attach(report)
+            obs.note(function="f")
+            obs.arg(cycles=1)
+            obs.count("x")
+        assert NULL_OBSERVATION._report is None
+        assert not NULL_OBSERVATION._attached
+        assert not NULL_OBSERVATION._fields
+
+    def test_one_span_and_one_record_per_boundary(self, tmp_path):
+        from collections import Counter
+
+        from repro.observability import ledger_session, read_ledger
+
+        ledger_path = tmp_path / "ledger.jsonl"
+        cache = CompileCache(tmp_path / "cache")
+        with telemetry_session(trace=True, metrics=True) as (tracer, _), \
+                ledger_session(ledger_path):
+            program = CompilerDriver(backend="mpfr", cache=cache) \
+                .compile(SRC, name="m")
+            CompilerDriver(backend="mpfr", cache=cache).compile(SRC,
+                                                                name="m")
+            program.run("run", [4])
+            program.run_batch("run", [4], lanes=2)
+        records, problems = read_ledger(ledger_path)
+        assert not problems
+        assert [(r["event"], r.get("cached")) for r in records] == [
+            ("compile", False), ("compile", True), ("run", None),
+            ("batch_run", None)]
+        assert records[3]["mode"] == "batched"
+        spans = Counter(event["name"] for event in tracer.events
+                        if event["ph"] == "X")
+        assert spans["compile:m"] == 2 and spans["cache.lookup"] == 2
+        assert spans["frontend"] == spans["o3-pipeline"] == 1
+        assert spans["lowering:mpfr"] == 1
+        assert spans["execute:run"] == spans["execute-batch:run"] == 1

@@ -110,28 +110,28 @@ class TestParallelMerge:
 class TestNoPerturbation:
     """Tracing on vs off: bit-identical outputs, identical cycles."""
 
-    @pytest.mark.parametrize("dispatch", ("fast", "unfused", "legacy"))
+    @pytest.mark.parametrize("engine", ("fast", "legacy"))
     @pytest.mark.parametrize("kernel,n", (("gemm", 8), ("jacobi-1d", 16)))
-    def test_outputs_and_report_identical(self, kernel, n, dispatch):
+    def test_outputs_and_report_identical(self, kernel, n, engine):
         ftype = "vpfloat<mpfr, 16, 128>"
         baseline = run_kernel(kernel, ftype, n, backend="none",
-                              dispatch=dispatch, compile_cache=None)
+                              engine=engine, compile_cache=None)
         with telemetry_session(trace=True, metrics=True):
             traced = run_kernel(kernel, ftype, n, backend="none",
-                                dispatch=dispatch, compile_cache=None)
+                                engine=engine, compile_cache=None)
         assert [_bits(x) for x in baseline.outputs] == \
             [_bits(x) for x in traced.outputs]
         assert _report_tuple(baseline.report) == \
             _report_tuple(traced.report)
 
-    @pytest.mark.parametrize("dispatch", ("fast", "unfused", "legacy"))
-    def test_mpfr_backend_identical(self, dispatch):
+    @pytest.mark.parametrize("engine", ("fast", "legacy"))
+    def test_mpfr_backend_identical(self, engine):
         baseline = run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 8,
-                              backend="mpfr", dispatch=dispatch,
+                              backend="mpfr", engine=engine,
                               compile_cache=None)
         with telemetry_session(trace=True, metrics=True):
             traced = run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 8,
-                                backend="mpfr", dispatch=dispatch,
+                                backend="mpfr", engine=engine,
                                 compile_cache=None)
         assert [_bits(x) for x in baseline.outputs] == \
             [_bits(x) for x in traced.outputs]

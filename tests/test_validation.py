@@ -142,8 +142,7 @@ class TestValidateHarness:
         assert cert.passed
         labels = {check.label for check in cert.checks}
         # jit is the mpfr reference; the others plus the pool toggle.
-        assert {"engine.fast", "engine.unfused", "engine.legacy",
-                "pool.off"} <= labels
+        assert {"engine.fast", "engine.legacy", "pool.off"} <= labels
 
     def test_passes_certificate_passes(self):
         cert = validate_passes(SOURCE, "f", (12,), backend="mpfr",
@@ -171,8 +170,7 @@ class TestRunKernelValidate:
     FTYPE = "vpfloat<mpfr, 16, 128>"
 
     @pytest.mark.parametrize("kernel,n", [("gemm", 5), ("jacobi-1d", 8)])
-    @pytest.mark.parametrize("engine", ["jit", "fast", "unfused",
-                                        "legacy"])
+    @pytest.mark.parametrize("engine", ["jit", "fast", "legacy"])
     def test_certificate_passes_and_primary_untouched(self, kernel, n,
                                                       engine):
         plain = run_kernel(kernel, self.FTYPE, n, backend="mpfr",
@@ -233,6 +231,30 @@ class TestFuzzer:
 
         mismatch = cross_check_rounding(program)
         assert mismatch is None, mismatch.describe()
+
+    def test_rotation_checks_clean_across_evaluators_and_engines(self):
+        from repro.validation import cross_check_engines, \
+            cross_check_rounding
+
+        # 9 trips: past the unroller, so -O3 keeps the loop-carried phis.
+        program = FuzzProgram(128, (FuzzOp("lit", ("1.5",)),
+                                    FuzzOp("lit", ("0.25",)),
+                                    FuzzOp("rotate", (9, 0, 1, 0))))
+        assert "r2 = v2; v2 = t;" in program.render_source()
+        assert cross_check_rounding(program) is None
+        mismatch = cross_check_engines(program)
+        assert mismatch is None, mismatch.describe()
+
+    def test_corpus_reproducers_replay_clean(self):
+        from pathlib import Path
+
+        corpus = Path(__file__).resolve().parent.parent / "results" / \
+            "fuzz-corpus"
+        paths = sorted(corpus.glob("vpfuzz-*.json"))
+        assert paths
+        for path in paths:
+            mismatch = replay(str(path))
+            assert mismatch is None, (path.name, mismatch.describe())
 
     def test_json_round_trip(self):
         import random
