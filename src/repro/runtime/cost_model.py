@@ -300,7 +300,8 @@ class CostAccounting:
     def __init__(self, costs: Optional[CycleCosts] = None,
                  cache: Optional[CacheModel] = None):
         self.costs = costs or CycleCosts()
-        self.cache = cache if cache is not None else CacheModel()
+        #: None simulates no cache: accesses are free and uncounted.
+        self.cache = cache
         self.report = CostReport()
         self._parallel_depth = 0
         self._parallel_start_cycles = 0

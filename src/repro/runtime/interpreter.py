@@ -77,7 +77,7 @@ from ..observability import (
 )
 from ..unum import UnumConfig, UnumConfigError
 from ..unum.posit import PositConfig, PositConfigError, posit_round
-from .cost_model import CostAccounting
+from .cost_model import CacheModel, CostAccounting
 from .dispatch import CompiledFunction, FunctionCompiler, InterpreterProfile
 from .memory import Memory
 
@@ -173,7 +173,7 @@ class Interpreter:
         if dispatch not in ("jit", "fast", "legacy"):
             raise ValueError(f"unknown dispatch mode {dispatch!r}")
         self.module = module
-        self.accounting = accounting or CostAccounting(cache=None)
+        self.accounting = accounting or CostAccounting(cache=CacheModel())
         self.memory = Memory(observer=self.accounting.memory_access)
         self.mpfr = mpfr_library or MpfrLibrary(pool=mpfr_pool,
                                                 pool_limit=pool_limit)
@@ -1045,20 +1045,14 @@ class Interpreter:
             # compiler emits (loop idiom); clear the cells in range.
             addr, _value, nbytes = int(args[0]), args[1], int(args[2])
             charge("memset", costs.int_op + int(nbytes) // 8)
-            for a in [a for a in self.memory.cells
-                      if addr <= a < addr + nbytes]:
-                del self.memory.cells[a]
+            self.memory.clear_range(addr, addr + nbytes)
             self.accounting.memory_access("w", addr, nbytes)
             return None
 
         def do_memcpy(args, inst, frame):
             dst, src, nbytes = int(args[0]), int(args[1]), int(args[2])
             charge("memcpy", costs.int_op + int(nbytes) // 4)
-            moved = [(a - src + dst, cell) for a, cell in
-                     sorted(self.memory.cells.items())
-                     if src <= a < src + nbytes]
-            for target_addr, cell in moved:
-                self.memory.cells[target_addr] = cell
+            self.memory.copy_range(dst, src, nbytes)
             self.accounting.memory_access("r", src, nbytes)
             self.accounting.memory_access("w", dst, nbytes)
             return None

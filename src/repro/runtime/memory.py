@@ -51,10 +51,8 @@ class Memory:
 
     def stack_release(self, mark: int) -> None:
         """Free everything allocated after ``mark`` (scope exit)."""
-        doomed = [a for a in self.cells if mark <= a < self.stack_pointer
-                  and a >= STACK_BASE and a < HEAP_BASE]
-        for a in doomed:
-            del self.cells[a]
+        self.clear_range(max(mark, STACK_BASE),
+                         min(self.stack_pointer, HEAP_BASE))
         self.stack_pointer = mark
 
     def alloc_heap(self, nbytes: int) -> int:
@@ -70,9 +68,33 @@ class Memory:
         size = self.heap_blocks.pop(addr, None)
         if size is None:
             raise MemoryError_(f"free of non-heap address {addr:#x}")
-        doomed = [a for a in self.cells if addr <= a < addr + size]
-        for a in doomed:
-            del self.cells[a]
+        self.clear_range(addr, addr + size)
+
+    def clear_range(self, start: int, end: int) -> None:
+        """Drop every cell at an address in ``[start, end)``, in
+        O(min(end - start, live cells))."""
+        cells = self.cells
+        if end - start <= len(cells):
+            for addr in range(start, end):
+                cells.pop(addr, None)
+        else:
+            for addr in [a for a in cells if start <= a < end]:
+                del cells[addr]
+
+    def copy_range(self, dst: int, src: int, nbytes: int) -> None:
+        """Copy the cells in ``[src, src + nbytes)`` to the same offsets
+        from ``dst``, in O(min(nbytes, live cells)).  The observer is not
+        notified; callers model the traffic."""
+        cells = self.cells
+        end = src + nbytes
+        if nbytes <= len(cells):
+            moved = [(a - src + dst, cells[a]) for a in range(src, end)
+                     if a in cells]
+        else:
+            moved = [(a - src + dst, cell) for a, cell in sorted(cells.items())
+                     if src <= a < end]
+        for addr, cell in moved:
+            cells[addr] = cell
 
     def alloc_global(self, nbytes: int) -> int:
         addr = self.global_pointer

@@ -6,25 +6,39 @@ cache-modeled memory) with the
 variable-byte loads/stores).  It is the stand-in for the paper's FPGA
 Rocket + coprocessor platform (Fig. 2); reported cycles combine both
 units plus cache-model access time.
+
+Execution is decode-once.  The first call of each :class:`AsmFunction`
+turns it into one tuple of *handlers* per block (:class:`_Decoder`).  A
+handler is a closure over pre-resolved operands: registers are indices
+into a per-call register file (a list), immediates are baked in and
+branch labels are block indices.  It returns ``None`` to fall through,
+a block index to jump, or :data:`_RETURN`.  Whatever depends on
+coprocessor state (the WGP, the ess/fss/MBB memory geometry) is still
+read when the handler runs.  A fault that decoding can already see (an
+unknown opcode, a virtual register, a malformed operand) is raised only
+when its instruction executes, after the cycles it charges up front.
+The decoded code binds this machine's coprocessor, memory and
+accounting, and lives on the machine, never on the ``AsmModule``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+import operator
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..backends.unum_backend.asm import (
     AsmFunction,
-    AsmInst,
     AsmModule,
     Imm,
     PReg,
-    StackSlot,
     VReg,
 )
-from ..bigfloat import BigFloat
+from ..bigfloat import BigFloat, to_str
 from ..unum import MAX_WGP, UnumConfig, UnumCoprocessor
-from .cost_model import CostAccounting
+from ..unum.format import decode as unum_decode
+from ..unum.format import encode as unum_encode
+from .cost_model import CacheModel, CostAccounting
 from .memory import Memory
 
 
@@ -32,20 +46,13 @@ class UnumMachineError(RuntimeError):
     pass
 
 
-class _CoprocessorMemoryAdapter:
-    """Bridges the coprocessor's raw-byte interface onto Memory cells.
+#: Reserved register-file slots: frame base, argument list, return
+#: value.  Physical registers and constants follow.
+_FRAME, _ARGS, _RESULT = 0, 1, 2
+#: Handler result of ``ret`` (a jump returns a block index >= 0).
+_RETURN = -1
 
-    UNUM values in memory are stored as encoded integers so MBB
-    truncation and precision loss behave exactly like hardware."""
-
-    def __init__(self, memory: Memory):
-        self.memory = memory
-
-    def load_bytes(self, address: int, n: int) -> bytes:
-        return self.memory.load_bytes(address, n)
-
-    def store_bytes(self, address: int, payload: bytes) -> None:
-        self.memory.store_bytes(address, payload)
+Handler = Callable[[list], Optional[int]]
 
 
 class UnumMachine:
@@ -56,14 +63,14 @@ class UnumMachine:
                  coprocessor: Optional[UnumCoprocessor] = None,
                  max_steps: int = 500_000_000):
         self.asm = asm
-        self.accounting = accounting or CostAccounting(cache=None)
+        self.accounting = accounting or CostAccounting(cache=CacheModel())
         self.memory = Memory(observer=self.accounting.memory_access)
         self.coprocessor = coprocessor or UnumCoprocessor(wgp=128)
-        self.adapter = _CoprocessorMemoryAdapter(self.memory)
         self.max_steps = max_steps
         self.steps = 0
         self.stdout: List[str] = []
         self.scalar_cycles = 0
+        self._code: Dict[str, _Code] = {}
 
     # ------------------------------------------------------------ #
 
@@ -83,458 +90,302 @@ class UnumMachine:
         func = self.asm.functions.get(name)
         if func is None:
             raise UnumMachineError(f"unknown function {name!r}")
-        regs: Dict[PReg, object] = {}
-        frame_base = self.memory.alloc_stack(max(8, func.frame_slots * 8))
+        code = self._code.get(name)
+        if code is None or code.func is not func:
+            code = self._code[name] = _Decoder(self, func).decode()
+        regs = code.template[:]
+        regs[_FRAME] = self.memory.alloc_stack(max(8, func.frame_slots * 8))
+        regs[_ARGS] = args
         # Pre-write incoming arguments.
-        for (reg, _cls), value in zip(func.arg_registers, args):
-            if reg is None:
+        for arg, value in zip(code.arg_slots, args):
+            if arg is None:
                 continue  # spilled: fetched by argmv
-            if isinstance(value, float) and reg.cls == "g":
-                value = BigFloat.from_float(value, MAX_WGP)
-            regs[reg] = value
-        state = _ExecState(func, regs, frame_base, args)
-        return self._execute(state)
+            slot, reg = arg
+            if reg.cls == "g":
+                if isinstance(value, float):
+                    value = BigFloat.from_float(value, MAX_WGP)
+            elif value is None:
+                value = 0  # an unset x/f register reads as 0
+            regs[slot] = value
+        return self._execute(code.blocks, regs)
 
-    # ------------------------------------------------------------ #
-
-    def _execute(self, state: "_ExecState"):
-        func = state.func
-        label_index = {b.label: i for i, b in enumerate(func.blocks)}
-        block_i = 0
-        inst_i = 0
+    def _execute(self, blocks, regs):
+        max_steps = self.max_steps
+        count = len(blocks)
+        index = 0
         while True:
-            block = func.blocks[block_i]
-            if inst_i >= len(block.instructions):
-                block_i += 1  # fall through
-                inst_i = 0
-                if block_i >= len(func.blocks):
+            for handler in blocks[index]:
+                self.steps += 1
+                if self.steps > max_steps:
+                    raise UnumMachineError("instruction budget exceeded")
+                target = handler(regs)
+                if target is not None:
+                    break
+            else:
+                index += 1  # fall through
+                if index >= count:
                     raise UnumMachineError("fell off the end of function")
                 continue
-            inst = block.instructions[inst_i]
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise UnumMachineError("instruction budget exceeded")
-            outcome = self._step(inst, state)
-            if outcome is None:
-                inst_i += 1
-            elif outcome[0] == "jump":
-                block_i = label_index[outcome[1]]
-                inst_i = 0
-            elif outcome[0] == "ret":
-                self.memory.stack_release(state.frame_base)
-                return outcome[1]
+            if target == _RETURN:
+                self.memory.stack_release(regs[_FRAME])
+                return regs[_RESULT]
+            index = target
 
-    # ------------------------------------------------------------ #
-    # Operand helpers
-    # ------------------------------------------------------------ #
-
-    def _read(self, state, op):
-        if isinstance(op, Imm):
-            return op.value
-        if isinstance(op, PReg):
-            value = state.regs.get(op)
-            if value is None:
-                if op.cls == "g":
-                    raise UnumMachineError(f"read of uninitialized {op}")
-                return 0
-            return value
-        if isinstance(op, VReg):
-            raise UnumMachineError(
-                "virtual register survived allocation: run regalloc first"
-            )
-        raise UnumMachineError(f"cannot read operand {op!r}")
-
-    def _write(self, state, op, value) -> None:
-        if not isinstance(op, PReg):
-            raise UnumMachineError(f"cannot write operand {op!r}")
-        state.regs[op] = value
-
-    def _slot_addr(self, state, slot: StackSlot) -> int:
-        return state.frame_base + slot.index
-
-    def _apply_config(self, inst: AsmInst, state) -> None:
-        """g-instructions assume their sucfg context was applied; the
-        config metadata is only used for the wgp of immediate rounding."""
-
-    # ------------------------------------------------------------ #
-    # The instruction set
-    # ------------------------------------------------------------ #
-
-    def _step(self, inst: AsmInst, state):
-        op = inst.opcode
-        cop = self.coprocessor
-        ops = inst.operands
-        costs = self.accounting.costs
-
-        def r(i):
-            return self._read(state, ops[i])
-
-        def w(value):
-            self._write(state, ops[0], value)
-
-        # ---- scalar integer ---------------------------------------- #
-        if op in ("li", "mv", "la"):
-            self.scalar_cycles += 1
-            w(r(1) if op != "la" else self._global_addr(ops[1]))
-            return None
-        if op in ("add", "sub", "mul", "div", "rem", "divu", "remu", "and",
-                  "or", "xor", "sll", "sra", "srl"):
-            self.scalar_cycles += 1 if op not in ("mul", "div", "rem") else 3
-            a, b = r(1), r(2)
-            table = {
-                "add": lambda: a + b, "sub": lambda: a - b,
-                "mul": lambda: a * b,
-                "div": lambda: _tdiv(a, b), "rem": lambda: a - _tdiv(a, b) * b,
-                "divu": lambda: abs(a) // abs(b) if b else 0,
-                "remu": lambda: abs(a) % abs(b) if b else 0,
-                "and": lambda: a & b, "or": lambda: a | b,
-                "xor": lambda: a ^ b,
-                "sll": lambda: a << (b & 63), "sra": lambda: a >> (b & 63),
-                "srl": lambda: (a & ((1 << 64) - 1)) >> (b & 63),
-            }
-            w(table[op]())
-            return None
-        if op.startswith("setcc."):
-            self.scalar_cycles += 1
-            w(int(_int_compare(op[6:], r(1), r(2))))
-            return None
-
-        # ---- scalar float ------------------------------------------- #
-        if op in ("fli", "fmv"):
-            self.scalar_cycles += 1
-            w(float(r(1)))
-            return None
-        if op in ("fadd.d", "fsub.d", "fmul.d", "fdiv.d", "frem.d"):
-            a, b = float(r(1)), float(r(2))
-            cost = {"fadd.d": costs.f64_add, "fsub.d": costs.f64_add,
-                    "fmul.d": costs.f64_mul, "fdiv.d": costs.f64_div,
-                    "frem.d": costs.f64_div}[op]
-            self.scalar_cycles += cost
-            table = {"fadd.d": a + b, "fsub.d": a - b, "fmul.d": a * b,
-                     "fdiv.d": (a / b if b != 0.0 else
-                                math.copysign(math.inf, a) if a else
-                                math.nan),
-                     "frem.d": math.fmod(a, b) if b else math.nan}
-            w(table[op])
-            return None
-        if op == "fneg.d":
-            self.scalar_cycles += 1
-            w(-float(r(1)))
-            return None
-        if op.startswith("fsetcc."):
-            self.scalar_cycles += costs.f64_other
-            w(int(_float_compare(op[7:], float(r(1)), float(r(2)))))
-            return None
-        if op in ("fcvt.d.w",):
-            self.scalar_cycles += 2
-            w(float(int(r(1))))
-            return None
-        if op in ("fcvt.w.d",):
-            self.scalar_cycles += 2
-            w(int(float(r(1))))
-            return None
-        if op.startswith("libm."):
-            fn = {"sqrt": math.sqrt, "fabs": abs, "exp": math.exp,
-                  "log": math.log, "pow": math.pow, "sin": math.sin,
-                  "cos": math.cos, "floor": math.floor, "ceil": math.ceil,
-                  "fmax": max, "fmin": min}[op[5:]]
-            self.scalar_cycles += costs.f64_div * 2
-            w(fn(*[float(self._read(state, o)) for o in ops[1:]]))
-            return None
-
-        # ---- memory -------------------------------------------------- #
-        if op == "addsp":
-            self.scalar_cycles += 1
-            w(state.frame_base + int(r(1)))
-            return None
-        if op == "allocd":
-            self.scalar_cycles += 2
-            w(self.memory.alloc_stack(int(r(1))))
-            return None
-        if op == "alloch":
-            self.scalar_cycles += costs.malloc
-            self.accounting.report.heap_allocations += 1
-            w(self.memory.alloc_heap(int(r(1))))
-            return None
-        if op == "freeh":
-            self.scalar_cycles += costs.free
-            self.memory.free_heap(int(r(0)))
-            return None
-        if op == "ld":
-            self.scalar_cycles += 1
-            w(self.memory.load(int(r(1)), 8, 0))
-            return None
-        if op == "sd":
-            self.scalar_cycles += 1
-            self.memory.store(int(r(1)), r(0), 8)
-            return None
-        if op == "fld":
-            self.scalar_cycles += 1
-            value = self.memory.load(int(r(1)), 8, 0.0)
-            w(float(value) if value is not None else 0.0)
-            return None
-        if op == "fsd":
-            self.scalar_cycles += 1
-            self.memory.store(int(r(1)), float(r(0)), 8)
-            return None
-        if op == "memset":
-            addr, _v, n = int(r(0)), r(1), int(r(2))
-            self.scalar_cycles += 2 + n // 8
-            for a in [a for a in self.memory.cells if addr <= a < addr + n]:
-                del self.memory.cells[a]
-            self.accounting.memory_access("w", addr, n)
-            return None
-        if op == "memcpy":
-            dst, src, n = int(r(0)), int(r(1)), int(r(2))
-            self.scalar_cycles += 2 + n // 4
-            moved = [(a - src + dst, c) for a, c in
-                     sorted(self.memory.cells.items()) if src <= a < src + n]
-            for addr, cell in moved:
-                self.memory.cells[addr] = cell
-            self.accounting.memory_access("r", src, n)
-            self.accounting.memory_access("w", dst, n)
-            return None
-
-        # ---- coprocessor configuration ------------------------------ #
-        if op == "sucfg.ess":
-            cop.set_ess(int(r(0)))
-            return None
-        if op == "sucfg.fss":
-            cop.set_fss(int(r(0)))
-            return None
-        if op == "sucfg.wgp":
-            cop.set_wgp(int(r(0)))
-            return None
-        if op == "sucfg.wgpu":
-            fss = int(r(0))
-            size = int(r(1)) if len(ops) > 1 else 0
-            config = UnumConfig(cop.ess or 4, fss, size or None)
-            cop.set_wgp(min(MAX_WGP, config.precision))
-            return None
-        if op == "sucfg.mbb":
-            cop.set_mbb(int(r(0)))
-            return None
-
-        # ---- coprocessor data --------------------------------------- #
-        if op == "gli":
-            value = ops[1].value
-            if not isinstance(value, BigFloat):
-                value = BigFloat.from_float(float(value), cop.glayer.wgp)
-            cop_reg = ops[0]
-            state.regs[cop_reg] = value.round_to(cop.glayer.wgp)
-            self.scalar_cycles += 2
-            return None
-        if op == "gmov":
-            state.regs[ops[0]] = self._gread(state, ops[1]).round_to(
-                cop.glayer.wgp)
-            self.scalar_cycles += 1
-            return None
-        if op in ("gadd", "gsub", "gmul", "gdiv"):
-            a = self._gread(state, ops[1])
-            b = self._gread(state, ops[2])
-            kernel = {"gadd": cop.glayer.add, "gsub": cop.glayer.sub,
-                      "gmul": cop.glayer.mul, "gdiv": cop.glayer.div}[op]
-            state.regs[ops[0]] = kernel(a, b)
-            cop.stats.bump(op)
-            return None
-        if op == "gfma":
-            a = self._gread(state, ops[1])
-            b = self._gread(state, ops[2])
-            c = self._gread(state, ops[3])
-            state.regs[ops[0]] = cop.glayer.fma(a, b, c)
-            cop.stats.bump(op)
-            return None
-        if op == "gsqrt":
-            state.regs[ops[0]] = cop.glayer.sqrt(self._gread(state, ops[1]))
-            cop.stats.bump(op)
-            return None
-        if op == "gabs":
-            value = self._gread(state, ops[1])
-            state.regs[ops[0]] = abs(value).round_to(cop.glayer.wgp)
-            cop.stats.bump(op)
-            return None
-        if op == "gneg":
-            state.regs[ops[0]] = cop.glayer.neg(self._gread(state, ops[1]))
-            cop.stats.bump(op)
-            return None
-        if op == "gcvt.d.g":
-            state.regs[ops[0]] = BigFloat.from_float(float(r(1)),
-                                                     cop.glayer.wgp)
-            cop.stats.bump(op)
-            self.scalar_cycles += cop.glayer.cycle_model.cvt_cost
-            return None
-        if op == "gcvt.g.d":
-            w(self._gread(state, ops[1]).to_float())
-            cop.stats.bump(op)
-            self.scalar_cycles += cop.glayer.cycle_model.cvt_cost
-            return None
-        if op == "gcvt.w.g":
-            state.regs[ops[0]] = BigFloat.from_int(int(r(1)),
-                                                   max(64, cop.glayer.wgp))
-            cop.stats.bump(op)
-            self.scalar_cycles += cop.glayer.cycle_model.cvt_cost
-            return None
-        if op == "gcvt.g.w":
-            value = self._gread(state, ops[1])
-            w(value.to_int() if value.is_finite() else 0)
-            cop.stats.bump(op)
-            self.scalar_cycles += cop.glayer.cycle_model.cvt_cost
-            return None
-        if op.startswith("gsetcc."):
-            a = self._gread(state, ops[1])
-            b = self._gread(state, ops[2])
-            w(int(_bigfloat_compare(op[7:], a, b)))
-            cop.stats.bump("gcmp")
-            cop.add_cycles(cop.glayer.cycle_model.cmp_cost)
-            return None
-        if op == "ldu":
-            address = int(r(1))
-            cop_load_into = ops[0]
-            config = cop.memory_config()
-            cop._erratum_tick(config.size_bytes)
-            raw = self.adapter.load_bytes(address, config.size_bytes)
-            from ..unum.format import decode
-
-            bits = int.from_bytes(raw, "little")
-            state.regs[cop_load_into] = decode(bits, config).round_to(
-                cop.glayer.wgp)
-            cop.stats.loads += 1
-            cop.stats.bytes_loaded += config.size_bytes
-            cop.stats.bump("ldu")
-            cop.add_cycles(cop.memory_model.cost(config.size_bytes))
-            self.accounting.memory_access("r", address, config.size_bytes)
-            return None
-        if op == "stu":
-            address = int(r(1))
-            value = self._gread(state, ops[0])
-            config = cop.memory_config()
-            cop._erratum_tick(config.size_bytes)
-            from ..unum.format import encode
-
-            bits = encode(value, config)
-            self.adapter.store_bytes(address,
-                                     bits.to_bytes(config.size_bytes,
-                                                   "little"))
-            cop.stats.stores += 1
-            cop.stats.bytes_stored += config.size_bytes
-            cop.stats.bump("stu")
-            cop.add_cycles(cop.memory_model.cost(config.size_bytes))
-            return None
-
-        # ---- control flow ------------------------------------------- #
-        if op == "j":
-            self.scalar_cycles += 1
-            return ("jump", ops[0].name.lstrip("."))
-        if op in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-            self.scalar_cycles += 1
-            a, b = r(0), r(1)
-            if isinstance(a, float) or isinstance(b, float):
-                taken = _float_compare(
-                    {"beq": "oeq", "bne": "one", "blt": "olt",
-                     "bge": "oge"}[op], float(a), float(b))
-            else:
-                taken = _int_compare(
-                    {"beq": "eq", "bne": "ne", "blt": "slt", "bge": "sge",
-                     "bltu": "ult", "bgeu": "uge"}[op], int(a), int(b))
-            if taken:
-                return ("jump", ops[2].name.lstrip("."))
-            return None
-        if op == "ret":
-            self.scalar_cycles += 2
-            value = self._read(state, ops[0]) if ops else None
-            return ("ret", value)
-        if op == "trap":
-            raise UnumMachineError("trap executed")
-
-        # ---- pseudos -------------------------------------------------- #
-        if op.startswith("sel."):
-            self.scalar_cycles += 1
-            w(r(2) if r(1) else r(3))
-            return None
-        if op == "sizeu":
-            self.scalar_cycles += 6
-            ess, fss, size = int(r(1)), int(r(2)), int(r(3))
-            config = UnumConfig(ess, fss, size or None)
-            w(config.size_bytes)
-            return None
-        if op == "checkattr":
-            self.scalar_cycles += 1
-            if int(r(0)) != int(r(1)):
-                raise UnumMachineError(
-                    f"vpfloat attribute mismatch: {int(r(0))} != {int(r(1))}"
-                )
-            return None
-        if op == "omp.begin":
-            self.accounting.parallel_begin()
-            return None
-        if op == "omp.end":
-            self.accounting.parallel_end()
-            return None
-        if op in ("atomic.begin", "atomic.end"):
-            self.scalar_cycles += costs.atomic_section // 2
-            return None
-        if op == "print":
-            value = r(0)
-            if isinstance(value, BigFloat):
-                from ..bigfloat import to_str
-
-                self.stdout.append(to_str(value))
-            else:
-                self.stdout.append(str(value))
-            return None
-        if op == "argmv":
-            self.scalar_cycles += 1
-            w(state.args[int(r(1))])
-            return None
-        if op in ("ldspill", "fldspill", "gldspill"):
-            self.scalar_cycles += 2
-            addr = self._slot_addr(state, ops[1])
-            default = BigFloat.zero(64) if op[0] == "g" else 0
-            w(self.memory.load(addr, ops[1].size, default))
-            return None
-        if op in ("sdspill", "fsdspill", "gsdspill"):
-            self.scalar_cycles += 2
-            addr = self._slot_addr(state, ops[1])
-            self.memory.store(addr, r(0), ops[1].size)
-            return None
-        if op == "call":
-            result = self.call(str(ops[1]),
-                               [self._read(state, o) for o in ops[2:]])
-            self.scalar_cycles += costs.call_overhead
-            w(result)
-            return None
-        if op == "call.void":
-            self.call(str(ops[0]), [self._read(state, o) for o in ops[1:]])
-            self.scalar_cycles += costs.call_overhead
-            return None
-        if op == "nop":
-            self.scalar_cycles += 1
-            return None
-        raise UnumMachineError(f"unknown opcode {op!r}")
-
-    # ------------------------------------------------------------ #
-
-    def _gread(self, state, op) -> BigFloat:
-        value = self._read(state, op)
+    def _gvalue(self, value, op) -> BigFloat:
+        """A g-layer operand that is not already a :class:`BigFloat`."""
         if isinstance(value, BigFloat):
             return value
+        if value is None:
+            raise UnumMachineError(f"read of uninitialized {op}")
         if isinstance(value, (int, float)):
             return BigFloat.from_float(float(value),
                                        self.coprocessor.glayer.wgp)
         raise UnumMachineError(f"not a g-layer value: {value!r}")
 
-    def _global_addr(self, name) -> int:
-        raise UnumMachineError("globals not supported by the UNUM machine")
+
+class _Code(NamedTuple):
+    """One decoded function: handler tuples per block, the register
+    file's initial contents, and where each argument register lives."""
+
+    func: AsmFunction
+    blocks: list
+    template: list
+    arg_slots: list
 
 
-class _ExecState:
-    __slots__ = ("func", "regs", "frame_base", "args")
+# ----------------------------------------------------------------- #
+# The decoder
+# ----------------------------------------------------------------- #
 
-    def __init__(self, func: AsmFunction, regs, frame_base: int, args):
+#: opcode -> builder; ``_FAMILIES`` holds the ``prefix.`` opcodes.
+_BUILDERS: Dict[str, Callable] = {}
+_FAMILIES: Dict[str, Callable] = {}
+
+
+def _builds(*opcodes: str):
+    def register(build):
+        for opcode in opcodes:
+            table = _FAMILIES if opcode.endswith(".") else _BUILDERS
+            table[opcode] = build
+        return build
+    return register
+
+
+class _Decoder:
+    """Builds one :class:`_Code` from an :class:`AsmFunction`.
+
+    Builders get the decoder, the machine, the operand list and the
+    opcode, and resolve operands in the order the instruction reads
+    them.  Hot opcodes read registers through :meth:`slot` (a list
+    index); the rest use :meth:`reader`/:meth:`writer` closures."""
+
+    def __init__(self, machine: UnumMachine, func: AsmFunction):
+        self.machine = machine
         self.func = func
-        self.regs = regs
-        self.frame_base = frame_base
-        self.args = args
+        self.labels = {b.label: i for i, b in enumerate(func.blocks)}
+        self.template: list = [None, None, None]
+        self.slots: Dict[object, int] = {}
+
+    def decode(self) -> _Code:
+        blocks = [tuple(self.instruction(inst.opcode, inst.operands)
+                        for inst in block.instructions)
+                  for block in self.func.blocks]
+        arg_slots = [None if reg is None else (self.register(reg), reg)
+                     for reg, _cls in self.func.arg_registers]
+        return _Code(self.func, blocks, self.template, arg_slots)
+
+    def instruction(self, opcode: str, ops) -> Handler:
+        self.ops = ops
+        self.checks = []  # (slot, g-register) read by a plain read
+        self.jump_fault = None
+        #: Scalar cycles the instruction charges before it reads an
+        #: operand, so also before an operand fault.
+        self.charge = 0
+        build = _BUILDERS.get(opcode) or \
+            _FAMILIES.get(opcode[:opcode.find(".") + 1])
+        try:
+            if build is None:
+                raise UnumMachineError(f"unknown opcode {opcode!r}")
+            handler = build(self, self.machine, ops, opcode)
+        except Exception as exc:  # raised when the instruction executes
+            return _raising(exc, self.machine, self.charge)
+        if self.jump_fault is not None:
+            handler = _misjump(handler, self.jump_fault)
+        if self.checks:
+            handler = _checked(handler, self.checks, self.machine,
+                               self.charge)
+        return handler
+
+    # ---- operands ------------------------------------------------ #
+
+    def register(self, op) -> int:
+        """The register-file slot of ``op``."""
+        slot = self.slots.get(op)
+        if slot is None:
+            slot = self.slots[op] = len(self.template)
+            self.template.append(None if getattr(op, "cls", None) == "g"
+                                 else 0)
+        return slot
+
+    def slot(self, i: int, g_ok: bool = False) -> int:
+        """Slot operand ``i`` is read from; an immediate gets a constant
+        slot.  A g-register is checked for initialization before the
+        instruction runs, unless ``g_ok`` (the handler checks)."""
+        op = self.ops[i]
+        if isinstance(op, Imm):
+            self.template.append(op.value)
+            return len(self.template) - 1
+        if isinstance(op, PReg):
+            slot = self.register(op)
+            if op.cls == "g" and not g_ok:
+                self.checks.append((slot, op))
+            return slot
+        raise _operand_fault(op)
+
+    def dest(self, i: int = 0) -> int:
+        op = self.ops[i]
+        if not isinstance(op, PReg):
+            raise UnumMachineError(f"cannot write operand {op!r}")
+        return self.register(op)
+
+    def reader(self, i: int) -> Callable[[list], object]:
+        """``regs -> value`` of operand ``i``; faults when it reads."""
+        op = self.ops[i]
+        if isinstance(op, Imm):
+            value = op.value
+            return lambda regs: value
+        if isinstance(op, PReg):
+            slot = self.register(op)
+            if op.cls != "g":
+                return operator.itemgetter(slot)
+
+            def read_g(regs):
+                value = regs[slot]
+                if value is None:
+                    raise UnumMachineError(f"read of uninitialized {op}")
+                return value
+            return read_g
+        return _raising(_operand_fault(op))
+
+    def greader(self, i: int) -> Callable[[list], BigFloat]:
+        """``regs -> BigFloat`` of operand ``i`` (ints/floats convert at
+        the current WGP)."""
+        read, op, gvalue = self.reader(i), self.ops[i], self.machine._gvalue
+
+        def gread(regs):
+            value = read(regs)
+            return value if value.__class__ is BigFloat else \
+                gvalue(value, op)
+        return gread
+
+    def writer(self, i: int = 0,
+               checked: bool = True) -> Callable[[list, object], None]:
+        """``(regs, value) -> None`` storing into operand ``i``, which
+        must be a physical register unless not ``checked`` (g-layer
+        results, as the coprocessor writes them)."""
+        op = self.ops[i]
+        if checked and not isinstance(op, PReg):
+            return _raising(UnumMachineError(f"cannot write operand {op!r}"))
+        slot = self.register(op)
+        if getattr(op, "cls", None) == "g" or not checked:
+            def write(regs, value):
+                regs[slot] = value
+        else:
+            def write(regs, value):
+                regs[slot] = 0 if value is None else value
+        return write
+
+    def target(self, i: int) -> int:
+        """Block index of label operand ``i``; a bad label faults when
+        the branch is taken."""
+        name = self.ops[i].name.lstrip(".")
+        index = self.labels.get(name)
+        if index is None:
+            self.jump_fault = KeyError(name)
+            return -2
+        return index
+
+
+def _operand_fault(op) -> UnumMachineError:
+    if isinstance(op, VReg):
+        return UnumMachineError(
+            "virtual register survived allocation: run regalloc first")
+    return UnumMachineError(f"cannot read operand {op!r}")
+
+
+def _raising(exc: Exception, machine=None, charge: int = 0):
+    """A handler (or reader/writer) that raises ``exc`` when called,
+    after charging ``machine`` the instruction's up-front cycles."""
+    def fault(*_args):
+        if charge:
+            machine.scalar_cycles += charge
+        raise exc.with_traceback(None)
+    return fault
+
+
+def _misjump(handler: Handler, fault: Exception) -> Handler:
+    def jump(regs):
+        if handler(regs) is not None:
+            raise fault.with_traceback(None)
+    return jump
+
+
+def _checked(handler: Handler, checks, machine, charge: int) -> Handler:
+    """Fault on an unset g-register that a scalar instruction reads."""
+    def checked(regs):
+        for slot, op in checks:
+            if regs[slot] is None:
+                machine.scalar_cycles += charge
+                raise UnumMachineError(f"read of uninitialized {op}")
+        return handler(regs)
+    return checked
+
+
+# ----------------------------------------------------------------- #
+# The instruction set
+# ----------------------------------------------------------------- #
+
+def _compute(d, m, cost, fn, *sources) -> Handler:
+    """Charge ``cost`` scalar cycles, then write ``fn`` of the
+    ``sources`` operands to operand 0."""
+    d.charge = cost
+    reads = [d.reader(i) for i in sources]
+    write = d.writer()
+
+    def compute(regs):
+        m.scalar_cycles += cost
+        write(regs, fn(*[read(regs) for read in reads]))
+    return compute
+
+
+# ---- scalar integer ------------------------------------------------ #
+
+@_builds("li", "mv")
+def _move(d, m, ops, opcode):
+    d.charge = 1
+    if isinstance(ops[1], Imm):
+        value = ops[1].value
+        rd = d.dest()
+
+        def move_imm(regs):
+            m.scalar_cycles += 1
+            regs[rd] = value
+        return move_imm
+    rs = d.slot(1)
+    rd = d.dest()
+
+    def move(regs):
+        m.scalar_cycles += 1
+        regs[rd] = regs[rs]
+    return move
+
+
+@_builds("la")
+def _la(d, m, ops, opcode):
+    def la(regs):
+        m.scalar_cycles += 1
+        raise UnumMachineError("globals not supported by the UNUM machine")
+    return la
 
 
 def _tdiv(a: int, b: int) -> int:
@@ -544,13 +395,104 @@ def _tdiv(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
+_MASK64 = (1 << 64) - 1
+
+_INT_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": _tdiv, "rem": lambda a, b: a - _tdiv(a, b) * b,
+    "divu": lambda a, b: abs(a) // abs(b) if b else 0,
+    "remu": lambda a, b: abs(a) % abs(b) if b else 0,
+    "and": operator.and_, "or": operator.or_, "xor": operator.xor,
+    "sll": lambda a, b: a << (b & 63), "sra": lambda a, b: a >> (b & 63),
+    "srl": lambda a, b: (a & _MASK64) >> (b & 63),
+}
+
+
+@_builds(*_INT_OPS)
+def _int_op(d, m, ops, opcode):
+    cost = d.charge = 3 if opcode in ("mul", "div", "rem") else 1
+    fn = _INT_OPS[opcode]
+    ra = d.slot(1)
+    if isinstance(ops[2], Imm):
+        b = ops[2].value
+        rd = d.dest()
+
+        def int_op_imm(regs):
+            m.scalar_cycles += cost
+            regs[rd] = fn(regs[ra], b)
+        return int_op_imm
+    rb = d.slot(2)
+    rd = d.dest()
+    if opcode == "add":  # the hottest scalar op: no call
+        def add(regs):
+            m.scalar_cycles += 1
+            regs[rd] = regs[ra] + regs[rb]
+        return add
+
+    def int_op(regs):
+        m.scalar_cycles += cost
+        regs[rd] = fn(regs[ra], regs[rb])
+    return int_op
+
+
 def _int_compare(pred: str, a: int, b: int) -> bool:
-    ua, ub = a & ((1 << 64) - 1), b & ((1 << 64) - 1)
+    ua, ub = a & _MASK64, b & _MASK64
     return {
         "eq": a == b, "ne": a != b, "slt": a < b, "sle": a <= b,
         "sgt": a > b, "sge": a >= b, "ult": ua < ub, "ule": ua <= ub,
         "ugt": ua > ub, "uge": ua >= ub,
     }[pred]
+
+
+@_builds("setcc.")
+def _setcc(d, m, ops, opcode):
+    pred = opcode[6:]
+    return _compute(d, m, 1, lambda a, b: int(_int_compare(pred, a, b)),
+                    1, 2)
+
+
+# ---- scalar float -------------------------------------------------- #
+
+def _fdiv(a: float, b: float) -> float:
+    if b != 0.0:
+        return a / b
+    return math.copysign(math.inf, a) if a else math.nan
+
+
+#: opcode -> (CycleCosts field, function of the float operands)
+_FLOAT_OPS = {
+    "fadd.d": ("f64_add", operator.add), "fsub.d": ("f64_add", operator.sub),
+    "fmul.d": ("f64_mul", operator.mul), "fdiv.d": ("f64_div", _fdiv),
+    "frem.d": ("f64_div", lambda a, b: math.fmod(a, b) if b else math.nan),
+}
+
+
+@_builds(*_FLOAT_OPS)
+def _float_op(d, m, ops, opcode):
+    field, fn = _FLOAT_OPS[opcode]
+    cost = getattr(m.accounting.costs, field)
+    a, b, write = d.reader(1), d.reader(2), d.writer()
+
+    def float_op(regs):
+        x, y = float(a(regs)), float(b(regs))  # read before charging
+        m.scalar_cycles += cost
+        write(regs, fn(x, y))
+    return float_op
+
+
+#: opcode -> (cycles, function of the source operand)
+_CONVERSIONS = {
+    "fli": (1, float), "fmv": (1, float),
+    "fneg.d": (1, lambda a: -float(a)),
+    "fcvt.d.w": (2, lambda a: float(int(a))),
+    "fcvt.w.d": (2, lambda a: int(float(a))),
+}
+
+
+@_builds(*_CONVERSIONS)
+def _convert(d, m, ops, opcode):
+    cost, fn = _CONVERSIONS[opcode]
+    return _compute(d, m, cost, fn, 1)
 
 
 def _float_compare(pred: str, a: float, b: float) -> bool:
@@ -563,6 +505,237 @@ def _float_compare(pred: str, a: float, b: float) -> bool:
     if pred.startswith("o") and pred not in ("ord",):
         return base and not unordered
     return base
+
+
+@_builds("fsetcc.")
+def _fsetcc(d, m, ops, opcode):
+    pred = opcode[7:]
+    return _compute(
+        d, m, m.accounting.costs.f64_other,
+        lambda a, b: int(_float_compare(pred, float(a), float(b))), 1, 2)
+
+
+_LIBM = {"sqrt": math.sqrt, "fabs": abs, "exp": math.exp, "log": math.log,
+         "pow": math.pow, "sin": math.sin, "cos": math.cos,
+         "floor": math.floor, "ceil": math.ceil, "fmax": max, "fmin": min}
+
+
+@_builds("libm.")
+def _libm(d, m, ops, opcode):
+    fn = _LIBM[opcode[5:]]
+    return _compute(d, m, m.accounting.costs.f64_div * 2,
+                    lambda *args: fn(*map(float, args)),
+                    *range(1, len(ops)))
+
+
+# ---- memory -------------------------------------------------------- #
+
+@_builds("addsp", "argmv")
+def _frame(d, m, ops, opcode):
+    """``addsp``: frame base + offset; ``argmv``: an incoming argument."""
+    d.charge = 1
+    a, write = d.reader(1), d.writer()
+    frame = _FRAME if opcode == "addsp" else _ARGS
+
+    def frame_op(regs):
+        m.scalar_cycles += 1
+        base, n = regs[frame], int(a(regs))
+        write(regs, base + n if frame == _FRAME else base[n])
+    return frame_op
+
+
+@_builds("allocd")
+def _allocd(d, m, ops, opcode):
+    return _compute(d, m, 2, lambda n: m.memory.alloc_stack(int(n)), 1)
+
+
+@_builds("alloch")
+def _alloch(d, m, ops, opcode):
+    cost, report = m.accounting.costs.malloc, m.accounting.report
+    size, write = d.reader(1), d.writer()
+
+    def alloch(regs):
+        m.scalar_cycles += cost
+        report.heap_allocations += 1  # counted before the size is read
+        write(regs, m.memory.alloc_heap(int(size(regs))))
+    return alloch
+
+
+@_builds("freeh")
+def _freeh(d, m, ops, opcode):
+    cost = d.charge = m.accounting.costs.free
+    a = d.reader(0)
+
+    def freeh(regs):
+        m.scalar_cycles += cost
+        m.memory.free_heap(int(a(regs)))
+    return freeh
+
+
+@_builds("ld")
+def _ld(d, m, ops, opcode):
+    return _compute(d, m, 1, lambda a: m.memory.load(int(a), 8, 0), 1)
+
+
+@_builds("fld")
+def _fld(d, m, ops, opcode):
+    def fld(a):
+        value = m.memory.load(int(a), 8, 0.0)
+        return float(value) if value is not None else 0.0
+    return _compute(d, m, 1, fld, 1)
+
+
+@_builds("sd", "fsd")
+def _store(d, m, ops, opcode):
+    d.charge = 1
+    address, value, store = d.reader(1), d.reader(0), m.memory.store
+    convert = float if opcode == "fsd" else (lambda v: v)
+
+    def sd(regs):
+        m.scalar_cycles += 1
+        store(int(address(regs)), convert(value(regs)), 8)
+    return sd
+
+
+@_builds("memset", "memcpy")
+def _block_op(d, m, ops, opcode):
+    a, b, n = d.reader(0), d.reader(1), d.reader(2)
+    memory, access = m.memory, m.accounting.memory_access
+
+    def memset(regs):
+        addr, _value, nbytes = int(a(regs)), b(regs), int(n(regs))
+        m.scalar_cycles += 2 + nbytes // 8
+        memory.clear_range(addr, addr + nbytes)
+        access("w", addr, nbytes)
+
+    def memcpy(regs):
+        dst, src, nbytes = int(a(regs)), int(b(regs)), int(n(regs))
+        m.scalar_cycles += 2 + nbytes // 4
+        memory.copy_range(dst, src, nbytes)
+        access("r", src, nbytes)
+        access("w", dst, nbytes)
+    return memset if opcode == "memset" else memcpy
+
+
+# ---- coprocessor configuration ------------------------------------- #
+
+@_builds("sucfg.ess", "sucfg.fss", "sucfg.wgp", "sucfg.mbb")
+def _sucfg(d, m, ops, opcode):
+    setter = getattr(m.coprocessor, "set_" + opcode[6:])
+    a = d.reader(0)
+    return lambda regs: setter(int(a(regs)))
+
+
+@_builds("sucfg.wgpu")
+def _sucfg_wgpu(d, m, ops, opcode):
+    cop = m.coprocessor
+    a = d.reader(0)
+    b = d.reader(1) if len(ops) > 1 else (lambda regs: 0)
+
+    def wgpu(regs):
+        fss = int(a(regs))
+        size = int(b(regs))
+        config = UnumConfig(cop.ess or 4, fss, size or None)
+        cop.set_wgp(min(MAX_WGP, config.precision))
+    return wgpu
+
+
+# ---- coprocessor data ---------------------------------------------- #
+
+@_builds("gli")
+def _gli(d, m, ops, opcode):
+    value = ops[1].value
+    glayer = m.coprocessor.glayer
+    if not isinstance(value, BigFloat):
+        value = float(value)
+    rd = d.register(ops[0])
+    rounded: Dict[int, BigFloat] = {}  # per WGP; BigFloats are immutable
+
+    def gli(regs):
+        wgp = glayer.wgp
+        result = rounded.get(wgp)
+        if result is None:
+            result = value if value.__class__ is BigFloat else \
+                BigFloat.from_float(value, wgp)
+            result = rounded[wgp] = result.round_to(wgp)
+        regs[rd] = result
+        m.scalar_cycles += 2
+    return gli
+
+
+@_builds("gmov")
+def _gmov(d, m, ops, opcode):
+    glayer, gvalue, op = m.coprocessor.glayer, m._gvalue, ops[1]
+    rs = d.slot(1, g_ok=True)
+    rd = d.register(ops[0])
+
+    def gmov(regs):
+        value = regs[rs]
+        if value.__class__ is not BigFloat:
+            value = gvalue(value, op)
+        regs[rd] = value.round_to(glayer.wgp)
+        m.scalar_cycles += 1
+    return gmov
+
+
+@_builds("gadd", "gsub", "gmul", "gdiv")
+def _g_binary(d, m, ops, opcode):
+    cop = m.coprocessor
+    kernel = getattr(cop.glayer, opcode[1:])
+    bump, gvalue = cop.stats.bump, m._gvalue
+    op_a, op_b = ops[1], ops[2]
+    ra, rb = d.slot(1, g_ok=True), d.slot(2, g_ok=True)
+    rd = d.register(ops[0])
+
+    def g_binary(regs):
+        a = regs[ra]
+        if a.__class__ is not BigFloat:
+            a = gvalue(a, op_a)
+        b = regs[rb]
+        if b.__class__ is not BigFloat:
+            b = gvalue(b, op_b)
+        regs[rd] = kernel(a, b)
+        bump(opcode)
+    return g_binary
+
+
+@_builds("gfma", "gsqrt", "gabs", "gneg")
+def _g_other(d, m, ops, opcode):
+    cop = m.coprocessor
+    glayer = cop.glayer
+    kernel = {"gfma": glayer.fma, "gsqrt": glayer.sqrt, "gneg": glayer.neg,
+              "gabs": lambda v: abs(v).round_to(glayer.wgp)}[opcode]
+    reads = [d.greader(i) for i in range(1, 4 if opcode == "gfma" else 2)]
+    rd = d.register(ops[0])
+
+    def g_other(regs):
+        regs[rd] = kernel(*[read(regs) for read in reads])
+        cop.stats.bump(opcode)
+    return g_other
+
+
+#: conversion -> function of (source value, current WGP)
+_GCVT = {
+    "gcvt.d.g": lambda v, wgp: BigFloat.from_float(float(v), wgp),
+    "gcvt.w.g": lambda v, wgp: BigFloat.from_int(int(v), max(64, wgp)),
+    "gcvt.g.d": lambda v, wgp: v.to_float(),
+    "gcvt.g.w": lambda v, wgp: v.to_int() if v.is_finite() else 0,
+}
+
+
+@_builds(*_GCVT)
+def _gcvt(d, m, ops, opcode):
+    cop, convert = m.coprocessor, _GCVT[opcode]
+    cost = cop.glayer.cycle_model.cvt_cost
+    to_g = opcode.endswith(".g")
+    read = d.reader(1) if to_g else d.greader(1)
+    write = d.writer(checked=not to_g)
+
+    def gcvt(regs):
+        write(regs, convert(read(regs), cop.glayer.wgp))
+        cop.stats.bump(opcode)
+        m.scalar_cycles += cost
+    return gcvt
 
 
 def _bigfloat_compare(pred: str, a: BigFloat, b: BigFloat) -> bool:
@@ -579,3 +752,228 @@ def _bigfloat_compare(pred: str, a: BigFloat, b: BigFloat) -> bool:
     if pred.startswith("o"):
         return base and not unordered
     return base or unordered
+
+
+@_builds("gsetcc.")
+def _gsetcc(d, m, ops, opcode):
+    cop = m.coprocessor
+    pred, cost = opcode[7:], cop.glayer.cycle_model.cmp_cost
+    a, b, write = d.greader(1), d.greader(2), d.writer()
+
+    def gsetcc(regs):
+        x, y = a(regs), b(regs)
+        write(regs, int(_bigfloat_compare(pred, x, y)))
+        cop.stats.bump("gcmp")
+        cop.add_cycles(cost)
+    return gsetcc
+
+
+@_builds("ldu")
+def _ldu(d, m, ops, opcode):
+    cop, memory = m.coprocessor, m.memory
+    glayer, stats, bytes_cost = cop.glayer, cop.stats, cop.memory_model.cost
+    access = m.accounting.memory_access
+    ra = d.slot(1)
+    rd = d.register(ops[0])
+
+    def ldu(regs):
+        address = int(regs[ra])
+        config = cop.memory_config()
+        nbytes = config.size_bytes
+        cop._erratum_tick(nbytes)
+        raw = memory.load_bytes(address, nbytes)
+        regs[rd] = unum_decode(int.from_bytes(raw, "little"),
+                               config).round_to(glayer.wgp)
+        stats.loads += 1
+        stats.bytes_loaded += nbytes
+        stats.bump("ldu")
+        cop.add_cycles(bytes_cost(nbytes))
+        access("r", address, nbytes)
+    return ldu
+
+
+@_builds("stu")
+def _stu(d, m, ops, opcode):
+    cop, memory, gvalue = m.coprocessor, m.memory, m._gvalue
+    stats, bytes_cost = cop.stats, cop.memory_model.cost
+    op = ops[0]
+    ra = d.slot(1)
+    rs = d.slot(0, g_ok=True)
+
+    def stu(regs):
+        address = int(regs[ra])
+        value = regs[rs]
+        if value.__class__ is not BigFloat:
+            value = gvalue(value, op)
+        config = cop.memory_config()
+        nbytes = config.size_bytes
+        cop._erratum_tick(nbytes)
+        bits = unum_encode(value, config)
+        memory.store_bytes(address, bits.to_bytes(nbytes, "little"))
+        stats.stores += 1
+        stats.bytes_stored += nbytes
+        stats.bump("stu")
+        cop.add_cycles(bytes_cost(nbytes))
+    return stu
+
+
+# ---- control flow -------------------------------------------------- #
+
+@_builds("j")
+def _jump(d, m, ops, opcode):
+    d.charge = 1
+    target = d.target(0)
+
+    def jump(regs):
+        m.scalar_cycles += 1
+        return target
+    return jump
+
+
+#: branch -> (integer test on int() operands, predicate when either
+#: operand is a float; unsigned branches have none).
+_BRANCHES = {
+    "beq": (operator.eq, "oeq"), "bne": (operator.ne, "one"),
+    "blt": (operator.lt, "olt"), "bge": (operator.ge, "oge"),
+    "bltu": (lambda a, b: (a & _MASK64) < (b & _MASK64), None),
+    "bgeu": (lambda a, b: (a & _MASK64) >= (b & _MASK64), None),
+}
+
+
+@_builds(*_BRANCHES)
+def _branch(d, m, ops, opcode):
+    test, float_pred = _BRANCHES[opcode]
+    d.charge = 1
+    ra, rb = d.slot(0), d.slot(1)
+    target = d.target(2)
+
+    def branch(regs):
+        m.scalar_cycles += 1
+        a, b = regs[ra], regs[rb]
+        if isinstance(a, float) or isinstance(b, float):
+            if float_pred is None:
+                raise KeyError(opcode)
+            taken = _float_compare(float_pred, float(a), float(b))
+        else:
+            taken = test(int(a), int(b))
+        if taken:
+            return target
+    return branch
+
+
+@_builds("ret")
+def _ret(d, m, ops, opcode):
+    a = d.reader(0) if ops else (lambda regs: None)
+
+    def ret(regs):
+        m.scalar_cycles += 2
+        regs[_RESULT] = a(regs)
+        return _RETURN
+    return ret
+
+
+@_builds("trap")
+def _trap(d, m, ops, opcode):
+    return _raising(UnumMachineError("trap executed"))
+
+
+@_builds("call", "call.void")
+def _call(d, m, ops, opcode):
+    first = 1 if opcode == "call" else 0
+    name = str(ops[first])
+    args = [d.reader(i) for i in range(first + 1, len(ops))]
+    write = d.writer() if opcode == "call" else (lambda regs, value: None)
+    cost = m.accounting.costs.call_overhead
+
+    def call(regs):
+        result = m.call(name, [read(regs) for read in args])
+        m.scalar_cycles += cost
+        write(regs, result)
+    return call
+
+
+# ---- pseudos ------------------------------------------------------- #
+
+@_builds("sel.")
+def _select(d, m, ops, opcode):
+    d.charge = 1
+    cond, a, b, write = d.reader(1), d.reader(2), d.reader(3), d.writer()
+
+    def select(regs):
+        m.scalar_cycles += 1
+        write(regs, a(regs) if cond(regs) else b(regs))
+    return select
+
+
+@_builds("sizeu")
+def _sizeu(d, m, ops, opcode):
+    return _compute(
+        d, m, 6,
+        lambda e, f, s: UnumConfig(int(e), int(f), int(s) or None).size_bytes,
+        1, 2, 3)
+
+
+@_builds("checkattr")
+def _checkattr(d, m, ops, opcode):
+    d.charge = 1
+    a, b = d.reader(0), d.reader(1)
+
+    def checkattr(regs):
+        m.scalar_cycles += 1
+        if int(a(regs)) != int(b(regs)):
+            raise UnumMachineError(
+                f"vpfloat attribute mismatch: {int(a(regs))} != "
+                f"{int(b(regs))}")
+    return checkattr
+
+
+@_builds("omp.begin", "omp.end")
+def _omp(d, m, ops, opcode):
+    mark = m.accounting.parallel_begin if opcode == "omp.begin" else \
+        m.accounting.parallel_end
+    return lambda regs: mark()
+
+
+@_builds("atomic.begin", "atomic.end", "nop")
+def _fixed_cost(d, m, ops, opcode):
+    cost = 1 if opcode == "nop" else m.accounting.costs.atomic_section // 2
+
+    def fixed_cost(regs):
+        m.scalar_cycles += cost
+    return fixed_cost
+
+
+@_builds("print")
+def _print(d, m, ops, opcode):
+    a = d.reader(0)
+
+    def print_(regs):
+        value = a(regs)
+        m.stdout.append(to_str(value) if isinstance(value, BigFloat)
+                        else str(value))
+    return print_
+
+
+@_builds("ldspill", "fldspill", "gldspill")
+def _ldspill(d, m, ops, opcode):
+    d.charge = 2
+    offset, size, load = ops[1].index, ops[1].size, m.memory.load
+    default = BigFloat.zero(64) if opcode[0] == "g" else 0
+    write = d.writer()
+
+    def ldspill(regs):
+        m.scalar_cycles += 2
+        write(regs, load(regs[_FRAME] + offset, size, default))
+    return ldspill
+
+
+@_builds("sdspill", "fsdspill", "gsdspill")
+def _sdspill(d, m, ops, opcode):
+    d.charge = 2
+    offset, size, store = ops[1].index, ops[1].size, m.memory.store
+    a = d.reader(0)
+
+    def sdspill(regs):
+        m.scalar_cycles += 2
+        store(regs[_FRAME] + offset, a(regs), size)
+    return sdspill

@@ -83,6 +83,8 @@ class UnumCoprocessor:
         self.ess: Optional[int] = None
         self.fss: Optional[int] = None
         self.mbb: Optional[int] = None
+        #: memory_config() memo, dropped by set_ess/set_fss/set_mbb.
+        self._memory_config: Optional[UnumConfig] = None
         self.stats = CoprocessorStats()
         self.erratum_enabled = erratum_enabled
         self._erratum_byte_count = 0
@@ -102,6 +104,7 @@ class UnumCoprocessor:
     def set_ess(self, value: int) -> None:
         UnumConfig(value, self.fss or 1)  # validates range
         self.ess = value
+        self._memory_config = None
         self.stats.config_writes += 1
         self.stats.bump("sucfg.ess")
         self.add_cycles(1)
@@ -109,6 +112,7 @@ class UnumCoprocessor:
     def set_fss(self, value: int) -> None:
         UnumConfig(self.ess or 1, value)
         self.fss = value
+        self._memory_config = None
         self.stats.config_writes += 1
         self.stats.bump("sucfg.fss")
         self.add_cycles(1)
@@ -123,17 +127,24 @@ class UnumCoprocessor:
         if not 1 <= value <= 68:
             raise CoprocessorError(f"MBB must be in 1..68 bytes, got {value}")
         self.mbb = value
+        self._memory_config = None
         self.stats.config_writes += 1
         self.stats.bump("sucfg.mbb")
         self.add_cycles(1)
 
     def memory_config(self) -> UnumConfig:
+        """The load/store geometry; write ess/fss/MBB through the
+        ``set_*`` methods, which drop the memo."""
+        config = self._memory_config
+        if config is not None:
+            return config
         if self.ess is None or self.fss is None:
             raise CoprocessorError("ess/fss not configured before memory access")
         size = self.mbb
         config = UnumConfig(self.ess, self.fss)
         if size is not None and size < config.size_bytes:
             config = UnumConfig(self.ess, self.fss, size)
+        self._memory_config = config
         return config
 
     # ------------------------------------------------------------ #

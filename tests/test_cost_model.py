@@ -201,3 +201,86 @@ class TestMemoryModel:
         addr = memory.alloc_heap(16)
         memory.store_bytes(addr, b"\x01\x02\x03")
         assert memory.load_bytes(addr, 3) == b"\x01\x02\x03"
+
+    @pytest.mark.parametrize("block_bytes", [16, 4096])
+    def test_free_leaves_neighbours(self, block_bytes):
+        """Both free strategies: a block smaller and one larger than the
+        live-cell count drop exactly the cells inside the block."""
+        from repro.runtime.memory import Memory
+
+        memory = Memory()
+        before = memory.alloc_heap(16)
+        block = memory.alloc_heap(block_bytes)
+        after = memory.alloc_heap(512)
+        memory.store(before, "below", 8)
+        memory.store(before + 8, "below", 8)
+        for offset in range(0, 512, 8):  # 64 live cells past the block
+            memory.store(after + offset, "above", 8)
+        inside = [block, block + 1, block + block_bytes - 8]
+        for addr in inside:
+            memory.store(addr, "inside", 8)
+        memory.store(block + block_bytes, "edge", 8)
+        memory.store(block - 1, "edge", 8)
+        survivors = {a: c for a, c in memory.cells.items()
+                     if a not in inside}
+        memory.free_heap(block)
+        assert memory.cells == survivors
+
+    @pytest.mark.parametrize("span", [24, 10_000])
+    def test_stack_release_leaves_outer_frames(self, span):
+        from repro.runtime.memory import HEAP_BASE, Memory
+
+        memory = Memory()
+        outer = memory.alloc_stack(8)
+        memory.store(outer, "outer", 8)
+        for offset in range(0, 512, 8):  # 64 live heap cells
+            memory.store(HEAP_BASE + offset, "heap", 8)
+        kept = dict(memory.cells)
+        mark = memory.stack_mark()
+        inner = memory.alloc_stack(span)
+        memory.store(inner, "inner", 8)
+        memory.store(inner + span - 1, "inner", 1)
+        memory.stack_release(mark)
+        assert memory.cells == kept
+
+    @pytest.mark.parametrize("nbytes", [16, 4096])
+    def test_copy_range_moves_only_the_span(self, nbytes):
+        from repro.runtime.memory import Memory
+
+        memory = Memory()
+        src = memory.alloc_heap(nbytes + 8)
+        dst = memory.alloc_heap(nbytes + 8)
+        filler = memory.alloc_heap(512)
+        for offset in range(0, 512, 8):  # 64 live cells elsewhere
+            memory.store(filler + offset, "filler", 8)
+        memory.store(src, "a", 8)
+        memory.store(src + nbytes - 8, "b", 8)
+        memory.store(src + nbytes, "outside", 8)
+        memory.store(dst + nbytes, "kept", 8)
+        memory.copy_range(dst, src, nbytes)
+        assert memory.load(dst, 8) == "a"
+        assert memory.load(dst + nbytes - 8, 8) == "b"
+        assert memory.load(dst + nbytes, 8) == "kept"
+        assert memory.load(src + nbytes, 8) == "outside"
+
+
+class TestCacheSwitch:
+    """``cache=False`` runs with no cache simulator at all."""
+
+    @pytest.mark.parametrize("backend, ftype", [
+        ("mpfr", "vpfloat<mpfr, 16, 128>"),
+        ("unum", "vpfloat<unum, 3, 7>"),
+    ])
+    def test_cache_false_counts_no_cache_traffic(self, backend, ftype):
+        from repro.evaluation.harness import run_kernel
+
+        on = run_kernel("gemm", ftype, 6, backend=backend, cache=True,
+                        compile_cache=None)
+        off = run_kernel("gemm", ftype, 6, backend=backend, cache=False,
+                         compile_cache=None)
+        assert off.outputs == on.outputs
+        assert sum(on.report.cache_hits) > 0 and on.report.dram_bytes > 0
+        assert off.report.cache_hits == (0, 0, 0)
+        assert off.report.dram_bytes == 0
+        assert off.report.llc_misses == 0
+        assert off.report.cycles < on.report.cycles

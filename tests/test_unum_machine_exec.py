@@ -3,6 +3,14 @@
 import pytest
 
 from repro import compile_source
+from repro.backends.unum_backend.asm import (
+    AsmFunction,
+    AsmInst,
+    AsmModule,
+    Label,
+    PReg,
+    VReg,
+)
 from repro.bigfloat import BigFloat
 from repro.runtime.unum_machine import UnumMachine, UnumMachineError
 from repro.unum import UnumConfig, encode
@@ -182,3 +190,144 @@ class TestSpillExecution:
         opcodes = [i.opcode for f in program.asm.functions.values()
                    for i in f.instructions()]
         assert "gsdspill" in opcodes or "gldspill" in opcodes
+
+
+def _asm_function(*blocks):
+    """A one-function AsmModule ``f`` from ``(label, [AsmInst, ...])``."""
+    asm = AsmModule()
+    func = asm.add(AsmFunction("f", arg_registers=[(_x(10), "x")]))
+    for label, instructions in blocks:
+        block = func.add_block(label)
+        for inst in instructions:
+            block.append(inst)
+    return asm
+
+
+def _x(index):
+    return PReg("x", index)
+
+
+class TestErrorPaths:
+    def test_unknown_opcode_in_unexecuted_block_is_silent(self):
+        asm = _asm_function(
+            ("entry", [AsmInst("li", [_x(10), _imm(5)]),
+                       AsmInst("ret", [_x(10)])]),
+            ("dead", [AsmInst("bogus", [])]))
+        machine = UnumMachine(asm)
+        assert machine.run("f") == 5
+        assert machine.steps == 2
+
+    def test_unknown_opcode_raises_when_reached(self):
+        asm = _asm_function(
+            ("entry", [AsmInst("nop", []),
+                       AsmInst("j", [Label("dead")])]),
+            ("dead", [AsmInst("bogus", [])]))
+        machine = UnumMachine(asm)
+        with pytest.raises(UnumMachineError, match="unknown opcode 'bogus'"):
+            machine.run("f")
+        assert machine.steps == 3  # the faulting instruction counts
+
+    def test_division_by_zero(self):
+        source = "int f(int a, int b) { return a / b; }"
+        assert run_unum(source, "f", [7, -2])[0] == -3
+        with pytest.raises(UnumMachineError, match="division by zero"):
+            run_unum(source, "f", [7, 0])
+
+    def test_virtual_register_operand(self):
+        asm = _asm_function(
+            ("entry", [AsmInst("li", [_x(10), _imm(1)]),
+                       AsmInst("add", [_x(11), VReg("x", 3), _x(10)]),
+                       AsmInst("ret", [_x(11)])]))
+        machine = UnumMachine(asm)
+        with pytest.raises(UnumMachineError,
+                           match="virtual register survived allocation"):
+            machine.run("f")
+        assert machine.steps == 2
+
+    def test_bad_label_faults_only_when_taken(self):
+        asm = _asm_function(
+            ("entry", [AsmInst("beq", [_x(10), _imm(1), Label("nowhere")]),
+                       AsmInst("ret", [_x(10)])]))
+        assert UnumMachine(asm).call("f", [0]) == 0
+        with pytest.raises(KeyError, match="nowhere"):
+            UnumMachine(asm).call("f", [1])
+
+    def test_fall_off_end(self):
+        asm = _asm_function(("entry", [AsmInst("nop", [])]))
+        with pytest.raises(UnumMachineError, match="fell off the end"):
+            UnumMachine(asm).run("f")
+
+    def test_double_op_on_infinity(self):
+        source = "double f(double a, double b) { return a * b + a; }"
+        assert run_unum(source, "f", [float("inf"), 2.0])[0] == float("inf")
+
+
+#: Counters of the instruction-at-a-time machine, captured before the
+#: decode-once executor replaced it: kernel -> (output digest, cache-model
+#: cycles, scalar_cycles, coprocessor cycles, steps, g-layer op counts).
+#: unum<3, 7> at the e2e benchmark's tiny sizes, cache model on.
+_PINNED = {
+    "gemm": ("1837594b1d703202", 9340, 6626, 8708, 4654, {
+        "gadd": 125, "gcvt.d.g": 75, "gmul": 275, "ldu": 400, "stu": 225}),
+    "jacobi-1d": ("11c7517df7422dda", 30928, 40017, 64056, 35805, {
+        "gadd": 2400, "gcvt.d.g": 64, "gmul": 1200, "ldu": 3600,
+        "stu": 1264}),
+    "trisolv": ("282f3d7f55efff02", 6544, 4043, 2588, 2148, {
+        "gadd": 8, "gcvt.d.g": 72, "gdiv": 8, "gmul": 28, "gsub": 28,
+        "ldu": 116, "stu": 124}),
+    "gramschmidt": ("394a92bb8191e5bb", 9208, 5737, 7773, 4400, {
+        "gadd": 75, "gcvt.d.g": 25, "gdiv": 25, "gmul": 125, "gsqrt": 5,
+        "gsub": 50, "ldu": 375, "stu": 215}),
+}
+_SUCFG = {"sucfg.ess": 2, "sucfg.fss": 2, "sucfg.mbb": 2, "sucfg.wgp": 2}
+
+
+def _kernel_machine(kernel, ess, fss, erratum=False):
+    from repro.unum import UnumCoprocessor
+    from repro.workloads.polybench import source_for
+
+    ftype = f"vpfloat<unum, {ess}, {fss}>"
+    program = compile_source(source_for(kernel, ftype), backend="unum")
+    coprocessor = UnumCoprocessor(
+        wgp=min(512, UnumConfig(ess, fss).precision),
+        erratum_enabled=erratum)
+    return program.machine(coprocessor=coprocessor)
+
+
+class TestPinnedCounters:
+    @pytest.mark.parametrize("kernel", sorted(_PINNED))
+    def test_kernel_counters(self, kernel):
+        from repro.evaluation.harness import _read_unum_outputs
+        from repro.validation.certificate import values_digest
+        from repro.workloads.polybench import KERNELS
+
+        digest, cache_cycles, scalar, cop, steps, g_ops = _PINNED[kernel]
+        spec = KERNELS[kernel]
+        n = {1: 32, 2: 8, 3: 5}[spec.dims]
+        machine = _kernel_machine(kernel, 3, 7)
+        base = machine.run("run", [n])
+        outputs = _read_unum_outputs(machine, int(base), spec.outputs(n),
+                                     {"ess": 3, "fss": 7})
+        assert values_digest(outputs) == digest
+        assert machine.accounting.report.cycles == cache_cycles
+        assert machine.scalar_cycles == scalar
+        assert machine.coprocessor.cycles == cop
+        assert machine.steps == steps
+        assert machine.coprocessor.stats.by_opcode == {**g_ops, **_SUCFG}
+
+    def test_erratum_fault_point(self):
+        """Fig. 2's gesummv at unum<4, 9> trips the modeled memory erratum
+        on its first 69-byte store, at the same step as before."""
+        from repro.unum.coprocessor import MemorySubsystemErratum
+        from repro.workloads.polybench import KERNELS
+
+        machine = _kernel_machine("gesummv", 4, 9, erratum=True)
+        with pytest.raises(MemorySubsystemErratum):
+            machine.run("run", [KERNELS["gesummv"].size_for("mini")])
+        assert machine.steps == 34
+        assert machine.scalar_cycles == 154
+        assert machine.coprocessor.cycles == 4
+        assert machine.accounting.report.cycles == 0
+        assert machine.coprocessor.stats.by_opcode == {
+            "gcvt.d.g": 1, "sucfg.ess": 1, "sucfg.fss": 1, "sucfg.mbb": 1,
+            "sucfg.wgp": 1}
