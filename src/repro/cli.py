@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from typing import List
 
 from .core import BACKENDS, CompileCache, CompilerDriver, ENGINES, \
@@ -102,13 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "every lane against a serial reference "
                              "run (the serial<->batched transition)")
     parser.add_argument("--validate", action="store_true",
-                        help="after --run, emit a translation-validation "
-                             "certificate: re-run FUNC on every other "
+                        help="after --run, emit translation-validation "
+                             "certificates: re-run FUNC on every other "
                              "execution engine and with the pool off "
                              "(bit-identical values + engine/pool report "
-                             "invariants), and cross-check -O0 and each "
-                             "-O3 pass switch (bit-identical values); "
-                             "exit 3 if any check fails")
+                             "invariants), at -O0 and without each -O3 "
+                             "pass switch (bit-identical values), and "
+                             "with the generic kernel tier against the "
+                             "specialized one; exit 3 if any check "
+                             "fails")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent compile-cache directory (default: "
                              "$VPFLOAT_CACHE_DIR or ~/.cache/vpfloat-repro; "
@@ -268,7 +271,8 @@ def _run(args) -> int:
             _print_profile(result, program)
             _print_cache_stats(driver.cache)
         if args.validate:
-            return _validate(args, source, run_args, driver)
+            return _validate(args, run_args, program, source,
+                             driver.cache)
     return 0
 
 
@@ -304,84 +308,47 @@ def _run_batched(args, run_args, program) -> int:
         print(f"heap allocations:  {report.heap_allocations}")
         print(f"LLC misses:        {report.llc_misses}")
     if args.validate:
-        return _validate_batch(args, run_args, program, result)
+        return _validate(args, run_args, program)
     return 0
 
 
-def _validate_batch(args, run_args, program, result) -> int:
-    """Certify the serial<->batched transition for the batch just run:
-    a serial jit reference run, every lane checked bit-for-bit under
-    the ``exact`` report invariant."""
-    from .validation import TRANSITIONS, certificate_for_outcomes
+def _validate(args, run_args, program, source=None, cache=None) -> int:
+    """Print certificates for the function just run; 3 if any fails.
 
-    strictness = TRANSITIONS["serial↔batched"]
-    serial = program.run(args.run, run_args, engine="jit",
-                         pool=False if args.no_pool else None)
-    candidates = [(f"batch{result.lanes}.lane{i}", strictness,
-                   [result.values[i]], result.reports[i])
-                  for i in range(result.lanes)]
-    if result.mode == "batched":
-        # The generic↔specialized transition, batched: the same batch
-        # with the fast-path kernel tier forced off must match every
-        # lane (and the shared report) bit-for-bit.
-        tier_strictness = TRANSITIONS["generic↔specialized"]
-        generic = program.run_batch(args.run, run_args,
-                                    lanes=result.lanes,
-                                    pool=False if args.no_pool else None,
-                                    kernel_tier="generic")
-        candidates.extend(
-            (f"tier.generic.lane{i}", tier_strictness,
-             [generic.values[i]], generic.reports[i])
-            for i in range(generic.lanes))
-    certificate = certificate_for_outcomes(
-        subject=args.source,
-        reference_label="engine.jit.serial",
-        reference=([serial.value], serial.report),
-        candidates=candidates,
-        witness={"func": args.run, "args": list(run_args),
-                 "lanes": result.lanes, "batch_mode": result.mode},
-        strict=False)
-    print(certificate.render())
-    return 0 if certificate.passed else 3
-
-
-def _validate(args, source: str, run_args, driver) -> int:
-    """Emit engine + pass certificates for the function just run."""
+    A batched run certifies the batch against a serial jit run; a
+    serial one certifies the engine/pool transitions, the pass
+    transitions and the kernel-tier transition."""
     if args.backend == "unum":
         print("error: --validate requires an interpreter backend "
               "(none/mpfr/boost)", file=sys.stderr)
         return 1
-    from .validation import validate_engines, validate_passes, \
-        validate_tiers
+    from .validation import certify
 
-    options = dict(
-        polly=args.polly,
-        polly_tile=args.polly_tile,
-        contract_fma=args.contract_fma,
-        reuse_objects=not args.no_reuse,
-        specialize_scalars=not args.no_specialize,
-        in_place_stores=not args.no_in_place,
-    )
-    certificates = [
-        validate_engines(source, args.run, run_args,
-                         backend=args.backend, engine=args.engine,
-                         name=args.source, cache=driver.cache,
-                         strict=False, opt_level=args.opt_level,
-                         **options),
-        validate_passes(source, args.run, run_args,
-                        backend=args.backend, engine=args.engine,
-                        name=args.source, cache=driver.cache,
-                        strict=False, **options),
-        validate_tiers(source, args.run, run_args,
-                       backend=args.backend, engine=args.engine,
-                       name=args.source, cache=driver.cache,
-                       strict=False, **options),
-    ]
+    common = dict(strict=False, engine=args.engine,
+                  run_options={"pool": False if args.no_pool else None})
+    if args.batch is not None:
+        certificates = [certify(args.source, args.run, run_args,
+                                program=program, lanes=args.batch,
+                                **common)]
+    else:
+        # The pass transitions are certified against the full -O3.
+        options = {**asdict(program.options), "opt_level": 3,
+                   "cache": cache}
+        certificates = [
+            certify(args.source, args.run, run_args, program=program,
+                    only=("engine", "pool"), **common),
+            certify(args.source, args.run, run_args, kind="pass",
+                    source=source, options=options,
+                    only=("opt", "pass"), **common),
+            # Only the jit binds tiered kernels: certify the tier there.
+            certify(args.source, args.run, run_args, kind="kernel-tier",
+                    source=source,
+                    options={**options, "kernel_tier": "small"},
+                    only=("tier",), **dict(common, engine="jit")),
+        ]
     for certificate in certificates:
         print(certificate.render())
-    if not all(certificate.passed for certificate in certificates):
-        return 3
-    return 0
+    return 0 if all(c.passed for c in certificates) else 3
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ different process against the identical pickled program.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from typing import Dict, List, Optional, Tuple
@@ -101,13 +102,31 @@ _FLUSH_MARKER = "#__vpjit_charge_flush__"
 #: frames against (see repro.observability.profile).
 _LOC_MARKER = "#__vpjit_loc__"
 
-#: ``<vpjit:{function}>`` code filename -> line map of the most recent
-#: materialization, for resolving sampled frames back to IR locations.
-#: Keyed by filename because that is all ``sys._current_frames`` gives
-#: the sampler; two programs sharing a function name overwrite each
-#: other (last materialized wins), which profiling one program at a
-#: time -- the only supported mode -- never notices.
-LINE_MAPS: Dict[str, Dict[int, tuple]] = {}
+#: Function name -> ``(code filename, line map)`` of its most recently
+#: compiled or profiled code, for resolving sampled frames back to IR
+#: locations.  Every emitted source compiles under its own filename,
+#: ``<vpjit:{function}:{source digest}>``, and a map is used only for
+#: frames of that very filename, so programs sharing a function name
+#: never resolve against each other's map (one map per name bounds the
+#: registry).  :func:`register_line_maps` re-registers a program's maps
+#: before it is profiled, since memoized code never compiles again.
+LINE_MAPS: Dict[str, Tuple[str, Dict[int, tuple]]] = {}
+
+
+def _line_map(record: dict) -> Optional[Dict[int, tuple]]:
+    raw_map = record.get("line_map")
+    if not isinstance(raw_map, dict):
+        return None
+    return {int(lineno): tuple(loc) for lineno, loc in raw_map.items()
+            if str(lineno).isdigit() and isinstance(loc, list)}
+
+
+def register_line_maps(store: "CodegenStore") -> None:
+    """Register the line map of every function ``store`` compiled."""
+    for name, code in store.codes.items():
+        line_map = _line_map(store.lookup(name) or {})
+        if line_map is not None:
+            LINE_MAPS[name] = (code.co_filename, line_map)
 
 
 def _loc_tag(block: str, ii: Optional[int], opcode: Optional[str]) -> str:
@@ -1346,16 +1365,14 @@ class JitEngine:
             return self._materialize(func)
         code = store.codes.get(name)
         if code is None:
-            raw_map = record.get("line_map")
-            if isinstance(raw_map, dict):
-                LINE_MAPS[f"<vpjit:{name}>"] = {
-                    int(lineno): tuple(loc)
-                    for lineno, loc in raw_map.items()
-                    if str(lineno).isdigit() and isinstance(loc, list)
-                }
+            digest = hashlib.sha1(source.encode()).hexdigest()[:12]
+            filename = f"<vpjit:{name}:{digest}>"
+            line_map = _line_map(record)
+            if line_map is not None:
+                LINE_MAPS[name] = (filename, line_map)
             t0 = time.perf_counter()
             try:
-                code = compile(source, f"<vpjit:{name}>", "exec")
+                code = compile(source, filename, "exec")
             except SyntaxError:
                 # A stale or corrupt sidecar: drop it and re-emit once.
                 store.forget(name)

@@ -103,13 +103,15 @@ def main(argv=None) -> int:
                              "(compiler, runtime, cache, pool, "
                              "precision telemetry) as JSON")
     parser.add_argument("--validate", action="store_true",
-                        help="translation-validate every sweep point: "
-                             "re-run it on every other execution engine "
-                             "(and with the MPFR pool off) and require "
-                             "bit-identical values plus the engine/pool "
-                             "report invariants; a divergence aborts "
-                             "with a failed certificate (table1, fig1, "
-                             "fig2)")
+                        help="translation-validate every sweep point "
+                             "through the one transition registry: "
+                             "re-run it on every other execution engine, "
+                             "with the MPFR pool off and, on a jit "
+                             "reference, with the generic kernel tier; "
+                             "values must be bit-identical and reports "
+                             "meet each transition's invariant, or the "
+                             "sweep aborts with a failed certificate "
+                             "(table1, fig1, fig2)")
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized grids (table1: gemm+covariance "
                              "on the mini dataset)")

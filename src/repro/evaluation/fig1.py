@@ -129,8 +129,11 @@ def _raja_point(kernel: str, variant: str, kwargs: dict, openmp: bool,
                                  engine=engine, **kwargs).compile(source)
         result = program.run("run", [n], max_steps=max_steps)
         if validate:
-            _validate_raja(program, kernel, backend, n, engine,
-                           max_steps, result)
+            from ..validation import certify
+
+            certify(f"{kernel}-{backend}", "run", [n], program=program,
+                    engine=engine, run_options={"max_steps": max_steps},
+                    witness={"kernel": kernel, "n": n})
         if openmp:
             # RAJAPerf times the kernel region itself.
             times[backend] = result.report.kernel_time(threads)
@@ -138,36 +141,6 @@ def _raja_point(kernel: str, variant: str, kwargs: dict, openmp: bool,
             times[backend] = float(result.report.cycles)
     return RajaPoint(kernel, variant, precision, openmp,
                      times["mpfr"], times["boost"])
-
-
-def _validate_raja(program, kernel: str, backend: str, n: int,
-                   engine, max_steps: int, reference) -> None:
-    """Certificate for one RAJAPerf point: every other engine (and the
-    pool toggle) must reproduce the reference value and report."""
-    from ..core import ENGINES, resolve_engine
-    from ..validation import certificate_for_outcomes
-
-    reference_engine = resolve_engine(engine, backend)
-    candidates = []
-    for candidate in ENGINES:
-        if candidate == reference_engine:
-            continue
-        result = program.run("run", [n], max_steps=max_steps,
-                             engine=candidate)
-        candidates.append((f"engine.{candidate}", "exact",
-                           [result.value], result.report))
-    if backend != "boost":
-        result = program.run("run", [n], max_steps=max_steps,
-                             engine=reference_engine, pool=False)
-        candidates.append(("pool.off", "traffic",
-                           [result.value], result.report))
-    certificate_for_outcomes(
-        subject=f"{kernel}-{backend}",
-        reference_label=f"engine.{reference_engine}",
-        reference=([reference.value], reference.report),
-        candidates=candidates,
-        witness={"kernel": kernel, "n": n, "backend": backend},
-        strict=True)
 
 
 def run_fig1_rajaperf(kernels: Optional[Sequence[str]] = None,

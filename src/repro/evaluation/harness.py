@@ -159,11 +159,12 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     compile); left unset, the process default installed via
     :func:`set_compile_cache` applies.
 
-    ``validate=True`` additionally re-executes the kernel under every
-    other execution engine and with the MPFR pool off, and attaches a
-    translation-validation certificate (bit-identical outputs, cycle
-    reports under the engine/pool invariants) to the outcome; a failed
-    certificate raises
+    ``validate=True`` additionally certifies the point through
+    :func:`~repro.validation.certify`: the kernel re-runs under every
+    other execution engine, with the MPFR pool off and (on a jit
+    reference) with the generic kernel tier, and the outcome carries the
+    certificate (bit-identical outputs, cycle reports under each
+    transition's invariant); a failed certificate raises
     :class:`~repro.validation.CertificateError`.  The primary run is
     untouched -- its outputs and report are bit-identical to a
     non-validated run -- and the flag is a single branch when off.
@@ -174,9 +175,9 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     batched SPMD run of N lanes (:meth:`CompiledProgram.run_batch`) and
     returns lane 0's outputs and report -- bit-identical to a serial
     run, since every lane computes the same point.  ``validate=True``
-    then certifies the ``serial↔batched`` transition instead: one
-    serial jit reference run, every batch lane checked against it under
-    the ``exact`` invariant."""
+    then certifies the batch instead: one serial jit reference run,
+    every lane of the batch and of a generic-tier batch checked against
+    it under the ``exact`` invariant."""
     spec = KERNELS[kernel]
     source = source_for(kernel, canonical_source_ftype(ftype))
     with observe(None, event="eval_point") as obs:
@@ -250,9 +251,9 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
         obs.attach(result.report, absorb=False)
         if validate:
             obs.note(validated=False)  # recorded if validation raises
-            outcome.certificate = _validate_run(
-                program, spec, outcome, engine=engine, cache=cache,
-                max_steps=max_steps, costs=costs)
+            outcome.certificate = _certify_point(
+                program, spec, outcome, engine, None, cache=cache,
+                max_steps=max_steps, costs=costs, pool=pool)
             obs.note(validated=True)
         return outcome
 
@@ -285,123 +286,37 @@ def _run_kernel_batched(program, spec, kernel: str, ftype: str,
                          pass_timings=program.pass_timings,
                          batch=lanes, batch_mode=result.mode)
     if validate:
-        outcome.certificate = _validate_batch_run(
-            program, spec, outcome, result, cache=cache,
-            max_steps=max_steps, costs=costs)
+        outcome.certificate = _certify_point(
+            program, spec, outcome, "jit", lanes, cache=cache,
+            max_steps=max_steps, costs=costs, pool=pool)
     return outcome
 
 
-def _validate_batch_run(program, spec, outcome: RunOutcome,
-                        batch_result, cache: bool, max_steps: int,
-                        costs) -> object:
-    """Certify the ``serial↔batched`` transition: one serial jit
-    reference run, every batch lane checked against it bit-for-bit
-    (values, outputs, and the full cycle report -- the ``exact``
-    invariant from :data:`~repro.validation.TRANSITIONS`)."""
-    from ..validation import TRANSITIONS, certificate_for_outcomes
+def _certify_point(program, spec, outcome: RunOutcome,
+                   engine: Optional[str], lanes: Optional[int],
+                   **run_options) -> object:
+    """Certify the point just run (strict): re-run it under every
+    applicable transition (``lanes``: the batch against a serial jit
+    reference) and compare values -- plus the output arrays, when the
+    point read them -- and cycle reports."""
+    from ..validation import certify
 
-    strictness = TRANSITIONS["serial↔batched"]
-    serial = program.run("run", [outcome.n], cache=cache,
-                         max_steps=max_steps, costs=costs, engine="jit")
-    read_outputs = bool(outcome.outputs)
-    ref_values = [serial.value]
-    if read_outputs:
-        ref_values += _read_interpreter_outputs(
-            serial.interpreter, int(serial.value),
-            spec.outputs(outcome.n), outcome.ftype, outcome.backend)
-    candidates = []
-    for i in range(batch_result.lanes):
-        values = [batch_result.values[i]]
-        if read_outputs and batch_result.interpreter is not None:
+    count = spec.outputs(outcome.n)
+
+    def read(value, interpreter, lane):
+        values = [value]
+        if outcome.outputs:
             values += _read_interpreter_outputs(
-                batch_result.interpreter, int(batch_result.values[i]),
-                spec.outputs(outcome.n), outcome.ftype, outcome.backend,
-                lane=i)
-        candidates.append((f"batch{batch_result.lanes}.lane{i}",
-                           strictness, values, batch_result.reports[i]))
-    if batch_result.mode == "batched":
-        # generic↔specialized, batched: rerun the batch with the
-        # fast-path kernel tier forced off; every lane must still match
-        # the serial reference bit-for-bit.
-        tier_strictness = TRANSITIONS["generic↔specialized"]
-        generic = program.run_batch("run", [outcome.n],
-                                    lanes=batch_result.lanes,
-                                    cache=cache, max_steps=max_steps,
-                                    costs=costs, kernel_tier="generic")
-        for i in range(generic.lanes):
-            values = [generic.values[i]]
-            if read_outputs and generic.interpreter is not None:
-                values += _read_interpreter_outputs(
-                    generic.interpreter, int(generic.values[i]),
-                    spec.outputs(outcome.n), outcome.ftype,
-                    outcome.backend, lane=i)
-            candidates.append((f"tier.generic.lane{i}", tier_strictness,
-                               values, generic.reports[i]))
-    return certificate_for_outcomes(
-        subject=f"{outcome.kernel}-{outcome.backend}",
-        reference_label="engine.jit.serial",
-        reference=(ref_values, serial.report),
-        candidates=candidates,
+                interpreter, int(value), count, outcome.ftype,
+                outcome.backend, lane=lane)
+        return values
+
+    return certify(
+        f"{outcome.kernel}-{outcome.backend}", "run", [outcome.n],
+        program=program, engine=engine, lanes=lanes, read=read,
+        run_options=run_options,
         witness={"kernel": outcome.kernel, "ftype": outcome.ftype,
-                 "n": outcome.n, "backend": outcome.backend,
-                 "lanes": batch_result.lanes,
-                 "batch_mode": batch_result.mode},
-        strict=True)
-
-
-def _validate_run(program, spec, outcome: RunOutcome,
-                  engine: Optional[str], cache: bool, max_steps: int,
-                  costs) -> object:
-    """Cross-run the other engines (and the pool toggle) against the
-    primary outcome and assemble its certificate (strict)."""
-    from ..core import ENGINES, resolve_engine
-    from ..validation import TRANSITIONS, certificate_for_outcomes
-
-    backend = outcome.backend
-    reference_engine = resolve_engine(engine, backend)
-
-    # Mirror the primary observation: outputs participate in the
-    # witness only when the primary run extracted them.
-    read_outputs = bool(outcome.outputs)
-
-    def rerun(run_engine, run_pool, run_tier=None):
-        result = program.run("run", [outcome.n], cache=cache,
-                             max_steps=max_steps, costs=costs,
-                             engine=run_engine, pool=run_pool,
-                             kernel_tier=run_tier)
-        values = [result.value]
-        if read_outputs:
-            values += _read_interpreter_outputs(
-                result.interpreter, int(result.value),
-                spec.outputs(outcome.n), outcome.ftype, backend)
-        return values, result.report
-
-    candidates = []
-    for candidate in ENGINES:
-        if candidate == reference_engine:
-            continue
-        values, report = rerun(candidate, None)
-        candidates.append((f"engine.{candidate}", "exact",
-                           values, report))
-    if backend != "boost":
-        values, report = rerun(reference_engine, False)
-        candidates.append(("pool.off", "traffic", values, report))
-    if reference_engine == "jit":
-        # generic↔specialized: the jit engine with the fast-path kernel
-        # tier forced off must reproduce the reference bit-for-bit.
-        values, report = rerun("jit", None, run_tier="generic")
-        candidates.append(("tier.generic",
-                           TRANSITIONS["generic↔specialized"],
-                           values, report))
-    return certificate_for_outcomes(
-        subject=f"{outcome.kernel}-{backend}",
-        reference_label=f"engine.{reference_engine}",
-        reference=([outcome.value] + list(outcome.outputs),
-                   outcome.report),
-        candidates=candidates,
-        witness={"kernel": outcome.kernel, "ftype": outcome.ftype,
-                 "n": outcome.n, "backend": backend},
-        strict=True)
+                 "n": outcome.n})
 
 
 def read_lane_outputs(interpreter, base: int, count: int, ftype: str,

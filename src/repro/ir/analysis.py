@@ -117,7 +117,12 @@ class Loop:
 
     def __init__(self, header: BasicBlock, blocks: Set[BasicBlock]):
         self.header = header
-        self.blocks = blocks
+        #: The body as an ordered set (a dict keys view): O(1)
+        #: membership, iteration in function block order rather than by
+        #: block address, so loop passes emit the same IR under any
+        #: PYTHONHASHSEED.
+        self.blocks = dict.fromkeys(
+            b for b in header.parent.blocks if b in blocks).keys()
         self.subloops: List["Loop"] = []
         self.parent: Optional["Loop"] = None
 

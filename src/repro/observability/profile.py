@@ -266,6 +266,21 @@ def profile_run(program, name: str, args=None, **run_kwargs) -> IRProfile:
 # Wall-time sampling over the jit engine
 # ----------------------------------------------------------------- #
 
+def jit_location(filename: str, lineno: int) -> Tuple[str, tuple]:
+    """``(function, (block, index, opcode))`` of a line of emitted jit
+    code (filename ``<vpjit:{function}:{source digest}>``); the location
+    is ``("<unmapped>", None, None)`` unless that very source's line
+    map is registered."""
+    from ..codegen.pyjit import LINE_MAPS
+
+    func = filename[len("<vpjit:"):-1].rsplit(":", 1)[0]
+    registered = LINE_MAPS.get(func)
+    loc = None
+    if registered is not None and registered[0] == filename:
+        loc = registered[1].get(lineno)
+    return func, loc or ("<unmapped>", None, None)
+
+
 class _Sampler(threading.Thread):
     """Samples one thread's Python stack, resolving emitted-jit frames
     (``<vpjit:...>`` filenames) to IR locations via the line maps."""
@@ -282,8 +297,6 @@ class _Sampler(threading.Thread):
         self._halt.set()
 
     def run(self) -> None:
-        from ..codegen.pyjit import LINE_MAPS
-
         profile = self.profile
         interval = self.interval
         while not self._halt.is_set():
@@ -293,14 +306,8 @@ class _Sampler(threading.Thread):
             while frame is not None:
                 filename = frame.f_code.co_filename
                 if filename.startswith("<vpjit:"):
-                    line_map = LINE_MAPS.get(filename)
-                    loc = line_map.get(frame.f_lineno) \
-                        if line_map else None
-                    func = filename[len("<vpjit:"):-1]
-                    if loc is not None:
-                        block, index, opcode = loc
-                    else:
-                        block, index, opcode = "<unmapped>", None, None
+                    func, (block, index, opcode) = jit_location(
+                        filename, frame.f_lineno)
                     if leaf is None:
                         leaf = (func, block, index,
                                 opcode or f"block:{block}")
@@ -327,6 +334,10 @@ def sample_jit_run(program, name: str, args=None,
     interp = program.interpreter(engine="jit", **run_kwargs)
     counts: Dict[str, int] = {}
     interp._block_counts = counts
+    if interp._codegen_store is not None:
+        from ..codegen.pyjit import register_line_maps
+
+        register_line_maps(interp._codegen_store)
     sampler = _Sampler(threading.get_ident(), profile, interval)
     wall0 = time.perf_counter()
     sampler.start()

@@ -100,6 +100,9 @@ class LoopIdiomPass(FunctionPass):
         elem_size = self._element_size(emit, module, func, element_type)
         total = emit(BinaryInst("mul", trip, elem_size))
         total.name = func.unique_name("idiom.bytes")
+        if not trip.name:
+            # An unnamed operand prints as an address-derived temporary.
+            trip.name = func.unique_name("idiom.trip")
 
         base_ptr = store.pointer
         base = self._base_pointer(base_ptr)

@@ -60,6 +60,9 @@ class Mem2RegPass(FunctionPass):
         frontiers = domtree.frontiers()
         reachable = set(domtree.rpo)
 
+        # Blocks are visited in function order, never set order: phi
+        # placement and numbering must not depend on block addresses.
+        order = {block: i for i, block in enumerate(func.blocks)}
         phi_for: Dict[PhiInst, AllocaInst] = {}
         for alloca in allocas:
             defining_blocks = {
@@ -67,11 +70,12 @@ class Mem2RegPass(FunctionPass):
                 if isinstance(user, StoreInst) and user.parent in reachable
             }
             # Iterated dominance frontier.
-            worklist = list(defining_blocks)
+            worklist = sorted(defining_blocks, key=order.__getitem__)
             has_phi: Set[BasicBlock] = set()
             while worklist:
                 block = worklist.pop()
-                for frontier_block in frontiers.get(block, ()):
+                for frontier_block in sorted(frontiers.get(block, ()),
+                                             key=order.__getitem__):
                     if frontier_block in has_phi:
                         continue
                     has_phi.add(frontier_block)

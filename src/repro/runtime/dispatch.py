@@ -42,9 +42,9 @@ that one instruction.
 
 This module is also the per-function fallback target of the ``"jit"``
 engine (:mod:`repro.codegen.pyjit`): a function the source generator
-cannot fully specialize (dynamic vpfloat attributes, posit/unum
-formats, variadic builtins) executes through these closure tables
-instead, with identical observable behavior.
+cannot fully specialize (dynamic vpfloat attributes, dynamically
+sized memory accesses, posit arithmetic) executes through these closure
+tables instead, with identical observable behavior.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ semantics-preserving.  This package makes that checkable:
 
 * :mod:`~repro.validation.certificate` -- equivalence certificates:
   bit-level value witnesses plus cycle-report invariants per transition.
-* :mod:`~repro.validation.harness` -- compile-and-run validators behind
-  the ``--validate`` flags of ``vpfloat-cc`` and the evaluation
-  drivers, with ``validate.*`` telemetry.
+* :mod:`~repro.validation.harness` -- the transition registry and the
+  one :func:`certify` runner behind every ``--validate`` flag and the
+  fuzzer's compiled stages, with ``validate.*`` telemetry.
 * :mod:`~repro.validation.fuzzer` -- random-program differential
   testing across engines, optimization levels, backends, precisions and
   all five rounding modes.
@@ -61,12 +61,11 @@ from .fuzzer import (
     generate_program,
 )
 from .harness import (
-    certificate_for_outcomes,
+    REGISTRY,
+    Transition,
+    certify,
     finish_certificate,
     record_certificate,
-    validate_engines,
-    validate_passes,
-    validate_tiers,
 )
 from .minimize import minimize
 
@@ -82,9 +81,11 @@ __all__ = [
     "FuzzOp",
     "FuzzProgram",
     "Mismatch",
+    "REGISTRY",
     "STRICTNESS",
     "TRANSITIONS",
-    "certificate_for_outcomes",
+    "Transition",
+    "certify",
     "compare_reports",
     "corpus_dir",
     "cross_check",
@@ -104,9 +105,6 @@ __all__ = [
     "replay",
     "report_snapshot",
     "save_reproducer",
-    "validate_engines",
-    "validate_passes",
-    "validate_tiers",
     "value_token",
     "values_digest",
     "values_token",

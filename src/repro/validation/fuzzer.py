@@ -14,12 +14,15 @@ independent differentials:
   and off), at the program's precision under **all five rounding
   modes**; results must be bit-identical BigFloats.
 * :func:`cross_check_engines` -- render the program to dialect source,
-  compile it through the real frontend/optimizer, and execute it across
-  backends (none/mpfr/boost), optimization levels (-O0/-O3), all three
-  execution engines, and the pool toggle; the returned doubles must be
-  bit-identical.
+  compile it through the real frontend/optimizer, and certify it
+  (:func:`~repro.validation.harness.certify`) per backend
+  (none/mpfr/boost) across -O0, the execution engines and the pool
+  toggle -- values and each transition's report invariant -- then
+  compare the backends' returned doubles bit for bit.
+  :func:`cross_check_batched` and :func:`cross_check_tiers` certify the
+  batched engine and the kernel tiers the same way.
 
-:func:`cross_check` composes both; a divergence comes back as a
+:func:`cross_check` composes them; a divergence comes back as a
 :class:`Mismatch` which the delta-debugging minimizer
 (:mod:`repro.validation.minimize`) can shrink to a minimal reproducer.
 """
@@ -34,12 +37,8 @@ from ..bigfloat import BigFloat, arith, convert
 from ..bigfloat.mpfr_api import MpfrLibrary
 from ..bigfloat.rounding import RNDA, RNDD, RNDN, RNDU, RNDZ, RoundingMode
 from ..observability import current_metrics
-from .certificate import (
-    TRANSITIONS,
-    compare_reports,
-    report_snapshot,
-    value_token,
-)
+from .certificate import value_token
+from .harness import certify, return_value
 
 FUZZ_FORMAT_VERSION = 1
 
@@ -319,8 +318,11 @@ class Mismatch:
 
     def describe(self) -> str:
         where = f" [{self.rounding}]" if self.rounding else ""
+        # A failed certificate check carries its divergence in ``got``.
+        what = f"{self.got} != {self.expected}" if self.expected \
+            else self.got
         return (f"{self.stage}{where}: {self.label} diverged from "
-                f"{self.reference}: {self.got} != {self.expected}")
+                f"{self.reference}: {what}")
 
 
 def cross_check_rounding(program: FuzzProgram,
@@ -338,43 +340,14 @@ def cross_check_rounding(program: FuzzProgram,
     return None
 
 
-#: Engine/optimization configurations for the compiled differential:
-#: (label, backend, opt_level, engine, pool).  The first entry is the
-#: reference.
-ENGINE_CONFIGS: Tuple[Tuple[str, str, int, Optional[str],
-                            Optional[bool]], ...] = (
-    ("none.O3.fast", "none", 3, "fast", None),
-    ("none.O0.fast", "none", 0, "fast", None),
-    ("none.O3.legacy", "none", 3, "legacy", None),
-    ("mpfr.O3.jit", "mpfr", 3, "jit", None),
-    ("mpfr.O3.fast", "mpfr", 3, "fast", None),
-    ("mpfr.O3.legacy", "mpfr", 3, "legacy", None),
-    ("mpfr.O3.jit.no-pool", "mpfr", 3, "jit", False),
-    ("boost.O3.fast", "boost", 3, "fast", None),
-)
-
-
-def cross_check_engines(program: FuzzProgram,
-                        configs=ENGINE_CONFIGS) -> Optional[Mismatch]:
-    """Compile the rendered source and diff all engine/opt configs."""
-    from ..core import compile_source
-
-    source = program.render_source()
-    reference_label = configs[0][0]
-    reference = None
-    for label, backend, opt_level, engine, pool in configs:
-        compiled = compile_source(source, backend=backend,
-                                  opt_level=opt_level, engine=engine)
-        value = compiled.run("f", [], cache=False, engine=engine,
-                             pool=pool).value
-        token = value_token(value)
-        if reference is None:
-            reference = token
-        elif token != reference:
-            return Mismatch("engine", label, reference_label,
-                            repr(reference), repr(token))
-    return None
-
+#: The compiled differential's rows: per backend, the transitions its
+#: default-engine -O3 reference is certified across (registry labels).
+#: The backends' reference values are then compared with each other.
+ENGINE_CONFIGS: Dict[str, Tuple[str, ...]] = {
+    "none": ("opt.O0", "engine.legacy"),
+    "mpfr": ("engine.fast", "engine.legacy", "pool.off"),
+    "boost": (),
+}
 
 #: Lane counts the batched differential sweeps (kept small: every lane
 #: of a fuzz program computes the same values, so two sizes suffice to
@@ -382,43 +355,66 @@ def cross_check_engines(program: FuzzProgram,
 BATCH_LANES: Tuple[int, ...] = (2, 5)
 
 
+def _certify(program: FuzzProgram, backend: str, only: Sequence[str],
+             lanes: Optional[int] = None, read=return_value, **options):
+    """The rendered program's certificate (not strict: failures are
+    reported as a :class:`Mismatch` by :func:`_mismatch`)."""
+    return certify(
+        f"vpfuzz-{program.digest()}", "f", kind="fuzz",
+        source=program.render_source(),
+        options={"backend": backend, **options}, only=only, lanes=lanes,
+        read=read, run_options={"cache": False}, strict=False)
+
+
+def _mismatch(stage: str, certificate) -> Optional[Mismatch]:
+    """A certificate's first failed check (value or report invariant)."""
+    backend = certificate.witness["backend"]
+    for check in certificate.failures:
+        return Mismatch(stage, f"{backend}.{check.label}",
+                        f"{backend}.{certificate.reference}", "",
+                        check.detail)
+    return None
+
+
+def cross_check_engines(program: FuzzProgram) -> Optional[Mismatch]:
+    """Certify every :data:`ENGINE_CONFIGS` row (values and report
+    invariant), then diff the backends' reference values."""
+    reference = None
+    for backend, only in ENGINE_CONFIGS.items():
+        observed: List = []
+
+        def read(value, interpreter, lane):
+            observed.append(value)  # the reference run reads first
+            return [value]
+
+        certificate = _certify(program, backend, only, read=read)
+        mismatch = _mismatch("engine", certificate)
+        if mismatch is not None:
+            return mismatch
+        label = f"{backend}.{certificate.reference}"
+        token = value_token(observed[0])
+        if reference is None:
+            reference = (label, token)
+        elif token != reference[1]:
+            return Mismatch("engine", label, reference[0],
+                            repr(reference[1]), repr(token))
+    return None
+
+
 def cross_check_batched(program: FuzzProgram,
                         lanes: Sequence[int] = BATCH_LANES
                         ) -> Optional[Mismatch]:
     """Batched-engine differential: the ``serial↔batched`` transition.
 
-    Compiles the rendered source for the mpfr jit engine, runs it once
-    serially, then as a batch of N lanes for each N in ``lanes``; every
-    lane's value must be bit-identical to the serial run and the shared
-    cycle report must satisfy the transition's invariant
-    (:data:`~repro.validation.certificate.TRANSITIONS`, ``exact``).  A
-    batch that bails out to per-lane serial execution still passes --
-    the fallback path is itself the serial engine."""
-    from ..core import compile_source
-
-    strictness = TRANSITIONS["serial↔batched"]
-    source = program.render_source()
-    compiled = compile_source(source, backend="mpfr", opt_level=3,
-                              engine="jit")
-    serial = compiled.run("f", [], cache=False, engine="jit")
-    reference = value_token(serial.value)
-    reference_report = report_snapshot(serial.report)
+    Every lane of an N-lane mpfr jit batch, for each N in ``lanes``,
+    must match one serial jit run bit-for-bit, shared cycle report
+    included.  A batch that bails out to per-lane serial execution still
+    passes -- the fallback path is itself the serial engine."""
     for n in lanes:
-        batch = compiled.run_batch("f", [], lanes=n, cache=False)
-        for i in range(n):
-            token = value_token(batch.values[i])
-            if token != reference:
-                return Mismatch("batch", f"mpfr.O3.jit.batch{n}.lane{i}",
-                                "mpfr.O3.jit.serial", repr(reference),
-                                repr(token))
-            detail = compare_reports(reference_report,
-                                     report_snapshot(batch.reports[i]),
-                                     strictness)
-            if detail is not None:
-                return Mismatch(
-                    "batch", f"mpfr.O3.jit.batch{n}.lane{i}.report",
-                    "mpfr.O3.jit.serial", repr(reference_report),
-                    f"{report_snapshot(batch.reports[i])!r} ({detail})")
+        mismatch = _mismatch("batch",
+                             _certify(program, "mpfr", ("batch",), n))
+        if mismatch is not None:
+            return mismatch
     return None
 
 
@@ -428,63 +424,17 @@ def cross_check_tiers(program: FuzzProgram,
     """Kernel-tier differential: the ``generic↔specialized`` transition
     in lockstep.
 
-    Compiles the rendered source twice for the mpfr jit engine -- once
-    with ``kernel_tier="small"`` (the precision-specialized fast-path
-    kernels plus the batched numpy tier with its lane floor waived),
-    once with ``kernel_tier="generic"`` -- and runs both serially and
-    at each batched lane count.  Values and cycle reports must match
-    bit-for-bit under the transition's ``exact`` invariant; the tier is
-    a strength reduction of the same arithmetic, never a reround."""
-    from ..core import compile_source
-
-    strictness = TRANSITIONS["generic↔specialized"]
-    source = program.render_source()
-    programs = {
-        tier: compile_source(source, backend="mpfr", opt_level=3,
-                             engine="jit", kernel_tier=tier)
-        for tier in ("small", "generic")
-    }
-    runs = {tier: compiled.run("f", [], cache=False)
-            for tier, compiled in programs.items()}
-    reference = value_token(runs["generic"].value)
-    token = value_token(runs["small"].value)
-    if token != reference:
-        return Mismatch("tier", "mpfr.O3.jit.tier-small",
-                        "mpfr.O3.jit.tier-generic", repr(reference),
-                        repr(token))
-    reference_report = report_snapshot(runs["generic"].report)
-    detail = compare_reports(reference_report,
-                             report_snapshot(runs["small"].report),
-                             strictness)
-    if detail is not None:
-        return Mismatch(
-            "tier", "mpfr.O3.jit.tier-small.report",
-            "mpfr.O3.jit.tier-generic", repr(reference_report),
-            f"{report_snapshot(runs['small'].report)!r} ({detail})")
-    for n in lanes:
-        batches = {tier: compiled.run_batch("f", [], lanes=n,
-                                            cache=False)
-                   for tier, compiled in programs.items()}
-        for i in range(n):
-            reference = value_token(batches["generic"].values[i])
-            token = value_token(batches["small"].values[i])
-            if token != reference:
-                return Mismatch(
-                    "tier", f"mpfr.O3.jit.tier-small.batch{n}.lane{i}",
-                    f"mpfr.O3.jit.tier-generic.batch{n}",
-                    repr(reference), repr(token))
-            detail = compare_reports(
-                report_snapshot(batches["generic"].reports[i]),
-                report_snapshot(batches["small"].reports[i]),
-                strictness)
-            if detail is not None:
-                return Mismatch(
-                    "tier",
-                    f"mpfr.O3.jit.tier-small.batch{n}.lane{i}.report",
-                    f"mpfr.O3.jit.tier-generic.batch{n}",
-                    repr(report_snapshot(batches["generic"].reports[i])),
-                    f"{report_snapshot(batches['small'].reports[i])!r} "
-                    f"({detail})")
+    The reference is a serial mpfr jit run with ``kernel_tier="small"``
+    (the precision-specialized fast-path kernels, and the batched numpy
+    tier with its lane floor waived, so it runs at fuzz lane counts).
+    The generic tier, serially and as a batch at each lane count, and
+    the small-tier batches must all match it bit-for-bit, cycle reports
+    included; the tier is a strength reduction, never a reround."""
+    for n in (None, *lanes):
+        mismatch = _mismatch("tier", _certify(
+            program, "mpfr", ("batch", "tier"), n, kernel_tier="small"))
+        if mismatch is not None:
+            return mismatch
     return None
 
 

@@ -1,28 +1,31 @@
-"""Translation-validation harness: engine and pass transitions.
+"""Translation-validation harness: one transition registry, one runner.
 
-The entry points compile and execute one program under a *reference*
-configuration and a set of *candidate* configurations, then assemble a
-:class:`~repro.validation.certificate.Certificate`:
+:data:`REGISTRY` is the inventory of transitions a run can be certified
+across.  Each entry names its check label, the delta that turns the
+reference run into the candidate, the rule for when it applies, and the
+report invariant it runs under (looked up in
+:data:`~repro.validation.certificate.TRANSITIONS`).
 
-* :func:`validate_engines` -- the engine transitions (legacy <-> the
-  closure tables <-> the specializing jit) plus the MPFR
-  pool toggle, under the ``exact`` / ``traffic`` report invariants.
-* :func:`validate_passes` -- the pass transitions (-O0 vs -O3 and each
-  -O3 pipeline switch), value-equivalence with ``sane`` report checks.
-* :func:`certificate_for_outcomes` -- assemble a certificate from run
-  observations the caller already holds (the evaluation harness path,
-  where kernels read their output arrays out of simulated memory).
+:func:`certify` is the one runner behind every ``--validate`` path
+(``vpfloat-cc``, ``run_kernel``, the Figure 1 RAJAPerf points) and the
+fuzzer's compiled stages.  It runs the reference, then every applicable
+candidate the caller selected, and assembles a
+:class:`~repro.validation.certificate.Certificate`.  Callers differ only
+in what they observe: the ``read`` hook turns one run into the values
+to compare (the return value alone, or the value plus output arrays
+read out of simulated memory).
 
 Validation outcomes are surfaced as ``validate.*`` counters and
 ``validate:*`` tracer spans through the telemetry registry; pass
-``strict=True`` (the default for the CLI paths) to raise
+``strict=True`` (the default) to raise
 :class:`~repro.validation.certificate.CertificateError` on a failed
 certificate.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import ENGINES, CompilerDriver, resolve_engine
 from ..observability import CAT_VALIDATE, current_metrics, observe
@@ -39,7 +42,61 @@ from .certificate import (
 #: -O3 pipeline switches whose transition must preserve value semantics
 #: (``contract_fma`` is excluded: fusing a*b+c into a single rounding is
 #: an intentional semantic change, the reason it is off by default).
-_PASS_SWITCHES = ("enable_loop_idiom", "enable_inlining", "enable_unroll")
+PASS_SWITCHES = ("enable_loop_idiom", "enable_inlining", "enable_unroll")
+
+#: Delta keys that change the compiled program rather than the run.
+_COMPILE_KEYS = frozenset(("opt_level",) + PASS_SWITCHES)
+
+
+@dataclass(frozen=True)
+class Transition:
+    """One certifiable transition away from the reference run."""
+
+    label: str          # check label ("{lanes}" expands to the lane count)
+    edge: str           # its row in certificate.TRANSITIONS
+    delta: Mapping      # run/compile keywords that make the candidate
+    #: (backend, reference engine, lanes) -> whether the check applies.
+    applies: Callable[[str, str, Optional[int]], bool]
+
+    @property
+    def strictness(self) -> str:
+        return TRANSITIONS[self.edge]
+
+
+def _always(backend: str, engine: str, lanes: Optional[int]) -> bool:
+    return True
+
+
+#: Every transition, in the order a certificate lists its checks.  With
+#: ``lanes=N`` every candidate runs as one N-lane batch against the
+#: serial reference: ``batch{lanes}`` is the batch itself, the tier
+#: entry is the tier transition applied to the batch (engine and pool
+#: toggles stay serial), and each lane is checked as
+#: ``<label>.lane<i>``.
+REGISTRY: Tuple[Transition, ...] = (
+    *(Transition(f"engine.{name}", "engine↔engine", {"engine": name},
+                 lambda backend, engine, lanes, name=name:
+                 lanes is None and engine != name)
+      for name in ENGINES),
+    Transition("pool.off", "pool.on↔pool.off", {"pool": False},
+               lambda backend, engine, lanes: lanes is None
+               and backend != "boost"),
+    Transition("batch{lanes}", "serial↔batched", {},
+               lambda backend, engine, lanes: lanes is not None
+               and backend == "mpfr" and engine == "jit"),
+    Transition("tier.generic", "generic↔specialized",
+               {"kernel_tier": "generic"},
+               lambda backend, engine, lanes: engine == "jit"),
+    Transition("opt.O0", "O3↔O0", {"opt_level": 0}, _always),
+    *(Transition(f"pass.no-{switch[len('enable_'):]}",
+                 "O3↔O3-minus-one-pass", {switch: False}, _always)
+      for switch in PASS_SWITCHES),
+)
+
+
+def return_value(value, interpreter, lane: int) -> List:
+    """The default reader: a run is observed by its return value."""
+    return [value]
 
 
 def record_certificate(certificate: Certificate) -> None:
@@ -67,222 +124,87 @@ def finish_certificate(certificate: Certificate,
     return certificate
 
 
-# ----------------------------------------------------------------- #
-# Source-level validators (compile + run per configuration)
-# ----------------------------------------------------------------- #
+def certify(subject: str, func: str, args: Sequence = (), *,
+            kind: str = "engine", program=None,
+            source: Optional[str] = None, options: Optional[dict] = None,
+            engine: Optional[str] = None,
+            only: Sequence[str] = ("engine", "pool", "batch", "tier"),
+            lanes: Optional[int] = None,
+            read: Callable = return_value,
+            run_options: Optional[dict] = None,
+            witness: Optional[dict] = None,
+            strict: bool = True) -> Certificate:
+    """Certify ``func(*args)`` across the selected transitions.
 
-def _observe(source: str, name: str, func: str, args,
-             backend: str, engine: Optional[str], pool: Optional[bool],
-             opt_level: int = 3, cache=None,
-             max_steps: int = 500_000_000,
-             **driver_kwargs) -> Tuple[Tuple, dict]:
-    """Compile and run one configuration; -> (value tokens, report)."""
-    driver = CompilerDriver(backend=backend, opt_level=opt_level,
-                            cache=cache, engine=engine, **driver_kwargs)
-    program = driver.compile(source, name=name)
-    result = program.run(func, list(args), engine=engine, pool=pool,
-                         max_steps=max_steps)
-    return values_token([result.value]), report_snapshot(result.report)
-
-
-def validate_engines(source: str, func: str, args: Sequence = (),
-                     backend: str = "mpfr",
-                     engine: Optional[str] = None,
-                     engines: Optional[Sequence[str]] = None,
-                     name: str = "program", cache=None,
-                     max_steps: int = 500_000_000, strict: bool = True,
-                     **driver_kwargs) -> Certificate:
-    """Certificate for the engine transitions of one program.
-
-    The reference is ``engine`` (default: the backend's default
-    engine); every other entry of ``engines`` (default: all of
-    :data:`~repro.core.ENGINES`) is checked under the ``exact`` report
-    invariant, and the MPFR pool toggle under ``traffic``.
+    ``kind`` names the certificate ("engine", "pass", "kernel-tier",
+    "fuzz") and so its reference label.  The reference is one serial
+    run on ``engine`` (default: the
+    backend's), of ``program`` or, when it is None, of ``source``
+    compiled with ``options`` (:class:`~repro.core.CompilerDriver`
+    keywords).  Candidates are the :data:`REGISTRY` entries whose label
+    starts with one of ``only`` and whose rule holds; compile deltas
+    (``opt.O0``, ``pass.no-*``) recompile ``source``.  ``lanes`` runs
+    the candidates batched (see :data:`REGISTRY`).  ``read(value,
+    interpreter, lane)`` maps a run to its values; ``run_options`` are
+    extra :meth:`~repro.core.CompiledProgram.run` keywords.
     """
+    options = dict(options or {})
+    backend = (program.options.backend if program is not None
+               else options.get("backend", "mpfr"))
     if backend == "unum":
-        raise ValueError("engine validation applies to the interpreter "
-                         "backends (none/mpfr/boost), not unum")
+        raise ValueError("certificates apply to the interpreter backends "
+                         "(none/mpfr/boost), not unum")
     reference_engine = resolve_engine(engine, backend)
-    candidates = [e for e in (engines or ENGINES)
-                  if e != reference_engine]
-    with observe(f"validate:{name}", cat=CAT_VALIDATE,
-                 kind="engine", reference=reference_engine):
-        ref_values, ref_report = _observe(
-            source, name, func, args, backend, reference_engine, None,
-            cache=cache, max_steps=max_steps, **driver_kwargs)
+    candidates = [t for t in REGISTRY if t.label.startswith(tuple(only))
+                  and t.applies(backend, reference_engine, lanes)]
+    programs = {} if program is None else {(): program}
+
+    def run(delta: Mapping, run_lanes: Optional[int]) -> List[Tuple]:
+        key = tuple(sorted((k, v) for k, v in delta.items()
+                           if k in _COMPILE_KEYS))
+        if key not in programs:
+            driver = CompilerDriver(**{**options, **dict(key)},
+                                    engine=reference_engine)
+            programs[key] = driver.compile(source, name=subject)
+        kwargs = dict(run_options or {})
+        kwargs.update((k, v) for k, v in delta.items()
+                      if k not in _COMPILE_KEYS)
+        if run_lanes is None:
+            kwargs.setdefault("engine", reference_engine)
+            result = programs[key].run(func, list(args), **kwargs)
+            return [(read(result.value, result.interpreter, 0),
+                     result.report)]
+        batch = programs[key].run_batch(func, list(args),
+                                        lanes=run_lanes, **kwargs)
+        return [(read(batch.values[i], batch.interpreter, i),
+                 batch.reports[i]) for i in range(run_lanes)]
+
+    if kind == "pass":
+        reference_label = f"opt.O{options.get('opt_level', 3)}"
+    elif kind == "kernel-tier":
+        reference_label = f"tier.{options.get('kernel_tier', 'auto')}"
+    else:
+        reference_label = f"engine.{reference_engine}" + \
+            (".serial" if lanes is not None else "")
+    with observe(f"validate:{subject}", cat=CAT_VALIDATE, kind=kind,
+                 reference=reference_label):
+        [(values, report)] = run({}, None)
+        ref_values, ref_report = values_token(values), \
+            report_snapshot(report)
         certificate = Certificate(
-            subject=name, kind="engine",
-            reference=f"engine.{reference_engine}",
-            witness={"func": func, "args": list(args),
-                     "backend": backend,
-                     "value_digest": values_digest_from(ref_values),
+            subject=subject, kind=kind, reference=reference_label,
+            witness={"func": func, "args": list(args), "backend": backend,
+                     **({"lanes": lanes} if lanes is not None else {}),
+                     **(witness or {}),
+                     "value_digest": values_digest(values),
                      "cycles": ref_report["cycles"]})
-        for candidate in candidates:
-            values, report = _observe(
-                source, name, func, args, backend, candidate, None,
-                cache=cache, max_steps=max_steps, **driver_kwargs)
-            certificate.add(make_check(
-                f"engine.{candidate}", "exact", ref_values, values,
-                ref_report, report))
-        if backend != "boost":
-            # The pool is on by default for mpfr/none; check it off.
-            values, report = _observe(
-                source, name, func, args, backend, reference_engine,
-                False, cache=cache, max_steps=max_steps,
-                **driver_kwargs)
-            certificate.add(make_check(
-                "pool.off", "traffic", ref_values, values,
-                ref_report, report))
+        for transition in candidates:
+            label = transition.label.format(lanes=lanes)
+            for i, (values, report) in enumerate(
+                    run(transition.delta, lanes)):
+                certificate.add(make_check(
+                    label if lanes is None else f"{label}.lane{i}",
+                    transition.strictness, ref_values,
+                    values_token(values), ref_report,
+                    report_snapshot(report)))
     return finish_certificate(certificate, strict)
-
-
-def validate_tiers(source: str, func: str, args: Sequence = (),
-                   backend: str = "mpfr",
-                   engine: Optional[str] = None,
-                   name: str = "program", cache=None,
-                   max_steps: int = 500_000_000, strict: bool = True,
-                   lanes: Optional[int] = None,
-                   **driver_kwargs) -> Certificate:
-    """Certificate for the ``generic↔specialized`` kernel transition.
-
-    The reference compiles and runs with ``kernel_tier="small"`` (the
-    precision-specialized fast-path kernels wherever legal); the
-    candidate forces ``kernel_tier="generic"``.  Both run on the jit
-    engine (the only engine that binds tiered kernels); the check runs
-    under the ``exact`` invariant -- the tier is a strength reduction,
-    not a semantic change.  ``lanes`` adds a batched-execution check of
-    the same transition (mpfr backend only).
-    """
-    if backend == "unum":
-        raise ValueError("kernel-tier validation applies to the "
-                         "interpreter backends (none/mpfr/boost), "
-                         "not unum")
-    strictness = TRANSITIONS["generic↔specialized"]
-    reference_engine = resolve_engine(engine, backend)
-    with observe(f"validate:{name}", cat=CAT_VALIDATE, kind="kernel-tier"):
-        ref_values, ref_report = _observe(
-            source, name, func, args, backend, reference_engine, None,
-            cache=cache, max_steps=max_steps, kernel_tier="small",
-            **driver_kwargs)
-        certificate = Certificate(
-            subject=name, kind="kernel-tier", reference="tier.small",
-            witness={"func": func, "args": list(args),
-                     "backend": backend,
-                     "value_digest": values_digest_from(ref_values),
-                     "cycles": ref_report["cycles"]})
-        values, report = _observe(
-            source, name, func, args, backend, reference_engine, None,
-            cache=cache, max_steps=max_steps, kernel_tier="generic",
-            **driver_kwargs)
-        certificate.add(make_check(
-            "tier.generic", strictness, ref_values, values,
-            ref_report, report))
-        if lanes is not None and backend == "mpfr":
-            for tier in ("small", "generic"):
-                driver = CompilerDriver(
-                    backend=backend, cache=cache, engine="jit",
-                    kernel_tier=tier, **driver_kwargs)
-                program = driver.compile(source, name=name)
-                batch = program.run_batch(func, list(args), lanes=lanes,
-                                          max_steps=max_steps)
-                tokens = values_token(batch.values)
-                snapshot = report_snapshot(batch.reports[0])
-                if tier == "small":
-                    batch_ref_values, batch_ref_report = tokens, snapshot
-                else:
-                    certificate.add(make_check(
-                        f"tier.generic.batch{lanes}", strictness,
-                        batch_ref_values, tokens,
-                        batch_ref_report, snapshot))
-    return finish_certificate(certificate, strict)
-
-
-def validate_passes(source: str, func: str, args: Sequence = (),
-                    backend: str = "mpfr",
-                    engine: Optional[str] = None,
-                    name: str = "program", cache=None,
-                    max_steps: int = 500_000_000, strict: bool = True,
-                    **driver_kwargs) -> Certificate:
-    """Certificate for the pass transitions of one program.
-
-    Compares the full -O3 pipeline against -O0 (raw codegen) and
-    against -O3 with each pipeline switch disabled; values must be
-    bit-identical, reports need only be sane (optimization is allowed
-    to change the schedule -- that is its job).
-    """
-    if backend == "unum":
-        raise ValueError("pass validation applies to the interpreter "
-                         "backends (none/mpfr/boost), not unum")
-    reference_engine = resolve_engine(engine, backend)
-    with observe(f"validate:{name}", cat=CAT_VALIDATE, kind="pass"):
-        ref_values, ref_report = _observe(
-            source, name, func, args, backend, reference_engine, None,
-            opt_level=3, cache=cache, max_steps=max_steps,
-            **driver_kwargs)
-        certificate = Certificate(
-            subject=name, kind="pass", reference="opt.O3",
-            witness={"func": func, "args": list(args),
-                     "backend": backend,
-                     "value_digest": values_digest_from(ref_values)})
-        values, report = _observe(
-            source, name, func, args, backend, reference_engine, None,
-            opt_level=0, cache=cache, max_steps=max_steps,
-            **driver_kwargs)
-        certificate.add(make_check("opt.O0", "sane", ref_values,
-                                   values, ref_report, report))
-        for switch in _PASS_SWITCHES:
-            kwargs = dict(driver_kwargs)
-            kwargs[switch] = False
-            values, report = _observe(
-                source, name, func, args, backend, reference_engine,
-                None, opt_level=3, cache=cache, max_steps=max_steps,
-                **kwargs)
-            certificate.add(make_check(
-                f"pass.no-{switch[len('enable_'):]}", "sane",
-                ref_values, values, ref_report, report))
-    return finish_certificate(certificate, strict)
-
-
-def values_digest_from(tokens: Tuple) -> str:
-    import hashlib
-
-    return hashlib.sha256(repr(tokens).encode()).hexdigest()[:16]
-
-
-# ----------------------------------------------------------------- #
-# Outcome-level certificates (evaluation-harness path)
-# ----------------------------------------------------------------- #
-
-def certificate_for_outcomes(subject: str, reference_label: str,
-                             reference: Tuple[Sequence, object],
-                             candidates: List[Tuple[str, str,
-                                                    Sequence, object]],
-                             witness: Optional[dict] = None,
-                             strict: bool = True) -> Certificate:
-    """Assemble a certificate from observations the caller produced.
-
-    ``reference`` is ``(values, report)`` for the reference
-    configuration; each candidate is ``(label, strictness, values,
-    report)``.  Values may be any sequence the token layer understands
-    (run results, output arrays); reports are CostReport objects or
-    snapshots."""
-    ref_values = values_token(reference[0])
-    ref_report = _as_snapshot(reference[1])
-    certificate = Certificate(
-        subject=subject, kind="engine", reference=reference_label,
-        witness=dict(witness or {}))
-    certificate.witness.setdefault("value_digest",
-                                   values_digest(reference[0]))
-    with observe(f"validate:{subject}", cat=CAT_VALIDATE,
-                 kind="engine", reference=reference_label):
-        for label, strictness, values, report in candidates:
-            certificate.add(make_check(
-                label, strictness, ref_values, values_token(values),
-                ref_report, _as_snapshot(report)))
-    return finish_certificate(certificate, strict)
-
-
-def _as_snapshot(report) -> dict:
-    if isinstance(report, dict):
-        return report
-    return report_snapshot(report)

@@ -327,26 +327,17 @@ class TestFuzzerBatch:
 
         program = fuzzer.generate_program(random.Random(3), max_ops=5)
 
-        from repro.core import compile_source as real_compile_source
+        from repro.core import CompiledProgram
 
-        class _Tampered:
-            def __init__(self, compiled):
-                self._compiled = compiled
+        real_run_batch = CompiledProgram.run_batch
 
-            def run(self, *args, **kwargs):
-                return self._compiled.run(*args, **kwargs)
+        def run_batch(self, name, args, lanes=1, **kwargs):
+            result = real_run_batch(self, name, args, lanes=lanes,
+                                    **kwargs)
+            result.values[-1] = -1234.5  # perturb the last lane
+            return result
 
-            def run_batch(self, name, args, lanes=1, **kwargs):
-                result = self._compiled.run_batch(name, args,
-                                                  lanes=lanes, **kwargs)
-                result.values[-1] = -1234.5  # perturb the last lane
-                return result
-
-        import repro.core
-
-        monkeypatch.setattr(
-            repro.core, "compile_source",
-            lambda *a, **k: _Tampered(real_compile_source(*a, **k)))
+        monkeypatch.setattr(CompiledProgram, "run_batch", run_batch)
         mismatch = fuzzer.cross_check_batched(program, lanes=(2,))
         assert mismatch is not None
         assert mismatch.stage == "batch"

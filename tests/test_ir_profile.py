@@ -98,7 +98,33 @@ def test_jit_line_maps_registered():
 
     program = _compile("gemm")
     program.run("run", [4], engine="jit")
-    entry = LINE_MAPS.get("<vpjit:kernel_gemm>")
+    filename, entry = LINE_MAPS.get("kernel_gemm", (None, None))
     assert entry, f"no jit line map registered: {sorted(LINE_MAPS)}"
+    assert filename.startswith("<vpjit:kernel_gemm:")
     assert all(isinstance(k, int) for k in entry)
     assert all(len(loc) == 3 for loc in entry.values())
+
+
+def test_jit_line_maps_do_not_collide_across_programs():
+    """Two programs with a ``run`` each resolve against their own line
+    map, including one whose code was memoized before the other
+    program materialized."""
+    from repro.observability.profile import jit_location
+
+    gemm, atax = _compile("gemm"), _compile("atax")
+    gemm.run("run", [4], engine="jit")
+    atax.run("run", [4], engine="jit")  # registered last
+    filenames = {}
+    for program in (gemm, atax):
+        sample_jit_run(program, "run", [4], interval=0.001)
+        store = program._codegen_store
+        filename = store.codes["run"].co_filename
+        own = {int(line): tuple(loc) for line, loc
+               in store.records["run"]["line_map"].items()}
+        assert all(jit_location(filename, line) == ("run", loc)
+                   for line, loc in own.items())
+        filenames[program] = (filename, next(iter(own)))
+    assert filenames[gemm][0] != filenames[atax][0]
+    # gemm's code no longer resolves against the map atax registered.
+    assert jit_location(*filenames[gemm]) == \
+        ("run", ("<unmapped>", None, None))

@@ -332,15 +332,21 @@ def test_transition_table_has_tier_edge():
 
 
 def test_validate_tiers_certificate():
-    from repro.validation import validate_tiers
-    cert = validate_tiers(SOURCE, "run", [12], backend="mpfr",
-                          engine="jit", name="k", lanes=3)
+    from repro.validation import certify
+    options = {"backend": "mpfr", "kernel_tier": "small"}
+    cert = certify("k", "run", [12], kind="kernel-tier", source=SOURCE,
+                   options=options, engine="jit", only=("tier",))
     assert cert.passed
     assert cert.kind == "kernel-tier"
+    assert cert.reference == "tier.small"
     labels = {check.label for check in cert.checks}
     assert "tier.generic" in labels
-    assert any(label.startswith("tier.generic.batch")
-               for label in labels)
+    batched = certify("k", "run", [12], kind="kernel-tier",
+                      source=SOURCE, options=options, engine="jit",
+                      only=("tier",), lanes=3)
+    assert batched.passed
+    assert any(check.label.startswith("tier.generic.lane")
+               for check in batched.checks)
 
 
 # ----------------------------------------------------------------- #

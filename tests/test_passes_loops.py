@@ -320,3 +320,29 @@ class TestInlining:
         """
         module, stats = compile_ir(source, InliningPass())
         assert run(module, "fact", [6]) == 720
+
+
+def test_o3_output_independent_of_hash_seed():
+    """-O3 walks loop bodies and dominance frontiers in function block
+    order, so the optimized IR text is the same under any
+    PYTHONHASHSEED (adi used to reorder hoisted instructions and
+    renumber phis between seeds)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    script = ("from repro import compile_source\n"
+              "from repro.workloads.polybench import source_for\n"
+              "print(compile_source(source_for('adi', "
+              "'vpfloat<mpfr, 16, 128>'), backend='mpfr').module)\n")
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    texts = []
+    for seed in ("1", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        texts.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert texts[0] and texts[0] == texts[1]

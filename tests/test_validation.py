@@ -21,6 +21,8 @@ from repro.validation import (
     FuzzOp,
     FuzzProgram,
     Mismatch,
+    REGISTRY,
+    certify,
     compare_reports,
     cross_check,
     finish_certificate,
@@ -31,8 +33,6 @@ from repro.validation import (
     minimize,
     replay,
     save_reproducer,
-    validate_engines,
-    validate_passes,
     value_token,
 )
 from repro.validation.fuzzer import REFERENCE_KERNELS, eval_reference
@@ -135,34 +135,69 @@ class TestCertificateObject:
 # Harness: engine + pass certificates on real sources
 # ----------------------------------------------------------------- #
 
+def _certify_source(args, backend="mpfr", **kwargs):
+    return certify("program", "f", args, source=SOURCE,
+                   options={"backend": backend, "cache": None}, **kwargs)
+
+
 class TestValidateHarness:
     def test_engines_certificate_passes(self):
-        cert = validate_engines(SOURCE, "f", (12,), backend="mpfr",
-                                cache=None, strict=True)
+        cert = _certify_source((12,), only=("engine", "pool"),
+                               strict=True)
         assert cert.passed
         labels = {check.label for check in cert.checks}
         # jit is the mpfr reference; the others plus the pool toggle.
         assert {"engine.fast", "engine.legacy", "pool.off"} <= labels
 
     def test_passes_certificate_passes(self):
-        cert = validate_passes(SOURCE, "f", (12,), backend="mpfr",
-                               cache=None, strict=True)
+        cert = _certify_source((12,), kind="pass", only=("opt", "pass"),
+                               strict=True)
         assert cert.passed
         labels = {check.label for check in cert.checks}
         assert "opt.O0" in labels
 
     def test_unum_rejected(self):
         with pytest.raises(ValueError):
-            validate_engines(SOURCE, "f", (4,), backend="unum",
-                             cache=None)
+            _certify_source((4,), backend="unum")
 
     def test_counters_emitted(self):
         with telemetry_session(metrics=True) as (_tracer, registry):
-            validate_engines(SOURCE, "f", (4,), backend="mpfr",
-                             cache=None, strict=True)
+            _certify_source((4,), only=("engine", "pool"),
+                            strict=True)
             counters = registry.to_dict()["counters"]
         assert counters.get("validate.certificates") == 1
         assert counters.get("validate.passed") == 1
+        assert not counters.get("validate.failed")
+
+    def test_registry_rules(self):
+        from repro.validation import TRANSITIONS
+
+        def labels(backend, engine, lanes=None):
+            return [t.label.format(lanes=lanes) for t in REGISTRY
+                    if t.applies(backend, engine, lanes)]
+
+        assert labels("mpfr", "jit") == [
+            "engine.fast", "engine.legacy", "pool.off", "tier.generic",
+            "opt.O0", "pass.no-loop_idiom", "pass.no-inlining",
+            "pass.no-unroll"]
+        assert "pool.off" not in labels("boost", "fast")
+        assert "tier.generic" not in labels("none", "fast")
+        assert labels("mpfr", "jit", 4)[:2] == ["batch4", "tier.generic"]
+        assert "batch4" not in labels("none", "jit", 4)
+        assert "batch4" not in labels("mpfr", "fast", 4)
+        assert all(t.strictness == TRANSITIONS[t.edge] for t in REGISTRY)
+
+    def test_rajaperf_points_carry_tier_check(self):
+        from repro.evaluation.fig1 import run_fig1_rajaperf
+
+        with telemetry_session(metrics=True) as (_tracer, registry):
+            run_fig1_rajaperf(kernels=["DAXPY"], n=8, validate=True,
+                              compile_cache=False)
+            counters = registry.to_dict()["counters"]
+        # Six variants x (mpfr on the jit, boost on the closure tables):
+        # the jit-reference points gain the generic-tier check.
+        assert counters.get("validate.certificates") == 12
+        assert counters.get("validate.check.tier.generic.passed") == 6
         assert not counters.get("validate.failed")
 
 
@@ -244,6 +279,30 @@ class TestFuzzer:
         assert cross_check_rounding(program) is None
         mismatch = cross_check_engines(program)
         assert mismatch is None, mismatch.describe()
+
+    def test_report_only_engine_divergence_flagged(self, monkeypatch):
+        """An engine whose values agree but whose cycle report does not
+        must fail the engine stage (the ``exact`` invariant)."""
+        from repro.core import CompiledProgram
+        from repro.validation import cross_check_engines
+
+        real_run = CompiledProgram.run
+
+        def run(self, *args, **kwargs):
+            result = real_run(self, *args, **kwargs)
+            if kwargs.get("engine") == "legacy":
+                result.report.cycles += 1
+            return result
+
+        monkeypatch.setattr(CompiledProgram, "run", run)
+        program = FuzzProgram(96, (FuzzOp("lit", ("1.5",)),
+                                   FuzzOp("mul", (0, 0))))
+        mismatch = cross_check_engines(program)
+        assert mismatch is not None
+        assert mismatch.stage == "engine"
+        assert mismatch.label == "none.engine.legacy"
+        assert mismatch.reference == "none.engine.fast"
+        assert "'cycles'" in mismatch.describe()
 
     def test_corpus_reproducers_replay_clean(self):
         from pathlib import Path
