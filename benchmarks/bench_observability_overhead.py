@@ -3,10 +3,10 @@
 The observability layer's contract is that with no tracer/registry
 installed, the hot paths carry no telemetry work: producers bind the
 process-global hooks once at construction, so the disabled
-configuration executes the same closure bodies as before the subsystem
-existed.  This benchmark measures that on the fast-path ``gemm``
-pipeline (fused dispatch + MPFR pool, one interpreter reused across
-repetitions -- the steady-state evaluation-harness shape):
+configuration executes the same code as before the subsystem existed.
+This benchmark measures that on the jit ``gemm`` pipeline (specialized
+source + MPFR pool, one interpreter reused across repetitions -- the
+steady-state evaluation-harness shape):
 
 * **control** -- disabled-mode runs in a fresh process state;
 * **disabled** -- disabled-mode runs *after* a telemetry session has
@@ -53,8 +53,8 @@ def bench(n: int, reps: int, quick: bool) -> int:
     source = source_for("gemm", FTYPE)
     program = CompilerDriver(backend="mpfr").compile(source, name="gemm")
 
-    # One pooled fast-path interpreter per mode, warmed before timing.
-    control_interp = program.interpreter(engine="fast", pool=True)
+    # One pooled jit interpreter per mode, warmed before timing.
+    control_interp = program.interpreter(engine="jit", pool=True)
     control_interp.run("run", [n])
 
     # Install + tear down a real telemetry session (and a run-ledger
@@ -64,8 +64,8 @@ def bench(n: int, reps: int, quick: bool) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         with telemetry_session(trace=True, metrics=True):
             with ledger_session(os.path.join(tmp, "ledger.jsonl")):
-                program.run("run", [n], engine="fast", pool=True)
-    disabled_interp = program.interpreter(engine="fast", pool=True)
+                program.run("run", [n], engine="jit", pool=True)
+    disabled_interp = program.interpreter(engine="jit", pool=True)
     disabled_interp.run("run", [n])
 
     control = []
@@ -80,7 +80,7 @@ def bench(n: int, reps: int, quick: bool) -> int:
     # append when enabled).  Interleaved min-of-reps like above.
     def _timed_program_run():
         started = time.perf_counter()
-        program.run("run", [n], engine="fast", pool=True)
+        program.run("run", [n], engine="jit", pool=True)
         return time.perf_counter() - started
 
     ledger_off = []
@@ -95,7 +95,7 @@ def bench(n: int, reps: int, quick: bool) -> int:
         ledger_records = sum(1 for line in open(path) if line.strip())
 
     with telemetry_session(trace=True, metrics=True) as (tracer, registry):
-        enabled_interp = program.interpreter(engine="fast", pool=True)
+        enabled_interp = program.interpreter(engine="jit", pool=True)
         enabled_interp.run("run", [n])
         enabled = [_timed_run(enabled_interp, n) for _ in range(reps)]
         spans = sum(1 for e in tracer.events if e["ph"] == "X")

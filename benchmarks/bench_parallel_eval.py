@@ -16,8 +16,7 @@ seed harness used:
   program far faster than the parse -> sema -> -O3 -> backend pipeline.
 * **equivalence** -- per-point modeled cycles, cycle categories, and
   exact output bits (BigFloat fields) are identical between the
-  engine's runs (superinstruction fusion on, the default) and the
-  serial uncached baseline.
+  engine's runs and the serial uncached baseline.
 
 Usage::
 

@@ -76,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print opcode/builtin/pool/pass-time profile "
                              "after --run")
     parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help="execution engine (default: 'jit' for the "
-                             "mpfr backend, else 'fast'; 'jit' compiles "
-                             "IR functions to specialized Python source, "
-                             "'legacy' is the reference tree walker)")
+                        help="execution engine (default: 'jit', which "
+                             "compiles IR functions to specialized Python "
+                             "source; 'legacy' is the reference tree "
+                             "walker, also used by --profile)")
     parser.add_argument("--no-pool", action="store_true",
                         help="disable the runtime MPFR object pool")
     parser.add_argument("--kernel-tier",

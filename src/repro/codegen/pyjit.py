@@ -1,17 +1,17 @@
 """Per-function Python-source codegen: the ``jit`` execution engine.
 
-The closure-table engine (:mod:`repro.runtime.dispatch`) pays one Python
-call plus several frame-dict operations per executed IR instruction.
-This module removes both: :class:`FunctionEmitter` translates one IR
-function into straight-line Python source with every SSA value
-register-allocated to a Python local, constant-attribute vpfloat
+The legacy walker (:class:`repro.runtime.interpreter.Interpreter`) pays
+an isinstance chain plus several frame-dict operations per executed IR
+instruction.  This module removes both: :class:`FunctionEmitter`
+translates one IR function into straight-line Python source with every
+SSA value register-allocated to a Python local, constant-attribute vpfloat
 precisions / rounding modes / guard bits baked into the emitted text,
 the :mod:`repro.bigfloat.arith` integer-mantissa kernels inlined (via
 :mod:`repro.codegen.kernels`) for the constant-precision ``RNDN`` case,
 and all statically-known cycle charges of a basic block folded into one
 bulk ``report.charge(category, total)`` per category.
 
-Observable semantics are bit-identical with the closure engines for any
+Observable semantics are bit-identical with the legacy walker for any
 function the emitter accepts: the same cycles land in the same
 categories, the same memory traffic reaches the cache model, runtime
 builtins run through the interpreter's *installed* handlers (so MPFR
@@ -20,9 +20,10 @@ re-implemented), and runtime errors keep their exact types and
 messages.  Anything the emitter cannot prove static -- dynamic vpfloat
 attributes, posit arithmetic, unknown builtins, dynamically-sized
 element types, non-static GEPs -- raises :class:`_Unsupported` during
-emission and that one *function* silently falls back to the fused
-closure-table engine; jit selection is per-function, never a hard
-error.
+emission and that one *function* silently falls back to the legacy
+walker; jit selection is per-function, never a hard error.  MPFR
+builtin calls go through shared fast-path helpers
+(:func:`mpfr_fast_path`), one emitted line per call.
 
 Generated source is self-contained: it defines ``_make(R)`` where ``R``
 is a :class:`JitRuntime` bound to one (interpreter, function) pair, and
@@ -43,7 +44,6 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..bigfloat import BigFloat, RNDN, limb_bytes
-from ..bigfloat.number import Kind
 from ..ir import (
     AllocaInst,
     ArrayType,
@@ -212,17 +212,11 @@ class JitRuntime:
     VPR = None
     XLE = None
     BigFloat = BigFloat
-    KFIN = Kind.FINITE
     RNDN = RNDN
     fmod = math.fmod
     copysign = math.copysign
     inf = math.inf
     nan = math.nan
-    limb_bytes = staticmethod(limb_bytes)
-    # Bound by the prelude in every module; only batch-mode source
-    # (emitted against a BatchInterpreter) ever calls them.
-    batch_from_float = None
-    batch_from_int = None
 
     def __init__(self, interp, func: Function):
         self.interp = interp
@@ -237,7 +231,7 @@ class JitRuntime:
 
     def const(self, bi: int, ii: int, oi: int):
         """Resolve operand ``oi`` of instruction (bi, ii) frame-free,
-        with the closure engine's getter semantics."""
+        with the legacy walker's operand semantics."""
         return self._resolve(self._inst(bi, ii).operands[oi])
 
     def default(self, bi: int, ii: int):
@@ -262,8 +256,19 @@ class JitRuntime:
             getattr(self.interp, "kernel_tier", "auto"),
             getattr(self.interp, "tier_stats", None))
 
-    def mpfr_kernels(self, op: str) -> _KernelMap:
+    def mpfr_kernels(self, op: str):
+        """The value kernel of one inlined MPFR op: a ``(prec,
+        exp_bits)``-keyed kernel map for the arithmetic ops, the
+        scalar constructor for ``set_d``/``set_si``."""
+        if op == "set_d":
+            return BigFloat.from_float
+        if op == "set_si":
+            return BigFloat.from_int
         return _KernelMap(op, self.interp)
+
+    def mpfr_helpers(self):
+        """The MPFR fast-path helpers the emitted calls go through."""
+        return mpfr_fast_path(self.interp)
 
     def _resolve(self, v):
         interp = self.interp
@@ -294,7 +299,11 @@ class BatchJitRuntime(JitRuntime):
 
     __slots__ = ()
 
-    def mpfr_kernels(self, op: str) -> _BatchKernelMap:
+    def mpfr_kernels(self, op: str):
+        if op == "set_d":
+            return self.batch_from_float
+        if op == "set_si":
+            return self.batch_from_int
         return _BatchKernelMap(op, self.interp.batch)
 
     def batch_from_float(self, value, prec: int):
@@ -325,6 +334,115 @@ def _bind_runtime_refs() -> None:
 _bind_runtime_refs()
 
 
+def mpfr_fast_path(interp):
+    """The inlined MPFR builtins, bound to one interpreter.
+
+    Returns ``(op3, op4, set_, set_scalar)``: add/sub/mul/div,
+    fma/fms, ``mpfr_set`` and ``mpfr_set_d``/``mpfr_set_si``.  Each
+    takes the installed handler, the call's instruction handle, the
+    op's value kernel (``op3``/``op4``: the ``(prec, exp_bits)``-keyed
+    kernel map; ``set_scalar``: the value constructor) and its builtin
+    name, then the call's operands.  The bodies follow the installed
+    handlers (interpreter._install_mpfr_builtins) and the backing
+    MpfrLibrary methods with the call layers flattened and the generic
+    arith kernel replaced by the precision-specialized one: the same
+    handle loads, cache-model touches and charges, in the same order.
+    Every cold or failing case (uninitialized handle, use after clear)
+    delegates to the installed handler, so error types and messages
+    stay byte-identical.
+    """
+    load = interp.memory.load
+    report = interp.accounting.report
+    by_category = report.by_category
+    stats = interp.mpfr.stats
+    bump = stats.bump
+    cost_cache = interp._mpfr_cost_cache
+    op_cost = interp.accounting.costs.mpfr_op_cost
+    metrics = interp.metrics
+    cache = interp.accounting.cache
+    access = cache.access if cache is not None else None
+    limb_cache: Dict[int, int] = {}
+
+    def account(name, prec, dst, reads):
+        if access is not None:
+            before = cache.access_cycles
+            for var in reads:
+                var_prec = var.prec
+                nbytes = limb_cache.get(var_prec)
+                if nbytes is None:
+                    nbytes = limb_cache[var_prec] = limb_bytes(var_prec)
+                access("r", var.limb_addr, nbytes)
+            nbytes = limb_cache.get(prec)
+            if nbytes is None:
+                nbytes = limb_cache[prec] = limb_bytes(prec)
+            access("w", dst.limb_addr, nbytes)
+            report.cycles += cache.access_cycles - before
+        report.mpfr_calls += 1
+        cycles = cost_cache.get((name, prec))
+        if cycles is None:
+            cycles = cost_cache[(name, prec)] = op_cost(name, prec)
+        report.cycles += cycles
+        by_category["mpfr"] += cycles
+        if metrics is not None:
+            metrics.observe("precision.mpfr.bits", prec)
+
+    def op3(handler, inst, kernels, name, d, a, b):
+        x = load(int(d), 8)
+        y = load(int(a), 8)
+        z = load(int(b), 8)
+        if (x is None or y is None or z is None
+                or not (x.alive and y.alive and z.alive)):
+            return handler([d, a, b], inst, None)
+        prec = x.prec
+        # Fused kernel with the destination handle's exponent-range
+        # clamp folded in (scalar and batch); no per-call clamp.
+        x.value = kernels[prec, x.exp_bits](y.value, z.value)
+        stats.ops += 1
+        bump(name)
+        account(name, prec, x, (y, z))
+        return None
+
+    def op4(handler, inst, kernels, name, d, a, b, c):
+        x = load(int(d), 8)
+        y = load(int(a), 8)
+        z = load(int(b), 8)
+        w = load(int(c), 8)
+        if (x is None or y is None or z is None or w is None
+                or not (x.alive and y.alive and z.alive and w.alive)):
+            return handler([d, a, b, c], inst, None)
+        prec = x.prec
+        x.value = kernels[prec, x.exp_bits](y.value, z.value, w.value)
+        stats.ops += 1
+        bump(name)
+        account(name, prec, x, (y, z, w))
+        return None
+
+    def set_(handler, inst, d, s):
+        x = load(int(d), 8)
+        y = load(int(s), 8)
+        if x is None or y is None or not (x.alive and y.alive):
+            return handler([d, s], inst, None)
+        prec = x.prec
+        x.value = y.value.round_to(prec)
+        stats.sets += 1
+        bump("mpfr_set")
+        account("mpfr_set", prec, x, (y,))
+        return None
+
+    def set_scalar(handler, inst, ctor, name, d, v):
+        x = load(int(d), 8)
+        if x is None or not x.alive:
+            return handler([d, v], inst, None)
+        prec = x.prec
+        x.value = ctor(v, prec)
+        stats.sets += 1
+        bump(name)
+        account(name, prec, x, ())
+        return None
+
+    return op3, op4, set_, set_scalar
+
+
 # ----------------------------------------------------------------- #
 # Emitter
 # ----------------------------------------------------------------- #
@@ -348,7 +466,6 @@ _srel = _mem.stack_release
 _VPR = R.VPR
 _XLE = R.XLE
 _BF = R.BigFloat
-_FIN = R.KFIN
 _AB = _interp._as_bigfloat
 _f32 = R.f32
 _fcmpv = _interp._fcmp_values
@@ -364,19 +481,7 @@ _MET = _mreg is not None
 if _MET:
     _obs = _mreg.observe
     _minc = _mreg.inc
-_mcc = _interp._mpfr_cost_cache
-_mopc = _C.mpfr_op_cost
-_bcat = _rep.by_category
-_mstats = _interp.mpfr.stats
-_mbump = _mstats.bump
-_bfromf = R.batch_from_float
-_bfromi = R.batch_from_int
-_lbytes = R.limb_bytes
-_lbc = {}
-_cachem = _acct.cache
-_HC = _cachem is not None
-if _HC:
-    _cacc = _cachem.access"""
+"""
 
 
 class FunctionEmitter:
@@ -396,11 +501,12 @@ class FunctionEmitter:
         self._builtin_refs: Dict[str, str] = {}
         self._kernel_refs: Dict[Tuple[str, int, Optional[int]], str] = {}
         self._mpfr_map_refs: Dict[str, str] = {}
+        self._mpfr_helpers_bound = False
         self._default_refs: Dict[int, str] = {}
         # Current block accumulators.  Charges are bulk-counted per
         # block but flushed into *segments* at OpenMP region markers so
-        # parallel-region attribution matches the per-instruction
-        # engines (see _emit_call).
+        # parallel-region attribution matches the legacy walker (see
+        # _emit_call).
         self._charges: Dict[str, Dict[str, int]] = {}
         self._mid_flushes: List[Dict[str, Dict[str, int]]] = []
         self._block_segments: List[Dict[str, Dict[str, int]]] = []
@@ -430,8 +536,8 @@ class FunctionEmitter:
             try:
                 self.interp.vp_config(type_, None)
             except Exception:
-                # Statically invalid attrs: fall back so the closure
-                # engine surfaces the validation error at execution.
+                # Statically invalid attrs: fall back so the legacy
+                # walker surfaces the validation error at execution.
                 return False
             return True
         if isinstance(type_, ArrayType):
@@ -667,8 +773,8 @@ class FunctionEmitter:
 
         # Segment the block's bulk charges at OpenMP region markers:
         # segment 0 is charged at block entry, segment k right after
-        # the k-th marker call, matching where the per-instruction
-        # engines charge relative to parallel_begin/parallel_end.
+        # the k-th marker call, matching where the legacy walker
+        # charges relative to parallel_begin/parallel_end.
         self._block_segments = self._mid_flushes + [self._charges]
         if self._mid_flushes:
             expanded: List[str] = []
@@ -1106,119 +1212,29 @@ class FunctionEmitter:
 
     # ---- inlined mpfr builtins ----------------------------------- #
     #
-    # The MPFR handlers are the hottest path of lowered kernels; the
-    # bodies below are verbatim transcriptions of the installed
-    # handlers (interpreter._install_mpfr_builtins) and the backing
-    # MpfrLibrary methods, with the call layers flattened and the
-    # generic arith kernel replaced by the precision-specialized one.
-    # Every cold or failing case (uninitialized handle, use after
-    # clear) delegates to the installed handler so error types and
-    # messages stay byte-identical.
-
-    def _emit_touch(self, out, reads: List[str], write: str) -> None:
-        out.append("    if _HC:")
-        out.append("        _t0 = _cachem.access_cycles")
-        for var in reads:
-            out.append(f"        _pv = {var}.prec")
-            out.append("        _nb = _lbc.get(_pv)")
-            out.append("        if _nb is None:")
-            out.append("            _nb = _lbytes(_pv)")
-            out.append("            _lbc[_pv] = _nb")
-            out.append(f'        _cacc("r", {var}.limb_addr, _nb)')
-        out.append("        _nb = _lbc.get(_p)")
-        out.append("        if _nb is None:")
-        out.append("            _nb = _lbytes(_p)")
-        out.append("            _lbc[_p] = _nb")
-        out.append(f'        _cacc("w", {write}.limb_addr, _nb)')
-        out.append("        _rep.cycles += _cachem.access_cycles - _t0")
-
-    def _emit_mpfr_charge(self, out, call_name: str) -> None:
-        out.append("    _rep.mpfr_calls += 1")
-        out.append(f"    _cy = _mcc.get(({call_name!r}, _p))")
-        out.append("    if _cy is None:")
-        out.append(f"        _cy = _mopc({call_name!r}, _p)")
-        out.append(f"        _mcc[({call_name!r}, _p)] = _cy")
-        out.append("    _rep.cycles += _cy")
-        out.append('    _bcat["mpfr"] += _cy')
-        out.append("    if _MET:")
-        out.append('        _obs("precision.mpfr.bits", _p)')
+    # The MPFR handlers are the hottest path of lowered kernels: each
+    # call site becomes one call of a shared fast-path helper (see
+    # mpfr_fast_path) with the precision-specialized value kernel
+    # bound in the prelude.
 
     def _emit_mpfr_builtin(self, inst, bname, args, bi, ii, out) -> None:
+        if not self._mpfr_helpers_bound:
+            self._mpfr_helpers_bound = True
+            self.prelude.append("_mop3, _mop4, _mset, _msetv = "
+                                "R.mpfr_helpers()")
         name = self.names[id(inst)]
         handler = self._builtin_ref(bname)
         handle = self._inst_ref(inst, bi, ii)
-        delegate = (f"    {name} = {handler}([{', '.join(args)}], "
-                    f"{handle}, None)")
+        operands = ", ".join(args)
         op = bname[5:]  # mpfr_<op>
-        if op in ("add", "sub", "mul", "div"):
-            kmap = self._mpfr_map_ref(op)
-            out.append(f"_x = _ml(int({args[0]}), 8)")
-            out.append(f"_y = _ml(int({args[1]}), 8)")
-            out.append(f"_z = _ml(int({args[2]}), 8)")
-            out.append("if (_x is None or _y is None or _z is None or "
-                       "not (_x.alive and _y.alive and _z.alive)):")
-            out.append(delegate)
-            out.append("else:")
-            out.append("    _p = _x.prec")
-            # Fused kernel with the destination handle's exponent-range
-            # clamp folded in (scalar and batch); no per-call clamp.
-            out.append(f"    _x.value = {kmap}[_p, _x.exp_bits]"
-                       "(_y.value, _z.value)")
-            out.append("    _mstats.ops += 1")
-            out.append(f"    _mbump({bname!r})")
-            self._emit_touch(out, ["_y", "_z"], "_x")
-            self._emit_mpfr_charge(out, bname)
-            out.append(f"    {name} = None")
-        elif op in ("fma", "fms"):
-            kmap = self._mpfr_map_ref(op)
-            out.append(f"_x = _ml(int({args[0]}), 8)")
-            out.append(f"_y = _ml(int({args[1]}), 8)")
-            out.append(f"_z = _ml(int({args[2]}), 8)")
-            out.append(f"_w = _ml(int({args[3]}), 8)")
-            out.append("if (_x is None or _y is None or _z is None or "
-                       "_w is None or not (_x.alive and _y.alive and "
-                       "_z.alive and _w.alive)):")
-            out.append(delegate)
-            out.append("else:")
-            out.append("    _p = _x.prec")
-            out.append(f"    _x.value = {kmap}[_p, _x.exp_bits]"
-                       "(_y.value, _z.value, _w.value)")
-            out.append("    _mstats.ops += 1")
-            out.append(f"    _mbump({bname!r})")
-            self._emit_touch(out, ["_y", "_z", "_w"], "_x")
-            self._emit_mpfr_charge(out, bname)
-            out.append(f"    {name} = None")
-        elif op == "set":
-            out.append(f"_x = _ml(int({args[0]}), 8)")
-            out.append(f"_y = _ml(int({args[1]}), 8)")
-            out.append("if (_x is None or _y is None or "
-                       "not (_x.alive and _y.alive)):")
-            out.append(delegate)
-            out.append("else:")
-            out.append("    _p = _x.prec")
-            out.append("    _x.value = _y.value.round_to(_p)")
-            out.append("    _mstats.sets += 1")
-            out.append('    _mbump("mpfr_set")')
-            self._emit_touch(out, ["_y"], "_x")
-            self._emit_mpfr_charge(out, "mpfr_set")
-            out.append(f"    {name} = None")
-        else:  # set_d / set_si
-            ctor = "from_float" if op == "set_d" else "from_int"
-            out.append(f"_x = _ml(int({args[0]}), 8)")
-            out.append("if _x is None or not _x.alive:")
-            out.append(delegate)
-            out.append("else:")
-            out.append("    _p = _x.prec")
-            if self.batch:
-                bcast = "_bfromf" if op == "set_d" else "_bfromi"
-                out.append(f"    _x.value = {bcast}({args[1]}, _p)")
-            else:
-                out.append(f"    _x.value = _BF.{ctor}({args[1]}, _p)")
-            out.append("    _mstats.sets += 1")
-            out.append(f"    _mbump({bname!r})")
-            self._emit_touch(out, [], "_x")
-            self._emit_mpfr_charge(out, bname)
-            out.append(f"    {name} = None")
+        if op == "set":
+            out.append(f"{name} = _mset({handler}, {handle}, {operands})")
+            return
+        helper = {"fma": "_mop4", "fms": "_mop4",
+                  "set_d": "_msetv", "set_si": "_msetv"}.get(op, "_mop3")
+        kernel = self._mpfr_map_ref(op)
+        out.append(f"{name} = {helper}({handler}, {handle}, {kernel}, "
+                   f"{bname!r}, {operands})")
 
 
 def emit_function_source(interp, func: Function
@@ -1391,7 +1407,7 @@ class JitEngine:
             entry = namespace["_make"](runtime_cls(interp, func))
         except Exception as e:
             # Bind-time resolution failed (e.g. an invalid constant):
-            # the closure engine reproduces the error at execution.
+            # the legacy walker reproduces the error at execution.
             return (None, "fallback",
                     f"bind failed: {type(e).__name__}", not fresh)
         return entry, "jit", None, not fresh

@@ -32,15 +32,12 @@ from ..observability import (
 )
 from ..passes import build_o3_pipeline
 from ..passes.polly import optimize_unit
-from ..runtime import CostAccounting, ExecutionResult, Interpreter
+from ..runtime import ENGINES, CostAccounting, ExecutionResult, Interpreter
 from ..runtime.cost_model import CacheModel
 from .cache import CacheStats, CompileCache, as_compile_cache, \
     default_cache_dir
 
 BACKENDS = ("none", "mpfr", "boost", "unum")
-
-#: Execution engines, fastest first (see README "Execution engines").
-ENGINES = ("jit", "fast", "legacy")
 
 __all__ = [
     "BACKENDS", "CacheStats", "CompileCache", "CompileOptions",
@@ -49,16 +46,14 @@ __all__ = [
 ]
 
 
-def resolve_engine(engine: Optional[str], backend: str) -> str:
+def resolve_engine(engine: Optional[str]) -> str:
     """Validate / default the execution engine selection.
 
-    ``None`` picks the per-backend default: the specializing ``jit``
-    codegen engine for the mpfr backend (its lowered modules are where
-    the emitted straight-line code pays off most), the fused closure
-    tables (``fast``) everywhere else.
+    ``None`` picks the specializing ``jit`` codegen engine for every
+    backend; ``legacy`` is the reference walker.
     """
     if engine is None:
-        return "jit" if backend == "mpfr" else "fast"
+        return "jit"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; "
                          f"choose from {ENGINES}")
@@ -133,13 +128,10 @@ class CompiledProgram:
     # ------------------------------------------------------------ #
 
     def _resolve_mode(self, engine: Optional[str]) -> str:
-        """``None`` picks the driver's engine, then the backend default
-        (jit for mpfr)."""
+        """``None`` picks the driver's engine, then the default (jit)."""
         if engine is None:
             engine = self._default_engine
-        if engine is None:
-            return resolve_engine(None, self.options.backend)
-        return engine
+        return resolve_engine(engine)
 
     def _resolve_tier(self, kernel_tier: Optional[str]) -> str:
         """Per-run override wins; None falls back to the driver's
@@ -196,15 +188,15 @@ class CompiledProgram:
         ``costs`` selects a CycleCosts profile (default: Xeon-calibrated;
         pass ``ROCKET_CYCLE_COSTS`` for the Fig. 2 FPGA baseline).
         ``engine`` picks the execution engine (:data:`ENGINES`; ``None``
-        means the driver's engine, else the backend default -- the
-        specializing jit for mpfr, fused closures otherwise).
+        means the driver's engine, else the specializing jit).
         ``profile``/``pool`` configure the interpreter's observability
         layer and MPFR object pool (``pool`` defaults per backend: on
-        except for Boost).  ``kernel_tier`` overrides the driver's
+        except for Boost); profiled runs execute on the legacy walker.  ``kernel_tier`` overrides the driver's
         kernel-tier policy for this run (auto/generic/small: the jit
         engine's precision-specialized fast-path kernels vs the
         generic ones; bit-identical either way)."""
         backend = self.options.backend
+        mode = self._resolve_mode(engine)
         if backend == "unum":
             machine = self.machine(cache=cache, coprocessor=coprocessor,
                                    max_steps=max_steps, costs=costs)
@@ -223,7 +215,6 @@ class CompiledProgram:
             return result
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
-        mode = self._resolve_mode(engine)
         tier = self._resolve_tier(kernel_tier)
         interpreter = Interpreter(self.module, accounting=accounting,
                                   max_steps=max_steps, dispatch=mode,
@@ -377,7 +368,7 @@ class CompilerDriver:
         #: Engine the compiled programs will run under; part of the
         #: cache fingerprint (not a CompileOptions field: it changes
         #: nothing about the IR, only how it is executed).
-        self.engine = resolve_engine(engine, backend)
+        self.engine = resolve_engine(engine)
         #: Kernel-tier policy (auto/generic/small) the programs' runs
         #: default to; like ``engine`` it is an execution knob, hashed
         #: into the fingerprint because the jit sidecar's emitted code

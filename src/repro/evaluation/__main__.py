@@ -85,8 +85,8 @@ def main(argv=None) -> int:
                              "(default: 1 = serial)")
     parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="execution engine for every sweep point "
-                             "(default: per-backend -- 'jit' for mpfr, "
-                             "else 'fast'); worker shards inherit it")
+                             "(default: 'jit'; 'legacy' is the reference "
+                             "tree walker); worker shards inherit it")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent compile-cache directory "
                              "(default: $VPFLOAT_CACHE_DIR or "

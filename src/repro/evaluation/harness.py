@@ -151,8 +151,8 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                **driver_kwargs) -> RunOutcome:
     """Compile + execute one PolyBench kernel; extract its outputs.
 
-    ``engine`` selects the execution engine (``None`` picks the backend
-    default), ``profile``/``pool`` the observability layer and MPFR
+    ``engine`` selects the execution engine (``None`` picks the jit),
+    ``profile``/``pool`` the observability layer and MPFR
     pool (see :meth:`CompiledProgram.run`); they are ignored by the
     unum machine backend.  ``compile_cache`` is a
     :class:`~repro.core.CompileCache` (or None to force a fresh

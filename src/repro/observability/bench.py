@@ -44,7 +44,6 @@ Case = Tuple[str, str, int, str, Optional[str], Optional[int]]
 
 FULL_SUITE: List[Case] = [
     ("gemm", MPFR, 8, "mpfr", "jit", None),
-    ("gemm", MPFR, 8, "mpfr", "fast", None),
     ("gemm", MPFR, 6, "mpfr", "jit", 4),
     ("jacobi-1d", MPFR, 24, "mpfr", "jit", None),
     ("jacobi-1d", MPFR, 24, "mpfr", "legacy", None),

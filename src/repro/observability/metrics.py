@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` absorbs every pre-existing private counter
 in the stack -- :class:`~repro.core.cache.CacheStats`,
 :class:`~repro.bigfloat.mpfr_api.MpfrStats` (pool hit/miss traffic),
-:class:`~repro.runtime.dispatch.InterpreterProfile`, pass timings, and
+:class:`~repro.runtime.interpreter.InterpreterProfile`, pass timings, and
 :class:`~repro.runtime.cost_model.CostReport` -- behind one namespaced
 API, and adds the precision telemetry the paper's evaluation needs
 (per-opcode precision-bit histograms, rounding-mode usage, guard bits).

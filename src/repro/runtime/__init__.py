@@ -21,16 +21,18 @@ from .batch import (
     BatchUnsupported,
     VPBatch,
 )
-from .dispatch import InterpreterProfile
 from .interpreter import (
+    ENGINES,
     ExecutionLimitExceeded,
     ExecutionResult,
     Interpreter,
+    InterpreterProfile,
     VPRuntimeError,
 )
 from .memory import Memory, MemoryError_
 
 __all__ = [
+    "ENGINES",
     "Interpreter",
     "InterpreterProfile",
     "ExecutionResult",

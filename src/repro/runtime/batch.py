@@ -579,8 +579,8 @@ class BatchMpfrLibrary(MpfrLibrary):
 class BatchInterpreter(Interpreter):
     """Interpreter whose vpfloat values are N-lane VPBatches.
 
-    Forces the jit dispatch mode (the closure-table and legacy engines
-    are not batch-aware, so a function without a jit entry raises
+    Forces the jit dispatch mode (the legacy walker is not
+    batch-aware, so a function without a jit entry raises
     :class:`BatchUnsupported` instead of silently falling back), swaps
     in a :class:`BatchMpfrLibrary`, and wraps the few builtins that
     materialize or inspect scalar vpfloat values.  All cost charging is

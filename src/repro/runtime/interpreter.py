@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import bigfloat
 from ..bigfloat import BigFloat, MpfrLibrary, RNDN, arith
@@ -78,8 +78,10 @@ from ..observability import (
 from ..unum import UnumConfig, UnumConfigError
 from ..unum.posit import PositConfig, PositConfigError, posit_round
 from .cost_model import CacheModel, CostAccounting
-from .dispatch import CompiledFunction, FunctionCompiler, InterpreterProfile
 from .memory import Memory
+
+#: Execution engines, fastest first (see README "Execution engines").
+ENGINES = ("jit", "legacy")
 
 
 class VPRuntimeError(RuntimeError):
@@ -90,13 +92,46 @@ class ExecutionLimitExceeded(RuntimeError):
     """The step budget ran out (guards against runaway loops)."""
 
 
+class InterpreterProfile:
+    """Execution observability: what ran, and where the cycles went.
+
+    ``opcode_counts`` tallies executed IR instructions by opcode;
+    ``builtin_calls``/``builtin_cycles`` attribute runtime-library work
+    (including MPFR entry points) per builtin name.  Cycle attribution
+    includes the cache-model cycles incurred inside the builtin.
+    """
+
+    def __init__(self) -> None:
+        self.opcode_counts: Dict[str, int] = {}
+        self.builtin_calls: Dict[str, int] = {}
+        self.builtin_cycles: Dict[str, int] = {}
+
+    def count_opcode(self, opcode: str) -> None:
+        self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + 1
+
+    def record_builtin(self, name: str, cycles: int) -> None:
+        self.builtin_calls[name] = self.builtin_calls.get(name, 0) + 1
+        self.builtin_cycles[name] = self.builtin_cycles.get(name, 0) + cycles
+
+    def hottest_opcodes(self, limit: int = 10) -> List[Tuple[str, int]]:
+        ranked = sorted(self.opcode_counts.items(),
+                        key=lambda kv: kv[1], reverse=True)
+        return ranked[:limit]
+
+    def hottest_builtins(self, limit: int = 10) -> List[Tuple[str, int, int]]:
+        ranked = sorted(self.builtin_cycles.items(),
+                        key=lambda kv: kv[1], reverse=True)
+        return [(name, self.builtin_calls.get(name, 0), cycles)
+                for name, cycles in ranked[:limit]]
+
+
 class ExecutionResult:
     def __init__(self, value, report, stdout: List[str], profile=None):
         self.value = value
         self.report = report
         self.stdout = stdout
-        #: :class:`~repro.runtime.dispatch.InterpreterProfile` when the
-        #: run was profiled, else None.
+        #: :class:`InterpreterProfile` when the run was profiled, else
+        #: None.
         self.profile = profile
 
 
@@ -139,15 +174,12 @@ class Frame:
 class Interpreter:
     """Executes one module.
 
-    ``dispatch`` selects the execution engine: ``"jit"`` compiles each
-    IR function to straight-line Python source on first call
-    (:mod:`repro.codegen.pyjit`), with per-function fallback to the
-    fused closure tables for anything the emitter cannot prove static;
-    ``"fast"`` (default) compiles each function's blocks to closure
-    tables on first call (:mod:`repro.runtime.dispatch`) with
-    superinstruction fusion of adjacent load+arith / arith+store /
-    cmp+branch pairs; ``"legacy"`` walks the original per-instruction
-    isinstance chain.  All three charge identical cycles.
+    ``dispatch`` selects the execution engine (:data:`ENGINES`):
+    ``"jit"`` (default) compiles each IR function to straight-line
+    Python source on first call (:mod:`repro.codegen.pyjit`), with
+    per-function fallback to the legacy walker for anything the emitter
+    cannot prove static; ``"legacy"`` walks the per-instruction
+    isinstance chain.  Both charge identical cycles.
 
     ``mpfr_pool`` enables the runtime free-list in the backing
     :class:`~repro.bigfloat.MpfrLibrary`: ``mpfr_clear`` parks handles
@@ -158,20 +190,23 @@ class Interpreter:
     ``profile=True`` collects an :class:`InterpreterProfile` (per-opcode
     execution counts, per-builtin call counts and cycle attribution),
     exposed as ``self.profile`` and on each :class:`ExecutionResult`.
+    Profiled runs execute on the legacy walker, which counts every
+    instruction it dispatches.
     """
 
     def __init__(self, module: Module,
                  accounting: Optional[CostAccounting] = None,
                  mpfr_library: Optional[MpfrLibrary] = None,
                  max_steps: int = 500_000_000,
-                 dispatch: str = "fast",
+                 dispatch: str = "jit",
                  profile: bool = False,
                  mpfr_pool: bool = False,
                  pool_limit: int = 1024,
                  codegen_store=None,
                  kernel_tier: str = "auto"):
-        if dispatch not in ("jit", "fast", "legacy"):
-            raise ValueError(f"unknown dispatch mode {dispatch!r}")
+        if dispatch not in ENGINES:
+            raise ValueError(f"unknown dispatch mode {dispatch!r}; "
+                             f"choose from {ENGINES}")
         self.module = module
         self.accounting = accounting or CostAccounting(cache=CacheModel())
         self.memory = Memory(observer=self.accounting.memory_access)
@@ -205,16 +240,10 @@ class Interpreter:
         #: (id(constant), attrs) -> rounded BigFloat; constants are pinned
         #: by the module so ids are stable.
         self._const_cache: Dict[tuple, BigFloat] = {}
-        #: (id(vptype), *runtime attrs) -> (prec, size) for
-        #: dynamic-attribute vpfloat types (constant-attribute types
-        #: resolve once inside their compiled closures instead).
-        self._vp_config_cache: Dict[tuple, tuple] = {}
         self._posit_config_cache: Dict[tuple, PositConfig] = {}
         self._unum_config_cache: Dict[tuple, UnumConfig] = {}
         self._validated_mpfr_attrs: set = set()
         self._mpfr_cost_cache: Dict[tuple, int] = {}
-        self._compiled_functions: Dict[int, CompiledFunction] = {}
-        self._compiler: Optional[FunctionCompiler] = None
         #: Shared codegen artifact store (jit engine): lets warm runs of
         #: a cached program skip re-emission.  Lazily created when the
         #: jit dispatch mode first materializes a function.
@@ -405,8 +434,6 @@ class Interpreter:
             entry = self._jit_entry(func)
             if entry is not None:
                 return entry(*args)
-        if self.dispatch != "legacy":
-            return self._call_compiled(func, args)
         return self._call_legacy(func, args, None)
 
     def _call_legacy(self, func: Function, args: List[object],
@@ -460,8 +487,6 @@ class Interpreter:
                     value = entry(*args)
                 finally:
                     self._block_counts = previous
-            elif self.dispatch != "legacy":
-                value = self._call_compiled_counting(func, args, counts)
             else:
                 value = self._call_legacy(func, args, counts)
             span.args["cycles"] = report.cycles - cycles0
@@ -473,65 +498,9 @@ class Interpreter:
                 ]
         return value
 
-    def _call_compiled(self, func: Function, args: List[object]) -> object:
-        """Fast-path execution over precompiled closure tables.
-
-        Instruction and step counters advance in block-sized strides, so
-        the execution-limit check may trip up to one block earlier than
-        the legacy per-instruction check; everything else (values,
-        cycles, memory traffic, error behavior) is identical.
-        """
-        compiled = self._compiled_functions.get(id(func))
-        if compiled is None:
-            compiled = self._compile_function(func)
-        costs = self.accounting.costs
-        self.accounting.charge("call", costs.call_overhead)
-        mark = self.memory.stack_mark()
-        frame = Frame(func, mark)
-        values = frame.values
-        for arg, value in zip(func.args, args):
-            values[id(arg)] = value
-        report = self.accounting.report
-        max_steps = self.max_steps
-        profile = self.profile
-        block = compiled.entry
-        prev = None
-        while True:
-            moves = block.phi_moves.get(prev)
-            if moves is not None:
-                # Stage all reads before any write (phi edge semantics).
-                staged = [(key, getter(frame)) for key, getter in moves]
-                for key, value in staged:
-                    values[key] = value
-            count = block.count
-            self.steps += count
-            if self.steps > max_steps:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {max_steps} interpreted instructions"
-                )
-            report.instructions += count
-            if profile is not None:
-                profile.count_block(block.tally)
-            for step in block.steps:
-                step(frame)
-            outcome = block.terminator(frame)
-            if outcome.__class__ is tuple:
-                self.memory.stack_release(mark)
-                self.accounting.charge("ret", costs.ret)
-                return outcome[1]
-            prev = block.bid
-            block = outcome
-
-    def _compile_function(self, func: Function) -> CompiledFunction:
-        if self._compiler is None:
-            self._compiler = FunctionCompiler(self)
-        compiled = self._compiler.compile(func)
-        self._compiled_functions[id(func)] = compiled
-        return compiled
-
     def _jit_entry(self, func: Function):
         """The specialized callable for ``func``, or None when the
-        emitter fell back (closure tables take over)."""
+        emitter fell back (the legacy walker takes over)."""
         engine = self._jit_engine
         if engine is None:
             from ..codegen.pyjit import JitEngine
@@ -539,53 +508,6 @@ class Interpreter:
             engine = JitEngine(self, self._codegen_store)
             self._jit_engine = engine
         return engine.entry(func)
-
-    def _call_compiled_counting(self, func: Function, args: List[object],
-                                block_counts: Dict[str, int]) -> object:
-        """Tracing twin of :meth:`_call_compiled`: identical charging
-        and semantics, plus per-block execution counts for hot-block
-        span attribution.  Kept separate so the untraced fast path
-        carries no per-block branch."""
-        compiled = self._compiled_functions.get(id(func))
-        if compiled is None:
-            compiled = self._compile_function(func)
-        costs = self.accounting.costs
-        self.accounting.charge("call", costs.call_overhead)
-        mark = self.memory.stack_mark()
-        frame = Frame(func, mark)
-        values = frame.values
-        for arg, value in zip(func.args, args):
-            values[id(arg)] = value
-        report = self.accounting.report
-        max_steps = self.max_steps
-        profile = self.profile
-        block = compiled.entry
-        prev = None
-        while True:
-            moves = block.phi_moves.get(prev)
-            if moves is not None:
-                staged = [(key, getter(frame)) for key, getter in moves]
-                for key, value in staged:
-                    values[key] = value
-            block_counts[block.name] = block_counts.get(block.name, 0) + 1
-            count = block.count
-            self.steps += count
-            if self.steps > max_steps:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {max_steps} interpreted instructions"
-                )
-            report.instructions += count
-            if profile is not None:
-                profile.count_block(block.tally)
-            for step in block.steps:
-                step(frame)
-            outcome = block.terminator(frame)
-            if outcome.__class__ is tuple:
-                self.memory.stack_release(mark)
-                self.accounting.charge("ret", costs.ret)
-                return outcome[1]
-            prev = block.bid
-            block = outcome
 
     def _run_block(self, block, frame: Frame):
         profile = self.profile

@@ -57,7 +57,7 @@ _TRAFFIC_FIELDS = (
 #: of what "seamless" is required to mean:
 #:
 #: * ``engine↔engine`` -- any pair of execution engines over one
-#:   compiled program (jit/fast/legacy).
+#:   compiled program (jit/legacy).
 #: * ``serial↔batched`` -- one serial jit run against each lane of a
 #:   batched SPMD execution; every lane's value and the shared cycle
 #:   report must match the serial run bit-for-bit.

@@ -345,7 +345,7 @@ def cross_check_rounding(program: FuzzProgram,
 #: The backends' reference values are then compared with each other.
 ENGINE_CONFIGS: Dict[str, Tuple[str, ...]] = {
     "none": ("opt.O0", "engine.legacy"),
-    "mpfr": ("engine.fast", "engine.legacy", "pool.off"),
+    "mpfr": ("engine.legacy", "pool.off"),
     "boost": (),
 }
 

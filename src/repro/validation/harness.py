@@ -138,10 +138,9 @@ def certify(subject: str, func: str, args: Sequence = (), *,
 
     ``kind`` names the certificate ("engine", "pass", "kernel-tier",
     "fuzz") and so its reference label.  The reference is one serial
-    run on ``engine`` (default: the
-    backend's), of ``program`` or, when it is None, of ``source``
-    compiled with ``options`` (:class:`~repro.core.CompilerDriver`
-    keywords).  Candidates are the :data:`REGISTRY` entries whose label
+    run on ``engine`` (default: the jit), of ``program`` or, when it
+    is None, of ``source`` compiled with ``options``
+    (:class:`~repro.core.CompilerDriver` keywords).  Candidates are the :data:`REGISTRY` entries whose label
     starts with one of ``only`` and whose rule holds; compile deltas
     (``opt.O0``, ``pass.no-*``) recompile ``source``.  ``lanes`` runs
     the candidates batched (see :data:`REGISTRY`).  ``read(value,
@@ -154,7 +153,7 @@ def certify(subject: str, func: str, args: Sequence = (), *,
     if backend == "unum":
         raise ValueError("certificates apply to the interpreter backends "
                          "(none/mpfr/boost), not unum")
-    reference_engine = resolve_engine(engine, backend)
+    reference_engine = resolve_engine(engine)
     candidates = [t for t in REGISTRY if t.label.startswith(tuple(only))
                   and t.applies(backend, reference_engine, lanes)]
     programs = {} if program is None else {(): program}

@@ -301,7 +301,7 @@ class TestHarnessBatch:
         with pytest.raises(ValueError, match="jit engine"):
             run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 4,
                        backend="mpfr", compile_cache=None, batch=2,
-                       engine="fast")
+                       engine="legacy")
         with pytest.raises(ValueError, match="mpfr"):
             run_kernel("gemm", "double", 4, backend="none",
                        compile_cache=None, batch=2)

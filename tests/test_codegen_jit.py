@@ -8,6 +8,8 @@ kernels exercise the per-function fallback path, and the CompileCache
 round-trip checks that warm runs skip re-emission.
 """
 
+import re
+
 import pytest
 
 from repro.codegen.pyjit import CodegenStore, emit_function_source
@@ -111,6 +113,29 @@ int run(int n) {
 """
 
 
+LISTING2_AXPY_SRC = """
+void axpy_mpfr(unsigned prec, int N,
+               vpfloat<mpfr, 16, prec> alpha,
+               vpfloat<mpfr, 16, prec> *X,
+               vpfloat<mpfr, 16, prec> *Y) {
+    for (unsigned i = 0; i < N; ++i)
+        Y[i] = alpha * X[i] + Y[i];
+}
+
+double run(unsigned prec, int n) {
+    vpfloat<mpfr, 16, prec> alpha = 1.5;
+    vpfloat<mpfr, 16, prec> X[8];
+    vpfloat<mpfr, 16, prec> Y[8];
+    for (int i = 0; i < n; i++) {
+        X[i] = i + 0.25;
+        Y[i] = 1.0;
+    }
+    axpy_mpfr(prec, n, alpha, X, Y);
+    return (double)Y[n - 1];
+}
+"""
+
+
 class TestDynamicPrecisionFallback:
     def test_dynamic_kernel_falls_back_bit_identical(self):
         program = compile_source(DYNAMIC_PREC_SRC, backend="mpfr")
@@ -134,11 +159,57 @@ class TestDynamicPrecisionFallback:
         _assert_identical(jit, legacy)
         statuses = program._codegen_store.statuses()
         # The static functions specialize; the dynamic-precision one
-        # must fall back to the closure-table engine -- per function,
-        # not per module.
+        # must fall back to the legacy walker -- per function, not per
+        # module.
         assert statuses["dyn"]["status"] == "fallback"
         assert statuses["run"]["status"] == "jit"
         assert statuses["scale"]["status"] == "jit"
+
+    def test_paper_listing_fallback_counted_and_matches_legacy(self):
+        # Paper Listing 2's axpy_mpfr takes its precision at runtime,
+        # and so does its driver's declarations: under the default
+        # engine the driver falls back to the legacy walker, counted
+        # per function, with the walker's value and report.
+        for backend in ("none", "mpfr"):
+            program = compile_source(LISTING2_AXPY_SRC, backend=backend,
+                                     enable_inlining=False)
+            with telemetry_session(metrics=True) as (_, registry):
+                default = program.run("run", [100, 6])
+            legacy = program.run("run", [100, 6], engine="legacy")
+            assert any(k.startswith("codegen.fn.run.fallback.dynamic-")
+                       for k in registry.counters), backend
+            assert default.value == legacy.value == 8.875
+            _assert_identical(default, legacy)
+            assert default.report.llc_misses == legacy.report.llc_misses
+            assert default.report.dram_bytes == legacy.report.dram_bytes
+
+    def test_bind_failure_reproduces_error_on_walker(self):
+        # A constant the runtime cannot evaluate passes emission but
+        # fails when the emitted module binds it; the function falls
+        # back and the walker raises the very same error.
+        from repro.ir import FunctionType, IntType, IRBuilder, Module
+        from repro.ir import Function as IRFunction
+        from repro.ir.values import Constant
+        from repro.runtime import Interpreter, VPRuntimeError
+
+        class Opaque(Constant):
+            pass
+
+        module = Module("bind")
+        i32 = IntType(32)
+        func = module.add_function(IRFunction("f", FunctionType(i32, [])))
+        IRBuilder(func.add_block("entry")).ret(Opaque(i32))
+        errors = {}
+        for engine in ("jit", "legacy"):
+            with telemetry_session(metrics=True) as (_, registry):
+                with pytest.raises(VPRuntimeError) as raised:
+                    Interpreter(module, dispatch=engine).run("f")
+            errors[engine] = str(raised.value)
+            if engine == "jit":
+                assert registry.counters.get(
+                    "codegen.fn.f.fallback.bind-failed:-VPRuntimeError") == 1
+        assert errors["jit"] == errors["legacy"]
+        assert "cannot evaluate constant" in errors["jit"]
 
     def test_fallback_metrics_and_reason(self):
         program = compile_source(DYNAMIC_PREC_SRC, backend="mpfr")
@@ -150,7 +221,7 @@ class TestDynamicPrecisionFallback:
 
     def test_emit_rejects_dynamic_precision(self):
         program = compile_source(DYNAMIC_PREC_SRC, backend="mpfr")
-        interp = program.interpreter(engine="fast")
+        interp = program.interpreter()
         func = program.module.get_function("run")
         source, reason = emit_function_source(interp, func)
         assert source is None
@@ -191,9 +262,9 @@ class TestCodegenCacheRoundTrip:
         keys = {
             CompileCache.fingerprint("int run() { return 0; }", options,
                                      engine=engine)
-            for engine in (None, "jit", "fast", "legacy")
+            for engine in (None, "jit", "legacy")
         }
-        assert len(keys) == 4
+        assert len(keys) == 3
 
 
 class TestEngineSelection:
@@ -201,15 +272,43 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown engine"):
             CompilerDriver(backend="mpfr", engine="fused")
 
-    def test_profile_runs_use_closure_tables(self):
+    def test_removed_fast_engine_rejected_everywhere(self, tmp_path,
+                                                     capsys):
+        from repro import cli
+        from repro.evaluation.__main__ import main as eval_main
+        from repro.runtime import Interpreter
+
+        choices = re.escape("('jit', 'legacy')")
+        program = compile_source("int f() { return 1; }", backend="none")
+        for make in (lambda: CompilerDriver(backend="mpfr", engine="fast"),
+                     lambda: program.run("f", [], engine="fast"),
+                     lambda: Interpreter(program.module, dispatch="fast")):
+            with pytest.raises(ValueError, match=choices):
+                make()
+        source = tmp_path / "f.c"
+        source.write_text("int f() { return 1; }")
+        for run_cli in (lambda: cli.main([str(source), "--engine", "fast"]),
+                        lambda: eval_main(["table1", "--engine", "fast"])):
+            with pytest.raises(SystemExit) as exited:
+                run_cli()
+            assert exited.value.code == 2
+            err = capsys.readouterr().err
+            assert "'fast'" in err and "jit" in err and "legacy" in err
+
+    def test_profile_runs_use_legacy_walker(self):
         # Opcode-level profiling needs per-instruction dispatch; the
-        # jit mode transparently degrades to the fast engine for it.
+        # jit mode runs profiled calls on the legacy walker.
         program = compile_source(MIXED_SRC, backend="mpfr")
         result = program.run("run", [3], engine="jit", profile=True)
-        baseline = program.run("run", [3], engine="legacy")
+        baseline = program.run("run", [3], engine="legacy", profile=True)
         assert result.profile is not None
         assert result.value == baseline.value
         assert result.report.cycles == baseline.report.cycles
+        assert result.profile.opcode_counts == \
+            baseline.profile.opcode_counts
+        assert result.profile.builtin_cycles == \
+            baseline.profile.builtin_cycles
+        assert program._codegen_store.statuses() == {}
 
     def test_in_memory_store_reused_across_runs(self):
         program = compile_source(MIXED_SRC, backend="mpfr")

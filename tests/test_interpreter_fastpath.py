@@ -1,4 +1,4 @@
-"""Closure-table dispatch: equivalence with the legacy walker + profiling."""
+"""The jit engine's equivalence with the legacy walker + profiling."""
 
 from repro import compile_source
 from repro.workloads.polybench import source_for
@@ -7,23 +7,23 @@ from repro.workloads.polybench import source_for
 def _run_both(source, func, args, backend, n_or_args=None):
     program = compile_source(source, backend=backend)
     legacy = program.run(func, args, engine="legacy", pool=False)
-    fast = program.run(func, args, engine="fast", pool=False)
-    return legacy, fast
+    jit = program.run(func, args, engine="jit", pool=False)
+    return legacy, jit
 
 
 class TestDispatchEquivalence:
-    """Fast dispatch must charge the same cycles to the same categories
-    and produce the same values as the legacy isinstance walker."""
+    """The jit must charge the same cycles to the same categories and
+    produce the same values as the legacy isinstance walker."""
 
     def assert_equivalent(self, source, func, args, backend):
-        legacy, fast = _run_both(source, func, args, backend)
-        assert fast.value == legacy.value
-        assert fast.report.cycles == legacy.report.cycles
-        assert fast.report.instructions == legacy.report.instructions
-        assert dict(fast.report.by_category) == \
+        legacy, jit = _run_both(source, func, args, backend)
+        assert jit.value == legacy.value
+        assert jit.report.cycles == legacy.report.cycles
+        assert jit.report.instructions == legacy.report.instructions
+        assert dict(jit.report.by_category) == \
             dict(legacy.report.by_category)
-        assert fast.report.mpfr_calls == legacy.report.mpfr_calls
-        assert fast.report.heap_allocations == legacy.report.heap_allocations
+        assert jit.report.mpfr_calls == legacy.report.mpfr_calls
+        assert jit.report.heap_allocations == legacy.report.heap_allocations
 
     def test_gemm_all_interpreter_backends(self):
         source = source_for("gemm", "vpfloat<mpfr, 16, 128>")
@@ -78,27 +78,29 @@ class TestDispatchEquivalence:
         int f(int n) { return 10 / n; }
         """
         program = compile_source(source, backend="none")
-        # Compilation of the closure table must not raise; execution must.
+        # Emitting the jit source must not raise; execution must.
         assert program.run("f", [5]).value == 2
         with pytest.raises(VPRuntimeError):
             program.run("f", [0])
 
 
 class TestSuperinstructionFusion:
-    """The fused closure tables ("fast") and the legacy walker must
-    agree on outputs and on every cycle category, bit for bit."""
+    """Adjacent producer/consumer pairs (load+arith, arith+store,
+    cmp+branch) the old closure tables fused: the jit and the legacy
+    walker must agree on outputs and every cycle category, bit for
+    bit."""
 
     def _run_all(self, source, func, args, backend, n_points=0):
         program = compile_source(source, backend=backend)
         results = {}
-        for engine in ("legacy", "fast"):
+        for engine in ("legacy", "jit"):
             r = program.run(func, args, engine=engine, pool=False)
             results[engine] = (
                 r.value, r.report.cycles, r.report.instructions,
                 dict(r.report.by_category), r.report.mpfr_calls,
                 r.report.heap_allocations)
-        assert results["fast"] == results["legacy"]
-        return results["fast"]
+        assert results["jit"] == results["legacy"]
+        return results["jit"]
 
     def test_gemm_all_engines(self):
         for backend in ("none", "mpfr", "boost"):
@@ -109,21 +111,6 @@ class TestSuperinstructionFusion:
         for backend in ("none", "mpfr"):
             source = source_for("jacobi-1d", "vpfloat<mpfr, 16, 128>")
             self._run_all(source, "run", [8], backend)
-
-    def test_fusion_actually_fires_on_gemm(self):
-        """Guard against the fuser silently matching nothing."""
-        from repro.runtime.dispatch import FunctionCompiler
-        from repro.runtime.interpreter import Interpreter
-
-        source = source_for("gemm", "vpfloat<mpfr, 16, 128>")
-        program = compile_source(source, backend="none")
-        interp = Interpreter(program.module, dispatch="fast")
-        func = program.module.get_function("run")
-        blocks = FunctionCompiler(interp).compile(func).blocks.values()
-        fused_steps = sum(len(b.steps) for b in blocks)
-        # One step per non-terminator instruction without fusion.
-        plain_steps = sum(b.count - 1 for b in blocks)
-        assert fused_steps < plain_steps
 
     def test_multi_user_producers_write_through(self):
         """A loaded/computed value consumed by the next instruction AND
@@ -191,7 +178,7 @@ class TestRuntimePrecisionFreshness:
         """
         for backend in ("none", "mpfr"):
             program = compile_source(source, backend=backend)
-            for engine in ("fast", "legacy"):
+            for engine in ("jit", "legacy"):
                 result = program.run("f", [200], engine=engine)
                 assert result.value == 2.0 ** -69, (backend, engine)
 
@@ -234,10 +221,36 @@ class TestProfile:
     def test_profile_matches_between_dispatch_modes(self):
         source = source_for("gemm", "vpfloat<mpfr, 16, 128>")
         program = compile_source(source, backend="mpfr")
-        fast = program.run("run", [4], profile=True, engine="fast")
+        jit = program.run("run", [4], profile=True, engine="jit")
         legacy = program.run("run", [4], profile=True, engine="legacy")
-        assert fast.profile.opcode_counts == legacy.profile.opcode_counts
-        assert fast.profile.builtin_calls == legacy.profile.builtin_calls
+        assert jit.profile.opcode_counts == legacy.profile.opcode_counts
+        assert jit.profile.builtin_calls == legacy.profile.builtin_calls
+
+    def test_gemm_profile_pinned(self):
+        """gemm (mpfr, n=4) under profile=True: the counts and builtin
+        cycles the closure-table engine reported before profiled runs
+        moved to the legacy walker."""
+        source = source_for("gemm", "vpfloat<mpfr, 16, 128>")
+        result = compile_source(source, backend="mpfr").run(
+            "run", [4], profile=True)
+        profile = result.profile
+        assert profile.opcode_counts == {
+            "add": 348, "alloca": 8, "bitcast": 1, "br": 344, "call": 309,
+            "fdiv": 48, "gep": 240, "icmp": 172, "mul": 78,
+            "ptrtoint": 1, "ret": 2, "sext": 193, "sitofp": 49,
+            "srem": 48, "udiv": 1}
+        assert profile.builtin_calls == {
+            "__mpfr_array_clear": 3, "__mpfr_array_init": 4,
+            "__mpfr_set_literal": 2, "malloc": 1, "mpfr_add": 64,
+            "mpfr_clear": 5, "mpfr_init2": 5, "mpfr_mul": 144,
+            "mpfr_set": 32, "mpfr_set_d": 48}
+        assert profile.builtin_cycles == {
+            "__mpfr_array_clear": 2736, "__mpfr_array_init": 15076,
+            "__mpfr_set_literal": 318, "malloc": 80, "mpfr_add": 5696,
+            "mpfr_clear": 265, "mpfr_init2": 1187, "mpfr_mul": 18392,
+            "mpfr_set": 2992, "mpfr_set_d": 5084}
+        assert result.report.cycles == 54293
+        assert result.report.instructions == 1842
 
     def test_profile_off_by_default(self):
         result = compile_source("int f() { return 1; }",

@@ -245,7 +245,7 @@ class TestCompilerTelemetry:
         assert registry.histograms["precision.mpfr.bits"]
 
     def test_precision_histograms_per_dispatch(self):
-        for engine in ("fast", "legacy"):
+        for engine in ("jit", "legacy"):
             program = compile_source(SRC, backend="none")
             with telemetry_session(metrics=True) as (_, registry):
                 program.run("run", [8], engine=engine)

@@ -110,7 +110,7 @@ class TestParallelMerge:
 class TestNoPerturbation:
     """Tracing on vs off: bit-identical outputs, identical cycles."""
 
-    @pytest.mark.parametrize("engine", ("fast", "legacy"))
+    @pytest.mark.parametrize("engine", ("jit", "legacy"))
     @pytest.mark.parametrize("kernel,n", (("gemm", 8), ("jacobi-1d", 16)))
     def test_outputs_and_report_identical(self, kernel, n, engine):
         ftype = "vpfloat<mpfr, 16, 128>"
@@ -124,7 +124,7 @@ class TestNoPerturbation:
         assert _report_tuple(baseline.report) == \
             _report_tuple(traced.report)
 
-    @pytest.mark.parametrize("engine", ("fast", "legacy"))
+    @pytest.mark.parametrize("engine", ("jit", "legacy"))
     def test_mpfr_backend_identical(self, engine):
         baseline = run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 8,
                               backend="mpfr", engine=engine,

@@ -106,7 +106,7 @@ class TestCompareReports:
 
 class TestCertificateObject:
     def _cert(self, passed: bool) -> Certificate:
-        check = make_check("engine.fast", "exact", (1,),
+        check = make_check("engine.legacy", "exact", (1,),
                            (1,) if passed else (2,),
                            TestCompareReports.REF, TestCompareReports.REF)
         return Certificate(kind="engines", subject="t",
@@ -146,8 +146,8 @@ class TestValidateHarness:
                                strict=True)
         assert cert.passed
         labels = {check.label for check in cert.checks}
-        # jit is the mpfr reference; the others plus the pool toggle.
-        assert {"engine.fast", "engine.legacy", "pool.off"} <= labels
+        # jit is the reference; the walker plus the pool toggle.
+        assert {"engine.legacy", "pool.off"} <= labels
 
     def test_passes_certificate_passes(self):
         cert = _certify_source((12,), kind="pass", only=("opt", "pass"),
@@ -177,14 +177,15 @@ class TestValidateHarness:
                     if t.applies(backend, engine, lanes)]
 
         assert labels("mpfr", "jit") == [
-            "engine.fast", "engine.legacy", "pool.off", "tier.generic",
+            "engine.legacy", "pool.off", "tier.generic",
             "opt.O0", "pass.no-loop_idiom", "pass.no-inlining",
             "pass.no-unroll"]
-        assert "pool.off" not in labels("boost", "fast")
-        assert "tier.generic" not in labels("none", "fast")
+        assert labels("mpfr", "legacy")[0] == "engine.jit"
+        assert "pool.off" not in labels("boost", "jit")
+        assert "tier.generic" not in labels("none", "legacy")
         assert labels("mpfr", "jit", 4)[:2] == ["batch4", "tier.generic"]
         assert "batch4" not in labels("none", "jit", 4)
-        assert "batch4" not in labels("mpfr", "fast", 4)
+        assert "batch4" not in labels("mpfr", "legacy", 4)
         assert all(t.strictness == TRANSITIONS[t.edge] for t in REGISTRY)
 
     def test_rajaperf_points_carry_tier_check(self):
@@ -194,10 +195,10 @@ class TestValidateHarness:
             run_fig1_rajaperf(kernels=["DAXPY"], n=8, validate=True,
                               compile_cache=False)
             counters = registry.to_dict()["counters"]
-        # Six variants x (mpfr on the jit, boost on the closure tables):
-        # the jit-reference points gain the generic-tier check.
+        # Six variants x (mpfr, boost), all on the jit: every point
+        # gains the generic-tier check.
         assert counters.get("validate.certificates") == 12
-        assert counters.get("validate.check.tier.generic.passed") == 6
+        assert counters.get("validate.check.tier.generic.passed") == 12
         assert not counters.get("validate.failed")
 
 
@@ -205,7 +206,7 @@ class TestRunKernelValidate:
     FTYPE = "vpfloat<mpfr, 16, 128>"
 
     @pytest.mark.parametrize("kernel,n", [("gemm", 5), ("jacobi-1d", 8)])
-    @pytest.mark.parametrize("engine", ["jit", "fast", "legacy"])
+    @pytest.mark.parametrize("engine", ["jit", "legacy"])
     def test_certificate_passes_and_primary_untouched(self, kernel, n,
                                                       engine):
         plain = run_kernel(kernel, self.FTYPE, n, backend="mpfr",
@@ -301,7 +302,7 @@ class TestFuzzer:
         assert mismatch is not None
         assert mismatch.stage == "engine"
         assert mismatch.label == "none.engine.legacy"
-        assert mismatch.reference == "none.engine.fast"
+        assert mismatch.reference == "none.engine.jit"
         assert "'cycles'" in mismatch.describe()
 
     def test_corpus_reproducers_replay_clean(self):
@@ -447,8 +448,8 @@ class TestCli:
         text = render_validation_summary({"counters": {
             "validate.certificates": 2, "validate.passed": 2,
             "validate.failed": 0,
-            "validate.check.engine.fast.passed": 2,
+            "validate.check.engine.legacy.passed": 2,
             "validate.fuzz.programs": 3}})
         assert "2 certificate(s)" in text
-        assert "engine.fast" in text
+        assert "engine.legacy" in text
         assert render_validation_summary({"counters": {}}) == ""
