@@ -30,6 +30,7 @@ from ..observability import (
     current_metrics,
     observe,
 )
+from ..observability.profile import exact_run
 from ..passes import build_o3_pipeline
 from ..passes.polly import optimize_unit
 from ..runtime import ENGINES, CostAccounting, ExecutionResult, Interpreter
@@ -189,12 +190,16 @@ class CompiledProgram:
         pass ``ROCKET_CYCLE_COSTS`` for the Fig. 2 FPGA baseline).
         ``engine`` picks the execution engine (:data:`ENGINES`; ``None``
         means the driver's engine, else the specializing jit).
-        ``profile``/``pool`` configure the interpreter's observability
-        layer and MPFR object pool (``pool`` defaults per backend: on
-        except for Boost); profiled runs execute on the legacy walker.  ``kernel_tier`` overrides the driver's
-        kernel-tier policy for this run (auto/generic/small: the jit
-        engine's precision-specialized fast-path kernels vs the
-        generic ones; bit-identical either way)."""
+        ``profile=True`` runs on the legacy walker under the exact IR
+        profiler, whose :class:`~repro.observability.profile.IRProfile`
+        becomes ``result.profile``; values and the CostReport equal an
+        unprofiled legacy run's.  ``pool`` switches the MPFR object pool
+        (default per backend: on except for Boost).  ``kernel_tier``
+        overrides the driver's kernel-tier policy for this run
+        (auto/generic/small: the jit engine's precision-specialized
+        fast-path kernels vs the generic ones; bit-identical either
+        way).  The unum backend runs on the UNUM machine, returned as
+        ``result.machine``."""
         backend = self.options.backend
         mode = self._resolve_mode(engine)
         if backend == "unum":
@@ -213,19 +218,21 @@ class CompiledProgram:
             result = ExecutionResult(value, report, machine.stdout)
             result.machine = machine
             return result
+        if profile:
+            mode = "legacy"  # the exact profiler hooks the walker
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
         tier = self._resolve_tier(kernel_tier)
         interpreter = Interpreter(self.module, accounting=accounting,
                                   max_steps=max_steps, dispatch=mode,
-                                  profile=profile,
                                   mpfr_pool=self._pool_default(pool),
                                   codegen_store=self._codegen_store_for(mode),
                                   kernel_tier=tier)
         with observe(f"execute:{name}", event="run",
                      backend=backend) as obs:
             try:
-                result = interpreter.run(name, args)
+                result = exact_run(interpreter, name, args) if profile \
+                    else interpreter.run(name, args)
             finally:
                 obs.arg(cycles=accounting.report.cycles)
             result.interpreter = interpreter
@@ -291,7 +298,8 @@ class CompiledProgram:
                 # own boundaries already fed the metrics.
                 runs = [self.run(name, args, cache=cache,
                                  max_steps=max_steps, costs=costs,
-                                 pool=pool, engine="jit")
+                                 pool=pool, engine="jit",
+                                 kernel_tier=kernel_tier)
                         for _ in range(lanes)]
                 obs.attach(runs[0].report, absorb=False)
                 obs.note(mode="serial", fallback_reason=str(exc))
@@ -319,7 +327,6 @@ class CompiledProgram:
 
     def interpreter(self, cache: bool = True,
                     max_steps: int = 500_000_000, costs=None,
-                    profile: bool = False,
                     pool: Optional[bool] = None,
                     engine: Optional[str] = None,
                     kernel_tier: Optional[str] = None) -> Interpreter:
@@ -329,7 +336,6 @@ class CompiledProgram:
         mode = self._resolve_mode(engine)
         return Interpreter(self.module, accounting=accounting,
                            max_steps=max_steps, dispatch=mode,
-                           profile=profile,
                            mpfr_pool=self._pool_default(pool),
                            codegen_store=self._codegen_store_for(mode),
                            kernel_tier=self._resolve_tier(kernel_tier))

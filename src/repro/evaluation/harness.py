@@ -56,7 +56,6 @@ class RunOutcome:
     value: object
     #: Observability extras (None unless the engine provides them).
     mpfr_stats: object = None
-    profile: object = None
     pass_timings: Optional[dict] = None
     #: Translation-validation certificate (None unless ``validate=``
     #: was requested and the backend supports it).
@@ -144,17 +143,17 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                read_outputs: bool = True,
                coprocessor: Optional[UnumCoprocessor] = None,
                max_steps: int = 500_000_000, costs=None,
-               profile: bool = False,
                pool: Optional[bool] = None,
                compile_cache=_UNSET, engine: Optional[str] = None,
                validate: bool = False, batch: Optional[int] = None,
                **driver_kwargs) -> RunOutcome:
     """Compile + execute one PolyBench kernel; extract its outputs.
 
-    ``engine`` selects the execution engine (``None`` picks the jit),
-    ``profile``/``pool`` the observability layer and MPFR
-    pool (see :meth:`CompiledProgram.run`); they are ignored by the
-    unum machine backend.  ``compile_cache`` is a
+    ``engine`` selects the execution engine (``None`` picks the jit)
+    and ``pool`` the MPFR pool (see :meth:`CompiledProgram.run`); the
+    unum backend runs on the UNUM machine through the same
+    :meth:`CompiledProgram.run`, with ``coprocessor`` defaulting to a
+    g-layer sized for the point's precision.  ``compile_cache`` is a
     :class:`~repro.core.CompileCache` (or None to force a fresh
     compile); left unset, the process default installed via
     :func:`set_compile_cache` applies.
@@ -217,26 +216,21 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                                     params.get("size"))
                 coprocessor = UnumCoprocessor(
                     wgp=min(512, config.precision))
-            machine = program.machine(cache=cache, coprocessor=coprocessor,
-                                      max_steps=max_steps, costs=costs)
-            value = machine.run("run", [n])
-            report = machine.accounting.report
-            report.cycles += machine.scalar_cycles + \
-                machine.coprocessor.cycles
-            report.serial_cycles = report.cycles - report.parallel_cycles
-            obs.note(engine=None)
-            obs.attach(report, machine)
-            outputs: List[Number] = []
-            if read_outputs:
-                outputs = _read_unum_outputs(machine, int(value),
-                                             spec.outputs(n), params)
-            return RunOutcome(kernel, ftype, backend, n, outputs, report,
-                              value, pass_timings=program.pass_timings)
-
         result = program.run("run", [n], cache=cache, max_steps=max_steps,
-                             costs=costs, engine=engine, profile=profile,
-                             pool=pool)
-        outputs = []
+                             costs=costs, coprocessor=coprocessor,
+                             engine=engine, pool=pool)
+        outputs: List[Number] = []
+        if backend == "unum":
+            if read_outputs:
+                outputs = _read_unum_outputs(result.machine,
+                                             int(result.value),
+                                             spec.outputs(n), params)
+            outcome = RunOutcome(kernel, ftype, backend, n, outputs,
+                                 result.report, result.value,
+                                 pass_timings=program.pass_timings)
+            obs.note(engine=None)
+            obs.attach(result.report, absorb=False)
+            return outcome
         if read_outputs:
             outputs = _read_interpreter_outputs(
                 result.interpreter, int(result.value), spec.outputs(n),
@@ -244,7 +238,6 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
         outcome = RunOutcome(kernel, ftype, backend, n, outputs,
                              result.report, result.value,
                              mpfr_stats=result.interpreter.mpfr.stats,
-                             profile=result.profile,
                              pass_timings=program.pass_timings)
         obs.note(engine=engine)
         # The run's own boundary already fed the metrics.

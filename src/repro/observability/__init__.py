@@ -10,7 +10,7 @@ evaluation engine -- one observability layer:
   JSON, viewable in Perfetto or ``chrome://tracing``.
 * :class:`MetricsRegistry` -- namespaced counters/gauges/histograms
   that absorb the stack's pre-existing private stats (CacheStats,
-  MpfrStats pool traffic, InterpreterProfile, pass timings,
+  MpfrStats pool traffic, the exact IRProfile, pass timings,
   CostReport) and the precision telemetry (per-opcode precision-bit
   histograms, rounding-mode and guard-bit usage).  Picklable and
   mergeable, so worker shards fold back into the parent.
@@ -134,7 +134,7 @@ _ABSORB = {
     "CostReport": absorb_report,
     "MpfrStats": absorb_mpfr_stats,
     "TierStats": absorb_tier_stats,
-    "InterpreterProfile": absorb_profile,
+    "IRProfile": absorb_profile,
     "UnumMachine": absorb_unum_stats,
 }
 

@@ -126,12 +126,11 @@ def _write_flamegraph(path: str, quick: bool) -> None:
     profiler and write its collapsed stacks."""
     from ..core import CompilerDriver
     from ..workloads.polybench import source_for
-    from .profile import profile_run
 
     n = 6 if quick else 8
     driver = CompilerDriver(backend="mpfr")
     program = driver.compile(source_for("gemm", MPFR), name="gemm-bench")
-    profile = profile_run(program, "run", [n])
+    profile = program.run("run", [n], profile=True).profile
     profile.write_collapsed(path)
     print(f"flamegraph: wrote {len(profile.stacks)} stacks to {path}")
 

@@ -3,8 +3,8 @@
 One :class:`MetricsRegistry` absorbs every pre-existing private counter
 in the stack -- :class:`~repro.core.cache.CacheStats`,
 :class:`~repro.bigfloat.mpfr_api.MpfrStats` (pool hit/miss traffic),
-:class:`~repro.runtime.interpreter.InterpreterProfile`, pass timings, and
-:class:`~repro.runtime.cost_model.CostReport` -- behind one namespaced
+the exact :class:`~repro.observability.profile.IRProfile`, pass timings,
+and :class:`~repro.runtime.cost_model.CostReport` -- behind one namespaced
 API, and adds the precision telemetry the paper's evaluation needs
 (per-opcode precision-bit histograms, rounding-mode usage, guard bits).
 
@@ -14,8 +14,8 @@ Metric naming scheme (dotted, lowercase)::
     compile.cache.{memory_hits,disk_hits,misses,stores,errors}
     compile.pass.<pass-name>.seconds            mid-end + lowering wall time
     runtime.{cycles,instructions,mpfr_calls,heap_allocations,llc_misses,...}
-    runtime.opcode.<op>                         executed IR instructions
-    runtime.builtin.<name>.{calls,cycles}       runtime-library attribution
+    runtime.opcode.<op>                         profiled-run opcode counts
+    runtime.builtin.<name>.{calls,cycles}       profiled-run builtin cycles
     runtime.mpfr.{inits,clears,sets,ops,specialized_ops,...}
     runtime.pool.{hits,misses,releases}         MPFR free-list traffic
     eval.points                                 kernel executions absorbed
@@ -209,7 +209,8 @@ def absorb_mpfr_stats(registry: MetricsRegistry, stats) -> None:
 
 
 def absorb_profile(registry: MetricsRegistry, profile) -> None:
-    """Fold an :class:`InterpreterProfile` (opcode/builtin counts) in."""
+    """Fold an exact :class:`~repro.observability.profile.IRProfile`
+    (opcode counts, per-builtin calls and self cycles) in."""
     for opcode, count in profile.opcode_counts.items():
         registry.inc(f"runtime.opcode.{opcode}", count)
     for name, calls in profile.builtin_calls.items():

@@ -2,12 +2,15 @@
 
 Two complementary views of where a program's time goes:
 
-* :func:`profile_run` executes a compiled program on the **legacy
-  reference walker** with a per-instruction hook and attributes both
-  modeled cycles and measured wall time to every IR instruction
-  executed, exactly: the self-cycle bookkeeping guarantees that the sum
-  of all attributed cycles (instructions + the outer call-overhead
-  pseudo-record) equals the run's ``CostReport.cycles`` to the cycle.
+* :func:`exact_run` (reached through ``CompiledProgram.run(...,
+  profile=True)`` and ``vpfloat-cc --profile``) executes on the
+  **legacy reference walker** with a per-instruction hook and
+  attributes both modeled cycles and measured wall time to every IR
+  instruction executed, exactly: the self-cycle bookkeeping guarantees
+  that the sum of all attributed cycles (instructions + the outer
+  call-overhead pseudo-record) equals the run's ``CostReport.cycles``
+  to the cycle.  Calls into runtime-library declarations (the MPFR
+  entry points, allocation, I/O) are also attributed per builtin name.
 * :func:`sample_jit_run` executes on the **jit engine** at full speed
   while a sampling thread walks ``sys._current_frames()`` and resolves
   frames inside emitted ``<vpjit:...>`` modules back to IR locations
@@ -41,7 +44,7 @@ __all__ = [
     "IRProfile",
     "OpcodeDivergence",
     "divergence",
-    "profile_run",
+    "exact_run",
     "sample_jit_run",
 ]
 
@@ -58,6 +61,8 @@ class IRProfile:
     paths (tuples of frame strings, leaf last) to the same triple.
     ``samples`` is 0 for exact profiles and the number of wall samples
     for sampled ones (whose ``cycles`` column is then 0).
+    ``builtin_calls``/``builtin_cycles`` attribute calls into runtime
+    declarations per callee name (exact profiles only).
     """
 
     def __init__(self, kind: str = "exact"):
@@ -69,33 +74,64 @@ class IRProfile:
         self.samples = 0
         #: Jit hot-block execution counts (sampled profiles only).
         self.block_counts: Dict[str, int] = {}
-        #: The run's ExecutionResult (value/report/stdout), when the
-        #: profiler drove the run itself.
+        self.builtin_calls: Dict[str, int] = {}
+        self.builtin_cycles: Dict[str, int] = {}
+        #: The run's ExecutionResult (value/report/stdout), for sampled
+        #: profiles (an exact one hangs off its result instead).
         self.result = None
 
     # ---- accumulation ------------------------------------------- #
 
-    def add(self, key: tuple, path: Tuple[str, ...],
-            cycles: int, wall: float, count: int = 1) -> None:
+    def rows_for(self, key: tuple, path: Tuple[str, ...]) -> tuple:
+        """The (record, stack) rows of ``key``/``path``, created empty
+        on first use."""
         row = self.records.get(key)
         if row is None:
-            self.records[key] = [count, cycles, wall]
-        else:
+            row = self.records[key] = [0, 0, 0.0]
+        srow = self.stacks.get(path)
+        if srow is None:
+            srow = self.stacks[path] = [0, 0, 0.0]
+        return row, srow
+
+    def add(self, key: tuple, path: Tuple[str, ...],
+            cycles: int, wall: float, count: int = 1) -> None:
+        for row in self.rows_for(key, path):
             row[0] += count
             row[1] += cycles
             row[2] += wall
-        srow = self.stacks.get(path)
-        if srow is None:
-            self.stacks[path] = [count, cycles, wall]
-        else:
-            srow[0] += count
-            srow[1] += cycles
-            srow[2] += wall
+
+    def add_builtin(self, name: str, cycles: int) -> None:
+        self.builtin_calls[name] = self.builtin_calls.get(name, 0) + 1
+        self.builtin_cycles[name] = \
+            self.builtin_cycles.get(name, 0) + cycles
 
     # ---- views -------------------------------------------------- #
 
     def attributed_cycles(self) -> int:
         return sum(int(row[1]) for row in self.records.values())
+
+    @property
+    def opcode_counts(self) -> Dict[str, int]:
+        """opcode -> executed instructions (the overhead pseudo-record
+        excluded), in first-execution order."""
+        return {opcode: int(row[0])
+                for opcode, row in self.by_opcode().items()
+                if opcode != OVERHEAD}
+
+    def hottest_opcodes(self, limit: int = 10) -> List[Tuple[str, int]]:
+        """Most executed opcodes; ties keep first-execution order."""
+        ranked = sorted(self.opcode_counts.items(),
+                        key=lambda kv: kv[1], reverse=True)
+        return ranked[:limit]
+
+    def hottest_builtins(self, limit: int = 10
+                         ) -> List[Tuple[str, int, int]]:
+        """(name, calls, cycles) of the builtins with the most
+        modeled cycles."""
+        ranked = sorted(self.builtin_cycles.items(),
+                        key=lambda kv: kv[1], reverse=True)
+        return [(name, self.builtin_calls[name], cycles)
+                for name, cycles in ranked[:limit]]
 
     def by_opcode(self) -> Dict[str, List[float]]:
         """opcode -> [count, cycles, wall], instruction rows merged."""
@@ -209,6 +245,9 @@ class _ExactHook:
         entry = (frame.function.name, block.name,
                  self._index(block, inst), inst.opcode)
         self.stack.append(entry)
+        # Rows exist before the instruction runs, so records keep
+        # first-execution order (a call ahead of its callee's body).
+        rows = self.profile.rows_for(entry, self._path(entry))
         cycles0 = report.cycles
         attributed0 = self.attributed_cycles
         attributed_wall0 = self.attributed_wall
@@ -224,22 +263,27 @@ class _ExactHook:
                 - (self.attributed_wall - attributed_wall0)
             self.attributed_cycles = attributed0 + delta_cycles
             self.attributed_wall = attributed_wall0 + delta_wall
-            self.profile.add(entry, self._path(entry),
-                             self_cycles, self_wall)
+            for row in rows:
+                row[0] += 1
+                row[1] += self_cycles
+                row[2] += self_wall
+            if entry[3] == "call" and inst.callee.is_declaration:
+                self.profile.add_builtin(inst.callee.name, self_cycles)
             self.stack.pop()
 
 
-def profile_run(program, name: str, args=None, **run_kwargs) -> IRProfile:
-    """Run ``name`` on the legacy walker with exact IR attribution.
+def exact_run(interp, name: str, args=None):
+    """Run ``name`` on ``interp`` (a legacy-walker interpreter) with
+    exact IR attribution.
 
-    Returns an :class:`IRProfile` whose attributed cycles sum exactly
-    to ``profile.result.report.cycles``; any keyword accepted by
-    ``program.run`` (``cache``, ``costs``, ``pool``, ...) passes
-    through.  The run itself is a plain legacy-engine execution --
-    values and the CostReport are bit-identical to an unprofiled one.
+    Returns the run's ExecutionResult with an :class:`IRProfile` as
+    ``result.profile``, whose attributed cycles sum exactly to
+    ``result.report.cycles``.  The run itself is a plain legacy-engine
+    execution -- values and the CostReport are bit-identical to an
+    unprofiled one.  ``CompiledProgram.run(..., profile=True)`` is the
+    entry point.
     """
     profile = IRProfile("exact")
-    interp = program.interpreter(engine="legacy", **run_kwargs)
     hook = _ExactHook(interp, profile)
     interp._inst_hook = hook
     wall0 = time.perf_counter()
@@ -258,8 +302,8 @@ def profile_run(program, name: str, args=None, **run_kwargs) -> IRProfile:
                     max(total_wall - hook.attributed_wall, 0.0))
     profile.total_cycles = result.report.cycles
     profile.total_wall = total_wall
-    profile.result = result
-    return profile
+    result.profile = profile
+    return result
 
 
 # ----------------------------------------------------------------- #
@@ -327,7 +371,7 @@ def sample_jit_run(program, name: str, args=None,
 
     Returns a ``kind="sampled"`` :class:`IRProfile`: per-IR-location
     wall shares from the samples (the ``cycles`` column stays 0 --
-    exact model attribution is :func:`profile_run`'s job), plus the jit
+    exact model attribution is :func:`exact_run`'s job), plus the jit
     engine's exact hot-block execution counts in ``block_counts``.
     """
     profile = IRProfile("sampled")

@@ -26,7 +26,6 @@ from .interpreter import (
     ExecutionLimitExceeded,
     ExecutionResult,
     Interpreter,
-    InterpreterProfile,
     VPRuntimeError,
 )
 from .memory import Memory, MemoryError_
@@ -34,7 +33,6 @@ from .memory import Memory, MemoryError_
 __all__ = [
     "ENGINES",
     "Interpreter",
-    "InterpreterProfile",
     "ExecutionResult",
     "VPRuntimeError",
     "ExecutionLimitExceeded",

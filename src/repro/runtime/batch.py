@@ -600,7 +600,6 @@ class BatchInterpreter(Interpreter):
                                           pool_limit=pool_limit),
             max_steps=max_steps,
             dispatch="jit",
-            profile=False,
             mpfr_pool=mpfr_pool,
             pool_limit=pool_limit,
             codegen_store=codegen_store,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .. import bigfloat
 from ..bigfloat import BigFloat, MpfrLibrary, RNDN, arith
@@ -92,47 +92,14 @@ class ExecutionLimitExceeded(RuntimeError):
     """The step budget ran out (guards against runaway loops)."""
 
 
-class InterpreterProfile:
-    """Execution observability: what ran, and where the cycles went.
-
-    ``opcode_counts`` tallies executed IR instructions by opcode;
-    ``builtin_calls``/``builtin_cycles`` attribute runtime-library work
-    (including MPFR entry points) per builtin name.  Cycle attribution
-    includes the cache-model cycles incurred inside the builtin.
-    """
-
-    def __init__(self) -> None:
-        self.opcode_counts: Dict[str, int] = {}
-        self.builtin_calls: Dict[str, int] = {}
-        self.builtin_cycles: Dict[str, int] = {}
-
-    def count_opcode(self, opcode: str) -> None:
-        self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + 1
-
-    def record_builtin(self, name: str, cycles: int) -> None:
-        self.builtin_calls[name] = self.builtin_calls.get(name, 0) + 1
-        self.builtin_cycles[name] = self.builtin_cycles.get(name, 0) + cycles
-
-    def hottest_opcodes(self, limit: int = 10) -> List[Tuple[str, int]]:
-        ranked = sorted(self.opcode_counts.items(),
-                        key=lambda kv: kv[1], reverse=True)
-        return ranked[:limit]
-
-    def hottest_builtins(self, limit: int = 10) -> List[Tuple[str, int, int]]:
-        ranked = sorted(self.builtin_cycles.items(),
-                        key=lambda kv: kv[1], reverse=True)
-        return [(name, self.builtin_calls.get(name, 0), cycles)
-                for name, cycles in ranked[:limit]]
-
-
 class ExecutionResult:
-    def __init__(self, value, report, stdout: List[str], profile=None):
+    def __init__(self, value, report, stdout: List[str]):
         self.value = value
         self.report = report
         self.stdout = stdout
-        #: :class:`InterpreterProfile` when the run was profiled, else
-        #: None.
-        self.profile = profile
+        #: The :class:`~repro.observability.profile.IRProfile` of a
+        #: ``CompiledProgram.run(..., profile=True)`` run, else None.
+        self.profile = None
 
 
 def _f32(x: float) -> float:
@@ -187,11 +154,10 @@ class Interpreter:
     skipping the modeled allocator round-trip (the run-time counterpart
     of the lowering pass's static dead-object reuse, paper §III-C1).
 
-    ``profile=True`` collects an :class:`InterpreterProfile` (per-opcode
-    execution counts, per-builtin call counts and cycle attribution),
-    exposed as ``self.profile`` and on each :class:`ExecutionResult`.
-    Profiled runs execute on the legacy walker, which counts every
-    instruction it dispatches.
+    Profiling is not the interpreter's job: the exact IR profiler
+    (:mod:`repro.observability.profile`, reached through
+    ``CompiledProgram.run(..., profile=True)``) installs a
+    per-instruction hook on a legacy-walker interpreter.
     """
 
     def __init__(self, module: Module,
@@ -199,7 +165,6 @@ class Interpreter:
                  mpfr_library: Optional[MpfrLibrary] = None,
                  max_steps: int = 500_000_000,
                  dispatch: str = "jit",
-                 profile: bool = False,
                  mpfr_pool: bool = False,
                  pool_limit: int = 1024,
                  codegen_store=None,
@@ -215,8 +180,6 @@ class Interpreter:
         self.max_steps = max_steps
         self.steps = 0
         self.dispatch = dispatch
-        self.profile: Optional[InterpreterProfile] = \
-            InterpreterProfile() if profile else None
         #: Process-global telemetry, captured at construction so every
         #: hot-path hook is a bound local (or absent entirely).  Both
         #: are None unless repro.observability.enable_telemetry ran.
@@ -267,8 +230,7 @@ class Interpreter:
         func = self.module.get_function(name)
         value = self.call_function(func, args or [])
         report = self.accounting.finalize(self.memory)
-        return ExecutionResult(value, report, self.stdout,
-                               profile=self.profile)
+        return ExecutionResult(value, report, self.stdout)
 
     # ------------------------------------------------------------ #
     # Globals
@@ -430,7 +392,7 @@ class Interpreter:
             )
         if self.tracer is not None:
             return self._call_function_traced(func, args)
-        if self.dispatch == "jit" and self.profile is None:
+        if self.dispatch == "jit":
             entry = self._jit_entry(func)
             if entry is not None:
                 return entry(*args)
@@ -478,7 +440,7 @@ class Interpreter:
         counts: Dict[str, int] = {}
         with tracer.span(f"call:{func.name}", cat=CAT_RUNTIME) as span:
             entry = None
-            if self.dispatch == "jit" and self.profile is None:
+            if self.dispatch == "jit":
                 entry = self._jit_entry(func)
             if entry is not None:
                 previous = self._block_counts
@@ -510,7 +472,6 @@ class Interpreter:
         return engine.entry(func)
 
     def _run_block(self, block, frame: Frame):
-        profile = self.profile
         hook = self._inst_hook
         for inst in block.instructions:
             if isinstance(inst, PhiInst):
@@ -521,8 +482,6 @@ class Interpreter:
                     f"exceeded {self.max_steps} interpreted instructions"
                 )
             self.accounting.instruction()
-            if profile is not None:
-                profile.count_opcode(inst.opcode)
             if hook is not None:
                 # IR profiler (observability.profile): the hook wraps
                 # _execute, measuring per-instruction deltas; charges
@@ -873,13 +832,6 @@ class Interpreter:
         handler = self._builtins.get(name)
         if handler is None:
             raise VPRuntimeError(f"call to unknown runtime function {name!r}")
-        profile = self.profile
-        if profile is not None:
-            before = self.accounting.report.cycles
-            result = handler(args, inst, frame)
-            profile.record_builtin(name,
-                                   self.accounting.report.cycles - before)
-            return result
         return handler(args, inst, frame)
 
     # ------------------------------------------------------------ #

@@ -246,6 +246,28 @@ class TestRunBatch:
         assert batch.fallback_reason
         assert batch.values == [serial.value] * 2
 
+    def test_serial_fallback_keeps_kernel_tier(self):
+        # The per-lane fallback runs must run at the batch's tier, or a
+        # generic-tier batch that bails out compares the tiered kernel
+        # with itself.
+        from repro.core import compile_source
+
+        source = """
+        double g(unsigned prec) {
+          vpfloat<mpfr, 16, prec> x = 1.5;
+          return (double)(x * x + x);
+        }
+        double f(unsigned prec) {
+          double y = 2.0;
+          return y * g(prec);
+        }
+        """
+        program = compile_source(source, backend="mpfr", engine="jit")
+        batch = program.run_batch("f", [96], lanes=2,
+                                  kernel_tier="generic")
+        assert batch.mode == "serial"
+        assert batch.interpreter.kernel_tier == "generic"
+
 
 class TestBatchCacheKeying:
     def test_fingerprint_differs_by_batch(self):

@@ -1,6 +1,7 @@
 """The jit engine's equivalence with the legacy walker + profiling."""
 
 from repro import compile_source
+from repro.observability import telemetry_session
 from repro.workloads.polybench import source_for
 
 
@@ -251,6 +252,23 @@ class TestProfile:
             "mpfr_set": 2992, "mpfr_set_d": 5084}
         assert result.report.cycles == 54293
         assert result.report.instructions == 1842
+        assert profile.attributed_cycles() == result.report.cycles
+        program = compile_source(source, backend="mpfr")
+        legacy = program.run("run", [4], engine="legacy")
+        assert result.value == legacy.value
+        assert result.report == legacy.report
+
+    def test_profile_feeds_metrics(self):
+        source = source_for("gemm", "vpfloat<mpfr, 16, 128>")
+        program = compile_source(source, backend="mpfr")
+        with telemetry_session(metrics=True) as (_, registry):
+            result = program.run("run", [4], profile=True)
+        counters = registry.counters
+        opcodes = {name: count for name, count in counters.items()
+                   if name.startswith("runtime.opcode.")}
+        assert sum(opcodes.values()) == result.report.instructions
+        assert counters["runtime.builtin.mpfr_mul.calls"] == \
+            result.profile.builtin_calls["mpfr_mul"]
 
     def test_profile_off_by_default(self):
         result = compile_source("int f() { return 1; }",

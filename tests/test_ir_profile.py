@@ -13,7 +13,6 @@ from repro.core import CompilerDriver
 from repro.observability.profile import (
     OVERHEAD,
     divergence,
-    profile_run,
     sample_jit_run,
 )
 from repro.workloads.polybench import source_for
@@ -27,20 +26,25 @@ def _compile(kernel):
                           name=f"{kernel}-profile")
 
 
+def _profile(kernel, n):
+    return _compile(kernel).run("run", [n], profile=True).profile
+
+
 @pytest.mark.parametrize("kernel,n", [("gemm", 6), ("jacobi-1d", 12)])
 def test_exact_attribution_sums_to_report_total(kernel, n):
     program = _compile(kernel)
     reference = program.run("run", [n], engine="legacy")
-    profile = profile_run(program, "run", [n])
+    result = program.run("run", [n], profile=True)
+    profile = result.profile
     # Conservation: every modeled cycle lands on exactly one record.
     assert profile.attributed_cycles() == profile.total_cycles
     # ... and hooking did not perturb the model.
     assert profile.total_cycles == reference.report.cycles
-    assert int(profile.result.value) == int(reference.value)
+    assert int(result.value) == int(reference.value)
 
 
 def test_exact_profile_attributes_real_opcodes():
-    profile = profile_run(_compile("gemm"), "run", [6])
+    profile = _profile("gemm", 6)
     by_opcode = profile.by_opcode()
     assert OVERHEAD in by_opcode
     assert len(by_opcode) > 3  # real instruction mix, not one bucket
@@ -49,7 +53,7 @@ def test_exact_profile_attributes_real_opcodes():
 
 
 def test_exact_profile_rows_and_render():
-    profile = profile_run(_compile("gemm"), "run", [4])
+    profile = _profile("gemm", 4)
     rows = profile.rows(limit=5)
     assert 0 < len(rows) <= 5
     # Rows are heaviest-first by cycles for the exact profiler.
@@ -59,7 +63,7 @@ def test_exact_profile_rows_and_render():
 
 
 def test_collapsed_stacks_write_and_weights(tmp_path):
-    profile = profile_run(_compile("gemm"), "run", [6])
+    profile = _profile("gemm", 6)
     path = tmp_path / "gemm.collapsed"
     profile.write_collapsed(path)
     lines = path.read_text().strip().splitlines()
@@ -74,7 +78,7 @@ def test_collapsed_stacks_write_and_weights(tmp_path):
 
 
 def test_divergence_report_shapes():
-    model = profile_run(_compile("gemm"), "run", [4])
+    model = _profile("gemm", 4)
     rows = divergence(model, wall=None, threshold=0.0, min_share=0.0)
     assert isinstance(rows, list)
     for row in rows:
@@ -82,7 +86,7 @@ def test_divergence_report_shapes():
         assert isinstance(row.render(), str)
 
 
-def test_sampled_jit_profile_runs_and_maps_lines():
+def test_sampled_jit_profiler_runs_and_maps_lines():
     program = _compile("gemm")
     profile = sample_jit_run(program, "run", [8], interval=0.0001)
     assert profile.kind == "sampled"

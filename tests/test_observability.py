@@ -413,6 +413,27 @@ class TestUnumTelemetry:
         assert any(name.startswith("unum.op.")
                    for name in registry.counters)
 
+    def test_fig2_unum_point_counted_once(self):
+        # run_kernel's unum point runs through CompiledProgram.run, whose
+        # boundary alone absorbs the machine's counters.
+        from repro.evaluation.fig2 import UNUM_TYPE
+        from repro.evaluation.harness import parse_ftype, run_kernel
+        from repro.unum import UnumConfig, UnumCoprocessor
+        from repro.workloads.polybench import source_for
+
+        with telemetry_session(metrics=True) as (_, registry):
+            outcome = run_kernel("gemm", UNUM_TYPE, 4, backend="unum",
+                                 read_outputs=False, compile_cache=None)
+        params = parse_ftype(UNUM_TYPE)[1]
+        config = UnumConfig(params["ess"], params["fss"])
+        program = CompilerDriver(backend="unum").compile(
+            source_for("gemm", UNUM_TYPE), name="gemm-unum")
+        result = program.run("run", [4], coprocessor=UnumCoprocessor(
+            wgp=min(512, config.precision)))
+        assert result.report.cycles == outcome.report.cycles
+        assert registry.counter("unum.scalar_cycles") == \
+            result.machine.scalar_cycles
+
     def test_unum_summary_rendered_by_stats(self, tmp_path, capsys):
         from repro.observability.stats import render_unum_summary
 
