@@ -32,6 +32,7 @@ import sys
 import tempfile
 import time
 
+from repro.codegen.pyjit import emit_function_source
 from repro.core import CompilerDriver
 from repro.evaluation.harness import element_stride
 from repro.observability import telemetry_session
@@ -99,12 +100,15 @@ def bench_kernel(kernel: str, n: int, reps: int, failures, dump_dir=None):
     if not jitted:
         failures.append(f"{kernel}: no function was jit-specialized")
     if dump_dir is not None:
-        for name, record in program._codegen_store.records.items():
-            if record.get("source"):
-                path = os.path.join(dump_dir, f"{kernel}-{name}.py")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(record["source"])
-                print(f"emitted source written to {path}")
+        # The store keeps bytecode only; re-emit the source to dump it.
+        interp = program.interpreter(engine="jit")
+        for name in jitted:
+            func = program.module.get_function(name)
+            emitted, _reason = emit_function_source(interp, func)
+            path = os.path.join(dump_dir, f"{kernel}-{name}.py")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(emitted)
+            print(f"emitted source written to {path}")
     return speedup
 
 

@@ -29,11 +29,12 @@ Generated source is self-contained: it defines ``_make(R)`` where ``R``
 is a :class:`JitRuntime` bound to one (interpreter, function) pair, and
 every constant, instruction handle, global address, builtin handler and
 specialized kernel is re-resolved through ``R`` by stable IR
-coordinates (block index, instruction index, operand index).  The text
-therefore contains no live object references and can be persisted in
-the compile cache (``<key>.vpcgen`` sidecars, see
-:meth:`repro.core.cache.CompileCache.put_codegen`) and re-bound in a
-different process against the identical pickled program.
+coordinates (block index, instruction index, operand index).  The
+compiled code therefore holds no live object references: its marshalled
+bytecode is persisted in the compile cache (``<key>.vpcgen`` sidecars,
+see :meth:`repro.core.cache.CompileCache.put_codegen`) and re-bound in a
+different process against the identical pickled program, without
+emitting or compiling the source again.
 """
 
 from __future__ import annotations
@@ -103,30 +104,14 @@ _FLUSH_MARKER = "#__vpjit_charge_flush__"
 _LOC_MARKER = "#__vpjit_loc__"
 
 #: Function name -> ``(code filename, line map)`` of its most recently
-#: compiled or profiled code, for resolving sampled frames back to IR
-#: locations.  Every emitted source compiles under its own filename,
+#: bound code, for resolving sampled frames back to IR locations.
+#: Every emitted source compiles under its own filename,
 #: ``<vpjit:{function}:{source digest}>``, and a map is used only for
 #: frames of that very filename, so programs sharing a function name
 #: never resolve against each other's map (one map per name bounds the
-#: registry).  :func:`register_line_maps` re-registers a program's maps
-#: before it is profiled, since memoized code never compiles again.
+#: registry).  Every bind re-registers the function's map, so a sampled
+#: run resolves against the code it actually executes.
 LINE_MAPS: Dict[str, Tuple[str, Dict[int, tuple]]] = {}
-
-
-def _line_map(record: dict) -> Optional[Dict[int, tuple]]:
-    raw_map = record.get("line_map")
-    if not isinstance(raw_map, dict):
-        return None
-    return {int(lineno): tuple(loc) for lineno, loc in raw_map.items()
-            if str(lineno).isdigit() and isinstance(loc, list)}
-
-
-def register_line_maps(store: "CodegenStore") -> None:
-    """Register the line map of every function ``store`` compiled."""
-    for name, code in store.codes.items():
-        line_map = _line_map(store.lookup(name) or {})
-        if line_map is not None:
-            LINE_MAPS[name] = (code.co_filename, line_map)
 
 
 def _loc_tag(block: str, ii: Optional[int], opcode: Optional[str]) -> str:
@@ -1251,13 +1236,15 @@ def emit_function_source(interp, func: Function
 # ----------------------------------------------------------------- #
 
 class CodegenStore:
-    """Per-program store of codegen artifacts (status, reason, source).
+    """Per-program store of jit artifacts: per function, a status,
+    fallback reason, compiled code object and line map.
 
     Backed by a :class:`~repro.core.cache.CompileCache` ``.vpcgen``
     sidecar when the program came through the compile cache, so warm
-    processes skip re-emission entirely; otherwise purely in-memory
-    (still skipping re-emission across runs of one program object).
-    Compiled code objects are memoized in-process and never persisted.
+    processes skip both source emission and ``compile()``; otherwise
+    purely in-memory (still shared across runs of one program object).
+    New records only mark the store dirty; :meth:`flush` persists them
+    with one sidecar write per program run.
     """
 
     def __init__(self, cache=None, key: Optional[str] = None):
@@ -1266,6 +1253,7 @@ class CodegenStore:
         self.records: Dict[str, dict] = {}
         self.codes: Dict[str, object] = {}
         self._loaded = False
+        self._dirty = False
 
     def _load(self) -> None:
         if self._loaded:
@@ -1275,43 +1263,35 @@ class CodegenStore:
             return
         payload = self.cache.get_codegen(self.key)
         if payload:
-            functions = payload.get("functions", {})
-            if not isinstance(functions, dict):
-                return
-            for name, record in functions.items():
-                # Defence in depth: get_codegen validates sidecar
-                # structure, but a store can also be fed a payload
-                # directly -- never admit a record _materialize would
-                # crash on.
-                if (isinstance(record, dict)
-                        and record.get("status") in ("jit", "fallback")):
-                    self.records.setdefault(name, record)
+            for name, record in payload["functions"].items():
+                self.records[name] = record
+                if record["status"] == "jit":
+                    self.codes[name] = record["code"]
 
     def lookup(self, name: str) -> Optional[dict]:
         self._load()
         return self.records.get(name)
 
-    def forget(self, name: str) -> None:
-        self._load()
-        self.records.pop(name, None)
-        self.codes.pop(name, None)
-
     def record(self, name: str, status: str, reason: Optional[str] = None,
-               source: Optional[str] = None,
-               line_map: Optional[Dict[int, tuple]] = None) -> None:
+               code=None, line_map: Optional[Dict[int, tuple]] = None
+               ) -> dict:
         self._load()
-        entry = {"status": status, "reason": reason, "source": source}
-        if line_map:
-            # JSON sidecars stringify keys; store them that way from
-            # the start so warm and fresh records look identical.
-            entry["line_map"] = {str(lineno): list(loc)
-                                 for lineno, loc in line_map.items()}
+        entry = {"status": status, "reason": reason, "code": code,
+                 "line_map": line_map}
         self.records[name] = entry
-        if self.cache is not None and self.key is not None:
+        if code is not None:
+            self.codes[name] = code
+        self._dirty = True
+        return entry
+
+    def flush(self) -> None:
+        """Write the sidecar if records were added since the last flush."""
+        if self._dirty and self.cache is not None and self.key is not None:
             self.cache.put_codegen(self.key, {
                 "version": CODEGEN_VERSION,
                 "functions": self.records,
             })
+        self._dirty = False
 
     def statuses(self) -> Dict[str, dict]:
         """name -> {status, reason} for everything decided so far."""
@@ -1351,54 +1331,15 @@ class JitEngine:
     def _materialize(self, func: Function):
         """-> (entry | None, status, reason, cached)."""
         interp = self.interp
-        metrics = interp.metrics
-        store = self.store
         name = func.name
-        record = store.lookup(name)
-        fresh = record is None
-        if fresh:
-            t0 = time.perf_counter()
-            try:
-                emitter = FunctionEmitter(interp, func)
-                source = emitter.emit()
-            except _Unsupported as e:
-                store.record(name, "fallback", reason=str(e))
-                return None, "fallback", str(e), False
-            finally:
-                if metrics is not None:
-                    metrics.observe("codegen.emit_seconds",
-                                    time.perf_counter() - t0)
-            store.record(name, "jit", source=source,
-                         line_map=emitter.line_map)
-            record = store.lookup(name)
-        elif record["status"] == "fallback":
-            return None, "fallback", record.get("reason"), True
-        source = record.get("source")
-        if not source:
-            store.forget(name)
-            if fresh:
-                return None, "fallback", "empty source", False
-            return self._materialize(func)
-        code = store.codes.get(name)
-        if code is None:
-            digest = hashlib.sha1(source.encode()).hexdigest()[:12]
-            filename = f"<vpjit:{name}:{digest}>"
-            line_map = _line_map(record)
-            if line_map is not None:
-                LINE_MAPS[name] = (filename, line_map)
-            t0 = time.perf_counter()
-            try:
-                code = compile(source, filename, "exec")
-            except SyntaxError:
-                # A stale or corrupt sidecar: drop it and re-emit once.
-                store.forget(name)
-                if fresh:
-                    return None, "fallback", "compile error", False
-                return self._materialize(func)
-            if metrics is not None:
-                metrics.observe("codegen.compile_seconds",
-                                time.perf_counter() - t0)
-            store.codes[name] = code
+        record = self.store.lookup(name)
+        cached = record is not None
+        if record is None:
+            record = self._compile(func)
+        if record["status"] == "fallback":
+            return None, "fallback", record["reason"], cached
+        code = record["code"]
+        LINE_MAPS[name] = (code.co_filename, record["line_map"])
         namespace: Dict[str, object] = {}
         exec(code, namespace)
         runtime_cls = BatchJitRuntime \
@@ -1409,5 +1350,32 @@ class JitEngine:
             # Bind-time resolution failed (e.g. an invalid constant):
             # the legacy walker reproduces the error at execution.
             return (None, "fallback",
-                    f"bind failed: {type(e).__name__}", not fresh)
-        return entry, "jit", None, not fresh
+                    f"bind failed: {type(e).__name__}", cached)
+        return entry, "jit", None, cached
+
+    def _compile(self, func: Function) -> dict:
+        """Emit and compile ``func`` once, recording the outcome."""
+        metrics = self.interp.metrics
+        store = self.store
+        name = func.name
+        t0 = time.perf_counter()
+        try:
+            emitter = FunctionEmitter(self.interp, func)
+            source = emitter.emit()
+        except _Unsupported as e:
+            return store.record(name, "fallback", reason=str(e))
+        finally:
+            if metrics is not None:
+                metrics.observe("codegen.emit_seconds",
+                                time.perf_counter() - t0)
+        digest = hashlib.sha1(source.encode()).hexdigest()[:12]
+        t0 = time.perf_counter()
+        try:
+            code = compile(source, f"<vpjit:{name}:{digest}>", "exec")
+        except SyntaxError:
+            return store.record(name, "fallback", reason="compile error")
+        if metrics is not None:
+            metrics.observe("codegen.compile_seconds",
+                            time.perf_counter() - t0)
+        return store.record(name, "jit", code=code,
+                            line_map=emitter.line_map)

@@ -103,8 +103,8 @@ class CompiledProgram:
         self.tiled_nests = tiled_nests
         #: Wall-clock seconds per middle-end pass / backend lowering.
         self.pass_timings: dict = pass_timings or {}
-        #: Jit-engine emitted-source store (set by the driver when the
-        #: program came through a CompileCache; else created lazily).
+        #: Jit-engine codegen store (set by the driver when the program
+        #: came through a CompileCache; else created lazily).
         self._codegen_store = None
         #: Batch-mode sidecar key (fingerprint with batch=True) and its
         #: lazily-created store; batch-mode jit source differs from
@@ -223,11 +223,11 @@ class CompiledProgram:
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
         tier = self._resolve_tier(kernel_tier)
+        store = self._codegen_store_for(mode)
         interpreter = Interpreter(self.module, accounting=accounting,
                                   max_steps=max_steps, dispatch=mode,
                                   mpfr_pool=self._pool_default(pool),
-                                  codegen_store=self._codegen_store_for(mode),
-                                  kernel_tier=tier)
+                                  codegen_store=store, kernel_tier=tier)
         with observe(f"execute:{name}", event="run",
                      backend=backend) as obs:
             try:
@@ -235,6 +235,8 @@ class CompiledProgram:
                     else interpreter.run(name, args)
             finally:
                 obs.arg(cycles=accounting.report.cycles)
+                if store is not None:
+                    store.flush()
             result.interpreter = interpreter
             obs.attach(result.report, interpreter.mpfr.stats)
             if result.profile is not None:
@@ -278,11 +280,11 @@ class CompiledProgram:
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
         tier = self._resolve_tier(kernel_tier)
+        store = self._batch_codegen_store()
         interpreter = BatchInterpreter(
             self.module, lanes, accounting=accounting,
             max_steps=max_steps, mpfr_pool=self._pool_default(pool),
-            codegen_store=self._batch_codegen_store(),
-            kernel_tier=tier)
+            codegen_store=store, kernel_tier=tier)
         batch_ctx = interpreter.batch
         with observe(f"execute-batch:{name}", event="batch_run",
                      backend=self.options.backend, lanes=lanes) as obs:
@@ -311,6 +313,7 @@ class CompiledProgram:
                     interpreter=runs[-1].interpreter)
             finally:
                 obs.arg(cycles=accounting.report.cycles)
+                store.flush()
             values = [lane_view(result.value, i) for i in range(lanes)]
             if (batch_ctx.np_ops, batch_ctx.np_lanes,
                     batch_ctx.np_bailouts) != (0, 0, 0):

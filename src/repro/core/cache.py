@@ -37,13 +37,15 @@ identical programs, never a wrong answer) is unaffected by eviction.
 from __future__ import annotations
 
 import hashlib
-import json
+import marshal
 import os
 import pickle
 import sys
 import tempfile
+import types
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from importlib.util import MAGIC_NUMBER
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -60,42 +62,42 @@ FORMAT_VERSION = 2
 #: Environment override for the default on-disk location.
 CACHE_DIR_ENV = "VPFLOAT_CACHE_DIR"
 
-#: Function-record statuses a ``.vpcgen`` sidecar may carry.
-_CODEGEN_STATUSES = ("jit", "fallback")
+#: Keys of every function record in a ``.vpcgen`` sidecar.
+_CODEGEN_FIELDS = {"status", "reason", "code", "line_map"}
 
 
-def _codegen_payload_ok(payload: dict) -> bool:
-    """Structural validity of a ``.vpcgen`` sidecar beyond the version
-    stamp: ``functions`` must map names to records the jit engine can
-    consume (a ``status`` it knows; emitted source, when present, as a
-    string).  Anything else -- a truncated write that still parsed, a
-    hand-edited file, a garbled record -- must read as a cache miss."""
-    functions = payload.get("functions", {})
+def _codegen_payload_ok(payload) -> bool:
+    """Validity of an unmarshalled ``.vpcgen`` sidecar: the current
+    ``version`` and ``functions`` mapping names to records the jit
+    engine can consume (``jit`` records carry a ``<vpjit:...>`` code
+    object and a line map of int line -> (block, inst, opcode)).
+    Anything else -- a hand-edited file, a garbled record -- must read
+    as a cache miss."""
+    if not isinstance(payload, dict) \
+            or payload.get("version") != CODEGEN_VERSION:
+        return False
+    functions = payload.get("functions")
     if not isinstance(functions, dict):
         return False
     for name, record in functions.items():
-        if not isinstance(name, str) or not isinstance(record, dict):
+        if not (isinstance(name, str) and isinstance(record, dict)
+                and set(record) == _CODEGEN_FIELDS):
             return False
-        if record.get("status") not in _CODEGEN_STATUSES:
+        if record["reason"] is not None \
+                and not isinstance(record["reason"], str):
             return False
-        source = record.get("source")
-        if record["status"] == "jit" and not isinstance(source, str):
+        if record["status"] == "fallback":
+            continue
+        code, line_map = record["code"], record["line_map"]
+        if not (record["status"] == "jit"
+                and isinstance(code, types.CodeType)
+                and code.co_filename.startswith("<vpjit:")
+                and isinstance(line_map, dict)):
             return False
-        if source is not None and not isinstance(source, str):
-            return False
-        reason = record.get("reason")
-        if reason is not None and not isinstance(reason, str):
-            return False
-        line_map = record.get("line_map")
-        if line_map is not None:
-            # IR-location map of the emitted source (see pyjit): line
-            # numbers (as JSON string keys) -> [block, inst, opcode].
-            if not isinstance(line_map, dict):
+        for lineno, loc in line_map.items():
+            if not (type(lineno) is int and isinstance(loc, tuple)
+                    and len(loc) == 3):
                 return False
-            for lineno, loc in line_map.items():
-                if not (isinstance(lineno, str) and lineno.isdigit()
-                        and isinstance(loc, list) and len(loc) == 3):
-                    return False
     return True
 
 
@@ -244,34 +246,36 @@ class CompileCache:
     # ------------------------------------------------------------ #
 
     def get_codegen(self, key: str) -> Optional[dict]:
-        """The jit engine's emitted-source sidecar for ``key``, or None.
+        """The jit engine's codegen sidecar for ``key``, or None.
 
         The sidecar lives next to the pickled program as
-        ``<key>.vpcgen`` (JSON: per-function status, fallback reason,
-        and emitted Python source).  Unreadable, version-mismatched or
-        structurally corrupt sidecars (truncated writes, garbled
-        function records) are unlinked and treated as misses, mirroring
-        the pickle tier's stale-format handling -- a bad sidecar must
-        cost a recompile, never propagate an error into the run.
+        ``<key>.vpcgen``: ``importlib.util.MAGIC_NUMBER`` followed by a
+        marshalled ``{"version", "functions"}`` dict whose jit records
+        carry compiled code objects, so a warm run never re-emits or
+        recompiles.  Marshal data is interpreter-specific and trusted
+        exactly as far as the pickle beside it.  A wrong magic, an
+        unmarshal error, a version mismatch or a structurally bad
+        record is unlinked and treated as a miss, mirroring the pickle
+        tier's stale-format handling -- a bad sidecar must cost a
+        recompile, never propagate an error into the run.
         """
         if self.directory is None:
             return None
         path = self.directory / f"{key}.vpcgen"
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            with open(path, "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             return None
-        except Exception:
-            self._count_error()
+        except OSError:
+            data = b""
+        payload = None
+        if data.startswith(MAGIC_NUMBER):
             try:
-                path.unlink()
-            except OSError:
+                payload = marshal.loads(data[len(MAGIC_NUMBER):])
+            except Exception:
                 pass
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("version") != CODEGEN_VERSION
-                or not _codegen_payload_ok(payload)):
+        if not _codegen_payload_ok(payload):
             self._count_error()
             try:
                 path.unlink()
@@ -281,7 +285,8 @@ class CompileCache:
         return payload
 
     def put_codegen(self, key: str, payload: dict) -> None:
-        """Atomically persist the codegen sidecar for ``key``."""
+        """Atomically persist the codegen sidecar for ``key`` (the
+        format :meth:`get_codegen` reads)."""
         if self.directory is None:
             return
         path = self.directory / f"{key}.vpcgen"
@@ -290,8 +295,8 @@ class CompileCache:
             fd, temp = tempfile.mkstemp(dir=str(path.parent),
                                         suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(MAGIC_NUMBER + marshal.dumps(payload))
                 os.replace(temp, path)
             except BaseException:
                 try:

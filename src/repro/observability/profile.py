@@ -378,10 +378,6 @@ def sample_jit_run(program, name: str, args=None,
     interp = program.interpreter(engine="jit", **run_kwargs)
     counts: Dict[str, int] = {}
     interp._block_counts = counts
-    if interp._codegen_store is not None:
-        from ..codegen.pyjit import register_line_maps
-
-        register_line_maps(interp._codegen_store)
     sampler = _Sampler(threading.get_ident(), profile, interval)
     wall0 = time.perf_counter()
     sampler.start()

@@ -1,9 +1,12 @@
 """Shared content-addressed artifact store for the service.
 
 The store *is* the two-tier :class:`~repro.core.cache.CompileCache`
-(pickled programs + ``.vpcgen`` codegen sidecars, already keyed by a
-content fingerprint and written atomically), promoted to a shared
-multi-tenant resource:
+(pickled programs + ``.vpcgen`` sidecars of marshalled jit bytecode,
+already keyed by a content fingerprint and written atomically),
+promoted to a shared multi-tenant resource.  Both file kinds are
+specific to the Python release (the fingerprint and the sidecar's
+magic number pin it), so a shard on another release misses instead of
+replaying them:
 
 * every worker shard opens the same directory with the same
   ``max_disk_bytes`` budget, so LRU eviction is enforced no matter

@@ -9,9 +9,11 @@ round-trip checks that warm runs skip re-emission.
 """
 
 import re
+from importlib.util import MAGIC_NUMBER
 
 import pytest
 
+from repro.codegen import pyjit
 from repro.codegen.pyjit import CodegenStore, emit_function_source
 from repro.core import CompileCache, CompilerDriver, compile_source
 from repro.evaluation.harness import _read_interpreter_outputs
@@ -254,8 +256,53 @@ class TestCodegenCacheRoundTrip:
     def test_stale_sidecar_version_is_dropped(self, tmp_path):
         cache = CompileCache(str(tmp_path))
         cache.put_codegen("k1", {"version": -1, "functions": {}})
+        assert (tmp_path / "k1.vpcgen").read_bytes().startswith(
+            MAGIC_NUMBER)
         assert cache.get_codegen("k1") is None
+        assert cache.stats.errors == 1
         assert not list(tmp_path.glob("k1.vpcgen"))
+
+    def test_warm_run_never_compiles(self, tmp_path, monkeypatch):
+        # The sidecar carries bytecode: a warm process binds it without
+        # emitting or compiling any source.
+        source = source_for("gemm", POLYBENCH_FTYPE)
+        cold = CompilerDriver(backend="mpfr", cache=CompileCache(
+            str(tmp_path))).compile(source, "gemm").run("run", [4])
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("warm run called compile()")
+
+        monkeypatch.setattr(pyjit, "compile", no_compile, raising=False)
+        warm_driver = CompilerDriver(backend="mpfr", cache=CompileCache(
+            str(tmp_path)))
+        program = warm_driver.compile(source, "gemm")
+        warm = program.run("run", [4])
+        assert warm.value == cold.value
+        assert _report_fields(warm.report) == _report_fields(cold.report)
+        assert warm_driver.cache.stats.disk_hits == 1
+        jitted = [name for name, r in program._codegen_store.statuses()
+                  .items() if r["status"] == "jit"]
+        assert len(jitted) >= 2
+
+    def test_cold_run_writes_sidecar_once(self, tmp_path, monkeypatch):
+        writes = []
+        put_codegen = CompileCache.put_codegen
+
+        def counting_put(cache, key, payload):
+            writes.append(sorted(payload["functions"]))
+            return put_codegen(cache, key, payload)
+
+        monkeypatch.setattr(CompileCache, "put_codegen", counting_put)
+        driver = CompilerDriver(backend="mpfr",
+                                cache=CompileCache(str(tmp_path)))
+        program = driver.compile(source_for("gemm", POLYBENCH_FTYPE),
+                                 "gemm")
+        program.run("run", [4])
+        statuses = program._codegen_store.statuses()
+        jitted = sorted(name for name, r in statuses.items()
+                        if r["status"] == "jit")
+        assert len(jitted) >= 2
+        assert writes == [sorted(statuses)]
 
     def test_fingerprint_varies_with_engine(self):
         options = CompilerDriver(backend="mpfr").options

@@ -1,10 +1,13 @@
 """Persistent compile cache: fingerprint invalidation + disk roundtrip."""
 
+import marshal
 import pickle
 import threading
+from importlib.util import MAGIC_NUMBER
 
 import pytest
 
+from repro.codegen import CODEGEN_VERSION
 from repro.core import (
     CompileCache,
     CompileOptions,
@@ -12,6 +15,7 @@ from repro.core import (
     compile_source,
     default_cache_dir,
 )
+from repro.observability import telemetry_session
 from repro.workloads.polybench import source_for
 
 SOURCE = source_for("gemm", "vpfloat<mpfr, 16, 128>")
@@ -202,10 +206,21 @@ class TestDefaultDir:
         assert default_cache_dir().endswith("vpfloat-repro")
 
 
+def _stale_magic() -> bytes:
+    """A bytecode magic number one release older than the running one."""
+    number = int.from_bytes(MAGIC_NUMBER[:2], "little") - 1
+    return number.to_bytes(2, "little") + MAGIC_NUMBER[2:]
+
+
+def _sidecar(payload) -> bytes:
+    return MAGIC_NUMBER + marshal.dumps(payload)
+
+
 class TestCodegenSidecarCorruption:
     """Corrupt ``.vpcgen`` sidecars must be cache misses that unlink the
-    bad file (the pickle tier's corrupt-entry policy), never a
-    JSON/KeyError/TypeError propagated into a run."""
+    bad file (the pickle tier's corrupt-entry policy) and recompile to
+    the same result, never an unmarshal/KeyError/TypeError propagated
+    into a run."""
 
     SIDECAR_SOURCE = """
 double f(int n) {
@@ -217,92 +232,98 @@ double f(int n) {
 }
 """
 
+    def _run(self, tmp_path):
+        cache = CompileCache(tmp_path / "c")
+        driver = CompilerDriver(backend="mpfr", engine="jit", cache=cache)
+        with telemetry_session(trace=True) as (tracer, _):
+            result = driver.compile(self.SIDECAR_SOURCE,
+                                    name="sidecar").run("f", [5])
+        cached = [e["args"]["cached"] for e in tracer.events
+                  if e.get("name") == "codegen:f"]
+        return (result.value, result.report.cycles), cached, cache
+
     def _first_run(self, tmp_path):
-        import glob
-        import os
-
-        cache = CompileCache(tmp_path / "c")
-        driver = CompilerDriver(backend="mpfr", engine="jit", cache=cache)
-        value = driver.compile(self.SIDECAR_SOURCE,
-                               name="sidecar").run("f", [5]).value
-        sidecars = glob.glob(os.path.join(str(tmp_path / "c"),
-                                          "*.vpcgen"))
+        first, cached, _ = self._run(tmp_path)
+        assert cached == [False]
+        sidecars = list((tmp_path / "c").glob("*.vpcgen"))
         assert len(sidecars) == 1
-        return value, sidecars[0]
+        path = sidecars[0]
+        data = path.read_bytes()
+        assert data.startswith(MAGIC_NUMBER)
+        return first, path, data
 
-    def _rerun(self, tmp_path):
-        cache = CompileCache(tmp_path / "c")
-        driver = CompilerDriver(backend="mpfr", engine="jit", cache=cache)
-        result = driver.compile(self.SIDECAR_SOURCE,
-                                name="sidecar").run("f", [5])
-        return result.value, cache
+    def _assert_miss_recompiles(self, tmp_path, path, first, garbled):
+        """``garbled`` in place of the sidecar is a counted miss that
+        unlinks the file; a rerun recompiles, returns the same value and
+        cycles, and re-persists a valid sidecar."""
+        key = path.name[:-len(".vpcgen")]
+        path.write_bytes(garbled)
+        probe = CompileCache(tmp_path / "c")
+        assert probe.get_codegen(key) is None
+        assert probe.stats.errors == 1
+        assert not path.exists()
+        path.write_bytes(garbled)
+        again, cached, cache = self._run(tmp_path)
+        assert again == first
+        assert cached == [False]
+        assert cache.stats.errors == 1
+        payload = CompileCache(tmp_path / "c").get_codegen(key)
+        assert payload["functions"]["f"]["status"] == "jit"
 
+    # Each id spells the payload its case writes (the torn one cut
+    # short), so the cases keep the ids they had as JSON garbles.
     @pytest.mark.parametrize("garble", [
-        "",                                        # truncated to nothing
-        '{"version":',                             # torn JSON
-        "[1, 2, 3]",                               # wrong top-level type
-        '{"version": -1, "functions": {}}',        # stale version
-        '{"functions": {}}',                       # missing version
-    ])
+        lambda data: b"",                          # truncated to nothing
+        lambda data: data[:len(data) // 2],        # torn marshal bytes
+        lambda data: _sidecar([1, 2, 3]),          # wrong top-level type
+        lambda data: _sidecar({"version": -1,      # stale version
+                               "functions": {}}),
+        lambda data: _sidecar({"functions": {}}),  # missing version
+    ], ids=["", '{"version":', "[1, 2, 3]",
+            '{"version": -1, "functions": {}}', '{"functions": {}}'])
     def test_unreadable_sidecar_is_miss_and_unlinked(self, tmp_path,
                                                      garble):
-        import os
+        first, path, data = self._first_run(tmp_path)
+        self._assert_miss_recompiles(tmp_path, path, first, garble(data))
 
-        value, path = self._first_run(tmp_path)
-        with open(path, "w") as handle:
-            handle.write(garble)
-        again, cache = self._rerun(tmp_path)
-        assert again == value
-        assert cache.stats.errors >= 1
+    def test_stale_magic_sidecar_recompiles(self, tmp_path):
+        # Bytecode marshalled by another interpreter release: the
+        # current version and records behind a foreign magic number.
+        first, path, data = self._first_run(tmp_path)
+        stale = _stale_magic() + data[len(MAGIC_NUMBER):]
+        self._assert_miss_recompiles(tmp_path, path, first, stale)
 
     def test_garbled_record_is_miss_and_unlinked(self, tmp_path):
-        import json
-
-        from repro.codegen import CODEGEN_VERSION
-
-        value, path = self._first_run(tmp_path)
-        # Valid JSON, current version -- but a function record the jit
+        # Current magic and version -- but a function record the jit
         # engine would crash on.  Must recompile, not TypeError.
-        with open(path, "w") as handle:
-            json.dump({"version": CODEGEN_VERSION,
-                       "functions": {"f": "garbage-not-a-dict"}}, handle)
-        again, cache = self._rerun(tmp_path)
-        assert again == value
-        assert cache.stats.errors >= 1
-        # A fresh, structurally valid sidecar was re-persisted in place.
-        with open(path) as handle:
-            payload = json.load(handle)
-        record = payload["functions"]["f"]
-        assert isinstance(record, dict)
-        assert record["status"] in ("jit", "fallback")
+        first, path, _ = self._first_run(tmp_path)
+        garbled = _sidecar({"version": CODEGEN_VERSION,
+                            "functions": {"f": "garbage-not-a-dict"}})
+        self._assert_miss_recompiles(tmp_path, path, first, garbled)
 
     def test_unknown_status_is_miss(self, tmp_path):
-        import json
+        first, path, _ = self._first_run(tmp_path)
+        garbled = _sidecar({"version": CODEGEN_VERSION, "functions": {
+            "f": {"status": "wat", "reason": None, "code": None,
+                  "line_map": None}}})
+        self._assert_miss_recompiles(tmp_path, path, first, garbled)
 
-        from repro.codegen import CODEGEN_VERSION
+    def test_jit_record_without_code_is_miss(self, tmp_path):
+        first, path, data = self._first_run(tmp_path)
+        payload = marshal.loads(data[len(MAGIC_NUMBER):])
+        payload["functions"]["f"]["code"] = None
+        self._assert_miss_recompiles(tmp_path, path, first,
+                                     _sidecar(payload))
 
-        value, path = self._first_run(tmp_path)
-        with open(path, "w") as handle:
-            json.dump({"version": CODEGEN_VERSION,
-                       "functions": {"f": {"status": "wat"}}}, handle)
-        again, cache = self._rerun(tmp_path)
-        assert again == value
-        assert cache.stats.errors >= 1
-
-    def test_jit_record_without_source_is_miss(self, tmp_path):
-        import json
-
-        from repro.codegen import CODEGEN_VERSION
-
-        value, path = self._first_run(tmp_path)
-        with open(path, "w") as handle:
-            json.dump({"version": CODEGEN_VERSION,
-                       "functions": {"f": {"status": "jit",
-                                           "source": None,
-                                           "reason": None}}}, handle)
-        again, cache = self._rerun(tmp_path)
-        assert again == value
-        assert cache.stats.errors >= 1
+    def test_line_map_with_non_int_keys_is_miss(self, tmp_path):
+        # The string-keyed shape line maps had in JSON sidecars.
+        first, path, data = self._first_run(tmp_path)
+        payload = marshal.loads(data[len(MAGIC_NUMBER):])
+        record = payload["functions"]["f"]
+        record["line_map"] = {str(line): loc
+                              for line, loc in record["line_map"].items()}
+        self._assert_miss_recompiles(tmp_path, path, first,
+                                     _sidecar(payload))
 
 
 class TestDiskEviction:
