@@ -102,20 +102,19 @@ def ablate_kernel_tier(reps: int = 3) -> dict:
 
     The tier is a strength reduction: modeled cycles must be identical
     across policies (asserted), so the ablation's payoff is host
-    wall-clock on the jit engine.  One compile per policy (the tier is
-    part of the cache fingerprint), timed runs after a warmup."""
+    wall-clock on the jit engine.  One compile (the tier is a run
+    option), then per policy timed runs after a warmup."""
     source = source_for("gemm", "vpfloat<mpfr, 16, 53>")
+    program = CompilerDriver(backend="mpfr", engine="jit").compile(
+        source, name="gemm")
     walls = {}
     cycles = {}
     for tier in ("small", "generic"):
-        program = CompilerDriver(backend="mpfr", engine="jit",
-                                 kernel_tier=tier).compile(
-            source, name="gemm")
-        program.run("run", [8])  # warm the jit sidecar
+        program.run("run", [8], kernel_tier=tier)  # warm the jit code
         best = float("inf")
         for _ in range(reps):
             started = time.perf_counter()
-            result = program.run("run", [8])
+            result = program.run("run", [8], kernel_tier=tier)
             best = min(best, time.perf_counter() - started)
         walls[tier] = best
         cycles[tier] = result.report.cycles

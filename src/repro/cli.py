@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "forces the generic kernels, 'small' also "
                              "waives the batched numpy tier's lane-"
                              "count floor; results are bit-identical "
-                             "across policies")
+                             "across policies, which share one "
+                             "compile-cache entry")
     parser.add_argument("--batch", type=int, default=None, metavar="N",
                         help="execute --run as one batched SPMD run of "
                              "N independent lanes (mpfr backend, jit "
@@ -221,7 +222,6 @@ def _run(args) -> int:
         specialize_scalars=not args.no_specialize,
         in_place_stores=not args.no_in_place,
         engine=args.engine,
-        kernel_tier=args.kernel_tier,
         cache=CompileCache(args.cache_dir or default_cache_dir())
         if args.compile_cache else None,
     )
@@ -251,7 +251,8 @@ def _run(args) -> int:
             result = program.run(args.run, run_args,
                                  engine=args.engine,
                                  profile=args.profile,
-                                 pool=False if args.no_pool else None)
+                                 pool=False if args.no_pool else None,
+                                 kernel_tier=args.kernel_tier)
         except Exception as error:
             print(f"runtime error: {error}", file=sys.stderr)
             return 2
@@ -291,7 +292,8 @@ def _run_batched(args, run_args, program) -> int:
         return 1
     try:
         result = program.run_batch(args.run, run_args, lanes=args.batch,
-                                   pool=False if args.no_pool else None)
+                                   pool=False if args.no_pool else None,
+                                   kernel_tier=args.kernel_tier)
     except Exception as error:
         print(f"runtime error: {error}", file=sys.stderr)
         return 2
@@ -324,8 +326,9 @@ def _validate(args, run_args, program, source=None, cache=None) -> int:
         return 1
     from .validation import certify
 
-    common = dict(strict=False, engine=args.engine,
-                  run_options={"pool": False if args.no_pool else None})
+    run_options = {"pool": False if args.no_pool else None,
+                   "kernel_tier": args.kernel_tier}
+    common = dict(strict=False, engine=args.engine, run_options=run_options)
     if args.batch is not None:
         certificates = [certify(args.source, args.run, run_args,
                                 program=program, lanes=args.batch,
@@ -342,9 +345,9 @@ def _validate(args, run_args, program, source=None, cache=None) -> int:
                     only=("opt", "pass"), **common),
             # Only the jit binds tiered kernels: certify the tier there.
             certify(args.source, args.run, run_args, kind="kernel-tier",
-                    source=source,
-                    options={**options, "kernel_tier": "small"},
-                    only=("tier",), **dict(common, engine="jit")),
+                    source=source, options=options, only=("tier",),
+                    **dict(common, engine="jit", run_options={
+                        **run_options, "kernel_tier": "small"})),
         ]
     for certificate in certificates:
         print(certificate.render())

@@ -1237,7 +1237,10 @@ def emit_function_source(interp, func: Function
 
 class CodegenStore:
     """Per-program store of jit artifacts: per function, a status,
-    fallback reason, compiled code object and line map.
+    fallback reason, compiled code object and line map.  Batched
+    interpreters record under ``<name>@batch`` (see :class:`JitEngine`),
+    so one store holds a program's serial and batched code; every
+    kernel-tier policy shares both, since tiers bind at bind time.
 
     Backed by a :class:`~repro.core.cache.CompileCache` ``.vpcgen``
     sidecar when the program came through the compile cache, so warm
@@ -1307,7 +1310,16 @@ class JitEngine:
     def __init__(self, interp, store: Optional[CodegenStore] = None):
         self.interp = interp
         self.store = store if store is not None else CodegenStore()
+        #: Batched modules use the fused N-lane kernels and may fall
+        #: back where serial ones do not, so their store records stay
+        #: separate, as ``<name>@batch``.
+        self.suffix = "@batch" \
+            if getattr(interp, "batch", None) is not None else ""
         self._entries: Dict[int, Optional[object]] = {}
+
+    def record_for(self, func: Function) -> Optional[dict]:
+        """The store's record of ``func`` in this engine's mode."""
+        return self.store.lookup(func.name + self.suffix)
 
     def entry(self, func: Function):
         cached = self._entries.get(id(func), self)
@@ -1331,19 +1343,17 @@ class JitEngine:
     def _materialize(self, func: Function):
         """-> (entry | None, status, reason, cached)."""
         interp = self.interp
-        name = func.name
-        record = self.store.lookup(name)
+        record = self.record_for(func)
         cached = record is not None
         if record is None:
             record = self._compile(func)
         if record["status"] == "fallback":
             return None, "fallback", record["reason"], cached
         code = record["code"]
-        LINE_MAPS[name] = (code.co_filename, record["line_map"])
+        LINE_MAPS[func.name] = (code.co_filename, record["line_map"])
         namespace: Dict[str, object] = {}
         exec(code, namespace)
-        runtime_cls = BatchJitRuntime \
-            if getattr(interp, "batch", None) is not None else JitRuntime
+        runtime_cls = BatchJitRuntime if self.suffix else JitRuntime
         try:
             entry = namespace["_make"](runtime_cls(interp, func))
         except Exception as e:
@@ -1358,12 +1368,13 @@ class JitEngine:
         metrics = self.interp.metrics
         store = self.store
         name = func.name
+        key = name + self.suffix
         t0 = time.perf_counter()
         try:
             emitter = FunctionEmitter(self.interp, func)
             source = emitter.emit()
         except _Unsupported as e:
-            return store.record(name, "fallback", reason=str(e))
+            return store.record(key, "fallback", reason=str(e))
         finally:
             if metrics is not None:
                 metrics.observe("codegen.emit_seconds",
@@ -1373,9 +1384,9 @@ class JitEngine:
         try:
             code = compile(source, f"<vpjit:{name}:{digest}>", "exec")
         except SyntaxError:
-            return store.record(name, "fallback", reason="compile error")
+            return store.record(key, "fallback", reason="compile error")
         if metrics is not None:
             metrics.observe("codegen.compile_seconds",
                             time.perf_counter() - t0)
-        return store.record(name, "jit", code=code,
+        return store.record(key, "jit", code=code,
                             line_map=emitter.line_map)

@@ -103,27 +103,22 @@ class CompiledProgram:
         self.tiled_nests = tiled_nests
         #: Wall-clock seconds per middle-end pass / backend lowering.
         self.pass_timings: dict = pass_timings or {}
-        #: Jit-engine codegen store (set by the driver when the program
-        #: came through a CompileCache; else created lazily).
+        #: Jit-engine codegen store, serial and batched records alike
+        #: (set by the driver when the program came through a
+        #: CompileCache; else created lazily).
         self._codegen_store = None
-        #: Batch-mode sidecar key (fingerprint with batch=True) and its
-        #: lazily-created store; batch-mode jit source differs from
-        #: serial source, so the two never share a sidecar.
-        self._batch_codegen_key: Optional[str] = None
-        self._batch_store = None
         #: Engine the driver was configured for; ``run()`` falls back
         #: to it when no ``engine`` is passed.
         self._default_engine: Optional[str] = None
-        #: Kernel-tier policy the driver was configured for
-        #: (auto/generic/small); per-run ``kernel_tier=`` overrides it.
-        self._kernel_tier: str = "auto"
+        #: Compile-cache key the driver served this program under
+        #: (None without a cache).
+        self.fingerprint: Optional[str] = None
 
     def __getstate__(self):
         # The codegen store holds a live CompileCache reference; the
         # pickled program must stand alone (it *is* a cache entry).
         state = dict(self.__dict__)
         state["_codegen_store"] = None
-        state["_batch_store"] = None
         return state
 
     # ------------------------------------------------------------ #
@@ -134,13 +129,6 @@ class CompiledProgram:
             engine = self._default_engine
         return resolve_engine(engine)
 
-    def _resolve_tier(self, kernel_tier: Optional[str]) -> str:
-        """Per-run override wins; None falls back to the driver's
-        policy (auto when the program never saw a driver)."""
-        if kernel_tier is None:
-            return getattr(self, "_kernel_tier", "auto")
-        return _check_kernel_tier(kernel_tier)
-
     def _codegen_store_for(self, mode: str):
         if mode != "jit":
             return None
@@ -150,21 +138,6 @@ class CompiledProgram:
 
             store = CodegenStore()
             self._codegen_store = store
-        return store
-
-    def _batch_codegen_store(self):
-        store = getattr(self, "_batch_store", None)
-        if store is None:
-            from ..codegen.pyjit import CodegenStore
-
-            serial = self._codegen_store
-            key = getattr(self, "_batch_codegen_key", None)
-            if serial is not None and serial.cache is not None \
-                    and key is not None:
-                store = CodegenStore(serial.cache, key)
-            else:
-                store = CodegenStore()
-            self._batch_store = store
         return store
 
     # ------------------------------------------------------------ #
@@ -183,7 +156,7 @@ class CompiledProgram:
             profile: bool = False,
             pool: Optional[bool] = None,
             engine: Optional[str] = None,
-            kernel_tier: Optional[str] = None) -> ExecutionResult:
+            kernel_tier: str = "auto") -> ExecutionResult:
         """Execute a function; returns value + CostReport + stdout.
 
         ``costs`` selects a CycleCosts profile (default: Xeon-calibrated;
@@ -194,11 +167,12 @@ class CompiledProgram:
         profiler, whose :class:`~repro.observability.profile.IRProfile`
         becomes ``result.profile``; values and the CostReport equal an
         unprofiled legacy run's.  ``pool`` switches the MPFR object pool
-        (default per backend: on except for Boost).  ``kernel_tier``
-        overrides the driver's kernel-tier policy for this run
-        (auto/generic/small: the jit engine's precision-specialized
-        fast-path kernels vs the generic ones; bit-identical either
-        way).  The unum backend runs on the UNUM machine, returned as
+        (default per backend: on except for Boost).  ``kernel_tier`` is
+        this run's kernel-tier policy (auto/generic/small: the jit
+        engine's precision-specialized fast-path kernels vs the generic
+        ones; bit-identical either way, and bound when the run binds
+        its jit code, so every tier shares one codegen sidecar).  The
+        unum backend runs on the UNUM machine, returned as
         ``result.machine``."""
         backend = self.options.backend
         mode = self._resolve_mode(engine)
@@ -222,7 +196,7 @@ class CompiledProgram:
             mode = "legacy"  # the exact profiler hooks the walker
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
-        tier = self._resolve_tier(kernel_tier)
+        tier = _check_kernel_tier(kernel_tier)
         store = self._codegen_store_for(mode)
         interpreter = Interpreter(self.module, accounting=accounting,
                                   max_steps=max_steps, dispatch=mode,
@@ -253,7 +227,7 @@ class CompiledProgram:
                   lanes: int = 1, cache: bool = True,
                   max_steps: int = 500_000_000, costs=None,
                   pool: Optional[bool] = None,
-                  kernel_tier: Optional[str] = None):
+                  kernel_tier: str = "auto"):
         """Execute a function across ``lanes`` independent instances
         with one IR dispatch per instruction (the batched jit engine).
 
@@ -279,8 +253,8 @@ class CompiledProgram:
                 f"not {self.options.backend!r}")
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
-        tier = self._resolve_tier(kernel_tier)
-        store = self._batch_codegen_store()
+        tier = _check_kernel_tier(kernel_tier)
+        store = self._codegen_store_for("jit")
         interpreter = BatchInterpreter(
             self.module, lanes, accounting=accounting,
             max_steps=max_steps, mpfr_pool=self._pool_default(pool),
@@ -332,7 +306,7 @@ class CompiledProgram:
                     max_steps: int = 500_000_000, costs=None,
                     pool: Optional[bool] = None,
                     engine: Optional[str] = None,
-                    kernel_tier: Optional[str] = None) -> Interpreter:
+                    kernel_tier: str = "auto") -> Interpreter:
         """A fresh interpreter over the compiled module (mpfr/boost/none)."""
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
@@ -341,7 +315,7 @@ class CompiledProgram:
                            max_steps=max_steps, dispatch=mode,
                            mpfr_pool=self._pool_default(pool),
                            codegen_store=self._codegen_store_for(mode),
-                           kernel_tier=self._resolve_tier(kernel_tier))
+                           kernel_tier=_check_kernel_tier(kernel_tier))
 
     def machine(self, cache: bool = True, coprocessor=None,
                 max_steps: int = 500_000_000, costs=None):
@@ -366,8 +340,7 @@ class CompilerDriver:
     """
 
     def __init__(self, backend: str = "mpfr", opt_level: int = 3,
-                 polly: bool = False, cache=None, engine=None,
-                 kernel_tier: str = "auto", **kwargs):
+                 polly: bool = False, cache=None, engine=None, **kwargs):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"choose from {BACKENDS}")
@@ -378,27 +351,17 @@ class CompilerDriver:
         #: cache fingerprint (not a CompileOptions field: it changes
         #: nothing about the IR, only how it is executed).
         self.engine = resolve_engine(engine)
-        #: Kernel-tier policy (auto/generic/small) the programs' runs
-        #: default to; like ``engine`` it is an execution knob, hashed
-        #: into the fingerprint because the jit sidecar's emitted code
-        #: binds kernels at emission time.
-        self.kernel_tier = _check_kernel_tier(kernel_tier)
 
     def compile(self, source: str, name: str = "module") -> CompiledProgram:
         options = self.options
         cache = self.cache
-        key = batch_key = program = None
+        key = program = None
         with observe(f"compile:{name}", cat=CAT_COMPILE, event="compile",
                      backend=options.backend) as obs:
             obs.count("compile.count")
             if cache is not None:
                 key = cache.fingerprint(source, options, name,
-                                        engine=self.engine,
-                                        kernel_tier=self.kernel_tier)
-                batch_key = cache.fingerprint(source, options, name,
-                                              engine=self.engine,
-                                              batch=True,
-                                              kernel_tier=self.kernel_tier)
+                                        engine=self.engine)
                 with observe("cache.lookup", cat=CAT_CACHE) as lookup:
                     program = cache.get(key)
                     lookup.arg(hit=program is not None)
@@ -417,22 +380,20 @@ class CompilerDriver:
                      # pass timings in its pickle; only a fresh
                      # compile's are this event's.
                      passes=None if cached else dict(program.pass_timings))
-        return self._finish(program, key, batch_key)
+        return self._finish(program, key)
 
     def _finish(self, program: CompiledProgram,
-                key: Optional[str] = None,
-                batch_key: Optional[str] = None) -> CompiledProgram:
-        """Attach driver-side execution state to a (possibly cached)
-        program: the default engine and -- in jit mode with a cache --
-        the emitted-source stores (serial + batched, separately keyed)
+                key: Optional[str] = None) -> CompiledProgram:
+        """Attach driver-side state to a (possibly cached) program: the
+        key it was served under, the default engine and -- in jit mode
+        with a cache -- the codegen store (serial and batched records)
         persisting next to the pickle."""
+        program.fingerprint = key
         program._default_engine = self.engine
-        program._kernel_tier = self.kernel_tier
         if self.engine == "jit" and key is not None:
             from ..codegen.pyjit import CodegenStore
 
             program._codegen_store = CodegenStore(self.cache, key)
-            program._batch_codegen_key = batch_key
         return program
 
     def _compile(self, source: str, name: str = "module") -> CompiledProgram:

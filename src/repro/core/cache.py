@@ -160,22 +160,16 @@ class CompileCache:
 
     @staticmethod
     def fingerprint(source: str, options, name: str = "module",
-                    engine: Optional[str] = None,
-                    batch: bool = False,
-                    kernel_tier: str = "auto") -> str:
+                    engine: Optional[str] = None) -> str:
         """Stable hex digest over everything that affects compilation.
 
         ``engine`` is the execution engine the program is being built
         for; together with the codegen format version it keeps cached
         programs (and their codegen sidecars) from ever being replayed
         under a different engine or a stale emitted-source format.
-        ``batch`` keys batched-execution codegen sidecars separately:
-        batch-mode jit modules use the fused N-lane kernel maps and
-        broadcast assignments, so their source differs from serial
-        modules for the same program.  ``kernel_tier`` is the kernel
-        selection policy the program will run under (auto/generic/
-        small); it changes no IR, but codegen sidecars bind kernels by
-        policy, so tiers never share one.
+        Run-time choices stay out of the key: the kernel tier binds
+        when a jit module is bound, not when it is emitted, and one
+        sidecar holds a program's serial and batched records.
         """
         h = hashlib.sha256()
         h.update(b"vpfloat-compile-cache\0")
@@ -184,8 +178,6 @@ class CompileCache:
                  .encode())
         h.update(f"name={name}\0".encode())
         h.update(f"engine={engine!r}\0".encode())
-        h.update(f"batch={batch!r}\0".encode())
-        h.update(f"kernel_tier={kernel_tier!r}\0".encode())
         h.update(f"codegen={CODEGEN_VERSION}\0".encode())
         for f in sorted(fields(options), key=lambda f: f.name):
             value = getattr(options, f.name)

@@ -146,12 +146,14 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                pool: Optional[bool] = None,
                compile_cache=_UNSET, engine: Optional[str] = None,
                validate: bool = False, batch: Optional[int] = None,
+               kernel_tier: str = "auto",
                **driver_kwargs) -> RunOutcome:
     """Compile + execute one PolyBench kernel; extract its outputs.
 
-    ``engine`` selects the execution engine (``None`` picks the jit)
-    and ``pool`` the MPFR pool (see :meth:`CompiledProgram.run`); the
-    unum backend runs on the UNUM machine through the same
+    ``engine`` selects the execution engine (``None`` picks the jit),
+    ``pool`` the MPFR pool and ``kernel_tier`` the kernel-tier policy
+    (see :meth:`CompiledProgram.run`); the unum backend runs on the
+    UNUM machine through the same
     :meth:`CompiledProgram.run`, with ``coprocessor`` defaulting to a
     g-layer sized for the point's precision.  ``compile_cache`` is a
     :class:`~repro.core.CompileCache` (or None to force a fresh
@@ -205,7 +207,8 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
             outcome = _run_kernel_batched(
                 program, spec, kernel, ftype, backend, n, batch,
                 cache=cache, max_steps=max_steps, costs=costs, pool=pool,
-                read_outputs=read_outputs, validate=validate)
+                kernel_tier=kernel_tier, read_outputs=read_outputs,
+                validate=validate)
             obs.note(engine="jit", lanes=batch)
             obs.attach(outcome.report, absorb=False)
             return outcome
@@ -218,7 +221,8 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                     wgp=min(512, config.precision))
         result = program.run("run", [n], cache=cache, max_steps=max_steps,
                              costs=costs, coprocessor=coprocessor,
-                             engine=engine, pool=pool)
+                             engine=engine, pool=pool,
+                             kernel_tier=kernel_tier)
         outputs: List[Number] = []
         if backend == "unum":
             if read_outputs:
@@ -246,7 +250,8 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
             obs.note(validated=False)  # recorded if validation raises
             outcome.certificate = _certify_point(
                 program, spec, outcome, engine, None, cache=cache,
-                max_steps=max_steps, costs=costs, pool=pool)
+                max_steps=max_steps, costs=costs, pool=pool,
+                kernel_tier=kernel_tier)
             obs.note(validated=True)
         return outcome
 
@@ -254,7 +259,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
 def _run_kernel_batched(program, spec, kernel: str, ftype: str,
                         backend: str, n: int, lanes: int, cache: bool,
                         max_steps: int, costs, pool: Optional[bool],
-                        read_outputs: bool,
+                        kernel_tier: str, read_outputs: bool,
                         validate: bool) -> RunOutcome:
     """One batched SPMD execution standing in for a serial point.
 
@@ -264,7 +269,7 @@ def _run_kernel_batched(program, spec, kernel: str, ftype: str,
     to a serial jit run."""
     result = program.run_batch("run", [n], lanes=lanes, cache=cache,
                                max_steps=max_steps, costs=costs,
-                               pool=pool)
+                               pool=pool, kernel_tier=kernel_tier)
     value = result.values[0]
     outputs: List[Number] = []
     if read_outputs and result.interpreter is not None:
@@ -281,7 +286,8 @@ def _run_kernel_batched(program, spec, kernel: str, ftype: str,
     if validate:
         outcome.certificate = _certify_point(
             program, spec, outcome, "jit", lanes, cache=cache,
-            max_steps=max_steps, costs=costs, pool=pool)
+            max_steps=max_steps, costs=costs, pool=pool,
+            kernel_tier=kernel_tier)
     return outcome
 
 

@@ -698,10 +698,8 @@ class BatchInterpreter(Interpreter):
         if entry is None:
             reason = None
             engine = self._jit_engine
-            store = getattr(engine, "store", None)
-            if store is not None:
-                record = store.records.get(func.name) or {}
-                reason = record.get("reason")
+            if engine is not None:
+                reason = (engine.record_for(func) or {}).get("reason")
             raise BatchUnsupported(
                 f"batched execution needs a jit entry for {func.name}()"
                 + (f": {reason}" if reason else "")

@@ -95,7 +95,8 @@ def execute_compile(payload: dict) -> dict:
     cache = get_compile_cache()
     options = _run_options(payload)
     engine = options.pop("engine", None)
-    options.pop("pool", None)  # a run knob, not a CompileOptions field
+    for knob in ("pool", "kernel_tier"):  # run knobs, not compile ones
+        options.pop(knob, None)
     source = _resolve_source(payload)
     name = payload.get("kernel") or payload.get("name") or "service"
     backend = payload.get("backend", "mpfr")
@@ -105,18 +106,13 @@ def execute_compile(payload: dict) -> dict:
                             engine=engine, **options)
     program = driver.compile(source, name=f"{name}-{backend}")
     wall = time.perf_counter() - wall0
-    key = None
     cached = False
     if cache is not None:
-        key = cache.fingerprint(source, driver.options,
-                                f"{name}-{backend}",
-                                engine=driver.engine,
-                                kernel_tier=driver.kernel_tier)
         after = stats_snapshot(cache.stats)
         cached = after.get("memory_hits", 0) > before.get(
             "memory_hits", 0) or after.get("disk_hits", 0) > before.get(
             "disk_hits", 0)
-    return {"fingerprint": key, "cached": cached,
+    return {"fingerprint": program.fingerprint, "cached": cached,
             "wall_seconds": wall, "backend": backend,
             "passes": sorted(program.pass_timings)}
 
@@ -150,12 +146,13 @@ def execute_run_batch(payload: dict, lanes: int) -> dict:
         raise TaskFailed(f"unknown kernel {kernel!r}")
     spec = KERNELS[kernel]
     source = source_for(kernel, canonical_source_ftype(ftype))
-    pool = options.pop("pool", None)
+    run_options = {knob: options.pop(knob)
+                   for knob in ("pool", "kernel_tier") if knob in options}
     wall0 = time.perf_counter()
     driver = CompilerDriver(backend="mpfr", cache=get_compile_cache(),
                             engine="jit", **options)
     program = driver.compile(source, name=f"{kernel}-mpfr")
-    result = program.run_batch("run", [n], lanes=lanes, pool=pool)
+    result = program.run_batch("run", [n], lanes=lanes, **run_options)
     wall = time.perf_counter() - wall0
     count = spec.outputs(n)
     members = []

@@ -356,14 +356,17 @@ BATCH_LANES: Tuple[int, ...] = (2, 5)
 
 
 def _certify(program: FuzzProgram, backend: str, only: Sequence[str],
-             lanes: Optional[int] = None, read=return_value, **options):
+             lanes: Optional[int] = None, read=return_value,
+             **run_options):
     """The rendered program's certificate (not strict: failures are
-    reported as a :class:`Mismatch` by :func:`_mismatch`)."""
+    reported as a :class:`Mismatch` by :func:`_mismatch`); extra
+    keywords are run options."""
     return certify(
         f"vpfuzz-{program.digest()}", "f", kind="fuzz",
         source=program.render_source(),
-        options={"backend": backend, **options}, only=only, lanes=lanes,
-        read=read, run_options={"cache": False}, strict=False)
+        options={"backend": backend}, only=only, lanes=lanes,
+        read=read, run_options={"cache": False, **run_options},
+        strict=False)
 
 
 def _mismatch(stage: str, certificate) -> Optional[Mismatch]:

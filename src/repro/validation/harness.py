@@ -137,7 +137,8 @@ def certify(subject: str, func: str, args: Sequence = (), *,
     """Certify ``func(*args)`` across the selected transitions.
 
     ``kind`` names the certificate ("engine", "pass", "kernel-tier",
-    "fuzz") and so its reference label.  The reference is one serial
+    "fuzz") and so its reference label (a kernel-tier reference is
+    named by the ``kernel_tier`` run option).  The reference is one serial
     run on ``engine`` (default: the jit), of ``program`` or, when it
     is None, of ``source`` compiled with ``options``
     (:class:`~repro.core.CompilerDriver` keywords).  Candidates are the :data:`REGISTRY` entries whose label
@@ -181,7 +182,8 @@ def certify(subject: str, func: str, args: Sequence = (), *,
     if kind == "pass":
         reference_label = f"opt.O{options.get('opt_level', 3)}"
     elif kind == "kernel-tier":
-        reference_label = f"tier.{options.get('kernel_tier', 'auto')}"
+        reference_label = \
+            f"tier.{(run_options or {}).get('kernel_tier', 'auto')}"
     else:
         reference_label = f"engine.{reference_engine}" + \
             (".serial" if lanes is not None else "")

@@ -25,7 +25,7 @@ from repro.codegen.batch_kernels import (
     BATCH_KERNEL_OPS,
     batch_kernel_factory,
 )
-from repro.core import CompileCache, CompileOptions, CompilerDriver
+from repro.core import CompilerDriver
 from repro.runtime.batch import (
     BatchContext,
     BatchDivergence,
@@ -267,16 +267,6 @@ class TestRunBatch:
                                   kernel_tier="generic")
         assert batch.mode == "serial"
         assert batch.interpreter.kernel_tier == "generic"
-
-
-class TestBatchCacheKeying:
-    def test_fingerprint_differs_by_batch(self):
-        options = CompileOptions(backend="mpfr")
-        serial = CompileCache.fingerprint("double f();", options,
-                                          engine="jit", batch=False)
-        batched = CompileCache.fingerprint("double f();", options,
-                                           engine="jit", batch=True)
-        assert serial != batched
 
 
 class TestTransitions:

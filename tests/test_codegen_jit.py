@@ -284,6 +284,32 @@ class TestCodegenCacheRoundTrip:
                   .items() if r["status"] == "jit"]
         assert len(jitted) >= 2
 
+    def test_one_sidecar_across_tier_and_batch(self, tmp_path,
+                                              monkeypatch):
+        # The kernel tier binds when the code binds, and batched
+        # records sit beside the serial ones: one program, one sidecar.
+        source = source_for("gemm", "vpfloat<mpfr, 16, 53>")
+        program = CompilerDriver(backend="mpfr", cache=CompileCache(
+            str(tmp_path))).compile(source, "gemm")
+        cold = program.run("run", [4], kernel_tier="generic")
+        cold_batch = program.run_batch("run", [4], lanes=2)
+        assert len(list(tmp_path.glob("*.vpcgen"))) == 1
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("warm run called compile()")
+
+        monkeypatch.setattr(pyjit, "compile", no_compile, raising=False)
+        with telemetry_session(metrics=True) as (_, registry):
+            program = CompilerDriver(backend="mpfr", cache=CompileCache(
+                str(tmp_path))).compile(source, "gemm")
+            warm = program.run("run", [4])
+        assert registry.counters["compile.cache.disk_hits"] == 1
+        assert registry.counters.get("kernel.tier.tier1.ops", 0) > 0
+        warm_batch = program.run_batch("run", [4], lanes=2)
+        assert warm_batch.mode == "batched"
+        assert warm.report.cycles == cold.report.cycles
+        assert warm_batch.reports[0].cycles == cold_batch.reports[0].cycles
+
     def test_cold_run_writes_sidecar_once(self, tmp_path, monkeypatch):
         writes = []
         put_codegen = CompileCache.put_codegen

@@ -393,6 +393,17 @@ class TestDiskEviction:
         assert cache.get("a") is None
         assert not sidecar.exists()
 
+    def test_batch_records_share_the_program_entry(self, tmp_path):
+        cache = CompileCache(tmp_path / "c", max_disk_bytes=10**9)
+        program = CompilerDriver(backend="mpfr", cache=cache).compile(
+            SOURCE, name="m")
+        program.run("run", [4])
+        program.run_batch("run", [4], lanes=2)
+        assert cache.disk_usage()[0] == 1
+        cache.max_disk_bytes = 0
+        cache._evict_if_needed()
+        assert not list((tmp_path / "c").iterdir())  # no orphan sidecar
+
     def test_evict_then_recompile_round_trip(self, tmp_path):
         """An evicted program costs exactly a recompile and the
         recompiled program is bit-identical to the evicted one."""

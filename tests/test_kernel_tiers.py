@@ -47,7 +47,7 @@ from repro.codegen.smallfloat import (
     tier_label,
 )
 from repro.codegen.smallfloat import _LIBRARY as SCALAR_LIBRARY
-from repro.core import CompileCache, CompilerDriver, CompileOptions
+from repro.core import CompilerDriver
 from repro.runtime.batch import BatchContext
 from repro.validation.certificate import TRANSITIONS, value_token
 
@@ -266,29 +266,15 @@ def test_counting_wrapper_and_merge():
     assert snap["ops"]["tier1"] == 2 and snap["ops"]["generic"] == 3
 
 
-def test_driver_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        CompilerDriver(backend="mpfr", kernel_tier="fast")
-
-
 def test_run_rejects_unknown_policy():
     program = CompilerDriver(backend="mpfr").compile(SOURCE, name="k")
     with pytest.raises(ValueError):
         program.run("run", [4], kernel_tier="fast")
 
 
-def test_fingerprints_differ_by_tier():
-    options = CompileOptions(backend="mpfr")
-    prints = {CompileCache.fingerprint(SOURCE, options, name="k",
-                                       engine="jit", kernel_tier=tier)
-              for tier in KERNEL_TIER_POLICIES}
-    assert len(prints) == len(KERNEL_TIER_POLICIES)
-
-
 def test_per_run_override_is_bit_identical():
     program = CompilerDriver(backend="mpfr", engine="jit").compile(
         SOURCE, name="k")
-    assert program._kernel_tier == "auto"
     runs = {tier: program.run("run", [40], kernel_tier=tier)
             for tier in KERNEL_TIER_POLICIES}
     tokens = {tier: value_token(r.value) for tier, r in runs.items()}
@@ -333,9 +319,11 @@ def test_transition_table_has_tier_edge():
 
 def test_validate_tiers_certificate():
     from repro.validation import certify
-    options = {"backend": "mpfr", "kernel_tier": "small"}
+    options = {"backend": "mpfr"}
+    run_options = {"kernel_tier": "small"}
     cert = certify("k", "run", [12], kind="kernel-tier", source=SOURCE,
-                   options=options, engine="jit", only=("tier",))
+                   options=options, engine="jit", only=("tier",),
+                   run_options=run_options)
     assert cert.passed
     assert cert.kind == "kernel-tier"
     assert cert.reference == "tier.small"
@@ -343,7 +331,7 @@ def test_validate_tiers_certificate():
     assert "tier.generic" in labels
     batched = certify("k", "run", [12], kind="kernel-tier",
                       source=SOURCE, options=options, engine="jit",
-                      only=("tier",), lanes=3)
+                      only=("tier",), lanes=3, run_options=run_options)
     assert batched.passed
     assert any(check.label.startswith("tier.generic.lane")
                for check in batched.checks)
