@@ -109,7 +109,7 @@ def ablate_kernel_tier(reps: int = 3) -> dict:
         source, name="gemm")
     walls = {}
     cycles = {}
-    for tier in ("small", "generic"):
+    for tier in ("auto", "generic"):
         program.run("run", [8], kernel_tier=tier)  # warm the jit code
         best = float("inf")
         for _ in range(reps):
@@ -118,11 +118,11 @@ def ablate_kernel_tier(reps: int = 3) -> dict:
             best = min(best, time.perf_counter() - started)
         walls[tier] = best
         cycles[tier] = result.report.cycles
-    return {"cycles_tiered": cycles["small"],
+    return {"cycles_tiered": cycles["auto"],
             "cycles_generic": cycles["generic"],
-            "wall_tiered_seconds": walls["small"],
+            "wall_tiered_seconds": walls["auto"],
             "wall_generic_seconds": walls["generic"],
-            "wall_gain": round(walls["generic"] / walls["small"], 3)}
+            "wall_gain": round(walls["generic"] / walls["auto"], 3)}
 
 
 # ----------------------------------------------------------------- #
@@ -186,7 +186,7 @@ class TestKernelTierAblation:
 
 
 # ----------------------------------------------------------------- #
-# Standalone JSON artifact (the bench_batched.py-style path)
+# Standalone JSON artifact
 # ----------------------------------------------------------------- #
 
 ABLATIONS = {

@@ -5,23 +5,19 @@ inlined rounding; tier-1 <= 64 bits, tier-2 <= 128 bits) against the
 generic specialized kernels on the *actual operand streams* a jit gemm
 run feeds them: the streams are recorded from one instrumented run per
 precision, then replayed through both kernel families under the timer.
-The batched section times the single-limb numpy tier against the
-generic fused-loop batch kernels on broadcast operand batches.
 
 Verifies bit-identity while it measures -- three digest assertions per
 configuration:
 
-* the gemm run's value + output array under ``kernel_tier="small"``
+* the gemm run's value + output array under ``kernel_tier="auto"``
   must equal the ``kernel_tier="generic"`` run exactly;
 * both runs' CostReport snapshots must be identical (the tier is a
   strength reduction, not a cost-model change);
-* every replayed op and every batched lane must produce bit-identical
-  results across tiers.
+* every replayed op must produce bit-identical results across tiers.
 
 Asserts the per-op speedup floors (>= 2x at 24--64-bit, >= 1.5x at
-128-bit, >= 2x on the single-limb batch path; all scaled by
-``$VPFLOAT_BENCH_FLOOR_SCALE``) and emits a JSON document next to the
-other bench artifacts.
+128-bit; both scaled by ``$VPFLOAT_BENCH_FLOOR_SCALE``) and emits a
+JSON document next to the other bench artifacts.
 
 Usage::
 
@@ -34,32 +30,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
-from repro.bigfloat.number import Kind
 from repro.bigfloat.rounding import RNDN
-from repro.codegen import batch_np_kernels as npk
 from repro.codegen import pyjit
-from repro.codegen.batch_kernels import batch_kernel_factory
 from repro.codegen.kernels import specialized_kernel
 from repro.codegen.smallfloat import smallfloat_kernel
 from repro.evaluation.harness import run_kernel
 from repro.observability import bench_floor_scale, \
     reproducibility_envelope
-from repro.runtime.batch import BatchContext, VPBatch
 from repro.validation.certificate import report_snapshot, value_token, \
     values_digest
 
-BENCH_FORMAT_VERSION = 2  # v2: carries the reproducibility envelope
+BENCH_FORMAT_VERSION = 3  # v3: no batch section (numpy tier deleted)
 KERNEL = "gemm"
 PRECISIONS = (24, 53, 64, 128)
 SCALAR_FLOORS = {24: 2.0, 53: 2.0, 64: 2.0, 128: 1.5}
-BATCH_FLOOR = 2.0
-BATCH_PREC = 53
-BATCH_LANES_FULL = 1000
-BATCH_LANES_QUICK = 256
 
 
 # ----------------------------------------------------------------- #
@@ -87,7 +74,7 @@ def record_streams(prec: int, n: int):
     pyjit.select_scalar_kernel = recording
     try:
         run_kernel(KERNEL, f"vpfloat<mpfr, 16, {prec}>", n,
-                   backend="mpfr", engine="jit", kernel_tier="small",
+                   backend="mpfr", engine="jit", kernel_tier="auto",
                    read_outputs=False)
     finally:
         pyjit.select_scalar_kernel = original
@@ -111,17 +98,17 @@ def bench_scalar(prec: int, n: int, reps: int, failures) -> dict:
     outcomes = {
         tier: run_kernel(KERNEL, ftype, n, backend="mpfr",
                          engine="jit", kernel_tier=tier)
-        for tier in ("small", "generic")
+        for tier in ("auto", "generic")
     }
     digests = {tier: values_digest([o.value] + list(o.outputs))
                for tier, o in outcomes.items()}
-    if digests["small"] != digests["generic"]:
+    if digests["auto"] != digests["generic"]:
         failures.append(f"gemm@{prec}: tiered outputs diverge from the "
-                        f"generic kernels ({digests['small']} != "
+                        f"generic kernels ({digests['auto']} != "
                         f"{digests['generic']})")
     reports = {tier: report_snapshot(o.report)
                for tier, o in outcomes.items()}
-    if reports["small"] != reports["generic"]:
+    if reports["auto"] != reports["generic"]:
         failures.append(f"gemm@{prec}: tiered CostReport differs from "
                         f"the generic kernels")
 
@@ -152,7 +139,7 @@ def bench_scalar(prec: int, n: int, reps: int, failures) -> dict:
     total = sum(row["count"] for row in ops.values())
     print(f"gemm@{prec:>3}: {total:>6} recorded op(s)  "
           f"per-op speedup {speedup:5.2f}x  (floor {floor:.2f}x)  "
-          f"digest {digests['small']}")
+          f"digest {digests['auto']}")
     for op, row in sorted(ops.items()):
         print(f"    {op:<4} x{row['count']:<6} "
               f"{row['speedup']:5.2f}x")
@@ -161,69 +148,14 @@ def bench_scalar(prec: int, n: int, reps: int, failures) -> dict:
                         f"below the {floor:.2f}x floor")
     return {"prec": prec, "n": n, "ops": ops,
             "speedup_vs_generic": speedup, "floor": floor,
-            "digest": digests["small"],
-            "cycles": reports["small"]["cycles"]}
-
-
-# ----------------------------------------------------------------- #
-# Batched numpy tier vs the generic fused-loop batch kernels
-# ----------------------------------------------------------------- #
-
-def _random_batch(rng, lanes: int, prec: int) -> VPBatch:
-    kind, sign, mant, exp = [], [], [], []
-    for _ in range(lanes):
-        kind.append(Kind.FINITE)
-        sign.append(rng.randint(0, 1))
-        mant.append(rng.randrange(1 << (prec - 1), 1 << prec))
-        exp.append(rng.randrange(-40, 40))
-    return VPBatch(kind, sign, mant, exp, prec)
-
-
-def bench_batch(lanes: int, reps: int, failures) -> dict:
-    """Single-limb numpy tier vs the generic batch kernels on
-    broadcast operand batches; -> the JSON row."""
-    prec = BATCH_PREC
-    rng = random.Random(20260809)
-    ctx = BatchContext(lanes=lanes, kernel_tier="small")
-    rows = {}
-    np_total = generic_total = 0.0
-    for op in ("add", "mul"):
-        generic = batch_kernel_factory(op, prec, RNDN, None)(ctx)
-        tiered = npk.make_np_kernel(op, prec, None, ctx, generic)
-        a = _random_batch(rng, lanes, prec)
-        b = _random_batch(rng, lanes, prec)
-        r_np = tiered(a, b)  # also warms the cached uint64 form
-        r_gen = generic(a, b)
-        lanes_np = list(zip(r_np.kind, r_np.sign, r_np.mant, r_np.exp))
-        lanes_gen = list(zip(r_gen.kind, r_gen.sign, r_gen.mant,
-                             r_gen.exp))
-        if lanes_np != lanes_gen:
-            failures.append(f"batch {op}@{prec}: numpy-tier lanes "
-                            f"diverge from the generic kernel")
-        t_np = replay_seconds(tiered, [(a, b)] * 16, reps) / 16
-        t_gen = replay_seconds(generic, [(a, b)] * 16, reps) / 16
-        np_total += t_np
-        generic_total += t_gen
-        rows[op] = {"np_seconds": t_np, "generic_seconds": t_gen,
-                    "speedup": t_gen / t_np if t_np else float("inf")}
-    speedup = generic_total / np_total if np_total else float("inf")
-    floor = BATCH_FLOOR * bench_floor_scale()
-    print(f"batch@{prec} x{lanes} lanes: numpy-tier speedup "
-          f"{speedup:5.2f}x  (floor {floor:.2f}x)")
-    for op, row in sorted(rows.items()):
-        print(f"    {op:<4} {row['speedup']:5.2f}x")
-    if speedup < floor:
-        failures.append(f"batch@{prec} x{lanes}: numpy-tier speedup "
-                        f"{speedup:.2f}x below the {floor:.2f}x floor")
-    return {"prec": prec, "lanes": lanes, "ops": rows,
-            "speedup_vs_generic": speedup, "floor": floor,
-            "np_vector_ops": ctx.np_ops, "np_bailouts": ctx.np_bailouts}
+            "digest": digests["auto"],
+            "cycles": reports["auto"]["cycles"]}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="smaller gemm and batch, fewer reps "
+                        help="smaller gemm, fewer reps "
                              "(CI smoke mode; the floors still apply)")
     parser.add_argument("--reps", type=int, default=None,
                         help="replay repetitions per kernel "
@@ -235,20 +167,17 @@ def main(argv=None) -> int:
     reps = args.reps if args.reps is not None else (3 if args.quick
                                                     else 5)
     gemm_n = 6 if args.quick else 8
-    lanes = BATCH_LANES_QUICK if args.quick else BATCH_LANES_FULL
 
     failures: list = []
     document = {"version": BENCH_FORMAT_VERSION, "kernel": KERNEL,
                 "quick": args.quick, "reps": reps,
                 "floor_scale": bench_floor_scale(),
                 "meta": reproducibility_envelope(),
-                "scalar": [], "batch": None}
+                "scalar": []}
     print(f"bench_kernel_tiers: {KERNEL} n={gemm_n}, {reps} rep(s)")
     for prec in PRECISIONS:
         document["scalar"].append(bench_scalar(prec, gemm_n, reps,
                                                failures))
-    print()
-    document["batch"] = bench_batch(lanes, reps, failures)
 
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:

@@ -167,12 +167,6 @@ class AsmFunction:
         self.blocks.append(block)
         return block
 
-    def block_by_label(self, label: str) -> AsmBlock:
-        for block in self.blocks:
-            if block.label == label:
-                return block
-        raise KeyError(label)
-
     def instructions(self):
         for block in self.blocks:
             yield from block.instructions

@@ -83,26 +83,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-pool", action="store_true",
                         help="disable the runtime MPFR object pool")
     parser.add_argument("--kernel-tier",
-                        choices=("auto", "generic", "small"),
+                        choices=("auto", "generic"),
                         default="auto",
                         help="kernel-tier policy for the jit engine's "
                              "precision-specialized fast-path kernels "
                              "(<=64-bit and <=128-bit significands): "
                              "'auto' tiers by precision, 'generic' "
-                             "forces the generic kernels, 'small' also "
-                             "waives the batched numpy tier's lane-"
-                             "count floor; results are bit-identical "
-                             "across policies, which share one "
-                             "compile-cache entry")
+                             "forces the generic kernels; results are "
+                             "bit-identical across policies, which "
+                             "share one compile-cache entry")
     parser.add_argument("--batch", type=int, default=None, metavar="N",
-                        help="execute --run as one batched SPMD run of "
-                             "N independent lanes (mpfr backend, jit "
-                             "engine): one IR dispatch per instruction "
-                             "amortized over all lanes, bit-identical "
-                             "per-lane values and cycle reports to N "
-                             "serial runs; with --validate, certify "
-                             "every lane against a serial reference "
-                             "run (the serial<->batched transition)")
+                        help="execute --run for N identical lanes "
+                             "(mpfr backend, jit engine): one jit run "
+                             "serves every lane; --validate certifies "
+                             "that run as it does without --batch")
     parser.add_argument("--validate", action="store_true",
                         help="after --run, emit translation-validation "
                              "certificates: re-run FUNC on every other "
@@ -246,7 +240,8 @@ def _run(args) -> int:
     if args.run:
         run_args = _parse_run_args(args.args)
         if args.batch is not None:
-            return _run_batched(args, run_args, program)
+            return _run_batched(args, run_args, program, source,
+                                driver.cache)
         try:
             result = program.run(args.run, run_args,
                                  engine=args.engine,
@@ -277,8 +272,8 @@ def _run(args) -> int:
     return 0
 
 
-def _run_batched(args, run_args, program) -> int:
-    """Execute --run as one batched SPMD run of --batch lanes."""
+def _run_batched(args, run_args, program, source, cache) -> int:
+    """Execute --run for --batch lanes: one run serves them all."""
     if args.batch < 1:
         print(f"error: --batch must be >= 1, got {args.batch}",
               file=sys.stderr)
@@ -297,11 +292,8 @@ def _run_batched(args, run_args, program) -> int:
     except Exception as error:
         print(f"runtime error: {error}", file=sys.stderr)
         return 2
-    print(f"{args.run}(...) = {result.values[0]}  "
+    print(f"{args.run}(...) = {result.value}  "
           f"[{result.lanes} lanes, {result.mode}]")
-    if result.mode == "serial":
-        print(f"; batch bailed out to per-lane serial execution: "
-              f"{result.fallback_reason}", file=sys.stderr)
     if args.report:
         report = result.reports[0]
         print(f"per-lane cycles:   {report.cycles}")
@@ -310,16 +302,14 @@ def _run_batched(args, run_args, program) -> int:
         print(f"heap allocations:  {report.heap_allocations}")
         print(f"LLC misses:        {report.llc_misses}")
     if args.validate:
-        return _validate(args, run_args, program)
+        return _validate(args, run_args, program, source, cache)
     return 0
 
 
-def _validate(args, run_args, program, source=None, cache=None) -> int:
-    """Print certificates for the function just run; 3 if any fails.
-
-    A batched run certifies the batch against a serial jit run; a
-    serial one certifies the engine/pool transitions, the pass
-    transitions and the kernel-tier transition."""
+def _validate(args, run_args, program, source, cache) -> int:
+    """Print certificates for the function just run; 3 if any fails:
+    the engine/pool transitions, the pass transitions and the
+    kernel-tier transition."""
     if args.backend == "unum":
         print("error: --validate requires an interpreter backend "
               "(none/mpfr/boost)", file=sys.stderr)
@@ -329,26 +319,20 @@ def _validate(args, run_args, program, source=None, cache=None) -> int:
     run_options = {"pool": False if args.no_pool else None,
                    "kernel_tier": args.kernel_tier}
     common = dict(strict=False, engine=args.engine, run_options=run_options)
-    if args.batch is not None:
-        certificates = [certify(args.source, args.run, run_args,
-                                program=program, lanes=args.batch,
-                                **common)]
-    else:
-        # The pass transitions are certified against the full -O3.
-        options = {**asdict(program.options), "opt_level": 3,
-                   "cache": cache}
-        certificates = [
-            certify(args.source, args.run, run_args, program=program,
-                    only=("engine", "pool"), **common),
-            certify(args.source, args.run, run_args, kind="pass",
-                    source=source, options=options,
-                    only=("opt", "pass"), **common),
-            # Only the jit binds tiered kernels: certify the tier there.
-            certify(args.source, args.run, run_args, kind="kernel-tier",
-                    source=source, options=options, only=("tier",),
-                    **dict(common, engine="jit", run_options={
-                        **run_options, "kernel_tier": "small"})),
-        ]
+    # The pass transitions are certified against the full -O3.
+    options = {**asdict(program.options), "opt_level": 3, "cache": cache}
+    certificates = [
+        certify(args.source, args.run, run_args, program=program,
+                only=("engine", "pool"), **common),
+        certify(args.source, args.run, run_args, kind="pass",
+                source=source, options=options,
+                only=("opt", "pass"), **common),
+        # Only the jit binds tiered kernels: certify the tier there.
+        certify(args.source, args.run, run_args, kind="kernel-tier",
+                source=source, options=options, only=("tier",),
+                **dict(common, engine="jit", run_options={
+                    **run_options, "kernel_tier": "auto"})),
+    ]
     for certificate in certificates:
         print(certificate.render())
     return 0 if all(c.passed for c in certificates) else 3

@@ -66,7 +66,6 @@ from ..ir import (
     ICmpInst,
     LoadInst,
     PhiInst,
-    PointerType,
     RetInst,
     SelectInst,
     StoreInst,
@@ -77,7 +76,6 @@ from ..ir import (
 )
 from ..observability import CAT_COMPILE, observe
 from . import CODEGEN_VERSION
-from .batch_kernels import select_batch_kernel
 from .smallfloat import select_scalar_kernel
 
 #: vpfloat binary opcodes with an inlinable specialized kernel.
@@ -158,27 +156,6 @@ class _KernelMap(dict):
         return kernel
 
 
-class _BatchKernelMap(dict):
-    """``(prec, exp_bits) -> fused batched RNDN kernel`` for one op.
-
-    Batch-mode call sites additionally key on the destination handle's
-    exponent-range clamp (folded into the kernel's lane store), so the
-    emitted body needs no per-call clamp block.
-    """
-
-    def __init__(self, op: str, ctx):
-        super().__init__()
-        self.op = op
-        self.ctx = ctx
-
-    def __missing__(self, key):
-        prec, exp_bits = key
-        kernel = select_batch_kernel(self.op, prec, RNDN, exp_bits,
-                                     self.ctx)
-        self[key] = kernel
-        return kernel
-
-
 class JitRuntime:
     """Make-time resolver for one (interpreter, function) pair.
 
@@ -222,9 +199,6 @@ class JitRuntime:
     def default(self, bi: int, ii: int):
         """The (shared) zero value loads of this instruction produce."""
         return self.interp._default(self._inst(bi, ii).type, None)
-
-    def global_addr(self, name: str) -> int:
-        return self.interp.globals[name]
 
     def function(self, name: str) -> Function:
         return self.interp.module.get_function(name)
@@ -275,31 +249,6 @@ class JitRuntime:
         if isinstance(v, Function):
             return v
         raise TypeError(f"cannot resolve {type(v).__name__} at bind time")
-
-
-class BatchJitRuntime(JitRuntime):
-    """Resolver for batch-mode modules: mpfr kernel maps hand out the
-    fused N-lane kernels (clamp folded, keyed ``(prec, exp_bits)``) and
-    scalar assignments broadcast across the interpreter's lanes."""
-
-    __slots__ = ()
-
-    def mpfr_kernels(self, op: str):
-        if op == "set_d":
-            return self.batch_from_float
-        if op == "set_si":
-            return self.batch_from_int
-        return _BatchKernelMap(op, self.interp.batch)
-
-    def batch_from_float(self, value, prec: int):
-        from ..runtime.batch import VPBatch
-        return VPBatch.broadcast(BigFloat.from_float(value, prec),
-                                 self.interp.batch.lanes)
-
-    def batch_from_int(self, value, prec: int):
-        from ..runtime.batch import VPBatch
-        return VPBatch.broadcast(BigFloat.from_int(value, prec),
-                                 self.interp.batch.lanes)
 
 
 def _bind_runtime_refs() -> None:
@@ -380,7 +329,7 @@ def mpfr_fast_path(interp):
             return handler([d, a, b], inst, None)
         prec = x.prec
         # Fused kernel with the destination handle's exponent-range
-        # clamp folded in (scalar and batch); no per-call clamp.
+        # clamp folded in; no per-call clamp.
         x.value = kernels[prec, x.exp_bits](y.value, z.value)
         stats.ops += 1
         bump(name)
@@ -475,9 +424,6 @@ class FunctionEmitter:
     def __init__(self, interp, func: Function):
         self.interp = interp
         self.func = func
-        # Batched interpreters carry a BatchContext; their modules use
-        # the fused N-lane mpfr kernels and broadcast assignments.
-        self.batch = getattr(interp, "batch", None) is not None
         self.names: Dict[int, str] = {}
         self.pool: Dict[int, str] = {}
         self.prelude: List[str] = []
@@ -896,8 +842,6 @@ class FunctionEmitter:
             msg = f"{op} unsupported on vpfloat"
             out.append(f"raise _VPR({msg!r})")
             return
-        if self.batch:
-            raise _Unsupported("native vp arithmetic in batch mode")
         if vptype.format == "posit":
             raise _Unsupported("posit vp arithmetic")
         if not self._vp_static_ok(vptype):
@@ -1140,8 +1084,6 @@ class FunctionEmitter:
         out.append(f"{name} = _cast({handle}, {source}, None)")
 
     def _emit_fneg(self, inst: FNegInst, bi, ii, out) -> None:
-        if self.batch and inst.type.is_vpfloat:
-            raise _Unsupported("native vp negation in batch mode")
         a = self.ref(inst.operands[0], bi, ii, 0)
         name = self.names[id(inst)]
         self._charge("fneg", "f64_other")
@@ -1237,10 +1179,8 @@ def emit_function_source(interp, func: Function
 
 class CodegenStore:
     """Per-program store of jit artifacts: per function, a status,
-    fallback reason, compiled code object and line map.  Batched
-    interpreters record under ``<name>@batch`` (see :class:`JitEngine`),
-    so one store holds a program's serial and batched code; every
-    kernel-tier policy shares both, since tiers bind at bind time.
+    fallback reason, compiled code object and line map.  Every
+    kernel-tier policy shares it, since tiers bind at bind time.
 
     Backed by a :class:`~repro.core.cache.CompileCache` ``.vpcgen``
     sidecar when the program came through the compile cache, so warm
@@ -1310,16 +1250,7 @@ class JitEngine:
     def __init__(self, interp, store: Optional[CodegenStore] = None):
         self.interp = interp
         self.store = store if store is not None else CodegenStore()
-        #: Batched modules use the fused N-lane kernels and may fall
-        #: back where serial ones do not, so their store records stay
-        #: separate, as ``<name>@batch``.
-        self.suffix = "@batch" \
-            if getattr(interp, "batch", None) is not None else ""
         self._entries: Dict[int, Optional[object]] = {}
-
-    def record_for(self, func: Function) -> Optional[dict]:
-        """The store's record of ``func`` in this engine's mode."""
-        return self.store.lookup(func.name + self.suffix)
 
     def entry(self, func: Function):
         cached = self._entries.get(id(func), self)
@@ -1343,7 +1274,7 @@ class JitEngine:
     def _materialize(self, func: Function):
         """-> (entry | None, status, reason, cached)."""
         interp = self.interp
-        record = self.record_for(func)
+        record = self.store.lookup(func.name)
         cached = record is not None
         if record is None:
             record = self._compile(func)
@@ -1353,9 +1284,8 @@ class JitEngine:
         LINE_MAPS[func.name] = (code.co_filename, record["line_map"])
         namespace: Dict[str, object] = {}
         exec(code, namespace)
-        runtime_cls = BatchJitRuntime if self.suffix else JitRuntime
         try:
-            entry = namespace["_make"](runtime_cls(interp, func))
+            entry = namespace["_make"](JitRuntime(interp, func))
         except Exception as e:
             # Bind-time resolution failed (e.g. an invalid constant):
             # the legacy walker reproduces the error at execution.
@@ -1368,13 +1298,12 @@ class JitEngine:
         metrics = self.interp.metrics
         store = self.store
         name = func.name
-        key = name + self.suffix
         t0 = time.perf_counter()
         try:
             emitter = FunctionEmitter(self.interp, func)
             source = emitter.emit()
         except _Unsupported as e:
-            return store.record(key, "fallback", reason=str(e))
+            return store.record(name, "fallback", reason=str(e))
         finally:
             if metrics is not None:
                 metrics.observe("codegen.emit_seconds",
@@ -1384,9 +1313,9 @@ class JitEngine:
         try:
             code = compile(source, f"<vpjit:{name}:{digest}>", "exec")
         except SyntaxError:
-            return store.record(key, "fallback", reason="compile error")
+            return store.record(name, "fallback", reason="compile error")
         if metrics is not None:
             metrics.observe("codegen.compile_seconds",
                             time.perf_counter() - t0)
-        return store.record(key, "jit", code=code,
+        return store.record(name, "jit", code=code,
                             line_map=emitter.line_map)

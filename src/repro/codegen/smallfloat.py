@@ -57,7 +57,7 @@ from typing import Callable, Dict, Optional, Tuple
 from ..bigfloat import arith
 from ..bigfloat.number import BigFloat, Kind, _FastBigFloat
 from ..bigfloat.rounding import RoundingMode
-from .kernels import KERNEL_OPS, _incr_cond, _sticky_small_cond
+from .kernels import KERNEL_OPS, _incr_cond
 
 #: Largest precision with a smallfloat kernel (two 64-bit limbs).
 SMALLFLOAT_MAX_PREC = 128
@@ -66,11 +66,8 @@ TIER1_MAX_PREC = 64
 
 #: Kernel-tier selection policies (the ``--kernel-tier`` knob):
 #: ``auto`` tiers by precision, ``generic`` forces the generic
-#: kernels everywhere (the ablation baseline), ``small`` insists on
-#: the specialized tier wherever one exists -- identical scalar
-#: selection to ``auto``, but the batched numpy tier additionally
-#: ignores its minimum-lane-count heuristic.
-KERNEL_TIER_POLICIES = ("auto", "generic", "small")
+#: kernels everywhere (the ablation baseline).
+KERNEL_TIER_POLICIES = ("auto", "generic")
 
 #: Alignment cap for add/sub beyond the kept significand: guard bits
 #: plus the window the rounding tail needs.  Anything shifted further
@@ -583,8 +580,8 @@ def select_scalar_kernel(op: str, prec: int, exp_bits: Optional[int],
                          ) -> Callable:
     """The scalar kernel the jit binds for one call-site key.
 
-    ``policy`` is the run's kernel-tier override: "auto"/"small" pick
-    the tiered kernel whenever the precision has one, "generic" forces
+    ``policy`` is the run's kernel-tier override: "auto" picks the
+    tiered kernel whenever the precision has one, "generic" forces
     the generic specialized kernel (the bisect lever).  With ``stats``
     the chosen kernel is wrapped in a per-tier counting closure and
     tiered kernels report fallback reasons.

@@ -16,7 +16,8 @@ machine model).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
 from ..backends import BoostLoweringPass, MPFRLoweringPass
@@ -41,9 +42,10 @@ from .cache import CacheStats, CompileCache, as_compile_cache, \
 BACKENDS = ("none", "mpfr", "boost", "unum")
 
 __all__ = [
-    "BACKENDS", "CacheStats", "CompileCache", "CompileOptions",
-    "CompiledProgram", "CompilerDriver", "ENGINES", "as_compile_cache",
-    "compile_source", "default_cache_dir", "resolve_engine",
+    "BACKENDS", "BatchResult", "CacheStats", "CompileCache",
+    "CompileOptions", "CompiledProgram", "CompilerDriver", "ENGINES",
+    "as_compile_cache", "compile_source", "default_cache_dir",
+    "resolve_engine",
 ]
 
 
@@ -62,7 +64,7 @@ def resolve_engine(engine: Optional[str]) -> str:
 
 
 def _check_kernel_tier(kernel_tier: str) -> str:
-    """Validate a kernel-tier policy name (auto/generic/small)."""
+    """Validate a kernel-tier policy name (auto/generic)."""
     from ..codegen.smallfloat import KERNEL_TIER_POLICIES
 
     if kernel_tier not in KERNEL_TIER_POLICIES:
@@ -92,6 +94,28 @@ class CompileOptions:
     verify: bool = True
 
 
+@dataclass
+class BatchResult:
+    """Outcome of :meth:`CompiledProgram.run_batch`: one run's value,
+    report and interpreter, returned for every lane.  ``mode`` is always
+    ``"batched"``: one execution served every lane."""
+
+    lanes: int
+    values: List[object]
+    reports: List[object]
+    stdout: List[str] = field(default_factory=list)
+    mode: str = "batched"
+    interpreter: object = None
+
+    @property
+    def value(self):
+        return self.values[0]
+
+    @property
+    def report(self):
+        return self.reports[0]
+
+
 class CompiledProgram:
     """The result of a compilation: IR module and (for unum) assembly."""
 
@@ -103,9 +127,8 @@ class CompiledProgram:
         self.tiled_nests = tiled_nests
         #: Wall-clock seconds per middle-end pass / backend lowering.
         self.pass_timings: dict = pass_timings or {}
-        #: Jit-engine codegen store, serial and batched records alike
-        #: (set by the driver when the program came through a
-        #: CompileCache; else created lazily).
+        #: Jit-engine codegen store (set by the driver when the program
+        #: came through a CompileCache; else created lazily).
         self._codegen_store = None
         #: Engine the driver was configured for; ``run()`` falls back
         #: to it when no ``engine`` is passed.
@@ -168,7 +191,7 @@ class CompiledProgram:
         becomes ``result.profile``; values and the CostReport equal an
         unprofiled legacy run's.  ``pool`` switches the MPFR object pool
         (default per backend: on except for Boost).  ``kernel_tier`` is
-        this run's kernel-tier policy (auto/generic/small: the jit
+        this run's kernel-tier policy (auto/generic: the jit
         engine's precision-specialized fast-path kernels vs the generic
         ones; bit-identical either way, and bound when the run binds
         its jit code, so every tier shares one codegen sidecar).  The
@@ -194,16 +217,55 @@ class CompiledProgram:
             return result
         if profile:
             mode = "legacy"  # the exact profiler hooks the walker
+        return self._execute(
+            name, args, mode, cache, max_steps, costs, pool, kernel_tier,
+            profile, partial(observe, f"execute:{name}", event="run",
+                             backend=backend))
+
+    def run_batch(self, name: str, args: Optional[List[object]] = None,
+                  lanes: int = 1, cache: bool = True,
+                  max_steps: int = 500_000_000, costs=None,
+                  pool: Optional[bool] = None,
+                  kernel_tier: str = "auto") -> BatchResult:
+        """Execute a function for ``lanes`` identical requests.
+
+        Every lane is the same program on the same arguments, so one
+        jit run serves them all: its value, report and interpreter are
+        returned for every lane.  mpfr backend only.
+        """
+        backend = self.options.backend
+        if backend != "mpfr":
+            raise ValueError(
+                "batched execution requires the mpfr backend, "
+                f"not {backend!r}")
+        if lanes < 1:
+            raise ValueError(f"batch needs >= 1 lane, got {lanes}")
+        result = self._execute(
+            name, args, "jit", cache, max_steps, costs, pool, kernel_tier,
+            False, partial(observe, f"execute-batch:{name}",
+                           event="batch_run", backend=backend, lanes=lanes),
+            lanes=lanes, mode="batched")
+        return BatchResult(lanes=lanes, values=[result.value] * lanes,
+                           reports=[result.report] * lanes,
+                           stdout=result.stdout,
+                           interpreter=result.interpreter)
+
+    def _execute(self, name: str, args, dispatch: str, cache: bool,
+                 max_steps: int, costs, pool: Optional[bool],
+                 kernel_tier: str, profile: bool, boundary,
+                 **notes) -> ExecutionResult:
+        """One interpreter run of ``name`` inside the observation
+        ``boundary()`` opens (``notes`` join its record)."""
+        backend = self.options.backend
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
         tier = _check_kernel_tier(kernel_tier)
-        store = self._codegen_store_for(mode)
+        store = self._codegen_store_for(dispatch)
         interpreter = Interpreter(self.module, accounting=accounting,
-                                  max_steps=max_steps, dispatch=mode,
+                                  max_steps=max_steps, dispatch=dispatch,
                                   mpfr_pool=self._pool_default(pool),
                                   codegen_store=store, kernel_tier=tier)
-        with observe(f"execute:{name}", event="run",
-                     backend=backend) as obs:
+        with boundary() as obs:
             try:
                 result = exact_run(interpreter, name, args) if profile \
                     else interpreter.run(name, args)
@@ -220,87 +282,9 @@ class CompiledProgram:
                 obs.attach(tier_stats)
                 obs.note(kernel_tier=tier,
                          kernel_tiers=tier_stats.as_dict())
-            obs.note(function=name, backend=backend, engine=mode)
+            obs.note(function=name, backend=backend, engine=dispatch,
+                     **notes)
         return result
-
-    def run_batch(self, name: str, args: Optional[List[object]] = None,
-                  lanes: int = 1, cache: bool = True,
-                  max_steps: int = 500_000_000, costs=None,
-                  pool: Optional[bool] = None,
-                  kernel_tier: str = "auto"):
-        """Execute a function across ``lanes`` independent instances
-        with one IR dispatch per instruction (the batched jit engine).
-
-        All lanes run the same program and arguments in lockstep SPMD;
-        per-lane values and the shared :class:`CostReport` are
-        bit-identical to ``lanes`` serial jit runs.  A program the
-        batched engine cannot run in lockstep (divergent comparisons,
-        non-jittable functions) transparently falls back to per-lane
-        serial execution -- still correct, reported via
-        ``BatchResult.mode`` and telemetry.  mpfr backend only.
-        """
-        from ..runtime.batch import (
-            BatchDivergence,
-            BatchInterpreter,
-            BatchResult,
-            BatchUnsupported,
-            lane_view,
-        )
-
-        if self.options.backend != "mpfr":
-            raise ValueError(
-                "batched execution requires the mpfr backend, "
-                f"not {self.options.backend!r}")
-        accounting = CostAccounting(costs=costs,
-                                    cache=CacheModel() if cache else None)
-        tier = _check_kernel_tier(kernel_tier)
-        store = self._codegen_store_for("jit")
-        interpreter = BatchInterpreter(
-            self.module, lanes, accounting=accounting,
-            max_steps=max_steps, mpfr_pool=self._pool_default(pool),
-            codegen_store=store, kernel_tier=tier)
-        batch_ctx = interpreter.batch
-        with observe(f"execute-batch:{name}", event="batch_run",
-                     backend=self.options.backend, lanes=lanes) as obs:
-            obs.note(function=name, backend=self.options.backend,
-                     engine="jit", lanes=lanes)
-            try:
-                result = interpreter.run(name, args)
-            except (BatchDivergence, BatchUnsupported) as exc:
-                batch_ctx.serial_fallback_lanes += lanes
-                batch_ctx.flush(current_metrics())
-                obs.arg(fallback=str(exc))
-                # Per-lane serial jit runs stand in for the batch; their
-                # own boundaries already fed the metrics.
-                runs = [self.run(name, args, cache=cache,
-                                 max_steps=max_steps, costs=costs,
-                                 pool=pool, engine="jit",
-                                 kernel_tier=kernel_tier)
-                        for _ in range(lanes)]
-                obs.attach(runs[0].report, absorb=False)
-                obs.note(mode="serial", fallback_reason=str(exc))
-                return BatchResult(
-                    lanes=lanes, values=[run.value for run in runs],
-                    reports=[run.report for run in runs],
-                    stdout=runs[-1].stdout, mode="serial",
-                    fallback_reason=str(exc),
-                    interpreter=runs[-1].interpreter)
-            finally:
-                obs.arg(cycles=accounting.report.cycles)
-                store.flush()
-            values = [lane_view(result.value, i) for i in range(lanes)]
-            if (batch_ctx.np_ops, batch_ctx.np_lanes,
-                    batch_ctx.np_bailouts) != (0, 0, 0):
-                obs.note(kernel_tier=tier, kernel_tiers={"batch_np": {
-                    "ops": batch_ctx.np_ops, "lanes": batch_ctx.np_lanes,
-                    "bailouts": batch_ctx.np_bailouts}})
-            batch_ctx.flush(current_metrics())
-            obs.attach(result.report, interpreter.mpfr.stats)
-            obs.note(mode="batched")
-        return BatchResult(lanes=lanes, values=values,
-                           reports=[result.report] * lanes,
-                           stdout=result.stdout, mode="batched",
-                           interpreter=interpreter)
 
     def interpreter(self, cache: bool = True,
                     max_steps: int = 500_000_000, costs=None,
@@ -386,8 +370,8 @@ class CompilerDriver:
                 key: Optional[str] = None) -> CompiledProgram:
         """Attach driver-side state to a (possibly cached) program: the
         key it was served under, the default engine and -- in jit mode
-        with a cache -- the codegen store (serial and batched records)
-        persisting next to the pickle."""
+        with a cache -- the codegen store persisting next to the
+        pickle."""
         program.fingerprint = key
         program._default_engine = self.engine
         if self.engine == "jit" and key is not None:

@@ -168,8 +168,8 @@ class CompileCache:
         programs (and their codegen sidecars) from ever being replayed
         under a different engine or a stale emitted-source format.
         Run-time choices stay out of the key: the kernel tier binds
-        when a jit module is bound, not when it is emitted, and one
-        sidecar holds a program's serial and batched records.
+        when a jit module is bound, not when it is emitted, and
+        ``run_batch`` is one ordinary jit run.
         """
         h = hashlib.sha256()
         h.update(b"vpfloat-compile-cache\0")

@@ -15,7 +15,6 @@ from ..bigfloat import BigFloat
 from ..core import CompilerDriver
 from ..observability import observe
 from ..runtime import CostReport
-from ..runtime.batch import lane_view
 from ..unum import UnumConfig, UnumCoprocessor, decode as unum_decode
 from ..workloads.polybench import KERNELS, source_for
 
@@ -60,9 +59,8 @@ class RunOutcome:
     #: Translation-validation certificate (None unless ``validate=``
     #: was requested and the backend supports it).
     certificate: object = None
-    #: Batched execution (None for serial points): the lane count and
-    #: whether the batch actually ran in lockstep ("batched") or bailed
-    #: out to per-lane serial jit runs ("serial").
+    #: ``run_batch`` execution (None for serial points): the lane count
+    #: and the batch's mode (always "batched": one run served them all).
     batch: Optional[int] = None
     batch_mode: Optional[str] = None
 
@@ -172,13 +170,10 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     Certificates only apply to the interpreter backends; unum-machine
     points are returned unvalidated.
 
-    ``batch=N`` (mpfr backend, jit engine) executes the kernel as one
-    batched SPMD run of N lanes (:meth:`CompiledProgram.run_batch`) and
-    returns lane 0's outputs and report -- bit-identical to a serial
-    run, since every lane computes the same point.  ``validate=True``
-    then certifies the batch instead: one serial jit reference run,
-    every lane of the batch and of a generic-tier batch checked against
-    it under the ``exact`` invariant."""
+    ``batch=N`` (mpfr backend, jit engine) executes the kernel through
+    :meth:`CompiledProgram.run_batch`, whose one run serves all N
+    lanes; ``validate=True`` certifies that run as it does a serial
+    one."""
     spec = KERNELS[kernel]
     source = source_for(kernel, canonical_source_ftype(ftype))
     with observe(None, event="eval_point") as obs:
@@ -204,25 +199,21 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
         kind, params = parse_ftype(ftype)
 
         if batch is not None:
-            outcome = _run_kernel_batched(
-                program, spec, kernel, ftype, backend, n, batch,
-                cache=cache, max_steps=max_steps, costs=costs, pool=pool,
-                kernel_tier=kernel_tier, read_outputs=read_outputs,
-                validate=validate)
-            obs.note(engine="jit", lanes=batch)
-            obs.attach(outcome.report, absorb=False)
-            return outcome
-
-        if backend == "unum":
-            if coprocessor is None:
+            result = program.run_batch("run", [n], lanes=batch,
+                                       cache=cache, max_steps=max_steps,
+                                       costs=costs, pool=pool,
+                                       kernel_tier=kernel_tier)
+            engine = "jit"
+        else:
+            if backend == "unum" and coprocessor is None:
                 config = UnumConfig(params["ess"], params["fss"],
                                     params.get("size"))
                 coprocessor = UnumCoprocessor(
                     wgp=min(512, config.precision))
-        result = program.run("run", [n], cache=cache, max_steps=max_steps,
-                             costs=costs, coprocessor=coprocessor,
-                             engine=engine, pool=pool,
-                             kernel_tier=kernel_tier)
+            result = program.run("run", [n], cache=cache,
+                                 max_steps=max_steps, costs=costs,
+                                 coprocessor=coprocessor, engine=engine,
+                                 pool=pool, kernel_tier=kernel_tier)
         outputs: List[Number] = []
         if backend == "unum":
             if read_outputs:
@@ -243,76 +234,42 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                              result.report, result.value,
                              mpfr_stats=result.interpreter.mpfr.stats,
                              pass_timings=program.pass_timings)
+        if batch is not None:
+            outcome.batch, outcome.batch_mode = batch, "batched"
+            obs.note(lanes=batch)
         obs.note(engine=engine)
         # The run's own boundary already fed the metrics.
         obs.attach(result.report, absorb=False)
         if validate:
             obs.note(validated=False)  # recorded if validation raises
             outcome.certificate = _certify_point(
-                program, spec, outcome, engine, None, cache=cache,
+                program, spec, outcome, engine, cache=cache,
                 max_steps=max_steps, costs=costs, pool=pool,
                 kernel_tier=kernel_tier)
             obs.note(validated=True)
         return outcome
 
 
-def _run_kernel_batched(program, spec, kernel: str, ftype: str,
-                        backend: str, n: int, lanes: int, cache: bool,
-                        max_steps: int, costs, pool: Optional[bool],
-                        kernel_tier: str, read_outputs: bool,
-                        validate: bool) -> RunOutcome:
-    """One batched SPMD execution standing in for a serial point.
-
-    All lanes compute the same (kernel, n) point, so the outcome
-    carries lane 0's value/outputs/report -- which the batch engine
-    guarantees (and ``validate=True`` certifies) to be bit-identical
-    to a serial jit run."""
-    result = program.run_batch("run", [n], lanes=lanes, cache=cache,
-                               max_steps=max_steps, costs=costs,
-                               pool=pool, kernel_tier=kernel_tier)
-    value = result.values[0]
-    outputs: List[Number] = []
-    if read_outputs and result.interpreter is not None:
-        outputs = _read_interpreter_outputs(
-            result.interpreter, int(value), spec.outputs(n), ftype,
-            backend, lane=0)
-    outcome = RunOutcome(kernel, ftype, backend, n, outputs,
-                         result.reports[0], value,
-                         mpfr_stats=(result.interpreter.mpfr.stats
-                                     if result.interpreter is not None
-                                     else None),
-                         pass_timings=program.pass_timings,
-                         batch=lanes, batch_mode=result.mode)
-    if validate:
-        outcome.certificate = _certify_point(
-            program, spec, outcome, "jit", lanes, cache=cache,
-            max_steps=max_steps, costs=costs, pool=pool,
-            kernel_tier=kernel_tier)
-    return outcome
-
-
 def _certify_point(program, spec, outcome: RunOutcome,
-                   engine: Optional[str], lanes: Optional[int],
-                   **run_options) -> object:
+                   engine: Optional[str], **run_options) -> object:
     """Certify the point just run (strict): re-run it under every
-    applicable transition (``lanes``: the batch against a serial jit
-    reference) and compare values -- plus the output arrays, when the
-    point read them -- and cycle reports."""
+    applicable transition and compare values -- plus the output arrays,
+    when the point read them -- and cycle reports."""
     from ..validation import certify
 
     count = spec.outputs(outcome.n)
 
-    def read(value, interpreter, lane):
+    def read(value, interpreter):
         values = [value]
         if outcome.outputs:
             values += _read_interpreter_outputs(
                 interpreter, int(value), count, outcome.ftype,
-                outcome.backend, lane=lane)
+                outcome.backend)
         return values
 
     return certify(
         f"{outcome.kernel}-{outcome.backend}", "run", [outcome.n],
-        program=program, engine=engine, lanes=lanes, read=read,
+        program=program, engine=engine, read=read,
         run_options=run_options,
         witness={"kernel": outcome.kernel, "ftype": outcome.ftype,
                  "n": outcome.n})
@@ -324,19 +281,15 @@ def read_lane_outputs(interpreter, base: int, count: int, ftype: str,
 
     The public face of the output reader for callers that hold a
     finished interpreter directly (the compile/run service's workers
-    read every lane of a coalesced batch this way); serial cells
-    ignore ``lane``."""
+    read a coalesced batch this way).  Every lane of a ``run_batch``
+    is the one run, so each ``lane`` reads the same cells."""
     return _read_interpreter_outputs(interpreter, base, count, ftype,
-                                     backend, lane=lane)
+                                     backend)
 
 
 def _read_interpreter_outputs(interpreter, base: int, count: int,
-                              ftype: str, backend: str,
-                              lane: int = 0) -> List[Number]:
-    """Extract ``count`` output elements from simulated memory.
-
-    ``lane`` selects the lane of batched (VPBatch-valued) cells; serial
-    cells are unaffected by it."""
+                              ftype: str, backend: str) -> List[Number]:
+    """Extract ``count`` output elements from simulated memory."""
     stride = element_stride(ftype, backend)
     kind, _params = parse_ftype(ftype)
     values: List[Number] = []
@@ -346,9 +299,7 @@ def _read_interpreter_outputs(interpreter, base: int, count: int,
         if raw is None:
             values.append(0.0)
         elif hasattr(raw, "value") and hasattr(raw, "prec"):
-            # MpfrVar handle: its value is a BigFloat (serial) or a
-            # VPBatch (batched run) -- lane_view resolves both.
-            values.append(lane_view(raw, lane))
+            values.append(raw.value)  # MpfrVar handle
         else:
             values.append(raw)
     return values

@@ -75,10 +75,9 @@ def shard_tasks(count: int, jobs: int,
     shard, groups are assigned in first-occurrence order (group ``g``
     to shard ``g % jobs``), and each shard keeps its tasks in grid
     order.  The evaluation drivers group by (kernel, backend, element
-    type) so one worker holds all the points a batched execution could
-    amortize over -- same compiled program, same precision -- instead
-    of interleaving unrelated kernels; the assignment stays a pure
-    function of the grid.
+    type) so one worker holds all the points that share a compiled
+    program and precision, instead of interleaving unrelated kernels;
+    the assignment stays a pure function of the grid.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -311,11 +310,11 @@ def _eval_point(point: GridPoint) -> RunOutcome:
 
 
 def _point_group(point: GridPoint):
-    """The batchable-group key of a sweep point: every point sharing
-    it compiles to the same program at the same precision, so one
-    worker can amortize compilation -- and batched execution -- over
-    the whole group.  Unparseable element types fall back to their
-    literal spelling (run_kernel will surface the error)."""
+    """The group key of a sweep point: every point sharing it compiles
+    to the same program at the same precision, so one worker can
+    amortize compilation over the whole group.  Unparseable element
+    types fall back to their literal spelling (run_kernel will surface
+    the error)."""
     from .harness import canonical_source_ftype
 
     try:
@@ -330,11 +329,10 @@ def run_grid(points: Sequence[GridPoint], jobs: int = 1,
              compile_cache: bool = True) -> List[RunOutcome]:
     """Evaluate a grid of sweep points; outcomes in grid order.
 
-    Points are sharded by batchable group -- (kernel, backend,
-    canonical element type) -- so each worker sweeps whole
-    same-program groups instead of an interleaving of unrelated
-    kernels (better compile-cache locality, and the shard a batched
-    engine can amortize over).  Results are bit-identical either way.
+    Points are sharded by group -- (kernel, backend, canonical element
+    type) -- so each worker sweeps whole same-program groups instead
+    of an interleaving of unrelated kernels (better compile-cache
+    locality).  Results are bit-identical either way.
     """
     points = list(points)
     return parallel_map(_eval_point, [(p,) for p in points], jobs=jobs,

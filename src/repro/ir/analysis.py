@@ -143,12 +143,6 @@ class Loop:
                     out.append(succ)
         return out
 
-    def exiting_blocks(self) -> List[BasicBlock]:
-        return [
-            b for b in self.blocks
-            if any(s not in self.blocks for s in b.successors())
-        ]
-
     def latches(self) -> List[BasicBlock]:
         return [b for b in self.blocks
                 if self.header in b.successors() and b is not self.header]
@@ -212,18 +206,6 @@ class LoopInfo:
                     blocks.add(pred)
                     worklist.append(pred)
         return blocks
-
-    def loop_for(self, block: BasicBlock) -> Optional[Loop]:
-        """Innermost loop containing ``block``."""
-        best: Optional[Loop] = None
-        for loop in self.loops:
-            if block in loop.blocks:
-                if best is None or len(loop.blocks) < len(best.blocks):
-                    best = loop
-        return best
-
-    def top_level(self) -> List[Loop]:
-        return [l for l in self.loops if l.parent is None]
 
     def innermost(self) -> List[Loop]:
         return [l for l in self.loops if not l.subloops]

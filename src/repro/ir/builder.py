@@ -27,7 +27,6 @@ from .types import (
     F64,
     I1,
     I32,
-    I64,
     FloatType,
     IntType,
     IRType,
@@ -69,9 +68,6 @@ class IRBuilder:
 
     def const_int(self, value: int, type: IntType = I32) -> ConstantInt:
         return ConstantInt(type, value)
-
-    def const_i64(self, value: int) -> ConstantInt:
-        return ConstantInt(I64, value)
 
     def const_bool(self, value: bool) -> ConstantInt:
         return ConstantInt(I1, int(value))

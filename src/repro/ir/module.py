@@ -40,9 +40,6 @@ class VPFloatAttributeRegistry:
     def is_attribute(self, value: Value) -> bool:
         return id(value) in self._types_by_attr
 
-    def types_using(self, value: Value) -> List[VPFloatType]:
-        return list(self._types_by_attr.get(id(value), []))
-
     def replace_attribute(self, old: Value, new: Value) -> None:
         """An attribute Value was RAUW'd: mutate every dependent type."""
         bucket = self._types_by_attr.pop(id(old), None)
@@ -110,9 +107,6 @@ class BasicBlock:
 
     def phis(self) -> List[PhiInst]:
         return [i for i in self.instructions if isinstance(i, PhiInst)]
-
-    def non_phi_instructions(self) -> List[Instruction]:
-        return [i for i in self.instructions if not isinstance(i, PhiInst)]
 
     def __str__(self) -> str:
         body = "\n".join(f"  {inst}" for inst in self.instructions)
@@ -217,10 +211,6 @@ class Module:
         if existing is not None:
             return existing
         return self.add_function(Function(name, type))
-
-    def remove_function(self, name: str) -> None:
-        func = self.functions.pop(name)
-        func.parent = None
 
     def add_global(self, var: GlobalVariable) -> GlobalVariable:
         if var.name in self.globals:

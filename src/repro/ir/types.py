@@ -167,9 +167,6 @@ class StructType(IRType):
         self.name = name
         self.fields: List[IRType] = list(fields) if fields else []
 
-    def set_body(self, fields: Sequence[IRType]) -> None:
-        self.fields = list(fields)
-
     def __str__(self) -> str:
         return f"%{self.name}"
 

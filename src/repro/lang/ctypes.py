@@ -32,10 +32,6 @@ class CType:
     def is_integer(self) -> bool:
         return isinstance(self, IntT)
 
-    @property
-    def is_pointerish(self) -> bool:
-        return isinstance(self, (PointerT, ArrayT))
-
 
 @dataclass(frozen=True)
 class VoidT(CType):

@@ -195,51 +195,6 @@ def render_codegen_summary(data: dict) -> str:
     return "\n".join(lines)
 
 
-def render_batched_summary(data: dict) -> str:
-    """Batched-execution telemetry, derived from the ``batch.*``
-    counters and histograms :class:`~repro.runtime.batch.BatchContext`
-    flushes after every batched run (executions, lanes, fused ops,
-    scalar fallbacks, divergence bailouts, and the batch-size and
-    lane-occupancy histograms).  Empty string when the run never used
-    the batched engine."""
-    counters = data.get("counters", {})
-    executions = int(counters.get("batch.executions", 0))
-    if not executions:
-        return ""
-    lanes = int(counters.get("batch.lanes", 0))
-    ops = int(counters.get("batch.ops", 0))
-    fallbacks = int(counters.get("batch.scalar_fallbacks", 0))
-    lane_ops = int(counters.get("batch.fast_lanes", 0)) + fallbacks
-    lines = [f"batched execution: {executions} batch run(s), "
-             f"{lanes} lane(s), {ops} fused op(s)"]
-    if ops:
-        share = (100.0 * fallbacks / lane_ops) if lane_ops else 0.0
-        lines.append(f"  scalar fallbacks: {fallbacks} lane-op(s)"
-                     f" ({share:.1f}% of lane-ops)")
-    bailouts = int(counters.get("batch.divergence_bailouts", 0))
-    serial_lanes = int(counters.get("batch.serial_fallback_lanes", 0))
-    if bailouts or serial_lanes:
-        lines.append(f"  divergence bailouts: {bailouts}, "
-                     f"serial-fallback lanes: {serial_lanes}")
-    histograms = data.get("histograms", {})
-    occupancy = histograms.get("batch.occupancy", {})
-    if occupancy:
-        lines.append("  occupancy (fast lanes per fused op):")
-        header = f"    {'bucket':>8} {'ops':>10}"
-        lines.append(header)
-        lines.append("    " + "-" * (len(header) - 4))
-        for bucket in sorted(occupancy, key=float, reverse=True):
-            lines.append(f"    {f'{float(bucket):.0f}%':>8} "
-                         f"{int(occupancy[bucket]):>10}")
-    sizes = histograms.get("batch.size", {})
-    if sizes:
-        shape = ", ".join(f"{float(b):.0f}x{int(c)}"
-                          for b, c in sorted(sizes.items(),
-                                             key=lambda kv: float(kv[0])))
-        lines.append(f"  batch sizes (lanes x runs): {shape}")
-    return "\n".join(lines)
-
-
 def render_validation_summary(data: dict) -> str:
     """Translation-validation outcomes, derived from the ``validate.*``
     counters the harness emits (certificates by kind, per-check
@@ -290,25 +245,22 @@ def render_validation_summary(data: dict) -> str:
 
 def render_kernel_tier_summary(data: dict) -> str:
     """Kernel-tier telemetry, derived from the ``kernel.tier.*``
-    counters (scalar ops served per tier, bind sites, per-call
-    fallbacks out of a specialized kernel, and the batched numpy tier's
-    op/lane/bailout traffic).  Empty string when no run bound kernels
-    through the tier selector."""
+    counters (scalar ops served per tier, bind sites and per-call
+    fallbacks out of a specialized kernel).  Empty string when no run
+    bound kernels through the tier selector."""
     counters = data.get("counters", {})
     tiers = {}
     for name, value in counters.items():
         if not name.startswith("kernel.tier."):
             continue
         parts = name[len("kernel.tier."):].split(".")
-        if len(parts) != 2 or parts[0] in ("fallback", "batch_np"):
+        if len(parts) != 2 or parts[0] == "fallback":
             continue
         label, field = parts
         entry = tiers.setdefault(label, {"ops": 0, "sites": 0})
         if field in entry:
             entry[field] += int(value)
-    np_ops = int(counters.get("kernel.tier.batch_np.ops", 0))
-    np_bailouts = int(counters.get("kernel.tier.batch_np.bailouts", 0))
-    if not tiers and not np_ops and not np_bailouts:
+    if not tiers:
         return ""
     total = sum(entry["ops"] for entry in tiers.values())
     fast = sum(entry["ops"] for label, entry in tiers.items()
@@ -316,14 +268,13 @@ def render_kernel_tier_summary(data: dict) -> str:
     share = (100.0 * fast / total) if total else 0.0
     lines = [f"kernel tiers: {total} scalar op(s), "
              f"{fast} on the fast path ({share:.1f}%)"]
-    if tiers:
-        header = f"  {'tier':<10} {'ops':>12} {'sites':>8}"
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for label in sorted(tiers, key=lambda t: -tiers[t]["ops"]):
-            entry = tiers[label]
-            lines.append(f"  {label:<10} {entry['ops']:>12} "
-                         f"{entry['sites']:>8}")
+    header = f"  {'tier':<10} {'ops':>12} {'sites':>8}"
+    lines.append(header)
+    lines.append("  " + "-" * (len(header) - 2))
+    for label in sorted(tiers, key=lambda t: -tiers[t]["ops"]):
+        entry = tiers[label]
+        lines.append(f"  {label:<10} {entry['ops']:>12} "
+                     f"{entry['sites']:>8}")
     fallbacks = {name[len("kernel.tier.fallback."):]: int(value)
                  for name, value in counters.items()
                  if name.startswith("kernel.tier.fallback.")}
@@ -331,11 +282,6 @@ def render_kernel_tier_summary(data: dict) -> str:
         shape = ", ".join(f"{reason}: {count}"
                           for reason, count in sorted(fallbacks.items()))
         lines.append(f"  fallbacks to the library: {shape}")
-    if np_ops or np_bailouts:
-        np_lanes = int(counters.get("kernel.tier.batch_np.lanes", 0))
-        lines.append(f"  batched numpy tier: {np_ops} vector op(s), "
-                     f"{np_lanes} lane-op(s), "
-                     f"{np_bailouts} bailout(s) to the fused loops")
     return "\n".join(lines)
 
 
@@ -674,7 +620,6 @@ def _main(argv=None) -> int:
             print(registry.render())
             for section in (render_codegen_summary(data),
                             render_kernel_tier_summary(data),
-                            render_batched_summary(data),
                             render_validation_summary(data),
                             render_unum_summary(data),
                             render_service_summary(data)):

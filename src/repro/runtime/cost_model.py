@@ -93,14 +93,6 @@ class CacheModel:
             else:
                 self._touch_slow(line_addr)
 
-    def _touch(self, line_addr: int) -> None:
-        if line_addr in self._l1:
-            self._l1.move_to_end(line_addr)
-            self.hits[0] += 1
-            self.access_cycles += self._l1_hit_cycles
-        else:
-            self._touch_slow(line_addr)
-
     def _touch_slow(self, line_addr: int) -> None:
         levels = self.levels
         for i in range(1, len(levels)):

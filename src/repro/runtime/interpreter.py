@@ -185,7 +185,7 @@ class Interpreter:
         #: are None unless repro.observability.enable_telemetry ran.
         self.tracer = current_tracer()
         self.metrics = current_metrics()
-        #: Kernel-tier policy (auto/generic/small) for the jit engine's
+        #: Kernel-tier policy (auto/generic) for the jit engine's
         #: precision-specialized kernels; read by pyjit at bind time.
         self.kernel_tier = kernel_tier
         #: Per-tier op/site/fallback accounting -- only constructed when

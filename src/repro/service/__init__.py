@@ -3,7 +3,7 @@
 ``vpfloat-serve`` keeps a warm pool of worker processes (JIT-hot
 programs, a shared content-addressed artifact store) behind a local
 Unix socket; ``vpfloat-client`` talks to it.  Same-point run requests
-from concurrent clients coalesce into one batched dispatch, faults
+from concurrent clients coalesce into one shared run, faults
 (dead/hung workers, vanished clients) degrade gracefully, and every
 reply is bit-identical to the batch CLI -- certified on request via
 the ``serial<->service`` transition.

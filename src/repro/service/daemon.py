@@ -17,9 +17,9 @@ next client in rotation.
 When the head requests of several clients name the *same point* (same
 kernel, canonical element type, n, backend, options --
 :func:`repro.service.protocol.coalesce_key`), the scheduler coalesces
-up to ``max_batch`` of them into one ``run_batch`` dispatch: one IR
-walk executes every lane, and the batched engine's lockstep contract
-guarantees each lane's reply is bit-identical to a serial run.
+up to ``max_batch`` of them into one ``run_batch`` dispatch: one run
+serves every lane, so each lane's reply is bit-identical to a serial
+run.
 
 Fault tolerance
 ---------------

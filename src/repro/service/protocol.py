@@ -159,9 +159,9 @@ def coalesce_key(message: dict) -> Optional[Tuple]:
     Requests sharing a key compute the *same point* of the same
     compiled program (kernel, canonical element type, n, backend and
     every forwarded option), so the daemon may execute any number of
-    them as one ``run_batch`` dispatch whose per-lane results are
-    bit-identical to serial runs.  Only mpfr-backend points on the jit
-    engine (the batched engine's domain) coalesce; everything else --
+    them as one ``run_batch`` dispatch, whose one run serves every
+    lane.  Only mpfr-backend points on the jit engine (``run_batch``'s
+    domain) coalesce; everything else --
     other backends, explicit non-jit engines, raw-source requests --
     returns None and dispatches serially.
     """

@@ -131,14 +131,14 @@ def execute_run(payload: dict) -> dict:
 
 
 def execute_run_batch(payload: dict, lanes: int) -> dict:
-    """``lanes`` coalesced requests for one point as a single batched
-    dispatch; -> per-lane observations (bit-identical to serial runs
-    by the batched engine's contract, certified by the daemon when a
-    client asked for validation)."""
+    """``lanes`` coalesced requests for one point as one ``run_batch``
+    dispatch, whose one run serves them all; -> per-lane observations
+    (certified against a serial run by the daemon when a client asked
+    for validation)."""
     if lanes < 1:
         raise TaskFailed(f"lanes must be >= 1, got {lanes}")
     options = _run_options(payload)
-    options.pop("engine", None)  # the batched engine is the jit engine
+    options.pop("engine", None)  # run_batch runs on the jit engine
     kernel = payload["kernel"]
     ftype = payload["ftype"]
     n = payload["n"]
@@ -154,18 +154,12 @@ def execute_run_batch(payload: dict, lanes: int) -> dict:
     program = driver.compile(source, name=f"{kernel}-mpfr")
     result = program.run_batch("run", [n], lanes=lanes, **run_options)
     wall = time.perf_counter() - wall0
-    count = spec.outputs(n)
-    members = []
-    for lane in range(lanes):
-        values = [result.values[lane]]
-        if result.interpreter is not None:
-            values += read_lane_outputs(
-                result.interpreter, int(result.values[lane]), count,
-                ftype, "mpfr", lane=lane)
-        members.append(observation(values, result.reports[lane],
-                                   mode=result.mode,
-                                   wall_seconds=wall))
-    return {"lanes": members, "mode": result.mode,
+    values = [result.value] + read_lane_outputs(
+        result.interpreter, int(result.value), spec.outputs(n), ftype,
+        "mpfr")
+    member = observation(values, result.report, mode=result.mode,
+                         wall_seconds=wall)
+    return {"lanes": [member] * lanes, "mode": result.mode,
             "wall_seconds": wall}
 
 

@@ -45,13 +45,11 @@ from .corpus import (
 )
 from .fuzzer import (
     ALL_ROUNDING_MODES,
-    BATCH_LANES,
     ENGINE_CONFIGS,
     FuzzOp,
     FuzzProgram,
     Mismatch,
     cross_check,
-    cross_check_batched,
     cross_check_engines,
     cross_check_rounding,
     cross_check_tiers,
@@ -71,7 +69,6 @@ from .minimize import minimize
 
 __all__ = [
     "ALL_ROUNDING_MODES",
-    "BATCH_LANES",
     "CERTIFICATE_VERSION",
     "Certificate",
     "CertificateError",
@@ -89,7 +86,6 @@ __all__ = [
     "compare_reports",
     "corpus_dir",
     "cross_check",
-    "cross_check_batched",
     "cross_check_engines",
     "cross_check_rounding",
     "cross_check_tiers",

@@ -58,24 +58,20 @@ _TRAFFIC_FIELDS = (
 #:
 #: * ``engine↔engine`` -- any pair of execution engines over one
 #:   compiled program (jit/legacy).
-#: * ``serial↔batched`` -- one serial jit run against each lane of a
-#:   batched SPMD execution; every lane's value and the shared cycle
-#:   report must match the serial run bit-for-bit.
 #: * ``serial↔service`` -- a batch-CLI-equivalent serial run against
 #:   each reply the compile/run daemon produced for the same request
-#:   (possibly coalesced into a batched dispatch, retried on a fresh
-#:   shard, or served from the shared artifact store); the daemon is
-#:   transport, so values and cycle reports must match bit-for-bit.
+#:   (possibly coalesced into one ``run_batch`` dispatch, retried on a
+#:   fresh shard, or served from the shared artifact store); the daemon
+#:   is transport, so values and cycle reports must match bit-for-bit.
 #: * ``pool.on↔pool.off`` -- the MPFR free-list toggle.
 #: * ``O3↔O0`` / ``O3↔O3-minus-one-pass`` -- optimization transitions.
 #: * ``generic↔specialized`` -- the generic arbitrary-precision kernels
-#:   against the precision-specialized fast-path kernel tier (scalar
-#:   smallfloat kernels and the batched numpy tier); a pure
-#:   strength-reduction of the same arithmetic, so values and cycle
-#:   reports must match bit-for-bit.
+#:   against the precision-specialized fast-path kernel tier (the
+#:   scalar smallfloat kernels); a pure strength-reduction of the
+#:   same arithmetic, so values and cycle reports must match
+#:   bit-for-bit.
 TRANSITIONS = {
     "engine↔engine": "exact",
-    "serial↔batched": "exact",
     "serial↔service": "exact",
     "pool.on↔pool.off": "traffic",
     "O3↔O0": "sane",

@@ -19,8 +19,7 @@ independent differentials:
   (none/mpfr/boost) across -O0, the execution engines and the pool
   toggle -- values and each transition's report invariant -- then
   compare the backends' returned doubles bit for bit.
-  :func:`cross_check_batched` and :func:`cross_check_tiers` certify the
-  batched engine and the kernel tiers the same way.
+  :func:`cross_check_tiers` certifies the kernel tiers the same way.
 
 :func:`cross_check` composes them; a divergence comes back as a
 :class:`Mismatch` which the delta-debugging minimizer
@@ -349,22 +348,16 @@ ENGINE_CONFIGS: Dict[str, Tuple[str, ...]] = {
     "boost": (),
 }
 
-#: Lane counts the batched differential sweeps (kept small: every lane
-#: of a fuzz program computes the same values, so two sizes suffice to
-#: exercise broadcast, the fused kernels, and the report invariant).
-BATCH_LANES: Tuple[int, ...] = (2, 5)
-
 
 def _certify(program: FuzzProgram, backend: str, only: Sequence[str],
-             lanes: Optional[int] = None, read=return_value,
-             **run_options):
+             read=return_value, **run_options):
     """The rendered program's certificate (not strict: failures are
     reported as a :class:`Mismatch` by :func:`_mismatch`); extra
     keywords are run options."""
     return certify(
         f"vpfuzz-{program.digest()}", "f", kind="fuzz",
         source=program.render_source(),
-        options={"backend": backend}, only=only, lanes=lanes,
+        options={"backend": backend}, only=only,
         read=read, run_options={"cache": False, **run_options},
         strict=False)
 
@@ -386,7 +379,7 @@ def cross_check_engines(program: FuzzProgram) -> Optional[Mismatch]:
     for backend, only in ENGINE_CONFIGS.items():
         observed: List = []
 
-        def read(value, interpreter, lane):
+        def read(value, interpreter):
             observed.append(value)  # the reference run reads first
             return [value]
 
@@ -404,57 +397,28 @@ def cross_check_engines(program: FuzzProgram) -> Optional[Mismatch]:
     return None
 
 
-def cross_check_batched(program: FuzzProgram,
-                        lanes: Sequence[int] = BATCH_LANES
-                        ) -> Optional[Mismatch]:
-    """Batched-engine differential: the ``serial↔batched`` transition.
+def cross_check_tiers(program: FuzzProgram) -> Optional[Mismatch]:
+    """Kernel-tier differential: the ``generic↔specialized`` transition.
 
-    Every lane of an N-lane mpfr jit batch, for each N in ``lanes``,
-    must match one serial jit run bit-for-bit, shared cycle report
-    included.  A batch that bails out to per-lane serial execution still
-    passes -- the fallback path is itself the serial engine."""
-    for n in lanes:
-        mismatch = _mismatch("batch",
-                             _certify(program, "mpfr", ("batch",), n))
-        if mismatch is not None:
-            return mismatch
-    return None
-
-
-def cross_check_tiers(program: FuzzProgram,
-                      lanes: Sequence[int] = BATCH_LANES
-                      ) -> Optional[Mismatch]:
-    """Kernel-tier differential: the ``generic↔specialized`` transition
-    in lockstep.
-
-    The reference is a serial mpfr jit run with ``kernel_tier="small"``
-    (the precision-specialized fast-path kernels, and the batched numpy
-    tier with its lane floor waived, so it runs at fuzz lane counts).
-    The generic tier, serially and as a batch at each lane count, and
-    the small-tier batches must all match it bit-for-bit, cycle reports
-    included; the tier is a strength reduction, never a reround."""
-    for n in (None, *lanes):
-        mismatch = _mismatch("tier", _certify(
-            program, "mpfr", ("batch", "tier"), n, kernel_tier="small"))
-        if mismatch is not None:
-            return mismatch
-    return None
+    The reference is a serial mpfr jit run on the ``auto`` tier (the
+    precision-specialized fast-path kernels); the generic tier must
+    match it bit-for-bit, cycle report included: the tier is a strength
+    reduction, never a reround."""
+    return _mismatch("tier", _certify(program, "mpfr", ("tier",),
+                                      kernel_tier="auto"))
 
 
 def cross_check(program: FuzzProgram, engines: bool = True,
-                batched: bool = True,
                 tiers: bool = True) -> Optional[Mismatch]:
     """Full differential: rounding-mode sweep, the compiled
-    engine/optimization sweep, the batched-engine sweep, then the
-    kernel-tier lockstep sweep.  None when everything agrees."""
+    engine/optimization sweep, then the kernel-tier sweep.  None when
+    everything agrees."""
     registry = current_metrics()
     if registry is not None:
         registry.inc("validate.fuzz.programs")
     mismatch = cross_check_rounding(program)
     if mismatch is None and engines:
         mismatch = cross_check_engines(program)
-    if mismatch is None and engines and batched:
-        mismatch = cross_check_batched(program)
     if mismatch is None and engines and tiers:
         mismatch = cross_check_tiers(program)
     if registry is not None:

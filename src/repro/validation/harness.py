@@ -52,41 +52,31 @@ _COMPILE_KEYS = frozenset(("opt_level",) + PASS_SWITCHES)
 class Transition:
     """One certifiable transition away from the reference run."""
 
-    label: str          # check label ("{lanes}" expands to the lane count)
+    label: str          # check label
     edge: str           # its row in certificate.TRANSITIONS
     delta: Mapping      # run/compile keywords that make the candidate
-    #: (backend, reference engine, lanes) -> whether the check applies.
-    applies: Callable[[str, str, Optional[int]], bool]
+    #: (backend, reference engine) -> whether the check applies.
+    applies: Callable[[str, str], bool]
 
     @property
     def strictness(self) -> str:
         return TRANSITIONS[self.edge]
 
 
-def _always(backend: str, engine: str, lanes: Optional[int]) -> bool:
+def _always(backend: str, engine: str) -> bool:
     return True
 
 
-#: Every transition, in the order a certificate lists its checks.  With
-#: ``lanes=N`` every candidate runs as one N-lane batch against the
-#: serial reference: ``batch{lanes}`` is the batch itself, the tier
-#: entry is the tier transition applied to the batch (engine and pool
-#: toggles stay serial), and each lane is checked as
-#: ``<label>.lane<i>``.
+#: Every transition, in the order a certificate lists its checks.
 REGISTRY: Tuple[Transition, ...] = (
     *(Transition(f"engine.{name}", "engine↔engine", {"engine": name},
-                 lambda backend, engine, lanes, name=name:
-                 lanes is None and engine != name)
+                 lambda backend, engine, name=name: engine != name)
       for name in ENGINES),
     Transition("pool.off", "pool.on↔pool.off", {"pool": False},
-               lambda backend, engine, lanes: lanes is None
-               and backend != "boost"),
-    Transition("batch{lanes}", "serial↔batched", {},
-               lambda backend, engine, lanes: lanes is not None
-               and backend == "mpfr" and engine == "jit"),
+               lambda backend, engine: backend != "boost"),
     Transition("tier.generic", "generic↔specialized",
                {"kernel_tier": "generic"},
-               lambda backend, engine, lanes: engine == "jit"),
+               lambda backend, engine: engine == "jit"),
     Transition("opt.O0", "O3↔O0", {"opt_level": 0}, _always),
     *(Transition(f"pass.no-{switch[len('enable_'):]}",
                  "O3↔O3-minus-one-pass", {switch: False}, _always)
@@ -94,7 +84,7 @@ REGISTRY: Tuple[Transition, ...] = (
 )
 
 
-def return_value(value, interpreter, lane: int) -> List:
+def return_value(value, interpreter) -> List:
     """The default reader: a run is observed by its return value."""
     return [value]
 
@@ -128,8 +118,7 @@ def certify(subject: str, func: str, args: Sequence = (), *,
             kind: str = "engine", program=None,
             source: Optional[str] = None, options: Optional[dict] = None,
             engine: Optional[str] = None,
-            only: Sequence[str] = ("engine", "pool", "batch", "tier"),
-            lanes: Optional[int] = None,
+            only: Sequence[str] = ("engine", "pool", "tier"),
             read: Callable = return_value,
             run_options: Optional[dict] = None,
             witness: Optional[dict] = None,
@@ -143,9 +132,8 @@ def certify(subject: str, func: str, args: Sequence = (), *,
     is None, of ``source`` compiled with ``options``
     (:class:`~repro.core.CompilerDriver` keywords).  Candidates are the :data:`REGISTRY` entries whose label
     starts with one of ``only`` and whose rule holds; compile deltas
-    (``opt.O0``, ``pass.no-*``) recompile ``source``.  ``lanes`` runs
-    the candidates batched (see :data:`REGISTRY`).  ``read(value,
-    interpreter, lane)`` maps a run to its values; ``run_options`` are
+    (``opt.O0``, ``pass.no-*``) recompile ``source``.  ``read(value,
+    interpreter)`` maps a run to its values; ``run_options`` are
     extra :meth:`~repro.core.CompiledProgram.run` keywords.
     """
     options = dict(options or {})
@@ -156,10 +144,10 @@ def certify(subject: str, func: str, args: Sequence = (), *,
                          "(none/mpfr/boost), not unum")
     reference_engine = resolve_engine(engine)
     candidates = [t for t in REGISTRY if t.label.startswith(tuple(only))
-                  and t.applies(backend, reference_engine, lanes)]
+                  and t.applies(backend, reference_engine)]
     programs = {} if program is None else {(): program}
 
-    def run(delta: Mapping, run_lanes: Optional[int]) -> List[Tuple]:
+    def run(delta: Mapping) -> Tuple[List, object]:
         key = tuple(sorted((k, v) for k, v in delta.items()
                            if k in _COMPILE_KEYS))
         if key not in programs:
@@ -169,15 +157,9 @@ def certify(subject: str, func: str, args: Sequence = (), *,
         kwargs = dict(run_options or {})
         kwargs.update((k, v) for k, v in delta.items()
                       if k not in _COMPILE_KEYS)
-        if run_lanes is None:
-            kwargs.setdefault("engine", reference_engine)
-            result = programs[key].run(func, list(args), **kwargs)
-            return [(read(result.value, result.interpreter, 0),
-                     result.report)]
-        batch = programs[key].run_batch(func, list(args),
-                                        lanes=run_lanes, **kwargs)
-        return [(read(batch.values[i], batch.interpreter, i),
-                 batch.reports[i]) for i in range(run_lanes)]
+        kwargs.setdefault("engine", reference_engine)
+        result = programs[key].run(func, list(args), **kwargs)
+        return read(result.value, result.interpreter), result.report
 
     if kind == "pass":
         reference_label = f"opt.O{options.get('opt_level', 3)}"
@@ -185,27 +167,22 @@ def certify(subject: str, func: str, args: Sequence = (), *,
         reference_label = \
             f"tier.{(run_options or {}).get('kernel_tier', 'auto')}"
     else:
-        reference_label = f"engine.{reference_engine}" + \
-            (".serial" if lanes is not None else "")
+        reference_label = f"engine.{reference_engine}"
     with observe(f"validate:{subject}", cat=CAT_VALIDATE, kind=kind,
                  reference=reference_label):
-        [(values, report)] = run({}, None)
+        values, report = run({})
         ref_values, ref_report = values_token(values), \
             report_snapshot(report)
         certificate = Certificate(
             subject=subject, kind=kind, reference=reference_label,
             witness={"func": func, "args": list(args), "backend": backend,
-                     **({"lanes": lanes} if lanes is not None else {}),
                      **(witness or {}),
                      "value_digest": values_digest(values),
                      "cycles": ref_report["cycles"]})
         for transition in candidates:
-            label = transition.label.format(lanes=lanes)
-            for i, (values, report) in enumerate(
-                    run(transition.delta, lanes)):
-                certificate.add(make_check(
-                    label if lanes is None else f"{label}.lane{i}",
-                    transition.strictness, ref_values,
-                    values_token(values), ref_report,
-                    report_snapshot(report)))
+            values, report = run(transition.delta)
+            certificate.add(make_check(
+                transition.label, transition.strictness, ref_values,
+                values_token(values), ref_report,
+                report_snapshot(report)))
     return finish_certificate(certificate, strict)

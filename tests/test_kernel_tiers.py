@@ -9,12 +9,11 @@ Four layers, matching the feature's own structure:
 * the *compiled tiered kernels* must be bit-identical to the
   ``arith.<op>`` library on finite, special, and mixed-precision
   operands (the latter exercising the fallback hooks);
-* the *selection and plumbing*: policy validation on the driver and
-  per-run overrides, fingerprint separation, TierStats accounting,
-  metrics counters, the batched numpy tier's "small"-policy lane-floor
-  waiver, and the service run-option whitelist;
-* a *pinned-seed lockstep* sweep of the differential fuzzer's
-  tier stage, the same corpus shape CI replays.
+* the *selection and plumbing*: policy validation on per-run
+  overrides, TierStats accounting, metrics counters, and the service
+  run-option whitelist;
+* a *pinned-seed* sweep of the differential fuzzer's tier stage, the
+  same corpus shape CI replays.
 """
 
 import random
@@ -33,7 +32,6 @@ from repro.bigfloat.rounding import (
     RNDZ,
     round_significand,
 )
-from repro.codegen.batch_np_kernels import NP_MIN_LANES, _min_lanes
 from repro.codegen.smallfloat import (
     KERNEL_TIER_POLICIES,
     SMALLFLOAT_MAX_PREC,
@@ -48,7 +46,6 @@ from repro.codegen.smallfloat import (
 )
 from repro.codegen.smallfloat import _LIBRARY as SCALAR_LIBRARY
 from repro.core import CompilerDriver
-from repro.runtime.batch import BatchContext
 from repro.validation.certificate import TRANSITIONS, value_token
 
 ALL_MODES = (RNDN, RNDZ, RNDU, RNDD, RNDA)
@@ -244,7 +241,7 @@ def test_select_scalar_kernel_policies():
     stats = TierStats()
     select_scalar_kernel("add", 24, None, "auto", stats)
     assert stats.sites["tier1"] == 1
-    select_scalar_kernel("add", 100, None, "small", stats)
+    select_scalar_kernel("add", 100, None, "auto", stats)
     assert stats.sites["tier2"] == 1
     select_scalar_kernel("add", 24, None, "generic", stats)
     assert stats.sites["generic"] == 1
@@ -302,12 +299,6 @@ def test_unobserved_runs_skip_tier_stats():
     assert interp.tier_stats is None  # raw kernels, no counting
 
 
-def test_batch_np_small_policy_waives_lane_floor():
-    assert _min_lanes(BatchContext(lanes=4, kernel_tier="small")) == 1
-    assert _min_lanes(BatchContext(lanes=4)) == NP_MIN_LANES
-    assert _min_lanes(None) == NP_MIN_LANES
-
-
 def test_service_whitelists_kernel_tier():
     from repro.service.protocol import RUN_OPTION_KEYS
     assert "kernel_tier" in RUN_OPTION_KEYS
@@ -320,21 +311,15 @@ def test_transition_table_has_tier_edge():
 def test_validate_tiers_certificate():
     from repro.validation import certify
     options = {"backend": "mpfr"}
-    run_options = {"kernel_tier": "small"}
+    run_options = {"kernel_tier": "auto"}
     cert = certify("k", "run", [12], kind="kernel-tier", source=SOURCE,
                    options=options, engine="jit", only=("tier",),
                    run_options=run_options)
     assert cert.passed
     assert cert.kind == "kernel-tier"
-    assert cert.reference == "tier.small"
+    assert cert.reference == "tier.auto"
     labels = {check.label for check in cert.checks}
     assert "tier.generic" in labels
-    batched = certify("k", "run", [12], kind="kernel-tier",
-                      source=SOURCE, options=options, engine="jit",
-                      only=("tier",), lanes=3, run_options=run_options)
-    assert batched.passed
-    assert any(check.label.startswith("tier.generic.lane")
-               for check in batched.checks)
 
 
 # ----------------------------------------------------------------- #

@@ -172,9 +172,9 @@ class TestValidateHarness:
     def test_registry_rules(self):
         from repro.validation import TRANSITIONS
 
-        def labels(backend, engine, lanes=None):
-            return [t.label.format(lanes=lanes) for t in REGISTRY
-                    if t.applies(backend, engine, lanes)]
+        def labels(backend, engine):
+            return [t.label for t in REGISTRY
+                    if t.applies(backend, engine)]
 
         assert labels("mpfr", "jit") == [
             "engine.legacy", "pool.off", "tier.generic",
@@ -183,9 +183,6 @@ class TestValidateHarness:
         assert labels("mpfr", "legacy")[0] == "engine.jit"
         assert "pool.off" not in labels("boost", "jit")
         assert "tier.generic" not in labels("none", "legacy")
-        assert labels("mpfr", "jit", 4)[:2] == ["batch4", "tier.generic"]
-        assert "batch4" not in labels("none", "jit", 4)
-        assert "batch4" not in labels("mpfr", "legacy", 4)
         assert all(t.strictness == TRANSITIONS[t.edge] for t in REGISTRY)
 
     def test_rajaperf_points_carry_tier_check(self):
