@@ -105,7 +105,7 @@ def ablate_kernel_tier(reps: int = 3) -> dict:
     wall-clock on the jit engine.  One compile (the tier is a run
     option), then per policy timed runs after a warmup."""
     source = source_for("gemm", "vpfloat<mpfr, 16, 53>")
-    program = CompilerDriver(backend="mpfr", engine="jit").compile(
+    program = CompilerDriver(backend="mpfr").compile(
         source, name="gemm")
     walls = {}
     cycles = {}

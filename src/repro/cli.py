@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print UNUM assembly (backend=unum)")
     parser.add_argument("--run", metavar="FUNC",
                         help="execute FUNC after compiling")
-    parser.add_argument("--args", nargs="*", default=[],
+    parser.add_argument("--args", nargs="*", default=None,
                         help="numeric arguments for --run")
     parser.add_argument("--report", action="store_true",
                         help="print the performance report after --run")
@@ -79,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution engine (default: 'jit', which "
                              "compiles IR functions to specialized Python "
                              "source; 'legacy' is the reference tree "
-                             "walker, also used by --profile)")
+                             "walker, also used by --profile); a run "
+                             "choice, so every engine shares one "
+                             "compile-cache entry")
     parser.add_argument("--no-pool", action="store_true",
                         help="disable the runtime MPFR object pool")
     parser.add_argument("--kernel-tier",
@@ -92,11 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "forces the generic kernels; results are "
                              "bit-identical across policies, which "
                              "share one compile-cache entry")
-    parser.add_argument("--batch", type=int, default=None, metavar="N",
-                        help="execute --run for N identical lanes "
-                             "(mpfr backend, jit engine): one jit run "
-                             "serves every lane; --validate certifies "
-                             "that run as it does without --batch")
     parser.add_argument("--validate", action="store_true",
                         help="after --run, emit translation-validation "
                              "certificates: re-run FUNC on every other "
@@ -170,6 +167,12 @@ def _print_profile(result, program) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.run is None:
+        for flag in ("validate", "report", "profile", "args"):
+            if getattr(args, flag) not in (False, None):
+                parser.error(f"--{flag} requires --run")
+    if args.polly_tile < 1:
+        parser.error(f"--polly-tile must be >= 1, got {args.polly_tile}")
     if args.cache_dir is not None:
         expanded = os.path.expanduser(args.cache_dir)
         if os.path.exists(expanded) and not os.path.isdir(expanded):
@@ -215,7 +218,6 @@ def _run(args) -> int:
         reuse_objects=not args.no_reuse,
         specialize_scalars=not args.no_specialize,
         in_place_stores=not args.no_in_place,
-        engine=args.engine,
         cache=CompileCache(args.cache_dir or default_cache_dir())
         if args.compile_cache else None,
     )
@@ -238,10 +240,7 @@ def _run(args) -> int:
         print(program.asm)
 
     if args.run:
-        run_args = _parse_run_args(args.args)
-        if args.batch is not None:
-            return _run_batched(args, run_args, program, source,
-                                driver.cache)
+        run_args = _parse_run_args(args.args or [])
         try:
             result = program.run(args.run, run_args,
                                  engine=args.engine,
@@ -269,40 +268,6 @@ def _run(args) -> int:
         if args.validate:
             return _validate(args, run_args, program, source,
                              driver.cache)
-    return 0
-
-
-def _run_batched(args, run_args, program, source, cache) -> int:
-    """Execute --run for --batch lanes: one run serves them all."""
-    if args.batch < 1:
-        print(f"error: --batch must be >= 1, got {args.batch}",
-              file=sys.stderr)
-        return 1
-    if args.backend != "mpfr":
-        print("error: --batch requires --backend mpfr", file=sys.stderr)
-        return 1
-    if args.engine not in (None, "jit"):
-        print(f"error: --batch runs on the jit engine, not "
-              f"--engine {args.engine}", file=sys.stderr)
-        return 1
-    try:
-        result = program.run_batch(args.run, run_args, lanes=args.batch,
-                                   pool=False if args.no_pool else None,
-                                   kernel_tier=args.kernel_tier)
-    except Exception as error:
-        print(f"runtime error: {error}", file=sys.stderr)
-        return 2
-    print(f"{args.run}(...) = {result.value}  "
-          f"[{result.lanes} lanes, {result.mode}]")
-    if args.report:
-        report = result.reports[0]
-        print(f"per-lane cycles:   {report.cycles}")
-        print(f"instructions:      {report.instructions}")
-        print(f"mpfr calls:        {report.mpfr_calls}")
-        print(f"heap allocations:  {report.heap_allocations}")
-        print(f"LLC misses:        {report.llc_misses}")
-    if args.validate:
-        return _validate(args, run_args, program, source, cache)
     return 0
 
 

@@ -15,7 +15,9 @@ machine model).
 
 from __future__ import annotations
 
+import copy
 import time
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional
@@ -130,9 +132,6 @@ class CompiledProgram:
         #: Jit-engine codegen store (set by the driver when the program
         #: came through a CompileCache; else created lazily).
         self._codegen_store = None
-        #: Engine the driver was configured for; ``run()`` falls back
-        #: to it when no ``engine`` is passed.
-        self._default_engine: Optional[str] = None
         #: Compile-cache key the driver served this program under
         #: (None without a cache).
         self.fingerprint: Optional[str] = None
@@ -145,12 +144,6 @@ class CompiledProgram:
         return state
 
     # ------------------------------------------------------------ #
-
-    def _resolve_mode(self, engine: Optional[str]) -> str:
-        """``None`` picks the driver's engine, then the default (jit)."""
-        if engine is None:
-            engine = self._default_engine
-        return resolve_engine(engine)
 
     def _codegen_store_for(self, mode: str):
         if mode != "jit":
@@ -185,7 +178,8 @@ class CompiledProgram:
         ``costs`` selects a CycleCosts profile (default: Xeon-calibrated;
         pass ``ROCKET_CYCLE_COSTS`` for the Fig. 2 FPGA baseline).
         ``engine`` picks the execution engine (:data:`ENGINES`; ``None``
-        means the driver's engine, else the specializing jit).
+        means the specializing jit): a run choice, so every engine runs
+        the one compiled (and cached) program.
         ``profile=True`` runs on the legacy walker under the exact IR
         profiler, whose :class:`~repro.observability.profile.IRProfile`
         becomes ``result.profile``; values and the CostReport equal an
@@ -198,7 +192,7 @@ class CompiledProgram:
         unum backend runs on the UNUM machine, returned as
         ``result.machine``."""
         backend = self.options.backend
-        mode = self._resolve_mode(engine)
+        mode = resolve_engine(engine)
         if backend == "unum":
             machine = self.machine(cache=cache, coprocessor=coprocessor,
                                    max_steps=max_steps, costs=costs)
@@ -257,22 +251,18 @@ class CompiledProgram:
         """One interpreter run of ``name`` inside the observation
         ``boundary()`` opens (``notes`` join its record)."""
         backend = self.options.backend
-        accounting = CostAccounting(costs=costs,
-                                    cache=CacheModel() if cache else None)
-        tier = _check_kernel_tier(kernel_tier)
-        store = self._codegen_store_for(dispatch)
-        interpreter = Interpreter(self.module, accounting=accounting,
-                                  max_steps=max_steps, dispatch=dispatch,
-                                  mpfr_pool=self._pool_default(pool),
-                                  codegen_store=store, kernel_tier=tier)
+        interpreter = self.interpreter(cache=cache, max_steps=max_steps,
+                                       costs=costs, pool=pool,
+                                       engine=dispatch,
+                                       kernel_tier=kernel_tier)
         with boundary() as obs:
             try:
                 result = exact_run(interpreter, name, args) if profile \
                     else interpreter.run(name, args)
             finally:
-                obs.arg(cycles=accounting.report.cycles)
-                if store is not None:
-                    store.flush()
+                obs.arg(cycles=interpreter.accounting.report.cycles)
+                if self._codegen_store is not None:
+                    self._codegen_store.flush()
             result.interpreter = interpreter
             obs.attach(result.report, interpreter.mpfr.stats)
             if result.profile is not None:
@@ -280,7 +270,7 @@ class CompiledProgram:
             tier_stats = interpreter.tier_stats
             if tier_stats is not None and tier_stats.total_ops():
                 obs.attach(tier_stats)
-                obs.note(kernel_tier=tier,
+                obs.note(kernel_tier=interpreter.kernel_tier,
                          kernel_tiers=tier_stats.as_dict())
             obs.note(function=name, backend=backend, engine=dispatch,
                      **notes)
@@ -294,7 +284,7 @@ class CompiledProgram:
         """A fresh interpreter over the compiled module (mpfr/boost/none)."""
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
-        mode = self._resolve_mode(engine)
+        mode = resolve_engine(engine)
         return Interpreter(self.module, accounting=accounting,
                            max_steps=max_steps, dispatch=mode,
                            mpfr_pool=self._pool_default(pool),
@@ -320,21 +310,30 @@ class CompilerDriver:
     whole -O3 pipeline, and the backend lowering, returning a program
     whose runs are bit-identical to a fresh compile.  Keys cover the
     source text, the module name, and every :class:`CompileOptions`
-    field, so no stale program can ever be served.
+    field, so no stale program can ever be served.  The execution engine
+    is not a compile input: it is chosen per run
+    (:meth:`CompiledProgram.run`), so every engine shares one entry.
+
+    ``engine`` is deprecated and only kept for callers that still pass
+    it here: it validates the name and becomes the ``engine`` default of
+    the returned program's :meth:`~CompiledProgram.run`.
     """
 
     def __init__(self, backend: str = "mpfr", opt_level: int = 3,
-                 polly: bool = False, cache=None, engine=None, **kwargs):
+                 polly: bool = False, cache=None, *,
+                 engine: Optional[str] = None, **kwargs):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"choose from {BACKENDS}")
         self.options = CompileOptions(backend=backend, opt_level=opt_level,
                                       polly=polly, **kwargs)
         self.cache = as_compile_cache(cache)
-        #: Engine the compiled programs will run under; part of the
-        #: cache fingerprint (not a CompileOptions field: it changes
-        #: nothing about the IR, only how it is executed).
-        self.engine = resolve_engine(engine)
+        self._run_engine = None
+        if engine is not None:
+            warnings.warn("CompilerDriver(engine=) is deprecated; pass "
+                          "engine= to CompiledProgram.run()",
+                          DeprecationWarning, stacklevel=2)
+            self._run_engine = resolve_engine(engine)
 
     def compile(self, source: str, name: str = "module") -> CompiledProgram:
         options = self.options
@@ -344,8 +343,7 @@ class CompilerDriver:
                      backend=options.backend) as obs:
             obs.count("compile.count")
             if cache is not None:
-                key = cache.fingerprint(source, options, name,
-                                        engine=self.engine)
+                key = cache.fingerprint(source, options, name)
                 with observe("cache.lookup", cat=CAT_CACHE) as lookup:
                     program = cache.get(key)
                     lookup.arg(hit=program is not None)
@@ -357,7 +355,7 @@ class CompilerDriver:
                 program = self._compile(source, name)
                 if cache is not None:
                     cache.put(key, program)
-            obs.note(name=name, backend=options.backend, engine=self.engine,
+            obs.note(name=name, backend=options.backend,
                      opt_level=options.opt_level, polly=options.polly,
                      fingerprint=key, cached=cached,
                      # A cached program carries the *original* compile's
@@ -369,12 +367,16 @@ class CompilerDriver:
     def _finish(self, program: CompiledProgram,
                 key: Optional[str] = None) -> CompiledProgram:
         """Attach driver-side state to a (possibly cached) program: the
-        key it was served under, the default engine and -- in jit mode
-        with a cache -- the codegen store persisting next to the
-        pickle."""
+        key it was served under and, with a cache, the codegen store
+        persisting next to the pickle (read only when a run binds jit
+        code)."""
+        if self._run_engine is not None:
+            # Every driver on a cache shares its programs: the deprecated
+            # per-driver run default goes on this driver's own copy.
+            program = copy.copy(program)
+            program.run = partial(program.run, engine=self._run_engine)
         program.fingerprint = key
-        program._default_engine = self.engine
-        if self.engine == "jit" and key is not None:
+        if key is not None:
             from ..codegen.pyjit import CodegenStore
 
             program._codegen_store = CodegenStore(self.cache, key)

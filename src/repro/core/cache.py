@@ -54,9 +54,8 @@ from ..observability import current_metrics
 
 #: Bump when the pickle layout of CompiledProgram/Module changes in a
 #: way that should invalidate existing caches.  v2: the fingerprint
-#: gained the execution engine and codegen version (programs built for
-#: one engine must never replay under another), and entries grew
-#: optional ``.vpcgen`` codegen sidecars.
+#: gained the codegen version, and entries grew optional ``.vpcgen``
+#: codegen sidecars.
 FORMAT_VERSION = 2
 
 #: Environment override for the default on-disk location.
@@ -159,17 +158,15 @@ class CompileCache:
     # ------------------------------------------------------------ #
 
     @staticmethod
-    def fingerprint(source: str, options, name: str = "module",
-                    engine: Optional[str] = None) -> str:
+    def fingerprint(source: str, options, name: str = "module") -> str:
         """Stable hex digest over everything that affects compilation.
 
-        ``engine`` is the execution engine the program is being built
-        for; together with the codegen format version it keeps cached
-        programs (and their codegen sidecars) from ever being replayed
-        under a different engine or a stale emitted-source format.
-        Run-time choices stay out of the key: the kernel tier binds
-        when a jit module is bound, not when it is emitted, and
-        ``run_batch`` is one ordinary jit run.
+        The codegen format version keeps codegen sidecars from ever
+        being replayed in a stale emitted-source format.  Run-time
+        choices stay out of the key: the execution engine and the
+        kernel tier are picked per run (jit code and its kernels bind
+        when a run binds the module), so one program keeps one entry
+        and one sidecar whichever way it runs.
         """
         h = hashlib.sha256()
         h.update(b"vpfloat-compile-cache\0")
@@ -177,7 +174,6 @@ class CompileCache:
         h.update(f"python={sys.version_info[0]}.{sys.version_info[1]}\0"
                  .encode())
         h.update(f"name={name}\0".encode())
-        h.update(f"engine={engine!r}\0".encode())
         h.update(f"codegen={CODEGEN_VERSION}\0".encode())
         for f in sorted(fields(options), key=lambda f: f.name):
             value = getattr(options, f.name)

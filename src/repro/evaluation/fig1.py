@@ -126,8 +126,9 @@ def _raja_point(kernel: str, variant: str, kwargs: dict, openmp: bool,
     for backend in ("mpfr", "boost"):
         program = CompilerDriver(backend=backend,
                                  cache=get_compile_cache(),
-                                 engine=engine, **kwargs).compile(source)
-        result = program.run("run", [n], max_steps=max_steps)
+                                 **kwargs).compile(source)
+        result = program.run("run", [n], max_steps=max_steps,
+                             engine=engine)
         if validate:
             from ..validation import certify
 

@@ -59,10 +59,6 @@ class RunOutcome:
     #: Translation-validation certificate (None unless ``validate=``
     #: was requested and the backend supports it).
     certificate: object = None
-    #: ``run_batch`` execution (None for serial points): the lane count
-    #: and the batch's mode (always "batched": one run served them all).
-    batch: Optional[int] = None
-    batch_mode: Optional[str] = None
 
 
 def parse_ftype(ftype: str) -> Tuple[str, dict]:
@@ -143,8 +139,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                max_steps: int = 500_000_000, costs=None,
                pool: Optional[bool] = None,
                compile_cache=_UNSET, engine: Optional[str] = None,
-               validate: bool = False, batch: Optional[int] = None,
-               kernel_tier: str = "auto",
+               validate: bool = False, kernel_tier: str = "auto",
                **driver_kwargs) -> RunOutcome:
     """Compile + execute one PolyBench kernel; extract its outputs.
 
@@ -168,12 +163,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     untouched -- its outputs and report are bit-identical to a
     non-validated run -- and the flag is a single branch when off.
     Certificates only apply to the interpreter backends; unum-machine
-    points are returned unvalidated.
-
-    ``batch=N`` (mpfr backend, jit engine) executes the kernel through
-    :meth:`CompiledProgram.run_batch`, whose one run serves all N
-    lanes; ``validate=True`` certifies that run as it does a serial
-    one."""
+    points are returned unvalidated."""
     spec = KERNELS[kernel]
     source = source_for(kernel, canonical_source_ftype(ftype))
     with observe(None, event="eval_point") as obs:
@@ -182,38 +172,18 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
         obs.note(kernel=kernel, ftype=ftype, backend=backend, n=n)
         if compile_cache is _UNSET:
             compile_cache = _COMPILE_CACHE
-        if batch is not None:
-            if batch < 1:
-                raise ValueError(f"batch must be >= 1, got {batch}")
-            if backend != "mpfr":
-                raise ValueError("batched execution requires the mpfr "
-                                 f"backend, not {backend!r}")
-            if engine not in (None, "jit"):
-                raise ValueError(
-                    "batched execution runs on the jit engine; "
-                    f"pass engine=None or 'jit', not {engine!r}")
         driver = CompilerDriver(backend=backend, polly=polly,
-                                cache=compile_cache, engine=engine,
-                                **driver_kwargs)
+                                cache=compile_cache, **driver_kwargs)
         program = driver.compile(source, name=f"{kernel}-{backend}")
         kind, params = parse_ftype(ftype)
-
-        if batch is not None:
-            result = program.run_batch("run", [n], lanes=batch,
-                                       cache=cache, max_steps=max_steps,
-                                       costs=costs, pool=pool,
-                                       kernel_tier=kernel_tier)
-            engine = "jit"
-        else:
-            if backend == "unum" and coprocessor is None:
-                config = UnumConfig(params["ess"], params["fss"],
-                                    params.get("size"))
-                coprocessor = UnumCoprocessor(
-                    wgp=min(512, config.precision))
-            result = program.run("run", [n], cache=cache,
-                                 max_steps=max_steps, costs=costs,
-                                 coprocessor=coprocessor, engine=engine,
-                                 pool=pool, kernel_tier=kernel_tier)
+        if backend == "unum" and coprocessor is None:
+            config = UnumConfig(params["ess"], params["fss"],
+                                params.get("size"))
+            coprocessor = UnumCoprocessor(wgp=min(512, config.precision))
+        result = program.run("run", [n], cache=cache, max_steps=max_steps,
+                             costs=costs, coprocessor=coprocessor,
+                             engine=engine, pool=pool,
+                             kernel_tier=kernel_tier)
         outputs: List[Number] = []
         if backend == "unum":
             if read_outputs:
@@ -234,9 +204,6 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                              result.report, result.value,
                              mpfr_stats=result.interpreter.mpfr.stats,
                              pass_timings=program.pass_timings)
-        if batch is not None:
-            outcome.batch, outcome.batch_mode = batch, "batched"
-            obs.note(lanes=batch)
         obs.note(engine=engine)
         # The run's own boundary already fed the metrics.
         obs.attach(result.report, absorb=False)
@@ -277,12 +244,12 @@ def _certify_point(program, spec, outcome: RunOutcome,
 
 def read_lane_outputs(interpreter, base: int, count: int, ftype: str,
                       backend: str, lane: int = 0) -> List[Number]:
-    """Extract one lane's output elements from simulated memory.
+    """Extract output elements from simulated memory.
 
     The public face of the output reader for callers that hold a
-    finished interpreter directly (the compile/run service's workers
-    read a coalesced batch this way).  Every lane of a ``run_batch``
-    is the one run, so each ``lane`` reads the same cells."""
+    finished interpreter directly.  Every lane of a ``run_batch`` is
+    the one run, so ``lane`` is accepted and ignored: each lane reads
+    the same cells."""
     return _read_interpreter_outputs(interpreter, base, count, ftype,
                                      backend)
 

@@ -1,8 +1,8 @@
 """Unified telemetry subsystem: tracing spans + metrics registry.
 
 This package gives the whole stack -- compiler driver, pass pipeline,
-compile cache, interpreter/dispatch, MPFR pool, and the parallel
-evaluation engine -- one observability layer:
+compile cache, interpreter (jit and legacy engines), UNUM machine, MPFR
+pool, and the parallel evaluation engine -- one observability layer:
 
 * :class:`Tracer` -- hierarchical spans (compile -> per-pass ->
   lowering; execute -> per-function with hot-block attribution; cache

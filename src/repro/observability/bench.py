@@ -36,26 +36,24 @@ from typing import List, Optional, Tuple
 MPFR = "vpfloat<mpfr, 16, 128>"
 UNUM = "vpfloat<unum, 3, 6>"
 
-#: One pinned case: (kernel, ftype, n, backend, engine, lanes).
+#: One pinned case: (kernel, ftype, n, backend, engine).
 #: The suite is the contract between a baseline ledger and every later
 #: candidate -- append cases rather than editing existing ones, or the
 #: comparison loses its overlap.
-Case = Tuple[str, str, int, str, Optional[str], Optional[int]]
+Case = Tuple[str, str, int, str, Optional[str]]
 
 FULL_SUITE: List[Case] = [
-    ("gemm", MPFR, 8, "mpfr", "jit", None),
-    ("gemm", MPFR, 6, "mpfr", "jit", 4),
-    ("jacobi-1d", MPFR, 24, "mpfr", "jit", None),
-    ("jacobi-1d", MPFR, 24, "mpfr", "legacy", None),
-    ("atax", MPFR, 12, "mpfr", "jit", None),
-    ("gemm", UNUM, 6, "unum", None, None),
+    ("gemm", MPFR, 8, "mpfr", "jit"),
+    ("jacobi-1d", MPFR, 24, "mpfr", "jit"),
+    ("jacobi-1d", MPFR, 24, "mpfr", "legacy"),
+    ("atax", MPFR, 12, "mpfr", "jit"),
+    ("gemm", UNUM, 6, "unum", None),
 ]
 
 QUICK_SUITE: List[Case] = [
-    ("gemm", MPFR, 6, "mpfr", "jit", None),
-    ("gemm", MPFR, 4, "mpfr", "jit", 4),
-    ("jacobi-1d", MPFR, 12, "mpfr", "jit", None),
-    ("gemm", UNUM, 4, "unum", None, None),
+    ("gemm", MPFR, 6, "mpfr", "jit"),
+    ("jacobi-1d", MPFR, 12, "mpfr", "jit"),
+    ("gemm", UNUM, 4, "unum", None),
 ]
 
 
@@ -105,16 +103,15 @@ def _run_case(case: Case, reps: int, ledger) -> dict:
     from ..evaluation.harness import run_kernel
     from .ledger import report_fields
 
-    kernel, ftype, n, backend, engine, lanes = case
+    kernel, ftype, n, backend, engine = case
     row = {}
     for rep in range(reps):
         wall0 = time.perf_counter()
         outcome = run_kernel(kernel, ftype, n, backend=backend,
-                             engine=engine, batch=lanes,
-                             read_outputs=False)
+                             engine=engine, read_outputs=False)
         wall = time.perf_counter() - wall0
         fields = dict(kernel=kernel, ftype=ftype, n=n, backend=backend,
-                      engine=engine, lanes=lanes, rep=rep,
+                      engine=engine, rep=rep,
                       wall_seconds=wall, **report_fields(outcome.report))
         ledger.record("bench", **fields)
         row = fields
@@ -170,9 +167,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     suite = QUICK_SUITE if args.quick else FULL_SUITE
     if args.list:
         for case in suite:
-            kernel, ftype, n, backend, engine, lanes = case
+            kernel, ftype, n, backend, engine = case
             print(f"{kernel:<12} {ftype:<24} n={n:<4} {backend:<5} "
-                  f"engine={engine or '-':<7} lanes={lanes or '-'}")
+                  f"engine={engine or '-'}")
         return 0
     if args.reps < 1:
         print("vpfloat-bench: --reps must be >= 1", file=sys.stderr)

@@ -1,13 +1,13 @@
 """Persistent run ledger: append-only, schema-versioned JSONL history.
 
-Every compile and run event of the stack evaporated with the process
-until now -- Perfetto traces and metrics dumps are per-invocation
-artifacts, not history.  The ledger is the durable substrate: one JSONL
-file that every :class:`~repro.core.CompilerDriver` compile, every
-``program.run``/``run_batch``, every harness sweep point and every
-benchmark appends one self-describing record to, so performance has a
-trajectory that regression gating (``vpfloat-stats compare``) and the
-autotuner roadmap items can read.
+Perfetto traces and metrics dumps are per-invocation artifacts, not
+history.  The ledger is the durable substrate: one JSONL file that
+every :class:`~repro.core.CompilerDriver` compile, every
+``program.run`` (``run_batch`` records a ``batch_run``), every harness
+sweep point and every ``vpfloat-bench`` case appends one
+self-describing record to, so performance has a trajectory that
+regression gating (``vpfloat-stats compare``, ``vpfloat-bench
+--baseline``) can read.
 
 Design constraints, in order:
 

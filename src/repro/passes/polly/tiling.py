@@ -47,6 +47,9 @@ class PollyLite:
     """Apply tiling to every legal nest in a translation unit."""
 
     def __init__(self, tile_size: int = DEFAULT_TILE, min_depth: int = 2):
+        if tile_size < 1:
+            # A zero or negative step never leaves the tile loop.
+            raise ValueError(f"tile size must be >= 1, got {tile_size}")
         self.tile_size = tile_size
         self.min_depth = min_depth
         self.tiled_nests = 0
@@ -408,7 +411,8 @@ def _stmt_children(stmt):
 
 def optimize_unit(unit: ast.TranslationUnit,
                   tile_size: int = DEFAULT_TILE) -> int:
-    """Run Polly-lite; returns the number of tiled nests.
+    """Run Polly-lite; returns the number of tiled nests (ValueError
+    for a tile size below 1).
 
     NOTE: the unit must be re-analyzed (sema) afterwards because tiling
     introduces new declarations.

@@ -5,7 +5,7 @@ programs, a shared content-addressed artifact store) behind a local
 Unix socket; ``vpfloat-client`` talks to it.  Same-point run requests
 from concurrent clients coalesce into one shared run, faults
 (dead/hung workers, vanished clients) degrade gracefully, and every
-reply is bit-identical to the batch CLI -- certified on request via
+reply is bit-identical to an in-process run -- certified on request via
 the ``serial<->service`` transition.
 
 Layers: :mod:`~repro.service.protocol` (wire format),

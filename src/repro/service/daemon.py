@@ -17,9 +17,9 @@ next client in rotation.
 When the head requests of several clients name the *same point* (same
 kernel, canonical element type, n, backend, options --
 :func:`repro.service.protocol.coalesce_key`), the scheduler coalesces
-up to ``max_batch`` of them into one ``run_batch`` dispatch: one run
-serves every lane, so each lane's reply is bit-identical to a serial
-run.
+up to ``max_batch`` of them into one dispatch: the shard runs the
+point once and that one observation answers every lane, so each lane's
+reply is bit-identical to a serial run.
 
 Fault tolerance
 ---------------
@@ -476,14 +476,10 @@ class VpfloatDaemon:
             pending.attempts += 1
         seed = live[0]
         lanes = len(live)
-        if seed.op == "run" and lanes > 1:
-            message = {"kind": "run_batch", "lanes": lanes,
-                       "payload": self._payload(seed.message)}
+        if lanes > 1:
             self.registry.inc("service.coalesced", lanes)
             self.registry.inc("service.batches")
-        else:
-            message = {"kind": seed.op,
-                       "payload": self._payload(seed.message)}
+        message = {"kind": seed.op, "payload": self._payload(seed.message)}
         wall0 = time.perf_counter()
         try:
             ok, payload, delta = await asyncio.to_thread(
@@ -504,17 +500,15 @@ class VpfloatDaemon:
             self._record(seed, seq, lanes, wall, "task_failed")
             self._free.put_nowait(worker)
             return
-        members = payload.get("lanes", [payload]) \
-            if message["kind"] == "run_batch" else [payload]
         certificate = None
         worker_ok = True
         if seed.op == "run" and any(
                 p.message.get("validate") for p in live):
             certificate, worker_ok = await self._certify(worker, seed,
-                                                         members)
+                                                         payload, lanes)
+        # The one run answers every coalesced lane.
         for lane, pending in enumerate(live):
-            result = dict(members[lane] if lane < len(members)
-                          else members[0])
+            result = dict(payload)
             result.update({"seq": seq, "lanes": lanes, "lane": lane,
                            "attempts": pending.attempts})
             if certificate is not None \
@@ -561,9 +555,10 @@ class VpfloatDaemon:
             self._requeue(retry)
 
     async def _certify(self, worker: WorkerHandle,
-                       seed: PendingRequest, members: List[dict]):
-        """One serial reference run on the same warm shard, every
-        service lane checked against it bit-for-bit.
+                       seed: PendingRequest, member: dict, lanes: int):
+        """One serial reference run on the same warm shard, each of the
+        ``lanes`` service lanes (all answered by ``member``) checked
+        against it bit-for-bit.
 
         Returns ``(certificate_or_None, worker_ok)`` -- a shard that
         faulted during the reference run is reaped and replaced here
@@ -571,9 +566,6 @@ class VpfloatDaemon:
         and the caller must not return it to the free pool.
         """
         payload = self._payload(seed.message)
-        options = dict(payload.get("options") or {})
-        options["engine"] = "jit"
-        payload["options"] = options
         try:
             ok, reference, delta = await asyncio.to_thread(
                 worker.call, {"kind": "run", "payload": payload},
@@ -597,8 +589,8 @@ class VpfloatDaemon:
             kind="service", reference="serial.inprocess",
             witness={"transition": "serial↔service",
                      "digest": reference.get("digest"),
-                     "lanes": len(members)})
-        for lane, member in enumerate(members):
+                     "lanes": lanes})
+        for lane in range(lanes):
             certificate.add(make_check(
                 f"service.lane{lane}", SERVICE_STRICTNESS,
                 reference["values"], member["values"],

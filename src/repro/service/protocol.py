@@ -18,7 +18,7 @@ Replies::
     {"v": 1, "id": 7, "ok": false,
      "error": {"code": "timeout", "message": "...", "attempts": 2}}
 
-Run results carry the *same* observation a batch CLI run would
+Run results carry the *same* observation an in-process run would
 produce: the value-token sequence of ``repro.validation.value_token``
 over ``[return value] + output array`` (bit-level identity survives
 the JSON round trip as nested lists), its 16-hex digest, and the full
@@ -158,19 +158,14 @@ def coalesce_key(message: dict) -> Optional[Tuple]:
 
     Requests sharing a key compute the *same point* of the same
     compiled program (kernel, canonical element type, n, backend and
-    every forwarded option), so the daemon may execute any number of
-    them as one ``run_batch`` dispatch, whose one run serves every
-    lane.  Only mpfr-backend points on the jit engine (``run_batch``'s
-    domain) coalesce; everything else --
-    other backends, explicit non-jit engines, raw-source requests --
-    returns None and dispatches serially.
+    every forwarded option), so the daemon may answer any number of
+    them with one run.  Raw-source requests and other ops return None
+    and dispatch alone.
     """
     if message.get("op") != "run" or message.get("source") is not None:
         return None
     backend = message.get("backend", "mpfr")
     options = dict(message.get("options") or {})
-    if backend != "mpfr" or options.get("engine") not in (None, "jit"):
-        return None
     try:
         from ..evaluation.harness import parse_ftype
 

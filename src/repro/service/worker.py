@@ -7,7 +7,7 @@ then serves ``(kind, payload)`` messages until the pipe closes or the
 daemon kills it.
 
 Every reply ships an *observation* -- the value tokens, digest and
-cycle-report snapshot a batch CLI run of the same point would produce
+cycle-report snapshot an in-process run of the same point would produce
 -- plus the request's artifact-store traffic delta, so the daemon can
 certify serial<->service equivalence and aggregate store hit rates
 without ever touching the toolchain itself.
@@ -32,7 +32,6 @@ from ..core import CompilerDriver
 from ..evaluation.harness import (
     canonical_source_ftype,
     get_compile_cache,
-    read_lane_outputs,
     run_kernel,
 )
 from ..evaluation.parallel import init_worker_runtime
@@ -54,7 +53,7 @@ class TaskFailed(Exception):
     """The request itself raised; deterministic, never retried."""
 
 
-def observation(values: List, report, mode: str = "serial",
+def observation(values: List, report,
                 wall_seconds: float = 0.0) -> dict:
     """The reply payload for one executed point: bit-level value
     tokens (+ digest) and the cycle-report snapshot."""
@@ -65,7 +64,6 @@ def observation(values: List, report, mode: str = "serial",
         "report": report_snapshot(report),
         "cycles": getattr(report, "cycles", None)
         if not isinstance(report, dict) else report.get("cycles"),
-        "mode": mode,
         "wall_seconds": wall_seconds,
     }
 
@@ -94,16 +92,15 @@ def execute_compile(payload: dict) -> dict:
     whether the store served it, and the compile wall time."""
     cache = get_compile_cache()
     options = _run_options(payload)
-    engine = options.pop("engine", None)
-    for knob in ("pool", "kernel_tier"):  # run knobs, not compile ones
+    # The engine, pool and kernel tier are run knobs, not compile ones.
+    for knob in ("engine", "pool", "kernel_tier"):
         options.pop(knob, None)
     source = _resolve_source(payload)
     name = payload.get("kernel") or payload.get("name") or "service"
     backend = payload.get("backend", "mpfr")
     before = stats_snapshot(cache.stats) if cache is not None else {}
     wall0 = time.perf_counter()
-    driver = CompilerDriver(backend=backend, cache=cache,
-                            engine=engine, **options)
+    driver = CompilerDriver(backend=backend, cache=cache, **options)
     program = driver.compile(source, name=f"{name}-{backend}")
     wall = time.perf_counter() - wall0
     cached = False
@@ -118,7 +115,7 @@ def execute_compile(payload: dict) -> dict:
 
 
 def execute_run(payload: dict) -> dict:
-    """One serial point, exactly the batch-CLI path (run_kernel)."""
+    """One point, exactly the in-process path (run_kernel)."""
     options = _run_options(payload)
     wall0 = time.perf_counter()
     outcome = run_kernel(payload["kernel"], payload["ftype"],
@@ -128,39 +125,6 @@ def execute_run(payload: dict) -> dict:
     values = [outcome.value] + list(outcome.outputs)
     return observation(values, outcome.report,
                        wall_seconds=time.perf_counter() - wall0)
-
-
-def execute_run_batch(payload: dict, lanes: int) -> dict:
-    """``lanes`` coalesced requests for one point as one ``run_batch``
-    dispatch, whose one run serves them all; -> per-lane observations
-    (certified against a serial run by the daemon when a client asked
-    for validation)."""
-    if lanes < 1:
-        raise TaskFailed(f"lanes must be >= 1, got {lanes}")
-    options = _run_options(payload)
-    options.pop("engine", None)  # run_batch runs on the jit engine
-    kernel = payload["kernel"]
-    ftype = payload["ftype"]
-    n = payload["n"]
-    if kernel not in KERNELS:
-        raise TaskFailed(f"unknown kernel {kernel!r}")
-    spec = KERNELS[kernel]
-    source = source_for(kernel, canonical_source_ftype(ftype))
-    run_options = {knob: options.pop(knob)
-                   for knob in ("pool", "kernel_tier") if knob in options}
-    wall0 = time.perf_counter()
-    driver = CompilerDriver(backend="mpfr", cache=get_compile_cache(),
-                            engine="jit", **options)
-    program = driver.compile(source, name=f"{kernel}-mpfr")
-    result = program.run_batch("run", [n], lanes=lanes, **run_options)
-    wall = time.perf_counter() - wall0
-    values = [result.value] + read_lane_outputs(
-        result.interpreter, int(result.value), spec.outputs(n), ftype,
-        "mpfr")
-    member = observation(values, result.report, mode=result.mode,
-                         wall_seconds=wall)
-    return {"lanes": [member] * lanes, "mode": result.mode,
-            "wall_seconds": wall}
 
 
 def execute_debug(payload: dict) -> dict:
@@ -208,8 +172,6 @@ def _execute(message: dict) -> dict:
         return execute_compile(payload)
     if kind == "run":
         return execute_run(payload)
-    if kind == "run_batch":
-        return execute_run_batch(payload, int(message.get("lanes", 1)))
     if kind == "debug":
         return execute_debug(payload)
     raise TaskFailed(f"unknown worker message kind {kind!r}")

@@ -58,11 +58,12 @@ _TRAFFIC_FIELDS = (
 #:
 #: * ``engine↔engine`` -- any pair of execution engines over one
 #:   compiled program (jit/legacy).
-#: * ``serial↔service`` -- a batch-CLI-equivalent serial run against
+#: * ``serial↔service`` -- an in-process serial run against
 #:   each reply the compile/run daemon produced for the same request
-#:   (possibly coalesced into one ``run_batch`` dispatch, retried on a
-#:   fresh shard, or served from the shared artifact store); the daemon
-#:   is transport, so values and cycle reports must match bit-for-bit.
+#:   (possibly coalesced with same-point requests into one run, retried
+#:   on a fresh shard, or served from the shared artifact store); the
+#:   daemon is transport, so values and cycle reports must match
+#:   bit-for-bit.
 #: * ``pool.on↔pool.off`` -- the MPFR free-list toggle.
 #: * ``O3↔O0`` / ``O3↔O3-minus-one-pass`` -- optimization transitions.
 #: * ``generic↔specialized`` -- the generic arbitrary-precision kernels

@@ -151,8 +151,7 @@ def certify(subject: str, func: str, args: Sequence = (), *,
         key = tuple(sorted((k, v) for k, v in delta.items()
                            if k in _COMPILE_KEYS))
         if key not in programs:
-            driver = CompilerDriver(**{**options, **dict(key)},
-                                    engine=reference_engine)
+            driver = CompilerDriver(**{**options, **dict(key)})
             programs[key] = driver.compile(source, name=subject)
         kwargs = dict(run_options or {})
         kwargs.update((k, v) for k, v in delta.items()

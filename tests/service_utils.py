@@ -68,11 +68,12 @@ async def park_worker(daemon, client, latch_path) -> int:
     return request_id
 
 
-def serial_digest(kernel: str, n: int, ftype: str = FTYPE) -> str:
+def serial_digest(kernel: str, n: int, ftype: str = FTYPE,
+                  backend: str = "mpfr") -> str:
     """The in-process serial reference digest for one point."""
     from repro.evaluation.harness import run_kernel
     from repro.validation.certificate import values_digest
 
-    outcome = run_kernel(kernel, ftype, n, backend="mpfr",
+    outcome = run_kernel(kernel, ftype, n, backend=backend,
                          engine="jit")
     return values_digest([outcome.value] + list(outcome.outputs))

@@ -98,3 +98,19 @@ class TestDiagnostics:
     def test_emit_asm_requires_unum(self, source_file, capsys):
         assert main([source_file, "--emit-asm"]) == 1
         assert "--backend unum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--validate", "--report"],
+                                       ["--validate"], ["--report"],
+                                       ["--profile"], ["--args", "4"]])
+    def test_run_only_flags_require_run(self, source_file, capsys, flags):
+        with pytest.raises(SystemExit) as exited:
+            main([source_file, "--no-compile-cache", *flags])
+        assert exited.value.code == 2
+        assert "requires --run" in capsys.readouterr().err
+
+    def test_polly_tile_below_one_rejected(self, source_file, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([source_file, "--polly", "--polly-tile", "0",
+                  "--run", "run", "--args", "4"])
+        assert exited.value.code == 2
+        assert "--polly-tile" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from repro.codegen.pyjit import CodegenStore, emit_function_source
 from repro.core import CompileCache, CompilerDriver, compile_source
 from repro.evaluation.harness import _read_interpreter_outputs
 from repro.observability import telemetry_session
+from repro.validation.certificate import values_token
 from repro.workloads import RAJA_KERNELS, raja_source
 from repro.workloads.polybench import KERNELS, source_for
 
@@ -330,20 +331,45 @@ class TestCodegenCacheRoundTrip:
         assert len(jitted) >= 2
         assert writes == [sorted(statuses)]
 
-    def test_fingerprint_varies_with_engine(self):
-        options = CompilerDriver(backend="mpfr").options
-        keys = {
-            CompileCache.fingerprint("int run() { return 0; }", options,
-                                     engine=engine)
-            for engine in (None, "jit", "legacy")
-        }
-        assert len(keys) == 3
+    def test_one_cache_entry_across_engines(self, tmp_path):
+        # The engine is a run choice: legacy, jit and the default all
+        # run the one cached program, beside one codegen sidecar.
+        source = source_for("gemm", POLYBENCH_FTYPE)
+        runs = []
+        for engine in ("legacy", "jit", None):
+            driver = CompilerDriver(backend="mpfr",
+                                    cache=CompileCache(str(tmp_path)))
+            result = driver.compile(source, "gemm").run("run", [4],
+                                                        engine=engine)
+            outputs = _read_interpreter_outputs(
+                result.interpreter, int(result.value),
+                KERNELS["gemm"].outputs(4), POLYBENCH_FTYPE, "mpfr")
+            runs.append((values_token([result.value] + outputs),
+                         result.report.cycles))
+        assert runs[0] == runs[1] == runs[2]
+        assert len(list(tmp_path.glob("*.vpc"))) == 1
+        assert len(list(tmp_path.glob("*.vpcgen"))) == 1
+
+    def test_deprecated_driver_engine_is_a_run_default(self, tmp_path):
+        cache = CompileCache(str(tmp_path))
+        source = "int f() { return 1; }"
+        with pytest.warns(DeprecationWarning, match="engine"):
+            legacy = CompilerDriver(backend="none", cache=cache,
+                                    engine="legacy").compile(source)
+        default = CompilerDriver(backend="none", cache=cache).compile(source)
+        assert legacy.fingerprint == default.fingerprint
+        assert legacy.run("f", []).interpreter.dispatch == "legacy"
+        assert legacy.run("f", [], engine="jit").interpreter.dispatch \
+            == "jit"
+        # The cached program itself keeps no per-driver default.
+        assert default.run("f", []).interpreter.dispatch == "jit"
 
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
+        program = compile_source("int f() { return 1; }", backend="none")
         with pytest.raises(ValueError, match="unknown engine"):
-            CompilerDriver(backend="mpfr", engine="fused")
+            program.run("f", [], engine="fused")
 
     def test_removed_fast_engine_rejected_everywhere(self, tmp_path,
                                                      capsys):
@@ -353,8 +379,7 @@ class TestEngineSelection:
 
         choices = re.escape("('jit', 'legacy')")
         program = compile_source("int f() { return 1; }", backend="none")
-        for make in (lambda: CompilerDriver(backend="mpfr", engine="fast"),
-                     lambda: program.run("f", [], engine="fast"),
+        for make in (lambda: program.run("f", [], engine="fast"),
                      lambda: Interpreter(program.module, dispatch="fast")):
             with pytest.raises(ValueError, match=choices):
                 make()

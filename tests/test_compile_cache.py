@@ -234,7 +234,7 @@ double f(int n) {
 
     def _run(self, tmp_path):
         cache = CompileCache(tmp_path / "c")
-        driver = CompilerDriver(backend="mpfr", engine="jit", cache=cache)
+        driver = CompilerDriver(backend="mpfr", cache=cache)
         with telemetry_session(trace=True) as (tracer, _):
             result = driver.compile(self.SIDECAR_SOURCE,
                                     name="sidecar").run("f", [5])

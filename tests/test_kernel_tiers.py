@@ -270,7 +270,7 @@ def test_run_rejects_unknown_policy():
 
 
 def test_per_run_override_is_bit_identical():
-    program = CompilerDriver(backend="mpfr", engine="jit").compile(
+    program = CompilerDriver(backend="mpfr").compile(
         SOURCE, name="k")
     runs = {tier: program.run("run", [40], kernel_tier=tier)
             for tier in KERNEL_TIER_POLICIES}
@@ -283,7 +283,7 @@ def test_per_run_override_is_bit_identical():
 def test_metrics_carry_tier_counters():
     from repro.observability import telemetry_session
     with telemetry_session(metrics=True) as (_, registry):
-        program = CompilerDriver(backend="mpfr", engine="jit").compile(
+        program = CompilerDriver(backend="mpfr").compile(
             SOURCE, name="k")
         program.run("run", [10])
     tiered = {k: v for k, v in registry.counters.items()
@@ -293,7 +293,7 @@ def test_metrics_carry_tier_counters():
 
 
 def test_unobserved_runs_skip_tier_stats():
-    program = CompilerDriver(backend="mpfr", engine="jit").compile(
+    program = CompilerDriver(backend="mpfr").compile(
         SOURCE, name="k")
     interp = program.interpreter()
     assert interp.tier_stats is None  # raw kernels, no counting

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.core import CompilerDriver
 from repro.evaluation.harness import run_kernel
 from repro.evaluation.parallel import GridPoint, run_grid
 from repro.observability import (
@@ -27,6 +28,7 @@ from repro.observability import (
     validate_record,
 )
 from repro.observability.ledger import comparison_key
+from repro.workloads.polybench import source_for
 
 MPFR = "vpfloat<mpfr, 16, 128>"
 
@@ -149,13 +151,13 @@ def test_run_records_compile_run_eval_point(tmp_path):
 
 def test_batch_run_records_lanes(tmp_path):
     path = tmp_path / "ledger.jsonl"
+    program = CompilerDriver(backend="mpfr").compile(
+        source_for("gemm", MPFR), name="gemm-mpfr")
     with ledger_session(path):
-        run_kernel("gemm", MPFR, 4, backend="mpfr", batch=3)
+        program.run_batch("run", [4], lanes=3)
     records, _ = read_ledger(path)
     batch = [r for r in records if r["event"] == "batch_run"]
     assert len(batch) == 1 and batch[0]["lanes"] == 3
-    point = [r for r in records if r["event"] == "eval_point"][0]
-    assert point["lanes"] == 3
 
 
 def test_cross_process_grid_integrity(tmp_path):

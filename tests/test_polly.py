@@ -174,3 +174,16 @@ class TestTransformation:
         miss_plain = r_plain.report.cache_hits
         # L1 hits should not degrade with tiling.
         assert r_tiled.report.cache_hits[0] >= 0.95 * miss_plain[0]
+
+
+class TestTileSize:
+    @pytest.mark.parametrize("tile", [0, -4])
+    def test_tile_below_one_rejected(self, tile):
+        # A zero step would tile into a loop that never terminates.
+        from repro.core import CompilerDriver
+
+        with pytest.raises(ValueError, match="tile size"):
+            CompilerDriver(backend="none", polly=True,
+                           polly_tile=tile).compile(GEMM)
+        with pytest.raises(ValueError, match="tile size"):
+            optimize_unit(analyze(parse(GEMM)), tile)

@@ -1,7 +1,7 @@
 """Concurrency behavior of the compile/run daemon.
 
 Covers the scheduler's three contracts under concurrent clients:
-same-point requests coalesce into one batched dispatch with per-lane
+same-point requests coalesce into one dispatch with per-lane
 replies bit-identical to serial runs, round-robin fairness keeps a
 flooding client from starving anyone, and admission control bounds the
 queue with structured ``overloaded`` rejections.  Worker parking uses
@@ -70,6 +70,46 @@ def test_same_point_requests_coalesce_into_one_dispatch(tmp_path):
                 await client.close()
 
     asyncio.run(scenario())
+
+
+def test_boost_same_point_requests_coalesce(tmp_path):
+    """Coalescing is not mpfr-only: two same-point boost runs parked
+    behind a busy shard get one dispatch and identical replies."""
+
+    async def scenario():
+        async with service(tmp_path, workers=1, max_batch=8) as daemon:
+            parker = await connect(daemon)
+            latch = tmp_path / "release"
+            park_id = await park_worker(daemon, parker, latch)
+            clients = [await connect(daemon) for _ in range(2)]
+            ids = [await client.send("run", kernel="trmm", ftype=FTYPE,
+                                     n=4, backend="boost")
+                   for client in clients]
+            await wait_until(lambda: daemon._pending_count() == 2,
+                             message="both requests queued")
+            latch.touch()
+            assert (await parker.reply(park_id))["ok"]
+            replies = [await client.reply(request_id)
+                       for client, request_id in zip(clients, ids)]
+            counters = dict(daemon.registry.counters)
+            for client in [parker] + clients:
+                await client.close()
+            return replies, counters
+
+    replies, counters = asyncio.run(scenario())
+    for reply in replies:
+        assert reply["ok"], reply
+    results = [reply["result"] for reply in replies]
+    assert len({r["seq"] for r in results}) == 1
+    assert [r["lane"] for r in results] == [0, 1]
+    assert all(r["lanes"] == 2 for r in results)
+    strip = ("lane", "attempts")
+    first, second = ({k: v for k, v in r.items() if k not in strip}
+                     for r in results)
+    assert first == second
+    assert first["digest"] == serial_digest("trmm", 4, backend="boost")
+    assert counters.get("service.coalesced") == 2
+    assert counters.get("service.batches") == 1
 
 
 def test_round_robin_fairness_under_flooding_client(tmp_path):
@@ -232,7 +272,9 @@ def test_coalesce_key_discriminates_points():
                     backend="mpfr"),
     ):
         assert coalesce_key(variation) != coalesce_key(base)
-    assert coalesce_key(request("run", 6, kernel="trmm", ftype=FTYPE,
-                                n=4, backend="unum")) is None
+    # A unum run has its own key, distinct from the mpfr one.
+    unum = coalesce_key(request("run", 6, kernel="trmm", ftype=FTYPE,
+                                n=4, backend="unum"))
+    assert unum is not None and unum != coalesce_key(base)
     assert coalesce_key(request("compile", 7, kernel="trmm",
                                 ftype=FTYPE)) is None
