@@ -9,11 +9,13 @@ precision, then replayed through both kernel families under the timer.
 Verifies bit-identity while it measures -- three digest assertions per
 configuration:
 
-* the gemm run's value + output array under ``kernel_tier="auto"``
-  must equal the ``kernel_tier="generic"`` run exactly;
+* the gemm run's value + output array on the jit (which binds the
+  tiered kernels) must equal the ``engine="legacy"`` run (the library
+  arithmetic) exactly;
 * both runs' CostReport snapshots must be identical (the tier is a
   strength reduction, not a cost-model change);
-* every replayed op must produce bit-identical results across tiers.
+* every replayed op must produce bit-identical results across the two
+  kernel families.
 
 Asserts the per-op speedup floors (>= 2x at 24--64-bit, >= 1.5x at
 128-bit; both scaled by ``$VPFLOAT_BENCH_FLOOR_SCALE``) and emits a
@@ -43,7 +45,7 @@ from repro.observability import bench_floor_scale, \
 from repro.validation.certificate import report_snapshot, value_token, \
     values_digest
 
-BENCH_FORMAT_VERSION = 3  # v3: no batch section (numpy tier deleted)
+BENCH_FORMAT_VERSION = 4  # v4: the digest check's reference is legacy
 KERNEL = "gemm"
 PRECISIONS = (24, 53, 64, 128)
 SCALAR_FLOORS = {24: 2.0, 53: 2.0, 64: 2.0, 128: 1.5}
@@ -74,8 +76,7 @@ def record_streams(prec: int, n: int):
     pyjit.select_scalar_kernel = recording
     try:
         run_kernel(KERNEL, f"vpfloat<mpfr, 16, {prec}>", n,
-                   backend="mpfr", engine="jit", kernel_tier="auto",
-                   read_outputs=False)
+                   backend="mpfr", engine="jit", read_outputs=False)
     finally:
         pyjit.select_scalar_kernel = original
     return streams
@@ -92,25 +93,25 @@ def replay_seconds(kernel, stream, reps: int) -> float:
 
 
 def bench_scalar(prec: int, n: int, reps: int, failures) -> dict:
-    """Digest-check gemm across tiers, then replay its recorded operand
-    streams through both kernel families; -> the JSON row."""
+    """Digest-check gemm's jit run against the legacy walker, then
+    replay its recorded operand streams through both kernel families;
+    -> the JSON row."""
     ftype = f"vpfloat<mpfr, 16, {prec}>"
     outcomes = {
-        tier: run_kernel(KERNEL, ftype, n, backend="mpfr",
-                         engine="jit", kernel_tier=tier)
-        for tier in ("auto", "generic")
+        engine: run_kernel(KERNEL, ftype, n, backend="mpfr", engine=engine)
+        for engine in ("jit", "legacy")
     }
-    digests = {tier: values_digest([o.value] + list(o.outputs))
-               for tier, o in outcomes.items()}
-    if digests["auto"] != digests["generic"]:
-        failures.append(f"gemm@{prec}: tiered outputs diverge from the "
-                        f"generic kernels ({digests['auto']} != "
-                        f"{digests['generic']})")
-    reports = {tier: report_snapshot(o.report)
-               for tier, o in outcomes.items()}
-    if reports["auto"] != reports["generic"]:
-        failures.append(f"gemm@{prec}: tiered CostReport differs from "
-                        f"the generic kernels")
+    digests = {engine: values_digest([o.value] + list(o.outputs))
+               for engine, o in outcomes.items()}
+    if digests["jit"] != digests["legacy"]:
+        failures.append(f"gemm@{prec}: tiered jit outputs diverge from "
+                        f"the legacy walker ({digests['jit']} != "
+                        f"{digests['legacy']})")
+    reports = {engine: report_snapshot(o.report)
+               for engine, o in outcomes.items()}
+    if reports["jit"] != reports["legacy"]:
+        failures.append(f"gemm@{prec}: tiered jit CostReport differs "
+                        f"from the legacy walker")
 
     streams = record_streams(prec, n)
     ops = {}
@@ -139,7 +140,7 @@ def bench_scalar(prec: int, n: int, reps: int, failures) -> dict:
     total = sum(row["count"] for row in ops.values())
     print(f"gemm@{prec:>3}: {total:>6} recorded op(s)  "
           f"per-op speedup {speedup:5.2f}x  (floor {floor:.2f}x)  "
-          f"digest {digests['auto']}")
+          f"digest {digests['jit']}")
     for op, row in sorted(ops.items()):
         print(f"    {op:<4} x{row['count']:<6} "
               f"{row['speedup']:5.2f}x")
@@ -148,8 +149,8 @@ def bench_scalar(prec: int, n: int, reps: int, failures) -> dict:
                         f"below the {floor:.2f}x floor")
     return {"prec": prec, "n": n, "ops": ops,
             "speedup_vs_generic": speedup, "floor": floor,
-            "digest": digests["auto"],
-            "cycles": reports["auto"]["cycles"]}
+            "digest": digests["jit"],
+            "cycles": reports["jit"]["cycles"]}
 
 
 def main(argv=None) -> int:
@@ -188,8 +189,9 @@ def main(argv=None) -> int:
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
-        print("OK: tiered outputs and CostReports bit-identical to the "
-              "generic kernels, speedup floors met")
+        print("OK: tiered jit outputs and CostReports bit-identical to "
+              "the legacy walker, replayed ops bit-identical across "
+              "kernel families, speedup floors met")
     return 1 if failures else 0
 
 

@@ -53,8 +53,9 @@ def bench(n: int, reps: int, quick: bool) -> int:
     source = source_for("gemm", FTYPE)
     program = CompilerDriver(backend="mpfr").compile(source, name="gemm")
 
-    # One pooled jit interpreter per mode, warmed before timing.
-    control_interp = program.interpreter(engine="jit", pool=True)
+    # One jit interpreter per mode (mpfr: free list on), warmed
+    # before timing.
+    control_interp = program.interpreter(engine="jit")
     control_interp.run("run", [n])
 
     # Install + tear down a real telemetry session (and a run-ledger
@@ -64,8 +65,8 @@ def bench(n: int, reps: int, quick: bool) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         with telemetry_session(trace=True, metrics=True):
             with ledger_session(os.path.join(tmp, "ledger.jsonl")):
-                program.run("run", [n], engine="jit", pool=True)
-    disabled_interp = program.interpreter(engine="jit", pool=True)
+                program.run("run", [n], engine="jit")
+    disabled_interp = program.interpreter(engine="jit")
     disabled_interp.run("run", [n])
 
     control = []
@@ -80,7 +81,7 @@ def bench(n: int, reps: int, quick: bool) -> int:
     # append when enabled).  Interleaved min-of-reps like above.
     def _timed_program_run():
         started = time.perf_counter()
-        program.run("run", [n], engine="jit", pool=True)
+        program.run("run", [n], engine="jit")
         return time.perf_counter() - started
 
     ledger_off = []
@@ -95,7 +96,7 @@ def bench(n: int, reps: int, quick: bool) -> int:
         ledger_records = sum(1 for line in open(path) if line.strip())
 
     with telemetry_session(trace=True, metrics=True) as (tracer, registry):
-        enabled_interp = program.interpreter(engine="jit", pool=True)
+        enabled_interp = program.interpreter(engine="jit")
         enabled_interp.run("run", [n])
         enabled = [_timed_run(enabled_interp, n) for _ in range(reps)]
         spans = sum(1 for e in tracer.events if e["ph"] == "X")

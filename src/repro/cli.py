@@ -82,28 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "walker, also used by --profile); a run "
                              "choice, so every engine shares one "
                              "compile-cache entry")
-    parser.add_argument("--no-pool", action="store_true",
-                        help="disable the runtime MPFR object pool")
-    parser.add_argument("--kernel-tier",
-                        choices=("auto", "generic"),
-                        default="auto",
-                        help="kernel-tier policy for the jit engine's "
-                             "precision-specialized fast-path kernels "
-                             "(<=64-bit and <=128-bit significands): "
-                             "'auto' tiers by precision, 'generic' "
-                             "forces the generic kernels; results are "
-                             "bit-identical across policies, which "
-                             "share one compile-cache entry")
     parser.add_argument("--validate", action="store_true",
                         help="after --run, emit translation-validation "
                              "certificates: re-run FUNC on every other "
-                             "execution engine and with the pool off "
-                             "(bit-identical values + engine/pool report "
-                             "invariants), at -O0 and without each -O3 "
-                             "pass switch (bit-identical values), and "
-                             "with the generic kernel tier against the "
-                             "specialized one; exit 3 if any check "
-                             "fails")
+                             "execution engine (bit-identical values "
+                             "and cycle reports; on the jit this also "
+                             "checks its precision-specialized kernel "
+                             "tiers against the walker's library "
+                             "arithmetic), and at -O0 and without each "
+                             "-O3 pass switch (bit-identical values); "
+                             "exit 3 if any check fails")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent compile-cache directory (default: "
                              "$VPFLOAT_CACHE_DIR or ~/.cache/vpfloat-repro; "
@@ -112,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                         action="store_false",
                         help="always compile from scratch")
     parser.add_argument("--threads", type=int, default=1,
-                        help="model OpenMP regions at this thread count")
+                        help="model OpenMP regions at this thread count "
+                             "(>= 1)")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a Chrome trace-event JSON of the "
                              "compile + run (view in Perfetto)")
@@ -173,6 +162,8 @@ def main(argv=None) -> int:
                 parser.error(f"--{flag} requires --run")
     if args.polly_tile < 1:
         parser.error(f"--polly-tile must be >= 1, got {args.polly_tile}")
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     if args.cache_dir is not None:
         expanded = os.path.expanduser(args.cache_dir)
         if os.path.exists(expanded) and not os.path.isdir(expanded):
@@ -244,9 +235,7 @@ def _run(args) -> int:
         try:
             result = program.run(args.run, run_args,
                                  engine=args.engine,
-                                 profile=args.profile,
-                                 pool=False if args.no_pool else None,
-                                 kernel_tier=args.kernel_tier)
+                                 profile=args.profile)
         except Exception as error:
             print(f"runtime error: {error}", file=sys.stderr)
             return 2
@@ -273,30 +262,22 @@ def _run(args) -> int:
 
 def _validate(args, run_args, program, source, cache) -> int:
     """Print certificates for the function just run; 3 if any fails:
-    the engine/pool transitions, the pass transitions and the
-    kernel-tier transition."""
+    the engine transitions and the pass transitions."""
     if args.backend == "unum":
         print("error: --validate requires an interpreter backend "
               "(none/mpfr/boost)", file=sys.stderr)
         return 1
     from .validation import certify
 
-    run_options = {"pool": False if args.no_pool else None,
-                   "kernel_tier": args.kernel_tier}
-    common = dict(strict=False, engine=args.engine, run_options=run_options)
+    common = dict(strict=False, engine=args.engine)
     # The pass transitions are certified against the full -O3.
     options = {**asdict(program.options), "opt_level": 3, "cache": cache}
     certificates = [
         certify(args.source, args.run, run_args, program=program,
-                only=("engine", "pool"), **common),
+                **common),
         certify(args.source, args.run, run_args, kind="pass",
                 source=source, options=options,
                 only=("opt", "pass"), **common),
-        # Only the jit binds tiered kernels: certify the tier there.
-        certify(args.source, args.run, run_args, kind="kernel-tier",
-                source=source, options=options, only=("tier",),
-                **dict(common, engine="jit", run_options={
-                    **run_options, "kernel_tier": "auto"})),
     ]
     for certificate in certificates:
         print(certificate.render())

@@ -136,8 +136,8 @@ class _KernelMap(dict):
     destination handle's precision and exponent-range clamp at
     execution time; the dict hit is a single C-level lookup and misses
     specialize on first use.  Misses pick the kernel tier (tiered
-    smallfloat vs generic) from the interpreter's policy and, when the
-    run is observing, bind per-tier counting wrappers.
+    smallfloat vs generic) from the precision and, when the run is
+    observing, bind per-tier counting wrappers.
     """
 
     def __init__(self, op: str, interp=None):
@@ -149,9 +149,7 @@ class _KernelMap(dict):
         prec, exp_bits = key
         interp = self.interp
         kernel = select_scalar_kernel(
-            self.op, prec, exp_bits,
-            getattr(interp, "kernel_tier", "auto"),
-            getattr(interp, "tier_stats", None))
+            self.op, prec, exp_bits, getattr(interp, "tier_stats", None))
         self[key] = kernel
         return kernel
 
@@ -212,7 +210,6 @@ class JitRuntime:
     def kernel(self, opcode: str, prec: int, exp_bits=None):
         return select_scalar_kernel(
             _VP_OPS[opcode], prec, exp_bits,
-            getattr(self.interp, "kernel_tier", "auto"),
             getattr(self.interp, "tier_stats", None))
 
     def mpfr_kernels(self, op: str):
@@ -1179,8 +1176,8 @@ def emit_function_source(interp, func: Function
 
 class CodegenStore:
     """Per-program store of jit artifacts: per function, a status,
-    fallback reason, compiled code object and line map.  Every
-    kernel-tier policy shares it, since tiers bind at bind time.
+    fallback reason, compiled code object and line map.  Kernel tiers
+    bind at bind time, so emitted code is tier-independent.
 
     Backed by a :class:`~repro.core.cache.CompileCache` ``.vpcgen``
     sidecar when the program came through the compile cache, so warm

@@ -45,8 +45,10 @@ so the tier telemetry can attribute fallbacks.
 Bit-exactness is the contract: every result is identical to
 ``arith.<op>(..., prec, rm)``.  ``tests/test_kernel_tiers.py``
 cross-checks the inlined rounding against ``round_significand`` across
-all five modes and both tiers, and the differential fuzzer runs the
-generic and specialized tiers in lockstep on every generated program.
+all five modes and both tiers, and every ``engine.legacy`` certificate
+compares a jit run's tiered kernels against the legacy walker's library
+arithmetic (the differential fuzzer draws precisions 24--512, so its
+engine stage covers both tiers).
 """
 
 from __future__ import annotations
@@ -63,11 +65,6 @@ from .kernels import KERNEL_OPS, _incr_cond
 SMALLFLOAT_MAX_PREC = 128
 #: Tier-1 boundary: mantissas that fit one 64-bit limb.
 TIER1_MAX_PREC = 64
-
-#: Kernel-tier selection policies (the ``--kernel-tier`` knob):
-#: ``auto`` tiers by precision, ``generic`` forces the generic
-#: kernels everywhere (the ablation baseline).
-KERNEL_TIER_POLICIES = ("auto", "generic")
 
 #: Alignment cap for add/sub beyond the kept significand: guard bits
 #: plus the window the rounding tail needs.  Anything shifted further
@@ -574,19 +571,18 @@ class TierStats:
 
 
 def select_scalar_kernel(op: str, prec: int, exp_bits: Optional[int],
-                         policy: str = "auto",
                          stats: Optional[TierStats] = None,
                          rm: RoundingMode = RoundingMode.NEAREST_EVEN,
                          ) -> Callable:
     """The scalar kernel the jit binds for one call-site key.
 
-    ``policy`` is the run's kernel-tier override: "auto" picks the
-    tiered kernel whenever the precision has one, "generic" forces
-    the generic specialized kernel (the bisect lever).  With ``stats``
-    the chosen kernel is wrapped in a per-tier counting closure and
-    tiered kernels report fallback reasons.
+    The precision alone picks it: the tiered kernel whenever the
+    precision has one (:func:`kernel_tier`), else the generic
+    specialized kernel.  With ``stats`` the chosen kernel is wrapped in
+    a per-tier counting closure and tiered kernels report fallback
+    reasons.
     """
-    tier = 0 if policy == "generic" else kernel_tier(prec)
+    tier = kernel_tier(prec)
     if tier:
         notes = stats.notes() if stats is not None else None
         kernel = smallfloat_kernel(op, prec, rm, exp_bits, notes=notes)

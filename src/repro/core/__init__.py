@@ -65,16 +65,6 @@ def resolve_engine(engine: Optional[str]) -> str:
     return engine
 
 
-def _check_kernel_tier(kernel_tier: str) -> str:
-    """Validate a kernel-tier policy name (auto/generic)."""
-    from ..codegen.smallfloat import KERNEL_TIER_POLICIES
-
-    if kernel_tier not in KERNEL_TIER_POLICIES:
-        raise ValueError(f"unknown kernel tier {kernel_tier!r}; "
-                         f"choose from {KERNEL_TIER_POLICIES}")
-    return kernel_tier
-
-
 @dataclass
 class CompileOptions:
     """Knobs mirroring the paper's evaluation configurations."""
@@ -158,21 +148,11 @@ class CompiledProgram:
 
     # ------------------------------------------------------------ #
 
-    def _pool_default(self, pool: Optional[bool]) -> bool:
-        """The runtime MPFR free-list is on for the paper's own runtime
-        (mpfr/none) and off for the Boost baseline, whose per-operation
-        allocation traffic is the behavior under measurement (Fig. 1)."""
-        if pool is None:
-            return self.options.backend != "boost"
-        return pool
-
     def run(self, name: str, args: Optional[List[object]] = None,
             cache: bool = True, max_steps: int = 500_000_000,
             coprocessor=None, costs=None,
             profile: bool = False,
-            pool: Optional[bool] = None,
-            engine: Optional[str] = None,
-            kernel_tier: str = "auto") -> ExecutionResult:
+            engine: Optional[str] = None) -> ExecutionResult:
         """Execute a function; returns value + CostReport + stdout.
 
         ``costs`` selects a CycleCosts profile (default: Xeon-calibrated;
@@ -183,13 +163,10 @@ class CompiledProgram:
         ``profile=True`` runs on the legacy walker under the exact IR
         profiler, whose :class:`~repro.observability.profile.IRProfile`
         becomes ``result.profile``; values and the CostReport equal an
-        unprofiled legacy run's.  ``pool`` switches the MPFR object pool
-        (default per backend: on except for Boost).  ``kernel_tier`` is
-        this run's kernel-tier policy (auto/generic: the jit
-        engine's precision-specialized fast-path kernels vs the generic
-        ones; bit-identical either way, and bound when the run binds
-        its jit code, so every tier shares one codegen sidecar).  The
-        unum backend runs on the UNUM machine, returned as
+        unprofiled legacy run's.  The engine is the run's only choice:
+        the MPFR free list follows the backend (:meth:`interpreter`)
+        and the jit's kernel tier follows each operation's precision.
+        The unum backend runs on the UNUM machine, returned as
         ``result.machine``."""
         backend = self.options.backend
         mode = resolve_engine(engine)
@@ -212,15 +189,14 @@ class CompiledProgram:
         if profile:
             mode = "legacy"  # the exact profiler hooks the walker
         return self._execute(
-            name, args, mode, cache, max_steps, costs, pool, kernel_tier,
-            profile, partial(observe, f"execute:{name}", event="run",
-                             backend=backend))
+            name, args, mode, cache, max_steps, costs, profile,
+            partial(observe, f"execute:{name}", event="run",
+                    backend=backend))
 
     def run_batch(self, name: str, args: Optional[List[object]] = None,
                   lanes: int = 1, cache: bool = True,
-                  max_steps: int = 500_000_000, costs=None,
-                  pool: Optional[bool] = None,
-                  kernel_tier: str = "auto") -> BatchResult:
+                  max_steps: int = 500_000_000,
+                  costs=None) -> BatchResult:
         """Execute a function for ``lanes`` identical requests.
 
         Every lane is the same program on the same arguments, so one
@@ -235,9 +211,9 @@ class CompiledProgram:
         if lanes < 1:
             raise ValueError(f"batch needs >= 1 lane, got {lanes}")
         result = self._execute(
-            name, args, "jit", cache, max_steps, costs, pool, kernel_tier,
-            False, partial(observe, f"execute-batch:{name}",
-                           event="batch_run", backend=backend, lanes=lanes),
+            name, args, "jit", cache, max_steps, costs, False,
+            partial(observe, f"execute-batch:{name}",
+                    event="batch_run", backend=backend, lanes=lanes),
             lanes=lanes, mode="batched")
         return BatchResult(lanes=lanes, values=[result.value] * lanes,
                            reports=[result.report] * lanes,
@@ -245,16 +221,13 @@ class CompiledProgram:
                            interpreter=result.interpreter)
 
     def _execute(self, name: str, args, dispatch: str, cache: bool,
-                 max_steps: int, costs, pool: Optional[bool],
-                 kernel_tier: str, profile: bool, boundary,
+                 max_steps: int, costs, profile: bool, boundary,
                  **notes) -> ExecutionResult:
         """One interpreter run of ``name`` inside the observation
         ``boundary()`` opens (``notes`` join its record)."""
         backend = self.options.backend
         interpreter = self.interpreter(cache=cache, max_steps=max_steps,
-                                       costs=costs, pool=pool,
-                                       engine=dispatch,
-                                       kernel_tier=kernel_tier)
+                                       costs=costs, engine=dispatch)
         with boundary() as obs:
             try:
                 result = exact_run(interpreter, name, args) if profile \
@@ -270,26 +243,26 @@ class CompiledProgram:
             tier_stats = interpreter.tier_stats
             if tier_stats is not None and tier_stats.total_ops():
                 obs.attach(tier_stats)
-                obs.note(kernel_tier=interpreter.kernel_tier,
-                         kernel_tiers=tier_stats.as_dict())
+                obs.note(kernel_tiers=tier_stats.as_dict())
             obs.note(function=name, backend=backend, engine=dispatch,
                      **notes)
         return result
 
     def interpreter(self, cache: bool = True,
                     max_steps: int = 500_000_000, costs=None,
-                    pool: Optional[bool] = None,
-                    engine: Optional[str] = None,
-                    kernel_tier: str = "auto") -> Interpreter:
-        """A fresh interpreter over the compiled module (mpfr/boost/none)."""
+                    engine: Optional[str] = None) -> Interpreter:
+        """A fresh interpreter over the compiled module (mpfr/boost/none).
+
+        The runtime MPFR free list is on for the paper's own runtime
+        (mpfr/none) and off for the Boost baseline, whose per-operation
+        allocation traffic is the behavior under measurement (Fig. 1)."""
         accounting = CostAccounting(costs=costs,
                                     cache=CacheModel() if cache else None)
         mode = resolve_engine(engine)
         return Interpreter(self.module, accounting=accounting,
                            max_steps=max_steps, dispatch=mode,
-                           mpfr_pool=self._pool_default(pool),
-                           codegen_store=self._codegen_store_for(mode),
-                           kernel_tier=_check_kernel_tier(kernel_tier))
+                           mpfr_pool=self.options.backend != "boost",
+                           codegen_store=self._codegen_store_for(mode))
 
     def machine(self, cache: bool = True, coprocessor=None,
                 max_steps: int = 500_000_000, costs=None):

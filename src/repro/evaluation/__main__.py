@@ -105,12 +105,13 @@ def main(argv=None) -> int:
     parser.add_argument("--validate", action="store_true",
                         help="translation-validate every sweep point "
                              "through the one transition registry: "
-                             "re-run it on every other execution engine, "
-                             "with the MPFR pool off and, on a jit "
-                             "reference, with the generic kernel tier; "
-                             "values must be bit-identical and reports "
-                             "meet each transition's invariant, or the "
-                             "sweep aborts with a failed certificate "
+                             "re-run it on every other execution engine "
+                             "(from a jit reference, this checks the "
+                             "precision-specialized kernel tiers "
+                             "against the walker's library "
+                             "arithmetic); values and cycle reports "
+                             "must be bit-identical, or the sweep "
+                             "aborts with a failed certificate "
                              "(table1, fig1, fig2)")
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized grids (table1: gemm+covariance "

@@ -137,29 +137,25 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
                read_outputs: bool = True,
                coprocessor: Optional[UnumCoprocessor] = None,
                max_steps: int = 500_000_000, costs=None,
-               pool: Optional[bool] = None,
                compile_cache=_UNSET, engine: Optional[str] = None,
-               validate: bool = False, kernel_tier: str = "auto",
-               **driver_kwargs) -> RunOutcome:
+               validate: bool = False, **driver_kwargs) -> RunOutcome:
     """Compile + execute one PolyBench kernel; extract its outputs.
 
-    ``engine`` selects the execution engine (``None`` picks the jit),
-    ``pool`` the MPFR pool and ``kernel_tier`` the kernel-tier policy
-    (see :meth:`CompiledProgram.run`); the unum backend runs on the
-    UNUM machine through the same
-    :meth:`CompiledProgram.run`, with ``coprocessor`` defaulting to a
-    g-layer sized for the point's precision.  ``compile_cache`` is a
-    :class:`~repro.core.CompileCache` (or None to force a fresh
-    compile); left unset, the process default installed via
-    :func:`set_compile_cache` applies.
+    ``engine`` selects the execution engine (``None`` picks the jit;
+    see :meth:`CompiledProgram.run`); the unum backend runs on the
+    UNUM machine through the same :meth:`CompiledProgram.run`, with
+    ``coprocessor`` defaulting to a g-layer sized for the point's
+    precision.  ``compile_cache`` is a :class:`~repro.core.CompileCache`
+    (or None to force a fresh compile); left unset, the process default
+    installed via :func:`set_compile_cache` applies.
 
     ``validate=True`` additionally certifies the point through
     :func:`~repro.validation.certify`: the kernel re-runs under every
-    other execution engine, with the MPFR pool off and (on a jit
-    reference) with the generic kernel tier, and the outcome carries the
-    certificate (bit-identical outputs, cycle reports under each
-    transition's invariant); a failed certificate raises
-    :class:`~repro.validation.CertificateError`.  The primary run is
+    other execution engine (on a jit reference, that checks the
+    precision-specialized kernel tiers against the legacy walker's
+    library arithmetic), and the outcome carries the certificate
+    (bit-identical outputs and cycle reports); a failed certificate
+    raises :class:`~repro.validation.CertificateError`.  The primary run is
     untouched -- its outputs and report are bit-identical to a
     non-validated run -- and the flag is a single branch when off.
     Certificates only apply to the interpreter backends; unum-machine
@@ -182,8 +178,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
             coprocessor = UnumCoprocessor(wgp=min(512, config.precision))
         result = program.run("run", [n], cache=cache, max_steps=max_steps,
                              costs=costs, coprocessor=coprocessor,
-                             engine=engine, pool=pool,
-                             kernel_tier=kernel_tier)
+                             engine=engine)
         outputs: List[Number] = []
         if backend == "unum":
             if read_outputs:
@@ -211,8 +206,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
             obs.note(validated=False)  # recorded if validation raises
             outcome.certificate = _certify_point(
                 program, spec, outcome, engine, cache=cache,
-                max_steps=max_steps, costs=costs, pool=pool,
-                kernel_tier=kernel_tier)
+                max_steps=max_steps, costs=costs)
             obs.note(validated=True)
         return outcome
 

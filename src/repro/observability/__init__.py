@@ -2,7 +2,8 @@
 
 This package gives the whole stack -- compiler driver, pass pipeline,
 compile cache, interpreter (jit and legacy engines), UNUM machine, MPFR
-pool, and the parallel evaluation engine -- one observability layer:
+free list (on for mpfr/none, off for boost), and the parallel
+evaluation engine -- one observability layer:
 
 * :class:`Tracer` -- hierarchical spans (compile -> per-pass ->
   lowering; execute -> per-function with hot-block attribution; cache
@@ -11,8 +12,11 @@ pool, and the parallel evaluation engine -- one observability layer:
 * :class:`MetricsRegistry` -- namespaced counters/gauges/histograms
   that absorb the stack's pre-existing private stats (CacheStats,
   MpfrStats pool traffic, the exact IRProfile, pass timings,
-  CostReport) and the precision telemetry (per-opcode precision-bit
-  histograms, rounding-mode and guard-bit usage).  Picklable and
+  CostReport, the jit's per-tier kernel counts in TierStats) and the
+  precision telemetry (per-opcode precision-bit histograms,
+  rounding-mode and guard-bit usage).  A run's ledger record carries
+  the tier counts as its ``kernel_tiers`` note; the tier itself is not
+  a run choice, each operation's precision picks it.  Picklable and
   mergeable, so worker shards fold back into the parent.
 
 Telemetry is **opt-in and process-global**: :func:`current_tracer` /

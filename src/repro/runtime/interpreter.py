@@ -166,17 +166,14 @@ class Interpreter:
                  max_steps: int = 500_000_000,
                  dispatch: str = "jit",
                  mpfr_pool: bool = False,
-                 pool_limit: int = 1024,
-                 codegen_store=None,
-                 kernel_tier: str = "auto"):
+                 codegen_store=None):
         if dispatch not in ENGINES:
             raise ValueError(f"unknown dispatch mode {dispatch!r}; "
                              f"choose from {ENGINES}")
         self.module = module
         self.accounting = accounting or CostAccounting(cache=CacheModel())
         self.memory = Memory(observer=self.accounting.memory_access)
-        self.mpfr = mpfr_library or MpfrLibrary(pool=mpfr_pool,
-                                                pool_limit=pool_limit)
+        self.mpfr = mpfr_library or MpfrLibrary(pool=mpfr_pool)
         self.max_steps = max_steps
         self.steps = 0
         self.dispatch = dispatch
@@ -185,9 +182,6 @@ class Interpreter:
         #: are None unless repro.observability.enable_telemetry ran.
         self.tracer = current_tracer()
         self.metrics = current_metrics()
-        #: Kernel-tier policy (auto/generic) for the jit engine's
-        #: precision-specialized kernels; read by pyjit at bind time.
-        self.kernel_tier = kernel_tier
         #: Per-tier op/site/fallback accounting -- only constructed when
         #: some observer (metrics registry or run ledger) will consume
         #: it, so unobserved runs bind the raw kernels with zero

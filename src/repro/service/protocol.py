@@ -60,8 +60,7 @@ ERROR_CODES = ("bad_request", "overloaded", "timeout", "worker_failed",
 #: ``run``-request option keys forwarded to the worker (everything
 #: else is rejected, keeping the worker payload picklable and the
 #: coalescing key canonical).
-RUN_OPTION_KEYS = ("engine", "polly", "pool", "opt_level",
-                   "contract_fma", "kernel_tier")
+RUN_OPTION_KEYS = ("engine", "polly", "opt_level", "contract_fma")
 
 
 def default_socket_path() -> str:

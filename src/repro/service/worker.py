@@ -92,9 +92,8 @@ def execute_compile(payload: dict) -> dict:
     whether the store served it, and the compile wall time."""
     cache = get_compile_cache()
     options = _run_options(payload)
-    # The engine, pool and kernel tier are run knobs, not compile ones.
-    for knob in ("engine", "pool", "kernel_tier"):
-        options.pop(knob, None)
+    # The engine is a run knob, not a compile one.
+    options.pop("engine", None)
     source = _resolve_source(payload)
     name = payload.get("kernel") or payload.get("name") or "service"
     backend = payload.get("backend", "mpfr")

@@ -2,8 +2,8 @@
 
 The paper's pitch is that variable-precision arithmetic drops into the
 normal compiler flow "seamlessly" -- which is only credible if every
-transition the toolchain offers (execution engines, the MPFR pool,
-optimization levels and individual -O3 passes) is *checkably*
+transition the toolchain offers (execution engines, optimization
+levels and individual -O3 passes) is *checkably*
 semantics-preserving.  This package makes that checkable:
 
 * :mod:`~repro.validation.certificate` -- equivalence certificates:
@@ -52,7 +52,6 @@ from .fuzzer import (
     cross_check,
     cross_check_engines,
     cross_check_rounding,
-    cross_check_tiers,
     eval_mpfr_api,
     eval_reference,
     fuzz_programs,
@@ -88,7 +87,6 @@ __all__ = [
     "cross_check",
     "cross_check_engines",
     "cross_check_rounding",
-    "cross_check_tiers",
     "eval_mpfr_api",
     "eval_reference",
     "finish_certificate",

@@ -4,7 +4,7 @@ A :class:`Certificate` is the artifact the translation-validation
 harness emits for one subject (a compiled program or kernel run): a
 *witness* describing the inputs and the reference observation, plus one
 :class:`Check` per candidate configuration (another execution engine,
-the MPFR pool toggled, a different optimization level).  Each check
+a different optimization level).  Each check
 records whether the candidate's values were bit-identical to the
 reference and whether its cycle report satisfied the transition's
 invariant (see :data:`STRICTNESS`).
@@ -27,27 +27,17 @@ CERTIFICATE_VERSION = 1
 #: Cycle-report invariant per transition kind:
 #:
 #: * ``exact``   -- every report field identical (engine transitions:
-#:   the dispatch tables, the legacy walker, and the jit engine model
-#:   the same machine, so their reports must agree bit-for-bit).
-#: * ``traffic`` -- identical except modeled cycle totals (pool on/off:
-#:   the free list legitimately removes allocation cycles but must not
-#:   change instruction or call traffic).
+#:   the legacy walker and the jit engine model the same machine, so
+#:   their reports must agree bit-for-bit).
 #: * ``sane``    -- structural sanity only (pass transitions: -O0 and
 #:   -O3 share values, not schedules; the report must still be a
 #:   plausible execution).
-STRICTNESS = ("exact", "traffic", "sane")
+STRICTNESS = ("exact", "sane")
 
 #: CostReport fields compared by the ``exact`` invariant.
 _REPORT_FIELDS = (
     "cycles", "instructions", "mpfr_calls", "mpfr_allocations",
     "heap_allocations", "llc_misses", "dram_bytes", "parallel_cycles",
-)
-
-#: Fields that must stay identical even when cycle totals may move
-#: (the ``traffic`` invariant).
-_TRAFFIC_FIELDS = (
-    "instructions", "mpfr_calls", "mpfr_allocations",
-    "heap_allocations", "llc_misses", "dram_bytes",
 )
 
 #: The transitions the toolchain certifies, each mapped to the report
@@ -57,27 +47,21 @@ _TRAFFIC_FIELDS = (
 #: of what "seamless" is required to mean:
 #:
 #: * ``engine↔engine`` -- any pair of execution engines over one
-#:   compiled program (jit/legacy).
+#:   compiled program (jit/legacy).  This is also the kernel-tier
+#:   check: the jit binds the precision-specialized kernels, the
+#:   legacy walker the library arithmetic.
 #: * ``serial↔service`` -- an in-process serial run against
 #:   each reply the compile/run daemon produced for the same request
 #:   (possibly coalesced with same-point requests into one run, retried
 #:   on a fresh shard, or served from the shared artifact store); the
 #:   daemon is transport, so values and cycle reports must match
 #:   bit-for-bit.
-#: * ``pool.on↔pool.off`` -- the MPFR free-list toggle.
 #: * ``O3↔O0`` / ``O3↔O3-minus-one-pass`` -- optimization transitions.
-#: * ``generic↔specialized`` -- the generic arbitrary-precision kernels
-#:   against the precision-specialized fast-path kernel tier (the
-#:   scalar smallfloat kernels); a pure strength-reduction of the
-#:   same arithmetic, so values and cycle reports must match
-#:   bit-for-bit.
 TRANSITIONS = {
     "engine↔engine": "exact",
     "serial↔service": "exact",
-    "pool.on↔pool.off": "traffic",
     "O3↔O0": "sane",
     "O3↔O3-minus-one-pass": "sane",
-    "generic↔specialized": "exact",
 }
 
 
@@ -153,14 +137,12 @@ def compare_reports(reference: dict, candidate: dict,
             return (f"instructions must be positive, "
                     f"got {candidate.get('instructions')}")
         return None
-    fields = _REPORT_FIELDS if strictness == "exact" else _TRAFFIC_FIELDS
-    for name in fields:
+    for name in _REPORT_FIELDS:
         if reference.get(name) != candidate.get(name):
             return (f"report field {name!r} diverged: reference "
                     f"{reference.get(name)!r} vs candidate "
                     f"{candidate.get(name)!r}")
-    if strictness == "exact" and \
-            reference.get("by_category") != candidate.get("by_category"):
+    if reference.get("by_category") != candidate.get("by_category"):
         return "report cycle breakdown (by_category) diverged"
     return None
 
@@ -173,7 +155,7 @@ def compare_reports(reference: dict, candidate: dict,
 class Check:
     """One candidate configuration compared against the reference."""
 
-    label: str                 # e.g. "engine.legacy", "pool.off", "opt.O0"
+    label: str                 # e.g. "engine.legacy", "opt.O0"
     strictness: str            # invariant applied to the cycle report
     value_equal: bool
     report_ok: bool

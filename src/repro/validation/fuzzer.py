@@ -16,10 +16,13 @@ independent differentials:
 * :func:`cross_check_engines` -- render the program to dialect source,
   compile it through the real frontend/optimizer, and certify it
   (:func:`~repro.validation.harness.certify`) per backend
-  (none/mpfr/boost) across -O0, the execution engines and the pool
-  toggle -- values and each transition's report invariant -- then
-  compare the backends' returned doubles bit for bit.
-  :func:`cross_check_tiers` certifies the kernel tiers the same way.
+  (none/mpfr/boost) across -O0 and the execution engines -- values and
+  each transition's report invariant -- then compare the backends'
+  returned doubles bit for bit.  The mpfr row's ``engine.legacy``
+  check is also the kernel-tier check: the jit binds the
+  precision-specialized kernels (tier 1 up to 64 bits, tier 2 up to
+  128), the legacy walker the library arithmetic, and the generator
+  draws precisions on both sides of each tier boundary.
 
 :func:`cross_check` composes them; a divergence comes back as a
 :class:`Mismatch` which the delta-debugging minimizer
@@ -37,7 +40,7 @@ from ..bigfloat.mpfr_api import MpfrLibrary
 from ..bigfloat.rounding import RNDA, RNDD, RNDN, RNDU, RNDZ, RoundingMode
 from ..observability import current_metrics
 from .certificate import value_token
-from .harness import certify, return_value
+from .harness import certify
 
 FUZZ_FORMAT_VERSION = 1
 
@@ -344,29 +347,16 @@ def cross_check_rounding(program: FuzzProgram,
 #: The backends' reference values are then compared with each other.
 ENGINE_CONFIGS: Dict[str, Tuple[str, ...]] = {
     "none": ("opt.O0", "engine.legacy"),
-    "mpfr": ("engine.legacy", "pool.off"),
+    "mpfr": ("engine.legacy",),
     "boost": (),
 }
 
 
-def _certify(program: FuzzProgram, backend: str, only: Sequence[str],
-             read=return_value, **run_options):
-    """The rendered program's certificate (not strict: failures are
-    reported as a :class:`Mismatch` by :func:`_mismatch`); extra
-    keywords are run options."""
-    return certify(
-        f"vpfuzz-{program.digest()}", "f", kind="fuzz",
-        source=program.render_source(),
-        options={"backend": backend}, only=only,
-        read=read, run_options={"cache": False, **run_options},
-        strict=False)
-
-
-def _mismatch(stage: str, certificate) -> Optional[Mismatch]:
+def _mismatch(certificate) -> Optional[Mismatch]:
     """A certificate's first failed check (value or report invariant)."""
     backend = certificate.witness["backend"]
     for check in certificate.failures:
-        return Mismatch(stage, f"{backend}.{check.label}",
+        return Mismatch("engine", f"{backend}.{check.label}",
                         f"{backend}.{certificate.reference}", "",
                         check.detail)
     return None
@@ -383,8 +373,13 @@ def cross_check_engines(program: FuzzProgram) -> Optional[Mismatch]:
             observed.append(value)  # the reference run reads first
             return [value]
 
-        certificate = _certify(program, backend, only, read=read)
-        mismatch = _mismatch("engine", certificate)
+        # Not strict: a failed check comes back as a Mismatch.
+        certificate = certify(
+            f"vpfuzz-{program.digest()}", "f", kind="fuzz",
+            source=program.render_source(),
+            options={"backend": backend}, only=only,
+            read=read, run_options={"cache": False}, strict=False)
+        mismatch = _mismatch(certificate)
         if mismatch is not None:
             return mismatch
         label = f"{backend}.{certificate.reference}"
@@ -397,30 +392,16 @@ def cross_check_engines(program: FuzzProgram) -> Optional[Mismatch]:
     return None
 
 
-def cross_check_tiers(program: FuzzProgram) -> Optional[Mismatch]:
-    """Kernel-tier differential: the ``generic↔specialized`` transition.
-
-    The reference is a serial mpfr jit run on the ``auto`` tier (the
-    precision-specialized fast-path kernels); the generic tier must
-    match it bit-for-bit, cycle report included: the tier is a strength
-    reduction, never a reround."""
-    return _mismatch("tier", _certify(program, "mpfr", ("tier",),
-                                      kernel_tier="auto"))
-
-
-def cross_check(program: FuzzProgram, engines: bool = True,
-                tiers: bool = True) -> Optional[Mismatch]:
-    """Full differential: rounding-mode sweep, the compiled
-    engine/optimization sweep, then the kernel-tier sweep.  None when
-    everything agrees."""
+def cross_check(program: FuzzProgram,
+                engines: bool = True) -> Optional[Mismatch]:
+    """Full differential: rounding-mode sweep, then the compiled
+    engine/optimization sweep.  None when everything agrees."""
     registry = current_metrics()
     if registry is not None:
         registry.inc("validate.fuzz.programs")
     mismatch = cross_check_rounding(program)
     if mismatch is None and engines:
         mismatch = cross_check_engines(program)
-    if mismatch is None and engines and tiers:
-        mismatch = cross_check_tiers(program)
     if registry is not None:
         registry.inc("validate.fuzz.failures" if mismatch
                      else "validate.fuzz.passed")

@@ -72,11 +72,6 @@ REGISTRY: Tuple[Transition, ...] = (
     *(Transition(f"engine.{name}", "engine↔engine", {"engine": name},
                  lambda backend, engine, name=name: engine != name)
       for name in ENGINES),
-    Transition("pool.off", "pool.on↔pool.off", {"pool": False},
-               lambda backend, engine: backend != "boost"),
-    Transition("tier.generic", "generic↔specialized",
-               {"kernel_tier": "generic"},
-               lambda backend, engine: engine == "jit"),
     Transition("opt.O0", "O3↔O0", {"opt_level": 0}, _always),
     *(Transition(f"pass.no-{switch[len('enable_'):]}",
                  "O3↔O3-minus-one-pass", {switch: False}, _always)
@@ -118,23 +113,23 @@ def certify(subject: str, func: str, args: Sequence = (), *,
             kind: str = "engine", program=None,
             source: Optional[str] = None, options: Optional[dict] = None,
             engine: Optional[str] = None,
-            only: Sequence[str] = ("engine", "pool", "tier"),
+            only: Sequence[str] = ("engine",),
             read: Callable = return_value,
             run_options: Optional[dict] = None,
             witness: Optional[dict] = None,
             strict: bool = True) -> Certificate:
     """Certify ``func(*args)`` across the selected transitions.
 
-    ``kind`` names the certificate ("engine", "pass", "kernel-tier",
-    "fuzz") and so its reference label (a kernel-tier reference is
-    named by the ``kernel_tier`` run option).  The reference is one serial
-    run on ``engine`` (default: the jit), of ``program`` or, when it
-    is None, of ``source`` compiled with ``options``
-    (:class:`~repro.core.CompilerDriver` keywords).  Candidates are the :data:`REGISTRY` entries whose label
-    starts with one of ``only`` and whose rule holds; compile deltas
-    (``opt.O0``, ``pass.no-*``) recompile ``source``.  ``read(value,
-    interpreter)`` maps a run to its values; ``run_options`` are
-    extra :meth:`~repro.core.CompiledProgram.run` keywords.
+    ``kind`` names the certificate ("engine", "pass", "fuzz") and so
+    its reference label.  The reference is one serial run on
+    ``engine`` (default: the jit), of ``program`` or, when it is None,
+    of ``source`` compiled with ``options``
+    (:class:`~repro.core.CompilerDriver` keywords).  Candidates are the
+    :data:`REGISTRY` entries whose label starts with one of ``only``
+    and whose rule holds; compile deltas (``opt.O0``, ``pass.no-*``)
+    recompile ``source``.  ``read(value, interpreter)`` maps a run to
+    its values; ``run_options`` are extra
+    :meth:`~repro.core.CompiledProgram.run` keywords.
     """
     options = dict(options or {})
     backend = (program.options.backend if program is not None
@@ -162,9 +157,6 @@ def certify(subject: str, func: str, args: Sequence = (), *,
 
     if kind == "pass":
         reference_label = f"opt.O{options.get('opt_level', 3)}"
-    elif kind == "kernel-tier":
-        reference_label = \
-            f"tier.{(run_options or {}).get('kernel_tier', 'auto')}"
     else:
         reference_label = f"engine.{reference_engine}"
     with observe(f"validate:{subject}", cat=CAT_VALIDATE, kind=kind,

@@ -93,11 +93,3 @@ print("ok")
                               timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "ok"
-
-    def test_generic_tier_applies(self):
-        from repro.observability import telemetry_session
-
-        program = _gemm_program()
-        with telemetry_session(metrics=True) as (_, registry):
-            program.run_batch("run", [4], lanes=2, kernel_tier="generic")
-        assert registry.counters.get("kernel.tier.generic.ops", 0) > 0

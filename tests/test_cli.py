@@ -114,3 +114,12 @@ class TestDiagnostics:
                   "--run", "run", "--args", "4"])
         assert exited.value.code == 2
         assert "--polly-tile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, source_file, capsys,
+                                        threads):
+        with pytest.raises(SystemExit) as exited:
+            main([source_file, "--run", "run", "--args", "4",
+                  "--report", "--threads", threads])
+        assert exited.value.code == 2
+        assert "--threads" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import compile_source
-from repro.runtime import VPRuntimeError
+from repro.runtime import Interpreter, VPRuntimeError
 
 
 def run(source, fn="main", args=None, backend="none", **kwargs):
@@ -301,10 +301,10 @@ class TestBackendsAgree:
         assert values["none"] == values["mpfr"] == values["boost"]
 
     def test_mpfr_balanced_inits_and_clears(self):
-        # pool=False: this checks the *lowering's* init/clear balance,
+        # No free list: this checks the *lowering's* init/clear balance,
         # so every clear must actually free (not park on the free list).
         program = compile_source(self.SOURCE, backend="mpfr")
-        interp = program.interpreter(cache=False, pool=False)
+        interp = Interpreter(program.module, mpfr_pool=False)
         interp.run("f", [16])
         stats = interp.mpfr.stats
         assert stats.inits == stats.clears
@@ -314,7 +314,7 @@ class TestBackendsAgree:
         """With the runtime pool on, the *call* balance still holds and
         no object stays logically alive; clears park instead of free."""
         program = compile_source(self.SOURCE, backend="mpfr")
-        interp = program.interpreter(cache=False, pool=True)
+        interp = program.interpreter(cache=False)  # mpfr: pool on
         interp.run("f", [16])
         stats = interp.mpfr.stats
         assert stats.by_name["mpfr_init2"] == stats.by_name["mpfr_clear"]

@@ -292,7 +292,7 @@ class TestCodegenCacheRoundTrip:
         source = source_for("gemm", "vpfloat<mpfr, 16, 53>")
         program = CompilerDriver(backend="mpfr", cache=CompileCache(
             str(tmp_path))).compile(source, "gemm")
-        cold = program.run("run", [4], kernel_tier="generic")
+        cold = program.run("run", [4])
         cold_batch = program.run_batch("run", [4], lanes=2)
         assert len(list(tmp_path.glob("*.vpcgen"))) == 1
 
@@ -392,6 +392,46 @@ class TestEngineSelection:
             assert exited.value.code == 2
             err = capsys.readouterr().err
             assert "'fast'" in err and "jit" in err and "legacy" in err
+
+    @pytest.mark.parametrize("option,value,flags", [
+        ("pool", False, ["--no-pool"]),
+        ("kernel_tier", "generic", ["--kernel-tier", "generic"]),
+    ], ids=["pool", "kernel_tier"])
+    def test_removed_run_options_rejected(self, tmp_path, capsys, option,
+                                          value, flags):
+        # The engine is a run's only choice: the MPFR free list follows
+        # the backend and the kernel tier follows the precision.
+        import asyncio
+
+        from repro import cli
+        from repro.service import ServiceError
+        from service_utils import FTYPE, connect, service
+
+        program = compile_source("int f() { return 1; }", backend="none")
+        with pytest.raises(TypeError, match=option):
+            program.run("f", [], **{option: value})
+        source = tmp_path / "f.c"
+        source.write_text("int f() { return 1; }")
+        with pytest.raises(SystemExit) as exited:
+            cli.main([str(source), "--run", "f", *flags])
+        assert exited.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+        async def scenario():
+            async with service(tmp_path, workers=1) as daemon:
+                client = await connect(daemon)
+                try:
+                    await client.call("run", kernel="gemm", ftype=FTYPE,
+                                      n=4, backend="mpfr",
+                                      options={option: value})
+                except ServiceError as error:
+                    return error
+                finally:
+                    await client.close()
+
+        error = asyncio.run(scenario())
+        assert error is not None and error.code == "bad_request"
+        assert repr(option) in error.error["message"]
 
     def test_profiled_runs_use_legacy_walker(self):
         # The exact profiler hooks per-instruction dispatch, so a

@@ -7,8 +7,8 @@ from repro.workloads.polybench import source_for
 
 def _run_both(source, func, args, backend, n_or_args=None):
     program = compile_source(source, backend=backend)
-    legacy = program.run(func, args, engine="legacy", pool=False)
-    jit = program.run(func, args, engine="jit", pool=False)
+    legacy = program.run(func, args, engine="legacy")
+    jit = program.run(func, args, engine="jit")
     return legacy, jit
 
 
@@ -95,7 +95,7 @@ class TestSuperinstructionFusion:
         program = compile_source(source, backend=backend)
         results = {}
         for engine in ("legacy", "jit"):
-            r = program.run(func, args, engine=engine, pool=False)
+            r = program.run(func, args, engine=engine)
             results[engine] = (
                 r.value, r.report.cycles, r.report.instructions,
                 dict(r.report.by_category), r.report.mpfr_calls,

@@ -9,14 +9,12 @@ Four layers, matching the feature's own structure:
 * the *compiled tiered kernels* must be bit-identical to the
   ``arith.<op>`` library on finite, special, and mixed-precision
   operands (the latter exercising the fallback hooks);
-* the *selection and plumbing*: policy validation on per-run
-  overrides, TierStats accounting, metrics counters, and the service
-  run-option whitelist;
-* a *pinned-seed* sweep of the differential fuzzer's tier stage, the
-  same corpus shape CI replays.
+* the *selection and plumbing*: precision-driven tier selection,
+  TierStats accounting and metrics counters;
+* the *certificate*: ``engine.legacy`` compares a jit run's tiered
+  kernels against the walker's library arithmetic, so a broken tier
+  kernel fails validation.
 """
-
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +30,8 @@ from repro.bigfloat.rounding import (
     RNDZ,
     round_significand,
 )
+from repro.codegen import smallfloat
 from repro.codegen.smallfloat import (
-    KERNEL_TIER_POLICIES,
     SMALLFLOAT_MAX_PREC,
     TierStats,
     _exact_round_lines,
@@ -46,7 +44,9 @@ from repro.codegen.smallfloat import (
 )
 from repro.codegen.smallfloat import _LIBRARY as SCALAR_LIBRARY
 from repro.core import CompilerDriver
-from repro.validation.certificate import TRANSITIONS, value_token
+from repro.evaluation.harness import run_kernel
+from repro.validation import CertificateError
+from repro.validation.certificate import value_token
 
 ALL_MODES = (RNDN, RNDZ, RNDU, RNDD, RNDA)
 
@@ -238,12 +238,13 @@ def test_tier_boundaries():
 # ----------------------------------------------------------------- #
 
 def test_select_scalar_kernel_policies():
+    # The precision alone picks the tier.
     stats = TierStats()
-    select_scalar_kernel("add", 24, None, "auto", stats)
+    select_scalar_kernel("add", 24, None, stats)
     assert stats.sites["tier1"] == 1
-    select_scalar_kernel("add", 100, None, "auto", stats)
+    select_scalar_kernel("add", 100, None, stats)
     assert stats.sites["tier2"] == 1
-    select_scalar_kernel("add", 24, None, "generic", stats)
+    select_scalar_kernel("add", 256, None, stats)
     assert stats.sites["generic"] == 1
 
 
@@ -264,17 +265,21 @@ def test_counting_wrapper_and_merge():
 
 
 def test_run_rejects_unknown_policy():
+    # The tier follows the precision: a run takes no tier policy at all.
     program = CompilerDriver(backend="mpfr").compile(SOURCE, name="k")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="kernel_tier"):
         program.run("run", [4], kernel_tier="fast")
 
 
 def test_per_run_override_is_bit_identical():
+    # The engine is the per-run override: the jit binds the tier-1
+    # kernels (test_metrics_carry_tier_counters), the legacy walker the
+    # library arithmetic.
     program = CompilerDriver(backend="mpfr").compile(
         SOURCE, name="k")
-    runs = {tier: program.run("run", [40], kernel_tier=tier)
-            for tier in KERNEL_TIER_POLICIES}
-    tokens = {tier: value_token(r.value) for tier, r in runs.items()}
+    runs = {engine: program.run("run", [40], engine=engine)
+            for engine in ("jit", "legacy")}
+    tokens = {engine: value_token(r.value) for engine, r in runs.items()}
     assert len(set(tokens.values())) == 1
     cycles = {r.report.cycles for r in runs.values()}
     assert len(cycles) == 1  # the tier is not a cost-model change
@@ -300,40 +305,34 @@ def test_unobserved_runs_skip_tier_stats():
 
 
 def test_service_whitelists_kernel_tier():
-    from repro.service.protocol import RUN_OPTION_KEYS
-    assert "kernel_tier" in RUN_OPTION_KEYS
+    # The service whitelist no longer carries a tier option, so a run
+    # request naming one is refused before it reaches a worker.
+    from repro.service.protocol import RUN_OPTION_KEYS, ProtocolError, \
+        request, validate_request
+    assert "kernel_tier" not in RUN_OPTION_KEYS
+    message = request("run", 1, kernel="gemm",
+                      options={"kernel_tier": "generic"})
+    with pytest.raises(ProtocolError, match="kernel_tier"):
+        validate_request(message)
 
 
-def test_transition_table_has_tier_edge():
-    assert TRANSITIONS["generic↔specialized"] == "exact"
+def test_engine_certificate_catches_broken_tier_kernel(monkeypatch):
+    # A tier-1 mul that doubles its result: the jit binds it, the
+    # legacy walker's library arithmetic does not.
+    real_kernel = smallfloat.smallfloat_kernel
 
+    def broken_kernel(op, prec, *args, **kwargs):
+        kernel = real_kernel(op, prec, *args, **kwargs)
+        if op != "mul" or prec != 53:
+            return kernel
 
-def test_validate_tiers_certificate():
-    from repro.validation import certify
-    options = {"backend": "mpfr"}
-    run_options = {"kernel_tier": "auto"}
-    cert = certify("k", "run", [12], kind="kernel-tier", source=SOURCE,
-                   options=options, engine="jit", only=("tier",),
-                   run_options=run_options)
-    assert cert.passed
-    assert cert.kind == "kernel-tier"
-    assert cert.reference == "tier.auto"
-    labels = {check.label for check in cert.checks}
-    assert "tier.generic" in labels
+        def doubled(*operands):
+            value = kernel(*operands)
+            return lib_add(value, value, prec, RNDN)
 
+        return doubled
 
-# ----------------------------------------------------------------- #
-# Pinned-seed fuzzer lockstep (the corpus CI replays)
-# ----------------------------------------------------------------- #
-
-PINNED_SEED = 20260809
-
-
-def test_fuzzer_tier_lockstep_pinned_corpus():
-    from repro.validation.fuzzer import cross_check_tiers, \
-        generate_program
-    rng = random.Random(PINNED_SEED)
-    for _ in range(5):
-        program = generate_program(rng, max_ops=8)
-        mismatch = cross_check_tiers(program)
-        assert mismatch is None, mismatch
+    monkeypatch.setattr(smallfloat, "smallfloat_kernel", broken_kernel)
+    with pytest.raises(CertificateError, match="engine.legacy"):
+        run_kernel("gemm", "vpfloat<mpfr, 16, 53>", 4, backend="mpfr",
+                   compile_cache=None, validate=True)

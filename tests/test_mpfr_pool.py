@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from repro import compile_source
 from repro.bigfloat.mpfr_api import MpfrLibrary
-from repro.evaluation.harness import run_kernel
+from repro.evaluation.harness import read_lane_outputs, run_kernel
+from repro.runtime import Interpreter
 from repro.workloads.polybench import source_for
 
 
@@ -124,15 +125,14 @@ class TestPooledBitExactness:
 
 class TestPoolOnKernels:
     def test_gemm_fresh_inits_strictly_drop_across_runs(self):
-        source_outcome = run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 6,
-                                    backend="mpfr", read_outputs=False,
-                                    pool=False)
-        unpooled_inits = source_outcome.mpfr_stats.inits
-        assert unpooled_inits > 0
-
         program = compile_source(
             source_for("gemm", "vpfloat<mpfr, 16, 128>"), backend="mpfr")
-        interp = program.interpreter(pool=True)
+        unpooled = Interpreter(program.module, mpfr_pool=False)
+        unpooled.run("run", [6])
+        unpooled_inits = unpooled.mpfr.stats.inits
+        assert unpooled_inits > 0
+
+        interp = program.interpreter()  # mpfr: pool on
         interp.run("run", [6])
         first_run_inits = interp.mpfr.stats.inits
         interp.run("run", [6])
@@ -143,15 +143,19 @@ class TestPoolOnKernels:
         assert interp.mpfr.stats.pool_hits > 0
 
     def test_pooled_gemm_outputs_bit_identical(self):
-        plain = run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 5,
-                           backend="mpfr", pool=False)
-        pooled = run_kernel("gemm", "vpfloat<mpfr, 16, 128>", 5,
-                            backend="mpfr", pool=True)
+        ftype = "vpfloat<mpfr, 16, 128>"
+        pooled = run_kernel("gemm", ftype, 5, backend="mpfr")
+        assert pooled.mpfr_stats.pool_releases > 0  # mpfr: pool on
+        program = compile_source(source_for("gemm", ftype), backend="mpfr")
+        unpooled = Interpreter(program.module, mpfr_pool=False)
+        plain = unpooled.run("run", [5])
+        plain_outputs = read_lane_outputs(
+            unpooled, int(plain.value), len(pooled.outputs), ftype, "mpfr")
 
         def bits(outputs):
             return [(v.kind, v.sign, v.mant, v.exp) for v in outputs]
 
-        assert bits(pooled.outputs) == bits(plain.outputs)
+        assert bits(pooled.outputs) == bits(plain_outputs)
         assert pooled.report.instructions == plain.report.instructions
 
     def test_boost_backend_stays_unpooled_by_default(self):

@@ -9,13 +9,13 @@ GEMM = {"kernel": "gemm", "ftype": "vpfloat<mpfr, 16, 53>",
 
 
 def test_compile_reports_the_drivers_key(tmp_path):
-    # Run options (tier, pool) leave the compile key alone: the second
-    # request is served by the program the first one stored.
+    # A run option (the engine) leaves the compile key alone: the
+    # second request is served by the program the first one stored.
     previous = set_compile_cache(CompileCache(str(tmp_path)))
     try:
         first = execute_compile(GEMM)
         second = execute_compile({**GEMM, "options": {
-            "kernel_tier": "generic", "pool": False}})
+            "engine": "legacy"}})
     finally:
         set_compile_cache(previous)
     assert first["fingerprint"] == second["fingerprint"]

@@ -86,12 +86,6 @@ class TestCompareReports:
         assert compare_reports(self.REF, self.REF, "exact") is None
         assert compare_reports(self.REF, candidate, "exact") is not None
 
-    def test_traffic_ignores_cycles_but_not_calls(self):
-        candidate = dict(self.REF, cycles=9999, parallel_cycles=5)
-        assert compare_reports(self.REF, candidate, "traffic") is None
-        candidate = dict(self.REF, mpfr_calls=11)
-        assert compare_reports(self.REF, candidate, "traffic") is not None
-
     def test_sane_only_wants_positive_work(self):
         assert compare_reports(self.REF, dict(self.REF, cycles=5,
                                               instructions=1),
@@ -142,12 +136,11 @@ def _certify_source(args, backend="mpfr", **kwargs):
 
 class TestValidateHarness:
     def test_engines_certificate_passes(self):
-        cert = _certify_source((12,), only=("engine", "pool"),
-                               strict=True)
+        cert = _certify_source((12,), strict=True)
         assert cert.passed
         labels = {check.label for check in cert.checks}
-        # jit is the reference; the walker plus the pool toggle.
-        assert {"engine.legacy", "pool.off"} <= labels
+        # jit is the reference; the walker is the one candidate.
+        assert labels == {"engine.legacy"}
 
     def test_passes_certificate_passes(self):
         cert = _certify_source((12,), kind="pass", only=("opt", "pass"),
@@ -162,8 +155,7 @@ class TestValidateHarness:
 
     def test_counters_emitted(self):
         with telemetry_session(metrics=True) as (_tracer, registry):
-            _certify_source((4,), only=("engine", "pool"),
-                            strict=True)
+            _certify_source((4,), strict=True)
             counters = registry.to_dict()["counters"]
         assert counters.get("validate.certificates") == 1
         assert counters.get("validate.passed") == 1
@@ -177,12 +169,10 @@ class TestValidateHarness:
                     if t.applies(backend, engine)]
 
         assert labels("mpfr", "jit") == [
-            "engine.legacy", "pool.off", "tier.generic",
-            "opt.O0", "pass.no-loop_idiom", "pass.no-inlining",
-            "pass.no-unroll"]
+            "engine.legacy", "opt.O0", "pass.no-loop_idiom",
+            "pass.no-inlining", "pass.no-unroll"]
         assert labels("mpfr", "legacy")[0] == "engine.jit"
-        assert "pool.off" not in labels("boost", "jit")
-        assert "tier.generic" not in labels("none", "legacy")
+        assert labels("boost", "jit") == labels("mpfr", "jit")
         assert all(t.strictness == TRANSITIONS[t.edge] for t in REGISTRY)
 
     def test_rajaperf_points_carry_tier_check(self):
@@ -193,9 +183,10 @@ class TestValidateHarness:
                               compile_cache=False)
             counters = registry.to_dict()["counters"]
         # Six variants x (mpfr, boost), all on the jit: every point
-        # gains the generic-tier check.
+        # gains the engine.legacy check, which is also the tier check
+        # (the jit's tiered kernels against the walker's library).
         assert counters.get("validate.certificates") == 12
-        assert counters.get("validate.check.tier.generic.passed") == 12
+        assert counters.get("validate.check.engine.legacy.passed") == 12
         assert not counters.get("validate.failed")
 
 
