@@ -68,7 +68,8 @@ def ablate_loop_idiom() -> dict:
     on = run_kernel("jacobi-1d", "vpfloat<unum, 3, 6>", 48,
                     **kwargs).report.cycles
     off = run_kernel("jacobi-1d", "vpfloat<unum, 3, 6>", 48,
-                     enable_loop_idiom=False, **kwargs).report.cycles
+                     disable_passes=("loop-idiom",),
+                     **kwargs).report.cycles
     return {"cycles_on": on, "cycles_off": off}
 
 

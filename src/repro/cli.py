@@ -89,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "and cycle reports; on the jit this also "
                              "checks its precision-specialized kernel "
                              "tiers against the walker's library "
-                             "arithmetic), and at -O0 and without each "
-                             "-O3 pass switch (bit-identical values); "
-                             "exit 3 if any check fails")
+                             "arithmetic), and at -O0, without each "
+                             "-O3 pass and with Polly (bit-identical "
+                             "values); exit 3 if any check fails")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent compile-cache directory (default: "
                              "$VPFLOAT_CACHE_DIR or ~/.cache/vpfloat-repro; "

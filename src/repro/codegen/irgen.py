@@ -213,7 +213,7 @@ class IRGenerator:
     # Entry point
     # ------------------------------------------------------------ #
 
-    def generate(self, verify: bool = True) -> Module:
+    def generate(self) -> Module:
         self._decl_by_id: Dict[int, ast.Node] = {}
         self._params_by_func: Dict[str, List[ast.ParamDecl]] = {}
         for decl in self.unit.globals():
@@ -224,8 +224,7 @@ class IRGenerator:
         for func_decl in self.unit.functions():
             if func_decl.body is not None:
                 self._emit_function(func_decl)
-        if verify:
-            verify_module(self.module)
+        verify_module(self.module)
         return self.module
 
     # ------------------------------------------------------------ #
@@ -1069,7 +1068,6 @@ def _mentions_foreign_vpfloat(type: IRType, current_func) -> bool:
     return any(not isinstance(a, Constant) for a in core.attributes())
 
 
-def generate_ir(unit: ast.TranslationUnit, name: str = "module",
-                verify: bool = True) -> Module:
-    """Lower an analyzed translation unit to an IR module."""
-    return IRGenerator(unit, name).generate(verify=verify)
+def generate_ir(unit: ast.TranslationUnit, name: str = "module") -> Module:
+    """Lower an analyzed translation unit to a verified IR module."""
+    return IRGenerator(unit, name).generate()

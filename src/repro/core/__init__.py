@@ -20,7 +20,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..backends import BoostLoweringPass, MPFRLoweringPass
 from ..codegen import generate_ir
@@ -35,6 +35,7 @@ from ..observability import (
 )
 from ..observability.profile import exact_run
 from ..passes import build_o3_pipeline
+from ..passes.pass_manager import o3_passes
 from ..passes.polly import optimize_unit
 from ..runtime import ENGINES, CostAccounting, ExecutionResult, Interpreter
 from ..runtime.cost_model import CacheModel
@@ -77,13 +78,20 @@ class CompileOptions:
     reuse_objects: bool = True
     specialize_scalars: bool = True
     in_place_stores: bool = True
-    #: -O3 pipeline switches.
-    enable_loop_idiom: bool = True
-    enable_inlining: bool = True
-    enable_unroll: bool = True
+    #: -O3 passes left out, by name (see passes.droppable_passes).
+    disable_passes: tuple = ()
     #: FP_CONTRACT: fuse a*b+c into fma (off by default; see passes.fma).
     contract_fma: bool = False
-    verify: bool = True
+
+    def __post_init__(self):
+        self.passes()  # an unknown pass name raises ValueError
+
+    def passes(self) -> Tuple[str, ...]:
+        """The -O3 passes this compile runs, by name in run order (none
+        below -O2): what the compile-cache key hashes of the pipeline."""
+        names = tuple(name for name, _ in o3_passes(self.disable_passes,
+                                                    self.contract_fma))
+        return names if self.opt_level >= 2 else ()
 
 
 @dataclass
@@ -282,10 +290,10 @@ class CompilerDriver:
     short-circuits :meth:`compile`: a hit skips parse/sema/irgen, the
     whole -O3 pipeline, and the backend lowering, returning a program
     whose runs are bit-identical to a fresh compile.  Keys cover the
-    source text, the module name, and every :class:`CompileOptions`
-    field, so no stale program can ever be served.  The execution engine
-    is not a compile input: it is chosen per run
-    (:meth:`CompiledProgram.run`), so every engine shares one entry.
+    source, the module name, the passes that run and every other
+    :class:`CompileOptions` field, so no stale program can ever be
+    served.  The execution engine is not a compile input: it is chosen
+    per run (:meth:`CompiledProgram.run`), so engines share one entry.
 
     ``engine`` is deprecated and only kept for callers that still pass
     it here: it validates the name and becomes the ``engine`` default of
@@ -364,20 +372,15 @@ class CompilerDriver:
                 tiled = optimize_unit(unit, options.polly_tile)
                 if tiled:
                     unit = analyze(unit)  # re-resolve the new declarations
-            module = generate_ir(unit, name, verify=options.verify)
+            module = generate_ir(unit, name)
         timings: dict = {}
-        if options.opt_level >= 2:
-            pipeline = build_o3_pipeline(
-                enable_loop_idiom=options.enable_loop_idiom,
-                enable_inlining=options.enable_inlining,
-                enable_unroll=options.enable_unroll,
-                contract_fma=options.contract_fma,
-            )
+        if options.passes():
+            pipeline = build_o3_pipeline(options.disable_passes,
+                                         options.contract_fma)
             with observe("o3-pipeline", cat=CAT_COMPILE):
                 stats = pipeline.run(module)
             timings.update(stats.timings)
-            if options.verify:
-                verify_module(module)
+            verify_module(module)
         asm = None
         if options.backend != "none":
             with observe(f"lowering:{options.backend}", cat=CAT_COMPILE):
@@ -408,8 +411,7 @@ class CompilerDriver:
             ).run_module(module)
         else:
             BoostLoweringPass().run_module(module)
-        if options.verify:
-            verify_module(module)
+        verify_module(module)
         timings[f"{options.backend}-lowering"] = \
             time.perf_counter() - started
         return None

@@ -13,13 +13,13 @@ parallel engine (:mod:`repro.evaluation.parallel`).  This module caches
 
 Entries are keyed by a SHA-256 **fingerprint** of everything that can
 change the compilation result: the source text (which embeds the
-vpfloat attribute spellings), the module name, every
-:class:`~repro.core.CompileOptions` field (backend, opt level, Polly
-tiling, the per-pass pipeline switches, the MPFR-lowering ablations),
-the cache format version, and the Python major/minor version (pickles
-are not guaranteed portable across interpreters).  Any change to any of
-those yields a distinct key; identical inputs return a program whose
-runs are bit-identical to a fresh compile.
+vpfloat attribute spellings), the module name, the -O3 passes that run
+and every other :class:`~repro.core.CompileOptions` field (backend,
+Polly tiling, the MPFR-lowering ablations), the cache format version,
+and the Python major/minor version (pickles are not guaranteed portable
+across interpreters).  Any change to any of those yields a distinct
+key; identical inputs return a program whose runs are bit-identical to
+a fresh compile.
 
 Disk entries are written atomically (temp file + ``os.replace``) so a
 crashed or concurrent writer can never leave a torn entry; unreadable
@@ -175,9 +175,11 @@ class CompileCache:
                  .encode())
         h.update(f"name={name}\0".encode())
         h.update(f"codegen={CODEGEN_VERSION}\0".encode())
+        h.update(f"passes={options.passes()}\0".encode())
         for f in sorted(fields(options), key=lambda f: f.name):
-            value = getattr(options, f.name)
-            h.update(f"opt:{f.name}={value!r}\0".encode())
+            if f.name not in ("opt_level", "disable_passes", "contract_fma"):
+                value = getattr(options, f.name)
+                h.update(f"opt:{f.name}={value!r}\0".encode())
         h.update(b"source\0")
         h.update(source.encode())
         return h.hexdigest()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Iterable, List, Tuple
 
 from ..ir import Function, Module, verify_module
 from ..observability import CAT_PASS, observe
@@ -63,18 +63,14 @@ class PassManager:
         for pass_ in self.passes:
             with observe(f"pass:{pass_.name}", cat=CAT_PASS) as obs:
                 started = time.perf_counter()
-                changed_total = 0
                 if isinstance(pass_, ModulePass):
-                    changed = pass_.run_module(module)
-                    changed_total += int(changed)
-                    self.stats.record(pass_.name, changed)
+                    changed_total = int(pass_.run_module(module))
                 else:
-                    for func in list(module.functions.values()):
-                        if func.is_declaration:
-                            continue
-                        changed = pass_.run(func)
-                        changed_total += int(changed)
-                        self.stats.record(pass_.name, changed)
+                    changed_total = sum(
+                        int(pass_.run(func))
+                        for func in list(module.functions.values())
+                        if not func.is_declaration)
+                self.stats.record(pass_.name, changed_total)
                 self.stats.record_time(pass_.name,
                                        time.perf_counter() - started)
                 obs.arg(changes=changed_total)
@@ -83,40 +79,44 @@ class PassManager:
         return self.stats
 
 
-def build_o3_pipeline(enable_loop_idiom: bool = True,
-                      enable_inlining: bool = True,
-                      enable_unroll: bool = True,
-                      contract_fma: bool = False,
-                      verify_each: bool = False) -> PassManager:
-    """The default -O3 middle-end pipeline (paper §IV: -O3)."""
-    from .constfold import ConstantFoldPass
-    from .dce import DeadCodeEliminationPass
-    from .fma import FMAContractionPass
-    from .gvn import GVNPass
-    from .inline import InliningPass
-    from .licm import LICMPass
-    from .loop_idiom import LoopIdiomPass
-    from .loop_unroll import LoopUnrollPass
-    from .mem2reg import Mem2RegPass
-    from .simplifycfg import SimplifyCFGPass
+def o3_pipeline() -> Tuple[Tuple[str, type], ...]:
+    """The -O3 pipeline (paper §IV): ``(name, pass class)`` per pass run,
+    in run order; ``fma-contract`` runs only under FP_CONTRACT."""
+    from . import (ConstantFoldPass, DeadCodeEliminationPass,
+                   FMAContractionPass, GVNPass, InliningPass, LICMPass,
+                   LoopIdiomPass, LoopUnrollPass, Mem2RegPass,
+                   SimplifyCFGPass)
 
-    pm = PassManager(verify_each=verify_each)
-    if enable_inlining:
-        pm.add(InliningPass())
-    pm.add(Mem2RegPass())
-    pm.add(ConstantFoldPass())
-    pm.add(SimplifyCFGPass())  # merge blocks so loop passes see small loops
-    pm.add(GVNPass())
-    pm.add(LICMPass())
-    if enable_loop_idiom:
-        pm.add(LoopIdiomPass())
-    if enable_unroll:
-        pm.add(LoopUnrollPass())
-    pm.add(ConstantFoldPass())
-    pm.add(GVNPass())
-    if contract_fma:
-        pm.add(FMAContractionPass())
-    pm.add(DeadCodeEliminationPass())
-    pm.add(SimplifyCFGPass())
-    pm.add(DeadCodeEliminationPass())
+    return tuple((pass_class.name, pass_class) for pass_class in (
+        InliningPass, Mem2RegPass, ConstantFoldPass,
+        SimplifyCFGPass,  # merge blocks so loop passes see small loops
+        GVNPass, LICMPass, LoopIdiomPass, LoopUnrollPass,
+        ConstantFoldPass, GVNPass, FMAContractionPass,
+        DeadCodeEliminationPass, SimplifyCFGPass, DeadCodeEliminationPass))
+
+
+def droppable_passes() -> Tuple[str, ...]:
+    """The distinct names ``disable`` accepts, in first-run order: all
+    but the opt-in ``fma-contract`` (one rounding of a*b+c)."""
+    return tuple(dict.fromkeys(name for name, _ in o3_pipeline()
+                               if name != "fma-contract"))
+
+
+def o3_passes(disable: Iterable[str] = (),
+              contract_fma: bool = False) -> List[Tuple[str, type]]:
+    """The :func:`o3_pipeline` entries whose name is not in ``disable``
+    (an unknown name raises ValueError)."""
+    unknown = sorted(set(disable).difference(droppable_passes()))
+    if unknown:
+        raise ValueError(f"unknown pass name(s) {unknown}; choose from "
+                         f"{list(droppable_passes())}")
+    skip = {*disable, *(() if contract_fma else ("fma-contract",))}
+    return [entry for entry in o3_pipeline() if entry[0] not in skip]
+
+
+def build_o3_pipeline(disable: Iterable[str] = (),
+                      contract_fma: bool = False) -> PassManager:
+    """The -O3 pipeline as fresh pass instances (see :func:`o3_passes`)."""
+    pm = PassManager()
+    pm.passes = [cls() for _, cls in o3_passes(disable, contract_fma)]
     return pm

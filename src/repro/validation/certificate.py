@@ -56,12 +56,13 @@ _REPORT_FIELDS = (
 #:   on a fresh shard, or served from the shared artifact store); the
 #:   daemon is transport, so values and cycle reports must match
 #:   bit-for-bit.
-#: * ``O3↔O0`` / ``O3↔O3-minus-one-pass`` -- optimization transitions.
+#: * ``O3↔O0`` / ``O3↔O3-minus-one-pass`` / ``O3↔O3+polly`` -- passes.
 TRANSITIONS = {
     "engine↔engine": "exact",
     "serial↔service": "exact",
     "O3↔O0": "sane",
     "O3↔O3-minus-one-pass": "sane",
+    "O3↔O3+polly": "sane",
 }
 
 

@@ -16,10 +16,10 @@ independent differentials:
 * :func:`cross_check_engines` -- render the program to dialect source,
   compile it through the real frontend/optimizer, and certify it
   (:func:`~repro.validation.harness.certify`) per backend
-  (none/mpfr/boost) across -O0 and the execution engines -- values and
-  each transition's report invariant -- then compare the backends'
-  returned doubles bit for bit.  The mpfr row's ``engine.legacy``
-  check is also the kernel-tier check: the jit binds the
+  (none/mpfr/boost) across -O0, each -O3 pass, Polly and the execution
+  engines -- values and each transition's report invariant -- then
+  compare the backends' returned doubles bit for bit.  The mpfr row's
+  ``engine.legacy`` check is also the kernel-tier check: the jit binds the
   precision-specialized kernels (tier 1 up to 64 bits, tier 2 up to
   128), the legacy walker the library arithmetic, and the generator
   draws precisions on both sides of each tier boundary.
@@ -343,12 +343,12 @@ def cross_check_rounding(program: FuzzProgram,
 
 
 #: The compiled differential's rows: per backend, the transitions its
-#: default-engine -O3 reference is certified across (registry labels).
-#: The backends' reference values are then compared with each other.
+#: default-engine -O3 reference is certified across (registry label
+#: prefixes).  The backends' reference values are then compared.
 ENGINE_CONFIGS: Dict[str, Tuple[str, ...]] = {
-    "none": ("opt.O0", "engine.legacy"),
-    "mpfr": ("engine.legacy",),
-    "boost": (),
+    "none": ("opt.O0", "engine.legacy", "pass"),
+    "mpfr": ("engine.legacy", "pass"),
+    "boost": ("pass",),
 }
 
 

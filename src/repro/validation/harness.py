@@ -24,11 +24,12 @@ certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
-from ..core import ENGINES, CompilerDriver, resolve_engine
+from ..core import ENGINES, CompileOptions, CompilerDriver, resolve_engine
 from ..observability import CAT_VALIDATE, current_metrics, observe
+from ..passes.pass_manager import droppable_passes
 from .certificate import (
     TRANSITIONS,
     Certificate,
@@ -39,13 +40,8 @@ from .certificate import (
     values_token,
 )
 
-#: -O3 pipeline switches whose transition must preserve value semantics
-#: (``contract_fma`` is excluded: fusing a*b+c into a single rounding is
-#: an intentional semantic change, the reason it is off by default).
-PASS_SWITCHES = ("enable_loop_idiom", "enable_inlining", "enable_unroll")
-
 #: Delta keys that change the compiled program rather than the run.
-_COMPILE_KEYS = frozenset(("opt_level",) + PASS_SWITCHES)
+_COMPILE_KEYS = frozenset(f.name for f in fields(CompileOptions))
 
 
 @dataclass(frozen=True)
@@ -55,27 +51,27 @@ class Transition:
     label: str          # check label
     edge: str           # its row in certificate.TRANSITIONS
     delta: Mapping      # run/compile keywords that make the candidate
-    #: (backend, reference engine) -> whether the check applies.
-    applies: Callable[[str, str], bool]
+    #: (reference compile options, engine) -> whether the check applies.
+    applies: Callable[[Mapping, str], bool]
 
     @property
     def strictness(self) -> str:
         return TRANSITIONS[self.edge]
 
 
-def _always(backend: str, engine: str) -> bool:
-    return True
-
-
 #: Every transition, in the order a certificate lists its checks.
 REGISTRY: Tuple[Transition, ...] = (
     *(Transition(f"engine.{name}", "engine↔engine", {"engine": name},
-                 lambda backend, engine, name=name: engine != name)
+                 lambda options, engine, name=name: engine != name)
       for name in ENGINES),
-    Transition("opt.O0", "O3↔O0", {"opt_level": 0}, _always),
-    *(Transition(f"pass.no-{switch[len('enable_'):]}",
-                 "O3↔O3-minus-one-pass", {switch: False}, _always)
-      for switch in PASS_SWITCHES),
+    Transition("opt.O0", "O3↔O0", {"opt_level": 0},
+               lambda options, engine: True),
+    *(Transition(f"pass.no-{name}", "O3↔O3-minus-one-pass",
+                 {"disable_passes": (name,)},
+                 lambda options, engine: not options.get("disable_passes"))
+      for name in droppable_passes()),
+    Transition("pass.polly", "O3↔O3+polly", {"polly": True},
+               lambda options, engine: not options.get("polly")),
 )
 
 
@@ -126,20 +122,21 @@ def certify(subject: str, func: str, args: Sequence = (), *,
     of ``source`` compiled with ``options``
     (:class:`~repro.core.CompilerDriver` keywords).  Candidates are the
     :data:`REGISTRY` entries whose label starts with one of ``only``
-    and whose rule holds; compile deltas (``opt.O0``, ``pass.no-*``)
+    and whose rule holds; compile deltas (``opt.O0``, ``pass.*``)
     recompile ``source``.  ``read(value, interpreter)`` maps a run to
     its values; ``run_options`` are extra
     :meth:`~repro.core.CompiledProgram.run` keywords.
     """
     options = dict(options or {})
-    backend = (program.options.backend if program is not None
-               else options.get("backend", "mpfr"))
+    reference = (asdict(program.options) if program is not None
+                 else {"backend": "mpfr", **options})
+    backend = reference["backend"]
     if backend == "unum":
         raise ValueError("certificates apply to the interpreter backends "
                          "(none/mpfr/boost), not unum")
     reference_engine = resolve_engine(engine)
     candidates = [t for t in REGISTRY if t.label.startswith(tuple(only))
-                  and t.applies(backend, reference_engine)]
+                  and t.applies(reference, reference_engine)]
     programs = {} if program is None else {(): program}
 
     def run(delta: Mapping) -> Tuple[List, object]:

@@ -46,7 +46,7 @@ class TestAddressComputation:
         }
         """
         module = generate_ir(analyze(parse(source)))
-        build_o3_pipeline(enable_loop_idiom=False).run(module)
+        build_o3_pipeline(disable=("loop-idiom",)).run(module)
         changed = UnumAddressComputationPass().run(
             module.get_function("f"))
         assert changed >= 1
@@ -69,7 +69,7 @@ class TestAddressComputation:
         }
         """
         module = generate_ir(analyze(parse(source)))
-        build_o3_pipeline(enable_loop_idiom=False).run(module)
+        build_o3_pipeline(disable=("loop-idiom",)).run(module)
         assert UnumAddressComputationPass().run(
             module.get_function("f")) == 0
 
@@ -230,7 +230,7 @@ class TestRegisterPressure:
         }}
         """
         program = compile_source(source, backend="unum",
-                                 enable_unroll=False)
+                                 disable_passes=("loop-unroll",))
         result = program.machine().run("f", [100])
         assert result == sum(100 + i for i in range(40))
         asm = program.asm.functions["f"]

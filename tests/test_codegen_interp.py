@@ -34,7 +34,8 @@ class TestScalarPrograms:
           return fib(n - 1) + fib(n - 2);
         }
         """
-        assert run(source, "fib", [15], enable_inlining=False).value == 610
+        assert run(source, "fib", [15],
+                   disable_passes=("inline",)).value == 610
 
     def test_float_vs_double_rounding(self):
         source = """

@@ -155,7 +155,7 @@ class TestDynamicPrecisionFallback:
         # precision (making everything static); keep the calls to get
         # one jit and one fallback function in the same module.
         program = compile_source(MIXED_SRC, backend="mpfr",
-                                 enable_inlining=False)
+                                 disable_passes=("inline",))
         jit = program.run("run", [5], engine="jit")
         legacy = program.run("run", [5], engine="legacy")
         assert jit.value == legacy.value
@@ -175,7 +175,7 @@ class TestDynamicPrecisionFallback:
         # per function, with the walker's value and report.
         for backend in ("none", "mpfr"):
             program = compile_source(LISTING2_AXPY_SRC, backend=backend,
-                                     enable_inlining=False)
+                                     disable_passes=("inline",))
             with telemetry_session(metrics=True) as (_, registry):
                 default = program.run("run", [100, 6])
             legacy = program.run("run", [100, 6], engine="legacy")

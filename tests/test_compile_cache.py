@@ -56,6 +56,39 @@ class TestFingerprint:
         assert CompileCache.fingerprint(SOURCE, CompileOptions(), "a") != \
             CompileCache.fingerprint(SOURCE, CompileOptions(), "b")
 
+    def test_key_follows_the_passes_that_run(self, tmp_path):
+        # -O0/-O1 compile identical IR, as do -O2/-O3: one entry each.
+        cache = CompileCache(tmp_path / "c")
+        for level in range(4):
+            CompilerDriver(opt_level=level, cache=cache).compile(SOURCE)
+        assert len(list((tmp_path / "c").glob("*.vpc"))) == 2
+
+    def test_disable_passes_order_and_duplicates_share_a_key(self):
+        def key(*names):
+            return CompileCache.fingerprint(
+                SOURCE, CompileOptions(disable_passes=names), "m")
+
+        assert key("gvn", "licm") == key("licm", "gvn", "licm")
+        assert key("gvn", "licm") != key("gvn") != key()
+
+
+class TestCompileOptions:
+    @pytest.mark.parametrize("option", ["enable_inlining", "verify"])
+    def test_removed_options_rejected(self, option):
+        with pytest.raises(TypeError, match=option):
+            CompilerDriver(**{option: False})
+
+    def test_unknown_pass_name_lists_the_valid_ones(self):
+        with pytest.raises(ValueError, match="loop-unroll"):
+            CompilerDriver(disable_passes=("unroll",))
+
+    def test_disabled_pass_leaves_the_pipeline(self):
+        program = CompilerDriver(disable_passes=("gvn", "dce")) \
+            .compile(SOURCE)
+        assert "gvn" not in program.pass_timings
+        assert "dce" not in program.pass_timings
+        assert "licm" in program.pass_timings
+
 
 class TestCacheTiers:
     def test_memory_hit_returns_same_object(self, tmp_path):

@@ -77,7 +77,7 @@ class TestPrinting:
         text = ir_text("""
         double helper(double x);
         double f(double x) { return helper(x); }
-        """, enable_inlining=False)
+        """, disable_passes=("inline",))
         assert "declare double @helper(double" in text
 
     def test_memset_shown_after_idiom(self):

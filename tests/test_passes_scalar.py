@@ -24,6 +24,7 @@ from repro.passes import (
     GVNPass,
     Mem2RegPass,
     SimplifyCFGPass,
+    build_o3_pipeline,
     fold_instruction,
 )
 
@@ -298,3 +299,28 @@ class TestSimplifyCFG:
         verify_function(f)
         assert f.blocks[-1].terminator.value is f.args[1] or \
             len(f.blocks) == 1
+
+
+class TestO3Pipeline:
+    O3 = ["inline", "mem2reg", "constfold", "simplifycfg", "gvn", "licm",
+          "loop-idiom", "loop-unroll", "constfold", "gvn", "dce",
+          "simplifycfg", "dce"]
+
+    def names(self, **kwargs):
+        return [pass_.name for pass_ in build_o3_pipeline(**kwargs).passes]
+
+    def test_run_order(self):
+        assert self.names() == self.O3
+        fused = self.names(contract_fma=True)
+        assert fused == self.O3[:10] + ["fma-contract"] + self.O3[10:]
+
+    def test_disable_drops_every_entry_of_a_name(self):
+        assert self.names(disable=("gvn", "dce")) == \
+            [name for name in self.O3 if name not in ("gvn", "dce")]
+        with pytest.raises(ValueError, match="choose from"):
+            build_o3_pipeline(disable=("fma-contract",))
+
+    def test_fresh_instances_per_call(self):
+        first, second = build_o3_pipeline(), build_o3_pipeline()
+        assert not {id(p) for p in first.passes} & \
+            {id(p) for p in second.passes}

@@ -59,7 +59,7 @@ class TestScalarISA:
         int f(int a) { return square(a) + square(a + 1); }
         """
         value, _ = run_unum(source, "f", [4],
-                            enable_inlining=False)
+                            disable_passes=("inline",))
         assert value == 16 + 25
 
     def test_recursion_on_machine(self):
@@ -69,7 +69,8 @@ class TestScalarISA:
           return n * fact(n - 1);
         }
         """
-        value, _ = run_unum(source, "fact", [6], enable_inlining=False)
+        value, _ = run_unum(source, "fact", [6],
+                            disable_passes=("inline",))
         assert value == 720
 
     def test_memset_pseudo(self):
@@ -183,7 +184,7 @@ class TestSpillExecution:
         }}
         """
         program = compile_source(source, backend="unum",
-                                 enable_unroll=False)
+                                 disable_passes=("loop-unroll",))
         machine = program.machine(cache=False)
         value = machine.run("f", [1.0])
         assert value == sum(1.0 + i + 0.5 for i in range(34))

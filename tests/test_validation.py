@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.bigfloat import RNDN, RNDZ, BigFloat, arith
 from repro.evaluation.harness import run_kernel
 from repro.observability import telemetry_session
+from repro.passes.pass_manager import droppable_passes, o3_pipeline
 from repro.validation import (
     Certificate,
     CertificateError,
@@ -36,6 +37,9 @@ from repro.validation import (
     value_token,
 )
 from repro.validation.fuzzer import REFERENCE_KERNELS, eval_reference
+
+#: The single-pass drop labels, one per distinct -O3 pipeline pass.
+PASS_DROPS = [f"pass.no-{name}" for name in droppable_passes()]
 
 SOURCE = """
 double f(int n) {
@@ -146,8 +150,8 @@ class TestValidateHarness:
         cert = _certify_source((12,), kind="pass", only=("opt", "pass"),
                                strict=True)
         assert cert.passed
-        labels = {check.label for check in cert.checks}
-        assert "opt.O0" in labels
+        labels = [check.label for check in cert.checks]
+        assert labels == ["opt.O0", *PASS_DROPS, "pass.polly"]
 
     def test_unum_rejected(self):
         with pytest.raises(ValueError):
@@ -164,16 +168,50 @@ class TestValidateHarness:
     def test_registry_rules(self):
         from repro.validation import TRANSITIONS
 
-        def labels(backend, engine):
+        def labels(engine="jit", **options):
             return [t.label for t in REGISTRY
-                    if t.applies(backend, engine)]
+                    if t.applies({"backend": "mpfr", **options}, engine)]
 
-        assert labels("mpfr", "jit") == [
-            "engine.legacy", "opt.O0", "pass.no-loop_idiom",
-            "pass.no-inlining", "pass.no-unroll"]
-        assert labels("mpfr", "legacy")[0] == "engine.jit"
-        assert labels("boost", "jit") == labels("mpfr", "jit")
+        assert labels() == ["engine.legacy", "opt.O0", *PASS_DROPS,
+                            "pass.polly"]
+        assert labels(engine="legacy")[0] == "engine.jit"
+        assert labels(backend="boost") == labels()
+        # Single-pass drops start from the full -O3, Polly from an
+        # untiled reference.
+        assert labels(disable_passes=("gvn",)) == \
+            ["engine.legacy", "opt.O0", "pass.polly"]
+        assert labels(polly=True) == ["engine.legacy", "opt.O0",
+                                      *PASS_DROPS]
         assert all(t.strictness == TRANSITIONS[t.edge] for t in REGISTRY)
+
+    def test_one_drop_row_per_pipeline_pass(self):
+        names = {name for name, _ in o3_pipeline()} - {"fma-contract"}
+        assert len(names) == 9
+        assert sorted(PASS_DROPS) == sorted(f"pass.no-{name}"
+                                            for name in names)
+
+    @pytest.mark.parametrize("kernel", ["gemm", "jacobi-2d", "syrk"])
+    def test_polly_tiles_certify(self, kernel):
+        from repro.core import compile_source
+        from repro.evaluation.harness import read_lane_outputs
+        from repro.workloads.polybench import KERNELS, source_for
+
+        ftype, n = "vpfloat<mpfr, 16, 64>", 6
+        source = source_for(kernel, ftype)
+
+        def read(value, interpreter):
+            return [value, *read_lane_outputs(
+                interpreter, int(value), KERNELS[kernel].outputs(n),
+                ftype, "mpfr")]
+
+        for tile in (1, 2, 3, 7, 16, 64):
+            assert compile_source(source, polly=True,
+                                  polly_tile=tile).tiled_nests > 0
+            cert = certify(kernel, "run", [n], kind="pass", source=source,
+                           options={"polly_tile": tile, "cache": None},
+                           only=("pass.polly",), read=read, strict=True)
+            assert [check.label for check in cert.checks] == \
+                ["pass.polly"]
 
     def test_rajaperf_points_carry_tier_check(self):
         from repro.evaluation.fig1 import run_fig1_rajaperf
