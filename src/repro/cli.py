@@ -91,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "tiers against the walker's library "
                              "arithmetic), and at -O0, without each "
                              "-O3 pass and with Polly (bit-identical "
-                             "values); exit 3 if any check fails")
+                             "return value and global/heap cells, "
+                             "heap addresses aside); exit 3 if any "
+                             "check fails")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent compile-cache directory (default: "
                              "$VPFLOAT_CACHE_DIR or ~/.cache/vpfloat-repro; "

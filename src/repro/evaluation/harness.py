@@ -154,10 +154,11 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     other execution engine (on a jit reference, that checks the
     precision-specialized kernel tiers against the legacy walker's
     library arithmetic), and the outcome carries the certificate
-    (bit-identical outputs and cycle reports); a failed certificate
-    raises :class:`~repro.validation.CertificateError`.  The primary run is
-    untouched -- its outputs and report are bit-identical to a
-    non-validated run -- and the flag is a single branch when off.
+    (bit-identical values left in memory and cycle reports); a failed
+    certificate raises :class:`~repro.validation.CertificateError`.
+    The primary run is untouched -- its outputs and report are
+    bit-identical to a non-validated run -- and the flag is a single
+    branch when off.
     Certificates only apply to the interpreter backends; unum-machine
     points are returned unvalidated."""
     spec = KERNELS[kernel]
@@ -203,37 +204,17 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
         # The run's own boundary already fed the metrics.
         obs.attach(result.report, absorb=False)
         if validate:
+            from ..validation import certify
+
             obs.note(validated=False)  # recorded if validation raises
-            outcome.certificate = _certify_point(
-                program, spec, outcome, engine, cache=cache,
-                max_steps=max_steps, costs=costs)
+            outcome.certificate = certify(
+                f"{kernel}-{backend}", "run", [n], program=program,
+                engine=engine, run_options={"cache": cache,
+                                            "max_steps": max_steps,
+                                            "costs": costs},
+                witness={"kernel": kernel, "ftype": ftype, "n": n})
             obs.note(validated=True)
         return outcome
-
-
-def _certify_point(program, spec, outcome: RunOutcome,
-                   engine: Optional[str], **run_options) -> object:
-    """Certify the point just run (strict): re-run it under every
-    applicable transition and compare values -- plus the output arrays,
-    when the point read them -- and cycle reports."""
-    from ..validation import certify
-
-    count = spec.outputs(outcome.n)
-
-    def read(value, interpreter):
-        values = [value]
-        if outcome.outputs:
-            values += _read_interpreter_outputs(
-                interpreter, int(value), count, outcome.ftype,
-                outcome.backend)
-        return values
-
-    return certify(
-        f"{outcome.kernel}-{outcome.backend}", "run", [outcome.n],
-        program=program, engine=engine, read=read,
-        run_options=run_options,
-        witness={"kernel": outcome.kernel, "ftype": outcome.ftype,
-                 "n": outcome.n})
 
 
 def read_lane_outputs(interpreter, base: int, count: int, ftype: str,

@@ -144,6 +144,9 @@ def validate_request(message: dict) -> str:
         if not isinstance(kernel, str) and not isinstance(source, str):
             raise ProtocolError(f"{op!r} needs a 'kernel' name or a "
                                 f"'source' string")
+        if op == "run" and source is not None:
+            raise ProtocolError("raw 'source' is a 'compile' input; "
+                                "'run' names a 'kernel'")
         if not isinstance(message.get("ftype"), str) and source is None:
             raise ProtocolError(f"{op!r} needs an 'ftype' string")
     if op == "run" and not isinstance(message.get("n"), int):
@@ -158,10 +161,9 @@ def coalesce_key(message: dict) -> Optional[Tuple]:
     Requests sharing a key compute the *same point* of the same
     compiled program (kernel, canonical element type, n, backend and
     every forwarded option), so the daemon may answer any number of
-    them with one run.  Raw-source requests and other ops return None
-    and dispatch alone.
+    them with one run.  Other ops return None and dispatch alone.
     """
-    if message.get("op") != "run" or message.get("source") is not None:
+    if message.get("op") != "run":
         return None
     backend = message.get("backend", "mpfr")
     options = dict(message.get("options") or {})

@@ -108,9 +108,13 @@ def values_token(values: Sequence) -> Tuple:
 
 
 def values_digest(values: Sequence) -> str:
-    """A short stable digest of a token sequence (for witnesses)."""
-    blob = repr(values_token(values)).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """A short stable digest of a value sequence (for witnesses)."""
+    return tokens_digest(values_token(values))
+
+
+def tokens_digest(tokens: Tuple) -> str:
+    """A short stable digest of a token sequence."""
+    return hashlib.sha256(repr(tokens).encode()).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------- #
@@ -182,6 +186,8 @@ class Certificate:
     reference: str             # reference configuration label
     witness: dict = field(default_factory=dict)
     checks: List[Check] = field(default_factory=list)
+    #: The reference run's tokens; :meth:`to_dict` keeps the digest.
+    observation: Tuple = field(default=(), repr=False)
 
     @property
     def passed(self) -> bool:

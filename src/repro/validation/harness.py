@@ -10,10 +10,10 @@ report invariant it runs under (looked up in
 (``vpfloat-cc``, ``run_kernel``, the Figure 1 RAJAPerf points) and the
 fuzzer's compiled stages.  It runs the reference, then every applicable
 candidate the caller selected, and assembles a
-:class:`~repro.validation.certificate.Certificate`.  Callers differ only
-in what they observe: the ``read`` hook turns one run into the values
-to compare (the return value alone, or the value plus output arrays
-read out of simulated memory).
+:class:`~repro.validation.certificate.Certificate`.  Every caller's
+runs are compared one way (:func:`observe_run`): by what a run left in
+memory, not where it left it, so a kernel returning its output array's
+base address is checked on the array.
 
 Validation outcomes are surfaced as ``validate.*`` counters and
 ``validate:*`` tracer spans through the telemetry registry; pass
@@ -24,20 +24,22 @@ certificate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from ..core import ENGINES, CompileOptions, CompilerDriver, resolve_engine
 from ..observability import CAT_VALIDATE, current_metrics, observe
 from ..passes.pass_manager import droppable_passes
+from ..runtime.memory import GLOBAL_BASE
 from .certificate import (
     TRANSITIONS,
     Certificate,
     CertificateError,
     make_check,
     report_snapshot,
-    values_digest,
-    values_token,
+    tokens_digest,
+    value_token,
 )
 
 #: Delta keys that change the compiled program rather than the run.
@@ -75,9 +77,29 @@ REGISTRY: Tuple[Transition, ...] = (
 )
 
 
-def return_value(value, interpreter) -> List:
-    """The default reader: a run is observed by its return value."""
-    return [value]
+def observe_run(value, memory) -> Tuple:
+    """A finished run as value tokens: its return ``value``, then every
+    live global and heap cell of ``memory`` in address order (the stack
+    is empty after the top-level call).  An integer inside a live heap
+    block observes as ``("address",)``, so runs whose blocks land
+    elsewhere (a dropped pass moves temporaries) observe equal."""
+    blocks = sorted(memory.heap_blocks.items())
+    bases = [base for base, _size in blocks]
+
+    def in_heap(addr) -> bool:
+        i = bisect_right(bases, addr) - 1
+        return i >= 0 and addr < bases[i] + blocks[i][1]
+
+    def token(item) -> Tuple:
+        if isinstance(item, int) and not isinstance(item, bool) \
+                and in_heap(item):
+            return ("address",)
+        return value_token(item)
+
+    cells = memory.cells
+    return (token(value), *(
+        token(cells[addr][0]) for addr in sorted(cells)
+        if GLOBAL_BASE <= addr < memory.global_pointer or in_heap(addr)))
 
 
 def record_certificate(certificate: Certificate) -> None:
@@ -110,7 +132,6 @@ def certify(subject: str, func: str, args: Sequence = (), *,
             source: Optional[str] = None, options: Optional[dict] = None,
             engine: Optional[str] = None,
             only: Sequence[str] = ("engine",),
-            read: Callable = return_value,
             run_options: Optional[dict] = None,
             witness: Optional[dict] = None,
             strict: bool = True) -> Certificate:
@@ -123,8 +144,9 @@ def certify(subject: str, func: str, args: Sequence = (), *,
     (:class:`~repro.core.CompilerDriver` keywords).  Candidates are the
     :data:`REGISTRY` entries whose label starts with one of ``only``
     and whose rule holds; compile deltas (``opt.O0``, ``pass.*``)
-    recompile ``source``.  ``read(value, interpreter)`` maps a run to
-    its values; ``run_options`` are extra
+    recompile ``source``.  Each run is compared by its
+    :func:`observe_run` observation, which the certificate keeps as
+    ``observation``; ``run_options`` are extra
     :meth:`~repro.core.CompiledProgram.run` keywords.
     """
     options = dict(options or {})
@@ -139,7 +161,7 @@ def certify(subject: str, func: str, args: Sequence = (), *,
                   and t.applies(reference, reference_engine)]
     programs = {} if program is None else {(): program}
 
-    def run(delta: Mapping) -> Tuple[List, object]:
+    def run(delta: Mapping) -> Tuple[Tuple, object]:
         key = tuple(sorted((k, v) for k, v in delta.items()
                            if k in _COMPILE_KEYS))
         if key not in programs:
@@ -150,7 +172,8 @@ def certify(subject: str, func: str, args: Sequence = (), *,
                       if k not in _COMPILE_KEYS)
         kwargs.setdefault("engine", reference_engine)
         result = programs[key].run(func, list(args), **kwargs)
-        return read(result.value, result.interpreter), result.report
+        return (observe_run(result.value, result.interpreter.memory),
+                result.report)
 
     if kind == "pass":
         reference_label = f"opt.O{options.get('opt_level', 3)}"
@@ -158,19 +181,18 @@ def certify(subject: str, func: str, args: Sequence = (), *,
         reference_label = f"engine.{reference_engine}"
     with observe(f"validate:{subject}", cat=CAT_VALIDATE, kind=kind,
                  reference=reference_label):
-        values, report = run({})
-        ref_values, ref_report = values_token(values), \
-            report_snapshot(report)
+        observation, report = run({})
+        ref_report = report_snapshot(report)
         certificate = Certificate(
             subject=subject, kind=kind, reference=reference_label,
             witness={"func": func, "args": list(args), "backend": backend,
                      **(witness or {}),
-                     "value_digest": values_digest(values),
-                     "cycles": ref_report["cycles"]})
+                     "value_digest": tokens_digest(observation),
+                     "cycles": ref_report["cycles"]},
+            observation=observation)
         for transition in candidates:
             values, report = run(transition.delta)
             certificate.add(make_check(
-                transition.label, transition.strictness, ref_values,
-                values_token(values), ref_report,
-                report_snapshot(report)))
+                transition.label, transition.strictness, observation,
+                values, ref_report, report_snapshot(report)))
     return finish_certificate(certificate, strict)

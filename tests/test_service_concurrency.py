@@ -10,7 +10,10 @@ file latches; progress is observed through the inline ``stats`` op.
 
 import asyncio
 
-from repro.service import ServiceError, coalesce_key, request
+import pytest
+
+from repro.service import ProtocolError, ServiceError, coalesce_key, \
+    request, validate_request
 
 from service_utils import (
     FTYPE,
@@ -278,3 +281,18 @@ def test_coalesce_key_discriminates_points():
     assert unum is not None and unum != coalesce_key(base)
     assert coalesce_key(request("compile", 7, kernel="trmm",
                                 ftype=FTYPE)) is None
+
+
+def test_run_with_raw_source_is_a_protocol_error():
+    """Raw source is a compile input: a run names a kernel point, so a
+    source-carrying run is refused before it reaches a worker."""
+    source = "double f() { return 1.0; }"
+    for message in (request("run", 1, source=source, ftype=FTYPE, n=4),
+                    request("run", 2, kernel="gemm", source=source,
+                            ftype=FTYPE, n=4)):
+        with pytest.raises(ProtocolError, match="'compile' input"):
+            validate_request(message)
+    assert validate_request(request("compile", 3, source=source)) == \
+        "compile"
+    assert validate_request(request("run", 4, kernel="gemm",
+                                    ftype=FTYPE, n=4)) == "run"

@@ -16,6 +16,7 @@ from repro.bigfloat import RNDN, RNDZ, BigFloat, arith
 from repro.evaluation.harness import run_kernel
 from repro.observability import telemetry_session
 from repro.passes.pass_manager import droppable_passes, o3_pipeline
+from repro.runtime.memory import Memory
 from repro.validation import (
     Certificate,
     CertificateError,
@@ -37,6 +38,7 @@ from repro.validation import (
     value_token,
 )
 from repro.validation.fuzzer import REFERENCE_KERNELS, eval_reference
+from repro.validation.harness import observe_run
 
 #: The single-pass drop labels, one per distinct -O3 pipeline pass.
 PASS_DROPS = [f"pass.no-{name}" for name in droppable_passes()]
@@ -130,6 +132,51 @@ class TestCertificateObject:
 
 
 # ----------------------------------------------------------------- #
+# The run observation
+# ----------------------------------------------------------------- #
+
+def _finished_run(values, garbage):
+    """A finished run's return value and memory: ``garbage`` bytes of
+    heap first, then an output array holding ``values`` whose base is
+    returned and kept in a global."""
+    memory = Memory()
+    if garbage:
+        memory.alloc_heap(garbage)
+    base = memory.alloc_heap(8 * len(values))
+    for i, value in enumerate(values):
+        memory.store(base + 8 * i, value, 8)
+    memory.store(memory.alloc_global(8), base, 8)
+    return base, memory
+
+
+class TestObserveRun:
+    VALUES = [BigFloat.from_float(x, 64) for x in (0.5, -1.25, 3.0)]
+
+    def test_heap_placement_is_not_observed(self):
+        here = observe_run(*_finished_run(self.VALUES, 0))
+        there = observe_run(*_finished_run(self.VALUES, 48))
+        assert here == there
+        # The returned base, the global holding it, then the array.
+        assert here == (("address",), ("address",),
+                        *(value_token(v) for v in self.VALUES))
+
+    def test_one_changed_element_is_observed(self):
+        changed = list(self.VALUES)
+        changed[1] = arith.neg(changed[1], 64, RNDN)
+        assert observe_run(*_finished_run(self.VALUES, 0)) != \
+            observe_run(*_finished_run(changed, 48))
+
+    def test_freed_and_stack_cells_are_not_observed(self):
+        base, memory = _finished_run(self.VALUES, 0)
+        before = observe_run(base, memory)
+        freed = memory.alloc_heap(8)
+        memory.store(freed, 1.0, 8)
+        memory.free_heap(freed)
+        memory.store(memory.alloc_stack(8), 2.0, 8)
+        assert observe_run(base, memory) == before
+
+
+# ----------------------------------------------------------------- #
 # Harness: engine + pass certificates on real sources
 # ----------------------------------------------------------------- #
 
@@ -193,23 +240,15 @@ class TestValidateHarness:
     @pytest.mark.parametrize("kernel", ["gemm", "jacobi-2d", "syrk"])
     def test_polly_tiles_certify(self, kernel):
         from repro.core import compile_source
-        from repro.evaluation.harness import read_lane_outputs
-        from repro.workloads.polybench import KERNELS, source_for
+        from repro.workloads.polybench import source_for
 
-        ftype, n = "vpfloat<mpfr, 16, 64>", 6
-        source = source_for(kernel, ftype)
-
-        def read(value, interpreter):
-            return [value, *read_lane_outputs(
-                interpreter, int(value), KERNELS[kernel].outputs(n),
-                ftype, "mpfr")]
-
+        source = source_for(kernel, "vpfloat<mpfr, 16, 64>")
         for tile in (1, 2, 3, 7, 16, 64):
             assert compile_source(source, polly=True,
                                   polly_tile=tile).tiled_nests > 0
-            cert = certify(kernel, "run", [n], kind="pass", source=source,
+            cert = certify(kernel, "run", [6], kind="pass", source=source,
                            options={"polly_tile": tile, "cache": None},
-                           only=("pass.polly",), read=read, strict=True)
+                           only=("pass.polly",), strict=True)
             assert [check.label for check in cert.checks] == \
                 ["pass.polly"]
 
@@ -459,6 +498,58 @@ class TestCli:
         captured = capsys.readouterr()
         assert status == 0
         assert "PASS" in captured.out
+
+    @staticmethod
+    def _validate(tmp_path, kernel, backend, n):
+        """``vpfloat-cc --validate`` on a PolyBench or RAJAPerf kernel."""
+        from repro.cli import main
+        from repro.workloads.polybench import KERNELS, source_for
+        from repro.workloads.rajaperf import raja_source
+
+        ftype = "vpfloat<mpfr, 16, 64>"
+        source = tmp_path / f"{kernel}.c"
+        source.write_text(source_for(kernel, ftype) if kernel in KERNELS
+                          else raja_source(kernel, ftype))
+        return main([str(source), "--backend", backend, "--run", "run",
+                     "--args", str(n), "--validate",
+                     "--no-compile-cache"])
+
+    @pytest.mark.parametrize("kernel,backend,n", [
+        ("fdtd-2d", "boost", 5), ("DAXPY", "mpfr", 16)])
+    def test_validate_ignores_where_outputs_land(self, tmp_path, capsys,
+                                                 kernel, backend, n):
+        # Dropping a pass moves these outputs (boost temporaries,
+        # pooled MPFR limb blocks); their values do not change.
+        status = self._validate(tmp_path, kernel, backend, n)
+        assert status == 0, capsys.readouterr().out
+
+    def test_validate_catches_array_only_miscompile(self, tmp_path,
+                                                    capsys, monkeypatch):
+        # Polly stops every partial tile one iteration short: gemm's
+        # run still returns its output base, but the array is wrong.
+        from repro.lang import ast
+        from repro.passes.polly import tiling
+
+        real_tile_nest = tiling._tile_nest
+
+        def short_tiles(nest, tile):
+            loop = stmt = real_tile_nest(nest, tile)
+            while isinstance(loop, ast.For):
+                bound = loop.cond.rhs
+                if isinstance(bound, ast.Ternary):
+                    bound.false_expr = ast.Binary(
+                        op="-", lhs=bound.false_expr,
+                        rhs=ast.IntLit(value=1))
+                loop = loop.body
+            return stmt
+
+        monkeypatch.setattr(tiling, "_tile_nest", short_tiles)
+        status = self._validate(tmp_path, "gemm", "mpfr", 6)
+        out = capsys.readouterr().out
+        assert status == 3
+        failed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("  ") and " FAIL " in line]
+        assert failed == ["pass.polly"]
 
     def test_fuzz_module_bounded_run(self, tmp_path, capsys):
         from repro.validation.__main__ import main
