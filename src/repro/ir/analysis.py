@@ -45,6 +45,10 @@ class DominatorTree:
     def __init__(self, func: Function):
         self.function = func
         self.rpo = reverse_postorder(func)
+        #: Predecessors of every block of ``func``, as of construction
+        #: (see :meth:`Function.predecessor_map`).  A block reached from
+        #: the entry but no longer in ``func.blocks`` has none.
+        self.preds = func.predecessor_map()
         self._rpo_index = {b: i for i, b in enumerate(self.rpo)}
         self.idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
         self._compute()
@@ -64,7 +68,8 @@ class DominatorTree:
         while changed:
             changed = False
             for block in self.rpo[1:]:
-                preds = [p for p in block.predecessors() if p in self.idom]
+                preds = [p for p in self.preds.get(block, ())
+                         if p in self.idom]
                 if not preds:
                     continue
                 new_idom = preds[0]
@@ -101,7 +106,7 @@ class DominatorTree:
         """Dominance frontiers (Cooper-Harvey-Kennedy)."""
         df: Dict[BasicBlock, Set[BasicBlock]] = {b: set() for b in self.rpo}
         for block in self.rpo:
-            preds = [p for p in block.predecessors() if p in self.idom]
+            preds = [p for p in self.preds.get(block, ()) if p in self.idom]
             if len(preds) < 2:
                 continue
             for pred in preds:
@@ -177,7 +182,7 @@ class LoopInfo:
             for succ in block.successors():
                 if self.domtree.dominates(succ, block):  # back edge
                     headers.setdefault(succ, set()).update(
-                        self._natural_loop(succ, block)
+                        self._natural_loop(succ, block, self.domtree.preds)
                     )
         for header, blocks in headers.items():
             self.loops.append(Loop(header, blocks))
@@ -196,12 +201,14 @@ class LoopInfo:
                 best.subloops.append(inner)
 
     @staticmethod
-    def _natural_loop(header: BasicBlock, latch: BasicBlock) -> Set[BasicBlock]:
+    def _natural_loop(header: BasicBlock, latch: BasicBlock,
+                      preds: Dict[BasicBlock, List[BasicBlock]]
+                      ) -> Set[BasicBlock]:
         blocks = {header, latch}
         worklist = [latch]
         while worklist:
             block = worklist.pop()
-            for pred in block.predecessors():
+            for pred in preds.get(block, ()):
                 if pred not in blocks:
                     blocks.add(pred)
                     worklist.append(pred)

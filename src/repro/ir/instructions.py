@@ -40,6 +40,8 @@ class Instruction(Value):
     """Base instruction: an SSA value with operands and a parent block."""
 
     opcode: str = "<abstract>"
+    #: True on the three block terminators (br, ret, unreachable).
+    is_terminator: bool = False
 
     def __init__(self, opcode: str, type: IRType,
                  operands: Sequence[Value], name: str = ""):
@@ -87,10 +89,6 @@ class Instruction(Value):
         if self.parent is not None:
             self.parent.instructions.remove(self)
             self.parent = None
-
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (BranchInst, RetInst, UnreachableInst))
 
     @property
     def function(self):
@@ -388,6 +386,8 @@ class CallInst(Instruction):
 class BranchInst(Instruction):
     """Unconditional (1 target) or conditional (2 targets) branch."""
 
+    is_terminator = True
+
     def __init__(self, targets: Sequence, cond: Optional[Value] = None):
         operands = [cond] if cond is not None else []
         super().__init__("br", VOID, operands)
@@ -416,6 +416,8 @@ class BranchInst(Instruction):
 
 
 class RetInst(Instruction):
+    is_terminator = True
+
     def __init__(self, value: Optional[Value] = None):
         operands = [value] if value is not None else []
         super().__init__("ret", VOID, operands)
@@ -431,6 +433,8 @@ class RetInst(Instruction):
 
 
 class UnreachableInst(Instruction):
+    is_terminator = True
+
     def __init__(self):
         super().__init__("unreachable", VOID, [])
 

@@ -86,17 +86,21 @@ class BasicBlock:
 
     @property
     def terminator(self) -> Optional[Instruction]:
-        if self.instructions and self.instructions[-1].is_terminator:
-            return self.instructions[-1]
+        instructions = self.instructions
+        if instructions and instructions[-1].is_terminator:
+            return instructions[-1]
         return None
 
     def successors(self) -> List["BasicBlock"]:
-        term = self.terminator
-        if isinstance(term, BranchInst):
-            return list(term.targets)
+        instructions = self.instructions
+        if instructions and isinstance(instructions[-1], BranchInst):
+            return list(instructions[-1].targets)
         return []
 
     def predecessors(self) -> List["BasicBlock"]:
+        """A fresh scan of the parent's blocks, for passes that edit the
+        CFG between queries; analyses read
+        :meth:`Function.predecessor_map` instead."""
         preds = []
         if self.parent is None:
             return preds
@@ -168,6 +172,23 @@ class Function(Value):
     def unique_name(self, base: str) -> str:
         self._name_counter += 1
         return f"{base}.{self._name_counter}" if base else f"v{self._name_counter}"
+
+    def predecessor_map(self) -> Dict[BasicBlock, List[BasicBlock]]:
+        """Every block's predecessors, from one scan of the branches.
+
+        Each list is in function block order and names a predecessor
+        once, as :meth:`BasicBlock.predecessors` does.  The map is a
+        snapshot: nothing keeps it current when a branch target changes,
+        so build one per analysis and none across a CFG edit.
+        """
+        preds: Dict[BasicBlock, List[BasicBlock]] = {
+            block: [] for block in self.blocks}
+        for block in self.blocks:
+            for succ in block.successors():
+                into = preds.get(succ)
+                if into is not None and (not into or into[-1] is not block):
+                    into.append(block)
+        return preds
 
     def instructions(self) -> Iterable[Instruction]:
         for block in self.blocks:

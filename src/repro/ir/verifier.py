@@ -85,10 +85,11 @@ def _check_blocks(func: Function, errors: List[str]) -> None:
     from .analysis import reverse_postorder
 
     reachable = set(reverse_postorder(func))
+    pred_map = func.predecessor_map()
     for block in func.blocks:
         if block not in reachable:
             continue
-        preds = set(block.predecessors())
+        preds = set(pred_map[block])
         for phi in block.phis():
             incoming = {b for _, b in phi.incoming}
             if incoming != preds:

@@ -7,13 +7,23 @@ types, pointers, arrays, control flow, function definitions, plus:
 - FP literal suffixes ``v`` (unum literal) and ``y`` (mpfr literal),
   paper §III-A4;
 - ``#pragma omp ...`` lines surfaced as PRAGMA tokens for OpenMP support.
+
+The scanner is one compiled master regex, one named group per token kind
+(plus comments, the two unterminated forms and a catch-all error group),
+with the whitespace before a token folded into its match.  Each match
+yields at most one token; the line and column come from the newlines the
+match spans.  Diagnostics carry the position of the offending token: an
+unterminated block comment or string is reported at its opening
+characters.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 
 class SourceError(Exception):
@@ -76,160 +86,183 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}@{self.line}:{self.column})"
 
 
+#: Whitespace before a token: it is part of the token's match.  No
+#: alternative below starts with whitespace, so a match never backtracks
+#: into it, and only trailing whitespace fails to match.
+_SPACE = r"[ \t\r\n]*"
+
+
+def _token_pattern(digit: str, ident_start: str) -> "re.Pattern[str]":
+    """The master regex: one named group per token or trivia kind, tried
+    in order, with ``digit`` and ``ident_start`` as character-class
+    bodies.  Order matters where kinds overlap: comments before ``/``,
+    ``.5`` before ``.``, the unterminated forms after the closed ones,
+    and ``error`` (any one non-blank character) last, so every token
+    position matches."""
+    d = f"[{digit}]"
+    alternatives = (
+        ("ident", rf"[{ident_start}]\w*"),
+        ("comment", r"//[^\n]*|/\*[\s\S]*?\*/"),
+        ("open_comment", r"/\*"),
+        ("number",
+         rf"(?P<digits>0[xX][0-9a-fA-F]*"
+         rf"|(?:{d}+(?:\.(?!\.){d}*)?|\.{d}+)(?:[eE][+-]?{d}+)?)"
+         r"(?P<suffix>[fvyulFVYUL]?)"),
+        ("punct", "|".join(map(re.escape, _PUNCTUATION))),
+        ("string", r'"(?P<chars>[^"\\]*(?:\\[\s\S][^"\\]*)*)"'),
+        ("open_string", '"'),
+        ("directive", r"\#[^\n]*"),
+        ("error", r"[^ \t\r\n]"),
+    )
+    return re.compile(_SPACE + "(?:" + "|".join(
+        f"(?P<{name}>{body})" for name, body in alternatives) + ")")
+
+
+_ASCII_TOKEN = _token_pattern("0-9", "A-Za-z_")
+
+
+@functools.cache
+def _unicode_token() -> "re.Pattern[str]":
+    """The master regex for non-ASCII sources, built on first use.
+
+    Digits are the characters ``str.isdigit`` accepts and identifiers
+    start with one ``str.isalpha`` accepts, so a non-ASCII letter or
+    digit lexes as its ASCII kin does (``\\w`` already matches exactly
+    ``str.isalnum`` and ``_``)."""
+
+    def ranges(accept) -> str:
+        points = [c for c in range(0x110000) if accept(chr(c))]
+        runs, first = [], points[0]
+        for prev, cur in zip(points, points[1:] + [None]):
+            if cur != prev + 1:
+                runs.append(f"\\U{first:08x}-\\U{prev:08x}")
+                first = cur
+        return "".join(runs)
+
+    return _token_pattern(ranges(str.isdigit), ranges(str.isalpha) + "_")
+
+
+#: Diagnostics of the master regex's error groups, at the match start.
+_ERRORS = {
+    "error": "unexpected character {!r}",
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+}
+
+_ESCAPES = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", '"': '"'}
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+
+def _unescape(match: "re.Match[str]") -> str:
+    """A string escape: ``\\n``, ``\\t``, ``\\0``, or the character itself."""
+    return _ESCAPES.get(match.group(1), match.group(1))
+
+
 class Lexer:
-    """Single-pass tokenizer with // and /* */ comment support."""
+    """Tokenizer with // and /* */ comment support.
+
+    Each token is one match of a master regex at the current position;
+    the line and column move by the newlines in the matched text.
+    ``pos``, ``line`` and ``column`` are where the next token's scan
+    starts.
+    """
 
     def __init__(self, source: str):
         self.source = source
         self.pos = 0
         self.line = 1
         self.column = 1
+        self._pattern = (_ASCII_TOKEN if source.isascii()
+                         else _unicode_token())
+        self._stream: Optional[Iterator[Token]] = None
 
     def error(self, message: str) -> SourceError:
         return SourceError(message, self.line, self.column)
 
     # ------------------------------------------------------------ #
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, n: int = 1) -> str:
-        text = self.source[self.pos:self.pos + n]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += n
-        return text
-
-    def _skip_trivia(self) -> Optional[Token]:
-        """Skip whitespace/comments; returns a PRAGMA token when one is seen."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in (" ", "\t", "\r", "\n"):
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.source):
-                        raise SourceError("unterminated block comment",
-                                          start_line, start_col)
-                    self._advance()
-                self._advance(2)
-            elif ch == "#":
-                line, col = self.line, self.column
-                text = []
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    text.append(self._advance())
-                directive = "".join(text).strip()
-                if directive.startswith("#pragma"):
-                    return Token(TokenKind.PRAGMA,
-                                 directive[len("#pragma"):].strip(), line, col)
-                # Other directives (e.g. #include) are ignored: the dialect
-                # has no preprocessor; headers are resolved by the driver.
-            else:
-                return None
-        return None
-
-    # ------------------------------------------------------------ #
-
     def tokens(self) -> List[Token]:
-        result: List[Token] = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind is TokenKind.EOF:
-                return result
+        stream = self._tokens()
+        result = [next(stream)]
+        while result[-1].kind is not TokenKind.EOF:
+            result.append(next(stream))
+        return result
 
     def next_token(self) -> Token:
-        pragma = self._skip_trivia()
-        if pragma is not None:
-            return pragma
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", self.line, self.column)
+        return next(self._tokens())
 
-        line, column = self.line, self.column
-        ch = self._peek()
+    def _tokens(self) -> Iterator[Token]:
+        if self._stream is None:
+            self._stream = self._scan()
+        return self._stream
 
-        if ch.isalpha() or ch == "_":
-            return self._lex_identifier(line, column)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(line, column)
-        if ch == '"':
-            return self._lex_string(line, column)
-        for punct in _PUNCTUATION:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, line, column)
-        raise self.error(f"unexpected character {ch!r}")
-
-    def _lex_identifier(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start:self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        is_float = False
-        # NB: membership tests against string literals must exclude the
-        # empty string _peek() returns at EOF ('"" in "xX"' is True).
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() in set("0123456789abcdefABCDEF"):
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1) != ".":
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() in ("e", "E") and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in ("+", "-") and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in ("+", "-"):
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        text = self.source[start:self.pos]
-        suffix = ""
-        if self._peek() and self._peek().lower() in ("f", "v", "y", "u", "l"):
-            suffix = self._advance().lower()
-            if suffix in ("f", "v", "y"):
-                is_float = True
-        kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text, line, column, suffix)
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chars: List[str] = []
+    def _scan(self) -> Iterator[Token]:
+        """Tokens from ``pos`` on; at the end of the input, EOF forever."""
+        source, match = self.source, self._pattern.match
+        pos, line = self.pos, self.line
+        line_start = pos - self.column + 1  # index of column 1
+        ident, keyword, punct = TokenKind.IDENT, TokenKind.KEYWORD, \
+            TokenKind.PUNCT
         while True:
-            if self.pos >= len(self.source):
-                raise SourceError("unterminated string literal", line, column)
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                escape = self._advance()
-                chars.append({"n": "\n", "t": "\t", "0": "\0",
-                              "\\": "\\", '"': '"'}.get(escape, escape))
+            found = match(source, pos)
+            # Whitespace before the match (or before the end of input)
+            # moves the line; the token's column is then its distance
+            # from the line's first character.
+            start = found.start(found.lastgroup) if found else len(source)
+            newlines = source.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, start) + 1
+            column = start - line_start + 1
+            if found is None:
+                pos = start
+                self.pos, self.line, self.column = pos, line, column
+                yield Token(TokenKind.EOF, "", line, column)
+                continue
+            kind, text = found.lastgroup, found.group(found.lastgroup)
+            if kind in _ERRORS:
+                self.pos, self.line, self.column = start, line, column
+                raise self.error(_ERRORS[kind].format(text))
+            pos = found.end()
+            if kind == "ident":
+                token = Token(keyword if text in KEYWORDS else ident, text,
+                              line, column)
+            elif kind == "punct":
+                token = Token(punct, text, line, column)
+            elif kind == "number":
+                digits, suffix = found.group("digits", "suffix")
+                suffix = suffix.lower()
+                is_float = suffix in ("f", "v", "y") or (
+                    digits[1:2] not in ("x", "X")
+                    and ("." in digits or "e" in digits or "E" in digits))
+                token = Token(TokenKind.FLOAT_LIT if is_float
+                              else TokenKind.INT_LIT, digits, line, column,
+                              suffix)
+            elif kind == "string":
+                token = Token(TokenKind.STRING_LIT,
+                              _ESCAPE.sub(_unescape, found.group("chars")),
+                              line, column)
+            elif kind == "directive":
+                directive = text.strip()
+                if not directive.startswith("#pragma"):
+                    # Other directives (e.g. #include) are ignored: the
+                    # dialect has no preprocessor; headers are resolved
+                    # by the driver.
+                    continue
+                token = Token(TokenKind.PRAGMA,
+                              directive[len("#pragma"):].strip(),
+                              line, column)
             else:
-                chars.append(ch)
-        return Token(TokenKind.STRING_LIT, "".join(chars), line, column)
+                token = None  # a comment
+            if kind == "string" or kind == "comment":  # may span lines
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = source.rfind("\n", start, pos) + 1
+                if token is None:
+                    continue
+            self.pos, self.line, self.column = pos, line, pos - line_start + 1
+            yield token
 
 
 def tokenize(source: str) -> List[Token]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
 from . import ast
@@ -31,6 +32,14 @@ _BINARY_PRECEDENCE = {
     "+": 9, "-": 9,
     "*": 10, "/": 10, "%": 10,
 }
+
+#: C integer constants (C11 6.4.4.1): hexadecimal, octal (a leading
+#: ``0``, so ``08`` is malformed) and decimal.
+_INT_LITERAL = re.compile(
+    r"0[xX](?P<hex>[0-9a-fA-F]+)|0(?P<oct>[0-7]*)|(?P<dec>[1-9][0-9]*)")
+
+#: The largest value of the widest integer type (unsigned long).
+_INT_LITERAL_MAX = 2**64 - 1
 
 _TYPE_START_KEYWORDS = frozenset({
     "void", "char", "int", "unsigned", "long", "float", "double",
@@ -168,11 +177,32 @@ class Parser:
         size = attrs[2] if len(attrs) == 3 else None
         return VPFloatT(fmt, attrs[0], attrs[1], size)
 
+    def int_literal(self, token: Token) -> int:
+        """The value of an INT_LIT token under C's rules, or a
+        SourceError at the literal."""
+        match = _INT_LITERAL.fullmatch(token.text)
+        if match is None:
+            raise self.error(f"malformed integer literal {token.text!r}",
+                             token)
+        hex_digits, oct_digits, dec_digits = match.group("hex", "oct", "dec")
+        if hex_digits is not None:
+            value = int(hex_digits, 16)
+        elif oct_digits is not None:
+            value = int(oct_digits or "0", 8)
+        else:
+            value = int(dec_digits)
+        if value > _INT_LITERAL_MAX:
+            # C11 6.4.4.1p6: a literal no integer type can represent
+            # has no type.
+            raise self.error(f"integer literal {token.text!r} is too large "
+                             f"for any integer type", token)
+        return value
+
     def parse_attr(self):
         token = self.current
         if token.kind is TokenKind.INT_LIT:
             self.advance()
-            return AttrConst(int(token.text, 0))
+            return AttrConst(self.int_literal(token))
         if token.kind is TokenKind.IDENT:
             self.advance()
             return AttrRef(token.text)
@@ -553,12 +583,7 @@ class Parser:
         token = self.current
         if token.kind is TokenKind.INT_LIT:
             self.advance()
-            try:
-                value = int(token.text, 0)
-            except ValueError:
-                raise self.error(
-                    f"malformed integer literal {token.text!r}") from None
-            return ast.IntLit(value=value,
+            return ast.IntLit(value=self.int_literal(token),
                               unsigned=token.suffix == "u",
                               long=token.suffix == "l",
                               line=token.line, column=token.column)

@@ -75,9 +75,10 @@ class GVNPass(FunctionPass):
             for child in domtree.children.get(block, ()):
                 # Memory state is control-dependent: only pass load
                 # numbers down when the child has a single predecessor
-                # (otherwise merges could see stale values).
-                preds = child.predecessors()
-                if len(preds) == 1:
+                # (otherwise merges could see stale values).  GVN erases
+                # no terminator, so the domtree's predecessor map stays
+                # exact for the whole walk.
+                if len(domtree.preds.get(child, ())) == 1:
                     walk(child, table, memory_gen)
                 else:
                     pruned = {k: v for k, v in table.items()

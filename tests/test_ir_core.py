@@ -267,3 +267,66 @@ class TestAnalyses:
         assert loop.exits() == [exit_]
         assert loop.preheader() is entry
         assert loop.latches() == [body]
+
+
+def scanned_predecessors(func, block):
+    """The reference definition: every block of ``func``, in order, whose
+    successors include ``block``."""
+    return [p for p in func.blocks if block in p.successors()]
+
+
+class TestPredecessorMap:
+    def test_two_way_branch_to_one_block_lists_it_once(self):
+        m, f = simple_function(ret=I32, params=(I1,))
+        entry = f.add_block("entry")
+        merge = f.add_block("merge")
+        b = IRBuilder(entry)
+        b.cond_br(f.args[0], merge, merge)
+        b.set_insert_point(merge)
+        b.ret(b.const_int(0))
+        preds = f.predecessor_map()
+        assert preds == {entry: [], merge: [entry]}
+        assert preds[merge] == merge.predecessors()
+
+    def test_unreachable_predecessor_is_listed(self):
+        m, f = simple_function(ret=I32, params=(I1,))
+        entry = f.add_block("entry")
+        dead = f.add_block("dead")
+        merge = f.add_block("merge")
+        b = IRBuilder(entry)
+        b.br(merge)
+        b.set_insert_point(dead)
+        b.br(merge)
+        b.set_insert_point(merge)
+        b.ret(b.const_int(0))
+        assert f.predecessor_map()[merge] == [entry, dead]
+        assert DominatorTree(f).idom[merge] is entry
+
+    def test_terminator_flag_is_per_class(self):
+        assert BranchInst.is_terminator and RetInst.is_terminator
+        assert not BinaryInst.is_terminator
+
+    @pytest.mark.parametrize("backend", ["mpfr", "boost", "unum"])
+    def test_matches_a_full_scan_on_polybench_after_o3(self, backend):
+        from repro import compile_source
+        from repro.backends.unum_backend import UnumISelError
+        from repro.workloads.polybench import (
+            KERNELS, source_for, vpfloat_mpfr_type, vpfloat_unum_type)
+
+        ftype = (vpfloat_unum_type() if backend == "unum"
+                 else vpfloat_mpfr_type(128))
+        checked = 0
+        for kernel in KERNELS:
+            try:
+                program = compile_source(source_for(kernel, ftype),
+                                         backend=backend, cache=None)
+            except UnumISelError:  # vp.sqrt has no coprocessor opcode
+                assert backend == "unum"
+                continue
+            for func in program.module.functions.values():
+                preds = func.predecessor_map()
+                assert list(preds) == func.blocks
+                for block in func.blocks:
+                    assert preds[block] == scanned_predecessors(func, block)
+                    checked += 1
+        assert checked > 400

@@ -1,5 +1,8 @@
 """Lexer: tokens, literals, suffixes, comments, pragmas."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.lang import SourceError, TokenKind, tokenize
@@ -112,3 +115,153 @@ class TestTrivia:
     def test_unexpected_character(self):
         with pytest.raises(SourceError):
             tokenize("int $x;")
+
+
+# ----------------------------------------------------------------- #
+# Pins: the token stream of every bundled source, exact edge cases and
+# exact diagnostics.
+# ----------------------------------------------------------------- #
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+PIN_FTYPE = "vpfloat<mpfr, 16, 128>"
+
+#: SHA-256 of :func:`stream_digest` over :func:`bundled_sources`, taken
+#: with the character-at-a-time lexer the master regex replaced.
+BUNDLED_TOKENS_SHA256 = (
+    "be9a94707d1cd65457dd86abfc8d382cf64c4dbd740aa826ab0802d70f720b74")
+
+
+def bundled_sources():
+    """``(name, source)`` for every C source the repository ships: the
+    PolyBench kernels at one mpfr type, the RAJAPerf kernels with and
+    without OpenMP, the sources in ``examples/`` and the paper's
+    listings."""
+    import runpy
+
+    from repro.workloads.polybench import KERNELS, source_for
+    from repro.workloads.rajaperf import RAJA_KERNELS, raja_source
+    from test_paper_listings import LISTING2, LISTING3
+
+    sources = [(f"polybench/{k}", source_for(k, PIN_FTYPE))
+               for k in sorted(KERNELS)]
+    sources += [(f"rajaperf/{k}/omp={omp}", raja_source(k, PIN_FTYPE, omp))
+                for k in sorted(RAJA_KERNELS) for omp in (False, True)]
+    for path in sorted(EXAMPLES.glob("*.py")):
+        names = runpy.run_path(str(path), run_name="lexer_pin")
+        sources += [(f"examples/{path.name}/{name}", value)
+                    for name, value in sorted(names.items())
+                    if name.isupper() and isinstance(value, str)]
+    sources += [("listing2", LISTING2), ("listing3", LISTING3)]
+    return sources
+
+
+def stream_digest(sources) -> str:
+    digest = hashlib.sha256()
+    for name, source in sources:
+        for t in tokenize(source):
+            digest.update(f"{name}\t{t.kind.name}\t{t.text!r}\t{t.line}\t"
+                          f"{t.column}\t{t.suffix}\n".encode())
+    return digest.hexdigest()
+
+
+def full(source):
+    return [(t.kind, t.text, t.line, t.column, t.suffix)
+            for t in tokenize(source)]
+
+
+def diagnostic(source):
+    with pytest.raises(SourceError) as info:
+        tokenize(source)
+    error = info.value
+    return error.message, error.line, error.column
+
+
+class TestPins:
+    def test_bundled_sources_token_stream(self):
+        sources = bundled_sources()
+        assert len(sources) == 59
+        assert stream_digest(sources) == BUNDLED_TOKENS_SHA256
+
+    def test_crlf(self):
+        assert full("int\r\n x;\r\n") == [
+            (TokenKind.KEYWORD, "int", 1, 1, ""),
+            (TokenKind.IDENT, "x", 2, 2, ""),
+            (TokenKind.PUNCT, ";", 2, 3, ""),
+            (TokenKind.EOF, "", 3, 1, "")]
+
+    def test_tabs_count_one_column(self):
+        assert full("\tint\t\tx;") == [
+            (TokenKind.KEYWORD, "int", 1, 2, ""),
+            (TokenKind.IDENT, "x", 1, 7, ""),
+            (TokenKind.PUNCT, ";", 1, 8, ""),
+            (TokenKind.EOF, "", 1, 9, "")]
+
+    def test_multiline_block_comment(self):
+        assert full("a /* one\ntwo\n  three */ b") == [
+            (TokenKind.IDENT, "a", 1, 1, ""),
+            (TokenKind.IDENT, "b", 3, 12, ""),
+            (TokenKind.EOF, "", 3, 13, "")]
+
+    def test_pragma_omp(self):
+        assert full("  #pragma omp parallel for \nx") == [
+            (TokenKind.PRAGMA, "omp parallel for", 1, 3, ""),
+            (TokenKind.IDENT, "x", 2, 1, ""),
+            (TokenKind.EOF, "", 2, 2, "")]
+
+    def test_int_dot_dot_int(self):
+        assert full("1..2") == [
+            (TokenKind.INT_LIT, "1", 1, 1, ""),
+            (TokenKind.PUNCT, ".", 1, 2, ""),
+            (TokenKind.FLOAT_LIT, ".2", 1, 3, ""),
+            (TokenKind.EOF, "", 1, 5, "")]
+
+    def test_leading_dot_float_with_exponent_and_suffix(self):
+        assert full(".5e-3f") == [
+            (TokenKind.FLOAT_LIT, ".5e-3", 1, 1, "f"),
+            (TokenKind.EOF, "", 1, 7, "")]
+
+    def test_hex_with_unsigned_suffix(self):
+        assert full("0x1Fu") == [
+            (TokenKind.INT_LIT, "0x1F", 1, 1, "u"),
+            (TokenKind.EOF, "", 1, 6, "")]
+
+    def test_ellipsis_between_identifiers(self):
+        assert full("a...b") == [
+            (TokenKind.IDENT, "a", 1, 1, ""),
+            (TokenKind.PUNCT, "...", 1, 2, ""),
+            (TokenKind.IDENT, "b", 1, 5, ""),
+            (TokenKind.EOF, "", 1, 6, "")]
+
+    def test_non_ascii_letters_and_digits(self):
+        """A non-ASCII source lexes by ``str.isalpha``/``str.isdigit``/
+        ``str.isalnum``, as the character-at-a-time lexer did."""
+        assert full("café = x² + ²;\n٣٤.5") == [
+            (TokenKind.IDENT, "café", 1, 1, ""),
+            (TokenKind.PUNCT, "=", 1, 6, ""),
+            (TokenKind.IDENT, "x²", 1, 8, ""),
+            (TokenKind.PUNCT, "+", 1, 11, ""),
+            (TokenKind.INT_LIT, "²", 1, 13, ""),
+            (TokenKind.PUNCT, ";", 1, 14, ""),
+            (TokenKind.FLOAT_LIT, "٣٤.5", 2, 1, ""),
+            (TokenKind.EOF, "", 2, 5, "")]
+        assert diagnostic("y = ½;") == ("unexpected character '½'", 1, 5)
+
+    def test_unexpected_character_diagnostic(self):
+        assert diagnostic("int\n  $x;") == \
+            ("unexpected character '$'", 2, 3)
+
+    def test_unterminated_block_comment_at_its_start(self):
+        assert diagnostic("a\n  b /* never\nclosed") == \
+            ("unterminated block comment", 2, 5)
+
+    def test_unterminated_string_at_its_quote(self):
+        assert diagnostic('x = "abc\ndef') == \
+            ("unterminated string literal", 1, 5)
+
+    def test_malformed_hex_at_the_literal(self):
+        from repro.lang import parse
+
+        with pytest.raises(SourceError) as info:
+            parse("int x =\n  0x;")
+        assert (info.value.message, info.value.line, info.value.column) \
+            == ("malformed integer literal '0x'", 2, 3)

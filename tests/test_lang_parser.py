@@ -230,3 +230,54 @@ class TestExpressions:
         with pytest.raises(SourceError) as excinfo:
             parse("void f() { int x = ; }")
         assert excinfo.value.line == 1
+
+
+class TestIntegerLiterals:
+    """C integer constants (C11 6.4.4.1), at both literal sites."""
+
+    def value(self, text):
+        func = parse_one(f"long f() {{ return {text}; }}")
+        return func.body.statements[0].value.value
+
+    def test_decimal_hex_and_zero(self):
+        assert self.value("42") == 42
+        assert self.value("0x1F") == 31
+        assert self.value("0") == 0
+
+    def test_leading_zero_is_octal(self):
+        assert self.value("010") == 8
+        assert self.value("0777") == 511
+
+    @pytest.mark.parametrize("text", ["08", "09", "0x"])
+    def test_malformed_at_the_literal(self, text):
+        with pytest.raises(SourceError) as excinfo:
+            parse(f"long f() {{\n  return {text}; }}")
+        error = excinfo.value
+        assert error.message == f"malformed integer literal {text!r}"
+        assert (error.line, error.column) == (2, 10)
+
+    def test_largest_unsigned_long_accepted(self):
+        assert self.value("18446744073709551615") == 2**64 - 1
+        assert self.value("0xffffffffffffffff") == 2**64 - 1
+
+    @pytest.mark.parametrize("text", ["18446744073709551616",
+                                      "99999999999999999999999",
+                                      "0x1ffffffffffffffff"])
+    def test_too_large_for_any_type(self, text):
+        with pytest.raises(SourceError) as excinfo:
+            parse(f"long f() {{ return {text}; }}")
+        error = excinfo.value
+        assert error.message == (f"integer literal {text!r} is too large "
+                                 f"for any integer type")
+        assert (error.line, error.column) == (1, 19)
+
+    def test_attribute_literal_is_octal(self):
+        func = parse_one("void f(vpfloat<mpfr, 16, 0200> x) {}")
+        assert func.params[0].type.prec == AttrConst(128)
+
+    def test_malformed_attribute_literal_is_a_source_error(self):
+        with pytest.raises(SourceError) as excinfo:
+            parse("void f(vpfloat<mpfr, 16, 0x> x) {}")
+        error = excinfo.value
+        assert error.message == "malformed integer literal '0x'"
+        assert (error.line, error.column) == (1, 26)

@@ -326,7 +326,9 @@ def test_o3_output_independent_of_hash_seed():
     """-O3 walks loop bodies and dominance frontiers in function block
     order, so the optimized IR text is the same under any
     PYTHONHASHSEED (adi used to reorder hoisted instructions and
-    renumber phis between seeds)."""
+    renumber phis between seeds).  Checked on every PolyBench kernel,
+    on mpfr and on unum (IR and coprocessor asm), one process per
+    seed."""
     import os
     import subprocess
     import sys
@@ -334,10 +336,23 @@ def test_o3_output_independent_of_hash_seed():
 
     import repro
 
-    script = ("from repro import compile_source\n"
-              "from repro.workloads.polybench import source_for\n"
-              "print(compile_source(source_for('adi', "
-              "'vpfloat<mpfr, 16, 128>'), backend='mpfr').module)\n")
+    script = (
+        "from repro import compile_source\n"
+        "from repro.backends.unum_backend import UnumISelError\n"
+        "from repro.workloads.polybench import KERNELS, source_for, "
+        "vpfloat_mpfr_type, vpfloat_unum_type\n"
+        "for backend, ftype in (('mpfr', vpfloat_mpfr_type(128)), "
+        "('unum', vpfloat_unum_type())):\n"
+        "    for kernel in KERNELS:\n"
+        "        print('==', kernel, backend)\n"
+        "        try:\n"
+        "            program = compile_source(source_for(kernel, ftype), "
+        "backend=backend, cache=None)\n"
+        "        except UnumISelError as exc:\n"
+        "            print(type(exc).__name__, exc)\n"
+        "            continue\n"
+        "        print(program.module)\n"
+        "        print(program.asm)\n")
     src = str(Path(repro.__file__).resolve().parent.parent)
     texts = []
     for seed in ("1", "7"):
@@ -345,4 +360,5 @@ def test_o3_output_independent_of_hash_seed():
         texts.append(subprocess.run(
             [sys.executable, "-c", script], env=env, check=True,
             capture_output=True, text=True).stdout)
-    assert texts[0] and texts[0] == texts[1]
+    assert texts[0].count("== ") == 58
+    assert texts[0] == texts[1]
