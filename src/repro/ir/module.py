@@ -98,16 +98,12 @@ class BasicBlock:
         return []
 
     def predecessors(self) -> List["BasicBlock"]:
-        """A fresh scan of the parent's blocks, for passes that edit the
-        CFG between queries; analyses read
-        :meth:`Function.predecessor_map` instead."""
-        preds = []
+        """This block's entry in a fresh :meth:`Function.predecessor_map`,
+        for passes that edit the CFG between queries; an analysis that
+        asks for many blocks builds the map once instead."""
         if self.parent is None:
-            return preds
-        for block in self.parent.blocks:
-            if self in block.successors():
-                preds.append(block)
-        return preds
+            return []
+        return self.parent.predecessor_map().get(self, [])
 
     def phis(self) -> List[PhiInst]:
         return [i for i in self.instructions if isinstance(i, PhiInst)]
@@ -177,9 +173,10 @@ class Function(Value):
         """Every block's predecessors, from one scan of the branches.
 
         Each list is in function block order and names a predecessor
-        once, as :meth:`BasicBlock.predecessors` does.  The map is a
-        snapshot: nothing keeps it current when a branch target changes,
-        so build one per analysis and none across a CFG edit.
+        once; a branch into a block outside the function is not
+        recorded.  The map is a snapshot: nothing keeps it current when a
+        branch target changes, so build one per analysis and none across
+        a CFG edit.
         """
         preds: Dict[BasicBlock, List[BasicBlock]] = {
             block: [] for block in self.blocks}

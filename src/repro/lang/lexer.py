@@ -12,7 +12,9 @@ The scanner is one compiled master regex, one named group per token kind
 (plus comments, the two unterminated forms and a catch-all error group),
 with the whitespace before a token folded into its match.  Each match
 yields at most one token; the line and column come from the newlines the
-match spans.  Diagnostics carry the position of the offending token: an
+match spans.  Digits and identifiers use Unicode's classes: a decimal
+digit (``\\d``) starts a number, any other word character (``\\w``) an
+identifier.  Diagnostics carry the position of the offending token: an
 unterminated block comment or string is reported at its opening
 characters.
 """
@@ -20,7 +22,6 @@ characters.
 from __future__ import annotations
 
 import enum
-import functools
 import re
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
@@ -92,54 +93,27 @@ class Token:
 _SPACE = r"[ \t\r\n]*"
 
 
-def _token_pattern(digit: str, ident_start: str) -> "re.Pattern[str]":
-    """The master regex: one named group per token or trivia kind, tried
-    in order, with ``digit`` and ``ident_start`` as character-class
-    bodies.  Order matters where kinds overlap: comments before ``/``,
-    ``.5`` before ``.``, the unterminated forms after the closed ones,
-    and ``error`` (any one non-blank character) last, so every token
-    position matches."""
-    d = f"[{digit}]"
-    alternatives = (
-        ("ident", rf"[{ident_start}]\w*"),
+#: The master regex: one named group per token or trivia kind, tried in
+#: order.  Order matters where kinds overlap: comments before ``/``,
+#: ``.5`` before ``.``, the unterminated forms after the closed ones, and
+#: ``error`` (any one non-blank character) last, so every token position
+#: matches.  Digits are ``\d`` (Unicode decimal digits); an identifier
+#: starts with a word character that is not one and runs over ``\w``.
+_TOKEN = re.compile(_SPACE + "(?:" + "|".join(
+    f"(?P<{name}>{body})" for name, body in (
+        ("ident", r"[^\W\d]\w*"),
         ("comment", r"//[^\n]*|/\*[\s\S]*?\*/"),
         ("open_comment", r"/\*"),
         ("number",
-         rf"(?P<digits>0[xX][0-9a-fA-F]*"
-         rf"|(?:{d}+(?:\.(?!\.){d}*)?|\.{d}+)(?:[eE][+-]?{d}+)?)"
+         r"(?P<digits>0[xX][0-9a-fA-F]*"
+         r"|(?:\d+(?:\.(?!\.)\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
          r"(?P<suffix>[fvyulFVYUL]?)"),
         ("punct", "|".join(map(re.escape, _PUNCTUATION))),
         ("string", r'"(?P<chars>[^"\\]*(?:\\[\s\S][^"\\]*)*)"'),
         ("open_string", '"'),
         ("directive", r"\#[^\n]*"),
         ("error", r"[^ \t\r\n]"),
-    )
-    return re.compile(_SPACE + "(?:" + "|".join(
-        f"(?P<{name}>{body})" for name, body in alternatives) + ")")
-
-
-_ASCII_TOKEN = _token_pattern("0-9", "A-Za-z_")
-
-
-@functools.cache
-def _unicode_token() -> "re.Pattern[str]":
-    """The master regex for non-ASCII sources, built on first use.
-
-    Digits are the characters ``str.isdigit`` accepts and identifiers
-    start with one ``str.isalpha`` accepts, so a non-ASCII letter or
-    digit lexes as its ASCII kin does (``\\w`` already matches exactly
-    ``str.isalnum`` and ``_``)."""
-
-    def ranges(accept) -> str:
-        points = [c for c in range(0x110000) if accept(chr(c))]
-        runs, first = [], points[0]
-        for prev, cur in zip(points, points[1:] + [None]):
-            if cur != prev + 1:
-                runs.append(f"\\U{first:08x}-\\U{prev:08x}")
-                first = cur
-        return "".join(runs)
-
-    return _token_pattern(ranges(str.isdigit), ranges(str.isalpha) + "_")
+    )) + ")")
 
 
 #: Diagnostics of the master regex's error groups, at the match start.
@@ -172,8 +146,6 @@ class Lexer:
         self.pos = 0
         self.line = 1
         self.column = 1
-        self._pattern = (_ASCII_TOKEN if source.isascii()
-                         else _unicode_token())
         self._stream: Optional[Iterator[Token]] = None
 
     def error(self, message: str) -> SourceError:
@@ -198,7 +170,7 @@ class Lexer:
 
     def _scan(self) -> Iterator[Token]:
         """Tokens from ``pos`` on; at the end of the input, EOF forever."""
-        source, match = self.source, self._pattern.match
+        source, match = self.source, _TOKEN.match
         pos, line = self.pos, self.line
         line_start = pos - self.column + 1  # index of column 1
         ident, keyword, punct = TokenKind.IDENT, TokenKind.KEYWORD, \

@@ -34,7 +34,8 @@ _BINARY_PRECEDENCE = {
 }
 
 #: C integer constants (C11 6.4.4.1): hexadecimal, octal (a leading
-#: ``0``, so ``08`` is malformed) and decimal.
+#: ``0``, so ``08`` is malformed) and decimal.  The lexer's digits are
+#: ``\d``; a non-ASCII decimal digit reads as its ASCII kin first.
 _INT_LITERAL = re.compile(
     r"0[xX](?P<hex>[0-9a-fA-F]+)|0(?P<oct>[0-7]*)|(?P<dec>[1-9][0-9]*)")
 
@@ -180,7 +181,10 @@ class Parser:
     def int_literal(self, token: Token) -> int:
         """The value of an INT_LIT token under C's rules, or a
         SourceError at the literal."""
-        match = _INT_LITERAL.fullmatch(token.text)
+        text = token.text
+        if not text.isascii():
+            text = "".join(str(int(c)) if c.isdecimal() else c for c in text)
+        match = _INT_LITERAL.fullmatch(text)
         if match is None:
             raise self.error(f"malformed integer literal {token.text!r}",
                              token)

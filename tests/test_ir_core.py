@@ -286,7 +286,6 @@ class TestPredecessorMap:
         b.ret(b.const_int(0))
         preds = f.predecessor_map()
         assert preds == {entry: [], merge: [entry]}
-        assert preds[merge] == merge.predecessors()
 
     def test_unreachable_predecessor_is_listed(self):
         m, f = simple_function(ret=I32, params=(I1,))

@@ -233,18 +233,26 @@ class TestPins:
             (TokenKind.EOF, "", 1, 6, "")]
 
     def test_non_ascii_letters_and_digits(self):
-        """A non-ASCII source lexes by ``str.isalpha``/``str.isdigit``/
-        ``str.isalnum``, as the character-at-a-time lexer did."""
-        assert full("café = x² + ²;\n٣٤.5") == [
+        """Digits are Unicode decimal digits (``\\d``); an identifier
+        starts with any other word character and runs over ``\\w``.  So
+        an accented letter starts an identifier and an Arabic-Indic digit
+        a number, while a non-decimal numeric character (``²``, ``½``,
+        ``Ⅷ``) is a word character: it starts or continues an
+        identifier, never a number."""
+        assert full("café = x² + ²l;\n٣٤.5 ½Ⅷ") == [
             (TokenKind.IDENT, "café", 1, 1, ""),
             (TokenKind.PUNCT, "=", 1, 6, ""),
             (TokenKind.IDENT, "x²", 1, 8, ""),
             (TokenKind.PUNCT, "+", 1, 11, ""),
-            (TokenKind.INT_LIT, "²", 1, 13, ""),
-            (TokenKind.PUNCT, ";", 1, 14, ""),
+            (TokenKind.IDENT, "²l", 1, 13, ""),
+            (TokenKind.PUNCT, ";", 1, 15, ""),
             (TokenKind.FLOAT_LIT, "٣٤.5", 2, 1, ""),
-            (TokenKind.EOF, "", 2, 5, "")]
-        assert diagnostic("y = ½;") == ("unexpected character '½'", 1, 5)
+            (TokenKind.IDENT, "½Ⅷ", 2, 6, ""),
+            (TokenKind.EOF, "", 2, 8, "")]
+        assert full("1²") == [
+            (TokenKind.INT_LIT, "1", 1, 1, ""),
+            (TokenKind.IDENT, "²", 1, 2, ""),
+            (TokenKind.EOF, "", 1, 3, "")]
 
     def test_unexpected_character_diagnostic(self):
         assert diagnostic("int\n  $x;") == \

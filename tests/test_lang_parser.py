@@ -256,6 +256,15 @@ class TestIntegerLiterals:
         assert error.message == f"malformed integer literal {text!r}"
         assert (error.line, error.column) == (2, 10)
 
+    def test_non_ascii_decimal_digits_read_as_ascii(self):
+        """The lexer's digits are ``\\d``; the value follows the same C
+        rules as the ASCII spelling."""
+        assert self.value("٣٤") == 34
+        assert self.value("٠١٠") == 8
+        with pytest.raises(SourceError) as excinfo:
+            parse("long f() { return ٠٨; }")
+        assert excinfo.value.message == "malformed integer literal '٠٨'"
+
     def test_largest_unsigned_long_accepted(self):
         assert self.value("18446744073709551615") == 2**64 - 1
         assert self.value("0xffffffffffffffff") == 2**64 - 1
