@@ -416,18 +416,18 @@ class BigFloat:
 class _FastBigFloat(BigFloat):
     """Kernel-internal constructor that skips field validation.
 
-    The specialized kernel tiers (:mod:`repro.codegen.smallfloat`,
-    :mod:`repro.codegen.kernels`) construct values whose significands
-    are normalized *by construction* -- the rounding tail guarantees
-    ``2**(prec-1) <= mant < 2**prec`` -- so re-checking ``bit_length``
-    and re-raising on malformed fields in ``BigFloat.__init__`` is pure
-    overhead on the hottest path in the system.  This subclass restores
+    The jit's scalar kernels (:mod:`repro.codegen.kernels`) construct
+    values whose significands are normalized *by construction* -- the
+    rounding tail guarantees ``2**(prec-1) <= mant < 2**prec`` -- so
+    re-checking ``bit_length`` and re-raising on malformed fields in
+    ``BigFloat.__init__`` is pure overhead on the hottest path in the
+    system.  This subclass restores
     plain attribute assignment and assigns the five slots directly.
 
     Instances are ordinary :class:`BigFloat` values everywhere else
     (same slots, comparisons, hashing, arithmetic); pickling goes
     through the inherited ``__reduce__`` and rebuilds a validating
-    ``BigFloat``.  Nothing outside the kernel tiers should construct
+    ``BigFloat``.  Nothing outside the scalar kernels should construct
     one, and nothing may mutate one after it escapes a kernel.
     """
 

@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "certificates: re-run FUNC on every other "
                              "execution engine (bit-identical values "
                              "and cycle reports; on the jit this also "
-                             "checks its precision-specialized kernel "
-                             "tiers against the walker's library "
+                             "checks its precision-specialized "
+                             "kernels against the walker's library "
                              "arithmetic), and at -O0, without each "
                              "-O3 pass and with Polly (bit-identical "
                              "return value and global/heap cells, "

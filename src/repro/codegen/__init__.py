@@ -1,8 +1,8 @@
 """AST -> IR lowering (the Clang-CodeGen stand-in) and the jit engine.
 
 Besides the frontend IR generator this package hosts the specializing
-Python-source code generator (:mod:`~repro.codegen.pyjit`) and its
-precision-specialized arithmetic kernels
+Python-source code generator (:mod:`~repro.codegen.pyjit`) and its one
+family of precision-specialized scalar kernels, used at every precision
 (:mod:`~repro.codegen.kernels`); those modules are imported lazily by
 the runtime so that importing :mod:`repro.codegen` (as the core
 compiler pipeline does) stays cheap.

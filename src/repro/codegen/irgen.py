@@ -285,6 +285,9 @@ class IRGenerator:
             ret_type = self.ir_type(decay(decl.return_type)) \
                 if not isinstance(decl.return_type, VoidT) else VOID
             func.type = FunctionType(ret_type, param_types)
+            if isinstance(decl.return_type, IntT) \
+                    and not decl.return_type.signed:
+                func.unsigned_return = True
         finally:
             self.func = None
             self.local_slot_names = saved_slots

@@ -6,8 +6,9 @@ instruction.  This module removes both: :class:`FunctionEmitter`
 translates one IR function into straight-line Python source with every
 SSA value register-allocated to a Python local, constant-attribute vpfloat
 precisions / rounding modes / guard bits baked into the emitted text,
-the :mod:`repro.bigfloat.arith` integer-mantissa kernels inlined (via
-:mod:`repro.codegen.kernels`) for the constant-precision ``RNDN`` case,
+every ``RNDN`` vpfloat and MPFR arithmetic op bound to the one
+precision-specialized kernel family of :mod:`repro.codegen.kernels`
+(whatever the precision, at bind time),
 and all statically-known cycle charges of a basic block folded into one
 bulk ``report.charge(category, total)`` per category.
 
@@ -76,7 +77,7 @@ from ..ir import (
 )
 from ..observability import CAT_COMPILE, observe
 from . import CODEGEN_VERSION
-from .smallfloat import select_scalar_kernel
+from .kernels import select_scalar_kernel
 
 #: vpfloat binary opcodes with an inlinable specialized kernel.
 _VP_OPS = {"fadd": "add", "fsub": "sub", "fmul": "mul", "fdiv": "div"}
@@ -135,9 +136,8 @@ class _KernelMap(dict):
     ``mpfr_init2``), so inlined mpfr call sites key their kernel by the
     destination handle's precision and exponent-range clamp at
     execution time; the dict hit is a single C-level lookup and misses
-    specialize on first use.  Misses pick the kernel tier (tiered
-    smallfloat vs generic) from the precision and, when the run is
-    observing, bind per-tier counting wrappers.
+    specialize on first use and, when the run is observing, bind
+    counting wrappers.
     """
 
     def __init__(self, op: str, interp=None):
@@ -149,7 +149,7 @@ class _KernelMap(dict):
         prec, exp_bits = key
         interp = self.interp
         kernel = select_scalar_kernel(
-            self.op, prec, exp_bits, getattr(interp, "tier_stats", None))
+            self.op, prec, exp_bits, getattr(interp, "kernel_stats", None))
         self[key] = kernel
         return kernel
 
@@ -210,7 +210,7 @@ class JitRuntime:
     def kernel(self, opcode: str, prec: int, exp_bits=None):
         return select_scalar_kernel(
             _VP_OPS[opcode], prec, exp_bits,
-            getattr(self.interp, "tier_stats", None))
+            getattr(self.interp, "kernel_stats", None))
 
     def mpfr_kernels(self, op: str):
         """The value kernel of one inlined MPFR op: a ``(prec,
@@ -848,7 +848,7 @@ class FunctionEmitter:
         self._vp_telemetry(op, prec, 0)
         if vptype.format == "mpfr":
             # The destination format's exponent-range clamp is folded
-            # into the kernel (all tiers); no per-op clamp block.
+            # into the kernel; no per-op clamp block.
             kernel = self._kernel_ref(op, prec, vptype.exp_attr.value)
         else:  # unum: exact intermediate, no per-op re-encoding
             kernel = self._kernel_ref(op, prec)
@@ -1176,8 +1176,8 @@ def emit_function_source(interp, func: Function
 
 class CodegenStore:
     """Per-program store of jit artifacts: per function, a status,
-    fallback reason, compiled code object and line map.  Kernel tiers
-    bind at bind time, so emitted code is tier-independent.
+    fallback reason, compiled code object and line map.  Kernels bind
+    at bind time, so emitted code is kernel-independent.
 
     Backed by a :class:`~repro.core.cache.CompileCache` ``.vpcgen``
     sidecar when the program came through the compile cache, so warm

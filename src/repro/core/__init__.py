@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 from ..backends import BoostLoweringPass, MPFRLoweringPass
 from ..codegen import generate_ir
-from ..ir import Module, verify_module
+from ..ir import IntType, Module, verify_module
 from ..lang import analyze, parse
 from ..observability import (
     CAT_CACHE,
@@ -39,6 +39,7 @@ from ..passes.pass_manager import o3_passes
 from ..passes.polly import optimize_unit
 from ..runtime import ENGINES, CostAccounting, ExecutionResult, Interpreter
 from ..runtime.cost_model import CacheModel
+from ..runtime.interpreter import _mask_int
 from .cache import CacheStats, CompileCache, as_compile_cache, \
     default_cache_dir
 
@@ -116,6 +117,27 @@ class BatchResult:
         return self.reports[0]
 
 
+def _c_args(func, args):
+    """``args`` as a C call passes them: each integer wrapped to its
+    parameter's width (the engines keep integers as signed values of
+    their IR width)."""
+    if func is None or not args or len(args) != len(func.args):
+        return args  # the engine reports a wrong argument count
+    return [_mask_int(value, param.type.bits)
+            if isinstance(param.type, IntType) and isinstance(value, int)
+            else value
+            for param, value in zip(func.args, args)]
+
+
+def _c_result(func, value):
+    """A returned integer read as the function's C return type: the
+    engines return the signed bit pattern, so an ``unsigned`` result is
+    re-read modulo its width."""
+    if func is not None and func.unsigned_return and isinstance(value, int):
+        return value & ((1 << func.return_type.bits) - 1)
+    return value
+
+
 class CompiledProgram:
     """The result of a compilation: IR module and (for unum) assembly."""
 
@@ -172,10 +194,11 @@ class CompiledProgram:
         profiler, whose :class:`~repro.observability.profile.IRProfile`
         becomes ``result.profile``; values and the CostReport equal an
         unprofiled legacy run's.  The engine is the run's only choice:
-        the MPFR free list follows the backend (:meth:`interpreter`)
-        and the jit's kernel tier follows each operation's precision.
+        the MPFR free list follows the backend (:meth:`interpreter`).
         The unum backend runs on the UNUM machine, returned as
-        ``result.machine``."""
+        ``result.machine``.  Integers cross the call as in C: each
+        argument wraps to its parameter's width, and an ``unsigned``
+        return value reads as unsigned."""
         backend = self.options.backend
         mode = resolve_engine(engine)
         if backend == "unum":
@@ -183,7 +206,9 @@ class CompiledProgram:
                                    max_steps=max_steps, costs=costs)
             with observe(f"execute:{name}", event="run",
                          backend=backend) as obs:
-                value = machine.run(name, args)
+                func = self.module.functions.get(name)
+                value = _c_result(func, machine.run(name,
+                                                    _c_args(func, args)))
                 report = machine.accounting.report
                 report.cycles += machine.scalar_cycles + \
                     machine.coprocessor.cycles
@@ -236,10 +261,13 @@ class CompiledProgram:
         backend = self.options.backend
         interpreter = self.interpreter(cache=cache, max_steps=max_steps,
                                        costs=costs, engine=dispatch)
+        func = self.module.functions.get(name)
+        args = _c_args(func, args)
         with boundary() as obs:
             try:
                 result = exact_run(interpreter, name, args) if profile \
                     else interpreter.run(name, args)
+                result.value = _c_result(func, result.value)
             finally:
                 obs.arg(cycles=interpreter.accounting.report.cycles)
                 if self._codegen_store is not None:
@@ -248,10 +276,10 @@ class CompiledProgram:
             obs.attach(result.report, interpreter.mpfr.stats)
             if result.profile is not None:
                 obs.attach(result.profile)
-            tier_stats = interpreter.tier_stats
-            if tier_stats is not None and tier_stats.total_ops():
-                obs.attach(tier_stats)
-                obs.note(kernel_tiers=tier_stats.as_dict())
+            kernel_stats = interpreter.kernel_stats
+            if kernel_stats is not None and kernel_stats.ops:
+                obs.attach(kernel_stats)
+                obs.note(kernels=kernel_stats.as_dict())
             obs.note(function=name, backend=backend, engine=dispatch,
                      **notes)
         return result

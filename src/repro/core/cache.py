@@ -55,8 +55,8 @@ from ..observability import current_metrics
 #: Bump when the pickle layout of CompiledProgram/Module changes in a
 #: way that should invalidate existing caches.  v2: the fingerprint
 #: gained the codegen version, and entries grew optional ``.vpcgen``
-#: codegen sidecars.
-FORMAT_VERSION = 2
+#: codegen sidecars.  v3: functions record an unsigned C return type.
+FORMAT_VERSION = 3
 
 #: Environment override for the default on-disk location.
 CACHE_DIR_ENV = "VPFLOAT_CACHE_DIR"
@@ -163,10 +163,10 @@ class CompileCache:
 
         The codegen format version keeps codegen sidecars from ever
         being replayed in a stale emitted-source format.  Run-time
-        choices stay out of the key: the execution engine and the
-        kernel tier are picked per run (jit code and its kernels bind
-        when a run binds the module), so one program keeps one entry
-        and one sidecar whichever way it runs.
+        choices stay out of the key: the execution engine is picked per
+        run (jit code and its kernels bind when a run binds the
+        module), so one program keeps one entry and one sidecar
+        whichever way it runs.
         """
         h = hashlib.sha256()
         h.update(b"vpfloat-compile-cache\0")

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
                              "through the one transition registry: "
                              "re-run it on every other execution engine "
                              "(from a jit reference, this checks the "
-                             "precision-specialized kernel tiers "
+                             "precision-specialized kernels "
                              "against the walker's library "
                              "arithmetic); values and cycle reports "
                              "must be bit-identical, or the sweep "

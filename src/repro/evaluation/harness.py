@@ -152,7 +152,7 @@ def run_kernel(kernel: str, ftype: str, n: int, backend: str = "none",
     ``validate=True`` additionally certifies the point through
     :func:`~repro.validation.certify`: the kernel re-runs under every
     other execution engine (on a jit reference, that checks the
-    precision-specialized kernel tiers against the legacy walker's
+    precision-specialized kernels against the legacy walker's
     library arithmetic), and the outcome carries the certificate
     (bit-identical values left in memory and cycle reports); a failed
     certificate raises :class:`~repro.validation.CertificateError`.

@@ -120,6 +120,10 @@ class Function(Value):
     """A function definition (blocks non-empty) or declaration."""
 
     is_function_like = True
+    #: The C return type is an unsigned integer.  Integers are signed
+    #: values of their IR width everywhere inside a program, so only the
+    #: run boundary reads this (the printed IR does not carry it).
+    unsigned_return = False
 
     def __init__(self, name: str, type: FunctionType,
                  arg_names: Optional[List[str]] = None,

@@ -12,11 +12,10 @@ evaluation engine -- one observability layer:
 * :class:`MetricsRegistry` -- namespaced counters/gauges/histograms
   that absorb the stack's pre-existing private stats (CacheStats,
   MpfrStats pool traffic, the exact IRProfile, pass timings,
-  CostReport, the jit's per-tier kernel counts in TierStats) and the
+  CostReport, the jit's scalar-kernel counts in KernelStats) and the
   precision telemetry (per-opcode precision-bit histograms,
   rounding-mode and guard-bit usage).  A run's ledger record carries
-  the tier counts as its ``kernel_tiers`` note; the tier itself is not
-  a run choice, each operation's precision picks it.  Picklable and
+  the kernel counts as its ``kernels`` note.  Picklable and
   mergeable, so worker shards fold back into the parent.
 
 Telemetry is **opt-in and process-global**: :func:`current_tracer` /
@@ -59,7 +58,7 @@ from .metrics import (
     absorb_pass_timings,
     absorb_profile,
     absorb_report,
-    absorb_tier_stats,
+    absorb_kernel_stats,
     absorb_unum_stats,
 )
 from .tracer import (
@@ -78,8 +77,8 @@ __all__ = [
     "CAT_CACHE", "CAT_COMPILE", "CAT_PASS", "CAT_POOL", "CAT_RUNTIME",
     "CAT_VALIDATE", "CAT_WORKER", "LEDGER_SCHEMA_VERSION",
     "LedgerError", "MetricsRegistry", "RunLedger", "Span", "Tracer",
-    "absorb_mpfr_stats", "absorb_pass_timings",
-    "absorb_profile", "absorb_report", "absorb_tier_stats",
+    "absorb_kernel_stats", "absorb_mpfr_stats", "absorb_pass_timings",
+    "absorb_profile", "absorb_report",
     "bench_floor_scale",
     "absorb_unum_stats",
     "NULL_OBSERVATION", "Observation",
@@ -137,7 +136,7 @@ def enable_telemetry(trace: bool = False, metrics: bool = False
 _ABSORB = {
     "CostReport": absorb_report,
     "MpfrStats": absorb_mpfr_stats,
-    "TierStats": absorb_tier_stats,
+    "KernelStats": absorb_kernel_stats,
     "IRProfile": absorb_profile,
     "UnumMachine": absorb_unum_stats,
 }

@@ -252,23 +252,19 @@ def absorb_unum_stats(registry: MetricsRegistry, machine) -> None:
         registry.inc(f"unum.op.{opcode}", count)
 
 
-def absorb_tier_stats(registry: MetricsRegistry, stats) -> None:
-    """Fold one run's kernel-tier accounting in (the precision-
-    specialized fast-path kernel family vs the generic kernels).
+def absorb_kernel_stats(registry: MetricsRegistry, stats) -> None:
+    """Fold one run's scalar-kernel accounting in.
 
-    Emits ``kernel.tier.<label>.ops`` / ``.sites`` per tier label
-    (tier1/tier2/generic) and ``kernel.tier.fallback.<reason>`` for
-    per-call bailouts out of a specialized kernel (special operands,
-    out-of-window precision)."""
-    for label, count in stats.ops.items():
-        if count:
-            registry.inc(f"kernel.tier.{label}.ops", count)
-    for label, count in stats.sites.items():
-        if count:
-            registry.inc(f"kernel.tier.{label}.sites", count)
+    Emits ``kernel.ops`` / ``kernel.sites`` and
+    ``kernel.fallback.<reason>`` for per-call bailouts out of a kernel
+    into the library (special operands, mismatched precision)."""
+    if stats.ops:
+        registry.inc("kernel.ops", stats.ops)
+    if stats.sites:
+        registry.inc("kernel.sites", stats.sites)
     for reason, count in stats.fallbacks.items():
         if count:
-            registry.inc(f"kernel.tier.fallback.{reason}", count)
+            registry.inc(f"kernel.fallback.{reason}", count)
 
 
 def absorb_report(registry: MetricsRegistry, report) -> None:

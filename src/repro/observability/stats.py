@@ -243,41 +243,19 @@ def render_validation_summary(data: dict) -> str:
     return "\n".join(lines)
 
 
-def render_kernel_tier_summary(data: dict) -> str:
-    """Kernel-tier telemetry, derived from the ``kernel.tier.*``
-    counters (scalar ops served per tier, bind sites and per-call
-    fallbacks out of a specialized kernel).  Empty string when no run
-    bound kernels through the tier selector."""
+def render_kernel_summary(data: dict) -> str:
+    """Scalar-kernel telemetry, derived from the ``kernel.*`` counters
+    (ops served, bind sites and per-call fallbacks out of a kernel).
+    Empty string when no run bound a kernel."""
     counters = data.get("counters", {})
-    tiers = {}
-    for name, value in counters.items():
-        if not name.startswith("kernel.tier."):
-            continue
-        parts = name[len("kernel.tier."):].split(".")
-        if len(parts) != 2 or parts[0] == "fallback":
-            continue
-        label, field = parts
-        entry = tiers.setdefault(label, {"ops": 0, "sites": 0})
-        if field in entry:
-            entry[field] += int(value)
-    if not tiers:
+    if "kernel.ops" not in counters and "kernel.sites" not in counters:
         return ""
-    total = sum(entry["ops"] for entry in tiers.values())
-    fast = sum(entry["ops"] for label, entry in tiers.items()
-               if label != "generic")
-    share = (100.0 * fast / total) if total else 0.0
-    lines = [f"kernel tiers: {total} scalar op(s), "
-             f"{fast} on the fast path ({share:.1f}%)"]
-    header = f"  {'tier':<10} {'ops':>12} {'sites':>8}"
-    lines.append(header)
-    lines.append("  " + "-" * (len(header) - 2))
-    for label in sorted(tiers, key=lambda t: -tiers[t]["ops"]):
-        entry = tiers[label]
-        lines.append(f"  {label:<10} {entry['ops']:>12} "
-                     f"{entry['sites']:>8}")
-    fallbacks = {name[len("kernel.tier.fallback."):]: int(value)
+    lines = [f"kernels: {int(counters.get('kernel.ops', 0))} scalar "
+             f"op(s) over {int(counters.get('kernel.sites', 0))} "
+             f"bind site(s)"]
+    fallbacks = {name[len("kernel.fallback."):]: int(value)
                  for name, value in counters.items()
-                 if name.startswith("kernel.tier.fallback.")}
+                 if name.startswith("kernel.fallback.")}
     if fallbacks:
         shape = ", ".join(f"{reason}: {count}"
                           for reason, count in sorted(fallbacks.items()))
@@ -619,7 +597,7 @@ def _main(argv=None) -> int:
                 continue
             print(registry.render())
             for section in (render_codegen_summary(data),
-                            render_kernel_tier_summary(data),
+                            render_kernel_summary(data),
                             render_validation_summary(data),
                             render_unum_summary(data),
                             render_service_summary(data)):

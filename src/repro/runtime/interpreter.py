@@ -182,15 +182,15 @@ class Interpreter:
         #: are None unless repro.observability.enable_telemetry ran.
         self.tracer = current_tracer()
         self.metrics = current_metrics()
-        #: Per-tier op/site/fallback accounting -- only constructed when
-        #: some observer (metrics registry or run ledger) will consume
-        #: it, so unobserved runs bind the raw kernels with zero
+        #: Scalar-kernel op/site/fallback accounting -- only constructed
+        #: when some observer (metrics registry or run ledger) will
+        #: consume it, so unobserved runs bind the raw kernels with zero
         #: per-call overhead.
-        self.tier_stats = None
+        self.kernel_stats = None
         if self.metrics is not None or current_ledger() is not None:
-            from ..codegen.smallfloat import TierStats
+            from ..codegen.kernels import KernelStats
 
-            self.tier_stats = TierStats()
+            self.kernel_stats = KernelStats()
         self.stdout: List[str] = []
         self.globals: Dict[str, int] = {}
         self._builtins: Dict[str, Callable] = {}

@@ -47,7 +47,7 @@ _REPORT_FIELDS = (
 #: of what "seamless" is required to mean:
 #:
 #: * ``engine↔engine`` -- any pair of execution engines over one
-#:   compiled program (jit/legacy).  This is also the kernel-tier
+#:   compiled program (jit/legacy).  This is also the scalar-kernel
 #:   check: the jit binds the precision-specialized kernels, the
 #:   legacy walker the library arithmetic.
 #: * ``serial↔service`` -- an in-process serial run against

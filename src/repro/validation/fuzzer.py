@@ -19,10 +19,9 @@ independent differentials:
   (none/mpfr/boost) across -O0, each -O3 pass, Polly and the execution
   engines -- values and each transition's report invariant -- then
   compare the backends' returned doubles bit for bit.  The mpfr row's
-  ``engine.legacy`` check is also the kernel-tier check: the jit binds the
-  precision-specialized kernels (tier 1 up to 64 bits, tier 2 up to
-  128), the legacy walker the library arithmetic, and the generator
-  draws precisions on both sides of each tier boundary.
+  ``engine.legacy`` check is also the scalar-kernel check: the jit binds
+  the precision-specialized kernels, the legacy walker the library
+  arithmetic, at every precision the generator draws (24--512 bits).
 
 :func:`cross_check` composes them; a divergence comes back as a
 :class:`Mismatch` which the delta-debugging minimizer

@@ -2,8 +2,8 @@
 
 Every lane of a ``run_batch`` is the same program on the same
 arguments, so one jit run serves them all.  Locks that contract:
-values and cycle reports equal a serial jit run, numpy is never
-imported, and the kernel tier applies.
+values and cycle reports equal a serial jit run, and numpy is never
+imported.
 """
 
 import os

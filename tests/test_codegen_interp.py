@@ -117,6 +117,35 @@ class TestScalarPrograms:
         """
         assert run(source, "f").value == 8 + 4 + 11
 
+    @pytest.mark.parametrize("source,fn,args,want", [
+        ("unsigned f() { return 4294967295u; }", "f", [], 4294967295),
+        ("unsigned long f() { return 18446744073709551615u; }", "f", [],
+         18446744073709551615),
+        ("int f(int x) { return x; }", "f", [4294967295], -1),
+        ("unsigned g(unsigned x) { return x + 0u; }", "g", [-1],
+         4294967295),
+        ("long f(long x) { return x; }", "f", [-5], -5),
+    ], ids=["unsigned-ret", "unsigned-long-ret", "int-arg-wraps",
+            "unsigned-arg-wraps", "signed-long"])
+    @pytest.mark.parametrize("backend,engine", [
+        ("none", "jit"), ("none", "legacy"), ("mpfr", "jit"),
+        ("unum", None)])
+    def test_run_boundary_integers(self, source, fn, args, want,
+                                   backend, engine):
+        # A run passes each integer argument as a C call would (wrapped
+        # to the parameter's width) and reads an unsigned result as
+        # unsigned, on every engine and on the UNUM machine.
+        program = compile_source(source, backend=backend)
+        assert program.run(fn, args, engine=engine).value == want
+
+    def test_unsigned_return_leaves_printed_ir_alone(self):
+        unsigned = compile_source("unsigned f() { return 7u; }",
+                                  backend="none")
+        signed = compile_source("int f() { return 7; }", backend="none")
+        assert unsigned.module.functions["f"].unsigned_return
+        assert not signed.module.functions["f"].unsigned_return
+        assert str(unsigned.module) == str(signed.module)
+
 
 class TestVPFloatPrograms:
     def test_precision_actually_matters(self):

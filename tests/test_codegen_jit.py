@@ -287,7 +287,7 @@ class TestCodegenCacheRoundTrip:
 
     def test_one_sidecar_across_tier_and_batch(self, tmp_path,
                                               monkeypatch):
-        # The kernel tier binds when the code binds, and batched
+        # The kernels bind when the code binds, and batched
         # records sit beside the serial ones: one program, one sidecar.
         source = source_for("gemm", "vpfloat<mpfr, 16, 53>")
         program = CompilerDriver(backend="mpfr", cache=CompileCache(
@@ -305,7 +305,7 @@ class TestCodegenCacheRoundTrip:
                 str(tmp_path))).compile(source, "gemm")
             warm = program.run("run", [4])
         assert registry.counters["compile.cache.disk_hits"] == 1
-        assert registry.counters.get("kernel.tier.tier1.ops", 0) > 0
+        assert registry.counters.get("kernel.ops", 0) > 0
         warm_batch = program.run_batch("run", [4], lanes=2)
         assert warm_batch.mode == "batched"
         assert warm.report.cycles == cold.report.cycles
@@ -395,12 +395,12 @@ class TestEngineSelection:
 
     @pytest.mark.parametrize("option,value,flags", [
         ("pool", False, ["--no-pool"]),
-        ("kernel_tier", "generic", ["--kernel-tier", "generic"]),
-    ], ids=["pool", "kernel_tier"])
+        ("kernels", "generic", ["--kernels", "generic"]),
+    ], ids=["pool", "kernels"])
     def test_removed_run_options_rejected(self, tmp_path, capsys, option,
                                           value, flags):
         # The engine is a run's only choice: the MPFR free list follows
-        # the backend and the kernel tier follows the precision.
+        # the backend, and one kernel family serves every precision.
         import asyncio
 
         from repro import cli

@@ -1,11 +1,11 @@
-"""Randomized cross-check of the precision-specialized arithmetic
+"""Randomized cross-check of the jit's precision-specialized scalar
 kernels (:mod:`repro.codegen.kernels`) against :mod:`repro.bigfloat.arith`.
 
-The jit engine inlines ``specialized_kernel(op, prec, rm)`` bodies into
-emitted code; every one of them must produce results bit-identical to
-the library entry it replaces -- across precisions, rounding modes, and
-special values -- or jit runs would silently diverge from the other
-engines.
+The jit engine binds ``scalar_kernel(op, prec, rm)`` at every vpfloat
+and inlined MPFR call site, whatever the precision; every kernel must
+produce results bit-identical to the library entry it replaces --
+across precisions, rounding modes, and special values -- or jit runs
+would silently diverge from the other engines.
 """
 
 import random
@@ -13,8 +13,7 @@ import random
 import pytest
 
 from repro.bigfloat import BigFloat, RNDA, RNDD, RNDN, RNDU, RNDZ, arith
-from repro.codegen.kernels import KERNEL_OPS, kernel_source, \
-    specialized_kernel
+from repro.codegen.kernels import KERNEL_OPS, kernel_code, scalar_kernel
 
 PRECISIONS = (24, 53, 64, 113, 160, 256, 512)
 ROUNDING_MODES = (RNDN, RNDZ, RNDU, RNDD, RNDA)
@@ -44,11 +43,13 @@ def _random_value(rng: random.Random, prec: int) -> BigFloat:
     return arith.mul(value, extra, prec)
 
 
-SPECIALS = (
-    BigFloat.zero(64), BigFloat.zero(64, sign=1),
-    BigFloat.inf(64), BigFloat.inf(64, sign=1), BigFloat.nan(64),
-    BigFloat.from_int(1, 64), BigFloat.from_int(-3, 64),
-)
+def _specials(prec: int):
+    return (
+        BigFloat.zero(prec), BigFloat.zero(prec, sign=1),
+        BigFloat.inf(prec), BigFloat.inf(prec, sign=1),
+        BigFloat.nan(prec),
+        BigFloat.from_int(1, prec), BigFloat.from_int(-3, prec),
+    )
 
 
 class TestKernelEquivalence:
@@ -59,7 +60,7 @@ class TestKernelEquivalence:
         arity = ARITY[op]
         reference = LIBRARY[op]
         for rm in ROUNDING_MODES:
-            kernel = specialized_kernel(op, prec, rm)
+            kernel = scalar_kernel(op, prec, rm)
             for _ in range(SAMPLES_PER_CONFIG):
                 args = [_random_value(rng, prec) for _ in range(arity)]
                 expected = reference(*args, prec, rm)
@@ -69,10 +70,9 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("op", KERNEL_OPS)
     def test_special_values(self, op):
+        # The full special-value cross product, at one and four limbs.
         arity = ARITY[op]
         reference = LIBRARY[op]
-        kernel = specialized_kernel(op, 64, RNDN)
-        pools = [SPECIALS] * arity
 
         def cases(pools):
             if len(pools) == 1:
@@ -83,22 +83,30 @@ class TestKernelEquivalence:
                 for rest in cases(pools[1:]):
                     yield (v,) + rest
 
-        for args in cases(pools):
-            expected = reference(*args, 64, RNDN)
-            got = kernel(*args)
-            assert _key(got) == _key(expected), f"{op} args={args}"
+        for prec in (64, 256):
+            kernel = scalar_kernel(op, prec, RNDN)
+            for args in cases([_specials(prec)] * arity):
+                expected = reference(*args, prec, RNDN)
+                got = kernel(*args)
+                assert _key(got) == _key(expected), \
+                    f"{op} prec={prec} args={args}"
 
     def test_kernels_are_memoized(self):
-        a = specialized_kernel("add", 128, RNDN)
-        b = specialized_kernel("add", 128, RNDN)
+        a = scalar_kernel("add", 128, RNDN)
+        b = scalar_kernel("add", 128, RNDN)
         assert a is b
-        c = specialized_kernel("add", 256, RNDN)
+        c = scalar_kernel("add", 256, RNDN)
         assert a is not c
+        # Kernels with fallback hooks are rebound per caller over the
+        # same compiled code.
+        hooked = scalar_kernel("add", 256, RNDN,
+                               notes=(lambda: None, lambda: None))
+        assert hooked is not c and hooked.__code__ is c.__code__
 
-    def test_kernel_source_mentions_op_and_precision(self):
-        source = kernel_source("div", 192, RNDN)
+    def test_kernel_code_mentions_op_and_precision(self):
+        source = kernel_code("div", 192, RNDN)
         assert "192" in source
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
-            kernel_source("pow", 64, RNDN)
+            kernel_code("pow", 64, RNDN)

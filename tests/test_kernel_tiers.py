@@ -1,20 +1,24 @@
-"""Tests for the precision-specialized kernel tier.
+"""Tests for the jit's precision-specialized scalar kernels.
 
 Four layers, matching the feature's own structure:
 
-* the *inlined rounding blocks* the smallfloat emitter folds into its
-  kernels must match :func:`round_significand` bit-for-bit across all
-  five rounding modes, both signs, and the sticky/exact boundaries at
-  precisions 1..128 (hypothesis, with the tie/exact edges enumerated);
-* the *compiled tiered kernels* must be bit-identical to the
-  ``arith.<op>`` library on finite, special, and mixed-precision
-  operands (the latter exercising the fallback hooks);
-* the *selection and plumbing*: precision-driven tier selection,
-  TierStats accounting and metrics counters;
-* the *certificate*: ``engine.legacy`` compares a jit run's tiered
-  kernels against the walker's library arithmetic, so a broken tier
-  kernel fails validation.
+* the *inlined rounding blocks* the emitter folds into its kernels must
+  match :func:`round_significand` bit-for-bit across all five rounding
+  modes, both signs, and the sticky/exact boundaries at precisions
+  1..600 (hypothesis, with the tie/exact edges enumerated);
+* the *compiled kernels* must be bit-identical to the ``arith.<op>``
+  library on finite, special, and mixed-precision operands (the latter
+  exercising the fallback hooks), with and without the destination
+  clamp, including add/sub operands further apart than ``prec + 3``;
+* the *binding and plumbing*: one kernel family for every precision,
+  KernelStats accounting and metrics counters;
+* the *certificate*: ``engine.legacy`` compares a jit run's kernels
+  against the walker's library arithmetic, so a broken kernel fails
+  validation.
 """
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,25 +34,36 @@ from repro.bigfloat.rounding import (
     RNDZ,
     round_significand,
 )
-from repro.codegen import smallfloat
-from repro.codegen.smallfloat import (
-    SMALLFLOAT_MAX_PREC,
-    TierStats,
+from repro.codegen import kernels
+from repro.codegen.kernels import (
+    KernelStats,
     _exact_round_lines,
     _window_round_lines,
-    kernel_tier,
+    clamped_fallback,
+    kernel_code,
+    scalar_kernel,
     select_scalar_kernel,
-    smallfloat_kernel,
-    smallfloat_source,
-    tier_label,
 )
-from repro.codegen.smallfloat import _LIBRARY as SCALAR_LIBRARY
+from repro.codegen.kernels import _LIBRARY as SCALAR_LIBRARY
 from repro.core import CompilerDriver
 from repro.evaluation.harness import run_kernel
 from repro.validation import CertificateError
 from repro.validation.certificate import value_token
 
 ALL_MODES = (RNDN, RNDZ, RNDU, RNDD, RNDA)
+
+#: Precisions every kernel strategy samples besides a free draw: the
+#: one- and two-limb edges and multi-limb sizes on either side of a
+#: limb boundary.
+EDGE_PRECISIONS = (1, 2, 7, 24, 53, 63, 64, 65, 100, 127, 128,
+                   129, 192, 256, 257, 512)
+MAX_DRAWN_PREC = 600
+
+
+def precisions():
+    return st.one_of(st.sampled_from(EDGE_PRECISIONS),
+                     st.integers(1, MAX_DRAWN_PREC))
+
 
 SOURCE = """
 vpfloat<mpfr, 16, 53> out;
@@ -93,7 +108,7 @@ def rounding_cases(draw, sticky_window=False):
     """(prec, rm, sign, mant, exp[, sticky]) with the discarded-bits
     boundaries (exact, just-below-half, half, just-above, all-ones)
     explicitly enumerated alongside fully random windows."""
-    prec = draw(st.integers(1, SMALLFLOAT_MAX_PREC))
+    prec = draw(precisions())
     rm = draw(st.sampled_from(ALL_MODES))
     sign = draw(st.integers(0, 1))
     exp = draw(st.integers(-2000, 2000))
@@ -143,15 +158,18 @@ def test_exact_round_block_cancellation_widens():
 
 
 # ----------------------------------------------------------------- #
-# Compiled tiered kernels vs the arith library
+# Compiled kernels vs the arith library
 # ----------------------------------------------------------------- #
+
+def _mant(draw, prec):
+    return draw(st.integers(1 << (prec - 1), (1 << prec) - 1)) \
+        if prec > 1 else 1
+
 
 def _finite(draw, prec):
     sign = draw(st.integers(0, 1))
-    mant = draw(st.integers(1 << (prec - 1), (1 << prec) - 1)) \
-        if prec > 1 else 1
     exp = draw(st.integers(-300, 300))
-    return BigFloat(Kind.FINITE, sign, mant, exp, prec)
+    return BigFloat(Kind.FINITE, sign, _mant(draw, prec), exp, prec)
 
 
 @st.composite
@@ -168,22 +186,44 @@ def operand(draw, prec):
 
 
 @st.composite
+def _partner(draw, a):
+    """A finite operand placed relative to the finite ``a``: at the
+    add/sub alignment edges (the ``prec + 3`` cap, the cap plus a whole
+    significand) or anywhere up to three significands away, or with a
+    near-equal significand at the same exponent (cancellation)."""
+    prec = a.prec
+    sign = draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        delta = draw(st.integers(-3, 3))
+        mant = min(max(a.mant + delta, 1 << (prec - 1)), (1 << prec) - 1)
+        return BigFloat(Kind.FINITE, sign, mant, a.exp, prec)
+    cap = prec + 3
+    gap = draw(st.one_of(
+        st.sampled_from((0, 1, prec - 1, prec, cap - 1, cap, cap + 1,
+                         cap + prec - 1, cap + prec, cap + prec + 1)),
+        st.integers(0, 3 * prec + 8)))
+    exp = a.exp + gap * draw(st.sampled_from((1, -1)))
+    return BigFloat(Kind.FINITE, sign, _mant(draw, prec), exp, prec)
+
+
+@st.composite
 def kernel_cases(draw):
-    prec = draw(st.sampled_from((1, 2, 7, 24, 53, 63, 64,
-                                 65, 100, 127, 128)))
+    prec = draw(precisions())
     op = draw(st.sampled_from(("add", "sub", "mul", "div",
                                "fma", "fms", "sqrt")))
     rm = draw(st.sampled_from(ALL_MODES))
     arity = 1 if op == "sqrt" else (3 if op in ("fma", "fms") else 2)
-    args = tuple(draw(operand(prec)) for _ in range(arity))
-    return op, prec, rm, args
+    args = [draw(operand(prec)) for _ in range(arity)]
+    if arity > 1 and args[0].kind is Kind.FINITE and draw(st.booleans()):
+        args[-1] = draw(_partner(args[0]))
+    return op, prec, rm, tuple(args)
 
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases())
 def test_tiered_kernels_match_library(case):
     op, prec, rm, args = case
-    got = smallfloat_kernel(op, prec, rm)(*args)
+    got = scalar_kernel(op, prec, rm)(*args)
     want = SCALAR_LIBRARY[op](*args, prec, rm)
     assert value_token(got) == value_token(want), (op, prec, rm, args)
 
@@ -192,16 +232,40 @@ def test_tiered_kernels_match_library(case):
 @given(kernel_cases())
 def test_tiered_kernels_match_library_with_clamp(case):
     op, prec, rm, args = case
-    from repro.codegen.kernels import specialized_kernel
-    got = smallfloat_kernel(op, prec, rm, exp_bits=8)(*args)
-    want = specialized_kernel(op, prec, rm, exp_bits=8)(*args)
+    got = scalar_kernel(op, prec, rm, exp_bits=8)(*args)
+    library = SCALAR_LIBRARY[op]
+    want = clamped_fallback(lambda *xs: library(*xs, prec, rm),
+                            prec, 8)(*args)
     assert value_token(got) == value_token(want), (op, prec, rm, args)
 
 
+@pytest.mark.parametrize("prec", (1, 2, 24, 53, 64, 65, 128, 129, 256,
+                                  257, 512, 600))
+def test_addsub_alignment_edges_match_library(prec):
+    # Every alignment edge of the capped add/sub path, exhaustively:
+    # exponent gaps around the prec + 3 cap and around cap + prec (where
+    # the smaller operand is all sticky), either operand ahead, every
+    # sign pair and mode, significands at both ends of the range.
+    rng = random.Random(prec)
+    low, top = 1 << (prec - 1), (1 << prec) - 1
+    mants = sorted({low, top, rng.randint(low, top)})
+    cap = prec + 3
+    gaps = {0, 1, prec - 1, prec, cap - 1, cap, cap + 1,
+            cap + prec - 1, cap + prec, cap + prec + 1, 3 * prec + 8}
+    for op, rm in itertools.product(("add", "sub"), ALL_MODES):
+        kernel = scalar_kernel(op, prec, rm)
+        for gap, direction, ma, mb, sa, sb in itertools.product(
+                sorted(gaps), (1, -1), mants, mants, (0, 1), (0, 1)):
+            a = BigFloat(Kind.FINITE, sa, ma, 0, prec)
+            b = BigFloat(Kind.FINITE, sb, mb, direction * gap, prec)
+            want = SCALAR_LIBRARY[op](a, b, prec, rm)
+            assert value_token(kernel(a, b)) == value_token(want), \
+                (op, rm, a, b)
+
+
 def test_mixed_precision_falls_back_with_note():
-    notes_stats = TierStats()
-    kernel = smallfloat_kernel("add", 24, RNDN,
-                               notes=notes_stats.notes())
+    notes_stats = KernelStats()
+    kernel = scalar_kernel("add", 24, RNDN, notes=notes_stats.notes())
     a = BigFloat.from_float(1.5, 24)
     b = BigFloat.from_float(2.5, 53)  # operand precision mismatch
     got = kernel(a, b)
@@ -211,68 +275,64 @@ def test_mixed_precision_falls_back_with_note():
 
 
 def test_special_operand_falls_back_with_note():
-    notes_stats = TierStats()
-    kernel = smallfloat_kernel("add", 24, RNDN,
-                               notes=notes_stats.notes())
+    notes_stats = KernelStats()
+    kernel = scalar_kernel("add", 24, RNDN, notes=notes_stats.notes())
     kernel(BigFloat.nan(24), BigFloat.from_float(1.0, 24))
     assert notes_stats.fallbacks["special"] == 1
 
 
-def test_tier_boundaries():
-    assert kernel_tier(1) == 1
-    assert kernel_tier(64) == 1
-    assert kernel_tier(65) == 2
-    assert kernel_tier(128) == 2
-    assert kernel_tier(129) == 0
-    assert tier_label(24) == "tier1"
-    assert tier_label(100) == "tier2"
-    assert tier_label(256) == "generic"
-    with pytest.raises(ValueError):
-        smallfloat_source("add", 129)
-    with pytest.raises(ValueError):
-        smallfloat_source("bogus", 24)
+def test_bad_precision_and_unknown_op_raise():
+    for prec in (0, -1):
+        with pytest.raises(ValueError, match="precision"):
+            kernel_code("add", prec)
+        with pytest.raises(ValueError, match="precision"):
+            scalar_kernel("add", prec)
+    with pytest.raises(ValueError, match="bogus"):
+        kernel_code("bogus", 24)
+    # No upper bound: any precision gets the same kernel shape.
+    assert "4096" in kernel_code("add", 4096)
 
 
 # ----------------------------------------------------------------- #
-# Selection, plumbing, and telemetry
+# Binding, plumbing, and telemetry
 # ----------------------------------------------------------------- #
 
 def test_select_scalar_kernel_policies():
-    # The precision alone picks the tier.
-    stats = TierStats()
-    select_scalar_kernel("add", 24, None, stats)
-    assert stats.sites["tier1"] == 1
-    select_scalar_kernel("add", 100, None, stats)
-    assert stats.sites["tier2"] == 1
-    select_scalar_kernel("add", 256, None, stats)
-    assert stats.sites["generic"] == 1
+    # One kernel family for every precision: unobserved binds get the
+    # memoized kernel itself, observed ones a counting wrapper.
+    stats = KernelStats()
+    for prec in (24, 100, 256, 600):
+        assert select_scalar_kernel("add", prec, 16) \
+            is scalar_kernel("add", prec, RNDN, 16)
+        select_scalar_kernel("add", prec, 16, stats)
+    assert stats.sites == 4
 
 
 def test_counting_wrapper_and_merge():
-    stats = TierStats()
-    kernel = stats.counting(
-        "tier1", smallfloat_kernel("add", 24, RNDN))
+    stats = KernelStats()
+    kernel = stats.counting(scalar_kernel("add", 24, RNDN))
     a = BigFloat.from_float(1.0, 24)
     kernel(a, a)
     kernel(a, a)
-    assert stats.ops["tier1"] == 2
-    other = TierStats()
-    other.ops["generic"] = 3
+    assert stats.ops == 2
+    other = KernelStats()
+    other.ops = 3
+    other.sites = 1
+    other.fallbacks["prec"] = 2
     stats.merge(other)
-    assert stats.total_ops() == 5
-    snap = stats.as_dict()
-    assert snap["ops"]["tier1"] == 2 and snap["ops"]["generic"] == 3
+    assert stats.as_dict() == {"ops": 5, "sites": 1,
+                               "fallbacks": {"prec": 2, "special": 0}}
 
 
 def test_run_rejects_unknown_policy():
-    # The tier follows the precision: a run takes no tier policy at all.
+    # A run takes no kernel choice: one family serves every precision.
     program = CompilerDriver(backend="mpfr").compile(SOURCE, name="k")
-    with pytest.raises(TypeError, match="kernel_tier"):
-        program.run("run", [4], kernel_tier="fast")
+    with pytest.raises(TypeError, match="kernels"):
+        program.run("run", [4], kernels="generic")
 
 
 def test_per_run_override_is_bit_identical():
-    # The engine is the per-run override: the jit binds the tier-1
+    # The engine is the per-run override: the jit binds the scalar
     # kernels (test_metrics_carry_tier_counters), the legacy walker the
     # library arithmetic.
     program = CompilerDriver(backend="mpfr").compile(
@@ -282,7 +342,7 @@ def test_per_run_override_is_bit_identical():
     tokens = {engine: value_token(r.value) for engine, r in runs.items()}
     assert len(set(tokens.values())) == 1
     cycles = {r.report.cycles for r in runs.values()}
-    assert len(cycles) == 1  # the tier is not a cost-model change
+    assert len(cycles) == 1  # the kernels are not a cost-model change
 
 
 def test_metrics_carry_tier_counters():
@@ -291,39 +351,39 @@ def test_metrics_carry_tier_counters():
         program = CompilerDriver(backend="mpfr").compile(
             SOURCE, name="k")
         program.run("run", [10])
-    tiered = {k: v for k, v in registry.counters.items()
-              if k.startswith("kernel.tier.")}
-    assert tiered.get("kernel.tier.tier1.ops", 0) > 0
-    assert tiered.get("kernel.tier.tier1.sites", 0) > 0
+    counters = registry.counters
+    assert counters.get("kernel.ops", 0) > 0
+    assert counters.get("kernel.sites", 0) > 0
+    assert not any(name.startswith("kernel.tier") for name in counters)
 
 
 def test_unobserved_runs_skip_tier_stats():
     program = CompilerDriver(backend="mpfr").compile(
         SOURCE, name="k")
     interp = program.interpreter()
-    assert interp.tier_stats is None  # raw kernels, no counting
+    assert interp.kernel_stats is None  # raw kernels, no counting
 
 
-def test_service_whitelists_kernel_tier():
-    # The service whitelist no longer carries a tier option, so a run
-    # request naming one is refused before it reaches a worker.
+def test_service_refuses_kernel_option():
+    # The service whitelist carries no kernel option, so a run request
+    # naming one is refused before it reaches a worker.
     from repro.service.protocol import RUN_OPTION_KEYS, ProtocolError, \
         request, validate_request
-    assert "kernel_tier" not in RUN_OPTION_KEYS
+    assert "kernels" not in RUN_OPTION_KEYS
     message = request("run", 1, kernel="gemm",
-                      options={"kernel_tier": "generic"})
-    with pytest.raises(ProtocolError, match="kernel_tier"):
+                      options={"kernels": "generic"})
+    with pytest.raises(ProtocolError, match="kernels"):
         validate_request(message)
 
 
 def test_engine_certificate_catches_broken_tier_kernel(monkeypatch):
-    # A tier-1 mul that doubles its result: the jit binds it, the
-    # legacy walker's library arithmetic does not.
-    real_kernel = smallfloat.smallfloat_kernel
+    # A mul that doubles its result, at one- and four-limb precisions:
+    # the jit binds it, the legacy walker's library arithmetic does not.
+    real_kernel = kernels.scalar_kernel
 
     def broken_kernel(op, prec, *args, **kwargs):
         kernel = real_kernel(op, prec, *args, **kwargs)
-        if op != "mul" or prec != 53:
+        if op != "mul" or prec not in (53, 256):
             return kernel
 
         def doubled(*operands):
@@ -332,7 +392,8 @@ def test_engine_certificate_catches_broken_tier_kernel(monkeypatch):
 
         return doubled
 
-    monkeypatch.setattr(smallfloat, "smallfloat_kernel", broken_kernel)
-    with pytest.raises(CertificateError, match="engine.legacy"):
-        run_kernel("gemm", "vpfloat<mpfr, 16, 53>", 4, backend="mpfr",
-                   compile_cache=None, validate=True)
+    monkeypatch.setattr(kernels, "scalar_kernel", broken_kernel)
+    for prec in (53, 256):
+        with pytest.raises(CertificateError, match="engine.legacy"):
+            run_kernel("gemm", f"vpfloat<mpfr, 16, {prec}>", 4,
+                       backend="mpfr", compile_cache=None, validate=True)

@@ -260,8 +260,8 @@ class TestValidateHarness:
                               compile_cache=False)
             counters = registry.to_dict()["counters"]
         # Six variants x (mpfr, boost), all on the jit: every point
-        # gains the engine.legacy check, which is also the tier check
-        # (the jit's tiered kernels against the walker's library).
+        # gains the engine.legacy check, which is also the kernel check
+        # (the jit's scalar kernels against the walker's library).
         assert counters.get("validate.certificates") == 12
         assert counters.get("validate.check.engine.legacy.passed") == 12
         assert not counters.get("validate.failed")
