@@ -667,8 +667,7 @@ class MPFRLoweringPass(ModulePass):
         if isinstance(value, CastInst):
             if value.opcode == "vpconv" and value.source.type.is_float:
                 return ("d", value.source)
-            if value.opcode in ("sitofp", "uitofp") and \
-                    value.source.type.is_integer:
+            if value.opcode == "sitofp" and value.source.type.is_integer:
                 return ("si", value.source)
         return None
 
@@ -805,20 +804,27 @@ class MPFRLoweringPass(ModulePass):
             if not inst.users:
                 inst.erase_from_parent()
                 return
-            if self.specialize_scalars and all(
+            if self.specialize_scalars and inst.opcode != "uitofp" and all(
                 isinstance(u, BinaryInst) and u.opcode in _BINOP_TO_MPFR
                 for u in inst.users
             ):
                 self._deferred_casts[id(inst)] = inst
                 return
             dest, fused = self._dest_for(inst)
-            if inst.source.type.is_float:
+            source = inst.source
+            if source.type.is_float:
                 callee = self._declare("mpfr_set_d", VOID,
-                                       (MPFR_PTR, inst.source.type))
+                                       (MPFR_PTR, source.type))
+            elif inst.opcode == "uitofp":
+                # mpfr_set_ui takes an unsigned long.
+                if source.type.bits < 64:
+                    source = self._insert_before(
+                        block, inst, CastInst("zext", source, I64), "zext")
+                callee = self._declare("mpfr_set_ui", VOID, (MPFR_PTR, I64))
             else:
                 callee = self._declare("mpfr_set_si", VOID,
-                                       (MPFR_PTR, inst.source.type))
-            call = CallInst(callee, [dest, inst.source])
+                                       (MPFR_PTR, source.type))
+            call = CallInst(callee, [dest, source])
             self._insert_before(block, inst, call)
             self._map_pointer(inst, dest)
             self._replace_and_erase(inst, dest, fused)

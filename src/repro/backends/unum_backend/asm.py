@@ -8,8 +8,8 @@ UNUM extension of Bocco et al. [9]:
 - ``ldu``/``stu`` -- variable-byte-size UNUM loads/stores (geometry from
   the current ess/fss/MBB configuration);
 - ``gadd/gsub/gmul/gdiv/gsqrt/gfma/gneg/gmov/gcmp`` -- g-layer arithmetic;
-- ``gcvt.d.g``, ``gcvt.g.d``, ``gcvt.w.g`` -- conversions with the scalar
-  core.
+- ``gcvt.d.g``, ``gcvt.g.d``, ``gcvt.w.g`` (``gcvt.wu.g``/``gcvt.lu.g``
+  for unsigned sources) -- conversions with the scalar core.
 
 Registers are typed: ``x`` (integer/pointer), ``f`` (IEEE double), ``g``
 (g-layer).  Instruction selection produces virtual registers

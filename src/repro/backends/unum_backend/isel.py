@@ -432,11 +432,15 @@ class FunctionSelector:
             self._emit_copy(dest, source, dest.cls)
             return
         if opcode in ("sitofp", "uitofp"):
+            # uitofp reads the source unsigned, as RISC-V's fcvt.d.wu
+            # (up to 32 bits) and fcvt.d.lu (64 bits) do.
+            kind = "w" if opcode == "sitofp" \
+                else "wu" if inst.source.type.bits <= 32 else "lu"
             if _is_unum(inst.type):
-                self.emit("gcvt.w.g", [dest, source],
+                self.emit(f"gcvt.{kind}.g", [dest, source],
                           config=self._config_of(inst.type))
             else:
-                self.emit("fcvt.d.w", [dest, source])
+                self.emit(f"fcvt.d.{kind}", [dest, source])
             return
         if opcode == "fptosi":
             if _is_unum(inst.source.type):

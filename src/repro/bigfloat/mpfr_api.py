@@ -232,6 +232,13 @@ class MpfrLibrary:
         self.stats.sets += 1
         self.stats.bump("mpfr_set_si")
 
+    def set_ui(self, dst: MpfrVar, value: int, rm: RoundingMode = RNDN) -> None:
+        """``value`` read as an unsigned long (modulo 2**64)."""
+        self._check(dst)
+        dst.value = BigFloat.from_int(value % (1 << 64), dst.prec, rm)
+        self.stats.sets += 1
+        self.stats.bump("mpfr_set_ui")
+
     def set_str(self, dst: MpfrVar, text: str, rm: RoundingMode = RNDN) -> None:
         self._check(dst)
         dst.value = convert.from_str(text, dst.prec, rm)

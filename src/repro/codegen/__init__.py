@@ -11,11 +11,11 @@ compiler pipeline does) stays cheap.
 from .irgen import CodegenError, IRGenerator, LITERAL_PRECISION, generate_ir
 
 #: Version of the emitted jit-module format.  Bump whenever the shape
-#: of the generated source, the JitRuntime resolution protocol, or the
-#: charge-bulking scheme changes: the value participates in the compile
+#: of the generated source or of a `.vpcgen` function record, the
+#: JitRuntime resolution protocol, or the charge-bulking scheme changes: the value participates in the compile
 #: cache fingerprint and in `.vpcgen` sidecar validation, so stale
 #: artifacts miss (and are unlinked) instead of being replayed.
-CODEGEN_VERSION = 7
+CODEGEN_VERSION = 8
 
 __all__ = [
     "IRGenerator",

@@ -591,8 +591,7 @@ class IRGenerator:
     def _gen_IntLit(self, expr: ast.IntLit, expected) -> Value:
         if expected is not None and expected.is_integer:
             return ConstantInt(expected, expr.value)
-        bits = 64 if expr.long else 32
-        return ConstantInt(IntType(bits), expr.value)
+        return ConstantInt(IntType(expr.ctype.bits), expr.value)
 
     def _gen_FloatLit(self, expr: ast.FloatLit, expected) -> Value:
         if expected is not None and expected.is_vpfloat:
@@ -1010,6 +1009,10 @@ class IRGenerator:
         source = value.type
         if source == target:
             return value
+        # An unsigned C source converts by its unsigned value: widened
+        # with zext, and to floating point with uitofp.
+        unsigned = source.is_integer \
+            and not getattr(origin.ctype, "signed", True)
         # Constant folding of literal conversions.
         if isinstance(value, ConstantFloat) and target.is_vpfloat:
             text = getattr(value, "literal_text", None)
@@ -1018,23 +1021,26 @@ class IRGenerator:
                     target, from_str(text, LITERAL_PRECISION))
             return self.builder.const_vpfloat(
                 target, BigFloat.from_float(value.value, LITERAL_PRECISION))
-        if isinstance(value, ConstantInt) and target.is_fp:
+        if isinstance(value, ConstantInt):
+            number = value.value % (1 << source.bits) if unsigned \
+                else value.value
             if target.is_vpfloat:
                 return self.builder.const_vpfloat(
-                    target, BigFloat.from_int(value.value, LITERAL_PRECISION))
-            return ConstantFloat(target, float(value.value))
-        if isinstance(value, ConstantInt) and target.is_integer:
-            return ConstantInt(target, value.value)
+                    target, BigFloat.from_int(number, LITERAL_PRECISION))
+            if target.is_float:
+                return ConstantFloat(target, float(number))
+            if target.is_integer:
+                return ConstantInt(target, number)
         if source.is_integer and target.is_integer:
             if target.bits > source.bits:
-                return self.builder.cast("sext", value, target)
+                return self.builder.cast("zext" if unsigned else "sext",
+                                         value, target)
             if target.bits < source.bits:
                 return self.builder.cast("trunc", value, target)
             return self.builder.cast("bitcast", value, target)
-        if source.is_integer and target.is_float:
-            return self.builder.cast("sitofp", value, target)
-        if source.is_integer and target.is_vpfloat:
-            return self.builder.cast("sitofp", value, target)
+        if source.is_integer and target.is_fp:
+            return self.builder.cast("uitofp" if unsigned else "sitofp",
+                                     value, target)
         if source.is_float and target.is_integer:
             return self.builder.cast("fptosi", value, target)
         if source.is_float and target.is_float:

@@ -35,12 +35,13 @@ compiled code therefore holds no live object references: its marshalled
 bytecode is persisted in the compile cache (``<key>.vpcgen`` sidecars,
 see :meth:`repro.core.cache.CompileCache.put_codegen`) and re-bound in a
 different process against the identical pickled program, without
-emitting or compiling the source again.
+emitting or compiling the source again.  Each source compiles under the
+filename ``<vpjit:{function}>``, so a traceback or a Python-level
+profile through emitted code names its IR function.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from typing import Dict, List, Optional, Tuple
@@ -94,28 +95,6 @@ _UNSIGNED_CMPS = {"ult": "<", "ule": "<=", "ugt": ">", "uge": ">="}
 #: Placeholder line marking an OpenMP region boundary inside a block's
 #: step stream; _emit_block replaces it with the next charge segment.
 _FLUSH_MARKER = "#__vpjit_charge_flush__"
-
-#: IR-location tag line: everything after it (until the next tag) came
-#: from that (block, instruction index, opcode).  Stripped from the
-#: final source by emit(), which turns the tags into a line map -- the
-#: substrate the IR profiler's wall-clock sampler resolves emitted
-#: frames against (see repro.observability.profile).
-_LOC_MARKER = "#__vpjit_loc__"
-
-#: Function name -> ``(code filename, line map)`` of its most recently
-#: bound code, for resolving sampled frames back to IR locations.
-#: Every emitted source compiles under its own filename,
-#: ``<vpjit:{function}:{source digest}>``, and a map is used only for
-#: frames of that very filename, so programs sharing a function name
-#: never resolve against each other's map (one map per name bounds the
-#: registry).  Every bind re-registers the function's map, so a sampled
-#: run resolves against the code it actually executes.
-LINE_MAPS: Dict[str, Tuple[str, Dict[int, tuple]]] = {}
-
-
-def _loc_tag(block: str, ii: Optional[int], opcode: Optional[str]) -> str:
-    return (f"{_LOC_MARKER}{block}\x00"
-            f"{'' if ii is None else ii}\x00{opcode or ''}")
 
 #: MPFR runtime builtins inlined at their call sites (name -> arity).
 _MPFR_INLINE = {
@@ -440,9 +419,6 @@ class FunctionEmitter:
         self._block_segments: List[Dict[str, Dict[str, int]]] = []
         self._tele_bits: Dict[Tuple[str, int], int] = {}
         self._tele_guard: Dict[int, int] = {}
-        #: 1-based emitted-source line -> (block, inst index, opcode);
-        #: filled by emit().
-        self.line_map: Dict[int, tuple] = {}
 
     # ---- static analysis helpers --------------------------------- #
 
@@ -627,7 +603,6 @@ class FunctionEmitter:
             out.append("    " + line)
         out.append("")
         out.append(f"    def _fn({params}):")
-        out.append(_loc_tag("<fn>", None, None))
         out.append('        _chg("call", _c_call)')
         out.append("        _mark = _smark()")
         out.append(f"        _bb = {entry_index}")
@@ -639,7 +614,6 @@ class FunctionEmitter:
         for bi, lines in enumerate(block_chunks):
             kw = "if" if bi == 0 else "elif"
             name = blocks[bi].name
-            out.append(_loc_tag(name, None, None))
             out.append(f"            {kw} _bb == {bi}:")
             out.append("                if _cnt is not None:")
             out.append(f"                    _cnt[{name!r}] = "
@@ -651,24 +625,7 @@ class FunctionEmitter:
         out.append("")
         out.append("    return _fn")
         out.append("")
-        # Strip the location tags, turning them into a line map of the
-        # final source (1-based line -> (block, inst index, opcode)).
-        filtered: List[str] = []
-        line_map: Dict[int, tuple] = {}
-        current: Optional[tuple] = None
-        for line in out:
-            stripped = line.lstrip()
-            if stripped.startswith(_LOC_MARKER):
-                block_name, ii, opcode = \
-                    stripped[len(_LOC_MARKER):].split("\x00")
-                current = (block_name, int(ii) if ii else None,
-                           opcode or None)
-                continue
-            filtered.append(line)
-            if current is not None and stripped:
-                line_map[len(filtered)] = current
-        self.line_map = line_map
-        return "\n".join(filtered)
+        return "\n".join(out)
 
     # ---- blocks -------------------------------------------------- #
 
@@ -691,13 +648,8 @@ class FunctionEmitter:
 
         step_lines: List[str] = []
         for inst, ii in body:
-            step_lines.append(_loc_tag(block.name, ii, inst.opcode))
             self._emit_step(inst, bi, ii, step_lines)
-        term_lines = []
-        if term is not None:
-            term_lines.append(_loc_tag(block.name, term[1],
-                                       term[0].opcode))
-        term_lines.extend(self._emit_terminator(block, term, bi, blocks))
+        term_lines = self._emit_terminator(block, term, bi, blocks)
 
         # Segment the block's bulk charges at OpenMP region markers:
         # segment 0 is charged at block entry, segment k right after
@@ -718,7 +670,6 @@ class FunctionEmitter:
             step_lines = expanded
 
         lines = [
-            _loc_tag(block.name, None, None),
             f"_n = _interp.steps + {count}",
             "_interp.steps = _n",
             "if _n > _LIM:",
@@ -1059,17 +1010,19 @@ class FunctionEmitter:
             out.append(f"{name} = int({source})")
             return
         if opcode in ("sitofp", "uitofp"):
+            number = f"int({source})"
+            if opcode == "uitofp":
+                number += f" & {(1 << inst.source.type.bits) - 1}"
             if target.is_vpfloat:
                 if target.format != "posit":
                     prec = self.interp.vp_config(target, None)[0]
-                    out.append(f"{name} = _BF.from_int(int({source}), "
-                               f"{prec})")
+                    out.append(f"{name} = _BF.from_int({number}, {prec})")
                     return
             elif target.bits == 32:
-                out.append(f"{name} = _f32(float(int({source})))")
+                out.append(f"{name} = _f32(float({number}))")
                 return
             else:
-                out.append(f"{name} = float(int({source}))")
+                out.append(f"{name} = float({number})")
                 return
         elif opcode in ("fpext", "fptrunc"):
             if target.bits == 32:
@@ -1176,7 +1129,7 @@ def emit_function_source(interp, func: Function
 
 class CodegenStore:
     """Per-program store of jit artifacts: per function, a status,
-    fallback reason, compiled code object and line map.  Kernels bind
+    fallback reason and compiled code object.  Kernels bind
     at bind time, so emitted code is kernel-independent.
 
     Backed by a :class:`~repro.core.cache.CompileCache` ``.vpcgen``
@@ -1213,11 +1166,9 @@ class CodegenStore:
         return self.records.get(name)
 
     def record(self, name: str, status: str, reason: Optional[str] = None,
-               code=None, line_map: Optional[Dict[int, tuple]] = None
-               ) -> dict:
+               code=None) -> dict:
         self._load()
-        entry = {"status": status, "reason": reason, "code": code,
-                 "line_map": line_map}
+        entry = {"status": status, "reason": reason, "code": code}
         self.records[name] = entry
         if code is not None:
             self.codes[name] = code
@@ -1277,10 +1228,8 @@ class JitEngine:
             record = self._compile(func)
         if record["status"] == "fallback":
             return None, "fallback", record["reason"], cached
-        code = record["code"]
-        LINE_MAPS[func.name] = (code.co_filename, record["line_map"])
         namespace: Dict[str, object] = {}
-        exec(code, namespace)
+        exec(record["code"], namespace)
         try:
             entry = namespace["_make"](JitRuntime(interp, func))
         except Exception as e:
@@ -1297,22 +1246,19 @@ class JitEngine:
         name = func.name
         t0 = time.perf_counter()
         try:
-            emitter = FunctionEmitter(self.interp, func)
-            source = emitter.emit()
+            source = FunctionEmitter(self.interp, func).emit()
         except _Unsupported as e:
             return store.record(name, "fallback", reason=str(e))
         finally:
             if metrics is not None:
                 metrics.observe("codegen.emit_seconds",
                                 time.perf_counter() - t0)
-        digest = hashlib.sha1(source.encode()).hexdigest()[:12]
         t0 = time.perf_counter()
         try:
-            code = compile(source, f"<vpjit:{name}:{digest}>", "exec")
+            code = compile(source, f"<vpjit:{name}>", "exec")
         except SyntaxError:
             return store.record(name, "fallback", reason="compile error")
         if metrics is not None:
             metrics.observe("codegen.compile_seconds",
                             time.perf_counter() - t0)
-        return store.record(name, "jit", code=code,
-                            line_map=emitter.line_map)
+        return store.record(name, "jit", code=code)

@@ -62,16 +62,16 @@ FORMAT_VERSION = 3
 CACHE_DIR_ENV = "VPFLOAT_CACHE_DIR"
 
 #: Keys of every function record in a ``.vpcgen`` sidecar.
-_CODEGEN_FIELDS = {"status", "reason", "code", "line_map"}
+_CODEGEN_FIELDS = {"status", "reason", "code"}
 
 
 def _codegen_payload_ok(payload) -> bool:
     """Validity of an unmarshalled ``.vpcgen`` sidecar: the current
     ``version`` and ``functions`` mapping names to records the jit
-    engine can consume (``jit`` records carry a ``<vpjit:...>`` code
-    object and a line map of int line -> (block, inst, opcode)).
-    Anything else -- a hand-edited file, a garbled record -- must read
-    as a cache miss."""
+    engine can consume (a ``fallback`` record carries its reason, a
+    ``jit`` one a ``<vpjit:...>`` code object).  Anything else -- a
+    hand-edited file, a garbled record, a record with fields of another
+    format version -- must read as a cache miss."""
     if not isinstance(payload, dict) \
             or payload.get("version") != CODEGEN_VERSION:
         return False
@@ -87,16 +87,11 @@ def _codegen_payload_ok(payload) -> bool:
             return False
         if record["status"] == "fallback":
             continue
-        code, line_map = record["code"], record["line_map"]
+        code = record["code"]
         if not (record["status"] == "jit"
                 and isinstance(code, types.CodeType)
-                and code.co_filename.startswith("<vpjit:")
-                and isinstance(line_map, dict)):
+                and code.co_filename.startswith("<vpjit:")):
             return False
-        for lineno, loc in line_map.items():
-            if not (type(lineno) is int and isinstance(loc, tuple)
-                    and len(loc) == 3):
-                return False
     return True
 
 

@@ -29,6 +29,9 @@ class IntLit(Expr):
     value: int = 0
     unsigned: bool = False
     long: bool = False
+    #: Written in decimal (hex and octal literals may also take the
+    #: unsigned type of each width, C11 6.4.4.1p5).
+    decimal: bool = True
 
 
 @dataclass

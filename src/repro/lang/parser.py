@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import ast
 from .ctypes import (
@@ -178,9 +178,9 @@ class Parser:
         size = attrs[2] if len(attrs) == 3 else None
         return VPFloatT(fmt, attrs[0], attrs[1], size)
 
-    def int_literal(self, token: Token) -> int:
-        """The value of an INT_LIT token under C's rules, or a
-        SourceError at the literal."""
+    def int_literal(self, token: Token) -> Tuple[int, bool]:
+        """The value of an INT_LIT token under C's rules and whether it
+        is written in decimal, or a SourceError at the literal."""
         text = token.text
         if not text.isascii():
             text = "".join(str(int(c)) if c.isdecimal() else c for c in text)
@@ -200,13 +200,13 @@ class Parser:
             # has no type.
             raise self.error(f"integer literal {token.text!r} is too large "
                              f"for any integer type", token)
-        return value
+        return value, dec_digits is not None
 
     def parse_attr(self):
         token = self.current
         if token.kind is TokenKind.INT_LIT:
             self.advance()
-            return AttrConst(self.int_literal(token))
+            return AttrConst(self.int_literal(token)[0])
         if token.kind is TokenKind.IDENT:
             self.advance()
             return AttrRef(token.text)
@@ -587,9 +587,9 @@ class Parser:
         token = self.current
         if token.kind is TokenKind.INT_LIT:
             self.advance()
-            return ast.IntLit(value=self.int_literal(token),
-                              unsigned=token.suffix == "u",
-                              long=token.suffix == "l",
+            value, decimal = self.int_literal(token)
+            return ast.IntLit(value=value, unsigned=token.suffix == "u",
+                              long=token.suffix == "l", decimal=decimal,
                               line=token.line, column=token.column)
         if token.kind is TokenKind.FLOAT_LIT:
             self.advance()

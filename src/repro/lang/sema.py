@@ -391,8 +391,18 @@ class Sema:
         return expr.ctype
 
     def _expr_IntLit(self, expr: ast.IntLit, scope: Scope) -> CType:
-        bits = 64 if expr.long else 32
-        return IntT(bits, not expr.unsigned)
+        # C11 6.4.4.1p5: the first type of the literal's list that can
+        # represent its value.  Hex and octal literals may also take
+        # the unsigned type of each width.
+        value = expr.value
+        for bits in ((64,) if expr.long else (32, 64)):
+            if not expr.unsigned and value < 1 << (bits - 1):
+                return IntT(bits, True)
+            if (expr.unsigned or not expr.decimal) and value < 1 << bits:
+                return IntT(bits, False)
+        # A decimal literal above LONG_MAX has no standard type; like
+        # gcc, type it unsigned long.
+        return IntT(64, False)
 
     def _expr_FloatLit(self, expr: ast.FloatLit, scope: Scope) -> CType:
         if expr.suffix == "f":

@@ -1,42 +1,31 @@
 """IR-level profiler: cycles and wall time per IR instruction.
 
-Two complementary views of where a program's time goes:
+:func:`exact_run` (reached through ``CompiledProgram.run(...,
+profile=True)`` and ``vpfloat-cc --profile``) executes on the **legacy
+reference walker** with a per-instruction hook and attributes both
+modeled cycles and measured wall time to every IR instruction executed,
+exactly: the self-cycle bookkeeping guarantees that the sum of all
+attributed cycles (instructions + the outer call-overhead
+pseudo-record) equals the run's ``CostReport.cycles`` to the cycle.
+Calls into runtime-library declarations (the MPFR entry points,
+allocation, I/O) are also attributed per builtin name.
 
-* :func:`exact_run` (reached through ``CompiledProgram.run(...,
-  profile=True)`` and ``vpfloat-cc --profile``) executes on the
-  **legacy reference walker** with a per-instruction hook and
-  attributes both modeled cycles and measured wall time to every IR
-  instruction executed, exactly: the self-cycle bookkeeping guarantees
-  that the sum of all attributed cycles (instructions + the outer
-  call-overhead pseudo-record) equals the run's ``CostReport.cycles``
-  to the cycle.  Calls into runtime-library declarations (the MPFR
-  entry points, allocation, I/O) are also attributed per builtin name.
-* :func:`sample_jit_run` executes on the **jit engine** at full speed
-  while a sampling thread walks ``sys._current_frames()`` and resolves
-  frames inside emitted ``<vpjit:...>`` modules back to IR locations
-  through the line maps the emitter records into ``.vpcgen`` sidecars
-  (:data:`repro.codegen.pyjit.LINE_MAPS`), reusing the jit engine's
-  hot-block counters for exact block execution counts alongside the
-  statistical wall samples.
-
-Comparing the two per opcode (:func:`divergence`) flags where the cost
-model and the host disagree -- an opcode taking a far larger share of
-wall time than of modeled cycles is either under-modeled or hitting a
-slow host path.  Both profiles export collapsed-stack flamegraphs
-(``func;func;block:op <weight>`` lines, one stack per line) that
-speedscope and Brendan Gregg's ``flamegraph.pl`` load directly.
+Comparing the two columns per opcode (:func:`divergence`) flags where
+the cost model and the host disagree -- an opcode taking a far larger
+share of wall time than of modeled cycles is either under-modeled or
+hitting a slow host path.  A profile exports collapsed-stack
+flamegraphs (``func;func;block:op <weight>`` lines, one stack per
+line, weighted by cycles or wall microseconds) that speedscope and
+Brendan Gregg's ``flamegraph.pl`` load directly.
 
 Profiling never changes what a run computes or charges: the hook wraps
-``_execute`` without touching accounting, and the sampler only reads
-frames, so values and CostReports stay bit-identical to unprofiled
-runs.
+``_execute`` without touching accounting, so values and CostReports
+stay bit-identical to unprofiled runs.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -45,7 +34,6 @@ __all__ = [
     "OpcodeDivergence",
     "divergence",
     "exact_run",
-    "sample_jit_run",
 ]
 
 #: Pseudo-opcode for cycles charged outside any instruction (the
@@ -59,26 +47,17 @@ class IRProfile:
     ``records`` maps ``(function, block, inst_index, opcode)`` to
     ``[count, cycles, wall_seconds]``; ``stacks`` maps collapsed call
     paths (tuples of frame strings, leaf last) to the same triple.
-    ``samples`` is 0 for exact profiles and the number of wall samples
-    for sampled ones (whose ``cycles`` column is then 0).
     ``builtin_calls``/``builtin_cycles`` attribute calls into runtime
-    declarations per callee name (exact profiles only).
+    declarations per callee name.
     """
 
-    def __init__(self, kind: str = "exact"):
-        self.kind = kind
+    def __init__(self):
         self.records: Dict[tuple, List[float]] = {}
         self.stacks: Dict[Tuple[str, ...], List[float]] = {}
         self.total_cycles = 0
         self.total_wall = 0.0
-        self.samples = 0
-        #: Jit hot-block execution counts (sampled profiles only).
-        self.block_counts: Dict[str, int] = {}
         self.builtin_calls: Dict[str, int] = {}
         self.builtin_cycles: Dict[str, int] = {}
-        #: The run's ExecutionResult (value/report/stdout), for sampled
-        #: profiles (an exact one hangs off its result instead).
-        self.result = None
 
     # ---- accumulation ------------------------------------------- #
 
@@ -146,25 +125,20 @@ class IRProfile:
 
     def rows(self, limit: Optional[int] = None) -> List[tuple]:
         """(function, block, index, opcode, count, cycles, wall) sorted
-        by the profile's primary weight, heaviest first."""
-        weight = 1 if self.kind == "exact" else 2
-        ordered = sorted(self.records.items(),
-                         key=lambda kv: -kv[1][weight])
+        by modeled cycles, heaviest first."""
+        ordered = sorted(self.records.items(), key=lambda kv: -kv[1][1])
         if limit is not None:
             ordered = ordered[:limit]
         return [key + tuple(row) for key, row in ordered]
 
     # ---- export ------------------------------------------------- #
 
-    def write_collapsed(self, path, unit: Optional[str] = None) -> int:
+    def write_collapsed(self, path, unit: str = "cycles") -> int:
         """Write a collapsed-stack flamegraph (speedscope-loadable).
 
-        ``unit`` picks the stack weight: ``"cycles"`` (default for
-        exact profiles) or ``"wall"`` (microseconds; default for
-        sampled profiles).  Returns the number of stacks written.
+        ``unit`` picks the stack weight: ``"cycles"`` or ``"wall"``
+        (microseconds).  Returns the number of stacks written.
         """
-        if unit is None:
-            unit = "cycles" if self.kind == "exact" else "wall"
         if unit not in ("cycles", "wall"):
             raise ValueError(f"unknown flamegraph unit {unit!r}")
         written = 0
@@ -181,12 +155,9 @@ class IRProfile:
 
     def render(self, limit: int = 20) -> str:
         """Human-readable hot-instruction table."""
-        lines = [f"ir profile ({self.kind}): "
-                 f"{len(self.records)} locations, "
+        lines = [f"ir profile: {len(self.records)} locations, "
                  f"{self.total_cycles} cycles, "
-                 f"{self.total_wall * 1e3:.2f} ms"
-                 + (f", {self.samples} samples"
-                    if self.kind == "sampled" else "")]
+                 f"{self.total_wall * 1e3:.2f} ms"]
         header = (f"  {'function':<18} {'block':<16} {'#':>4} "
                   f"{'opcode':<14} {'count':>9} {'cycles':>12} "
                   f"{'wall_us':>10}")
@@ -283,7 +254,7 @@ def exact_run(interp, name: str, args=None):
     unprofiled one.  ``CompiledProgram.run(..., profile=True)`` is the
     entry point.
     """
-    profile = IRProfile("exact")
+    profile = IRProfile()
     hook = _ExactHook(interp, profile)
     interp._inst_hook = hook
     wall0 = time.perf_counter()
@@ -304,93 +275,6 @@ def exact_run(interp, name: str, args=None):
     profile.total_wall = total_wall
     result.profile = profile
     return result
-
-
-# ----------------------------------------------------------------- #
-# Wall-time sampling over the jit engine
-# ----------------------------------------------------------------- #
-
-def jit_location(filename: str, lineno: int) -> Tuple[str, tuple]:
-    """``(function, (block, index, opcode))`` of a line of emitted jit
-    code (filename ``<vpjit:{function}:{source digest}>``); the location
-    is ``("<unmapped>", None, None)`` unless that very source's line
-    map is registered."""
-    from ..codegen.pyjit import LINE_MAPS
-
-    func = filename[len("<vpjit:"):-1].rsplit(":", 1)[0]
-    registered = LINE_MAPS.get(func)
-    loc = None
-    if registered is not None and registered[0] == filename:
-        loc = registered[1].get(lineno)
-    return func, loc or ("<unmapped>", None, None)
-
-
-class _Sampler(threading.Thread):
-    """Samples one thread's Python stack, resolving emitted-jit frames
-    (``<vpjit:...>`` filenames) to IR locations via the line maps."""
-
-    def __init__(self, target_thread_id: int, profile: IRProfile,
-                 interval: float):
-        super().__init__(name="vpfloat-ir-sampler", daemon=True)
-        self.target = target_thread_id
-        self.profile = profile
-        self.interval = interval
-        self._halt = threading.Event()
-
-    def stop(self) -> None:
-        self._halt.set()
-
-    def run(self) -> None:
-        profile = self.profile
-        interval = self.interval
-        while not self._halt.is_set():
-            frame = sys._current_frames().get(self.target)
-            leaf = None
-            path: List[str] = []
-            while frame is not None:
-                filename = frame.f_code.co_filename
-                if filename.startswith("<vpjit:"):
-                    func, (block, index, opcode) = jit_location(
-                        filename, frame.f_lineno)
-                    if leaf is None:
-                        leaf = (func, block, index,
-                                opcode or f"block:{block}")
-                        path.append(f"{block}:{opcode or 'block'}")
-                    path.append(func)
-                frame = frame.f_back
-            if leaf is not None:
-                path.reverse()
-                profile.add(leaf, tuple(path), 0, interval)
-                profile.samples += 1
-            time.sleep(interval)
-
-
-def sample_jit_run(program, name: str, args=None,
-                   interval: float = 0.0005, **run_kwargs) -> IRProfile:
-    """Run ``name`` on the jit engine under a wall-clock sampler.
-
-    Returns a ``kind="sampled"`` :class:`IRProfile`: per-IR-location
-    wall shares from the samples (the ``cycles`` column stays 0 --
-    exact model attribution is :func:`exact_run`'s job), plus the jit
-    engine's exact hot-block execution counts in ``block_counts``.
-    """
-    profile = IRProfile("sampled")
-    interp = program.interpreter(engine="jit", **run_kwargs)
-    counts: Dict[str, int] = {}
-    interp._block_counts = counts
-    sampler = _Sampler(threading.get_ident(), profile, interval)
-    wall0 = time.perf_counter()
-    sampler.start()
-    try:
-        result = interp.run(name, args)
-    finally:
-        sampler.stop()
-        sampler.join(timeout=2.0)
-    profile.total_wall = time.perf_counter() - wall0
-    profile.total_cycles = result.report.cycles
-    profile.block_counts = dict(counts)
-    profile.result = result
-    return profile
 
 
 # ----------------------------------------------------------------- #
@@ -422,20 +306,17 @@ class OpcodeDivergence:
                 f"model {self.cycle_share * 100:.1f}% ({shown})")
 
 
-def divergence(model: IRProfile, wall: Optional[IRProfile] = None,
-               threshold: float = 2.0,
+def divergence(model: IRProfile, threshold: float = 2.0,
                min_share: float = 0.02) -> List[OpcodeDivergence]:
     """Opcodes where wall-time share and modeled-cycle share disagree.
 
-    ``model`` supplies cycle shares; ``wall`` supplies wall shares
-    (defaults to ``model`` itself, whose exact hook measured both).
-    Only opcodes holding at least ``min_share`` of either total are
+    ``model``'s exact hook measured both columns.  Only opcodes holding at least ``min_share`` of either total are
     considered, and a divergence is flagged when the shares differ by
     more than ``threshold`` in either direction.
     """
-    wall = wall if wall is not None else model
-    cycles_by_op = {op: row[1] for op, row in model.by_opcode().items()}
-    wall_by_op = {op: row[2] for op, row in wall.by_opcode().items()}
+    by_opcode = model.by_opcode()
+    cycles_by_op = {op: row[1] for op, row in by_opcode.items()}
+    wall_by_op = {op: row[2] for op, row in by_opcode.items()}
     total_cycles = sum(cycles_by_op.values()) or 1
     total_wall = sum(wall_by_op.values()) or 1.0
     out: List[OpcodeDivergence] = []

@@ -329,13 +329,16 @@ def _fold_cast(inst: CastInst) -> Optional[Value]:
             bits = source.type.bits
             return ConstantInt(target, source.value & ((1 << bits) - 1))
         if inst.opcode in ("sitofp", "uitofp"):
+            number = source.value
+            if inst.opcode == "uitofp":
+                number &= (1 << source.type.bits) - 1
             if target.is_float:
-                return ConstantFloat(target, float(source.value))
+                return ConstantFloat(target, float(number))
             if target.is_vpfloat and target.is_static:
                 return ConstantVPFloat(
                     target,
                     _round_to_format(
-                        BigFloat.from_int(source.value,
+                        BigFloat.from_int(number,
                                           max(64, target.static_precision)),
                         target))
     if isinstance(source, ConstantFloat):

@@ -756,14 +756,17 @@ class Interpreter:
         if opcode in ("ptrtoint", "inttoptr"):
             return int(value)
         if opcode in ("sitofp", "uitofp"):
+            value = int(value)
+            if opcode == "uitofp":
+                value &= (1 << inst.source.type.bits) - 1
             if target.is_vpfloat:
                 prec, _ = self.vp_config(target, frame)
                 if target.format == "posit":
                     return self._posit_round(
-                        BigFloat.from_int(int(value), max(prec + 8, 64)),
+                        BigFloat.from_int(value, max(prec + 8, 64)),
                         target, frame)
-                return BigFloat.from_int(int(value), prec)
-            result = float(int(value))
+                return BigFloat.from_int(value, prec)
+            result = float(value)
             return _f32(result) if target.bits == 32 else result
         if opcode == "fptosi":
             if isinstance(value, BigFloat):
@@ -1353,6 +1356,7 @@ class Interpreter:
         b["mpfr_set"] = mpfr_set
         b["mpfr_set_d"] = mpfr_set_scalar("set_d")
         b["mpfr_set_si"] = mpfr_set_scalar("set_si")
+        b["mpfr_set_ui"] = mpfr_set_scalar("set_ui")
         b["mpfr_set_str"] = mpfr_set_scalar("set_str")
 
         def mpfr_set_bigfloat(args, inst, frame):

@@ -395,6 +395,7 @@ def _tdiv(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 _INT_OPS = {
@@ -485,6 +486,8 @@ _CONVERSIONS = {
     "fli": (1, float), "fmv": (1, float),
     "fneg.d": (1, lambda a: -float(a)),
     "fcvt.d.w": (2, lambda a: float(int(a))),
+    "fcvt.d.wu": (2, lambda a: float(int(a) & _MASK32)),
+    "fcvt.d.lu": (2, lambda a: float(int(a) & _MASK64)),
     "fcvt.w.d": (2, lambda a: int(float(a))),
 }
 
@@ -718,6 +721,10 @@ def _g_other(d, m, ops, opcode):
 _GCVT = {
     "gcvt.d.g": lambda v, wgp: BigFloat.from_float(float(v), wgp),
     "gcvt.w.g": lambda v, wgp: BigFloat.from_int(int(v), max(64, wgp)),
+    "gcvt.wu.g": lambda v, wgp: BigFloat.from_int(int(v) & _MASK32,
+                                                  max(64, wgp)),
+    "gcvt.lu.g": lambda v, wgp: BigFloat.from_int(int(v) & _MASK64,
+                                                  max(64, wgp)),
     "gcvt.g.d": lambda v, wgp: v.to_float(),
     "gcvt.g.w": lambda v, wgp: v.to_int() if v.is_finite() else 0,
 }

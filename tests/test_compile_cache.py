@@ -337,8 +337,7 @@ double f(int n) {
     def test_unknown_status_is_miss(self, tmp_path):
         first, path, _ = self._first_run(tmp_path)
         garbled = _sidecar({"version": CODEGEN_VERSION, "functions": {
-            "f": {"status": "wat", "reason": None, "code": None,
-                  "line_map": None}}})
+            "f": {"status": "wat", "reason": None, "code": None}}})
         self._assert_miss_recompiles(tmp_path, path, first, garbled)
 
     def test_jit_record_without_code_is_miss(self, tmp_path):
@@ -348,13 +347,12 @@ double f(int n) {
         self._assert_miss_recompiles(tmp_path, path, first,
                                      _sidecar(payload))
 
-    def test_line_map_with_non_int_keys_is_miss(self, tmp_path):
-        # The string-keyed shape line maps had in JSON sidecars.
+    def test_record_carrying_line_map_is_miss(self, tmp_path):
+        # A current-version sidecar whose jit record still carries the
+        # line map older records had: not a shape the engine writes.
         first, path, data = self._first_run(tmp_path)
         payload = marshal.loads(data[len(MAGIC_NUMBER):])
-        record = payload["functions"]["f"]
-        record["line_map"] = {str(line): loc
-                              for line, loc in record["line_map"].items()}
+        payload["functions"]["f"]["line_map"] = {1: ("entry", 0, "ret")}
         self._assert_miss_recompiles(tmp_path, path, first,
                                      _sidecar(payload))
 

@@ -1,4 +1,4 @@
-"""IR-level profiler tests: exact attribution, sampling, flamegraphs.
+"""IR-level profiler tests: exact attribution, flamegraphs, divergence.
 
 The exact profiler's contract is conservation: per-instruction model
 cycles, summed over every record (including the ``<overhead>``
@@ -10,11 +10,7 @@ perturb the modeled execution at all.
 import pytest
 
 from repro.core import CompilerDriver
-from repro.observability.profile import (
-    OVERHEAD,
-    divergence,
-    sample_jit_run,
-)
+from repro.observability.profile import OVERHEAD, divergence
 from repro.workloads.polybench import source_for
 
 MPFR = "vpfloat<mpfr, 16, 128>"
@@ -79,56 +75,9 @@ def test_collapsed_stacks_write_and_weights(tmp_path):
 
 def test_divergence_report_shapes():
     model = _profile("gemm", 4)
-    rows = divergence(model, wall=None, threshold=0.0, min_share=0.0)
+    rows = divergence(model, threshold=0.0, min_share=0.0)
     assert isinstance(rows, list)
     for row in rows:
         assert row.factor >= 0.0
         assert isinstance(row.render(), str)
 
-
-def test_sampled_jit_profiler_runs_and_maps_lines():
-    program = _compile("gemm")
-    profile = sample_jit_run(program, "run", [8], interval=0.0001)
-    assert profile.kind == "sampled"
-    assert int(profile.result.value) == \
-        int(program.run("run", [8], engine="jit").value)
-    # Exact hot-block counts come from the jit's block-count hook even
-    # when the wall sampler caught nothing (tiny run, slow box).
-    assert profile.block_counts
-
-
-def test_jit_line_maps_registered():
-    from repro.codegen.pyjit import LINE_MAPS
-
-    program = _compile("gemm")
-    program.run("run", [4], engine="jit")
-    filename, entry = LINE_MAPS.get("kernel_gemm", (None, None))
-    assert entry, f"no jit line map registered: {sorted(LINE_MAPS)}"
-    assert filename.startswith("<vpjit:kernel_gemm:")
-    assert all(isinstance(k, int) for k in entry)
-    assert all(len(loc) == 3 for loc in entry.values())
-
-
-def test_jit_line_maps_do_not_collide_across_programs():
-    """Two programs with a ``run`` each resolve against their own line
-    map, including one whose code was memoized before the other
-    program materialized."""
-    from repro.observability.profile import jit_location
-
-    gemm, atax = _compile("gemm"), _compile("atax")
-    gemm.run("run", [4], engine="jit")
-    atax.run("run", [4], engine="jit")  # registered last
-    filenames = {}
-    for program in (gemm, atax):
-        sample_jit_run(program, "run", [4], interval=0.001)
-        store = program._codegen_store
-        filename = store.codes["run"].co_filename
-        own = {int(line): tuple(loc) for line, loc
-               in store.records["run"]["line_map"].items()}
-        assert all(jit_location(filename, line) == ("run", loc)
-                   for line, loc in own.items())
-        filenames[program] = (filename, next(iter(own)))
-    assert filenames[gemm][0] != filenames[atax][0]
-    # gemm's code no longer resolves against the map atax registered.
-    assert jit_location(*filenames[gemm]) == \
-        ("run", ("<unmapped>", None, None))
