@@ -427,8 +427,19 @@ class FunctionSelector:
         dest = self.reg_for(inst)
         source = self.operand(inst.source)
         opcode = inst.opcode
-        if opcode in ("sext", "zext", "trunc", "bitcast", "ptrtoint",
-                      "inttoptr"):
+        if opcode == "zext":
+            # Zero-extends from the source width.
+            mask = (1 << inst.source.type.bits) - 1
+            self.emit("and", [dest, source, Imm(mask)])
+            return
+        if opcode == "trunc":
+            # Sign-extends from the target width, as RISC-V's sext.w.
+            width = {8: "b", 32: "w"}.get(inst.type.bits)
+            if width is None:
+                raise UnumISelError(f"cannot truncate to {inst.type}")
+            self.emit(f"sext.{width}", [dest, source])
+            return
+        if opcode in ("sext", "bitcast", "ptrtoint", "inttoptr"):
             self._emit_copy(dest, source, dest.cls)
             return
         if opcode in ("sitofp", "uitofp"):

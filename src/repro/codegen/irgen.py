@@ -1,6 +1,11 @@
 """AST -> IR code generation.
 
-Lowers the analyzed vpfloat C dialect onto the SSA IR:
+Lowers the analyzed vpfloat C dialect onto the SSA IR.  Sema alone
+decides C types: each expression lowers at its ``ctype`` (a comparison
+at its recorded ``operand_type``, a compound assignment through its
+typed ``a op b`` node), and a value changes type only through
+``_convert``, which folds constant operands exactly (a double literal
+that converts to a vpfloat is read from its text).  Further:
 
 - locals become entry-block allocas (later promoted by mem2reg);
 - dynamically-sized vpfloat declarations emit a ``__sizeof_vpfloat*``
@@ -19,6 +24,7 @@ Lowers the analyzed vpfloat C dialect onto the SSA IR:
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Optional, Tuple
 
 from ..bigfloat import BigFloat, from_str
@@ -412,10 +418,8 @@ class IRGenerator:
         self.local_slot_names[decl.name] = slot
         self.decl_types[id(decl)] = ctype
         if decl.init is not None:
-            target_type = slot.type.pointee
-            value = self._emit_expr(decl.init, expected=target_type)
-            value = self._convert(value, target_type, decl.init)
-            self.builder.store(value, slot)
+            self.builder.store(
+                self._rvalue_as(decl.init, slot.type.pointee), slot)
 
     def _emit_dynamic_size_check(self, ctype: CType) -> None:
         """Every dynamically-sized declaration calls ``__sizeof_vpfloat``
@@ -547,10 +551,7 @@ class IRGenerator:
         if stmt.value is None:
             self.builder.ret()
             return
-        expected = self.func.return_type
-        value = self._emit_expr(stmt.value, expected=expected)
-        value = self._convert(value, expected, stmt.value)
-        self.builder.ret(value)
+        self.builder.ret(self._rvalue_as(stmt.value, self.func.return_type))
 
     # ------------------------------------------------------------ #
     # Expressions
@@ -581,33 +582,22 @@ class IRGenerator:
             )
         raise TypeError(f"cannot convert {value.type} to boolean")
 
-    def _emit_expr(self, expr: ast.Expr,
-                   expected: Optional[IRType] = None) -> Value:
-        method = getattr(self, f"_gen_{type(expr).__name__}")
-        return method(expr, expected)
+    def _emit_expr(self, expr: ast.Expr) -> Value:
+        """``expr`` lowered at its sema type, ``expr.ctype``."""
+        return getattr(self, f"_gen_{type(expr).__name__}")(expr)
 
     # ---- literals ------------------------------------------------ #
 
-    def _gen_IntLit(self, expr: ast.IntLit, expected) -> Value:
-        if expected is not None and expected.is_integer:
-            return ConstantInt(expected, expr.value)
-        return ConstantInt(IntType(expr.ctype.bits), expr.value)
+    def _gen_IntLit(self, expr: ast.IntLit) -> Value:
+        return ConstantInt(self.ir_type(expr.ctype), expr.value)
 
-    def _gen_FloatLit(self, expr: ast.FloatLit, expected) -> Value:
-        if expected is not None and expected.is_vpfloat:
-            return self.builder.const_vpfloat(
-                expected, from_str(expr.text, LITERAL_PRECISION))
+    def _gen_FloatLit(self, expr: ast.FloatLit) -> Value:
         if expr.suffix == "f":
-            import struct as _struct
+            rounded = struct.unpack("f", struct.pack("f", float(expr.text)))
+            return ConstantFloat(F32, rounded[0])
+        return _double_literal(expr.text)
 
-            rounded = _struct.unpack("f", _struct.pack(
-                "f", float(expr.text)))[0]
-            return ConstantFloat(F32, rounded)
-        constant = ConstantFloat(F64, float(expr.text))
-        constant.literal_text = expr.text  # kept for exact vpfloat retyping
-        return constant
-
-    def _gen_StringLit(self, expr: ast.StringLit, expected) -> Value:
+    def _gen_StringLit(self, expr: ast.StringLit) -> Value:
         from ..ir import ConstantString
 
         return ConstantString(PointerType(I8), expr.value)
@@ -643,7 +633,7 @@ class IRGenerator:
 
     # ---- expressions ---------------------------------------------- #
 
-    def _gen_Ident(self, expr: ast.Ident, expected) -> Value:
+    def _gen_Ident(self, expr: ast.Ident) -> Value:
         declared = self.decl_types.get(id(expr.decl))
         if isinstance(declared, ArrayT) and declared.is_vla:
             # A VLA's storage slot *is* the decayed element pointer.
@@ -657,7 +647,7 @@ class IRGenerator:
             )
         return self.builder.load(slot, name=expr.name)
 
-    def _gen_Index(self, expr: ast.Index, expected) -> Value:
+    def _gen_Index(self, expr: ast.Index) -> Value:
         ptr, pointee = self._index_lvalue(expr)
         if isinstance(pointee, ArrayType):
             return self.builder.gep(
@@ -666,67 +656,62 @@ class IRGenerator:
             )
         return self.builder.load(ptr)
 
-    def _gen_Deref(self, expr: ast.Deref, expected) -> Value:
+    def _gen_Deref(self, expr: ast.Deref) -> Value:
         pointer = self._emit_expr(expr.operand)
         return self.builder.load(pointer)
 
-    def _gen_AddressOf(self, expr: ast.AddressOf, expected) -> Value:
+    def _gen_AddressOf(self, expr: ast.AddressOf) -> Value:
         pointer, _ = self._lvalue(expr.operand)
         return pointer
 
-    def _gen_Binary(self, expr: ast.Binary, expected) -> Value:
+    def _gen_Binary(self, expr: ast.Binary) -> Value:
         op = expr.op
         if op == ",":
             self._emit_expr(expr.lhs)
             return self._emit_expr(expr.rhs)
         if op in ("&&", "||"):
             return self._gen_short_circuit(expr)
+        if op in ("==", "!=", "<", "<=", ">", ">="):
+            return self._gen_comparison(expr)
+        return self._arith(expr, self._emit_expr(expr.lhs),
+                           self.ir_type(expr.ctype))
+
+    def _arith(self, expr: ast.Binary, lhs: Value,
+               result_type: IRType) -> Value:
+        """``lhs op rhs`` in ``result_type``, the IR type of
+        ``expr.ctype``, with ``lhs`` the already lowered ``expr.lhs``;
+        compound assignments share it."""
         lhs_ct = decay(expr.lhs.ctype)
         rhs_ct = decay(expr.rhs.ctype)
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return self._gen_comparison(expr, lhs_ct, rhs_ct)
         if isinstance(lhs_ct, PointerT) or isinstance(rhs_ct, PointerT):
-            return self._gen_pointer_arith(expr, lhs_ct, rhs_ct)
-        result_type = self.ir_type(expr.ctype)
-        lhs = self._emit_expr(expr.lhs, expected=result_type)
-        rhs = self._emit_expr(expr.rhs, expected=result_type)
+            return self._pointer_arith(expr, lhs, lhs_ct, rhs_ct)
+        rhs = self._emit_expr(expr.rhs)
         lhs = self._convert(lhs, result_type, expr.lhs)
         rhs = self._convert(rhs, result_type, expr.rhs)
         if result_type.is_fp:
             opcode = {"+": "fadd", "-": "fsub", "*": "fmul", "/": "fdiv",
-                      "%": "frem"}[op]
+                      "%": "frem"}[expr.op]
         else:
-            signed = getattr(expr.ctype, "signed", True)
+            signed = expr.ctype.signed
             opcode = {
                 "+": "add", "-": "sub", "*": "mul",
                 "/": "sdiv" if signed else "udiv",
                 "%": "srem" if signed else "urem",
                 "&": "and", "|": "or", "^": "xor",
                 "<<": "shl", ">>": "ashr" if signed else "lshr",
-            }[op]
+            }[expr.op]
         return self.builder.binop(opcode, lhs, rhs)
 
-    def _gen_comparison(self, expr: ast.Binary, lhs_ct, rhs_ct) -> Value:
-        if isinstance(lhs_ct, PointerT) or isinstance(rhs_ct, PointerT):
-            lhs = self._emit_expr(expr.lhs)
-            rhs = self._emit_expr(expr.rhs)
-            lhs = self.builder.cast("ptrtoint", lhs, I64)
-            rhs = self.builder.cast("ptrtoint", rhs, I64)
-            pred = {"==": "eq", "!=": "ne", "<": "ult", "<=": "ule",
-                    ">": "ugt", ">=": "uge"}[expr.op]
-            return self.builder.icmp(pred, lhs, rhs)
-        common_ct = self._common_arith_type(lhs_ct, rhs_ct)
+    def _gen_comparison(self, expr: ast.Binary) -> Value:
+        common_ct = expr.operand_type
         common = self.ir_type(common_ct)
-        lhs = self._convert(self._emit_expr(expr.lhs, expected=common),
-                            common, expr.lhs)
-        rhs = self._convert(self._emit_expr(expr.rhs, expected=common),
-                            common, expr.rhs)
+        lhs = self._rvalue_as(expr.lhs, common)
+        rhs = self._rvalue_as(expr.rhs, common)
         if common.is_fp:
             pred = {"==": "oeq", "!=": "one", "<": "olt", "<=": "ole",
                     ">": "ogt", ">=": "oge"}[expr.op]
             return self.builder.fcmp(pred, lhs, rhs)
-        signed = getattr(common_ct, "signed", True)
-        if signed:
+        if common_ct.signed:
             pred = {"==": "eq", "!=": "ne", "<": "slt", "<=": "sle",
                     ">": "sgt", ">=": "sge"}[expr.op]
         else:
@@ -734,36 +719,22 @@ class IRGenerator:
                     ">": "ugt", ">=": "uge"}[expr.op]
         return self.builder.icmp(pred, lhs, rhs)
 
-    def _common_arith_type(self, a: CType, b: CType) -> CType:
-        if isinstance(a, VPFloatT):
-            return a
-        if isinstance(b, VPFloatT):
-            return b
-        if isinstance(a, FloatT) or isinstance(b, FloatT):
-            bits = max(a.bits if isinstance(a, FloatT) else 0,
-                       b.bits if isinstance(b, FloatT) else 0)
-            return FloatT(bits)
-        bits = max(a.bits, b.bits, 32)
-        signed = a.signed and b.signed
-        return IntT(bits, signed)
-
-    def _gen_pointer_arith(self, expr: ast.Binary, lhs_ct, rhs_ct) -> Value:
+    def _pointer_arith(self, expr: ast.Binary, lhs: Value, lhs_ct,
+                       rhs_ct) -> Value:
         if isinstance(lhs_ct, PointerT) and isinstance(rhs_ct, PointerT):
-            lhs = self.builder.cast("ptrtoint", self._emit_expr(expr.lhs), I64)
+            lhs = self.builder.cast("ptrtoint", lhs, I64)
             rhs = self.builder.cast("ptrtoint", self._emit_expr(expr.rhs), I64)
             diff = self.builder.sub(lhs, rhs)
             elem = self.ir_type(lhs_ct.pointee)
             return self.builder.sdiv(
                 diff, ConstantInt(I64, elem.size_bytes()))
         if isinstance(lhs_ct, PointerT):
-            base = self._emit_expr(expr.lhs)
             offset = self._rvalue_as(expr.rhs, I64)
             if expr.op == "-":
                 offset = self.builder.sub(ConstantInt(I64, 0), offset)
-            return self.builder.gep(base, [offset])
+            return self.builder.gep(lhs, [offset])
         base = self._emit_expr(expr.rhs)
-        offset = self._rvalue_as(expr.lhs, I64)
-        return self.builder.gep(base, [offset])
+        return self.builder.gep(base, [self._convert(lhs, I64, expr.lhs)])
 
     def _gen_short_circuit(self, expr: ast.Binary) -> Value:
         lhs = self._emit_condition(expr.lhs)
@@ -785,7 +756,7 @@ class IRGenerator:
         phi.add_incoming(rhs, rhs_exit)
         return phi
 
-    def _gen_Unary(self, expr: ast.Unary, expected) -> Value:
+    def _gen_Unary(self, expr: ast.Unary) -> Value:
         if expr.op in ("++", "--"):
             ptr, pointee = self._lvalue(expr.operand)
             old = self.builder.load(ptr)
@@ -802,44 +773,43 @@ class IRGenerator:
             return self.builder.binop(
                 "xor", self._emit_condition(expr.operand),
                 ConstantInt(I1, 1))
-        operand = self._emit_expr(expr.operand, expected=expected)
+        operand = self._emit_expr(expr.operand)
+        if operand.type.is_integer:
+            operand = self._convert(operand, self.ir_type(expr.ctype),
+                                    expr.operand)
         if expr.op == "+":
             return operand
         if expr.op == "~":
             return self.builder.binop(
                 "xor", operand, ConstantInt(operand.type, -1))
-        # Negation.
+        # Negation.  A negated double literal stays a literal, so a
+        # vpfloat context still reads it exactly from its text.
+        text = getattr(operand, "literal_text", None)
+        if text is not None:
+            return _double_literal(text[1:] if text.startswith("-")
+                                   else "-" + text)
         if operand.type.is_fp:
             return self.builder.fneg(operand)
         return self.builder.sub(ConstantInt(operand.type, 0), operand)
 
-    def _gen_Assign(self, expr: ast.Assign, expected) -> Value:
+    def _gen_Assign(self, expr: ast.Assign) -> Value:
         ptr, pointee = self._lvalue(expr.target)
-        if expr.op == "=":
-            value = self._emit_expr(expr.value, expected=pointee)
-            value = self._convert(value, pointee, expr.value)
+        binary = expr.binary
+        if binary is None:
+            value = self._rvalue_as(expr.value, pointee)
         else:
-            op = expr.op[:-1]
-            old = self.builder.load(ptr)
-            if pointee.is_pointer:
-                offset = self._rvalue_as(expr.value, I64)
-                if op == "-":
-                    offset = self.builder.sub(ConstantInt(I64, 0), offset)
-                value = self.builder.gep(old, [offset])
-            else:
-                rhs = self._emit_expr(expr.value, expected=pointee)
-                rhs = self._convert(rhs, pointee, expr.value)
-                if pointee.is_fp:
-                    opcode = {"+": "fadd", "-": "fsub", "*": "fmul",
-                              "/": "fdiv", "%": "frem"}[op]
-                else:
-                    opcode = {"+": "add", "-": "sub", "*": "mul",
-                              "/": "sdiv", "%": "srem"}[op]
-                value = self.builder.binop(opcode, old, rhs)
+            # 'a op= b' of a's own C type computes in a's IR type, so a
+            # dynamic vpfloat keeps the attributes its declaration
+            # captured instead of re-reading them.
+            result_type = pointee if binary.ctype == decay(expr.target.ctype) \
+                else self.ir_type(binary.ctype)
+            value = self._convert(
+                self._arith(binary, self.builder.load(ptr), result_type),
+                pointee, binary)
         self.builder.store(value, ptr)
         return value
 
-    def _gen_Ternary(self, expr: ast.Ternary, expected) -> Value:
+    def _gen_Ternary(self, expr: ast.Ternary) -> Value:
         result_type = self.ir_type(expr.ctype)
         cond = self._emit_condition(expr.cond)
         then_block = self.func.add_block("sel.then")
@@ -847,15 +817,11 @@ class IRGenerator:
         merge = self.func.add_block("sel.end")
         self.builder.cond_br(cond, then_block, else_block)
         self.builder.set_insert_point(then_block)
-        tval = self._convert(
-            self._emit_expr(expr.true_expr, expected=result_type),
-            result_type, expr.true_expr)
+        tval = self._rvalue_as(expr.true_expr, result_type)
         then_exit = self.builder.block
         self.builder.br(merge)
         self.builder.set_insert_point(else_block)
-        fval = self._convert(
-            self._emit_expr(expr.false_expr, expected=result_type),
-            result_type, expr.false_expr)
+        fval = self._rvalue_as(expr.false_expr, result_type)
         else_exit = self.builder.block
         self.builder.br(merge)
         self.builder.set_insert_point(merge)
@@ -864,7 +830,7 @@ class IRGenerator:
         phi.add_incoming(fval, else_exit)
         return phi
 
-    def _gen_Call(self, expr: ast.Call, expected) -> Value:
+    def _gen_Call(self, expr: ast.Call) -> Value:
         mapped = _VP_BUILTIN_MAP.get(expr.name)
         if mapped is not None:
             args = [self._emit_expr(a) for a in expr.args]
@@ -875,10 +841,8 @@ class IRGenerator:
         if expr.decl is None:
             # Library builtin with a concrete signature.
             callee = self._runtime(expr.name)
-            args = []
-            for arg, ptype in zip(expr.args, callee.type.params):
-                value = self._emit_expr(arg, expected=ptype)
-                args.append(self._convert(value, ptype, arg))
+            args = [self._rvalue_as(arg, ptype)
+                    for arg, ptype in zip(expr.args, callee.type.params)]
             return self.builder.call(callee, args, name=expr.name)
         callee = self.module.get_function(expr.name)
         args = []
@@ -889,8 +853,7 @@ class IRGenerator:
                 # below); no conversion is possible or needed.
                 args.append(self._emit_expr(arg))
                 continue
-            value = self._emit_expr(arg, expected=ptype)
-            args.append(self._convert(value, ptype, arg))
+            args.append(self._rvalue_as(arg, ptype))
         # Runtime attribute-consistency checks (paper Listing 3).
         for check in getattr(expr, "runtime_attr_checks", []):
             self._emit_attr_check(expr, check, callee, args)
@@ -979,18 +942,18 @@ class IRGenerator:
         except TypeError:
             return None
 
-    def _gen_Cast(self, expr: ast.Cast, expected) -> Value:
+    def _gen_Cast(self, expr: ast.Cast) -> Value:
         target = self.ir_type(decay(expr.target_type))
-        value = self._emit_expr(expr.expr, expected=target)
-        return self._convert(value, target, expr.expr, explicit=True)
+        return self._convert(self._emit_expr(expr.expr), target, expr.expr,
+                             explicit=True)
 
-    def _gen_SizeofType(self, expr: ast.SizeofType, expected) -> Value:
+    def _gen_SizeofType(self, expr: ast.SizeofType) -> Value:
         queried = expr.queried_type
         if isinstance(queried, VPFloatT) and not queried.is_static:
             return self._emit_sizeof_call(queried)
         return ConstantInt(I64, self.ir_type(queried).size_bytes())
 
-    def _gen_SizeofExpr(self, expr: ast.SizeofExpr, expected) -> Value:
+    def _gen_SizeofExpr(self, expr: ast.SizeofExpr) -> Value:
         ctype = expr.operand.ctype
         if isinstance(ctype, VPFloatT) and not ctype.is_static:
             return self._emit_sizeof_call(ctype)
@@ -1001,8 +964,7 @@ class IRGenerator:
     # ------------------------------------------------------------ #
 
     def _rvalue_as(self, expr: ast.Expr, type: IRType) -> Value:
-        value = self._emit_expr(expr, expected=type)
-        return self._convert(value, type, expr)
+        return self._convert(self._emit_expr(expr), type, expr)
 
     def _convert(self, value: Value, target: IRType, origin: ast.Expr,
                  explicit: bool = False) -> Value:
@@ -1062,6 +1024,12 @@ class IRGenerator:
             f"cannot convert {source} to {target}",
             origin.line, origin.column,
         )
+
+
+def _double_literal(text: str) -> ConstantFloat:
+    constant = ConstantFloat(F64, float(text))
+    constant.literal_text = text  # kept for exact vpfloat retyping
+    return constant
 
 
 def _mentions_foreign_vpfloat(type: IRType, current_func) -> bool:

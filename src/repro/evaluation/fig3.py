@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..solvers import SweepPoint, bcsstk20_like, precision_sweep, rhs_for
+from .parallel import parallel_map
 
 DEFAULT_PRECISIONS = (60, 80, 100, 140, 200, 300, 400, 500, 700, 900, 1100)
 
@@ -61,21 +62,12 @@ def run_fig3(n: int = 64, condition: float = 3.9e12,
              precisions: Sequence[int] = DEFAULT_PRECISIONS,
              tolerance: float = 1e-12,
              max_iterations: int = 4000, jobs: int = 1) -> Fig3Result:
-    if jobs > 1:
-        from .parallel import parallel_map
-
-        tasks = [(n, condition, prec, tolerance, max_iterations)
-                 for prec in precisions]
-        # CG compiles nothing (it runs on the BLAS layer directly), so
-        # the engine is used purely for sharding.
-        points = parallel_map(_sweep_point, tasks, jobs=jobs,
-                              compile_cache=False)
-        return Fig3Result(points=points, matrix_size=n,
-                          condition=condition)
-    matrix = bcsstk20_like(n=n, condition=condition)
-    b = rhs_for(matrix)
-    points = precision_sweep(matrix, b, precisions, tolerance,
-                             max_iterations)
+    tasks = [(n, condition, prec, tolerance, max_iterations)
+             for prec in precisions]
+    # CG compiles nothing (it runs on the BLAS layer directly), so the
+    # engine is used purely for sharding; jobs=1 runs in-process.
+    points = parallel_map(_sweep_point, tasks, jobs=jobs,
+                          compile_cache=False)
     return Fig3Result(points=points, matrix_size=n, condition=condition)
 
 

@@ -58,6 +58,8 @@ class Binary(Expr):
     op: str = ""
     lhs: Expr = None
     rhs: Expr = None
+    #: A comparison's operands convert to this type; set by sema.
+    operand_type: Optional[CType] = field(default=None, kw_only=True)
 
 
 @dataclass
@@ -71,11 +73,14 @@ class Unary(Expr):
 
 @dataclass
 class Assign(Expr):
-    """op is '=', '+=', '-=', '*=', '/=', '%='."""
+    """op is '=' or a compound operator: '+=', '-=', '*=', '/=', '%=',
+    '<<=', '>>=', '&=', '|=', '^='."""
 
     op: str = "="
     target: Expr = None
     value: Expr = None
+    #: A compound assignment's typed ``target op value``; set by sema.
+    binary: Optional[Binary] = field(default=None, kw_only=True)
 
 
 @dataclass

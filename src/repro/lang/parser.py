@@ -33,6 +33,12 @@ _BINARY_PRECEDENCE = {
     "*": 10, "/": 10, "%": 10,
 }
 
+#: Assignment operators: plain, then ``a op= b`` for each binary ``op``
+#: that sema types like ``a = a op b``.
+_ASSIGN_OPS = frozenset({
+    "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^=",
+})
+
 #: C integer constants (C11 6.4.4.1): hexadecimal, octal (a leading
 #: ``0``, so ``08`` is malformed) and decimal.  The lexer's digits are
 #: ``\d``; a non-ASCII decimal digit reads as its ASCII kin first.
@@ -485,9 +491,7 @@ class Parser:
     def parse_assignment(self) -> ast.Expr:
         lhs = self.parse_ternary()
         token = self.current
-        if token.kind is TokenKind.PUNCT and token.text in (
-            "=", "+=", "-=", "*=", "/=", "%="
-        ):
+        if token.kind is TokenKind.PUNCT and token.text in _ASSIGN_OPS:
             self.advance()
             rhs = self.parse_assignment()
             return ast.Assign(op=token.text, target=lhs, value=rhs,

@@ -405,14 +405,10 @@ class Sema:
         return IntT(64, False)
 
     def _expr_FloatLit(self, expr: ast.FloatLit, scope: Scope) -> CType:
-        if expr.suffix == "f":
-            return FloatT(32)
-        if expr.suffix in ("v", "y"):
-            # Suffixed vpfloat literals take their type from context; sema
-            # types them as the widest double and irgen re-types them when
-            # the assignment target is known.  Standalone use is double.
-            return FloatT(64)
-        return FloatT(64)
+        # Unsuffixed and vpfloat-suffixed ('v', 'y') literals are double.
+        # A double literal converted to a vpfloat is read exactly from
+        # its text, so it loses nothing to the double rounding.
+        return FloatT(32) if expr.suffix == "f" else FloatT(64)
 
     def _expr_StringLit(self, expr: ast.StringLit, scope: Scope) -> CType:
         return PointerT(IntT(8, True))
@@ -439,7 +435,7 @@ class Sema:
         if op in ("&&", "||"):
             return BOOL
         if op in ("==", "!=", "<", "<=", ">", ">="):
-            self._require_comparable(expr, lhs, rhs)
+            expr.operand_type = self._comparison_type(expr, lhs, rhs)
             return BOOL
         if op in ("%", "<<", ">>", "&", "|", "^"):
             if not (lhs.is_integer and rhs.is_integer):
@@ -447,6 +443,9 @@ class Sema:
                     f"operator {op!r} requires integer operands, "
                     f"got {lhs} and {rhs}", expr.line, expr.column,
                 )
+            if op in ("<<", ">>"):
+                # C11 6.5.7p3: a shift has its promoted left operand's type.
+                return _int_promote(lhs, lhs)
             return _int_promote(lhs, rhs)
         # + - * / : arithmetic or pointer arithmetic.
         if isinstance(lhs, PointerT) and rhs.is_integer and op in ("+", "-"):
@@ -457,10 +456,12 @@ class Sema:
             return IntT(64, True)
         return self._arithmetic_result(expr, lhs, rhs)
 
-    def _require_comparable(self, expr, lhs: CType, rhs: CType) -> None:
+    def _comparison_type(self, expr, lhs: CType, rhs: CType) -> CType:
+        """The type a comparison converts both operands to: addresses
+        compare as unsigned long."""
         if isinstance(lhs, PointerT) or isinstance(rhs, PointerT):
-            return
-        self._arithmetic_result(expr, lhs, rhs)
+            return IntT(64, False)
+        return self._arithmetic_result(expr, lhs, rhs)
 
     def _arithmetic_result(self, expr, lhs: CType, rhs: CType) -> CType:
         """Usual arithmetic conversions, extended for vpfloat.
@@ -511,33 +512,32 @@ class Sema:
             return operand
         if expr.op == "!":
             return BOOL
-        if expr.op == "~":
-            if not operand.is_integer:
-                raise SemanticError("~ requires an integer operand",
-                                    expr.line, expr.column)
-            return operand
+        if expr.op == "~" and not operand.is_integer:
+            raise SemanticError("~ requires an integer operand",
+                                expr.line, expr.column)
         if not operand.is_arithmetic:
             raise SemanticError(f"unary {expr.op} on non-arithmetic type",
                                 expr.line, expr.column)
-        return operand
+        # C11 6.5.3.3: -, + and ~ promote an integer operand.
+        return _int_promote(operand, operand) if operand.is_integer \
+            else operand
 
     def _expr_Assign(self, expr: ast.Assign, scope: Scope) -> CType:
-        target = self._check_expr(expr.target, scope)
-        self._require_lvalue(expr.target)
-        value = decay(self._check_expr(expr.value, scope))
-        target_d = decay(target)
         if expr.op == "=":
-            if not _assignable(target_d, value):
-                raise SemanticError(
-                    f"cannot assign {value} to {target}",
-                    expr.line, expr.column,
-                )
+            target = self._check_expr(expr.target, scope)
+            value = decay(self._check_expr(expr.value, scope))
         else:
-            # Compound assignment: 'a op= b' types like 'a = a op b'.
-            fake = ast.Binary(op=expr.op[:-1], lhs=expr.target,
-                              rhs=expr.value, line=expr.line,
-                              column=expr.column)
-            self._expr_Binary(fake, scope)
+            # Compound assignment: 'a op= b' types like 'a = a op b',
+            # and irgen lowers the kept 'a op b' node.
+            expr.binary = ast.Binary(op=expr.op[:-1], lhs=expr.target,
+                                     rhs=expr.value, line=expr.line,
+                                     column=expr.column)
+            value = decay(self._check_expr(expr.binary, scope))
+            target = expr.target.ctype
+        self._require_lvalue(expr.target)
+        if not _assignable(decay(target), value):
+            raise SemanticError(f"cannot assign {value} to {target}",
+                                expr.line, expr.column)
         return target
 
     def _require_lvalue(self, expr: ast.Expr) -> None:
@@ -767,9 +767,18 @@ class Sema:
 # ----------------------------------------------------------------- #
 
 def _int_promote(a: IntT, b: IntT) -> IntT:
-    bits = max(a.bits, b.bits, 32)
-    signed = a.signed and b.signed
-    return IntT(bits, signed)
+    """Usual arithmetic conversions of two integer types (C11 6.3.1.8).
+
+    Each operand first promotes to int if it is narrower.  Of two types
+    with the same signedness the wider wins; a signed type wider than
+    the unsigned one holds all its values and wins (long with unsigned
+    int is long); otherwise the result is the unsigned type.
+    """
+    a, b = (IntT(32, True) if t.bits < 32 else t for t in (a, b))
+    if a.signed == b.signed:
+        return IntT(max(a.bits, b.bits), a.signed)
+    signed, unsigned = (a, b) if a.signed else (b, a)
+    return signed if signed.bits > unsigned.bits else unsigned
 
 
 def _assignable(target: CType, source: CType) -> bool:

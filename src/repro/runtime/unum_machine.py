@@ -398,14 +398,36 @@ def _tdiv(a: int, b: int) -> int:
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
+
+def _signed(value: int, bits: int) -> int:
+    """The low ``bits`` bits of ``value`` read as a signed number."""
+    value &= (1 << bits) - 1
+    return value - (1 << bits) if value >> (bits - 1) else value
+
+
+def _unsigned(fn):
+    """``fn`` of the operands' 64 bits read unsigned, its result read
+    back signed, as every register holds an integer."""
+    return lambda a, b: _signed(fn(a & _MASK64, b & _MASK64), 64)
+
+
+def _udiv(a: int, b: int) -> int:
+    if b == 0:
+        raise UnumMachineError("division by zero")
+    return a // b
+
+
+def _urem(a: int, b: int) -> int:
+    return a - _udiv(a, b) * b
+
+
 _INT_OPS = {
     "add": operator.add, "sub": operator.sub, "mul": operator.mul,
     "div": _tdiv, "rem": lambda a, b: a - _tdiv(a, b) * b,
-    "divu": lambda a, b: abs(a) // abs(b) if b else 0,
-    "remu": lambda a, b: abs(a) % abs(b) if b else 0,
     "and": operator.and_, "or": operator.or_, "xor": operator.xor,
     "sll": lambda a, b: a << (b & 63), "sra": lambda a, b: a >> (b & 63),
-    "srl": lambda a, b: (a & _MASK64) >> (b & 63),
+    "divu": _unsigned(_udiv), "remu": _unsigned(_urem),
+    "srl": _unsigned(lambda a, b: a >> (b & 63)),
 }
 
 
@@ -434,6 +456,16 @@ def _int_op(d, m, ops, opcode):
         m.scalar_cycles += cost
         regs[rd] = fn(regs[ra], regs[rb])
     return int_op
+
+
+#: Sign-extension from the low byte or word (trunc).
+_SEXT_BITS = {"sext.b": 8, "sext.w": 32}
+
+
+@_builds(*_SEXT_BITS)
+def _sext(d, m, ops, opcode):
+    bits = _SEXT_BITS[opcode]
+    return _compute(d, m, 1, lambda a: _signed(a, bits), 1)
 
 
 def _int_compare(pred: str, a: int, b: int) -> bool:

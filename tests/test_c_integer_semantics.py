@@ -3,19 +3,21 @@
 Every other certificate compares the toolchain with itself, so an
 error shared by sema, irgen and every engine passes them all.  These
 one-function probes pin the value C11 gives: integer literal types
-(6.4.4.1), widening an unsigned value (6.3.1.3) and converting it to
-floating point (6.3.1.4), next to their signed neighbours.  Each probe
-runs on every backend and engine, the UNUM machine included (where the
-two unsigned widening probes are known failures); when ``gcc`` is on
+(6.4.4.1), widening and narrowing an integer (6.3.1.3) and converting
+it to floating point (6.3.1.4), the usual arithmetic conversions of
+mixed signedness (6.3.1.8), the types of unary minus (6.5.3.3), a
+shift (6.5.7) and a compound assignment (6.5.16.2), next to their
+signed neighbours.  Each
+probe runs on every backend and engine, the UNUM machine included
+(where the 32-bit wrap probe is a known failure); when ``gcc`` is on
 PATH, each is also built with ``gcc -O0`` and its printed result
 compared with the same pinned value.
 """
 
-import shutil
-import subprocess
 from typing import NamedTuple, Tuple
 
 import pytest
+from gcc_oracle import gcc_stdout, requires_gcc
 
 from repro import compile_source
 from repro.workloads.polybench import vpfloat_unum_type
@@ -75,6 +77,50 @@ PROBES = [
           "unsigned x", (4294967295,), "4294967296"),
     Probe("signed_to_vpfloat", "double",
           "{vp} y = x; return (double)y;", "int x", (-7,), "-7"),
+    # -1u is an unsigned int, so it widens to long by zero extension.
+    Probe("negated_unsigned_literal_widens_with_zero_extension", "long",
+          "long y = -1u; return y + a;", "int a", (0,), "4294967295"),
+    # 'a op= b' is 'a = a op b': unsigned operands divide unsigned, and
+    # an int times a double is a double, truncated when stored.
+    Probe("unsigned_compound_division", "unsigned long",
+          "x /= 2; return x;", "unsigned long x", (2**64 - 2,),
+          "9223372036854775807"),
+    Probe("unsigned_compound_remainder", "unsigned long",
+          "x %= 10; return x;", "unsigned long x", (2**64 - 2,), "4"),
+    Probe("int_compound_multiply_by_double", "long",
+          "int x = a; x *= 2.5; return x;", "int a", (3,), "7"),
+    # A shift has its promoted left operand's type, whatever the count's.
+    Probe("shift_by_unsigned_count_stays_signed", "long",
+          "return a >> 1u;", "int a", (-8,), "-4"),
+    Probe("shift_by_long_count_is_int", "long",
+          "return sizeof(a << 1L);", "int a", (0,), "4"),
+    Probe("shift_assign_by_unsigned_count", "long",
+          "int x = a; x >>= 1u; return x;", "int a", (-8,), "-4"),
+    Probe("bitwise_compound_assignments", "long",
+          "int x = a; x <<= 3; x |= 1; x ^= 2; x &= 13; return x;",
+          "int a", (5,), "9"),
+    # A long holds every unsigned int, so long with unsigned int is
+    # long (C11 6.3.1.8): the division, remainder and comparison stay
+    # signed.
+    Probe("long_compound_division_by_unsigned", "long",
+          "long x = a; x /= 2u; return x;", "long a", (-4,), "-2"),
+    Probe("long_compound_remainder_by_unsigned", "long",
+          "long x = a; x %= 3u; return x;", "long a", (-4,), "-1"),
+    Probe("long_divided_by_unsigned", "long",
+          "return a / 2u;", "long a", (-4,), "-2"),
+    Probe("long_compares_signed_with_unsigned", "long",
+          "return a < 1u;", "long a", (-1,), "1"),
+    # Unary minus promotes a char to int (C11 6.5.3.3).
+    Probe("unary_minus_promotes_char", "long",
+          "char c = a; return -c + 1000 * sizeof(-c);", "int a", (-128,),
+          "4128"),
+    # Narrowing keeps the low word, read signed (gcc's choice).
+    Probe("int_cast_of_long_above_int_max", "long",
+          "return (int)x;", "long x", (4294967295,), "-1"),
+    # Unsigned int arithmetic wraps modulo 2^32.
+    Probe("unsigned_product_wraps_at_32_bits", "long",
+          "unsigned b = a * 65536u; return b >> 16;", "unsigned a",
+          (65537,), "1"),
 ]
 
 
@@ -97,15 +143,15 @@ def test_probe_gives_c_value(probe, backend):
         assert _printed(value) == probe.expected, (backend, engine)
 
 
-#: UNUM isel selects zext and sext as register copies, so the UNUM
-#: machine widens an unsigned value by its signed bit pattern.
-_UNUM_WIDENING = pytest.mark.xfail(
-    strict=True, reason="UNUM isel copies zext: no zero extension")
+#: The UNUM machine keeps a 32-bit result in a 64-bit register without
+#: wrapping it, so an unsigned int product overflows into the shift.
+_UNUM_NO_WRAP = pytest.mark.xfail(
+    strict=True, reason="UNUM 32-bit arithmetic does not wrap")
 
 
 @pytest.mark.parametrize("probe", [
-    pytest.param(p, marks=_UNUM_WIDENING)
-    if p.name.endswith("_widens_with_zero_extension") else p
+    pytest.param(p, marks=_UNUM_NO_WRAP)
+    if p.name == "unsigned_product_wraps_at_32_bits" else p
     for p in PROBES], ids=[p.name for p in PROBES])
 def test_probe_gives_c_value_on_unum(probe):
     program = compile_source(_source(probe, vpfloat_unum_type(4, 9)),
@@ -114,17 +160,11 @@ def test_probe_gives_c_value_on_unum(probe):
     assert _printed(value) == probe.expected
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc is not on PATH")
+@requires_gcc
 @pytest.mark.parametrize("probe", PROBES, ids=[p.name for p in PROBES])
 def test_probe_matches_gcc(probe, tmp_path):
     args = ", ".join(f"{a}UL" if a >= 2**63 else str(a) for a in probe.args)
     main = (f'#include <stdio.h>\nint main(void) {{ printf('
             f'"{_FORMATS[probe.returns]}\\n", f({args})); return 0; }}\n')
-    path = tmp_path / "probe.c"
-    path.write_text(_source(probe, "double") + main)
-    exe = tmp_path / "probe"
-    subprocess.run(["gcc", "-O0", "-std=gnu11", "-w", "-ffp-contract=off",
-                    str(path), "-o", str(exe)], check=True)
-    printed = subprocess.run([str(exe)], check=True, capture_output=True,
-                             text=True).stdout.strip()
-    assert printed == probe.expected
+    printed = gcc_stdout(_source(probe, "double") + main, tmp_path)
+    assert printed.strip() == probe.expected

@@ -191,6 +191,22 @@ class TestVPFloatPrograms:
         assert run(source, "eval", [60]).value == 0.0
         assert run(source, "eval", [100]).value == 2.0 ** -70
 
+    def test_compound_assignment_keeps_declared_attributes(self):
+        """'x += y' on a dynamic vpfloat computes in x's own IR type:
+        only y and the returned value convert.  Re-reading p for the
+        sum would also convert x and the stored result."""
+        source = """
+        double f(int p) {
+          vpfloat<mpfr, 16, p> x = 1.5;
+          vpfloat<mpfr, 16, p> y = 0.25;
+          x += y;
+          return (double)x;
+        }
+        """
+        program = compile_source(source, backend="none", opt_level=0)
+        assert str(program.module).count(" vpconv ") == 2
+        assert program.run("f", [100]).value == 1.75
+
     def test_runtime_attr_check_fires(self):
         """Paper Listing 3 line 17: attribute changed before the call."""
         source = """

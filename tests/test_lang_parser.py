@@ -219,6 +219,13 @@ class TestExpressions:
         func = parse_one("void f(int a) { a += 2; }")
         assert func.body.statements[0].expr.op == "+="
 
+    @pytest.mark.parametrize("op", ["<<=", ">>=", "&=", "|=", "^="])
+    def test_shift_and_bitwise_compound_assignment(self, op):
+        func = parse_one(f"void f(int a) {{ a {op} 2; }}")
+        expr = func.body.statements[0].expr
+        assert isinstance(expr, ast.Assign)
+        assert expr.op == op
+
     def test_vpfloat_literal_suffix(self):
         func = parse_one(
             "void f() { vpfloat<mpfr,16,100> x = 1.3y; }")

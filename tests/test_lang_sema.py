@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import SemanticError, analyze, parse
-from repro.lang.ctypes import VPFloatT
+from repro.lang.ctypes import FloatT, IntT, VPFloatT
 
 
 def check(source):
@@ -226,3 +226,61 @@ class TestGeneralChecks:
 
     def test_decl_then_definition_merges(self):
         check("void f(int x); void f(int x) {}")
+
+
+class TestExpressionTypes:
+    """Sema decides every C type; irgen only lowers what it records."""
+
+    def _body(self, source):
+        return check(source).functions()[0].body.statements
+
+    def test_comparison_records_its_operand_type(self):
+        stmts = self._body(
+            "int f(int a, unsigned b, double d, long *p) {"
+            " return (a < b) + (a < d) + (p == 0); }")
+        total = stmts[0].value
+        lt_u, lt_d, eq_p = total.lhs.lhs, total.lhs.rhs, total.rhs
+        assert lt_u.ctype == IntT(1, True)
+        assert lt_u.operand_type == IntT(32, False)
+        assert lt_d.operand_type == FloatT(64)
+        # Addresses compare as unsigned long.
+        assert eq_p.operand_type == IntT(64, False)
+
+    def test_compound_assignment_keeps_its_typed_binary(self):
+        stmts = self._body("void f(int x, unsigned long u) {"
+                           " x *= 2.5; u /= 2; }")
+        mul, div = stmts[0].expr, stmts[1].expr
+        assert mul.ctype == IntT(32, True)
+        assert mul.binary.op == "*"
+        assert mul.binary.lhs is mul.target
+        assert mul.binary.rhs is mul.value
+        assert mul.binary.ctype == FloatT(64)
+        assert div.binary.ctype == IntT(64, False)
+        assert self._body("void f(int x) { x = 1; }")[0].expr.binary is None
+
+    def test_shift_has_its_promoted_left_operand_type(self):
+        stmts = self._body("long f(int a, unsigned b) {"
+                           " return (a << 1L) + (a >> b) + (b << a); }")
+        total = stmts[0].value
+        assert total.lhs.lhs.ctype == IntT(32, True)
+        assert total.lhs.rhs.ctype == IntT(32, True)
+        assert total.rhs.ctype == IntT(32, False)
+
+    def test_compound_assignment_result_must_be_assignable(self):
+        expect_error("void f(int x, int *p) { x += p; }", "cannot assign")
+
+    def test_usual_conversions_of_mixed_signedness(self):
+        # C11 6.3.1.8: a long holds every unsigned int, so their mix is
+        # long; with unsigned long, or at equal width, unsigned wins.
+        stmts = self._body(
+            "long f(long l, unsigned u, unsigned long ul, int i, char c) {"
+            " return (l / u) + (l < u) + (ul / i) + (i / u) + (c / u); }")
+        total = stmts[0].value
+        c_u, i_u = total.rhs, total.lhs.rhs
+        ul_i, l_lt_u = total.lhs.lhs.rhs, total.lhs.lhs.lhs.rhs
+        l_u = total.lhs.lhs.lhs.lhs
+        assert l_u.ctype == IntT(64, True)
+        assert l_lt_u.operand_type == IntT(64, True)
+        assert ul_i.ctype == IntT(64, False)
+        assert i_u.ctype == IntT(32, False)
+        assert c_u.ctype == IntT(32, False)
