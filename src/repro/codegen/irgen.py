@@ -70,6 +70,8 @@ from ..lang.ctypes import (
     decay,
 )
 from ..lang.lexer import SourceError
+from ..runtime.interpreter import (VPRuntimeError, cast_value, constant_of,
+                                   constant_value, int_binary, type_format)
 
 #: Precision used to materialize vpfloat literals before their final type
 #: is known (paper §III-A5: constants are created at the format's maximum
@@ -249,23 +251,33 @@ class IRGenerator:
         self._decl_by_id[id(decl)] = decl
 
     def _const_initializer(self, expr: ast.Expr, type: IRType):
-        if isinstance(expr, ast.IntLit):
-            if type.is_integer:
-                return ConstantInt(type, expr.value)
-            if type.is_float:
-                return ConstantFloat(type, float(expr.value))
-        if isinstance(expr, ast.FloatLit) and type.is_float:
-            return ConstantFloat(type, float(expr.text))
-        if isinstance(expr, ast.FloatLit) and type.is_vpfloat:
-            return ConstantVPFloat(type, from_str(expr.text, LITERAL_PRECISION))
-        if isinstance(expr, ast.Unary) and expr.op == "-":
-            inner = self._const_initializer(expr.operand, type)
-            if isinstance(inner, ConstantInt):
-                return ConstantInt(type, -inner.value)
-            if isinstance(inner, ConstantFloat):
-                return ConstantFloat(type, -inner.value)
-        raise CodegenError("global initializer must be a literal",
-                           expr.line, expr.column)
+        """A global's initializer: the (negated) literal ``expr`` at its
+        own sema type, converted to ``type`` by the runtime's cast."""
+        negated = isinstance(expr, ast.Unary) and expr.op == "-"
+        literal = expr.operand if negated else expr
+        if isinstance(literal, ast.FloatLit) and type.is_vpfloat:
+            # Read exactly from its text, like a local's literal.
+            text = "-" + literal.text if negated else literal.text
+            return ConstantVPFloat(type, from_str(text, LITERAL_PRECISION))
+        if not isinstance(literal, (ast.IntLit, ast.FloatLit)):
+            raise CodegenError("global initializer must be a literal",
+                               expr.line, expr.column)
+        source = self.ir_type(expr.ctype)
+        value = constant_value(self._emit_expr(literal))
+        if negated:
+            value = int_binary("sub", 0, value, source.bits) \
+                if source.is_integer else -value
+        if source == type:
+            return constant_of(type, value)
+        opcode = _cast_opcode(source, type,
+                              not getattr(expr.ctype, "signed", True))
+        try:
+            fmt = type_format(type) if type.is_vpfloat else None
+            value = cast_value(opcode, value, source.bits,
+                               getattr(type, "bits", 0), fmt)
+        except VPRuntimeError as e:
+            raise CodegenError(str(e), expr.line, expr.column) from None
+        return constant_of(type, value)
 
     def _declare_function(self, decl: ast.FunctionDecl) -> None:
         if decl.name in self.module.functions:
@@ -689,8 +701,8 @@ class IRGenerator:
         lhs = self._convert(lhs, result_type, expr.lhs)
         rhs = self._convert(rhs, result_type, expr.rhs)
         if result_type.is_fp:
-            opcode = {"+": "fadd", "-": "fsub", "*": "fmul", "/": "fdiv",
-                      "%": "frem"}[expr.op]
+            opcode = {"+": "fadd", "-": "fsub", "*": "fmul",
+                      "/": "fdiv"}[expr.op]
         else:
             signed = expr.ctype.signed
             opcode = {
@@ -983,47 +995,53 @@ class IRGenerator:
                     target, from_str(text, LITERAL_PRECISION))
             return self.builder.const_vpfloat(
                 target, BigFloat.from_float(value.value, LITERAL_PRECISION))
+        opcode = _cast_opcode(source, target, unsigned)
         if isinstance(value, ConstantInt):
-            number = value.value % (1 << source.bits) if unsigned \
-                else value.value
             if target.is_vpfloat:
+                number = value.value % (1 << source.bits) if unsigned \
+                    else value.value
                 return self.builder.const_vpfloat(
                     target, BigFloat.from_int(number, LITERAL_PRECISION))
-            if target.is_float:
-                return ConstantFloat(target, float(number))
-            if target.is_integer:
-                return ConstantInt(target, number)
-        if source.is_integer and target.is_integer:
-            if target.bits > source.bits:
-                return self.builder.cast("zext" if unsigned else "sext",
-                                         value, target)
-            if target.bits < source.bits:
-                return self.builder.cast("trunc", value, target)
-            return self.builder.cast("bitcast", value, target)
-        if source.is_integer and target.is_fp:
-            return self.builder.cast("uitofp" if unsigned else "sitofp",
-                                     value, target)
-        if source.is_float and target.is_integer:
-            return self.builder.cast("fptosi", value, target)
-        if source.is_float and target.is_float:
-            opcode = "fpext" if target.bits > source.bits else "fptrunc"
-            return self.builder.cast(opcode, value, target)
-        # vpfloat conversions are always explicit vpconv instructions;
-        # sema restricted the implicit ones to plain assignment already.
-        if source.is_fp and target.is_fp:
+            if target.is_float or target.is_integer:
+                return constant_of(target, cast_value(
+                    opcode, value.value, source.bits, target.bits))
+        if opcode is None:
+            raise CodegenError(
+                f"cannot convert {source} to {target}",
+                origin.line, origin.column,
+            )
+        if opcode == "vpconv":
             return self.builder.vpconv(value, target)
-        if source.is_vpfloat and target.is_integer:
-            return self.builder.cast("fptosi", value, target)
-        if source.is_pointer and target.is_pointer:
-            return self.builder.cast("bitcast", value, target)
-        if source.is_pointer and target.is_integer:
-            return self.builder.cast("ptrtoint", value, target)
-        if source.is_integer and target.is_pointer:
-            return self.builder.cast("inttoptr", value, target)
-        raise CodegenError(
-            f"cannot convert {source} to {target}",
-            origin.line, origin.column,
-        )
+        return self.builder.cast(opcode, value, target)
+
+
+def _cast_opcode(source: IRType, target: IRType,
+                 unsigned: bool) -> Optional[str]:
+    """The cast converting ``source`` to ``target`` (an ``unsigned`` C
+    integer widens with zext and converts with uitofp); None if none."""
+    if source.is_integer and target.is_integer:
+        if target.bits > source.bits:
+            return "zext" if unsigned else "sext"
+        return "trunc" if target.bits < source.bits else "bitcast"
+    if source.is_integer and target.is_fp:
+        return "uitofp" if unsigned else "sitofp"
+    if source.is_float and target.is_integer:
+        return "fptosi"
+    if source.is_float and target.is_float:
+        return "fpext" if target.bits > source.bits else "fptrunc"
+    # vpfloat conversions are always explicit vpconv instructions;
+    # sema restricted the implicit ones to plain assignment already.
+    if source.is_fp and target.is_fp:
+        return "vpconv"
+    if source.is_vpfloat and target.is_integer:
+        return "fptosi"
+    if source.is_pointer and target.is_pointer:
+        return "bitcast"
+    if source.is_pointer and target.is_integer:
+        return "ptrtoint"
+    if source.is_integer and target.is_pointer:
+        return "inttoptr"
+    return None
 
 
 def _double_literal(text: str) -> ConstantFloat:

@@ -77,6 +77,9 @@ from ..ir import (
     VPFloatType,
 )
 from ..observability import CAT_COMPILE, observe
+from ..runtime.interpreter import (ExecutionLimitExceeded, VPRuntimeError,
+                                   _as_bigfloat, _f32, _trunc_div,
+                                   fcmp_value, fdiv, frem, type_format)
 from . import CODEGEN_VERSION
 from .kernels import select_scalar_kernel
 
@@ -146,16 +149,16 @@ class JitRuntime:
 
     # Shared runtime references the emitted prelude picks up; class
     # attributes so every generated module sees one set of objects.
-    f32 = None          # filled below (module import order)
-    trunc_div = None
-    VPR = None
-    XLE = None
+    f32 = staticmethod(_f32)
+    trunc_div = staticmethod(_trunc_div)
+    as_bigfloat = staticmethod(_as_bigfloat)
+    fcmp = staticmethod(fcmp_value)
+    fdiv = staticmethod(fdiv)
+    frem = staticmethod(frem)
+    VPR = VPRuntimeError
+    XLE = ExecutionLimitExceeded
     BigFloat = BigFloat
     RNDN = RNDN
-    fmod = math.fmod
-    copysign = math.copysign
-    inf = math.inf
-    nan = math.nan
 
     def __init__(self, interp, func: Function):
         self.interp = interp
@@ -225,23 +228,6 @@ class JitRuntime:
         if isinstance(v, Function):
             return v
         raise TypeError(f"cannot resolve {type(v).__name__} at bind time")
-
-
-def _bind_runtime_refs() -> None:
-    # Deferred import: repro.runtime.interpreter imports this package
-    # lazily from inside a method, so importing it back at call time is
-    # cycle-free; doing it at module import keeps direct `import
-    # repro.codegen.pyjit` working too.
-    from ..runtime.interpreter import (ExecutionLimitExceeded,
-                                       VPRuntimeError, _f32, _trunc_div)
-
-    JitRuntime.f32 = staticmethod(_f32)
-    JitRuntime.trunc_div = staticmethod(_trunc_div)
-    JitRuntime.VPR = VPRuntimeError
-    JitRuntime.XLE = ExecutionLimitExceeded
-
-
-_bind_runtime_refs()
 
 
 def mpfr_fast_path(interp):
@@ -376,16 +362,14 @@ _srel = _mem.stack_release
 _VPR = R.VPR
 _XLE = R.XLE
 _BF = R.BigFloat
-_AB = _interp._as_bigfloat
+_AB = R.as_bigfloat
 _f32 = R.f32
-_fcmpv = _interp._fcmp_values
+_fcmpv = R.fcmp
 _cast = _interp._cast_value
 _call = _interp.call_function
 _tdiv = R.trunc_div
-_fmod = R.fmod
-_copysign = R.copysign
-_INF = R.inf
-_NAN = R.nan
+_fdiv = R.fdiv
+_frem = R.frem
 _mreg = _interp.metrics
 _MET = _mreg is not None
 if _MET:
@@ -438,7 +422,7 @@ class FunctionEmitter:
             if not all(isinstance(a, ConstantInt) for a in attrs):
                 return False
             try:
-                self.interp.vp_config(type_, None)
+                type_format(type_)
             except Exception:
                 # Statically invalid attrs: fall back so the legacy
                 # walker surfaces the validation error at execution.
@@ -794,7 +778,7 @@ class FunctionEmitter:
             raise _Unsupported("posit vp arithmetic")
         if not self._vp_static_ok(vptype):
             raise _Unsupported("dynamic vpfloat attributes")
-        prec = self.interp.vp_config(vptype, None)[0]
+        prec = type_format(vptype).prec
         self._charge("vpfloat_native", "f64_other", max(1, prec // 64))
         self._vp_telemetry(op, prec, 0)
         if vptype.format == "mpfr":
@@ -817,12 +801,11 @@ class FunctionEmitter:
         if op in _FLOAT_SYMS:
             expr = f"{a} {_FLOAT_SYMS[op]} {b}"
         elif op == "frem":
-            expr = f"_fmod({a}, {b})"
-        else:  # fdiv with C-style inf/nan on division by zero
+            expr = f"_frem({a}, {b})"
+        else:  # fdiv: the runtime's fdiv defines division by zero
             out.append(f"_x = {a}")
             out.append(f"_y = {b}")
-            expr = ("_x / _y if _y != 0.0 else "
-                    "(_copysign(_INF, _x) if _x != 0.0 else _NAN)")
+            expr = "_x / _y if _y != 0.0 else _fdiv(_x, _y)"
         out.append(f"{name} = _f32({expr})" if narrow
                    else f"{name} = {expr}")
 
@@ -989,7 +972,7 @@ class FunctionEmitter:
         self._charge("cast", "int_op")
         opcode = inst.opcode
         target = inst.type
-        # The simple conversions transcribe _cast_value's static cases
+        # The simple conversions transcribe cast_value's static cases
         # directly; everything else (fptosi, vpconv, posit rounding)
         # keeps the shared runtime path.
         if opcode == "zext":
@@ -1015,7 +998,7 @@ class FunctionEmitter:
                 number += f" & {(1 << inst.source.type.bits) - 1}"
             if target.is_vpfloat:
                 if target.format != "posit":
-                    prec = self.interp.vp_config(target, None)[0]
+                    prec = type_format(target).prec
                     out.append(f"{name} = _BF.from_int({number}, {prec})")
                     return
             elif target.bits == 32:

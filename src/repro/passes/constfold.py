@@ -1,18 +1,22 @@
 """Constant folding + algebraic instruction simplification.
 
-Folds integer/float/vpfloat constant expressions (vpfloat folding uses the
-correctly-rounded BigFloat kernels at the type's static precision, so the
-compiler's compile-time arithmetic agrees with runtime MPFR results) and
-applies identity simplifications (x+0, x*1, x*0 for integers, branches on
-constants are left to SimplifyCFG).
+Folds integer/float/vpfloat constant expressions through the runtime's
+op functions (``repro.runtime.interpreter``: ``int_binary``,
+``float_binary``, ``vp_binary``, ``icmp_value``, ``fcmp_value``,
+``cast_value``), applied to each constant's runtime value, so a folded
+value is the one the program computes unoptimized.  An op is left in
+place where it traps at runtime, or where no constant of its type holds
+its value (a vpfloat constant is rounded into its format on use).  It
+also applies identity simplifications (x+0, x*1, x*0 for integers;
+branches on constants are left to SimplifyCFG).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..bigfloat import BigFloat, RNDN, arith
 from ..ir import (
+    I1,
     BinaryInst,
     CastInst,
     Constant,
@@ -24,9 +28,20 @@ from ..ir import (
     Function,
     ICmpInst,
     Instruction,
-    IntType,
     SelectInst,
     Value,
+)
+from ..runtime.interpreter import (
+    VPRuntimeError,
+    cast_value,
+    constant_of,
+    constant_value,
+    fcmp_value,
+    float_binary,
+    icmp_value,
+    int_binary,
+    type_format,
+    vp_binary,
 )
 from .pass_manager import FunctionPass
 
@@ -58,12 +73,30 @@ def fold_instruction(inst: Instruction) -> Optional[Value]:
         if isinstance(operand, ConstantFloat):
             return ConstantFloat(operand.type, -operand.value)
         if isinstance(operand, ConstantVPFloat):
-            return ConstantVPFloat(operand.type, -operand.value)
+            negated = ConstantVPFloat(operand.type, -operand.value)
+            if not operand.type.is_static:
+                # Unresolvable here, but negating the literal is exact
+                # and rounding to nearest commutes with negation.
+                return negated
+            return _evaluate(operand.type, lambda: -_runtime_value(operand),
+                             negated)
         return None
     if isinstance(inst, ICmpInst):
-        return _fold_icmp(inst)
+        a, b = inst.operands
+        if isinstance(a, ConstantInt) and isinstance(b, ConstantInt):
+            return ConstantInt(I1, icmp_value(inst.predicate, a.value,
+                                              b.value, a.type.bits))
+        if a is b and inst.predicate in ("eq", "sle", "sge", "ule", "uge"):
+            return ConstantInt(I1, 1)
+        if a is b and inst.predicate in ("ne", "slt", "sgt", "ult", "ugt"):
+            return ConstantInt(I1, 0)
+        return None
     if isinstance(inst, FCmpInst):
-        return _fold_fcmp(inst)
+        a, b = inst.operands
+        if isinstance(a, _FP_CONSTANTS) and isinstance(b, _FP_CONSTANTS):
+            return _evaluate(I1, lambda: fcmp_value(
+                _runtime_value(a), _runtime_value(b), inst.predicate))
+        return None
     if isinstance(inst, CastInst):
         return _fold_cast(inst)
     if isinstance(inst, SelectInst):
@@ -74,33 +107,50 @@ def fold_instruction(inst: Instruction) -> Optional[Value]:
     return None
 
 
+_FP_CONSTANTS = (ConstantFloat, ConstantVPFloat)
+
+
+def _runtime_value(c: Constant):
+    """The value the runtime computes with for constant ``c``."""
+    return constant_value(
+        c, type_format(c.type) if isinstance(c, ConstantVPFloat) else None)
+
+
+def _evaluate(type_, compute, constant=None) -> Optional[Constant]:
+    """A constant of ``type_`` (default: ``compute()``'s value) whose
+    runtime value is ``compute()``'s; None where ``compute`` traps (the
+    trap is kept) or where the constant, rounded into its vpfloat format
+    on use, would not hold that value."""
+    try:
+        value = compute()
+    except VPRuntimeError:
+        return None
+    if constant is None:
+        constant = constant_of(type_, value)
+    if type_.is_vpfloat:
+        held = constant_value(constant, type_format(type_))
+        if not (held.is_nan() and value.is_nan()
+                or held == value and held.sign == value.sign):
+            return None
+    return constant
+
+
 def _fold_binary(inst: BinaryInst) -> Optional[Value]:
     a, b = inst.lhs, inst.rhs
     op = inst.opcode
+    type_ = inst.type
     # Full constant folding.
     if isinstance(a, ConstantInt) and isinstance(b, ConstantInt):
-        return _fold_int(op, a, b, inst.type)
+        return _evaluate(type_, lambda: int_binary(op, a.value, b.value,
+                                                   type_.bits))
     if isinstance(a, ConstantFloat) and isinstance(b, ConstantFloat):
-        return _fold_float(op, a, b)
+        return _evaluate(type_, lambda: float_binary(
+            op, _runtime_value(a), _runtime_value(b), type_.bits))
     if isinstance(a, ConstantVPFloat) and isinstance(b, ConstantVPFloat) \
-            and inst.type.is_vpfloat and inst.type.is_static:
-        prec = inst.type.static_precision
-        kernel = {"fadd": arith.add, "fsub": arith.sub,
-                  "fmul": arith.mul, "fdiv": arith.div}.get(op)
-        if kernel is not None:
-            # Literals are stored at maximum configuration (600 bits);
-            # the runtime rounds them to the format before operating, so
-            # compile-time folding must do the same.
-            lhs = _round_to_format(a.value, inst.type)
-            rhs = _round_to_format(b.value, inst.type)
-            if inst.type.format == "posit":
-                # Tapered semantics: exact-ish intermediate, then round
-                # to the nearest posit (mirrors the interpreter).
-                exact = kernel(lhs, rhs, prec + 8, RNDN)
-                return ConstantVPFloat(inst.type,
-                                       _round_to_format(exact, inst.type))
-            return ConstantVPFloat(
-                inst.type, kernel(lhs, rhs, prec, RNDN))
+            and type_.is_vpfloat:
+        return _evaluate(type_, lambda: vp_binary(
+            op, _runtime_value(a), _runtime_value(b),
+            type_format(type_)))
     # Identities.
     if op == "add":
         if _is_int(b, 0):
@@ -173,200 +223,26 @@ def _float_is_negzero(v: Value) -> bool:
         math.copysign(1.0, v.value) < 0
 
 
-def _fold_int(op: str, a: ConstantInt, b: ConstantInt, type) -> Optional[Value]:
-    from ..runtime.interpreter import _mask_int, _trunc_div
-
-    x, y = a.value, b.value
-    bits = type.bits
-    try:
-        if op == "add":
-            raw = x + y
-        elif op == "sub":
-            raw = x - y
-        elif op == "mul":
-            raw = x * y
-        elif op == "sdiv":
-            raw = _trunc_div(x, y)
-        elif op == "srem":
-            raw = x - _trunc_div(x, y) * y
-        elif op == "udiv":
-            raw = (x & ((1 << bits) - 1)) // (y & ((1 << bits) - 1))
-        elif op == "urem":
-            raw = (x & ((1 << bits) - 1)) % (y & ((1 << bits) - 1))
-        elif op == "and":
-            raw = x & y
-        elif op == "or":
-            raw = x | y
-        elif op == "xor":
-            raw = x ^ y
-        elif op == "shl":
-            raw = x << (y & (bits - 1))
-        elif op == "ashr":
-            raw = x >> (y & (bits - 1))
-        elif op == "lshr":
-            raw = (x & ((1 << bits) - 1)) >> (y & (bits - 1))
-        else:
-            return None
-    except ZeroDivisionError:
-        return None  # preserve the trap
-    return ConstantInt(type, _mask_int(raw, bits))
-
-
-def _fold_float(op: str, a: ConstantFloat, b: ConstantFloat) -> Optional[Value]:
-    import math
-
-    x, y = a.value, b.value
-    if op == "fadd":
-        result = x + y
-    elif op == "fsub":
-        result = x - y
-    elif op == "fmul":
-        result = x * y
-    elif op == "fdiv":
-        if y == 0.0:
-            result = math.nan if x == 0.0 else math.copysign(math.inf, x) \
-                * math.copysign(1.0, y)
-        else:
-            result = x / y
-    elif op == "frem":
-        if y == 0.0:
-            result = math.nan
-        else:
-            result = math.fmod(x, y)
-    else:
-        return None
-    if a.type.bits == 32:
-        from ..runtime.interpreter import _f32
-
-        result = _f32(result)
-    return ConstantFloat(a.type, result)
-
-
-def _fold_icmp(inst: ICmpInst) -> Optional[Value]:
-    from ..ir import I1
-
-    a, b = inst.operands
-    if not (isinstance(a, ConstantInt) and isinstance(b, ConstantInt)):
-        if a is b and inst.predicate in ("eq", "sle", "sge", "ule", "uge"):
-            return ConstantInt(I1, 1)
-        if a is b and inst.predicate in ("ne", "slt", "sgt", "ult", "ugt"):
-            return ConstantInt(I1, 0)
-        return None
-    bits = a.type.bits
-    ua, ub = a.value & ((1 << bits) - 1), b.value & ((1 << bits) - 1)
-    table = {
-        "eq": a.value == b.value, "ne": a.value != b.value,
-        "slt": a.value < b.value, "sle": a.value <= b.value,
-        "sgt": a.value > b.value, "sge": a.value >= b.value,
-        "ult": ua < ub, "ule": ua <= ub, "ugt": ua > ub, "uge": ua >= ub,
-    }
-    return ConstantInt(I1, int(table[inst.predicate]))
-
-
-def _fold_fcmp(inst: FCmpInst) -> Optional[Value]:
-    import math
-
-    from ..ir import I1
-
-    a, b = inst.operands
-    values = []
-    for v in (a, b):
-        if isinstance(v, ConstantFloat):
-            values.append(v.value)
-        elif isinstance(v, ConstantVPFloat):
-            values.append(v.value)
-        else:
-            return None
-    x, y = values
-    if isinstance(x, BigFloat) or isinstance(y, BigFloat):
-        x = x if isinstance(x, BigFloat) else BigFloat.from_float(x, 64)
-        y = y if isinstance(y, BigFloat) else BigFloat.from_float(y, 64)
-        unordered = x.is_nan() or y.is_nan()
-        cmp = 0 if unordered else x.compare(y)
-    else:
-        unordered = math.isnan(x) or math.isnan(y)
-        cmp = 0 if unordered else (-1 if x < y else (1 if x > y else 0))
-    pred = inst.predicate
-    if pred == "ord":
-        return ConstantInt(I1, int(not unordered))
-    if pred == "uno":
-        return ConstantInt(I1, int(unordered))
-    base = {"oeq": cmp == 0, "one": cmp != 0, "olt": cmp < 0, "ole": cmp <= 0,
-            "ogt": cmp > 0, "oge": cmp >= 0, "ueq": cmp == 0,
-            "une": cmp != 0}[pred]
-    if pred.startswith("o"):
-        return ConstantInt(I1, int(base and not unordered))
-    return ConstantInt(I1, int(base or unordered))
-
-
-def _round_to_format(value: BigFloat, vptype) -> BigFloat:
-    """Compile-time rounding must agree with runtime format semantics."""
-    if vptype.format == "mpfr":
-        return value.round_to(vptype.static_precision)
-    if vptype.format == "unum":
-        from ..unum import UnumConfig, decode, encode
-        from ..ir.values import ConstantInt
-
-        size = vptype.size_attr.value if vptype.size_attr is not None else None
-        config = UnumConfig(vptype.exp_attr.value, vptype.prec_attr.value,
-                            size)
-        return decode(encode(value, config), config)
-    from ..unum.posit import PositConfig, posit_round
-
-    config = PositConfig(vptype.exp_attr.value, vptype.prec_attr.value)
-    return posit_round(value, config)
+#: (cast opcode, constant source class) -> the target kinds it folds to.
+_FOLDED_CASTS = {
+    ("sext", ConstantInt): ("int",), ("trunc", ConstantInt): ("int",),
+    ("bitcast", ConstantInt): ("int",), ("zext", ConstantInt): ("int",),
+    ("sitofp", ConstantInt): ("float", "vp"),
+    ("uitofp", ConstantInt): ("float", "vp"),
+    ("fpext", ConstantFloat): ("float",),
+    ("fptrunc", ConstantFloat): ("float",),
+    ("vpconv", ConstantFloat): ("vp",),
+    ("vpconv", ConstantVPFloat): ("float", "vp"),
+}
 
 
 def _fold_cast(inst: CastInst) -> Optional[Value]:
-    source = inst.source
-    target = inst.type
-    if isinstance(source, ConstantInt):
-        if inst.opcode in ("sext", "trunc", "bitcast") and target.is_integer:
-            from ..runtime.interpreter import _mask_int
-
-            return ConstantInt(target, _mask_int(source.value, target.bits))
-        if inst.opcode == "zext" and target.is_integer:
-            bits = source.type.bits
-            return ConstantInt(target, source.value & ((1 << bits) - 1))
-        if inst.opcode in ("sitofp", "uitofp"):
-            number = source.value
-            if inst.opcode == "uitofp":
-                number &= (1 << source.type.bits) - 1
-            if target.is_float:
-                return ConstantFloat(target, float(number))
-            if target.is_vpfloat and target.is_static:
-                return ConstantVPFloat(
-                    target,
-                    _round_to_format(
-                        BigFloat.from_int(number,
-                                          max(64, target.static_precision)),
-                        target))
-    if isinstance(source, ConstantFloat):
-        if inst.opcode in ("fpext", "fptrunc") and target.is_float:
-            value = source.value
-            if target.bits == 32:
-                from ..runtime.interpreter import _f32
-
-                value = _f32(value)
-            return ConstantFloat(target, value)
-        if inst.opcode == "vpconv" and target.is_vpfloat and target.is_static:
-            return ConstantVPFloat(
-                target,
-                _round_to_format(BigFloat.from_float(source.value, 64),
-                                 target))
-    if isinstance(source, ConstantVPFloat) and inst.opcode == "vpconv":
-        if target.is_vpfloat and target.is_static:
-            return ConstantVPFloat(
-                target, _round_to_format(source.value, target))
-        if target.is_float:
-            if not source.type.is_static:
-                return None  # representable set unknown at compile time
-            # The stored literal may carry more bits than the source type
-            # can represent: round to the format first (the runtime does).
-            value = _round_to_format(source.value, source.type).to_float()
-            if target.bits == 32:
-                from ..runtime.interpreter import _f32
-
-                value = _f32(value)
-            return ConstantFloat(target, value)
-    return None
+    source, target = inst.source, inst.type
+    kind = ("int" if target.is_integer else "float" if target.is_float
+            else "vp" if target.is_vpfloat else None)
+    if kind not in _FOLDED_CASTS.get((inst.opcode, type(source)), ()):
+        return None
+    return _evaluate(target, lambda: cast_value(
+        inst.opcode, _runtime_value(source), getattr(source.type, "bits", 0),
+        getattr(target, "bits", 0),
+        type_format(target) if kind == "vp" else None))

@@ -7,6 +7,10 @@ calling ``mpfr_*``; Boost-baseline code), charging modeled cycles to a
 
 Runtime semantics:
 
+- the value of each scalar op is one module-level function
+  (``int_binary``, ``float_binary``, ``vp_binary``, ``icmp_value``,
+  ``fcmp_value``, ``cast_value``), which constant folding, the jit and
+  the UNUM machine share;
 - integers wrap at their declared width; ``float`` (binary32) values are
   re-rounded through IEEE single precision after every operation;
 - vpfloat SSA values are :class:`~repro.bigfloat.BigFloat`s computed at
@@ -25,9 +29,11 @@ Runtime semantics:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import struct
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .. import bigfloat
 from ..bigfloat import BigFloat, MpfrLibrary, RNDN, arith
@@ -75,8 +81,9 @@ from ..observability import (
     current_metrics,
     current_tracer,
 )
-from ..unum import UnumConfig, UnumConfigError
-from ..unum.posit import PositConfig, PositConfigError, posit_round
+from ..unum import (UnumConfig, UnumConfigError, decode as unum_decode,
+                    encode as unum_encode)
+from ..unum.posit import PositConfig, posit_round
 from .cost_model import CacheModel, CostAccounting
 from .memory import Memory
 
@@ -119,6 +126,297 @@ def _mask_int(value: int, bits: int) -> int:
     if bits > 1 and value >> (bits - 1):
         value -= 1 << bits
     return value
+
+
+# ---------------------------------------------------------------- #
+# The value of each scalar IR op.  The walker resolves a type's
+# attributes (and charges cycles), then calls these; constfold calls
+# them on constant operands, so a folded value is the runtime's value.
+# They raise VPRuntimeError where the program traps.
+# ---------------------------------------------------------------- #
+
+class VPFormat(NamedTuple):
+    """A vpfloat type with its attributes resolved."""
+
+    format: str      # "mpfr", "posit" or "unum"
+    prec: int        # working precision of one value, in bits
+    size: int        # bytes in memory
+    exp_bits: int    # the exp-info attribute (MPFR exponent clamp)
+    config: object   # the PositConfig / UnumConfig; None for mpfr
+
+
+@functools.lru_cache(maxsize=None)
+def vp_format(fmt: str, exp: int, prec: int,
+              size: Optional[int] = None) -> VPFormat:
+    """Resolve ``vpfloat<fmt, exp, prec[, size]>``; out-of-range
+    attributes trap (the paper's correctness-first choice)."""
+    try:
+        if fmt == "posit":
+            config = PositConfig(exp, prec)
+            # Working precision of the exact intermediate; the tapered
+            # rounding to the format happens per operation.
+            return VPFormat(fmt, config.max_fraction_bits + 1,
+                            config.size_bytes, exp, config)
+        if fmt == "unum":
+            config = UnumConfig(exp, prec, size or None)
+            return VPFormat(fmt, config.precision, config.size_bytes, exp,
+                            config)
+        _validate_mpfr_attrs(exp, prec)
+    except ValueError as e:  # PositConfigError, UnumConfigError too
+        raise VPRuntimeError(str(e)) from e
+    return VPFormat(fmt, prec, 24 + bigfloat.limb_bytes(prec), exp, None)
+
+
+def _as_bigfloat(value, prec: int) -> BigFloat:
+    if isinstance(value, BigFloat):
+        return value
+    if isinstance(value, float):
+        return BigFloat.from_float(value, max(prec, 53))
+    if isinstance(value, int):
+        return BigFloat.from_int(value, max(prec, 64))
+    raise VPRuntimeError(f"cannot coerce {type(value).__name__} to vpfloat")
+
+
+def vp_round(value: BigFloat, fmt: VPFormat) -> BigFloat:
+    """``value`` rounded into the format, as a constant is on use."""
+    if fmt.format == "posit":
+        return posit_round(value, fmt.config)
+    if fmt.format == "unum":
+        return unum_decode(unum_encode(value, fmt.config), fmt.config)
+    return value.round_to(fmt.prec)
+
+
+def constant_value(c: Constant, fmt: Optional[VPFormat] = None):
+    """The value an integer, float or vpfloat constant has at runtime:
+    a ``float`` constant rounds to binary32, and a vpfloat literal
+    (stored at literal precision) into its type's format ``fmt``."""
+    if isinstance(c, ConstantVPFloat):
+        return vp_round(c.value, fmt)
+    if isinstance(c, ConstantFloat):
+        return _f32(c.value) if c.type.bits == 32 else c.value
+    return c.value
+
+
+def constant_of(type_, value) -> Constant:
+    """The constant of scalar ``type_`` holding the runtime ``value``."""
+    if type_.is_integer:
+        return ConstantInt(type_, value)
+    if type_.is_float:
+        return ConstantFloat(type_, value)
+    return ConstantVPFloat(type_, value)
+
+
+def _attr_value(attr: Value, frame: Optional["Frame"]) -> int:
+    if isinstance(attr, ConstantInt):
+        return attr.value
+    if frame is None:
+        raise VPRuntimeError("dynamic vpfloat attribute outside a frame")
+    return int(frame.get(attr))
+
+
+def type_format(vptype: VPFloatType,
+                frame: Optional["Frame"] = None) -> VPFormat:
+    """``vptype`` resolved against its attribute values: constants, or
+    the values bound in ``frame``, read fresh on every call (a frame
+    that mutates a dynamic attribute mid-loop resolves against the
+    *current* value); only ``vp_format`` caches, by attribute value."""
+    size = vptype.size_attr
+    return vp_format(vptype.format, _attr_value(vptype.exp_attr, frame),
+                     _attr_value(vptype.prec_attr, frame),
+                     None if size is None else _attr_value(size, frame))
+
+
+def clamp_exponent(value: BigFloat, exp_bits: int) -> BigFloat:
+    """Enforce the declared exponent-field width (the *exp-info*
+    attribute): finite results whose MPFR-style exponent exceeds the
+    signed range overflow to infinity / underflow to zero, like
+    mpfr_set_emin/emax would arrange."""
+    if not value.is_finite() or value.is_zero():
+        return value
+    limit = 1 << (exp_bits - 1)
+    exponent = value.exponent()
+    if exponent > limit:
+        return BigFloat.inf(value.prec, value.sign)
+    if exponent < -limit:
+        return BigFloat.zero(value.prec, value.sign)
+    return value
+
+
+_VP_KERNELS = {"fadd": arith.add, "fsub": arith.sub, "fmul": arith.mul,
+               "fdiv": arith.div}
+
+
+def vp_binary(op: str, a, b, fmt: VPFormat) -> BigFloat:
+    """vpfloat ``a op b``: posit works at ``prec + 8`` bits, then rounds
+    to the nearest posit; mpfr results take the exponent clamp."""
+    kernel = _VP_KERNELS.get(op)
+    if kernel is None:
+        raise VPRuntimeError(f"{op} unsupported on vpfloat")
+    if fmt.format == "posit":
+        work = fmt.prec + 8
+        return posit_round(kernel(_as_bigfloat(a, work),
+                                  _as_bigfloat(b, work), work, RNDN),
+                           fmt.config)
+    prec = fmt.prec
+    result = kernel(_as_bigfloat(a, prec), _as_bigfloat(b, prec), prec, RNDN)
+    if fmt.format == "mpfr":
+        result = clamp_exponent(result, fmt.exp_bits)
+    return result
+
+
+def int_binary(op: str, a: int, b: int, bits: int) -> int:
+    """C integer ``a op b`` at ``bits``: wraps, truncating division,
+    shift counts modulo the width; division by zero traps."""
+    mask = (1 << bits) - 1
+    if op == "add":
+        raw = a + b
+    elif op == "sub":
+        raw = a - b
+    elif op == "mul":
+        raw = a * b
+    elif op in ("sdiv", "srem"):
+        if b == 0:
+            raise VPRuntimeError("integer division by zero" if op == "sdiv"
+                                 else "integer remainder by zero")
+        q = _trunc_div(a, b)  # C truncation semantics
+        raw = q if op == "sdiv" else a - q * b
+    elif op in ("udiv", "urem"):
+        ua, ub = a & mask, b & mask
+        if ub == 0:
+            raise VPRuntimeError("integer division by zero" if op == "udiv"
+                                 else "integer remainder by zero")
+        raw = ua // ub if op == "udiv" else ua % ub
+    elif op == "and":
+        raw = a & b
+    elif op == "or":
+        raw = a | b
+    elif op == "xor":
+        raw = a ^ b
+    elif op == "shl":
+        raw = a << (b & (bits - 1))
+    elif op == "ashr":
+        raw = a >> (b & (bits - 1))
+    elif op == "lshr":
+        raw = (a & mask) >> (b & (bits - 1))
+    else:
+        raise VPRuntimeError(f"unknown integer op {op}")
+    return _mask_int(raw, bits)
+
+
+def fdiv(a: float, b: float) -> float:
+    """IEEE ``a / b``: ``x / ±0`` is an infinity signed by the XOR of
+    the operand signs, and ``0 / 0`` and ``NaN / 0`` are NaN."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a != a or a == 0.0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def frem(a: float, b: float) -> float:
+    """C ``fmod``: ``x rem ±0`` and ``±inf rem y`` are NaN."""
+    try:
+        return math.fmod(a, b)
+    except ValueError:
+        return math.nan
+
+
+_FLOAT_OPS = {"fadd": operator.add, "fsub": operator.sub,
+              "fmul": operator.mul, "fdiv": fdiv, "frem": frem}
+
+
+def float_binary(op: str, a: float, b: float, bits: int) -> float:
+    """IEEE ``a op b`` in binary64, re-rounded to binary32 at 32 bits."""
+    result = _FLOAT_OPS[op](a, b)
+    return _f32(result) if bits == 32 else result
+
+
+_ICMPS = {"eq": operator.eq, "ne": operator.ne, "slt": operator.lt,
+          "sle": operator.le, "sgt": operator.gt, "sge": operator.ge,
+          "ult": operator.lt, "ule": operator.le, "ugt": operator.gt,
+          "uge": operator.ge}
+
+
+def icmp_value(pred: str, a: int, b: int, bits: int) -> int:
+    """``icmp pred`` on ``bits``-wide integers: 1 or 0."""
+    if pred[0] == "u":
+        mask = (1 << bits) - 1
+        a &= mask
+        b &= mask
+    return 1 if _ICMPS[pred](a, b) else 0
+
+
+#: fcmp predicate -> its value when a < b, a == b, a > b, unordered.
+_FCMPS = {"oeq": (0, 1, 0, 0), "one": (1, 0, 1, 0), "olt": (1, 0, 0, 0),
+          "ole": (1, 1, 0, 0), "ogt": (0, 0, 1, 0), "oge": (0, 1, 1, 0),
+          "ueq": (0, 1, 0, 1), "une": (1, 0, 1, 1), "ord": (1, 1, 1, 0),
+          "uno": (0, 0, 0, 1)}
+
+
+def fcmp_value(a, b, pred: str) -> int:
+    """``fcmp pred`` on IEEE or vpfloat operands: 1 or 0."""
+    row = _FCMPS[pred]
+    if isinstance(a, BigFloat) or isinstance(b, BigFloat):
+        a = _as_bigfloat(a, 64)
+        b = _as_bigfloat(b, 64)
+        if a.is_nan() or b.is_nan():
+            return row[3]
+        return row[a.compare(b) + 1]
+    if a != a or b != b:
+        return row[3]
+    return row[0] if a < b else row[2] if a > b else row[1]
+
+
+def cast_value(opcode: str, value, src_bits: int, dst_bits: int,
+               fmt: Optional[VPFormat] = None):
+    """``opcode`` applied to ``value``: ``src_bits``/``dst_bits`` are the
+    integer or IEEE widths of the source and target, ``fmt`` the
+    resolved format of a vpfloat target."""
+    if opcode == "zext":
+        return value & ((1 << src_bits) - 1)
+    if opcode in ("sext", "trunc"):
+        return _mask_int(int(value), dst_bits)
+    if opcode == "bitcast":
+        return value
+    if opcode in ("ptrtoint", "inttoptr"):
+        return int(value)
+    if opcode in ("sitofp", "uitofp"):
+        value = int(value)
+        if opcode == "uitofp":
+            value &= (1 << src_bits) - 1
+        if fmt is not None:
+            if fmt.format == "posit":
+                return posit_round(
+                    BigFloat.from_int(value, max(fmt.prec + 8, 64)),
+                    fmt.config)
+            return BigFloat.from_int(value, fmt.prec)
+        result = float(value)
+        return _f32(result) if dst_bits == 32 else result
+    if opcode == "fptosi":
+        if isinstance(value, BigFloat):
+            if not value.is_finite():
+                raise VPRuntimeError("fptosi of non-finite vpfloat")
+            return _mask_int(value.to_int(), dst_bits)
+        return _mask_int(int(value), dst_bits)
+    if opcode in ("fpext", "fptrunc"):
+        return _f32(value) if dst_bits == 32 else float(value)
+    if opcode == "vpconv":
+        if isinstance(value, int) and not isinstance(value, bool):
+            raise VPRuntimeError(
+                "vpconv applied to a raw pointer/integer -- a backend "
+                "lowering left a stale conversion behind"
+            )
+        if fmt is not None:
+            if fmt.format == "posit":
+                return posit_round(_as_bigfloat(value, fmt.prec + 8),
+                                   fmt.config)
+            return _as_bigfloat(value, fmt.prec).round_to(fmt.prec)
+        # vpfloat -> IEEE
+        result = value.to_float() if isinstance(value, BigFloat) \
+            else float(value)
+        return _f32(result) if dst_bits == 32 else result
+    raise VPRuntimeError(f"unknown cast {opcode}")
 
 
 class Frame:
@@ -197,9 +495,6 @@ class Interpreter:
         #: (id(constant), attrs) -> rounded BigFloat; constants are pinned
         #: by the module so ids are stable.
         self._const_cache: Dict[tuple, BigFloat] = {}
-        self._posit_config_cache: Dict[tuple, PositConfig] = {}
-        self._unum_config_cache: Dict[tuple, UnumConfig] = {}
-        self._validated_mpfr_attrs: set = set()
         self._mpfr_cost_cache: Dict[tuple, int] = {}
         #: Shared codegen artifact store (jit engine): lets warm runs of
         #: a cached program skip re-emission.  Lazily created when the
@@ -243,73 +538,9 @@ class Interpreter:
     # Type helpers (frame needed for dynamic vpfloat attributes)
     # ------------------------------------------------------------ #
 
-    def _attr(self, attr: Value, frame: Optional[Frame]) -> int:
-        if isinstance(attr, ConstantInt):
-            return attr.value
-        if frame is None:
-            raise VPRuntimeError("dynamic vpfloat attribute outside a frame")
-        return int(frame.get(attr))
-
-    def vp_config(self, vptype: VPFloatType, frame: Optional[Frame]):
-        """(precision_bits, size_bytes) for a vpfloat type at runtime.
-
-        Attribute values are always read fresh (from the type's constant
-        or the current frame), so a frame that mutates a dynamic
-        attribute mid-loop resolves against the *current* value; only
-        the derived config objects are cached, keyed by attribute value.
-        """
-        if vptype.format == "posit":
-            config = self._posit_config(self._attr(vptype.exp_attr, frame),
-                                        self._attr(vptype.prec_attr, frame))
-            # Working precision for the exact intermediate; the tapered
-            # rounding to the format happens per operation.
-            return config.max_fraction_bits + 1, config.size_bytes
-        if vptype.format == "unum":
-            config = self._unum_config(vptype, frame)
-            return config.precision, config.size_bytes
-        exp = self._attr(vptype.exp_attr, frame)
-        prec = self._attr(vptype.prec_attr, frame)
-        key = (exp, prec)
-        if key not in self._validated_mpfr_attrs:
-            try:
-                _validate_mpfr_attrs(exp, prec)
-            except ValueError as e:
-                raise VPRuntimeError(str(e)) from e
-            self._validated_mpfr_attrs.add(key)
-        return prec, 24 + bigfloat.limb_bytes(prec)
-
-    def _posit_config(self, es: int, max_bits: int) -> PositConfig:
-        key = (es, max_bits)
-        config = self._posit_config_cache.get(key)
-        if config is None:
-            try:
-                config = PositConfig(es, max_bits)
-            except PositConfigError as e:
-                raise VPRuntimeError(str(e)) from e
-            self._posit_config_cache[key] = config
-        return config
-
-    def _unum_config(self, vptype: VPFloatType,
-                     frame: Optional[Frame]) -> UnumConfig:
-        ess = self._attr(vptype.exp_attr, frame)
-        fss = self._attr(vptype.prec_attr, frame)
-        size = (self._attr(vptype.size_attr, frame)
-                if vptype.size_attr is not None else None)
-        if size == 0:
-            size = None
-        key = (ess, fss, size)
-        config = self._unum_config_cache.get(key)
-        if config is None:
-            try:
-                config = UnumConfig(ess, fss, size)
-            except UnumConfigError as e:
-                raise VPRuntimeError(str(e)) from e
-            self._unum_config_cache[key] = config
-        return config
-
     def _sizeof(self, type, frame: Optional[Frame]) -> int:
         if isinstance(type, VPFloatType):
-            return self.vp_config(type, frame)[1]
+            return type_format(type, frame).size
         if isinstance(type, ArrayType):
             return type.count * self._sizeof(type.element, frame)
         if isinstance(type, StructType):
@@ -322,8 +553,7 @@ class Interpreter:
         if isinstance(type, FloatType):
             return 0.0
         if isinstance(type, VPFloatType):
-            prec, _ = self.vp_config(type, frame)
-            return BigFloat.zero(prec)
+            return BigFloat.zero(type_format(type, frame).prec)
         if isinstance(type, PointerType):
             return 0
         return 0
@@ -337,22 +567,14 @@ class Interpreter:
         if isinstance(c, ConstantInt):
             return c.value
         if isinstance(c, ConstantFloat):
-            return _f32(c.value) if c.type.bits == 32 else c.value
+            return constant_value(c)
         if isinstance(c, ConstantVPFloat):
-            prec, _ = self.vp_config(c.type, frame)
-            key = (id(c), prec)
+            fmt = type_format(c.type, frame)
+            key = (id(c), fmt.prec)
             cached = self._const_cache.get(key)
             if cached is not None:
                 return cached
-            if c.type.format == "posit":
-                rounded = self._posit_round(c.value, c.type, frame)
-            elif c.type.format == "unum":
-                from ..unum import decode as _ud, encode as _ue
-
-                config = self._unum_config(c.type, frame)
-                rounded = _ud(_ue(c.value, config), config)
-            else:
-                rounded = c.value.round_to(prec)
+            rounded = constant_value(c, fmt)
             self._const_cache[key] = rounded
             return rounded
         if isinstance(c, ConstantPointerNull):
@@ -581,218 +803,51 @@ class Interpreter:
         a = self._value(inst.lhs, frame)
         b = self._value(inst.rhs, frame)
         op = inst.opcode
+        type_ = inst.type
         costs = self.accounting.costs
-        if inst.type.is_vpfloat:
-            prec, _ = self.vp_config(inst.type, frame)
-            kernel = {"fadd": arith.add, "fsub": arith.sub,
-                      "fmul": arith.mul, "fdiv": arith.div}.get(op)
-            if kernel is None:
-                raise VPRuntimeError(f"{op} unsupported on vpfloat")
-            work = prec + 8 if inst.type.format == "posit" else prec
+        if type_.is_vpfloat:
+            fmt = type_format(type_, frame)
+            prec = fmt.prec
             registry = self.metrics
             if registry is not None:
                 registry.observe(f"precision.op.{op}.bits", prec)
-                registry.observe("precision.guard_bits", work - prec)
+                registry.observe("precision.guard_bits",
+                                 8 if fmt.format == "posit" else 0)
                 registry.inc("precision.rounding." + RNDN.value)
-            a = self._as_bigfloat(a, work)
-            b = self._as_bigfloat(b, work)
             words = max(1, prec // 64)
             self.accounting.charge("vpfloat_native",
                                    costs.f64_other * words)
-            result = kernel(a, b, work, RNDN)
-            if inst.type.format == "posit":
-                # Tapered rounding: round the exact result to the nearest
-                # representable posit.
-                result = self._posit_round(result, inst.type, frame)
-            elif inst.type.format == "mpfr":
-                result = self._clamp_mpfr_exponent(result, inst.type, frame)
-            return result
-        if inst.type.is_float:
-            table = {"fadd": lambda: a + b, "fsub": lambda: a - b,
-                     "fmul": lambda: a * b, "frem": lambda: math.fmod(a, b),
-                     "fdiv": lambda: (a / b if b != 0.0 else
-                                      math.copysign(math.inf, a)
-                                      if a != 0.0 else math.nan)}
-            result = table[op]()
+            return vp_binary(op, a, b, fmt)
+        if type_.is_float:
+            result = float_binary(op, a, b, type_.bits)
             cost = {"fadd": costs.f64_add, "fsub": costs.f64_add,
                     "fmul": costs.f64_mul, "fdiv": costs.f64_div,
                     "frem": costs.f64_div}[op]
             self.accounting.charge("f64", cost)
-            return _f32(result) if inst.type.bits == 32 else result
-        # Integer ops.
+            return result
         self.accounting.charge("int", costs.int_op)
-        bits = inst.type.bits
-        ua = a & ((1 << bits) - 1)
-        ub = b & ((1 << bits) - 1)
-        if op == "add":
-            raw = a + b
-        elif op == "sub":
-            raw = a - b
-        elif op == "mul":
-            raw = a * b
-        elif op == "sdiv":
-            if b == 0:
-                raise VPRuntimeError("integer division by zero")
-            raw = _trunc_div(a, b)  # C truncation semantics
-        elif op == "srem":
-            if b == 0:
-                raise VPRuntimeError("integer remainder by zero")
-            raw = a - _trunc_div(a, b) * b
-        elif op == "udiv":
-            if ub == 0:
-                raise VPRuntimeError("integer division by zero")
-            raw = ua // ub
-        elif op == "urem":
-            if ub == 0:
-                raise VPRuntimeError("integer remainder by zero")
-            raw = ua % ub
-        elif op == "and":
-            raw = a & b
-        elif op == "or":
-            raw = a | b
-        elif op == "xor":
-            raw = a ^ b
-        elif op == "shl":
-            raw = a << (b & (bits - 1))
-        elif op == "ashr":
-            raw = a >> (b & (bits - 1))
-        elif op == "lshr":
-            raw = ua >> (b & (bits - 1))
-        else:
-            raise VPRuntimeError(f"unknown integer op {op}")
-        return _mask_int(raw, bits)
-
-    def _clamp_mpfr_exponent(self, value: BigFloat, vptype,
-                             frame) -> BigFloat:
-        """Enforce the declared exponent-field width (the *exp-info*
-        attribute): finite results whose MPFR-style exponent exceeds the
-        signed range overflow to infinity / underflow to zero, like
-        mpfr_set_emin/emax would arrange."""
-        if not value.is_finite() or value.is_zero():
-            return value
-        exp_bits = self._attr(vptype.exp_attr, frame)
-        limit = 1 << (exp_bits - 1)
-        exponent = value.exponent()
-        if exponent > limit:
-            return BigFloat.inf(value.prec, value.sign)
-        if exponent < -limit:
-            return BigFloat.zero(value.prec, value.sign)
-        return value
-
-    def _posit_round(self, value: BigFloat, vptype, frame) -> BigFloat:
-        # Attributes are read from the frame on every call (they may be
-        # dynamic and change between iterations); only the validated
-        # PositConfig object is cached, keyed by attribute value.
-        config = self._posit_config(self._attr(vptype.exp_attr, frame),
-                                    self._attr(vptype.prec_attr, frame))
-        return posit_round(value, config)
-
-    def _as_bigfloat(self, value, prec: int) -> BigFloat:
-        if isinstance(value, BigFloat):
-            return value
-        if isinstance(value, float):
-            return BigFloat.from_float(value, max(prec, 53))
-        if isinstance(value, int):
-            return BigFloat.from_int(value, max(prec, 64))
-        raise VPRuntimeError(f"cannot coerce {type(value).__name__} to vpfloat")
+        return int_binary(op, a, b, type_.bits)
 
     def _icmp(self, inst: ICmpInst, frame: Frame) -> int:
-        a = self._value(inst.operands[0], frame)
-        b = self._value(inst.operands[1], frame)
-        bits = inst.operands[0].type.bits \
-            if inst.operands[0].type.is_integer else 64
-        ua = a & ((1 << bits) - 1)
-        ub = b & ((1 << bits) - 1)
-        pred = inst.predicate
-        table = {
-            "eq": a == b, "ne": a != b,
-            "slt": a < b, "sle": a <= b, "sgt": a > b, "sge": a >= b,
-            "ult": ua < ub, "ule": ua <= ub, "ugt": ua > ub, "uge": ua >= ub,
-        }
-        return 1 if table[pred] else 0
+        lhs = inst.operands[0]
+        return icmp_value(inst.predicate, self._value(lhs, frame),
+                          self._value(inst.operands[1], frame),
+                          lhs.type.bits if lhs.type.is_integer else 64)
 
     def _fcmp(self, inst: FCmpInst, frame: Frame) -> int:
-        return self._fcmp_values(self._value(inst.operands[0], frame),
-                                 self._value(inst.operands[1], frame),
-                                 inst.predicate)
-
-    def _fcmp_values(self, a, b, pred: str) -> int:
-        if isinstance(a, BigFloat) or isinstance(b, BigFloat):
-            prec = 64
-            a = self._as_bigfloat(a, prec)
-            b = self._as_bigfloat(b, prec)
-            unordered = a.is_nan() or b.is_nan()
-            cmp = 0 if unordered else a.compare(b)
-        else:
-            unordered = math.isnan(a) or math.isnan(b)
-            cmp = 0 if unordered else (-1 if a < b else (1 if a > b else 0))
-        if pred == "ord":
-            return 0 if unordered else 1
-        if pred == "uno":
-            return 1 if unordered else 0
-        ordered_result = {
-            "oeq": cmp == 0, "one": cmp != 0, "olt": cmp < 0,
-            "ole": cmp <= 0, "ogt": cmp > 0, "oge": cmp >= 0,
-            "ueq": cmp == 0, "une": cmp != 0,
-        }[pred]
-        if pred.startswith("o"):
-            return 0 if unordered else (1 if ordered_result else 0)
-        return 1 if (unordered or ordered_result) else 0
+        return fcmp_value(self._value(inst.operands[0], frame),
+                          self._value(inst.operands[1], frame),
+                          inst.predicate)
 
     def _cast(self, inst: CastInst, frame: Frame):
         return self._cast_value(inst, self._value(inst.source, frame), frame)
 
-    def _cast_value(self, inst: CastInst, value, frame: Frame):
-        opcode = inst.opcode
+    def _cast_value(self, inst: CastInst, value, frame: Optional[Frame]):
         target = inst.type
-        if opcode in ("zext", "sext", "trunc"):
-            bits = target.bits
-            if opcode == "zext":
-                src_bits = inst.source.type.bits
-                return value & ((1 << src_bits) - 1)
-            return _mask_int(int(value), bits)
-        if opcode == "bitcast":
-            return value
-        if opcode in ("ptrtoint", "inttoptr"):
-            return int(value)
-        if opcode in ("sitofp", "uitofp"):
-            value = int(value)
-            if opcode == "uitofp":
-                value &= (1 << inst.source.type.bits) - 1
-            if target.is_vpfloat:
-                prec, _ = self.vp_config(target, frame)
-                if target.format == "posit":
-                    return self._posit_round(
-                        BigFloat.from_int(value, max(prec + 8, 64)),
-                        target, frame)
-                return BigFloat.from_int(value, prec)
-            result = float(value)
-            return _f32(result) if target.bits == 32 else result
-        if opcode == "fptosi":
-            if isinstance(value, BigFloat):
-                if not value.is_finite():
-                    raise VPRuntimeError("fptosi of non-finite vpfloat")
-                return _mask_int(value.to_int(), target.bits)
-            return _mask_int(int(value), target.bits)
-        if opcode in ("fpext", "fptrunc"):
-            return _f32(value) if target.bits == 32 else float(value)
-        if opcode == "vpconv":
-            if isinstance(value, int) and not isinstance(value, bool):
-                raise VPRuntimeError(
-                    "vpconv applied to a raw pointer/integer -- a backend "
-                    "lowering left a stale conversion behind"
-                )
-            if target.is_vpfloat:
-                prec, _ = self.vp_config(target, frame)
-                if target.format == "posit":
-                    return self._posit_round(
-                        self._as_bigfloat(value, prec + 8), target, frame)
-                return self._as_bigfloat(value, prec).round_to(prec)
-            # vpfloat -> IEEE
-            result = value.to_float() if isinstance(value, BigFloat) \
-                else float(value)
-            return _f32(result) if target.bits == 32 else result
-        raise VPRuntimeError(f"unknown cast {opcode}")
+        return cast_value(
+            inst.opcode, value, getattr(inst.source.type, "bits", 0),
+            getattr(target, "bits", 0),
+            type_format(target, frame) if target.is_vpfloat else None)
 
     def _gep(self, inst: GEPInst, frame: Frame) -> int:
         addr = int(self._value(inst.pointer, frame))
@@ -981,9 +1036,8 @@ class Interpreter:
             def handler(args, inst, frame):
                 result_type = inst.type
                 is_vp = result_type.is_vpfloat
-                prec, _ = self.vp_config(result_type, frame) \
-                    if is_vp else (53, 8)
-                operands = [self._as_bigfloat(a, prec) for a in args]
+                prec = type_format(result_type, frame).prec if is_vp else 53
+                operands = [_as_bigfloat(a, prec) for a in args]
                 words = max(1, prec // 64)
                 charge("vp_math",
                        costs.f64_div * (words * words if quadratic else words))
@@ -1004,16 +1058,16 @@ class Interpreter:
             def handler(args, inst, frame):
                 result_type = inst.type
                 is_vp = result_type.is_vpfloat
-                prec, _ = self.vp_config(result_type, frame) \
-                    if is_vp else (53, 8)
-                work = prec + 8 if (is_vp and
-                                    result_type.format == "posit") else prec
-                a, bb, c = (self._as_bigfloat(v, work) for v in args)
+                fmt = type_format(result_type, frame) if is_vp else None
+                prec = fmt.prec if is_vp else 53
+                work = prec + 8 if (is_vp and fmt.format == "posit") \
+                    else prec
+                a, bb, c = (_as_bigfloat(v, work) for v in args)
                 words = max(1, prec // 64)
                 charge("vp_math", costs.f64_mul * words * words)
                 result = kernel(a, bb, c, work)
                 if is_vp and result_type.format == "posit":
-                    result = self._posit_round(result, result_type, frame)
+                    result = posit_round(result, fmt.config)
                 return result if is_vp else result.to_float()
 
             return handler

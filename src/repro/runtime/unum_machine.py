@@ -39,6 +39,7 @@ from ..unum import MAX_WGP, UnumConfig, UnumCoprocessor
 from ..unum.format import decode as unum_decode
 from ..unum.format import encode as unum_encode
 from .cost_model import CacheModel, CostAccounting
+from .interpreter import fcmp_value, fdiv, frem
 from .memory import Memory
 
 
@@ -486,17 +487,11 @@ def _setcc(d, m, ops, opcode):
 
 # ---- scalar float -------------------------------------------------- #
 
-def _fdiv(a: float, b: float) -> float:
-    if b != 0.0:
-        return a / b
-    return math.copysign(math.inf, a) if a else math.nan
-
-
 #: opcode -> (CycleCosts field, function of the float operands)
 _FLOAT_OPS = {
     "fadd.d": ("f64_add", operator.add), "fsub.d": ("f64_add", operator.sub),
-    "fmul.d": ("f64_mul", operator.mul), "fdiv.d": ("f64_div", _fdiv),
-    "frem.d": ("f64_div", lambda a, b: math.fmod(a, b) if b else math.nan),
+    "fmul.d": ("f64_mul", operator.mul), "fdiv.d": ("f64_div", fdiv),
+    "frem.d": ("f64_div", frem),
 }
 
 
@@ -530,24 +525,11 @@ def _convert(d, m, ops, opcode):
     return _compute(d, m, cost, fn, 1)
 
 
-def _float_compare(pred: str, a: float, b: float) -> bool:
-    unordered = math.isnan(a) or math.isnan(b)
-    base = {
-        "oeq": a == b, "one": a != b, "olt": a < b, "ole": a <= b,
-        "ogt": a > b, "oge": a >= b, "ueq": a == b, "une": a != b,
-        "ord": not unordered, "uno": unordered,
-    }[pred]
-    if pred.startswith("o") and pred not in ("ord",):
-        return base and not unordered
-    return base
-
-
 @_builds("fsetcc.")
 def _fsetcc(d, m, ops, opcode):
     pred = opcode[7:]
-    return _compute(
-        d, m, m.accounting.costs.f64_other,
-        lambda a, b: int(_float_compare(pred, float(a), float(b))), 1, 2)
+    return _compute(d, m, m.accounting.costs.f64_other,
+                    lambda a, b: fcmp_value(float(a), float(b), pred), 1, 2)
 
 
 _LIBM = {"sqrt": math.sqrt, "fabs": abs, "exp": math.exp, "log": math.log,
@@ -892,7 +874,7 @@ def _branch(d, m, ops, opcode):
         if isinstance(a, float) or isinstance(b, float):
             if float_pred is None:
                 raise KeyError(opcode)
-            taken = _float_compare(float_pred, float(a), float(b))
+            taken = fcmp_value(float(a), float(b), float_pred)
         else:
             taken = test(int(a), int(b))
         if taken:

@@ -6,10 +6,11 @@ one-function probes pin the value C11 gives: integer literal types
 (6.4.4.1), widening and narrowing an integer (6.3.1.3) and converting
 it to floating point (6.3.1.4), the usual arithmetic conversions of
 mixed signedness (6.3.1.8), the types of unary minus (6.5.3.3), a
-shift (6.5.7) and a compound assignment (6.5.16.2), next to their
-signed neighbours.  Each
+shift (6.5.7), a compound assignment (6.5.16.2) and a global's
+initializer (6.7.9), next to their signed neighbours.  Each
 probe runs on every backend and engine, the UNUM machine included
-(where the 32-bit wrap probe is a known failure); when ``gcc`` is on
+(where the 32-bit wrap probe is a known failure, and which has no
+globals); when ``gcc`` is on
 PATH, each is also built with ``gcc -O0`` and its printed result
 compared with the same pinned value.
 """
@@ -37,6 +38,7 @@ class Probe(NamedTuple):
     params: str
     args: Tuple[int, ...]
     expected: str
+    globals: str = ""  # declarations before ``f``
 
 
 PROBES = [
@@ -121,12 +123,19 @@ PROBES = [
     Probe("unsigned_product_wraps_at_32_bits", "long",
           "unsigned b = a * 65536u; return b >> 16;", "unsigned a",
           (65537,), "1"),
+    # A global's initializer has its own type, then converts (6.7.9).
+    Probe("global_negated_unsigned_literal_widens_with_zero_extension",
+          "long", "return g + a;", "int a", (0,), "4294967295",
+          "long g = -1u;"),
+    Probe("global_double_of_negated_unsigned_literal", "double",
+          "return g + a;", "int a", (0,), "4294967295", "double g = -1u;"),
 ]
 
 
 def _source(probe: Probe, vp: str) -> str:
     body = probe.source.format(vp=vp)
-    return f"{probe.returns} f({probe.params}) {{ {body} }}\n"
+    return (f"{probe.globals}\n"
+            f"{probe.returns} f({probe.params}) {{ {body} }}\n")
 
 
 def _printed(value) -> str:
@@ -149,10 +158,14 @@ _UNUM_NO_WRAP = pytest.mark.xfail(
     strict=True, reason="UNUM 32-bit arithmetic does not wrap")
 
 
+#: The UNUM machine has no global variables.
+_UNUM_PROBES = [p for p in PROBES if not p.globals]
+
+
 @pytest.mark.parametrize("probe", [
     pytest.param(p, marks=_UNUM_NO_WRAP)
     if p.name == "unsigned_product_wraps_at_32_bits" else p
-    for p in PROBES], ids=[p.name for p in PROBES])
+    for p in _UNUM_PROBES], ids=[p.name for p in _UNUM_PROBES])
 def test_probe_gives_c_value_on_unum(probe):
     program = compile_source(_source(probe, vpfloat_unum_type(4, 9)),
                              backend="unum")

@@ -1,20 +1,39 @@
 """Scalar optimizations: mem2reg, constant folding, GVN, DCE, SimplifyCFG."""
 
+import itertools
+import math
+import struct
+
 import pytest
 
+from repro.bigfloat import BigFloat, from_str
 from repro.ir import (
+    F32,
     F64,
+    FCMP_PREDICATES,
     I1,
+    I8,
     I32,
+    I64,
+    ICMP_PREDICATES,
+    INT_BINOPS,
     VOID,
     BinaryInst,
+    CastInst,
+    Constant,
     ConstantFloat,
     ConstantInt,
+    ConstantVPFloat,
+    FCmpInst,
+    FNegInst,
     Function,
     FunctionType,
+    ICmpInst,
+    IntType,
     IRBuilder,
     Module,
     PhiInst,
+    RetInst,
     VPFloatType,
     verify_function,
 )
@@ -27,6 +46,7 @@ from repro.passes import (
     build_o3_pipeline,
     fold_instruction,
 )
+from repro.runtime import Interpreter, VPRuntimeError
 
 
 def new_function(ret=F64, params=(F64, F64)):
@@ -169,6 +189,145 @@ class TestConstantFolding:
         b.ret(diff)
         ConstantFoldPass().run(f)
         assert f.blocks[0].terminator.value.value == 0
+
+
+# ------------------------------------------------------------------ #
+# Folding agrees with the walker
+# ------------------------------------------------------------------ #
+
+def _ints(bits):
+    low = -(1 << (bits - 1)) if bits > 1 else -1
+    return sorted({0, 1, -1, low, low + 1, -low - 1, 7 % (1 << bits)})
+
+
+_FLOATS = (0.0, -0.0, 1.0, -1.5, math.inf, -math.inf, math.nan, 1e300)
+_NARROW = VPFloatType("mpfr", ConstantInt(I32, 4), ConstantInt(I32, 24))
+_WIDE = VPFloatType("mpfr", ConstantInt(I32, 16), ConstantInt(I32, 100))
+_POSIT = VPFloatType("posit", ConstantInt(I32, 2), ConstantInt(I32, 16))
+_UNUM = VPFloatType("unum", ConstantInt(I32, 2), ConstantInt(I32, 5))
+
+
+def _vps(type_):
+    return [ConstantVPFloat(type_, v) for v in (
+        BigFloat.zero(600), BigFloat.zero(600, 1), from_str("100", 600),
+        from_str("-0.1", 600), from_str("1e20", 600), BigFloat.inf(600),
+        BigFloat.nan(600))]
+
+
+def _fold_cases():
+    """Every (opcode, operand kind) constfold folds, over edge values:
+    the instructions, unattached."""
+    ints = {bits: [ConstantInt(IntType(bits), v) for v in _ints(bits)]
+            for bits in (1, 8, 32, 64)}
+    floats = {t.bits: [ConstantFloat(t, v) for v in _FLOATS]
+              for t in (F32, F64)}
+    for bits, values in ints.items():
+        for a, b in itertools.product(values, values):
+            for op in INT_BINOPS:
+                yield BinaryInst(op, a, b)
+            for pred in ICMP_PREDICATES:
+                yield ICmpInst(pred, a, b)
+        for a in values:
+            for target in (IntType(1), I8, I32, I64):
+                if target.bits < bits:
+                    yield CastInst("trunc", a, target)
+                elif target.bits > bits:
+                    yield CastInst("sext", a, target)
+                    yield CastInst("zext", a, target)
+                else:
+                    yield CastInst("bitcast", a, target)
+            for target in (F32, F64, _NARROW, _WIDE, _POSIT, _UNUM):
+                yield CastInst("sitofp", a, target)
+                yield CastInst("uitofp", a, target)
+    vps = {t: _vps(t) for t in (_NARROW, _WIDE, _POSIT, _UNUM)}
+    for values in list(floats.values()) + list(vps.values()):
+        for a, b in itertools.product(values, values):
+            for op in ("fadd", "fsub", "fmul", "fdiv", "frem"):
+                yield BinaryInst(op, a, b)
+            for pred in FCMP_PREDICATES:
+                yield FCmpInst(pred, a, b)
+        for a in values:
+            yield FNegInst(a)
+    for bits, values in floats.items():
+        for a in values:
+            yield CastInst("fpext" if bits == 32 else "fptrunc", a,
+                           F64 if bits == 32 else F32)
+            for target in vps:
+                yield CastInst("vpconv", a, target)
+    for values in vps.values():
+        for a in values:
+            for target in (F32, F64, _NARROW, _WIDE):
+                yield CastInst("vpconv", a, target)
+
+
+def _token(value):
+    """Equal iff two runtime values are the same number (signed zeros
+    and NaNs included), whatever precision a BigFloat carries."""
+    if isinstance(value, BigFloat):
+        if not value.is_finite() or value.is_zero():
+            return ("bf", value.kind, None if value.is_nan() else value.sign)
+        mant, exp = value.mant, value.exp
+        while not mant & 1:
+            mant, exp = mant >> 1, exp + 1
+        return ("bf", value.sign, mant, exp)
+    if isinstance(value, float):
+        return ("float", "nan" if value != value
+                else struct.pack("<d", value).hex())
+    return ("int", value)
+
+
+_TRAP = object()
+
+
+def _walk(values):
+    """Each value run on the legacy walker as ``ret value`` (after the
+    value's own instruction if it is one); ``_TRAP`` where it traps."""
+    module = Module("t")
+    for n, value in enumerate(values):
+        f = module.add_function(Function(f"f{n}",
+                                         FunctionType(value.type, [])))
+        block = f.add_block("entry")
+        if not isinstance(value, Constant):
+            value.name = "r"
+            block.append(value)
+        block.append(RetInst(value))
+    interp = Interpreter(module, dispatch="legacy")
+    results = []
+    for n in range(len(values)):
+        try:
+            results.append(interp.run(f"f{n}").value)
+        except VPRuntimeError:
+            results.append(_TRAP)
+    return results
+
+
+class TestFoldMatchesWalker:
+    """constfold returns what the legacy walker computes on the unfolded
+    instruction; it declines to fold only where the walker traps or no
+    constant of the type holds the walker's value."""
+
+    def test_every_folded_case(self):
+        insts = list(_fold_cases())
+        assert len(insts) > 5000
+        folds = [fold_instruction(inst) for inst in insts]
+        walked = _walk(insts)
+        folded = iter(_walk([c for c in folds if c is not None]))
+        wrong, declined = [], []
+        for inst, fold, value in zip(insts, folds, walked):
+            if fold is not None:
+                got = next(folded)
+                if value is _TRAP or _token(got) != _token(value):
+                    wrong.append(f"{inst}: walker {value}, fold {got}")
+            elif value is not _TRAP:
+                declined.append((inst, value))
+        # A declined fold of a value: no constant holds that value.
+        held = _walk([ConstantVPFloat(inst.type, value)
+                      for inst, value in declined if inst.type.is_vpfloat])
+        for inst, value in declined:
+            if not inst.type.is_vpfloat or \
+                    _token(held.pop(0)) == _token(value):
+                wrong.append(f"{inst}: walker {value}, not folded")
+        assert not wrong, "\n".join(wrong)
 
 
 class TestGVN:
