@@ -579,13 +579,15 @@ class IRGenerator:
         if value.type.is_integer:
             zero = ConstantInt(value.type, 0)
             return self.builder.icmp("ne", value, zero)
+        # A float is true unless it equals zero, so NaN is true: the
+        # unordered ``une``, as clang emits.
         if value.type.is_float:
             zero = ConstantFloat(value.type, 0.0)
-            return self.builder.fcmp("one", value, zero)
+            return self.builder.fcmp("une", value, zero)
         if value.type.is_vpfloat:
             zero = self.builder.const_vpfloat(
                 value.type, BigFloat.zero(LITERAL_PRECISION))
-            return self.builder.fcmp("one", value, zero)
+            return self.builder.fcmp("une", value, zero)
         if value.type.is_pointer:
             return self.builder.icmp(
                 "ne",
@@ -720,7 +722,8 @@ class IRGenerator:
         lhs = self._rvalue_as(expr.lhs, common)
         rhs = self._rvalue_as(expr.rhs, common)
         if common.is_fp:
-            pred = {"==": "oeq", "!=": "one", "<": "olt", "<=": "ole",
+            # C's != is true when either operand is NaN: ``une``.
+            pred = {"==": "oeq", "!=": "une", "<": "olt", "<=": "ole",
                     ">": "ogt", ">=": "oge"}[expr.op]
             return self.builder.fcmp(pred, lhs, rhs)
         if common_ct.signed:

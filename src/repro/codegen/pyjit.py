@@ -22,9 +22,16 @@ messages.  Anything the emitter cannot prove static -- dynamic vpfloat
 attributes, posit arithmetic, unknown builtins, dynamically-sized
 element types, non-static GEPs -- raises :class:`_Unsupported` during
 emission and that one *function* silently falls back to the legacy
-walker; jit selection is per-function, never a hard error.  MPFR
-builtin calls go through shared fast-path helpers
-(:func:`mpfr_fast_path`), one emitted line per call.
+walker; jit selection is per-function, never a hard error.
+
+MPFR arithmetic and assignment calls (``mpfr_add``/``sub``/``mul``/
+``div``, ``fma``/``fms``, ``set``, ``set_d``/``set_si``) are one emitted
+line each: a call of a flat fast-path helper (:func:`mpfr_fast_path`)
+with the op's site cache (:class:`_MpfrSite`) bound in the prelude.
+The site cache maps the destination handle's ``(prec, exp_bits)`` to the
+op's value kernel, modeled cycles and limb-block size, resolved once per
+key; the helper reads the handle cells directly and makes the call's
+cache touches with an inline L1-hit path, in the walker's order.
 
 Generated source is self-contained: it defines ``_make(R)`` where ``R``
 is a :class:`JitRuntime` bound to one (interpreter, function) pair, and
@@ -111,29 +118,43 @@ class _Unsupported(Exception):
     """The emitter cannot prove this function static; fall back."""
 
 
-class _KernelMap(dict):
-    """``(prec, exp_bits) -> specialized RNDN kernel`` for one op.
+class _MpfrSite(dict):
+    """``(prec, exp_bits) -> (kernel, cycles, limb_bytes)`` for one
+    inlined MPFR op of one bound function.
 
     MPFR handle precisions are runtime values (they flow through
-    ``mpfr_init2``), so inlined mpfr call sites key their kernel by the
-    destination handle's precision and exponent-range clamp at
-    execution time; the dict hit is a single C-level lookup and misses
-    specialize on first use and, when the run is observing, bind
+    ``mpfr_init2``), so the fast-path helpers key each call by its
+    destination handle's precision and exponent-range clamp (the set
+    ops, which do not clamp, by ``(prec, None)``); a hit is one C-level
+    lookup.  A miss resolves, once per key, the op's value
+    kernel (the precision-specialized RNDN kernel with the clamp folded
+    in, or the ``set_d``/``set_si`` constructor; ``mpfr_set`` rounds
+    inline and has none), its modeled cycle cost and the destination's
+    limb-block size.  When the run is observing, the kernels are the
     counting wrappers.
     """
 
-    def __init__(self, op: str, interp=None):
+    _CONSTRUCTORS = {"set_d": BigFloat.from_float,
+                     "set_si": BigFloat.from_int, "set": None}
+
+    def __init__(self, op: str, interp):
         super().__init__()
         self.op = op
         self.interp = interp
 
     def __missing__(self, key):
         prec, exp_bits = key
+        op = self.op
         interp = self.interp
-        kernel = select_scalar_kernel(
-            self.op, prec, exp_bits, getattr(interp, "kernel_stats", None))
-        self[key] = kernel
-        return kernel
+        if op in self._CONSTRUCTORS:
+            kernel = self._CONSTRUCTORS[op]
+        else:
+            kernel = select_scalar_kernel(op, prec, exp_bits,
+                                          interp.kernel_stats)
+        entry = self[key] = (
+            kernel, interp.accounting.costs.mpfr_op_cost(f"mpfr_{op}", prec),
+            limb_bytes(prec))
+        return entry
 
 
 class JitRuntime:
@@ -195,14 +216,8 @@ class JitRuntime:
             getattr(self.interp, "kernel_stats", None))
 
     def mpfr_kernels(self, op: str):
-        """The value kernel of one inlined MPFR op: a ``(prec,
-        exp_bits)``-keyed kernel map for the arithmetic ops, the
-        scalar constructor for ``set_d``/``set_si``."""
-        if op == "set_d":
-            return BigFloat.from_float
-        if op == "set_si":
-            return BigFloat.from_int
-        return _KernelMap(op, self.interp)
+        """The site cache of one inlined MPFR op (see _MpfrSite)."""
+        return _MpfrSite(op, self.interp)
 
     def mpfr_helpers(self):
         """The MPFR fast-path helpers the emitted calls go through."""
@@ -235,105 +250,288 @@ def mpfr_fast_path(interp):
 
     Returns ``(op3, op4, set_, set_scalar)``: add/sub/mul/div,
     fma/fms, ``mpfr_set`` and ``mpfr_set_d``/``mpfr_set_si``.  Each
-    takes the installed handler, the call's instruction handle, the
-    op's value kernel (``op3``/``op4``: the ``(prec, exp_bits)``-keyed
-    kernel map; ``set_scalar``: the value constructor) and its builtin
-    name, then the call's operands.  The bodies follow the installed
-    handlers (interpreter._install_mpfr_builtins) and the backing
-    MpfrLibrary methods with the call layers flattened and the generic
-    arith kernel replaced by the precision-specialized one: the same
-    handle loads, cache-model touches and charges, in the same order.
-    Every cold or failing case (uninitialized handle, use after clear)
-    delegates to the installed handler, so error types and messages
-    stay byte-identical.
+    takes the installed handler and the call's instruction handle;
+    ``op3``/``op4``/``set_scalar`` then take the op's site cache
+    (:class:`_MpfrSite`, bound in the emitted prelude) and its builtin
+    name; then come the call's operands.
+
+    Each helper is one flat function that does what the installed
+    handler does (interpreter._install_mpfr_builtins), in the same
+    order, with the call layers removed:
+
+    - read the handle cells straight from ``memory.cells``, without
+      side effects;
+    - count the handle bytes in ``memory.bytes_read`` and make the
+      handle touches, committing their cycles before the kernel runs,
+      so a raising kernel leaves the walker's report;
+    - run the kernel from the site cache, bump the MPFR stats;
+    - touch the limb blocks (reads, then the destination) and charge
+      the site's cycles to ``mpfr``.
+
+    A cache touch that stays in one L1-resident line is inlined: a line
+    computation, one membership test, ``move_to_end``, with the hit
+    counters and cycles added once per group; any other touch goes
+    through :meth:`CacheModel.touch`.  A null, missing or cleared
+    handle (or a cell that holds no handle) calls the installed handler
+    with nothing done yet, so the error type and message, and what the
+    call left in the report, stats and cache, are the walker's.
     """
-    load = interp.memory.load
+    memory = interp.memory
+    cells = memory.cells
     report = interp.accounting.report
     by_category = report.by_category
     stats = interp.mpfr.stats
-    bump = stats.bump
-    cost_cache = interp._mpfr_cost_cache
-    op_cost = interp.accounting.costs.mpfr_op_cost
+    by_name = stats.by_name
     metrics = interp.metrics
     cache = interp.accounting.cache
-    access = cache.access if cache is not None else None
-    limb_cache: Dict[int, int] = {}
+    if cache is not None:
+        touch = cache.touch
+        l1 = cache.l1
+        mte = l1.move_to_end
+        hits = cache.hits
+        line = cache.levels[0].line_bytes
+        last8 = line - 8  # the last offset an 8-byte handle fits at
+        hit_cycles = cache.levels[0].hit_cycles
+    else:
+        l1 = None
+    set_site = _MpfrSite("set", interp)
 
-    def account(name, prec, dst, reads):
-        if access is not None:
-            before = cache.access_cycles
-            for var in reads:
-                var_prec = var.prec
-                nbytes = limb_cache.get(var_prec)
-                if nbytes is None:
-                    nbytes = limb_cache[var_prec] = limb_bytes(var_prec)
-                access("r", var.limb_addr, nbytes)
-            nbytes = limb_cache.get(prec)
-            if nbytes is None:
-                nbytes = limb_cache[prec] = limb_bytes(prec)
-            access("w", dst.limb_addr, nbytes)
-            report.cycles += cache.access_cycles - before
+    def op3(handler, inst, site, name, d, a, b):
+        x = cells.get(d)
+        y = cells.get(a)
+        z = cells.get(b)
+        try:
+            x = x[0]
+            y = y[0]
+            z = z[0]
+            live = x.alive and y.alive and z.alive
+        except (TypeError, AttributeError):
+            live = False
+        if not live:
+            return handler([d, a, b], inst, None)
+        memory.bytes_read += 24
+        if l1 is not None:
+            n = charged = 0
+            ln = d // line
+            if ln in l1 and d % line <= last8:
+                mte(ln)
+                n = 1
+            else:
+                charged = touch(d, 8)
+            ln = a // line
+            if ln in l1 and a % line <= last8:
+                mte(ln)
+                n += 1
+            else:
+                charged += touch(a, 8)
+            ln = b // line
+            if ln in l1 and b % line <= last8:
+                mte(ln)
+                n += 1
+            else:
+                charged += touch(b, 8)
+            if n:
+                hits[0] += n
+                n *= hit_cycles
+                cache.access_cycles += n
+            report.cycles += charged + n
+        prec = x.prec
+        kernel, cycles, nbytes = site[prec, x.exp_bits]
+        x.value = kernel(y.value, z.value)
+        stats.ops += 1
+        by_name[name] = by_name.get(name, 0) + 1
+        charged = cycles
+        if l1 is not None:
+            n = 0
+            addr = y.limb_addr
+            size = nbytes if y.prec == prec else limb_bytes(y.prec)
+            ln = addr // line
+            if ln in l1 and addr % line + size <= line:
+                mte(ln)
+                n = 1
+            else:
+                charged += touch(addr, size)
+            addr = z.limb_addr
+            size = nbytes if z.prec == prec else limb_bytes(z.prec)
+            ln = addr // line
+            if ln in l1 and addr % line + size <= line:
+                mte(ln)
+                n += 1
+            else:
+                charged += touch(addr, size)
+            addr = x.limb_addr
+            ln = addr // line
+            if ln in l1 and addr % line + nbytes <= line:
+                mte(ln)
+                n += 1
+            else:
+                charged += touch(addr, nbytes)
+            if n:
+                hits[0] += n
+                n *= hit_cycles
+                cache.access_cycles += n
+                charged += n
         report.mpfr_calls += 1
-        cycles = cost_cache.get((name, prec))
-        if cycles is None:
-            cycles = cost_cache[(name, prec)] = op_cost(name, prec)
-        report.cycles += cycles
+        report.cycles += charged
         by_category["mpfr"] += cycles
         if metrics is not None:
             metrics.observe("precision.mpfr.bits", prec)
-
-    def op3(handler, inst, kernels, name, d, a, b):
-        x = load(int(d), 8)
-        y = load(int(a), 8)
-        z = load(int(b), 8)
-        if (x is None or y is None or z is None
-                or not (x.alive and y.alive and z.alive)):
-            return handler([d, a, b], inst, None)
-        prec = x.prec
-        # Fused kernel with the destination handle's exponent-range
-        # clamp folded in; no per-call clamp.
-        x.value = kernels[prec, x.exp_bits](y.value, z.value)
-        stats.ops += 1
-        bump(name)
-        account(name, prec, x, (y, z))
         return None
 
-    def op4(handler, inst, kernels, name, d, a, b, c):
-        x = load(int(d), 8)
-        y = load(int(a), 8)
-        z = load(int(b), 8)
-        w = load(int(c), 8)
-        if (x is None or y is None or z is None or w is None
-                or not (x.alive and y.alive and z.alive and w.alive)):
+    def op4(handler, inst, site, name, d, a, b, c):
+        x = cells.get(d)
+        y = cells.get(a)
+        z = cells.get(b)
+        w = cells.get(c)
+        try:
+            x = x[0]
+            y = y[0]
+            z = z[0]
+            w = w[0]
+            live = x.alive and y.alive and z.alive and w.alive
+        except (TypeError, AttributeError):
+            live = False
+        if not live:
             return handler([d, a, b, c], inst, None)
+        memory.bytes_read += 32
+        if l1 is not None:
+            n = charged = 0
+            for addr in (d, a, b, c):
+                ln = addr // line
+                if ln in l1 and addr % line <= last8:
+                    mte(ln)
+                    n += 1
+                else:
+                    charged += touch(addr, 8)
+            if n:
+                hits[0] += n
+                n *= hit_cycles
+                cache.access_cycles += n
+            report.cycles += charged + n
         prec = x.prec
-        x.value = kernels[prec, x.exp_bits](y.value, z.value, w.value)
+        kernel, cycles, nbytes = site[prec, x.exp_bits]
+        x.value = kernel(y.value, z.value, w.value)
         stats.ops += 1
-        bump(name)
-        account(name, prec, x, (y, z, w))
+        by_name[name] = by_name.get(name, 0) + 1
+        charged = cycles
+        if l1 is not None:
+            n = 0
+            for v in (y, z, w, x):
+                addr = v.limb_addr
+                size = nbytes if v.prec == prec else limb_bytes(v.prec)
+                ln = addr // line
+                if ln in l1 and addr % line + size <= line:
+                    mte(ln)
+                    n += 1
+                else:
+                    charged += touch(addr, size)
+            if n:
+                hits[0] += n
+                n *= hit_cycles
+                cache.access_cycles += n
+                charged += n
+        report.mpfr_calls += 1
+        report.cycles += charged
+        by_category["mpfr"] += cycles
+        if metrics is not None:
+            metrics.observe("precision.mpfr.bits", prec)
         return None
 
     def set_(handler, inst, d, s):
-        x = load(int(d), 8)
-        y = load(int(s), 8)
-        if x is None or y is None or not (x.alive and y.alive):
+        x = cells.get(d)
+        y = cells.get(s)
+        try:
+            x = x[0]
+            y = y[0]
+            live = x.alive and y.alive
+        except (TypeError, AttributeError):
+            live = False
+        if not live:
             return handler([d, s], inst, None)
+        memory.bytes_read += 16
+        if l1 is not None:
+            n = charged = 0
+            for addr in (d, s):
+                ln = addr // line
+                if ln in l1 and addr % line <= last8:
+                    mte(ln)
+                    n += 1
+                else:
+                    charged += touch(addr, 8)
+            if n:
+                hits[0] += n
+                n *= hit_cycles
+                cache.access_cycles += n
+            report.cycles += charged + n
         prec = x.prec
+        _, cycles, nbytes = set_site[prec, None]
         x.value = y.value.round_to(prec)
         stats.sets += 1
-        bump("mpfr_set")
-        account("mpfr_set", prec, x, (y,))
+        by_name["mpfr_set"] = by_name.get("mpfr_set", 0) + 1
+        charged = cycles
+        if l1 is not None:
+            n = 0
+            for v in (y, x):
+                addr = v.limb_addr
+                size = nbytes if v.prec == prec else limb_bytes(v.prec)
+                ln = addr // line
+                if ln in l1 and addr % line + size <= line:
+                    mte(ln)
+                    n += 1
+                else:
+                    charged += touch(addr, size)
+            if n:
+                hits[0] += n
+                n *= hit_cycles
+                cache.access_cycles += n
+                charged += n
+        report.mpfr_calls += 1
+        report.cycles += charged
+        by_category["mpfr"] += cycles
+        if metrics is not None:
+            metrics.observe("precision.mpfr.bits", prec)
         return None
 
-    def set_scalar(handler, inst, ctor, name, d, v):
-        x = load(int(d), 8)
-        if x is None or not x.alive:
+    def set_scalar(handler, inst, site, name, d, v):
+        x = cells.get(d)
+        try:
+            x = x[0]
+            live = x.alive
+        except (TypeError, AttributeError):
+            live = False
+        if not live:
             return handler([d, v], inst, None)
+        memory.bytes_read += 8
+        if l1 is not None:
+            ln = d // line
+            if ln in l1 and d % line <= last8:
+                mte(ln)
+                hits[0] += 1
+                cache.access_cycles += hit_cycles
+                report.cycles += hit_cycles
+            else:
+                report.cycles += touch(d, 8)
         prec = x.prec
+        ctor, cycles, nbytes = site[prec, None]
         x.value = ctor(v, prec)
         stats.sets += 1
-        bump(name)
-        account(name, prec, x, ())
+        by_name[name] = by_name.get(name, 0) + 1
+        charged = cycles
+        if l1 is not None:
+            addr = x.limb_addr
+            ln = addr // line
+            if ln in l1 and addr % line + nbytes <= line:
+                mte(ln)
+                hits[0] += 1
+                cache.access_cycles += hit_cycles
+                charged += hit_cycles
+            else:
+                charged += touch(addr, nbytes)
+        report.mpfr_calls += 1
+        report.cycles += charged
+        by_category["mpfr"] += cycles
+        if metrics is not None:
+            metrics.observe("precision.mpfr.bits", prec)
         return None
 
     return op3, op4, set_, set_scalar
@@ -1073,9 +1271,8 @@ class FunctionEmitter:
     # ---- inlined mpfr builtins ----------------------------------- #
     #
     # The MPFR handlers are the hottest path of lowered kernels: each
-    # call site becomes one call of a shared fast-path helper (see
-    # mpfr_fast_path) with the precision-specialized value kernel
-    # bound in the prelude.
+    # call site becomes one call of a flat fast-path helper (see
+    # mpfr_fast_path) with the op's site cache bound in the prelude.
 
     def _emit_mpfr_builtin(self, inst, bname, args, bi, ii, out) -> None:
         if not self._mpfr_helpers_bound:

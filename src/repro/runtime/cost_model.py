@@ -54,7 +54,21 @@ ALLOCATOR_CONTENTION_CYCLES = 110
 
 
 class CacheModel:
-    """Inclusive multi-level LRU cache simulator over line addresses."""
+    """Inclusive multi-level LRU cache simulator over line addresses.
+
+    :meth:`touch` is the one entry every access goes through (the
+    ``Memory`` observer, the MPFR handlers' limb-block touches and the
+    jit's MPFR helpers): it updates recency and counters and returns the
+    cycles it charged, so callers add them to their report without a
+    before/after read of ``access_cycles``.  An access that stays in one
+    L1-resident line costs a line computation, one membership test,
+    ``move_to_end`` and the counters; misses and line-straddling
+    accesses walk the levels in :meth:`_touch_slow`/:meth:`_fill_upper`.
+    L2/L3 recency is updated only on L1 misses.
+
+    :meth:`access` is the plain per-line walk of the same model, kept as
+    the reference :meth:`touch` is checked against.
+    """
 
     def __init__(self, levels=DEFAULT_LEVELS, dram_cycles: int = DRAM_CYCLES):
         self.levels = levels
@@ -64,26 +78,41 @@ class CacheModel:
         self.misses_to_dram = 0
         self.dram_bytes = 0
         self.access_cycles = 0
+        #: The L1 set, for callers that inline :meth:`touch`'s L1-hit
+        #: path (line size and hit cycles come from ``levels[0]``).
+        self.l1 = self._sets[0]
         # Hot-path constants (line granularity is the L1 geometry).
         self._line = levels[0].line_bytes
-        self._l1 = self._sets[0]
         self._l1_hit_cycles = levels[0].hit_cycles
         self._limits = [lv.capacity_bytes // lv.line_bytes for lv in levels]
 
-    def access(self, kind: str, addr: int, nbytes: int) -> None:
+    def touch(self, addr: int, nbytes: int) -> int:
+        """One access of ``nbytes`` at ``addr``; -> cycles charged."""
         line = self._line
         first = addr // line
-        last = (addr + nbytes - 1) // line if nbytes > 1 else first
-        l1 = self._l1
-        if first == last:
-            # Single-line access: the overwhelmingly common case.
+        if nbytes <= 1 or (addr + nbytes - 1) // line == first:
+            l1 = self.l1
             if first in l1:
                 l1.move_to_end(first)
                 self.hits[0] += 1
-                self.access_cycles += self._l1_hit_cycles
-            else:
-                self._touch_slow(first)
-            return
+                cycles = self._l1_hit_cycles
+                self.access_cycles += cycles
+                return cycles
+            return self._touch_slow(first)
+        before = self.access_cycles
+        self._walk(first, (addr + nbytes - 1) // line)
+        return self.access_cycles - before
+
+    def access(self, kind: str, addr: int, nbytes: int) -> None:
+        """Reference per-line walk of one access (``kind`` is unused:
+        reads and writes allocate alike)."""
+        line = self._line
+        first = addr // line
+        self._walk(first, (addr + nbytes - 1) // line if nbytes > 1
+                   else first)
+
+    def _walk(self, first: int, last: int) -> None:
+        l1 = self.l1
         for line_addr in range(first, last + 1):
             if line_addr in l1:
                 # L1 hit: nothing to promote, just recency + cycles.
@@ -93,21 +122,24 @@ class CacheModel:
             else:
                 self._touch_slow(line_addr)
 
-    def _touch_slow(self, line_addr: int) -> None:
+    def _touch_slow(self, line_addr: int) -> int:
+        """An L1 miss of one line; -> cycles charged."""
         levels = self.levels
         for i in range(1, len(levels)):
             cache = self._sets[i]
             if line_addr in cache:
                 cache.move_to_end(line_addr)
                 self.hits[i] += 1
-                self.access_cycles += levels[i].hit_cycles
+                cycles = levels[i].hit_cycles
+                self.access_cycles += cycles
                 self._fill_upper(i, line_addr)
-                return
+                return cycles
         # Miss all the way to DRAM.
         self.misses_to_dram += 1
         self.dram_bytes += self._line
         self.access_cycles += self.dram_cycles
         self._fill_upper(len(levels), line_addr)
+        return self.dram_cycles
 
     def _fill_upper(self, found_level: int, line_addr: int) -> None:
         for i in range(found_level):
@@ -309,11 +341,9 @@ class CostAccounting:
         self.report.instructions += 1
 
     def memory_access(self, kind: str, addr: int, nbytes: int) -> None:
-        if self.cache is None:
-            return
-        before = self.cache.access_cycles
-        self.cache.access(kind, addr, nbytes)
-        self.report.cycles += self.cache.access_cycles - before
+        cache = self.cache
+        if cache is not None:
+            self.report.cycles += cache.touch(addr, nbytes)
 
     # ---- OpenMP region tracking ------------------------------ #
 

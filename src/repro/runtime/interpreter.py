@@ -1226,15 +1226,15 @@ class Interpreter:
         limb_bytes_cache: dict = {}
 
         if cache_model is not None:
+            touch = cache_model.touch
+
             def touch_limbs(var, kind):
                 prec = var.prec
                 nbytes = limb_bytes_cache.get(prec)
                 if nbytes is None:
                     nbytes = bigfloat.limb_bytes(prec)
                     limb_bytes_cache[prec] = nbytes
-                before = cache_model.access_cycles
-                cache_model.access(kind, var.limb_addr, nbytes)
-                report.cycles += cache_model.access_cycles - before
+                report.cycles += touch(var.limb_addr, nbytes)
         else:
             def touch_limbs(var, kind):
                 return None

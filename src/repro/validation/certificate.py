@@ -34,10 +34,14 @@ CERTIFICATE_VERSION = 1
 #:   plausible execution).
 STRICTNESS = ("exact", "sane")
 
-#: CostReport fields compared by the ``exact`` invariant.
+#: CostReport fields compared by the ``exact`` invariant: every field
+#: (``by_category`` is compared separately), so a miscounted cache hit
+#: or byte cannot pass.
 _REPORT_FIELDS = (
     "cycles", "instructions", "mpfr_calls", "mpfr_allocations",
-    "heap_allocations", "llc_misses", "dram_bytes", "parallel_cycles",
+    "heap_allocations", "bytes_read", "bytes_written", "cache_hits",
+    "llc_misses", "dram_bytes", "parallel_cycles", "serial_cycles",
+    "parallel_dram_bytes", "parallel_heap_allocations",
 )
 
 #: The transitions the toolchain certifies, each mapped to the report
@@ -122,8 +126,10 @@ def tokens_digest(tokens: Tuple) -> str:
 # ----------------------------------------------------------------- #
 
 def report_snapshot(report) -> dict:
-    """The comparable face of a CostReport as a plain dict."""
+    """The comparable face of a CostReport as a plain dict (JSON-safe:
+    ``cache_hits`` is a list, as it reads back from a service reply)."""
     snap = {name: getattr(report, name, 0) for name in _REPORT_FIELDS}
+    snap["cache_hits"] = list(getattr(report, "cache_hits", ()))
     snap["by_category"] = dict(getattr(report, "by_category", {}) or {})
     return snap
 

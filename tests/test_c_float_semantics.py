@@ -20,8 +20,8 @@ from gcc_oracle import gcc_stdout, requires_gcc
 
 from repro import compile_source
 
-#: NaN is tested as ``!(r == r)``: irgen lowers C ``!=`` on floats to the
-#: ordered ``fcmp one``, which is false on NaN (C says true).
+#: NaN is tested as ``!(r == r)``, so the classification does not lean
+#: on ``!=``, which the NaN probes below test.
 _CLASSIFY = ("return !(r == r) ? 2 : r < -1.7976931348623157e308 ? -1"
              " : r > 1.7976931348623157e308 ? 1 : 0;")
 
@@ -45,6 +45,16 @@ PROBES = [
           "double z = 0.0; double n = z / z; double r = n / 0.0;", 2),
     Probe("runtime_nan_by_runtime_zero",
           "double z = a - a; double n = z / z; double r = n / z;", 2),
+    # C's != and a float's truth value are true on NaN (``fcmp une``).
+    Probe("runtime_nan_not_equal_to_itself",
+          "double z = a - a; double n = z / z;"
+          " double r = n != n ? a / z : 0.0;", 1),
+    Probe("runtime_nan_is_true",
+          "double z = a - a; double n = z / z;"
+          " double r = 0.0; if (n) r = a / z;", 1),
+    Probe("constant_nan_is_true",
+          "double z = 0.0; double n = z / z;"
+          " double r = 0.0; if (n) r = a / z;", 1),
     # The exp-info attribute bounds the exponent: 4 bits hold 2^8 at
     # most, so 100 * 100 overflows whether folded or computed.
     Probe("narrow_exponent_product_overflows",

@@ -8,6 +8,7 @@ kernels exercise the per-function fallback path, and the CompileCache
 round-trip checks that warm runs skip re-emission.
 """
 
+import dataclasses
 import re
 from importlib.util import MAGIC_NUMBER
 
@@ -27,18 +28,20 @@ RAJA_FTYPE = "vpfloat<mpfr, 16, 96>"
 RAJA_N = 20
 
 
-def _report_fields(report):
-    return {
-        "cycles": report.cycles,
-        "instructions": report.instructions,
-        "mpfr_calls": report.mpfr_calls,
-        "heap_allocations": report.heap_allocations,
-        "by_category": dict(report.by_category),
-    }
+def _full_state(report, interp):
+    """Every CostReport field, the MPFR stats (``by_name`` included)
+    and the memory model's byte counters of one run."""
+    fields = {f.name: getattr(report, f.name)
+              for f in dataclasses.fields(report)}
+    fields["by_category"] = dict(report.by_category)
+    return {"report": fields,
+            "mpfr": dataclasses.asdict(interp.mpfr.stats),
+            "bytes": (interp.memory.bytes_read, interp.memory.bytes_written)}
 
 
 def _assert_identical(jit, legacy):
-    assert _report_fields(jit.report) == _report_fields(legacy.report)
+    assert (_full_state(jit.report, jit.interpreter)
+            == _full_state(legacy.report, legacy.interpreter))
 
 
 class TestPolyBenchDifferential:
@@ -73,6 +76,153 @@ class TestRajaPerfDifferential:
         legacy = program.run("run", [RAJA_N], engine="legacy")
         assert jit.value == legacy.value
         _assert_identical(jit, legacy)
+
+
+#: (kernel, n) for the inlined-MPFR differential: small sizes, every
+#: inlined helper reached (gemm/atax: op3 + set_scalar, the jacobis:
+#: op3 + set_).
+MPFR_FAST_PATH_KERNELS = (("gemm", 5), ("atax", 8), ("jacobi-1d", 12),
+                          ("jacobi-2d", 5))
+
+
+class TestMpfrFastPathDifferential:
+    """The jit's inlined MPFR helpers against the legacy walker's
+    installed handlers, with the cache model on and off: values, every
+    report field, MPFR stats and memory byte counts are identical.  At
+    300 and 512 bits the limb blocks straddle cache lines."""
+
+    @pytest.mark.parametrize("prec", (24, 128, 300, 512))
+    @pytest.mark.parametrize("kernel,n", MPFR_FAST_PATH_KERNELS)
+    def test_mpfr_matches_legacy(self, kernel, n, prec):
+        self._check(kernel, "mpfr", prec, n)
+
+    def test_boost_matches_legacy(self):
+        self._check("gemm", "boost", 128, 5)
+
+    @pytest.mark.parametrize("prec", (128, 512))
+    @pytest.mark.parametrize("kernel,n", (("gemm", 5), ("jacobi-2d", 5)))
+    def test_evicting_cache_matches_legacy(self, kernel, n, prec):
+        # Levels of 8, 32 and 128 lines: the helpers' touches miss,
+        # hit in L2/L3 and evict, not only hit in L1.
+        from repro.runtime import Interpreter
+        from repro.runtime.cost_model import (CacheLevel, CacheModel,
+                                              CostAccounting)
+
+        levels = (CacheLevel("L1", 8 * 64, 64, 4),
+                  CacheLevel("L2", 32 * 64, 64, 12),
+                  CacheLevel("L3", 128 * 64, 64, 40))
+        program = compile_source(
+            source_for(kernel, f"vpfloat<mpfr, 16, {prec}>"),
+            backend="mpfr")
+        states, interps = {}, {}
+        for engine in ("jit", "legacy"):
+            interp = interps[engine] = Interpreter(
+                program.module, dispatch=engine, mpfr_pool=True,
+                accounting=CostAccounting(cache=CacheModel(levels=levels)))
+            report = interp.run("run", [n]).report
+            states[engine] = _full_state(report, interp)
+        assert states["jit"] == states["legacy"]
+        assert all(states["jit"]["report"]["cache_hits"])
+        statuses = interps["jit"]._jit_engine.store.statuses()
+        assert statuses["run"]["status"] == "jit"
+
+    @staticmethod
+    def _check(kernel, backend, prec, n):
+        program = compile_source(
+            source_for(kernel, f"vpfloat<mpfr, 16, {prec}>"),
+            backend=backend)
+        for cache in (True, False):
+            jit = program.run("run", [n], engine="jit", cache=cache)
+            legacy = program.run("run", [n], engine="legacy", cache=cache)
+            assert values_token([jit.value]) == values_token([legacy.value])
+            _assert_identical(jit, legacy)
+            assert jit.report.mpfr_calls > 0
+        assert program._codegen_store.statuses()["run"]["status"] == "jit"
+
+
+FAULT_SRC = """
+double f(double a, double b) {
+  vpfloat<mpfr, 16, 128> x = a, y = b, z;
+  z = x * y;
+  z = z + x;
+  return (double) z;
+}
+"""
+
+
+def _fault_program(fault):
+    """FAULT_SRC at -O0 with its ``mpfr_mul(z, x, y)`` made to fault:
+    ``cleared`` clears y first, ``uninitialized`` drops z's init2,
+    ``null`` passes a null x; ``cleared-set`` clears x before its
+    ``mpfr_set_d``."""
+    from repro.ir import CallInst, ConstantPointerNull
+
+    program = compile_source(FAULT_SRC, backend="mpfr", opt_level=0)
+    block = program.module.get_function("f").blocks[0]
+    calls = [i for i in block.instructions if isinstance(i, CallInst)]
+
+    def call(name, operand):
+        return next(i for i in calls if i.callee.name == name
+                    and i.operands[0] is operand)
+
+    mul = next(i for i in calls if i.callee.name == "mpfr_mul")
+    dst, x, y = mul.operands
+    if fault == "cleared":
+        clear = call("mpfr_clear", y)
+        block.instructions.remove(clear)
+        block.insert_before(mul, clear)
+    elif fault == "uninitialized":
+        call("mpfr_init2", dst).erase_from_parent()
+    elif fault == "null":
+        mul.set_operand(1, ConstantPointerNull(x.type))
+    else:  # cleared-set
+        set_d = call("mpfr_set_d", x)
+        clear = call("mpfr_clear", x)
+        block.instructions.remove(clear)
+        block.insert_before(set_d, clear)
+    return program
+
+
+def _fault_state(report, interp):
+    """_full_state less the charges the jit makes in bulk at block
+    entry (the instruction count and every cycle category but ``mpfr``),
+    which a fault in mid-block leaves ahead of the walker's."""
+    state = _full_state(report, interp)
+    fields = state["report"]
+    del fields["instructions"]
+    by_category = fields.pop("by_category")
+    static = sum(cycles for category, cycles in by_category.items()
+                 if category != "mpfr")
+    fields["cycles"] -= static
+    fields["serial_cycles"] -= static
+    fields["mpfr_cycles"] = by_category.get("mpfr", 0)
+    return state
+
+
+class TestMpfrFastPathFaults:
+    """A fault on an inlined MPFR call raises the walker's exception
+    type and message and leaves the walker's handle loads, cache
+    traffic, MPFR charges and stats."""
+
+    @pytest.mark.parametrize("fault", ("cleared", "uninitialized", "null",
+                                       "cleared-set"))
+    @pytest.mark.parametrize("cache", (True, False))
+    def test_fault_matches_legacy(self, fault, cache, monkeypatch):
+        from repro.bigfloat.mpfr_api import MpfrVar
+
+        program = _fault_program(fault)
+        outcomes = {}
+        for engine in ("jit", "legacy"):
+            # Handle uids appear in use-after-clear messages.
+            monkeypatch.setattr(MpfrVar, "_next_uid", 0)
+            interp = program.interpreter(cache=cache, engine=engine)
+            with pytest.raises(Exception) as raised:
+                interp.run("f", [3.0, 2.0])
+            report = interp.accounting.finalize(interp.memory)
+            outcomes[engine] = (type(raised.value), str(raised.value),
+                                _fault_state(report, interp))
+        assert outcomes["jit"] == outcomes["legacy"]
+        assert program._codegen_store.statuses()["f"]["status"] == "jit"
 
 
 DYNAMIC_PREC_SRC = """
@@ -279,7 +429,7 @@ class TestCodegenCacheRoundTrip:
         program = warm_driver.compile(source, "gemm")
         warm = program.run("run", [4])
         assert warm.value == cold.value
-        assert _report_fields(warm.report) == _report_fields(cold.report)
+        _assert_identical(warm, cold)
         assert warm_driver.cache.stats.disk_hits == 1
         jitted = [name for name, r in program._codegen_store.statuses()
                   .items() if r["status"] == "jit"]

@@ -1,5 +1,7 @@
 """Cost model: cache simulation, cycle costs, OpenMP roofline."""
 
+import random
+
 import pytest
 
 from repro.runtime.cost_model import (
@@ -56,6 +58,55 @@ class TestCacheModel:
         for i in range(10):
             cache.access("r", i * 4096, 8)
         assert cache.dram_bytes == 10 * 64
+
+
+
+#: Four, eight and sixteen lines: a 40-line stream evicts at every level.
+TINY_LEVELS = (
+    CacheLevel("L1", 4 * 64, 64, 4),
+    CacheLevel("L2", 8 * 64, 64, 12),
+    CacheLevel("L3", 16 * 64, 64, 40),
+)
+
+
+def _cache_state(cache):
+    return (list(cache.hits), cache.misses_to_dram, cache.dram_bytes,
+            cache.access_cycles, [list(level) for level in cache._sets])
+
+
+class TestTouchMatchesAccess:
+    """``CacheModel.touch``, the single-access entry every caller uses,
+    leaves the state the reference per-line walk (``access``) leaves,
+    and returns exactly the cycles it charged."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_stream(self, seed):
+        rng = random.Random(seed)
+        fast = CacheModel(levels=TINY_LEVELS)
+        reference = CacheModel(levels=TINY_LEVELS)
+        straddles = 0
+        for _ in range(3000):
+            addr = rng.randrange(40 * 64)
+            nbytes = rng.choice((0, 1, 8, 8, 8, 16, 40, 64, 130))
+            straddles += (addr % 64) + nbytes > 64
+            before = fast.access_cycles
+            charged = fast.touch(addr, nbytes)
+            assert charged == fast.access_cycles - before
+            reference.access("r", addr, nbytes)
+            assert _cache_state(fast) == _cache_state(reference)
+        # The stream reached every path: L1/L2/L3 hits, DRAM misses and
+        # line-straddling accesses.
+        assert all(reference.hits) and reference.misses_to_dram
+        assert straddles > 100
+
+    def test_memory_access_charges_touch_cycles(self):
+        accounting = CostAccounting(cache=CacheModel(levels=TINY_LEVELS))
+        reference = CacheModel(levels=TINY_LEVELS)
+        for addr in (0, 8, 60, 4096, 0, 62):
+            accounting.memory_access("w", addr, 8)
+            reference.access("w", addr, 8)
+        assert accounting.report.cycles == reference.access_cycles
+        assert _cache_state(accounting.cache) == _cache_state(reference)
 
 
 class TestCycleCosts:

@@ -7,6 +7,7 @@ engine/optimization configuration; a seeded miscompile shrinks to a
 tiny deterministic reproducer that persists and replays.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from repro.bigfloat import RNDN, RNDZ, BigFloat, arith
 from repro.evaluation.harness import run_kernel
 from repro.observability import telemetry_session
 from repro.passes.pass_manager import droppable_passes, o3_pipeline
+from repro.runtime.cost_model import CostReport
 from repro.runtime.memory import Memory
 from repro.validation import (
     Certificate,
@@ -34,6 +36,7 @@ from repro.validation import (
     make_check,
     minimize,
     replay,
+    report_snapshot,
     save_reproducer,
     value_token,
 )
@@ -102,6 +105,22 @@ class TestCompareReports:
     def test_unknown_strictness_rejected(self):
         with pytest.raises(ValueError):
             compare_reports(self.REF, self.REF, "fuzzy")
+
+    def test_exact_compares_every_report_field(self):
+        # A miscounted cache hit or byte diverges like a cycle does, and
+        # the snapshot survives a JSON round trip (service replies).
+        report = CostReport(cycles=10, cache_hits=(3, 2, 1))
+        reference = report_snapshot(report)
+        assert json.loads(json.dumps(reference)) == reference
+        for field in dataclasses.fields(CostReport):
+            if field.name == "by_category":
+                continue
+            changed = CostReport(cycles=10, cache_hits=(3, 2, 1))
+            setattr(changed, field.name, (3, 2, 2)
+                    if field.name == "cache_hits" else 11)
+            message = compare_reports(reference, report_snapshot(changed),
+                                      "exact")
+            assert message is not None and repr(field.name) in message
 
 
 class TestCertificateObject:
