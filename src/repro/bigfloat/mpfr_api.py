@@ -22,6 +22,19 @@ from .number import BigFloat
 from .rounding import RNDN, RoundingMode
 
 
+class _NanTable(dict):
+    """``prec -> NaN``: BigFloat is immutable, so every fresh or
+    recycled handle of a precision starts from the same value."""
+
+    def __missing__(self, prec: int) -> BigFloat:
+        nan = self[prec] = BigFloat.nan(prec)
+        return nan
+
+
+#: The shared NaN a ``prec``-bit handle is initialized to.
+nan_of = _NanTable().__getitem__
+
+
 class MpfrVar:
     """Mutable handle mirroring ``__mpfr_struct``.
 
@@ -29,6 +42,8 @@ class MpfrVar:
     value (which bundles sign/exponent/limbs).  ``alive`` tracks the
     init/clear lifetime so double-clear and use-after-clear are caught,
     the bugs the paper's automatic object management eliminates.
+    ``uid`` numbers handles in creation order; use-after-clear messages
+    print it.
     """
 
     __slots__ = ("prec", "value", "alive", "uid", "limb_addr", "exp_bits")
@@ -42,7 +57,7 @@ class MpfrVar:
         #: Exponent-field width (the type's exp-info); None = unbounded,
         #: like stock MPFR before mpfr_set_emin/emax.
         self.exp_bits = exp_bits
-        self.value: BigFloat = BigFloat.nan(prec)  # mpfr_init leaves NaN
+        self.value: BigFloat = nan_of(prec)  # mpfr_init leaves NaN
         self.alive = True
         self.uid = MpfrVar._next_uid
         MpfrVar._next_uid += 1
@@ -158,7 +173,7 @@ class MpfrLibrary:
             var = bucket.pop()
             var.alive = True
             var.exp_bits = exp_bits
-            var.value = BigFloat.nan(prec)  # mpfr_init leaves NaN
+            var.value = nan_of(prec)  # mpfr_init leaves NaN
             self.stats.pool_hits += 1
             self.live_objects += 1
             self.peak_live_objects = max(self.peak_live_objects,

@@ -31,7 +31,11 @@ with the op's site cache (:class:`_MpfrSite`) bound in the prelude.
 The site cache maps the destination handle's ``(prec, exp_bits)`` to the
 op's value kernel, modeled cycles and limb-block size, resolved once per
 key; the helper reads the handle cells directly and makes the call's
-cache touches with an inline L1-hit path, in the walker's order.
+cache touches with an inline L1-hit path, in the walker's order.  The
+object lifecycle calls (``mpfr_init2``, ``mpfr_clear`` and the array
+init/clear entries) are one helper call each too, priced from the
+interpreter's per-precision lifecycle table; a literal precision is
+resolved in it when the function binds.
 
 Generated source is self-contained: it defines ``_make(R)`` where ``R``
 is a :class:`JitRuntime` bound to one (interpreter, function) pair, and
@@ -53,7 +57,8 @@ import math
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..bigfloat import BigFloat, RNDN, limb_bytes
+from ..bigfloat import BigFloat, MpfrVar, RNDN, limb_bytes
+from ..bigfloat.mpfr_api import nan_of
 from ..ir import (
     AllocaInst,
     ArrayType,
@@ -84,7 +89,8 @@ from ..ir import (
     VPFloatType,
 )
 from ..observability import CAT_COMPILE, observe
-from ..runtime.interpreter import (ExecutionLimitExceeded, VPRuntimeError,
+from ..runtime.interpreter import (MPFR_STRUCT_BYTES,
+                                   ExecutionLimitExceeded, VPRuntimeError,
                                    _as_bigfloat, _f32, _trunc_div,
                                    fcmp_value, fdiv, frem, type_format)
 from . import CODEGEN_VERSION
@@ -111,7 +117,14 @@ _MPFR_INLINE = {
     "mpfr_add": 3, "mpfr_sub": 3, "mpfr_mul": 3, "mpfr_div": 3,
     "mpfr_fma": 4, "mpfr_fms": 4, "mpfr_set": 2,
     "mpfr_set_d": 2, "mpfr_set_si": 2,
+    "mpfr_init2": 3, "mpfr_clear": 1,
+    "__mpfr_array_init": 4, "__mpfr_array_clear": 2,
 }
+
+#: The lifecycle helpers and the operand holding each one's precision.
+_MPFR_LIFECYCLE = {"mpfr_init2": ("_mi", 1), "mpfr_clear": ("_mc", None),
+                   "__mpfr_array_init": ("_mai", 2),
+                   "__mpfr_array_clear": ("_mac", None)}
 
 
 class _Unsupported(Exception):
@@ -219,9 +232,10 @@ class JitRuntime:
         """The site cache of one inlined MPFR op (see _MpfrSite)."""
         return _MpfrSite(op, self.interp)
 
-    def mpfr_helpers(self):
-        """The MPFR fast-path helpers the emitted calls go through."""
-        return mpfr_fast_path(self.interp)
+    def mpfr_helpers(self, *precs: int):
+        """The MPFR fast-path helpers the emitted calls go through;
+        ``precs`` are the function's literal lifecycle precisions."""
+        return mpfr_fast_path(self.interp, precs)
 
     def _resolve(self, v):
         interp = self.interp
@@ -245,15 +259,23 @@ class JitRuntime:
         raise TypeError(f"cannot resolve {type(v).__name__} at bind time")
 
 
-def mpfr_fast_path(interp):
+def mpfr_fast_path(interp, precs):
     """The inlined MPFR builtins, bound to one interpreter.
 
-    Returns ``(op3, op4, set_, set_scalar)``: add/sub/mul/div,
-    fma/fms, ``mpfr_set`` and ``mpfr_set_d``/``mpfr_set_si``.  Each
-    takes the installed handler and the call's instruction handle;
+    Returns ``(op3, op4, set_, set_scalar, init2, clear, array_init,
+    array_clear)``: add/sub/mul/div, fma/fms, ``mpfr_set``,
+    ``mpfr_set_d``/``mpfr_set_si``, then the object lifecycle:
+    ``mpfr_init2``, ``mpfr_clear``, ``__mpfr_array_init`` and
+    ``__mpfr_array_clear``.  The arithmetic and set helpers take the
+    installed handler and the call's instruction handle;
     ``op3``/``op4``/``set_scalar`` then take the op's site cache
     (:class:`_MpfrSite`, bound in the emitted prelude) and its builtin
-    name; then come the call's operands.
+    name; then come the call's operands.  The lifecycle helpers take
+    the call's operands only.  Their costs come from the interpreter's
+    lifecycle table (``interp._mpfr_life``, an
+    :class:`~repro.runtime.interpreter.MpfrLifeCosts` the installed
+    handlers read too); ``precs``, the bound function's literal
+    lifecycle precisions, are resolved in it here, at bind time.
 
     Each helper is one flat function that does what the installed
     handler does (interpreter._install_mpfr_builtins), in the same
@@ -268,13 +290,27 @@ def mpfr_fast_path(interp):
     - touch the limb blocks (reads, then the destination) and charge
       the site's cycles to ``mpfr``.
 
+    The lifecycle helpers follow the installed handlers and
+    ``MpfrLibrary.acquire``/``release`` the same way: ``init2`` writes
+    the handle cell and makes its touch, then takes the pool's hit
+    branch (the parked handle and its limb block, recycled) or its miss
+    branch (a fresh handle and its limb block, bump allocated inline
+    as :meth:`Memory.alloc_heap` would); ``clear`` loads the handle and
+    parks it, or frees its limb block, which never holds a cell, with
+    :meth:`Memory.free_footprint`.  The array helpers run them once per
+    element; ``array_clear`` loads each element once to test it is live
+    and again in ``clear``, as the walker does.
+
     A cache touch that stays in one L1-resident line is inlined: a line
     computation, one membership test, ``move_to_end``, with the hit
     counters and cycles added once per group; any other touch goes
     through :meth:`CacheModel.touch`.  A null, missing or cleared
-    handle (or a cell that holds no handle) calls the installed handler
-    with nothing done yet, so the error type and message, and what the
-    call left in the report, stats and cache, are the walker's.
+    handle (or a cell that holds no handle), a null ``init2`` or array
+    address and a precision below 2 call the installed handler with
+    nothing done yet, so the error type and message, and what the call
+    left in the report, stats and cache, are the walker's.  With a
+    tracer installed the lifecycle helpers are the installed handlers,
+    which sample the pool counters.
     """
     memory = interp.memory
     cells = memory.cells
@@ -534,7 +570,167 @@ def mpfr_fast_path(interp):
             metrics.observe("precision.mpfr.bits", prec)
         return None
 
-    return op3, op4, set_, set_scalar
+    builtins = interp._builtins
+    init2_handler = builtins["mpfr_init2"]
+    clear_handler = builtins["mpfr_clear"]
+    array_init_handler = builtins["__mpfr_array_init"]
+    array_clear_handler = builtins["__mpfr_array_clear"]
+    life = interp._mpfr_life
+    for prec in precs:
+        life[prec]  # literal precisions resolve at bind time
+
+    if interp.tracer is not None:
+        # The installed handlers sample the pool counters every 256
+        # acquire/release operations; a traced run goes through them.
+        def init2(d, prec, exp):
+            return init2_handler([d, prec, exp], None, None)
+
+        def clear(d):
+            return clear_handler([d], None, None)
+
+        def array_init(base, count, prec, exp):
+            return array_init_handler([base, count, prec, exp], None, None)
+
+        def array_clear(base, count):
+            return array_clear_handler([base, count], None, None)
+
+        return (op3, op4, set_, set_scalar,
+                init2, clear, array_init, array_clear)
+
+    library = interp.mpfr
+    pool = library._pool
+    heap_blocks = memory.heap_blocks
+    free_footprint = memory.free_footprint
+    costs = interp.accounting.costs
+    pool_hit_cycles = costs.mpfr_call_overhead + costs.mpfr_pool_hit_extra
+    pool_release_cycles = (costs.mpfr_call_overhead
+                           + costs.mpfr_pool_release_extra)
+
+    def init2(d, prec, exp):
+        if not d or prec < 2:
+            return init2_handler([d, prec, exp], None, None)
+        exp_bits = exp or None
+        by_name["mpfr_init2"] = by_name.get("mpfr_init2", 0) + 1
+        pool_on = library.pool_enabled
+        bucket = pool.get(prec) if pool_on else None
+        reused = bool(bucket)
+        if reused:
+            var = bucket.pop()
+            var.alive = True
+            var.exp_bits = exp_bits
+            var.value = nan_of(prec)
+            stats.pool_hits += 1
+        else:
+            if pool_on:
+                stats.pool_misses += 1
+            var = MpfrVar(prec, exp_bits)
+            cycles, _, nbytes, step = life[prec]
+            stats.inits += 1
+            stats.limb_bytes_allocated += nbytes
+        live = library.live_objects = library.live_objects + 1
+        if live > library.peak_live_objects:
+            library.peak_live_objects = live
+        cells[d] = (var, 8)
+        memory.bytes_written += 8
+        if l1 is not None:
+            ln = d // line
+            if ln in l1 and d % line <= last8:
+                mte(ln)
+                hits[0] += 1
+                cache.access_cycles += hit_cycles
+                report.cycles += hit_cycles
+            else:
+                report.cycles += touch(d, 8)
+        report.mpfr_calls += 1
+        if reused:
+            report.cycles += pool_hit_cycles
+            by_category["mpfr"] += pool_hit_cycles
+            return None
+        report.mpfr_allocations += 1
+        report.heap_allocations += 1
+        # alloc_heap, inlined: the limb block's bump address.
+        addr = var.limb_addr = memory.heap_pointer
+        memory.heap_pointer = addr + step
+        heap_blocks[addr] = nbytes
+        report.cycles += cycles
+        by_category["mpfr"] += cycles
+        if metrics is not None:
+            metrics.observe("precision.mpfr.bits", prec)
+        return None
+
+    def clear(d):
+        x = cells.get(d)
+        try:
+            x = x[0]
+            live = x.alive
+        except (TypeError, AttributeError):
+            live = False
+        if not live:
+            return clear_handler([d], None, None)
+        memory.bytes_read += 8
+        if l1 is not None:
+            ln = d // line
+            if ln in l1 and d % line <= last8:
+                mte(ln)
+                hits[0] += 1
+                cache.access_cycles += hit_cycles
+                report.cycles += hit_cycles
+            else:
+                report.cycles += touch(d, 8)
+        x.alive = False
+        by_name["mpfr_clear"] = by_name.get("mpfr_clear", 0) + 1
+        library.live_objects -= 1
+        prec = x.prec
+        if library.pool_enabled:
+            bucket = pool.get(prec)
+            if bucket is None:
+                bucket = pool[prec] = []
+            if len(bucket) < library.pool_limit:
+                bucket.append(x)
+                stats.pool_releases += 1
+                report.mpfr_calls += 1
+                report.cycles += pool_release_cycles
+                by_category["mpfr"] += pool_release_cycles
+                return None
+        stats.clears += 1
+        free_footprint(x.limb_addr)
+        report.mpfr_calls += 1
+        cycles = life[prec][1]
+        report.cycles += cycles
+        by_category["mpfr"] += cycles
+        if metrics is not None:
+            metrics.observe("precision.mpfr.bits", prec)
+        return None
+
+    def array_init(base, count, prec, exp):
+        for d in range(base, base + count * MPFR_STRUCT_BYTES,
+                       MPFR_STRUCT_BYTES):
+            init2(d, prec, exp)
+        return None
+
+    def array_clear(base, count):
+        if not base:
+            return array_clear_handler([base, count], None, None)
+        for d in range(base, base + count * MPFR_STRUCT_BYTES,
+                       MPFR_STRUCT_BYTES):
+            # The walker loads each handle twice: here to test it is
+            # live, then in mpfr_clear.
+            memory.bytes_read += 8
+            if l1 is not None:
+                ln = d // line
+                if ln in l1 and d % line <= last8:
+                    mte(ln)
+                    hits[0] += 1
+                    cache.access_cycles += hit_cycles
+                    report.cycles += hit_cycles
+                else:
+                    report.cycles += touch(d, 8)
+            x = cells.get(d)
+            if x is not None and getattr(x[0], "alive", False):
+                clear(d)
+        return None
+
+    return op3, op4, set_, set_scalar, init2, clear, array_init, array_clear
 
 
 # ----------------------------------------------------------------- #
@@ -590,7 +786,9 @@ class FunctionEmitter:
         self._builtin_refs: Dict[str, str] = {}
         self._kernel_refs: Dict[Tuple[str, int, Optional[int]], str] = {}
         self._mpfr_map_refs: Dict[str, str] = {}
-        self._mpfr_helpers_bound = False
+        #: Prelude index of the MPFR helpers binding, once one is used.
+        self._mpfr_helpers_at: Optional[int] = None
+        self._mpfr_precs: set = set()
         self._default_refs: Dict[int, str] = {}
         # Current block accumulators.  Charges are bulk-counted per
         # block but flushed into *segments* at OpenMP region markers so
@@ -767,6 +965,11 @@ class FunctionEmitter:
                     charge_defs.append(f"{prefix}_{category} = "
                                        + " + ".join(terms))
 
+        if self._mpfr_helpers_at is not None:
+            precs = ", ".join(map(str, sorted(self._mpfr_precs)))
+            self.prelude[self._mpfr_helpers_at] = (
+                "_mop3, _mop4, _mset, _msetv, _mi, _mc, _mai, _mac = "
+                f"R.mpfr_helpers({precs})")
         params = ", ".join(f"a{i}" for i in range(len(func.args)))
         out: List[str] = [
             f"# vpjit v{CODEGEN_VERSION}: function {func.name!r}",
@@ -1275,11 +1478,19 @@ class FunctionEmitter:
     # mpfr_fast_path) with the op's site cache bound in the prelude.
 
     def _emit_mpfr_builtin(self, inst, bname, args, bi, ii, out) -> None:
-        if not self._mpfr_helpers_bound:
-            self._mpfr_helpers_bound = True
-            self.prelude.append("_mop3, _mop4, _mset, _msetv = "
-                                "R.mpfr_helpers()")
+        if self._mpfr_helpers_at is None:
+            # Completed in emit() with the literal precisions.
+            self._mpfr_helpers_at = len(self.prelude)
+            self.prelude.append("")
         name = self.names[id(inst)]
+        if bname in _MPFR_LIFECYCLE:
+            helper, prec_at = _MPFR_LIFECYCLE[bname]
+            if prec_at is not None:
+                prec = inst.operands[prec_at]
+                if isinstance(prec, ConstantInt) and prec.value >= 2:
+                    self._mpfr_precs.add(prec.value)
+            out.append(f"{name} = {helper}({', '.join(args)})")
+            return
         handler = self._builtin_ref(bname)
         handle = self._inst_ref(inst, bi, ii)
         operands = ", ".join(args)

@@ -85,7 +85,7 @@ from ..unum import (UnumConfig, UnumConfigError, decode as unum_decode,
                     encode as unum_encode)
 from ..unum.posit import PositConfig, posit_round
 from .cost_model import CacheModel, CostAccounting
-from .memory import Memory
+from .memory import Memory, heap_step
 
 #: Execution engines, fastest first (see README "Execution engines").
 ENGINES = ("jit", "legacy")
@@ -204,6 +204,33 @@ def constant_of(type_, value) -> Constant:
     if type_.is_float:
         return ConstantFloat(type_, value)
     return ConstantVPFloat(type_, value)
+
+
+#: sizeof(__mpfr_struct): the stride of a lowered vpfloat array.
+MPFR_STRUCT_BYTES = 24
+
+
+class MpfrLifeCosts(dict):
+    """``prec -> (init_cycles, clear_cycles, limb_bytes, heap_step)``:
+    the modeled price of one ``mpfr_init2`` and one ``mpfr_clear`` that
+    allocate and free, the limb block's size and how far its heap
+    block advances the heap pointer.  Resolved once per precision for
+    one interpreter's cost table; the installed lifecycle handlers and
+    the jit's lifecycle helpers read the same entries."""
+
+    __slots__ = ("costs",)
+
+    def __init__(self, costs):
+        super().__init__()
+        self.costs = costs
+
+    def __missing__(self, prec):
+        op_cost = self.costs.mpfr_op_cost
+        nbytes = bigfloat.limb_bytes(prec)
+        entry = self[prec] = (op_cost("mpfr_init2", prec),
+                              op_cost("mpfr_clear", prec),
+                              nbytes, heap_step(nbytes))
+        return entry
 
 
 def _attr_value(attr: Value, frame: Optional["Frame"]) -> int:
@@ -1093,7 +1120,6 @@ class Interpreter:
         b = self._builtins
         costs = self.accounting.costs
         report = self.accounting.report
-        charge = self.accounting.charge
         cost_cache = self._mpfr_cost_cache
 
         by_cat = report.by_category
@@ -1131,40 +1157,51 @@ class Interpreter:
         pool_hit_cycles = costs.mpfr_call_overhead + costs.mpfr_pool_hit_extra
         pool_release_cycles = (costs.mpfr_call_overhead
                                + costs.mpfr_pool_release_extra)
+        library = self.mpfr
+        memory = self.memory
+        life = self._mpfr_life = MpfrLifeCosts(costs)
 
-        def init2(args, inst, frame):
-            addr, prec = int(args[0]), int(args[1])
-            exp_bits = int(args[2]) if len(args) > 2 and args[2] else None
-            var, reused = self.mpfr.acquire(prec, exp_bits)
-            self.memory.store(addr, var, 8)
+        def init_handle(addr, prec, exp_bits):
+            var, reused = library.acquire(prec, exp_bits)
+            memory.store(addr, var, 8)
+            report.mpfr_calls += 1
             if reused:
                 # Free-list hit: the handle and its limb block (still at
                 # var.limb_addr) are recycled in place -- no allocator
                 # round-trip, no new heap footprint.  This is the runtime
                 # counterpart of the lowering pass's dead-object reuse.
-                report.mpfr_calls += 1
-                charge("mpfr", pool_hit_cycles)
-                return None
+                report.cycles += pool_hit_cycles
+                by_cat["mpfr"] += pool_hit_cycles
+                return
+            cycles, _, nbytes, _ = life[prec]
             report.mpfr_allocations += 1
             report.heap_allocations += 1
             # The struct's limb array is heap memory: model its footprint
-            # for the cache/bandwidth accounting.
-            var.limb_addr = self.memory.alloc_heap(bigfloat.limb_bytes(prec))
-            charge_mpfr("mpfr_init2", prec)
-            return None
+            # for the cache/bandwidth accounting.  No cell is ever
+            # stored there, so clear frees it with free_footprint.
+            var.limb_addr = memory.alloc_heap(nbytes)
+            report.cycles += cycles
+            by_cat["mpfr"] += cycles
+            if registry is not None:
+                registry.observe("precision.mpfr.bits", prec)
 
-        def clear(args, inst, frame):
-            var = self._mpfr_handle(args[0])
+        def clear_handle(addr):
+            var = self._mpfr_handle(addr)
             prec = var.prec
-            if self.mpfr.release(var):
+            if library.release(var):
                 # Parked on the free list: the limb heap block stays
                 # allocated for the next acquire of this precision.
                 report.mpfr_calls += 1
-                charge("mpfr", pool_release_cycles)
-                return None
-            self.memory.free_heap(var.limb_addr)
-            charge_mpfr("mpfr_clear", prec)
-            return None
+                report.cycles += pool_release_cycles
+                by_cat["mpfr"] += pool_release_cycles
+                return
+            memory.free_footprint(var.limb_addr)
+            report.mpfr_calls += 1
+            cycles = life[prec][1]
+            report.cycles += cycles
+            by_cat["mpfr"] += cycles
+            if registry is not None:
+                registry.observe("precision.mpfr.bits", prec)
 
         if tracer is not None:
             # Per-call pool spans would swamp the trace (millions of
@@ -1183,40 +1220,46 @@ class Interpreter:
                         "releases": pool_stats.pool_releases,
                     })
 
-            _plain_init2, _plain_clear = init2, clear
+            _plain_init, _plain_clear = init_handle, clear_handle
 
-            def init2(args, inst, frame):
-                result = _plain_init2(args, inst, frame)
+            def init_handle(addr, prec, exp_bits):
+                _plain_init(addr, prec, exp_bits)
                 _pool_sample()
-                return result
 
-            def clear(args, inst, frame):
-                result = _plain_clear(args, inst, frame)
+            def clear_handle(addr):
+                _plain_clear(addr)
                 _pool_sample()
-                return result
+
+        def init2(args, inst, frame):
+            exp_bits = int(args[2]) if len(args) > 2 and args[2] else None
+            init_handle(int(args[0]), int(args[1]), exp_bits)
+            return None
+
+        def clear(args, inst, frame):
+            clear_handle(args[0])
+            return None
 
         b["mpfr_init2"] = init2
         b["mpfr_clear"] = clear
-
-        STRUCT_BYTES = 24  # sizeof(__mpfr_struct)
 
         def array_init(args, inst, frame):
             """Equivalent of the per-element mpfr_init2 loop the real
             backend emits for vpfloat arrays (cost charged per element)."""
             base, count, prec = int(args[0]), int(args[1]), int(args[2])
-            exp_bits = int(args[3]) if len(args) > 3 and args[3] else 0
-            for i in range(count):
-                init2([base + i * STRUCT_BYTES, prec, exp_bits], inst,
-                      frame)
+            exp_bits = int(args[3]) if len(args) > 3 and args[3] else None
+            for addr in range(base, base + count * MPFR_STRUCT_BYTES,
+                              MPFR_STRUCT_BYTES):
+                init_handle(addr, prec, exp_bits)
             return None
 
         def array_clear(args, inst, frame):
             base, count = int(args[0]), int(args[1])
-            for i in range(count):
-                addr = base + i * STRUCT_BYTES
-                handle = self.memory.load(addr, 8)
+            load = memory.load
+            for addr in range(base, base + count * MPFR_STRUCT_BYTES,
+                              MPFR_STRUCT_BYTES):
+                handle = load(addr, 8)
                 if handle is not None and getattr(handle, "alive", False):
-                    clear([addr], inst, frame)
+                    clear_handle(addr)
             return None
 
         b["__mpfr_array_init"] = array_init

@@ -58,7 +58,7 @@ class Memory:
     def alloc_heap(self, nbytes: int) -> int:
         nbytes = max(1, int(nbytes))
         addr = self.heap_pointer
-        self.heap_pointer += _align(nbytes, 16)
+        self.heap_pointer += heap_step(nbytes)
         self.heap_blocks[addr] = nbytes
         return addr
 
@@ -69,6 +69,16 @@ class Memory:
         if size is None:
             raise MemoryError_(f"free of non-heap address {addr:#x}")
         self.clear_range(addr, addr + size)
+
+    def free_footprint(self, addr: int) -> None:
+        """:meth:`free_heap` of a block that models a footprint only
+        and never holds a cell (an MPFR limb block: the cache model
+        touches its addresses, nothing is stored there): the same
+        checks, without the scan for cells."""
+        if addr == 0:
+            return
+        if self.heap_blocks.pop(addr, None) is None:
+            raise MemoryError_(f"free of non-heap address {addr:#x}")
 
     def clear_range(self, start: int, end: int) -> None:
         """Drop every cell at an address in ``[start, end)``, in
@@ -139,3 +149,9 @@ class Memory:
 
 def _align(n: int, a: int) -> int:
     return (n + a - 1) // a * a
+
+
+def heap_step(nbytes: int) -> int:
+    """How far a heap block of ``nbytes`` advances ``heap_pointer``:
+    every block starts 16-byte aligned."""
+    return _align(max(1, int(nbytes)), 16)

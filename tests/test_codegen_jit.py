@@ -30,13 +30,18 @@ RAJA_N = 20
 
 def _full_state(report, interp):
     """Every CostReport field, the MPFR stats (``by_name`` included)
-    and the memory model's byte counters of one run."""
+    and object counts, and the memory model's byte counters and heap
+    of one run."""
     fields = {f.name: getattr(report, f.name)
               for f in dataclasses.fields(report)}
     fields["by_category"] = dict(report.by_category)
+    library, memory = interp.mpfr, interp.memory
     return {"report": fields,
-            "mpfr": dataclasses.asdict(interp.mpfr.stats),
-            "bytes": (interp.memory.bytes_read, interp.memory.bytes_written)}
+            "mpfr": dataclasses.asdict(library.stats),
+            "objects": (library.live_objects, library.peak_live_objects,
+                        library.pooled_objects()),
+            "bytes": (memory.bytes_read, memory.bytes_written),
+            "heap": (memory.heap_pointer, dict(memory.heap_blocks))}
 
 
 def _assert_identical(jit, legacy):
@@ -80,16 +85,37 @@ class TestRajaPerfDifferential:
 
 #: (kernel, n) for the inlined-MPFR differential: small sizes, every
 #: inlined helper reached (gemm/atax: op3 + set_scalar, the jacobis:
-#: op3 + set_).
+#: op3 + set_; all of them init2/clear and the array helpers).
 MPFR_FAST_PATH_KERNELS = (("gemm", 5), ("atax", 8), ("jacobi-1d", 12),
                           ("jacobi-2d", 5))
+
+#: Kernels with the most vpfloat array elements per run: most of their
+#: init2/clear traffic goes through __mpfr_array_init/_clear.
+ARRAY_HEAVY_KERNELS = (("3mm", 6), ("fdtd-2d", 6), ("adi", 6))
+
+#: A callee whose temporaries are cleared on every return and
+#: re-initialized by the next call: with the pool on, every call after
+#: the first is served from the free list.
+POOL_SRC = """
+vpfloat<mpfr, 16, 128> step(vpfloat<mpfr, 16, 128> x) {
+  vpfloat<mpfr, 16, 128> y = x * 1.5;
+  return y + x;
+}
+
+double run(int n) {
+  vpfloat<mpfr, 16, 128> s = 1.0;
+  for (int i = 0; i < n; i = i + 1) s = step(s);
+  return (double) s;
+}
+"""
 
 
 class TestMpfrFastPathDifferential:
     """The jit's inlined MPFR helpers against the legacy walker's
     installed handlers, with the cache model on and off: values, every
-    report field, MPFR stats and memory byte counts are identical.  At
-    300 and 512 bits the limb blocks straddle cache lines."""
+    report field, MPFR stats and object counts, memory byte counts and
+    the heap are identical.  At 300 and 512 bits the limb blocks
+    straddle cache lines."""
 
     @pytest.mark.parametrize("prec", (24, 128, 300, 512))
     @pytest.mark.parametrize("kernel,n", MPFR_FAST_PATH_KERNELS)
@@ -98,6 +124,45 @@ class TestMpfrFastPathDifferential:
 
     def test_boost_matches_legacy(self):
         self._check("gemm", "boost", 128, 5)
+
+    @pytest.mark.parametrize("prec", (64, 300))
+    @pytest.mark.parametrize("kernel,n", MPFR_FAST_PATH_KERNELS)
+    def test_boost_pool_off_matches_legacy(self, kernel, n, prec):
+        # Boost runs with the pool off: every clear frees its block.
+        self._check(kernel, "boost", prec, n)
+
+    @pytest.mark.parametrize("backend", ("mpfr", "boost"))
+    @pytest.mark.parametrize("kernel,n", ARRAY_HEAVY_KERNELS)
+    def test_array_heavy_matches_legacy(self, kernel, n, backend):
+        self._check(kernel, backend, 128, n)
+
+    @pytest.mark.parametrize("pool_limit", (1024, 1))
+    @pytest.mark.parametrize("cache", (True, False))
+    def test_pool_hits_and_parks_match_legacy(self, pool_limit, cache):
+        # A limit of 1 parks one handle per precision and frees the
+        # rest: the helpers' hit, park and free branches all run.
+        from repro.bigfloat import MpfrLibrary
+        from repro.runtime import Interpreter
+        from repro.runtime.cost_model import CacheModel, CostAccounting
+
+        program = compile_source(POOL_SRC, backend="mpfr",
+                                 disable_passes=("inline",))
+        states, interps = {}, {}
+        for engine in ("jit", "legacy"):
+            interp = interps[engine] = Interpreter(
+                program.module, dispatch=engine,
+                accounting=CostAccounting(
+                    cache=CacheModel() if cache else None),
+                mpfr_library=MpfrLibrary(pool=True, pool_limit=pool_limit))
+            result = interp.run("run", [8])
+            states[engine] = (result.value,
+                              _full_state(result.report, interp))
+        assert states["jit"] == states["legacy"]
+        stats = states["jit"][1]["mpfr"]
+        assert stats["pool_hits"] > 0 and stats["pool_releases"] > 0
+        assert (stats["clears"] > 0) == (pool_limit == 1)
+        statuses = interps["jit"]._jit_engine.store.statuses()
+        assert {statuses[f]["status"] for f in ("run", "step")} == {"jit"}
 
     @pytest.mark.parametrize("prec", (128, 512))
     @pytest.mark.parametrize("kernel,n", (("gemm", 5), ("jacobi-2d", 5)))
@@ -150,11 +215,22 @@ double f(double a, double b) {
 """
 
 
+ARRAY_SRC = """
+double g(double a) {
+  vpfloat<mpfr, 16, 128> v[4];
+  for (int i = 0; i < 4; i = i + 1) v[i] = a + i;
+  return (double) v[3];
+}
+"""
+
+
 def _fault_program(fault):
     """FAULT_SRC at -O0 with its ``mpfr_mul(z, x, y)`` made to fault:
     ``cleared`` clears y first, ``uninitialized`` drops z's init2,
     ``null`` passes a null x; ``cleared-set`` clears x before its
-    ``mpfr_set_d``."""
+    ``mpfr_set_d``.  The lifecycle faults: ``double-clear`` clears y
+    twice, ``clear-uninitialized`` clears z before its init2, and
+    ``null-init2``/``null-clear`` pass a null x to its init2/clear."""
     from repro.ir import CallInst, ConstantPointerNull
 
     program = compile_source(FAULT_SRC, backend="mpfr", opt_level=0)
@@ -175,6 +251,17 @@ def _fault_program(fault):
         call("mpfr_init2", dst).erase_from_parent()
     elif fault == "null":
         mul.set_operand(1, ConstantPointerNull(x.type))
+    elif fault == "double-clear":
+        clear = call("mpfr_clear", y)
+        block.insert_before(clear, CallInst(clear.callee, [y]))
+    elif fault == "clear-uninitialized":
+        clear = call("mpfr_clear", dst)
+        block.insert_before(call("mpfr_init2", dst),
+                            CallInst(clear.callee, [dst]))
+    elif fault == "null-init2":
+        call("mpfr_init2", x).set_operand(0, ConstantPointerNull(x.type))
+    elif fault == "null-clear":
+        call("mpfr_clear", x).set_operand(0, ConstantPointerNull(x.type))
     else:  # cleared-set
         set_d = call("mpfr_set_d", x)
         clear = call("mpfr_clear", x)
@@ -205,7 +292,9 @@ class TestMpfrFastPathFaults:
     traffic, MPFR charges and stats."""
 
     @pytest.mark.parametrize("fault", ("cleared", "uninitialized", "null",
-                                       "cleared-set"))
+                                       "cleared-set", "double-clear",
+                                       "clear-uninitialized", "null-init2",
+                                       "null-clear"))
     @pytest.mark.parametrize("cache", (True, False))
     def test_fault_matches_legacy(self, fault, cache, monkeypatch):
         from repro.bigfloat.mpfr_api import MpfrVar
@@ -223,6 +312,78 @@ class TestMpfrFastPathFaults:
                                 _fault_state(report, interp))
         assert outcomes["jit"] == outcomes["legacy"]
         assert program._codegen_store.statuses()["f"]["status"] == "jit"
+
+    @pytest.mark.parametrize("backend", ("mpfr", "boost"))
+    @pytest.mark.parametrize("cache", (True, False))
+    def test_array_clear_over_cleared_elements(self, backend, cache):
+        # A clear of the array's first two elements ahead of its own
+        # clear: the array clear loads every element, skips the two
+        # dead ones and clears the rest.
+        from repro.ir import CallInst, ConstantInt
+        from repro.ir.types import I64
+
+        program = compile_source(ARRAY_SRC, backend=backend, opt_level=0)
+        array_clear = next(
+            i for b in program.module.get_function("g").blocks
+            for i in b.instructions if isinstance(i, CallInst)
+            and i.callee.name == "__mpfr_array_clear")
+        array_clear.parent.insert_before(array_clear, CallInst(
+            array_clear.callee,
+            [array_clear.operands[0], ConstantInt(I64, 2)]))
+        states = {}
+        for engine in ("jit", "legacy"):
+            result = program.run("g", [2.0], engine=engine, cache=cache)
+            states[engine] = (result.value,
+                              _full_state(result.report, result.interpreter))
+        assert states["jit"] == states["legacy"]
+        assert states["jit"][0] == 5.0
+        assert states["jit"][1]["objects"][0] == 0  # every element cleared
+        assert program._codegen_store.statuses()["g"]["status"] == "jit"
+
+
+class TestMpfrLifecycleTelemetry:
+    """A traced or metered run takes the same lifecycle path on both
+    engines: the installed handlers sample the pool counters every 256
+    acquire/release operations, and every allocating init2 and freeing
+    clear observes its precision."""
+
+    @pytest.mark.parametrize("backend", ("mpfr", "boost"))
+    def test_pool_samples_and_precision_match_legacy(self, backend):
+        program = compile_source(POOL_SRC, backend=backend,
+                                 disable_passes=("inline",))
+        outcomes = {}
+        for engine in ("jit", "legacy"):
+            with telemetry_session(trace=True, metrics=True) as (tracer,
+                                                                  registry):
+                result = program.run("run", [100], engine=engine)
+            samples = [event["args"] for event in tracer.events
+                       if event["name"] == "mpfr.pool"]
+            outcomes[engine] = (
+                result.value, samples,
+                registry.histograms.get("precision.mpfr.bits"),
+                _full_state(result.report, result.interpreter))
+        assert outcomes["jit"] == outcomes["legacy"]
+        _, samples, precisions, state = outcomes["jit"]
+        assert precisions
+        stats = state["mpfr"]
+        operations = stats["by_name"]["mpfr_init2"] + \
+            stats["by_name"]["mpfr_clear"]
+        assert len(samples) == operations // 256 >= 2
+        assert program._codegen_store.statuses()["run"]["status"] == "jit"
+
+    @pytest.mark.parametrize("backend", ("mpfr", "boost"))
+    def test_precision_metrics_match_legacy(self, backend):
+        # Metered but untraced: the jit runs its own lifecycle helpers.
+        program = compile_source(POOL_SRC, backend=backend,
+                                 disable_passes=("inline",))
+        outcomes = {}
+        for engine in ("jit", "legacy"):
+            with telemetry_session(metrics=True) as (_, registry):
+                result = program.run("run", [12], engine=engine)
+            outcomes[engine] = (
+                result.value, registry.histograms["precision.mpfr.bits"],
+                _full_state(result.report, result.interpreter))
+        assert outcomes["jit"] == outcomes["legacy"]
 
 
 DYNAMIC_PREC_SRC = """

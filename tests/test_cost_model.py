@@ -277,6 +277,55 @@ class TestMemoryModel:
         memory.free_heap(block)
         assert memory.cells == survivors
 
+    def test_free_footprint_skips_only_the_scan(self, monkeypatch):
+        """Freeing MPFR limb blocks (heap blocks that hold no cell) with
+        free_footprint leaves what free_heap leaves, without its cell
+        scan, and keeps its checks; a malloc block still drops its
+        cells on free."""
+        from repro.runtime.memory import Memory, MemoryError_
+        from repro.validation.harness import observe_run
+
+        heap, footprint = Memory(), Memory()
+        for memory in (heap, footprint):
+            for nbytes in (16, 24, 40, 64, 8, 72):
+                memory.alloc_heap(nbytes)
+
+        # The same program on both: a malloc block holding a value and
+        # a pointer into the heap, beside limb blocks that hold nothing.
+        states = []
+        for memory, free_limbs in ((heap, heap.free_heap),
+                                   (footprint, footprint.free_footprint)):
+            limbs = sorted(memory.heap_blocks)
+            block = memory.alloc_heap(32)
+            memory.store(block, 2.5, 8)
+            memory.store(block + 8, limbs[0], 8)
+            scans = []
+
+            def clear_range(start, end, scans=scans,
+                            clear=memory.clear_range):
+                scans.append((start, end))
+                clear(start, end)
+
+            monkeypatch.setattr(memory, "clear_range", clear_range)
+            for addr in limbs[:3]:
+                free_limbs(addr)
+            states.append((observe_run(block, memory), list(scans)))
+            with pytest.raises(MemoryError_,
+                               match=f"free of non-heap address "
+                                     f"{limbs[0]:#x}$"):
+                free_limbs(limbs[0])
+            free_limbs(0)  # free(NULL) is a no-op on both
+            memory.free_heap(block)
+            assert block not in memory.cells
+            assert block + 8 not in memory.cells
+        (heap_tokens, heap_scans), (footprint_tokens, footprint_scans) = states
+        assert heap_tokens == footprint_tokens
+        assert len(heap_scans) == 3
+        assert footprint_scans == []
+        assert heap.heap_pointer == footprint.heap_pointer
+        assert heap.heap_blocks == footprint.heap_blocks
+        assert heap.cells == footprint.cells
+
     @pytest.mark.parametrize("span", [24, 10_000])
     def test_stack_release_leaves_outer_frames(self, span):
         from repro.runtime.memory import HEAP_BASE, Memory
