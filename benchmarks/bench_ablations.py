@@ -85,14 +85,6 @@ def ablate_polly() -> dict:
             "llc_miss_plain": off.llc_misses}
 
 
-def ablate_fma() -> dict:
-    """FP_CONTRACT: a*b+c as one fused call (mpfr_fma / gfma)."""
-    off = _cycles("gemm", n=8)
-    on = _cycles("gemm", n=8, contract_fma=True)
-    return {"cycles_on": on, "cycles_off": off,
-            "gain": round(off / on, 3)}
-
-
 # ----------------------------------------------------------------- #
 # pytest-benchmark entry points (the perf-gate path)
 # ----------------------------------------------------------------- #
@@ -136,14 +128,6 @@ class TestPollyAblation:
         benchmark.extra_info.update(row)
 
 
-class TestFMAContractionAblation:
-    def test_fma_on_vs_off(self, benchmark):
-        row = benchmark.pedantic(ablate_fma, rounds=1, iterations=1)
-        # one call (and one rounding) saved per MAC
-        assert row["cycles_on"] < row["cycles_off"]
-        benchmark.extra_info.update(row)
-
-
 # ----------------------------------------------------------------- #
 # Standalone JSON artifact
 # ----------------------------------------------------------------- #
@@ -154,7 +138,6 @@ ABLATIONS = {
     "in_place_stores": ablate_in_place,
     "loop_idiom": ablate_loop_idiom,
     "polly_tiling": ablate_polly,
-    "fma_contraction": ablate_fma,
 }
 
 

@@ -78,7 +78,7 @@ _BINOP_TO_MPFR = {"fadd": "add", "fsub": "sub", "fmul": "mul", "fdiv": "div"}
 _VPMATH_TO_MPFR = {
     "vp.sqrt": "mpfr_sqrt", "vp.fabs": "mpfr_abs", "vp.exp": "mpfr_exp",
     "vp.log": "mpfr_log", "vp.sin": "mpfr_sin", "vp.cos": "mpfr_cos",
-    "vp.pow": "mpfr_pow", "vp.fma": "mpfr_fma", "vp.fms": "mpfr_fms",
+    "vp.pow": "mpfr_pow",
 }
 
 

@@ -589,17 +589,6 @@ class FunctionSelector:
             self.emit("gabs", [dest, self.operand(inst.operands[0])],
                       config=self._config_of(inst.type))
             return
-        if name in ("vp.fma", "vp.fms") and _is_unum(inst.type):
-            dest = self.reg_for(inst)
-            a, bb, c = (self.operand(x) for x in inst.operands)
-            if name == "vp.fms":
-                neg = self.new_vreg("g")
-                self.emit("gneg", [neg, c],
-                          config=self._config_of(inst.type))
-                c = neg
-            self.emit("gfma", [dest, a, bb, c],
-                      config=self._config_of(inst.type))
-            return
         if name.startswith("vp."):
             raise UnumISelError(
                 f"{name} has no coprocessor instruction (the hardware "

@@ -6,7 +6,7 @@ function on the modeled machine::
     vpfloat-cc kernel.c --emit-ir
     vpfloat-cc kernel.c --backend unum --emit-asm
     vpfloat-cc kernel.c --backend mpfr --run main --args 64 --report
-    vpfloat-cc kernel.c --polly --contract-fma --run run --args 16
+    vpfloat-cc kernel.c --polly --run run --args 16
 
 (equivalently ``python -m repro.cli ...``).
 """
@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--polly", action="store_true",
                         help="enable Polly-lite loop nest tiling")
     parser.add_argument("--polly-tile", type=int, default=16)
-    parser.add_argument("--contract-fma", action="store_true",
-                        help="fuse a*b+c into fma (FP_CONTRACT)")
     parser.add_argument("--no-reuse", action="store_true",
                         help="disable MPFR object reuse (ablation)")
     parser.add_argument("--no-specialize", action="store_true",
@@ -207,7 +205,6 @@ def _run(args) -> int:
         opt_level=args.opt_level,
         polly=args.polly,
         polly_tile=args.polly_tile,
-        contract_fma=args.contract_fma,
         reuse_objects=not args.no_reuse,
         specialize_scalars=not args.no_specialize,
         in_place_stores=not args.no_in_place,

@@ -15,7 +15,7 @@ from .irgen import CodegenError, IRGenerator, LITERAL_PRECISION, generate_ir
 #: JitRuntime resolution protocol, or the charge-bulking scheme changes: the value participates in the compile
 #: cache fingerprint and in `.vpcgen` sidecar validation, so stale
 #: artifacts miss (and are unlinked) instead of being replayed.
-CODEGEN_VERSION = 10
+CODEGEN_VERSION = 11
 
 __all__ = [
     "IRGenerator",

@@ -26,9 +26,6 @@ cheap entry guard):
   cases, again with constant masks.
 * **sqrt** pins the scaling shift to ``prec + 4``/``prec + 5`` by
   exponent parity and rounds under two constant shift cases.
-* **fma/fms** keep the library's exact product+addend alignment (the
-  addend can land anywhere relative to a ``2*prec``-bit product) but
-  inline the rounding and fold the mode like every other kernel here.
 * every kernel constructs results through
   :class:`~repro.bigfloat.number._FastBigFloat`, skipping field
   validation that the rounding tail already guarantees, and folds the
@@ -62,7 +59,7 @@ from ..bigfloat.number import BigFloat, Kind, _FastBigFloat
 from ..bigfloat.rounding import RoundingMode
 
 #: Operations with a specialized implementation.
-KERNEL_OPS = ("add", "sub", "mul", "div", "fma", "fms", "sqrt")
+KERNEL_OPS = ("add", "sub", "mul", "div", "sqrt")
 
 #: Alignment cap for add/sub beyond the kept significand: guard bits
 #: plus the window the rounding tail needs.  Anything shifted further
@@ -416,82 +413,17 @@ def _sqrt_source(prec: int, rm: RoundingMode,
     return "\n".join(A) + "\n"
 
 
-def _fma_source(prec: int, rm: RoundingMode, flip: bool,
-                exp_bits: Optional[int]) -> str:
-    p = prec
-    sc = "c.sign ^ 1" if flip else "c.sign"
-    A = []
-    A.append("def _kernel(a, b, c):")
-    A.append("    _ak = a.kind")
-    A.append("    _bk = b.kind")
-    A.append("    _ck = c.kind")
-    A.append("    if _ak is _KF and _bk is _KF:")
-    A.append(f"        if a.prec != {p} or b.prec != {p}:")
-    A.append("            _nprec()")
-    A.append("            return _FB(a, b, c)")
-    A.append("        if _ck is _KF:")
-    A.append(f"            if c.prec != {p}:")
-    A.append("                _nprec()")
-    A.append("                return _FB(a, b, c)")
-    A.append("            _pm = (a.mant if a.sign == 0 else -a.mant)"
-             " * (b.mant if b.sign == 0 else -b.mant)")
-    A.append("            _pe = a.exp + b.exp")
-    A.append(f"            _mc = c.mant if {sc} == 0 else -c.mant")
-    A.append("            _ec = c.exp")
-    A.append("            if _pe <= _ec:")
-    A.append("                _t = _pm + (_mc << (_ec - _pe))")
-    A.append("                _e = _pe")
-    A.append("            else:")
-    A.append("                _t = (_pm << (_pe - _ec)) + _mc")
-    A.append("                _e = _ec")
-    A.append("        elif _ck is _KZ:")
-    A.append("            _t = (a.mant if a.sign == 0 else -a.mant)"
-             " * (b.mant if b.sign == 0 else -b.mant)")
-    A.append("            _e = a.exp + b.exp")
-    A.append("        else:")
-    A.append("            _nspec()")
-    A.append("            return _FB(a, b, c)")
-    A.append("        if _t == 0:")
-    A.append("            return _SZERO")
-    A.append("        if _t < 0:")
-    A.append("            _s = 1")
-    A.append("            _m = -_t")
-    A.append("        else:")
-    A.append("            _s = 0")
-    A.append("            _m = _t")
-    A.extend(_exact_round_lines(p, rm, " " * 8))
-    A.extend(_finish_lines(p, exp_bits, " " * 8))
-    # Zero product (a or b zero, the other finite or zero).
-    A.append("    if (_ak is _KF or _ak is _KZ) and "
-             "(_bk is _KF or _bk is _KZ):")
-    A.append("        if _ck is _KZ:")
-    A.append(f"            if a.sign ^ b.sign == {sc}:")
-    A.append("                return _Z1 if a.sign ^ b.sign else _Z0")
-    A.append("            return _SZERO")
-    A.append("        if _ck is _KF:")
-    A.append(f"            if c.prec != {p}:")
-    A.append("                _nprec()")
-    A.append("                return _FB(a, b, c)")
-    A.extend(_passthrough_lines(p, exp_bits, "c", flip, " " * 12))
-    A.append("    _nspec()")
-    A.append("    return _FB(a, b, c)")
-    return "\n".join(A) + "\n"
-
-
 _SOURCES = {
     "add": lambda p, rm, eb: _addsub_source(p, rm, False, eb),
     "sub": lambda p, rm, eb: _addsub_source(p, rm, True, eb),
     "mul": _mul_source,
     "div": _div_source,
-    "fma": lambda p, rm, eb: _fma_source(p, rm, False, eb),
-    "fms": lambda p, rm, eb: _fma_source(p, rm, True, eb),
     "sqrt": _sqrt_source,
 }
 
 _LIBRARY = {
     "add": arith.add, "sub": arith.sub, "mul": arith.mul,
-    "div": arith.div, "fma": arith.fma, "fms": arith.fms,
-    "sqrt": arith.sqrt,
+    "div": arith.div, "sqrt": arith.sqrt,
 }
 
 
@@ -604,15 +536,15 @@ def scalar_kernel(op: str, prec: int,
                   ) -> Callable:
     """A compiled kernel bit-identical to ``arith.<op>(..., prec, rm)``.
 
-    Binary ops take ``(a, b)``, fused ops ``(a, b, c)``, sqrt ``(a)``;
-    all operands must already be BigFloats.  With ``exp_bits``, the
-    destination's exponent-range clamp is folded in (finite results
-    only), matching the jit engine's clamp block.  ``notes`` is an
-    optional ``(note_prec, note_special)`` pair called (cheaply, off
-    the hot path) whenever the kernel falls back to the library because
-    of a precision mismatch or a special value; kernels without hooks
-    are memoized globally, hooked ones are rebound per caller over the
-    same compiled code object.
+    Binary ops take ``(a, b)``, sqrt ``(a)``; all operands must
+    already be BigFloats.  With ``exp_bits``, the destination's
+    exponent-range clamp is folded in (finite results only), matching
+    the jit engine's clamp block.  ``notes`` is an optional
+    ``(note_prec, note_special)`` pair called (cheaply, off the hot
+    path) whenever the kernel falls back to the library because of a
+    precision mismatch or a special value; kernels without hooks are
+    memoized globally, hooked ones are rebound per caller over the same
+    compiled code object.
     """
     key = (op, prec, rm.value, exp_bits)
     if notes is None:
@@ -630,9 +562,6 @@ def scalar_kernel(op: str, prec: int,
     if op == "sqrt":
         def fallback(a, _lib=library, _p=prec, _r=rm):
             return _lib(a, _p, _r)
-    elif op in ("fma", "fms"):
-        def fallback(a, b, c, _lib=library, _p=prec, _r=rm):
-            return _lib(a, b, c, _p, _r)
     else:
         def fallback(a, b, _lib=library, _p=prec, _r=rm):
             return _lib(a, b, _p, _r)

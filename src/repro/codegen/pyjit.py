@@ -25,9 +25,9 @@ emission and that one *function* silently falls back to the legacy
 walker; jit selection is per-function, never a hard error.
 
 MPFR arithmetic and assignment calls (``mpfr_add``/``sub``/``mul``/
-``div``, ``fma``/``fms``, ``set``, ``set_d``/``set_si``) are one emitted
-line each: a call of a flat fast-path helper (:func:`mpfr_fast_path`)
-with the op's site cache (:class:`_MpfrSite`) bound in the prelude.
+``div``, ``set``, ``set_d``/``set_si``) are one emitted line each: a
+call of a flat fast-path helper (:func:`mpfr_fast_path`) with the op's
+site cache (:class:`_MpfrSite`) bound in the prelude.
 The site cache maps the destination handle's ``(prec, exp_bits)`` to the
 op's value kernel, modeled cycles and limb-block size, resolved once per
 key; the helper reads the handle cells directly and makes the call's
@@ -115,7 +115,7 @@ _FLUSH_MARKER = "#__vpjit_charge_flush__"
 #: MPFR runtime builtins inlined at their call sites (name -> arity).
 _MPFR_INLINE = {
     "mpfr_add": 3, "mpfr_sub": 3, "mpfr_mul": 3, "mpfr_div": 3,
-    "mpfr_fma": 4, "mpfr_fms": 4, "mpfr_set": 2,
+    "mpfr_set": 2,
     "mpfr_set_d": 2, "mpfr_set_si": 2,
     "mpfr_init2": 3, "mpfr_clear": 1,
     "__mpfr_array_init": 4, "__mpfr_array_clear": 2,
@@ -262,13 +262,13 @@ class JitRuntime:
 def mpfr_fast_path(interp, precs):
     """The inlined MPFR builtins, bound to one interpreter.
 
-    Returns ``(op3, op4, set_, set_scalar, init2, clear, array_init,
-    array_clear)``: add/sub/mul/div, fma/fms, ``mpfr_set``,
+    Returns ``(op3, set_, set_scalar, init2, clear, array_init,
+    array_clear)``: add/sub/mul/div, ``mpfr_set``,
     ``mpfr_set_d``/``mpfr_set_si``, then the object lifecycle:
     ``mpfr_init2``, ``mpfr_clear``, ``__mpfr_array_init`` and
     ``__mpfr_array_clear``.  The arithmetic and set helpers take the
     installed handler and the call's instruction handle;
-    ``op3``/``op4``/``set_scalar`` then take the op's site cache
+    ``op3``/``set_scalar`` then take the op's site cache
     (:class:`_MpfrSite`, bound in the emitted prelude) and its builtin
     name; then come the call's operands.  The lifecycle helpers take
     the call's operands only.  Their costs come from the interpreter's
@@ -414,65 +414,6 @@ def mpfr_fast_path(interp, precs):
             metrics.observe("precision.mpfr.bits", prec)
         return None
 
-    def op4(handler, inst, site, name, d, a, b, c):
-        x = cells.get(d)
-        y = cells.get(a)
-        z = cells.get(b)
-        w = cells.get(c)
-        try:
-            x = x[0]
-            y = y[0]
-            z = z[0]
-            w = w[0]
-            live = x.alive and y.alive and z.alive and w.alive
-        except (TypeError, AttributeError):
-            live = False
-        if not live:
-            return handler([d, a, b, c], inst, None)
-        memory.bytes_read += 32
-        if l1 is not None:
-            n = charged = 0
-            for addr in (d, a, b, c):
-                ln = addr // line
-                if ln in l1 and addr % line <= last8:
-                    mte(ln)
-                    n += 1
-                else:
-                    charged += touch(addr, 8)
-            if n:
-                hits[0] += n
-                n *= hit_cycles
-                cache.access_cycles += n
-            report.cycles += charged + n
-        prec = x.prec
-        kernel, cycles, nbytes = site[prec, x.exp_bits]
-        x.value = kernel(y.value, z.value, w.value)
-        stats.ops += 1
-        by_name[name] = by_name.get(name, 0) + 1
-        charged = cycles
-        if l1 is not None:
-            n = 0
-            for v in (y, z, w, x):
-                addr = v.limb_addr
-                size = nbytes if v.prec == prec else limb_bytes(v.prec)
-                ln = addr // line
-                if ln in l1 and addr % line + size <= line:
-                    mte(ln)
-                    n += 1
-                else:
-                    charged += touch(addr, size)
-            if n:
-                hits[0] += n
-                n *= hit_cycles
-                cache.access_cycles += n
-                charged += n
-        report.mpfr_calls += 1
-        report.cycles += charged
-        by_category["mpfr"] += cycles
-        if metrics is not None:
-            metrics.observe("precision.mpfr.bits", prec)
-        return None
-
     def set_(handler, inst, d, s):
         x = cells.get(d)
         y = cells.get(s)
@@ -594,7 +535,7 @@ def mpfr_fast_path(interp, precs):
         def array_clear(base, count):
             return array_clear_handler([base, count], None, None)
 
-        return (op3, op4, set_, set_scalar,
+        return (op3, set_, set_scalar,
                 init2, clear, array_init, array_clear)
 
     library = interp.mpfr
@@ -730,7 +671,7 @@ def mpfr_fast_path(interp, precs):
                 clear(d)
         return None
 
-    return op3, op4, set_, set_scalar, init2, clear, array_init, array_clear
+    return op3, set_, set_scalar, init2, clear, array_init, array_clear
 
 
 # ----------------------------------------------------------------- #
@@ -968,7 +909,7 @@ class FunctionEmitter:
         if self._mpfr_helpers_at is not None:
             precs = ", ".join(map(str, sorted(self._mpfr_precs)))
             self.prelude[self._mpfr_helpers_at] = (
-                "_mop3, _mop4, _mset, _msetv, _mi, _mc, _mai, _mac = "
+                "_mop3, _mset, _msetv, _mi, _mc, _mai, _mac = "
                 f"R.mpfr_helpers({precs})")
         params = ", ".join(f"a{i}" for i in range(len(func.args)))
         out: List[str] = [
@@ -1498,8 +1439,7 @@ class FunctionEmitter:
         if op == "set":
             out.append(f"{name} = _mset({handler}, {handle}, {operands})")
             return
-        helper = {"fma": "_mop4", "fms": "_mop4",
-                  "set_d": "_msetv", "set_si": "_msetv"}.get(op, "_mop3")
+        helper = "_msetv" if op in ("set_d", "set_si") else "_mop3"
         kernel = self._mpfr_map_ref(op)
         out.append(f"{name} = {helper}({handler}, {handle}, {kernel}, "
                    f"{bname!r}, {operands})")

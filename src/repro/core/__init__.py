@@ -81,8 +81,6 @@ class CompileOptions:
     in_place_stores: bool = True
     #: -O3 passes left out, by name (see passes.droppable_passes).
     disable_passes: tuple = ()
-    #: FP_CONTRACT: fuse a*b+c into fma (off by default; see passes.fma).
-    contract_fma: bool = False
 
     def __post_init__(self):
         self.passes()  # an unknown pass name raises ValueError
@@ -90,8 +88,7 @@ class CompileOptions:
     def passes(self) -> Tuple[str, ...]:
         """The -O3 passes this compile runs, by name in run order (none
         below -O2): what the compile-cache key hashes of the pipeline."""
-        names = tuple(name for name, _ in o3_passes(self.disable_passes,
-                                                    self.contract_fma))
+        names = tuple(name for name, _ in o3_passes(self.disable_passes))
         return names if self.opt_level >= 2 else ()
 
 
@@ -403,8 +400,7 @@ class CompilerDriver:
             module = generate_ir(unit, name)
         timings: dict = {}
         if options.passes():
-            pipeline = build_o3_pipeline(options.disable_passes,
-                                         options.contract_fma)
+            pipeline = build_o3_pipeline(options.disable_passes)
             with observe("o3-pipeline", cat=CAT_COMPILE):
                 stats = pipeline.run(module)
             timings.update(stats.timings)

@@ -24,14 +24,6 @@ a fresh compile.
 Disk entries are written atomically (temp file + ``os.replace``) so a
 crashed or concurrent writer can never leave a torn entry; unreadable
 or stale-format entries are treated as misses and deleted best-effort.
-
-``max_disk_bytes`` bounds the on-disk store: after every store the
-least-recently-used entries (a ``.vpc`` pickle and its ``.vpcgen``
-codegen sidecar evict together) are deleted until the store fits.
-Recency is the entry's mtime, which disk hits refresh, so a hot entry
-survives a sweep of cold ones.  An evicted entry simply costs a
-recompile on its next lookup -- the compile-cache contract (bit-
-identical programs, never a wrong answer) is unaffected by eviction.
 """
 
 from __future__ import annotations
@@ -47,7 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from importlib.util import MAGIC_NUMBER
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..codegen import CODEGEN_VERSION
 from ..observability import current_metrics
@@ -112,7 +104,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     errors: int = 0  # unreadable/corrupt disk entries treated as misses
-    evictions: int = 0  # LRU entries removed to honour max_disk_bytes
 
     @property
     def hits(self) -> int:
@@ -128,23 +119,17 @@ class CompileCache:
 
     ``directory=None`` gives a memory-only cache.  The directory is
     created lazily on the first store, so constructing a cache never
-    touches the filesystem.  ``max_disk_bytes`` (None = unbounded)
-    size-bounds the disk tier with LRU eviction after each store.
+    touches the filesystem.
     """
 
     def __init__(self, directory: Optional[str] = None,
-                 memory_slots: int = 64,
-                 max_disk_bytes: Optional[int] = None):
+                 memory_slots: int = 64):
         if memory_slots < 0:
             raise ValueError(f"memory_slots must be >= 0, "
                              f"got {memory_slots}")
-        if max_disk_bytes is not None and max_disk_bytes < 0:
-            raise ValueError(f"max_disk_bytes must be >= 0 or None, "
-                             f"got {max_disk_bytes}")
         self.directory = (Path(directory).expanduser()
                           if directory is not None else None)
         self.memory_slots = memory_slots
-        self.max_disk_bytes = max_disk_bytes
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, object]" = OrderedDict()
 
@@ -172,7 +157,7 @@ class CompileCache:
         h.update(f"codegen={CODEGEN_VERSION}\0".encode())
         h.update(f"passes={options.passes()}\0".encode())
         for f in sorted(fields(options), key=lambda f: f.name):
-            if f.name not in ("opt_level", "disable_passes", "contract_fma"):
+            if f.name not in ("opt_level", "disable_passes"):
                 value = getattr(options, f.name)
                 h.update(f"opt:{f.name}={value!r}\0".encode())
         h.update(b"source\0")
@@ -291,8 +276,6 @@ class CompileCache:
                 raise
         except OSError:
             self._count_error()
-            return
-        self._evict_if_needed()
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -340,12 +323,6 @@ class CompileCache:
             except OSError:
                 pass
             return None
-        if self.max_disk_bytes is not None:
-            # Refresh recency so LRU eviction spares hot entries.
-            try:
-                os.utime(path)
-            except OSError:
-                pass
         return program
 
     def _disk_put(self, key: str, program) -> None:
@@ -372,65 +349,6 @@ class CompileCache:
             # holding an object) pickle cannot write: persisting is
             # best-effort; the memory tier still serves this process.
             self._count_error()
-            return
-        self._evict_if_needed()
-
-    # ------------------------------------------------------------ #
-    # Size-bounded LRU eviction
-    # ------------------------------------------------------------ #
-
-    def disk_usage(self) -> "Tuple[int, int]":
-        """``(entries, bytes)`` of the on-disk tier (pickles plus
-        their codegen sidecars); ``(0, 0)`` for memory-only caches."""
-        entries, total = self._scan_disk()
-        return len(entries), total
-
-    def _scan_disk(self):
-        """Per-key disk footprint: ``{key: (recency, bytes, paths)}``
-        plus the total byte count.  Recency is the newest mtime of the
-        key's files (the ``.vpc`` pickle, refreshed on hits, dominates
-        in practice)."""
-        entries: dict = {}
-        total = 0
-        if self.directory is None or not self.directory.is_dir():
-            return entries, total
-        for pattern in ("*.vpc", "*.vpcgen"):
-            for path in self.directory.glob(pattern):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                recency, size, paths = entries.get(
-                    path.stem, (0.0, 0, []))
-                entries[path.stem] = (max(recency, stat.st_mtime),
-                                      size + stat.st_size,
-                                      paths + [path])
-                total += stat.st_size
-        return entries, total
-
-    def _evict_if_needed(self) -> None:
-        """Delete least-recently-used disk entries until the store fits
-        ``max_disk_bytes`` (no-op when unbounded)."""
-        if self.max_disk_bytes is None or self.directory is None:
-            return
-        entries, total = self._scan_disk()
-        registry = current_metrics()
-        if total > self.max_disk_bytes:
-            for key in sorted(entries, key=lambda k: entries[k][0]):
-                if total <= self.max_disk_bytes:
-                    break
-                recency, size, paths = entries[key]
-                for path in paths:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                total -= size
-                self.stats.evictions += 1
-                if registry is not None:
-                    registry.inc("compile.cache.evictions")
-        if registry is not None:
-            registry.gauge("compile.cache.disk_bytes", total)
 
     def _count_error(self) -> None:
         self.stats.errors += 1

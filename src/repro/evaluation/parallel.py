@@ -106,29 +106,18 @@ def shard_tasks(count: int, jobs: int,
 # ----------------------------------------------------------------- #
 
 def init_worker_runtime(cache_dir: Optional[str], use_cache: bool,
-                        ledger_path: Optional[str] = None,
-                        max_cache_bytes: Optional[int] = None) -> None:
+                        ledger_path: Optional[str] = None) -> None:
     """Install one worker process's runtime state: the compile cache
-    (process-global default, optionally size-bounded -- the service
-    daemon's shared artifact store passes its byte budget here) and,
-    when the parent has a run ledger, reopen it.  The ledger appends
-    whole lines through one O_APPEND descriptor per process, so every
-    worker writing to the same file is safe; under the spawn start
-    method this is the only way the parent's programmatic
-    ``install_ledger`` reaches the children (fork inherits it, but the
-    per-PID descriptor logic reopens on first use either way).
-
-    Shared by the sweep worker pool below and by the compile/run
-    service's shards (:mod:`repro.service.worker`)."""
-    cache = CompileCache(cache_dir, max_disk_bytes=max_cache_bytes) \
-        if use_cache else None
-    set_compile_cache(cache)
+    (process-global default) and, when the parent has a run ledger,
+    reopen it.  The ledger appends whole lines through one O_APPEND
+    descriptor per process, so every worker writing to the same file
+    is safe; under the spawn start method this is the only way the
+    parent's programmatic ``install_ledger`` reaches the children (fork
+    inherits it, but the per-PID descriptor logic reopens on first use
+    either way)."""
+    set_compile_cache(CompileCache(cache_dir) if use_cache else None)
     if ledger_path is not None:
         install_ledger(RunLedger(ledger_path))
-
-
-#: Pre-service spelling, kept for the pool initializer below.
-_worker_init = init_worker_runtime
 
 
 def _run_shard(fn: Callable, shard: List[Tuple[int, tuple]],
@@ -217,7 +206,7 @@ def _run_pool(fn: Callable, tasks: Sequence[tuple], jobs: int,
     ledger_path = str(ledger.path) if ledger is not None else None
     with ProcessPoolExecutor(
             max_workers=len(shards), mp_context=_pool_context(),
-            initializer=_worker_init,
+            initializer=init_worker_runtime,
             initargs=(cache_dir, use_cache, ledger_path)) as pool:
         futures = [
             pool.submit(_run_shard, fn,

@@ -43,7 +43,6 @@ from .ledger import (
     LedgerError,
     RunLedger,
     compare_ledgers,
-    bench_floor_scale,
     current_ledger,
     install_ledger,
     ledger_session,
@@ -79,7 +78,6 @@ __all__ = [
     "LedgerError", "MetricsRegistry", "RunLedger", "Span", "Tracer",
     "absorb_kernel_stats", "absorb_mpfr_stats", "absorb_pass_timings",
     "absorb_profile", "absorb_report",
-    "bench_floor_scale",
     "absorb_unum_stats",
     "NULL_OBSERVATION", "Observation",
     "compare_ledgers", "current_ledger", "current_metrics",

@@ -51,12 +51,8 @@ LEDGER_SCHEMA_VERSION = 1
 #: parallel engine's workers honour it so one sweep shares one file.
 LEDGER_ENV = "VPFLOAT_LEDGER"
 
-#: Record kinds the schema admits.  ``service`` records are written by
-#: the compile/run daemon (:mod:`repro.service`): one per client
-#: request (op, coalesced lane count, attempts, outcome) plus fault
-#: events (worker deaths, request timeouts).
-EVENTS = ("compile", "run", "batch_run", "eval_point", "bench",
-          "service")
+#: Record kinds the schema admits.
+EVENTS = ("compile", "run", "batch_run", "eval_point", "bench")
 
 _NUMERIC = (int, float)
 
@@ -85,23 +81,6 @@ def _git_revision() -> Optional[str]:
         except Exception:
             _GIT_REV = "unknown"
     return _GIT_REV
-
-
-def bench_floor_scale() -> float:
-    """``$VPFLOAT_BENCH_FLOOR_SCALE`` as a float (default 1.0).
-
-    The perf benches multiply their speedup floors by this, so loaded
-    or throttled CI runners can relax the gates (e.g. ``0.5``) without
-    editing the floors out of the benches; an unset or malformed value
-    leaves the floors untouched."""
-    raw = os.environ.get("VPFLOAT_BENCH_FLOOR_SCALE")
-    if not raw:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError:
-        return 1.0
-    return scale if scale > 0 else 1.0
 
 
 def reproducibility_envelope() -> dict:

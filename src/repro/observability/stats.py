@@ -300,63 +300,6 @@ def render_unum_summary(data: dict) -> str:
     return "\n".join(lines)
 
 
-def render_service_summary(data: dict) -> str:
-    """Compile/run daemon telemetry, derived from the ``service.*``
-    counters ``vpfloat-serve`` emits (request traffic, dispatch
-    coalescing, fault recovery, shared artifact-store hit rates).
-    Empty string when the document is not a daemon's."""
-    counters = data.get("counters", {})
-    gauges = data.get("gauges", {})
-    requests = int(counters.get("service.requests", 0))
-    dispatches = int(counters.get("service.dispatches", 0))
-    if not requests and not dispatches:
-        return ""
-    lines = [f"service: {requests} request(s) over "
-             f"{int(counters.get('service.connections', 0))} "
-             f"connection(s), {dispatches} dispatch(es)"]
-    coalesced = int(counters.get("service.coalesced", 0))
-    if coalesced:
-        lines.append(f"  coalescing: {coalesced} request(s) batched "
-                     f"into {int(counters.get('service.batches', 0))} "
-                     f"dispatch(es)")
-    ops = {name[len("service.op."):]: int(value)
-           for name, value in counters.items()
-           if name.startswith("service.op.")}
-    if ops:
-        lines.append("  ops: " + ", ".join(
-            f"{op}={ops[op]}" for op in sorted(ops)))
-    faults = {label: int(counters.get(f"service.{name}", 0))
-              for label, name in (("deaths", "worker_deaths"),
-                                  ("timeouts", "timeouts"),
-                                  ("retries", "retries"),
-                                  ("rejected", "rejected"),
-                                  ("task failures", "task_failed"))}
-    if any(faults.values()):
-        lines.append("  faults: " + ", ".join(
-            f"{label}={count}" for label, count in faults.items()
-            if count))
-    store = {name[len("service.store."):]: int(value)
-             for name, value in counters.items()
-             if name.startswith("service.store.")}
-    if store:
-        hits = store.get("memory_hits", 0) + store.get("disk_hits", 0)
-        lookups = hits + store.get("misses", 0)
-        line = (f"  store: {hits}/{lookups} hit(s)"
-                if lookups else "  store: no lookups")
-        if lookups:
-            line += f" ({100.0 * hits / lookups:.0f}%)"
-        extras = [f"{name}={store[name]}" for name in
-                  ("stores", "evictions", "errors") if store.get(name)]
-        if extras:
-            line += ", " + ", ".join(extras)
-        lines.append(line)
-    entries = gauges.get("service.store.entries")
-    if entries is not None:
-        lines.append(f"  store occupancy: {int(entries)} entry(ies), "
-                     f"{int(gauges.get('service.store.bytes', 0))} B")
-    return "\n".join(lines)
-
-
 def render_ledger_summary(path: str) -> str:
     """A digest of a run-ledger file: record counts per event kind and
     the distinct benchmark keys recorded."""
@@ -599,8 +542,7 @@ def _main(argv=None) -> int:
             for section in (render_codegen_summary(data),
                             render_kernel_summary(data),
                             render_validation_summary(data),
-                            render_unum_summary(data),
-                            render_service_summary(data)):
+                            render_unum_summary(data)):
                 if section:
                     print()
                     print(section)

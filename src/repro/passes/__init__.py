@@ -8,7 +8,6 @@ uses, and the Polly-lite loop nest optimizer lives in
 
 from .constfold import ConstantFoldPass, fold_instruction
 from .dce import DeadCodeEliminationPass, is_trivially_dead
-from .fma import FMAContractionPass
 from .gvn import GVNPass
 from .inline import InliningPass, inline_call_site
 from .licm import LICMPass
@@ -30,7 +29,7 @@ __all__ = [
     "Mem2RegPass", "promotable_allocas",
     "ConstantFoldPass", "fold_instruction",
     "DeadCodeEliminationPass", "is_trivially_dead",
-    "GVNPass", "LICMPass", "SimplifyCFGPass", "FMAContractionPass",
+    "GVNPass", "LICMPass", "SimplifyCFGPass",
     "LoopIdiomPass", "LoopUnrollPass",
     "InliningPass", "inline_call_site",
 ]

@@ -81,42 +81,37 @@ class PassManager:
 
 def o3_pipeline() -> Tuple[Tuple[str, type], ...]:
     """The -O3 pipeline (paper §IV): ``(name, pass class)`` per pass run,
-    in run order; ``fma-contract`` runs only under FP_CONTRACT."""
-    from . import (ConstantFoldPass, DeadCodeEliminationPass,
-                   FMAContractionPass, GVNPass, InliningPass, LICMPass,
-                   LoopIdiomPass, LoopUnrollPass, Mem2RegPass,
-                   SimplifyCFGPass)
+    in run order."""
+    from . import (ConstantFoldPass, DeadCodeEliminationPass, GVNPass,
+                   InliningPass, LICMPass, LoopIdiomPass, LoopUnrollPass,
+                   Mem2RegPass, SimplifyCFGPass)
 
     return tuple((pass_class.name, pass_class) for pass_class in (
         InliningPass, Mem2RegPass, ConstantFoldPass,
         SimplifyCFGPass,  # merge blocks so loop passes see small loops
         GVNPass, LICMPass, LoopIdiomPass, LoopUnrollPass,
-        ConstantFoldPass, GVNPass, FMAContractionPass,
+        ConstantFoldPass, GVNPass,
         DeadCodeEliminationPass, SimplifyCFGPass, DeadCodeEliminationPass))
 
 
 def droppable_passes() -> Tuple[str, ...]:
-    """The distinct names ``disable`` accepts, in first-run order: all
-    but the opt-in ``fma-contract`` (one rounding of a*b+c)."""
-    return tuple(dict.fromkeys(name for name, _ in o3_pipeline()
-                               if name != "fma-contract"))
+    """The distinct names ``disable`` accepts, in first-run order."""
+    return tuple(dict.fromkeys(name for name, _ in o3_pipeline()))
 
 
-def o3_passes(disable: Iterable[str] = (),
-              contract_fma: bool = False) -> List[Tuple[str, type]]:
+def o3_passes(disable: Iterable[str] = ()) -> List[Tuple[str, type]]:
     """The :func:`o3_pipeline` entries whose name is not in ``disable``
     (an unknown name raises ValueError)."""
-    unknown = sorted(set(disable).difference(droppable_passes()))
+    skip = set(disable)
+    unknown = sorted(skip.difference(droppable_passes()))
     if unknown:
         raise ValueError(f"unknown pass name(s) {unknown}; choose from "
                          f"{list(droppable_passes())}")
-    skip = {*disable, *(() if contract_fma else ("fma-contract",))}
     return [entry for entry in o3_pipeline() if entry[0] not in skip]
 
 
-def build_o3_pipeline(disable: Iterable[str] = (),
-                      contract_fma: bool = False) -> PassManager:
+def build_o3_pipeline(disable: Iterable[str] = ()) -> PassManager:
     """The -O3 pipeline as fresh pass instances (see :func:`o3_passes`)."""
     pm = PassManager()
-    pm.passes = [cls() for _, cls in o3_passes(disable, contract_fma)]
+    pm.passes = [cls() for _, cls in o3_passes(disable)]
     return pm

@@ -211,7 +211,7 @@ class CycleCosts:
             return base + self.mpfr_transcendental_per_word * w * w
         if "div" in name:
             return base + self.mpfr_div_per_word * w * w
-        if "mul" in name or "fma" in name or "fms" in name:
+        if "mul" in name:
             return base + self.mpfr_mul_per_word * w * w
         # add/sub/neg/abs and friends: linear in words.
         return base + self.mpfr_add_per_word * w

@@ -1081,27 +1081,6 @@ class Interpreter:
         b["vp.cos"] = vpmath(lambda a, prec: bigfloat.cos(a, prec))
         b["vp.pow"] = vpmath(lambda a, b_, prec: bigfloat.pow(a, b_, prec))
 
-        def vp_fused(kernel):
-            def handler(args, inst, frame):
-                result_type = inst.type
-                is_vp = result_type.is_vpfloat
-                fmt = type_format(result_type, frame) if is_vp else None
-                prec = fmt.prec if is_vp else 53
-                work = prec + 8 if (is_vp and fmt.format == "posit") \
-                    else prec
-                a, bb, c = (_as_bigfloat(v, work) for v in args)
-                words = max(1, prec // 64)
-                charge("vp_math", costs.f64_mul * words * words)
-                result = kernel(a, bb, c, work)
-                if is_vp and result_type.format == "posit":
-                    result = posit_round(result, fmt.config)
-                return result if is_vp else result.to_float()
-
-            return handler
-
-        b["vp.fma"] = vp_fused(arith.fma)
-        b["vp.fms"] = vp_fused(arith.fms)
-
         self._install_mpfr_builtins()
 
     # ------------------------------------------------------------ #
@@ -1398,27 +1377,6 @@ class Interpreter:
         b["mpfr_d_div"] = scalar_first("d_div")
         for op in ("neg", "abs", "sqrt", "exp", "log", "sin", "cos"):
             b[f"mpfr_{op}"] = unary(op)
-
-        def fma_like(method_name):
-            method = getattr(self.mpfr, method_name)
-            call_name = f"mpfr_{method_name}"
-
-            def handler(args, inst, frame):
-                dst = self._mpfr_handle(args[0])
-                a = self._mpfr_handle(args[1])
-                bb = self._mpfr_handle(args[2])
-                c = self._mpfr_handle(args[3])
-                method(dst, a, bb, c)
-                for v in (a, bb, c):
-                    touch_limbs(v, "r")
-                touch_limbs(dst, "w")
-                charge_mpfr(call_name, dst.prec)
-                return None
-
-            return handler
-
-        b["mpfr_fma"] = fma_like("fma")
-        b["mpfr_fms"] = fma_like("fms")
 
         def mpfr_set(args, inst, frame):
             dst = self._mpfr_handle(args[0])

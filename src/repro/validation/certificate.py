@@ -54,16 +54,9 @@ _REPORT_FIELDS = (
 #:   compiled program (jit/legacy).  This is also the scalar-kernel
 #:   check: the jit binds the precision-specialized kernels, the
 #:   legacy walker the library arithmetic.
-#: * ``serial↔service`` -- an in-process serial run against
-#:   each reply the compile/run daemon produced for the same request
-#:   (possibly coalesced with same-point requests into one run, retried
-#:   on a fresh shard, or served from the shared artifact store); the
-#:   daemon is transport, so values and cycle reports must match
-#:   bit-for-bit.
 #: * ``O3↔O0`` / ``O3↔O3-minus-one-pass`` / ``O3↔O3+polly`` -- passes.
 TRANSITIONS = {
     "engine↔engine": "exact",
-    "serial↔service": "exact",
     "O3↔O0": "sane",
     "O3↔O3-minus-one-pass": "sane",
     "O3↔O3+polly": "sane",
@@ -127,7 +120,7 @@ def tokens_digest(tokens: Tuple) -> str:
 
 def report_snapshot(report) -> dict:
     """The comparable face of a CostReport as a plain dict (JSON-safe:
-    ``cache_hits`` is a list, as it reads back from a service reply)."""
+    ``cache_hits`` is a list)."""
     snap = {name: getattr(report, name, 0) for name in _REPORT_FIELDS}
     snap["cache_hits"] = list(getattr(report, "cache_hits", ()))
     snap["by_category"] = dict(getattr(report, "by_category", {}) or {})

@@ -1,4 +1,7 @@
-"""The vpfloat-cc command-line driver."""
+"""The vpfloat-cc command-line driver and the package's entry points."""
+
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -52,8 +55,7 @@ class TestCompileAndRun:
 
     def test_ablation_flags(self, source_file, capsys):
         assert main([source_file, "--no-reuse", "--no-specialize",
-                     "--no-in-place", "--contract-fma",
-                     "--run", "run", "--args", "4"]) == 0
+                     "--no-in-place", "--run", "run", "--args", "4"]) == 0
         assert "run(...) = 2.0" in capsys.readouterr().out
 
     def test_opt_level_zero(self, source_file, capsys):
@@ -123,3 +125,17 @@ class TestDiagnostics:
                   "--report", "--threads", threads])
         assert exited.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+def test_every_console_script_resolves():
+    """Each ``[project.scripts]`` target names an importable callable, so
+    no installed command points at a module that is gone."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module_name, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module_name), attr)
+        assert callable(entry), name

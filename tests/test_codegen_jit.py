@@ -712,11 +712,7 @@ class TestEngineSelection:
                                           value, flags):
         # The engine is a run's only choice: the MPFR free list follows
         # the backend, and one kernel family serves every precision.
-        import asyncio
-
         from repro import cli
-        from repro.service import ServiceError
-        from service_utils import FTYPE, connect, service
 
         program = compile_source("int f() { return 1; }", backend="none")
         with pytest.raises(TypeError, match=option):
@@ -727,22 +723,6 @@ class TestEngineSelection:
             cli.main([str(source), "--run", "f", *flags])
         assert exited.value.code == 2
         assert flags[0] in capsys.readouterr().err
-
-        async def scenario():
-            async with service(tmp_path, workers=1) as daemon:
-                client = await connect(daemon)
-                try:
-                    await client.call("run", kernel="gemm", ftype=FTYPE,
-                                      n=4, backend="mpfr",
-                                      options={option: value})
-                except ServiceError as error:
-                    return error
-                finally:
-                    await client.close()
-
-        error = asyncio.run(scenario())
-        assert error is not None and error.code == "bad_request"
-        assert repr(option) in error.error["message"]
 
     def test_profiled_runs_use_legacy_walker(self):
         # The exact profiler hooks per-instruction dispatch, so a

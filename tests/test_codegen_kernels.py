@@ -21,11 +21,9 @@ SAMPLES_PER_CONFIG = 12
 
 LIBRARY = {
     "add": arith.add, "sub": arith.sub, "mul": arith.mul,
-    "div": arith.div, "fma": arith.fma, "fms": arith.fms,
-    "sqrt": arith.sqrt,
+    "div": arith.div, "sqrt": arith.sqrt,
 }
-ARITY = {"add": 2, "sub": 2, "mul": 2, "div": 2,
-         "fma": 3, "fms": 3, "sqrt": 1}
+ARITY = {"add": 2, "sub": 2, "mul": 2, "div": 2, "sqrt": 1}
 
 
 def _key(x: BigFloat):

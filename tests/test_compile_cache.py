@@ -46,7 +46,6 @@ class TestFingerprint:
                         CompileOptions(opt_level=0),
                         CompileOptions(polly=True),
                         CompileOptions(polly=True, polly_tile=8),
-                        CompileOptions(contract_fma=True),
                         CompileOptions(reuse_objects=False),
                         CompileOptions(specialize_scalars=False),
                         CompileOptions(in_place_stores=False)):
@@ -77,6 +76,35 @@ class TestCompileOptions:
     def test_removed_options_rejected(self, option):
         with pytest.raises(TypeError, match=option):
             CompilerDriver(**{option: False})
+
+    @pytest.mark.parametrize("surface", [
+        "cli", "options", "compile_source", "cache"])
+    def test_contraction_and_disk_budget_refused(self, tmp_path, capsys,
+                                                 surface):
+        # There is no FP contraction and no disk budget: asking for
+        # either must fail, never compile as if it were honoured.
+        from repro import cli
+
+        if surface == "cli":
+            source = tmp_path / "f.c"
+            source.write_text("int f() { return 1; }")
+            with pytest.raises(SystemExit) as exited:
+                cli.main([str(source), "--contract-fma"])
+            assert exited.value.code == 2
+            assert "--contract-fma" in capsys.readouterr().err
+            return
+        make, option = {
+            "options": (lambda: CompileOptions(contract_fma=True),
+                        "contract_fma"),
+            "compile_source": (
+                lambda: compile_source(SOURCE, contract_fma=True),
+                "contract_fma"),
+            "cache": (lambda: CompileCache(tmp_path / "c",
+                                           max_disk_bytes=1 << 20),
+                      "max_disk_bytes"),
+        }[surface]
+        with pytest.raises(TypeError, match=option):
+            make()
 
     def test_unknown_pass_name_lists_the_valid_ones(self):
         with pytest.raises(ValueError, match="loop-unroll"):
@@ -220,6 +248,16 @@ class TestDriverIntegration:
         assert cache.stats.disk_hits == 1
         assert cache.stats.misses == 0
 
+    def test_batch_records_share_the_program_entry(self, tmp_path):
+        cache = CompileCache(tmp_path / "c")
+        program = CompilerDriver(backend="mpfr", cache=cache).compile(
+            SOURCE, name="m")
+        program.run("run", [4])
+        program.run_batch("run", [4], lanes=2)
+        entries = sorted((tmp_path / "c").iterdir())
+        assert [path.suffix for path in entries] == [".vpc", ".vpcgen"]
+        assert entries[0].stem == entries[1].stem  # no orphan sidecar
+
     def test_option_change_misses(self, tmp_path):
         cache = CompileCache(tmp_path / "c")
         CompilerDriver(backend="mpfr", cache=cache).compile(SOURCE)
@@ -355,117 +393,3 @@ double f(int n) {
         payload["functions"]["f"]["line_map"] = {1: ("entry", 0, "ret")}
         self._assert_miss_recompiles(tmp_path, path, first,
                                      _sidecar(payload))
-
-
-class TestDiskEviction:
-    """Size-bounded disk tier: LRU eviction honours ``max_disk_bytes``
-    without ever breaking the bit-identical-recompile contract."""
-
-    @staticmethod
-    def _entry_bytes(tmp_path, payload) -> int:
-        probe = CompileCache(tmp_path / "probe", memory_slots=0)
-        probe.put("probe", payload)
-        _, total = probe.disk_usage()
-        return total
-
-    def test_budget_evicts_least_recently_stored(self, tmp_path):
-        import os
-
-        payload = b"x" * 1000
-        one = self._entry_bytes(tmp_path, payload)
-        cache = CompileCache(tmp_path / "c", memory_slots=0,
-                             max_disk_bytes=2 * one + one // 2)
-        for offset, key in enumerate(("a", "b", "c")):
-            cache.put(key, payload)
-            # Deterministic recency regardless of clock resolution.
-            path = cache._path(key)
-            if path.exists():
-                os.utime(path, (1_000_000 + offset, 1_000_000 + offset))
-        entries, total = cache.disk_usage()
-        assert entries == 2
-        assert total <= cache.max_disk_bytes
-        assert cache.get("a") is None  # the oldest entry paid
-        assert cache.get("b") is not None
-        assert cache.get("c") is not None
-        assert cache.stats.evictions == 1
-
-    def test_disk_hit_refreshes_recency(self, tmp_path):
-        import os
-
-        payload = b"x" * 1000
-        one = self._entry_bytes(tmp_path, payload)
-        cache = CompileCache(tmp_path / "c", memory_slots=0,
-                             max_disk_bytes=2 * one + one // 2)
-        cache.put("a", payload)
-        cache.put("b", payload)
-        os.utime(cache._path("a"), (1_000_000, 1_000_000))
-        os.utime(cache._path("b"), (1_000_010, 1_000_010))
-        assert cache.get("a") is not None  # refreshes a's mtime to now
-        cache.put("c", payload)
-        assert cache.get("b") is None  # b, not the hot a, was LRU
-        assert cache.get("a") is not None
-        assert cache.get("c") is not None
-
-    def test_codegen_sidecar_evicts_with_its_entry(self, tmp_path):
-        import os
-
-        payload = b"x" * 1000
-        one = self._entry_bytes(tmp_path, payload)
-        cache = CompileCache(tmp_path / "c", memory_slots=0,
-                             max_disk_bytes=2 * one)
-        cache.put("a", payload)
-        cache.put_codegen("a", {"version": 1, "functions": {}})
-        sidecar = (tmp_path / "c" / "a.vpcgen")
-        assert sidecar.exists()
-        os.utime(cache._path("a"), (1_000_000, 1_000_000))
-        os.utime(sidecar, (1_000_000, 1_000_000))
-        cache.put("b", payload)
-        cache.put("c", payload)
-        assert cache.get("a") is None
-        assert not sidecar.exists()
-
-    def test_batch_records_share_the_program_entry(self, tmp_path):
-        cache = CompileCache(tmp_path / "c", max_disk_bytes=10**9)
-        program = CompilerDriver(backend="mpfr", cache=cache).compile(
-            SOURCE, name="m")
-        program.run("run", [4])
-        program.run_batch("run", [4], lanes=2)
-        assert cache.disk_usage()[0] == 1
-        cache.max_disk_bytes = 0
-        cache._evict_if_needed()
-        assert not list((tmp_path / "c").iterdir())  # no orphan sidecar
-
-    def test_evict_then_recompile_round_trip(self, tmp_path):
-        """An evicted program costs exactly a recompile and the
-        recompiled program is bit-identical to the evicted one."""
-        other = source_for("gemm", "vpfloat<mpfr, 16, 256>")
-        # Budget sized off the first program: holds one, not two.
-        probe = CompileCache(tmp_path / "probe", memory_slots=0)
-        CompilerDriver(backend="mpfr", cache=probe).compile(SOURCE,
-                                                            name="m")
-        _, one_program = probe.disk_usage()
-        cache = CompileCache(tmp_path / "c", memory_slots=0,
-                             max_disk_bytes=one_program + one_program // 2)
-        driver = CompilerDriver(backend="mpfr", cache=cache)
-        baseline = driver.compile(SOURCE, name="m").run("run", [4])
-        driver.compile(other, name="m")  # evicts the first program
-        assert cache.stats.evictions >= 1
-        misses_before = cache.stats.misses
-        rerun = driver.compile(SOURCE, name="m").run("run", [4])
-        assert cache.stats.misses == misses_before + 1  # recompiled
-        assert rerun.value == baseline.value
-        assert rerun.report.cycles == baseline.report.cycles
-        assert dict(rerun.report.by_category) == \
-            dict(baseline.report.by_category)
-
-    def test_unbounded_cache_never_evicts(self, tmp_path):
-        cache = CompileCache(tmp_path / "c", memory_slots=0)
-        for key in ("a", "b", "c", "d"):
-            cache.put(key, b"x" * 10_000)
-        entries, _ = cache.disk_usage()
-        assert entries == 4
-        assert cache.stats.evictions == 0
-
-    def test_negative_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            CompileCache(tmp_path / "c", max_disk_bytes=-1)

@@ -209,10 +209,9 @@ def _partner(draw, a):
 @st.composite
 def kernel_cases(draw):
     prec = draw(precisions())
-    op = draw(st.sampled_from(("add", "sub", "mul", "div",
-                               "fma", "fms", "sqrt")))
+    op = draw(st.sampled_from(("add", "sub", "mul", "div", "sqrt")))
     rm = draw(st.sampled_from(ALL_MODES))
-    arity = 1 if op == "sqrt" else (3 if op in ("fma", "fms") else 2)
+    arity = 1 if op == "sqrt" else 2
     args = [draw(operand(prec)) for _ in range(arity)]
     if arity > 1 and args[0].kind is Kind.FINITE and draw(st.booleans()):
         args[-1] = draw(_partner(args[0]))
@@ -362,18 +361,6 @@ def test_unobserved_runs_skip_tier_stats():
         SOURCE, name="k")
     interp = program.interpreter()
     assert interp.kernel_stats is None  # raw kernels, no counting
-
-
-def test_service_refuses_kernel_option():
-    # The service whitelist carries no kernel option, so a run request
-    # naming one is refused before it reaches a worker.
-    from repro.service.protocol import RUN_OPTION_KEYS, ProtocolError, \
-        request, validate_request
-    assert "kernels" not in RUN_OPTION_KEYS
-    message = request("run", 1, kernel="gemm",
-                      options={"kernels": "generic"})
-    with pytest.raises(ProtocolError, match="kernels"):
-        validate_request(message)
 
 
 def test_engine_certificate_catches_broken_tier_kernel(monkeypatch):

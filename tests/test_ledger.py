@@ -62,10 +62,20 @@ def test_record_shape_and_validation(tmp_path):
     assert records[0]["cycles"] == 123
 
 
-def test_unknown_event_rejected(tmp_path):
+def test_unknown_event_rejected(tmp_path, capsys):
+    from repro.observability.stats import main as stats_main
+
     ledger = RunLedger(tmp_path / "ledger.jsonl")
     with pytest.raises(LedgerError):
         ledger.record("frobnicate", cycles=1)
+    # A kind outside the schema fails `vpfloat-stats --validate` too.
+    ledger.record("run", cycles=1)
+    path = tmp_path / "ledger.jsonl"
+    assert stats_main(["--validate", str(path)]) == 0
+    record = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(record, event="service")) + "\n")
+    assert stats_main(["--validate", str(path)]) == 1
+    assert "'service'" in capsys.readouterr().err
 
 
 def test_validate_record_rejects_malformed():

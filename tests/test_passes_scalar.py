@@ -470,8 +470,6 @@ class TestO3Pipeline:
 
     def test_run_order(self):
         assert self.names() == self.O3
-        fused = self.names(contract_fma=True)
-        assert fused == self.O3[:10] + ["fma-contract"] + self.O3[10:]
 
     def test_disable_drops_every_entry_of_a_name(self):
         assert self.names(disable=("gvn", "dce")) == \

@@ -108,7 +108,7 @@ class TestCompareReports:
 
     def test_exact_compares_every_report_field(self):
         # A miscounted cache hit or byte diverges like a cycle does, and
-        # the snapshot survives a JSON round trip (service replies).
+        # the snapshot survives a JSON round trip.
         report = CostReport(cycles=10, cache_hits=(3, 2, 1))
         reference = report_snapshot(report)
         assert json.loads(json.dumps(reference)) == reference
@@ -251,7 +251,7 @@ class TestValidateHarness:
         assert all(t.strictness == TRANSITIONS[t.edge] for t in REGISTRY)
 
     def test_one_drop_row_per_pipeline_pass(self):
-        names = {name for name, _ in o3_pipeline()} - {"fma-contract"}
+        names = {name for name, _ in o3_pipeline()}
         assert len(names) == 9
         assert sorted(PASS_DROPS) == sorted(f"pass.no-{name}"
                                             for name in names)
