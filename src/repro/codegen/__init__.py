@@ -12,10 +12,10 @@ from .irgen import CodegenError, IRGenerator, LITERAL_PRECISION, generate_ir
 
 #: Version of the emitted jit-module format.  Bump whenever the shape
 #: of the generated source or of a `.vpcgen` function record, the
-#: JitRuntime resolution protocol, or the charge-bulking scheme changes: the value participates in the compile
+#: JitRuntime resolution protocol, or the block charges change: the value participates in the compile
 #: cache fingerprint and in `.vpcgen` sidecar validation, so stale
 #: artifacts miss (and are unlinked) instead of being replayed.
-CODEGEN_VERSION = 11
+CODEGEN_VERSION = 12
 
 __all__ = [
     "IRGenerator",

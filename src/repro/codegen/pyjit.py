@@ -9,8 +9,8 @@ precisions / rounding modes / guard bits baked into the emitted text,
 every ``RNDN`` vpfloat and MPFR arithmetic op bound to the one
 precision-specialized kernel family of :mod:`repro.codegen.kernels`
 (whatever the precision, at bind time),
-and all statically-known cycle charges of a basic block folded into one
-bulk ``report.charge(category, total)`` per category.
+and each basic block's steps and static cycles charged at its entry
+from the walker's cost table (:func:`block_charges`).
 
 Observable semantics are bit-identical with the legacy walker for any
 function the emitter accepts: the same cycles land in the same
@@ -18,7 +18,8 @@ categories, the same memory traffic reaches the cache model, runtime
 builtins run through the interpreter's *installed* handlers (so MPFR
 pool sampling, registry variants and error text are shared, not
 re-implemented), and runtime errors keep their exact types and
-messages.  Anything the emitter cannot prove static -- dynamic vpfloat
+messages, leaving the walker's report (:meth:`JitEngine.refund`).
+Anything the emitter cannot prove static -- dynamic vpfloat
 attributes, posit arithmetic, unknown builtins, dynamically-sized
 element types, non-static GEPs -- raises :class:`_Unsupported` during
 emission and that one *function* silently falls back to the legacy
@@ -46,9 +47,10 @@ compiled code therefore holds no live object references: its marshalled
 bytecode is persisted in the compile cache (``<key>.vpcgen`` sidecars,
 see :meth:`repro.core.cache.CompileCache.put_codegen`) and re-bound in a
 different process against the identical pickled program, without
-emitting or compiling the source again.  Each source compiles under the
-filename ``<vpjit:{function}>``, so a traceback or a Python-level
-profile through emitted code names its IR function.
+emitting or compiling the source again; the block charges come from
+``R.blocks()`` the same way.  Each source compiles under the filename
+``<vpjit:{function}>``, so a traceback or a Python-level profile
+through emitted code names its IR function.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ from ..observability import CAT_COMPILE, observe
 from ..runtime.interpreter import (MPFR_STRUCT_BYTES,
                                    ExecutionLimitExceeded, VPRuntimeError,
                                    _as_bigfloat, _f32, _trunc_div,
-                                   fcmp_value, fdiv, frem, type_format)
+                                   fcmp_value, fdiv, frem, static_cost,
+                                   type_format)
 from . import CODEGEN_VERSION
 from .kernels import select_scalar_kernel
 
@@ -102,15 +105,9 @@ _VP_OPS = {"fadd": "add", "fsub": "sub", "fmul": "mul", "fdiv": "div"}
 _INT_SYMS = {"add": "+", "sub": "-", "mul": "*",
              "and": "&", "or": "|", "xor": "^"}
 _FLOAT_SYMS = {"fadd": "+", "fsub": "-", "fmul": "*"}
-_FLOAT_FIELDS = {"fadd": "f64_add", "fsub": "f64_add",
-                 "fmul": "f64_mul", "fdiv": "f64_div", "frem": "f64_div"}
 _SIGNED_CMPS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=",
                 "sgt": ">", "sge": ">="}
 _UNSIGNED_CMPS = {"ult": "<", "ule": "<=", "ugt": ">", "uge": ">="}
-
-#: Placeholder line marking an OpenMP region boundary inside a block's
-#: step stream; _emit_block replaces it with the next charge segment.
-_FLUSH_MARKER = "#__vpjit_charge_flush__"
 
 #: MPFR runtime builtins inlined at their call sites (name -> arity).
 _MPFR_INLINE = {
@@ -129,6 +126,107 @@ _MPFR_LIFECYCLE = {"mpfr_init2": ("_mi", 1), "mpfr_clear": ("_mc", None),
 
 class _Unsupported(Exception):
     """The emitter cannot prove this function static; fall back."""
+
+
+def _ends_segment(inst) -> bool:
+    """True for a call of a defined function or of an OpenMP region
+    builtin: its block's counters must stand at the call when it runs."""
+    if not isinstance(inst, CallInst):
+        return False
+    callee = inst.callee
+    if not isinstance(callee, Function):
+        return str(callee) in ("__omp_parallel_begin", "__omp_parallel_end")
+    return not callee.is_declaration or callee.name in (
+        "__omp_parallel_begin", "__omp_parallel_end")
+
+
+def _segments(instructions, costs) -> List[tuple]:
+    """``(count, {category: static cycles})`` of each charge segment of
+    ``instructions`` (phis skipped): up to each call that ends one."""
+    segments = []
+    count, charges = 0, {}
+    for inst in instructions:
+        cls = type(inst)
+        if cls is PhiInst:
+            continue
+        count += 1
+        for category, field, mult in static_cost(inst):
+            charges[category] = (charges.get(category, 0)
+                                 + getattr(costs, field) * mult)
+        if cls is CallInst and _ends_segment(inst):
+            segments.append((count, charges))
+            count, charges = 0, {}
+    segments.append((count, charges))
+    return segments
+
+
+def block_charges(interp, func: Function) -> list:
+    """Per block of ``func``, a closure charging its entry, then one per
+    further segment, in the emitted prelude's order.  An entry raises
+    before counting anything if the block would pass the step limit; a
+    segment's closure runs right after the call ending the one before.
+    Traced and metered entries also count the block and observe its
+    vpfloat ops, as the walker does."""
+    report = interp.accounting.report
+    by_category = report.by_category
+    limit = interp.max_steps
+    message = f"exceeded {limit} interpreted instructions"
+
+    def charge(total, count, charges, bound=limit):
+        cycles = sum(charges.values())
+        charges = tuple(charges.items())
+
+        def enter():
+            steps = interp.steps
+            if steps + total > bound:
+                raise ExecutionLimitExceeded(message)
+            interp.steps = steps + count
+            report.instructions += count
+            report.cycles += cycles
+            for category, n in charges:
+                by_category[category] += n
+        return enter
+
+    out = []
+    for block in func.blocks:
+        segments = _segments(block.instructions, interp.accounting.costs)
+        enter = charge(sum(count for count, _ in segments), *segments[0])
+        if interp.tracer is not None:
+            enter = _counted(interp, block.name, enter)
+        if interp.metrics is not None:
+            enter = _observed(interp.metrics, block, enter)
+        out.append(enter)
+        # A callee may pass the step limit; the walker ends the block too.
+        out.extend(charge(0, *segment, math.inf)
+                   for segment in segments[1:])
+    return out
+
+
+def _counted(interp, name: str, enter):
+    def counted():
+        counts = interp._block_counts  # set by a traced call
+        if counts is not None:
+            counts[name] = counts.get(name, 0) + 1
+        enter()
+    return counted
+
+
+def _observed(metrics, block, enter):
+    ops = [(f"precision.op.{inst.opcode}.bits", fmt.prec,
+            8 if fmt.format == "posit" else 0)
+           for inst in block.instructions
+           if type(inst) is BinaryInst and isinstance(inst.type, VPFloatType)
+           for fmt in (type_format(inst.type),)]
+    if not ops:
+        return enter
+
+    def observed():
+        enter()
+        for name, prec, guard in ops:
+            metrics.observe(name, prec)
+            metrics.observe("precision.guard_bits", guard)
+            metrics.inc("precision.rounding." + RNDN.value)
+    return observed
 
 
 class _MpfrSite(dict):
@@ -165,7 +263,7 @@ class _MpfrSite(dict):
             kernel = select_scalar_kernel(op, prec, exp_bits,
                                           interp.kernel_stats)
         entry = self[key] = (
-            kernel, interp.accounting.costs.mpfr_op_cost(f"mpfr_{op}", prec),
+            kernel, interp._mpfr_cycles(f"mpfr_{op}", prec),
             limb_bytes(prec))
         return entry
 
@@ -190,7 +288,6 @@ class JitRuntime:
     fdiv = staticmethod(fdiv)
     frem = staticmethod(frem)
     VPR = VPRuntimeError
-    XLE = ExecutionLimitExceeded
     BigFloat = BigFloat
     RNDN = RNDN
 
@@ -198,21 +295,18 @@ class JitRuntime:
         self.interp = interp
         self.func = func
 
-    def _inst(self, bi: int, ii: int):
-        return self.func.blocks[bi].instructions[ii]
-
     def inst(self, bi: int, ii: int):
         """The live instruction object at (block, instruction) index."""
-        return self._inst(bi, ii)
+        return self.func.blocks[bi].instructions[ii]
 
     def const(self, bi: int, ii: int, oi: int):
         """Resolve operand ``oi`` of instruction (bi, ii) frame-free,
         with the legacy walker's operand semantics."""
-        return self._resolve(self._inst(bi, ii).operands[oi])
+        return self._resolve(self.inst(bi, ii).operands[oi])
 
     def default(self, bi: int, ii: int):
         """The (shared) zero value loads of this instruction produce."""
-        return self.interp._default(self._inst(bi, ii).type, None)
+        return self.interp._default(self.inst(bi, ii).type, None)
 
     def function(self, name: str) -> Function:
         return self.interp.module.get_function(name)
@@ -236,6 +330,10 @@ class JitRuntime:
         """The MPFR fast-path helpers the emitted calls go through;
         ``precs`` are the function's literal lifecycle precisions."""
         return mpfr_fast_path(self.interp, precs)
+
+    def blocks(self):
+        """The block and segment charges (:func:`block_charges`)."""
+        return block_charges(self.interp, self.func)
 
     def _resolve(self, v):
         interp = self.interp
@@ -683,11 +781,8 @@ _interp = R.interp
 _acct = _interp.accounting
 _rep = _acct.report
 _chg = _rep.charge
-_C = _acct.costs
-_c_call = _C.call_overhead
-_c_ret = _C.ret
-_LIM = _interp.max_steps
-_LIMMSG = "exceeded %d interpreted instructions" % _LIM
+_c_call = _acct.costs.call_overhead
+_c_ret = _acct.costs.ret
 _mem = _interp.memory
 _ml = _mem.load
 _ms = _mem.store
@@ -695,7 +790,6 @@ _alloc = _mem.alloc_stack
 _smark = _mem.stack_mark
 _srel = _mem.stack_release
 _VPR = R.VPR
-_XLE = R.XLE
 _BF = R.BigFloat
 _AB = R.as_bigfloat
 _f32 = R.f32
@@ -705,11 +799,6 @@ _call = _interp.call_function
 _tdiv = R.trunc_div
 _fdiv = R.fdiv
 _frem = R.frem
-_mreg = _interp.metrics
-_MET = _mreg is not None
-if _MET:
-    _obs = _mreg.observe
-    _minc = _mreg.inc
 """
 
 
@@ -731,15 +820,11 @@ class FunctionEmitter:
         self._mpfr_helpers_at: Optional[int] = None
         self._mpfr_precs: set = set()
         self._default_refs: Dict[int, str] = {}
-        # Current block accumulators.  Charges are bulk-counted per
-        # block but flushed into *segments* at OpenMP region markers so
-        # parallel-region attribution matches the legacy walker (see
-        # _emit_call).
-        self._charges: Dict[str, Dict[str, int]] = {}
-        self._mid_flushes: List[Dict[str, Dict[str, int]]] = []
-        self._block_segments: List[Dict[str, Dict[str, int]]] = []
-        self._tele_bits: Dict[Tuple[str, int], int] = {}
-        self._tele_guard: Dict[int, int] = {}
+        #: The block and segment charges, in block_charges' order.
+        self._charge_names: List[str] = []
+        #: First source line of each run of lines -> the (block,
+        #: instruction) index it runs, or None.
+        self.owners: Dict[int, Optional[Tuple[int, int]]] = {0: None}
 
     # ---- static analysis helpers --------------------------------- #
 
@@ -860,17 +945,6 @@ class FunctionEmitter:
             self.prelude.append(f"{name} = R.default({bi}, {ii})")
         return name
 
-    # ---- per-block accounting ------------------------------------ #
-
-    def _charge(self, category: str, field: str, mult: int = 1) -> None:
-        per_field = self._charges.setdefault(category, {})
-        per_field[field] = per_field.get(field, 0) + mult
-
-    def _vp_telemetry(self, opcode: str, prec: int, guard: int) -> None:
-        key = (opcode, prec)
-        self._tele_bits[key] = self._tele_bits.get(key, 0) + 1
-        self._tele_guard[guard] = self._tele_guard.get(guard, 0) + 1
-
     # ---- entry point --------------------------------------------- #
 
     def emit(self) -> str:
@@ -890,22 +964,8 @@ class FunctionEmitter:
                 self.names[id(inst)] = f"v{n}"
                 n += 1
 
-        charge_defs: List[str] = []
-        block_chunks: List[List[str]] = []
-        for bi, block in enumerate(blocks):
-            lines = self._emit_block(block, bi, blocks)
-            block_chunks.append(lines)
-            for seg, charges in enumerate(self._block_segments):
-                prefix = f"_q{bi}" if seg == 0 else f"_q{bi}s{seg}"
-                for category in sorted(charges):
-                    terms = []
-                    for field in sorted(charges[category]):
-                        count = charges[category][field]
-                        terms.append(f"_C.{field}" if count == 1
-                                     else f"_C.{field} * {count}")
-                    charge_defs.append(f"{prefix}_{category} = "
-                                       + " + ".join(terms))
-
+        block_chunks = [self._emit_block(block, bi, blocks)
+                        for bi, block in enumerate(blocks)]
         if self._mpfr_helpers_at is not None:
             precs = ", ".join(map(str, sorted(self._mpfr_precs)))
             self.prelude[self._mpfr_helpers_at] = (
@@ -913,39 +973,27 @@ class FunctionEmitter:
                 f"R.mpfr_helpers({precs})")
         params = ", ".join(f"a{i}" for i in range(len(func.args)))
         out: List[str] = [
-            f"# vpjit v{CODEGEN_VERSION}: function {func.name!r}",
-            "# Auto-generated by repro.codegen.pyjit -- straight-line"
-            " Python with SSA",
-            "# values in locals and per-block bulk cycle accounting;"
-            " do not edit.",
-            "",
+            f"# vpjit v{CODEGEN_VERSION}: function {func.name!r}, generated"
+            " by repro.codegen.pyjit; do not edit.",
             "def _make(R):",
         ]
         for line in _PRELUDE.splitlines():
             out.append("    " + line)
         for line in self.prelude:
             out.append("    " + line)
-        for line in charge_defs:
-            out.append("    " + line)
+        out.append(f"    {', '.join(self._charge_names)}, = R.blocks()")
         out.append("")
         out.append(f"    def _fn({params}):")
         out.append('        _chg("call", _c_call)')
         out.append("        _mark = _smark()")
         out.append(f"        _bb = {entry_index}")
-        # Hot-block attribution for traced runs: the traced call path
-        # installs a counts dict on the interpreter for the duration of
-        # the call; untraced runs pay one None-check per block.
-        out.append("        _cnt = _interp._block_counts")
         out.append("        while True:")
         for bi, lines in enumerate(block_chunks):
             kw = "if" if bi == 0 else "elif"
-            name = blocks[bi].name
             out.append(f"            {kw} _bb == {bi}:")
-            out.append("                if _cnt is not None:")
-            out.append(f"                    _cnt[{name!r}] = "
-                       f"_cnt.get({name!r}, 0) + 1")
-            for line in lines:
-                out.append("                " + line)
+            for ii, chunk in lines:
+                self.owners[len(out) + 1] = None if ii is None else (bi, ii)
+                out.extend("                " + line for line in chunk)
         out.append("            else:")
         out.append('                raise _VPR("vpjit: unknown block id")')
         out.append("")
@@ -955,70 +1003,29 @@ class FunctionEmitter:
 
     # ---- blocks -------------------------------------------------- #
 
-    def _emit_block(self, block, bi: int, blocks) -> List[str]:
-        self._charges = {}
-        self._mid_flushes = []
-        self._tele_bits = {}
-        self._tele_guard = {}
-        body: List = []
+    def _emit_block(self, block, bi: int, blocks
+                    ) -> List[Tuple[Optional[int], List[str]]]:
+        """The block's lines in runs, each with the index of the
+        instruction it runs (None for the entry charge)."""
+        self._charge_names.append(f"_e{bi}")
+        lines = [(None, [f"_e{bi}()"])]
         term = None
-        count = 0
+        segments = 0
         for ii, inst in enumerate(block.instructions):
             if isinstance(inst, PhiInst):
                 continue
-            count += 1
             if isinstance(inst, (BranchInst, RetInst, UnreachableInst)):
                 term = (inst, ii)
-            else:
-                body.append((inst, ii))
-
-        step_lines: List[str] = []
-        for inst, ii in body:
-            self._emit_step(inst, bi, ii, step_lines)
-        term_lines = self._emit_terminator(block, term, bi, blocks)
-
-        # Segment the block's bulk charges at OpenMP region markers:
-        # segment 0 is charged at block entry, segment k right after
-        # the k-th marker call, matching where the legacy walker
-        # charges relative to parallel_begin/parallel_end.
-        self._block_segments = self._mid_flushes + [self._charges]
-        if self._mid_flushes:
-            expanded: List[str] = []
-            seg = 0
-            for line in step_lines:
-                if line == _FLUSH_MARKER:
-                    seg += 1
-                    for category in sorted(self._block_segments[seg]):
-                        expanded.append(
-                            f'_chg({category!r}, _q{bi}s{seg}_{category})')
-                else:
-                    expanded.append(line)
-            step_lines = expanded
-
-        lines = [
-            f"_n = _interp.steps + {count}",
-            "_interp.steps = _n",
-            "if _n > _LIM:",
-            "    raise _XLE(_LIMMSG)",
-            f"_rep.instructions += {count}",
-        ]
-        for category in sorted(self._block_segments[0]):
-            lines.append(f'_chg({category!r}, _q{bi}_{category})')
-        if self._tele_bits:
-            rounding_key = "precision.rounding." + RNDN.value
-            total = sum(self._tele_bits.values())
-            lines.append("if _MET:")
-            for (opcode, prec) in sorted(self._tele_bits):
-                n = self._tele_bits[(opcode, prec)]
-                lines.append(f'    _obs("precision.op.{opcode}.bits", '
-                             f"{prec}, {n})")
-            for guard in sorted(self._tele_guard):
-                n = self._tele_guard[guard]
-                lines.append(f'    _obs("precision.guard_bits", '
-                             f"{guard}, {n})")
-            lines.append(f'    _minc({rounding_key!r}, {total})')
-        lines.extend(step_lines)
-        lines.extend(term_lines)
+                continue
+            out: List[str] = []
+            self._emit_step(inst, bi, ii, out)
+            if _ends_segment(inst):
+                segments += 1
+                out.append(f"_e{bi}s{segments}()")
+                self._charge_names.append(f"_e{bi}s{segments}")
+            lines.append((ii, out))
+        lines.append((None if term is None else term[1],
+                      self._emit_terminator(block, term, bi, blocks)))
         return lines
 
     def _phi_moves(self, cur_block, target) -> List[str]:
@@ -1047,7 +1054,6 @@ class FunctionEmitter:
             return ["_srel(_mark)", '_chg("ret", _c_ret)',
                     f"return {value}"]
         if isinstance(inst, BranchInst):
-            self._charge("branch", "branch")
             if inst.is_conditional:
                 cond = self.ref(inst.condition, bi, ii, 0)
                 then_i = self.block_index[id(inst.targets[0])]
@@ -1112,17 +1118,15 @@ class FunctionEmitter:
         name = self.names[id(inst)]
         op = inst.opcode
         vptype = inst.type
-        if op not in _VP_OPS:
-            msg = f"{op} unsupported on vpfloat"
-            out.append(f"raise _VPR({msg!r})")
-            return
         if vptype.format == "posit":
             raise _Unsupported("posit vp arithmetic")
         if not self._vp_static_ok(vptype):
             raise _Unsupported("dynamic vpfloat attributes")
+        if op not in _VP_OPS:
+            msg = f"{op} unsupported on vpfloat"
+            out.append(f"raise _VPR({msg!r})")
+            return
         prec = type_format(vptype).prec
-        self._charge("vpfloat_native", "f64_other", max(1, prec // 64))
-        self._vp_telemetry(op, prec, 0)
         if vptype.format == "mpfr":
             # The destination format's exponent-range clamp is folded
             # into the kernel; no per-op clamp block.
@@ -1135,19 +1139,17 @@ class FunctionEmitter:
     def _emit_float_binary(self, inst: BinaryInst, a, b, out) -> None:
         name = self.names[id(inst)]
         op = inst.opcode
-        field = _FLOAT_FIELDS.get(op)
-        if field is None:
-            raise _Unsupported(f"float op {op}")
-        self._charge("f64", field)
         narrow = inst.type.bits == 32
         if op in _FLOAT_SYMS:
             expr = f"{a} {_FLOAT_SYMS[op]} {b}"
         elif op == "frem":
             expr = f"_frem({a}, {b})"
-        else:  # fdiv: the runtime's fdiv defines division by zero
+        elif op == "fdiv":  # the runtime's fdiv defines division by zero
             out.append(f"_x = {a}")
             out.append(f"_y = {b}")
             expr = "_x / _y if _y != 0.0 else _fdiv(_x, _y)"
+        else:
+            raise _Unsupported(f"float op {op}")
         out.append(f"{name} = _f32({expr})" if narrow
                    else f"{name} = {expr}")
 
@@ -1157,7 +1159,6 @@ class FunctionEmitter:
         bits = inst.type.bits
         umask = (1 << bits) - 1
         shmask = bits - 1
-        self._charge("int", "int_op")
 
         def adjust():
             if bits > 1:
@@ -1226,7 +1227,6 @@ class FunctionEmitter:
         if elem is None:
             raise _Unsupported("dynamic alloca element size")
         name = self.names[id(inst)]
-        self._charge("alloca", "int_op")
         if inst.count is None:
             out.append(f"{name} = _alloc({elem})")
             return
@@ -1277,7 +1277,6 @@ class FunctionEmitter:
             parts.append(f"int({expr})" if stride == 1
                          else f"int({expr}) * {stride}")
         name = self.names[id(inst)]
-        self._charge("addr", "int_op")
         out.append(f"{name} = " + " + ".join(parts))
 
     def _emit_icmp(self, inst: ICmpInst, bi, ii, out) -> None:
@@ -1295,14 +1294,12 @@ class FunctionEmitter:
         else:
             raise _Unsupported(f"icmp predicate {pred}")
         name = self.names[id(inst)]
-        self._charge("icmp", "int_op")
         out.append(f"{name} = 1 if {expr} else 0")
 
     def _emit_fcmp(self, inst: FCmpInst, bi, ii, out) -> None:
         a = self.ref(inst.operands[0], bi, ii, 0)
         b = self.ref(inst.operands[1], bi, ii, 1)
         name = self.names[id(inst)]
-        self._charge("fcmp", "f64_other")
         out.append(f"{name} = _fcmpv({a}, {b}, {inst.predicate!r})")
 
     def _emit_cast(self, inst: CastInst, bi, ii, out) -> None:
@@ -1311,7 +1308,6 @@ class FunctionEmitter:
                 raise _Unsupported("dynamic vpfloat cast")
         source = self.ref(inst.source, bi, ii, 0)
         name = self.names[id(inst)]
-        self._charge("cast", "int_op")
         opcode = inst.opcode
         target = inst.type
         # The simple conversions transcribe cast_value's static cases
@@ -1361,7 +1357,6 @@ class FunctionEmitter:
     def _emit_fneg(self, inst: FNegInst, bi, ii, out) -> None:
         a = self.ref(inst.operands[0], bi, ii, 0)
         name = self.names[id(inst)]
-        self._charge("fneg", "f64_other")
         if inst.type.is_float and inst.type.bits == 32:
             out.append(f"_x = {a}")
             out.append(f"{name} = -_x if isinstance(_x, _BF) "
@@ -1374,7 +1369,6 @@ class FunctionEmitter:
         tv = self.ref(inst.true_value, bi, ii, 1)
         fv = self.ref(inst.false_value, bi, ii, 2)
         name = self.names[id(inst)]
-        self._charge("select", "int_op")
         out.append(f"{name} = {tv} if {cond} else {fv}")
 
     def _emit_call(self, inst: CallInst, bi, ii, out) -> None:
@@ -1402,15 +1396,6 @@ class FunctionEmitter:
         handle = self._inst_ref(inst, bi, ii)
         out.append(f"{name} = {handler}([{', '.join(args)}], "
                    f"{handle}, None)")
-        if bname in ("__omp_parallel_begin", "__omp_parallel_end"):
-            # Region boundary: cycles accumulated so far stay in the
-            # current charge segment (emitted before this call); start
-            # a fresh segment emitted right after it, so the cost model
-            # attributes this block's remaining cycles to the correct
-            # side of the parallel region.
-            self._mid_flushes.append(self._charges)
-            self._charges = {}
-            out.append(_FLUSH_MARKER)
 
     # ---- inlined mpfr builtins ----------------------------------- #
     #
@@ -1530,6 +1515,7 @@ class JitEngine:
         self.interp = interp
         self.store = store if store is not None else CodegenStore()
         self._entries: Dict[int, Optional[object]] = {}
+        self._owners: Dict[int, dict] = {}  # id(func) -> emitter.owners
 
     def entry(self, func: Function):
         cached = self._entries.get(id(func), self)
@@ -1549,6 +1535,37 @@ class JitEngine:
                 obs.count(f"codegen.fn.{func.name}.fallback.{slug}")
         self._entries[id(func)] = entry
         return entry
+
+    def refund(self, func: Function, tb) -> None:
+        """Take back what ``func``'s block charges counted past the
+        instruction a fault stopped its frame at: the rest of its charge
+        segment.  The frame's line in ``tb`` names it through the line
+        owners of the function emitted again, off the hot path."""
+        filename = f"<vpjit:{func.name}>"
+        while tb is not None and tb.tb_frame.f_code.co_filename != filename:
+            tb = tb.tb_next
+        owners = self._owners.get(id(func))
+        if owners is None:
+            emitter = FunctionEmitter(self.interp, func)
+            emitter.emit()
+            owners = self._owners[id(func)] = emitter.owners
+        at = tb and owners[max(line for line in owners
+                               if line <= tb.tb_lineno)]
+        if at is None:  # a block entry: none of the block is counted
+            return
+        instructions = func.blocks[at[0]].instructions[at[1]:]
+        if _ends_segment(instructions[0]):  # the rest is not counted
+            return
+        accounting = self.interp.accounting
+        count, charges = _segments(instructions[1:], accounting.costs)[0]
+        report = accounting.report
+        self.interp.steps -= count
+        report.instructions -= count
+        for category, cycles in charges.items():
+            report.cycles -= cycles
+            report.by_category[category] -= cycles
+            if not report.by_category[category]:
+                del report.by_category[category]
 
     def _materialize(self, func: Function):
         """-> (entry | None, status, reason, cached)."""

@@ -337,9 +337,6 @@ class CostAccounting:
     def charge(self, category: str, cycles: int) -> None:
         self.report.charge(category, cycles)
 
-    def instruction(self) -> None:
-        self.report.instructions += 1
-
     def memory_access(self, kind: str, addr: int, nbytes: int) -> None:
         cache = self.cache
         if cache is not None:

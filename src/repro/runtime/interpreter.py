@@ -446,6 +446,33 @@ def cast_value(opcode: str, value, src_bits: int, dst_bits: int,
     raise VPRuntimeError(f"unknown cast {opcode}")
 
 
+#: The static cycles of each IR op, what it costs whatever its operands:
+#: ``((category, CycleCosts field, multiplier), ...)``.  The walker
+#: charges each instruction from it, the jit each block at its entry.
+_FLOAT_FIELDS = {"fadd": "f64_add", "fsub": "f64_add", "fmul": "f64_mul",
+                 "fdiv": "f64_div", "frem": "f64_div"}
+_STATIC_COSTS = {cls: ((category, field, 1),) for cls, category, field in (
+    (AllocaInst, "alloca", "int_op"), (GEPInst, "addr", "int_op"),
+    (ICmpInst, "icmp", "int_op"), (FCmpInst, "fcmp", "f64_other"),
+    (CastInst, "cast", "int_op"), (FNegInst, "fneg", "f64_other"),
+    (SelectInst, "select", "int_op"), (BranchInst, "branch", "branch"))}
+
+
+def static_cost(inst: Instruction, frame: Optional[Frame] = None) -> tuple:
+    """The static cycles of ``inst`` (none for loads, stores, calls,
+    returns and phis); a vpfloat op's are resolved against ``frame``."""
+    cls = type(inst)
+    if cls is BinaryInst:
+        type_ = inst.type
+        if isinstance(type_, VPFloatType):
+            words = max(1, type_format(type_, frame).prec // 64)
+            return (("vpfloat_native", "f64_other", words),)
+        if isinstance(type_, FloatType):
+            return (("f64", _FLOAT_FIELDS[inst.opcode], 1),)
+        return (("int", "int_op", 1),)
+    return _STATIC_COSTS.get(cls, ())
+
+
 class Frame:
     """Per-invocation SSA value bindings."""
 
@@ -522,18 +549,26 @@ class Interpreter:
         #: (id(constant), attrs) -> rounded BigFloat; constants are pinned
         #: by the module so ids are stable.
         self._const_cache: Dict[tuple, BigFloat] = {}
-        self._mpfr_cost_cache: Dict[tuple, int] = {}
+        #: ``(MPFR entry point, precision) -> cycles``, both engines'.
+        self._mpfr_cycles = functools.lru_cache(maxsize=None)(
+            self.accounting.costs.mpfr_op_cost)
         #: Shared codegen artifact store (jit engine): lets warm runs of
         #: a cached program skip re-emission.  Lazily created when the
         #: jit dispatch mode first materializes a function.
         self._codegen_store = codegen_store
         self._jit_engine = None
         #: Hot-block counts dict installed by the traced call path for
-        #: the duration of one jit-engine call; None when untraced.
+        #: the duration of one call; None when untraced.
         self._block_counts: Optional[Dict[str, int]] = None
         #: Per-instruction profiling hook (legacy walker only); set by
         #: repro.observability.profile, never by the interpreter.
         self._inst_hook = None
+        #: Instruction class -> the method computing its value.
+        self._computes = {BinaryInst: self._binary, GEPInst: self._gep,
+                          ICmpInst: self._icmp, FCmpInst: self._fcmp,
+                          CastInst: self._cast, CallInst: self._call,
+                          FNegInst: self._fneg, SelectInst: self._select,
+                          LoadInst: self._load}
         self._install_builtins()
         self._init_globals()
 
@@ -635,14 +670,22 @@ class Interpreter:
             )
         if self.tracer is not None:
             return self._call_function_traced(func, args)
+        return self._call_untraced(func, args)
+
+    def _call_untraced(self, func: Function, args: List[object]) -> object:
+        """Run ``func`` on its jit code, or on the walker."""
         if self.dispatch == "jit":
             entry = self._jit_entry(func)
             if entry is not None:
-                return entry(*args)
-        return self._call_legacy(func, args, None)
+                try:
+                    return entry(*args)
+                except Exception as error:
+                    self._jit_engine.refund(func, error.__traceback__)
+                    raise
+        return self._call_legacy(func, args)
 
-    def _call_legacy(self, func: Function, args: List[object],
-                     block_counts: Optional[Dict[str, int]]) -> object:
+    def _call_legacy(self, func: Function, args: List[object]) -> object:
+        block_counts = self._block_counts
         costs = self.accounting.costs
         self.accounting.charge("call", costs.call_overhead)
         mark = self.memory.stack_mark()
@@ -662,7 +705,7 @@ class Interpreter:
                                             frame)) for phi in phis]
                 for phi, value in staged:
                     frame.set(phi, value)
-            outcome = self._run_block(block, frame)
+            outcome = self._run_block(block, frame, len(phis))
             if outcome[0] == "ret":
                 self.memory.stack_release(mark)
                 self.accounting.charge("ret", costs.ret)
@@ -682,18 +725,12 @@ class Interpreter:
         instructions0 = report.instructions
         counts: Dict[str, int] = {}
         with tracer.span(f"call:{func.name}", cat=CAT_RUNTIME) as span:
-            entry = None
-            if self.dispatch == "jit":
-                entry = self._jit_entry(func)
-            if entry is not None:
-                previous = self._block_counts
-                self._block_counts = counts
-                try:
-                    value = entry(*args)
-                finally:
-                    self._block_counts = previous
-            else:
-                value = self._call_legacy(func, args, counts)
+            previous = self._block_counts
+            self._block_counts = counts
+            try:
+                value = self._call_untraced(func, args)
+            finally:
+                self._block_counts = previous
             span.args["cycles"] = report.cycles - cycles0
             span.args["instructions"] = report.instructions - instructions0
             if counts:
@@ -714,17 +751,17 @@ class Interpreter:
             self._jit_engine = engine
         return engine.entry(func)
 
-    def _run_block(self, block, frame: Frame):
+    def _run_block(self, block, frame: Frame, phis: int):
+        # The step limit is checked at block entry, as the jit does.
+        body = block.instructions[phis:]
+        if self.steps + len(body) > self.max_steps:
+            raise ExecutionLimitExceeded(
+                f"exceeded {self.max_steps} interpreted instructions")
         hook = self._inst_hook
-        for inst in block.instructions:
-            if isinstance(inst, PhiInst):
-                continue
+        report = self.accounting.report
+        for inst in body:
             self.steps += 1
-            if self.steps > self.max_steps:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {self.max_steps} interpreted instructions"
-                )
-            self.accounting.instruction()
+            report.instructions += 1
             if hook is not None:
                 # IR profiler (observability.profile): the hook wraps
                 # _execute, measuring per-instruction deltas; charges
@@ -744,15 +781,11 @@ class Interpreter:
 
     def _execute(self, inst: Instruction, frame: Frame):
         costs = self.accounting.costs
-        if isinstance(inst, BinaryInst):
-            frame.set(inst, self._binary(inst, frame))
-            return None
-        if isinstance(inst, LoadInst):
-            addr = self._value(inst.pointer, frame)
-            nbytes = self._sizeof(inst.type, frame)
-            default = self._default(inst.type, frame)
-            value = self.memory.load(int(addr), nbytes, default)
-            frame.set(inst, value)
+        for category, field, mult in static_cost(inst, frame):
+            self.accounting.charge(category, getattr(costs, field) * mult)
+        compute = self._computes.get(type(inst))
+        if compute is not None:
+            frame.set(inst, compute(inst, frame))
             return None
         if isinstance(inst, StoreInst):
             addr = self._value(inst.pointer, frame)
@@ -769,47 +802,8 @@ class Interpreter:
             elem = self._sizeof(inst.allocated_type, frame)
             addr = self.memory.alloc_stack(elem * max(count, 1))
             frame.set(inst, addr)
-            self.accounting.charge("alloca", costs.int_op)
-            return None
-        if isinstance(inst, GEPInst):
-            frame.set(inst, self._gep(inst, frame))
-            self.accounting.charge("addr", costs.int_op)
-            return None
-        if isinstance(inst, ICmpInst):
-            frame.set(inst, self._icmp(inst, frame))
-            self.accounting.charge("icmp", costs.int_op)
-            return None
-        if isinstance(inst, FCmpInst):
-            frame.set(inst, self._fcmp(inst, frame))
-            self.accounting.charge("fcmp", costs.f64_other)
-            return None
-        if isinstance(inst, CastInst):
-            frame.set(inst, self._cast(inst, frame))
-            self.accounting.charge("cast", costs.int_op)
-            return None
-        if isinstance(inst, FNegInst):
-            value = self._value(inst.operands[0], frame)
-            if isinstance(value, BigFloat):
-                frame.set(inst, -value)
-            elif inst.type.is_float and inst.type.bits == 32:
-                frame.set(inst, _f32(-value))
-            else:
-                frame.set(inst, -value)
-            self.accounting.charge("fneg", costs.f64_other)
-            return None
-        if isinstance(inst, SelectInst):
-            cond = self._value(inst.condition, frame)
-            chosen = inst.true_value if cond else inst.false_value
-            frame.set(inst, self._value(chosen, frame))
-            self.accounting.charge("select", costs.int_op)
-            return None
-        if isinstance(inst, PhiInst):
-            return None
-        if isinstance(inst, CallInst):
-            frame.set(inst, self._call(inst, frame))
             return None
         if isinstance(inst, BranchInst):
-            self.accounting.charge("branch", costs.branch)
             if inst.is_conditional:
                 cond = self._value(inst.condition, frame)
                 return inst.targets[0] if cond else inst.targets[1]
@@ -831,29 +825,34 @@ class Interpreter:
         b = self._value(inst.rhs, frame)
         op = inst.opcode
         type_ = inst.type
-        costs = self.accounting.costs
         if type_.is_vpfloat:
             fmt = type_format(type_, frame)
-            prec = fmt.prec
             registry = self.metrics
             if registry is not None:
-                registry.observe(f"precision.op.{op}.bits", prec)
+                registry.observe(f"precision.op.{op}.bits", fmt.prec)
                 registry.observe("precision.guard_bits",
                                  8 if fmt.format == "posit" else 0)
                 registry.inc("precision.rounding." + RNDN.value)
-            words = max(1, prec // 64)
-            self.accounting.charge("vpfloat_native",
-                                   costs.f64_other * words)
             return vp_binary(op, a, b, fmt)
         if type_.is_float:
-            result = float_binary(op, a, b, type_.bits)
-            cost = {"fadd": costs.f64_add, "fsub": costs.f64_add,
-                    "fmul": costs.f64_mul, "fdiv": costs.f64_div,
-                    "frem": costs.f64_div}[op]
-            self.accounting.charge("f64", cost)
-            return result
-        self.accounting.charge("int", costs.int_op)
+            return float_binary(op, a, b, type_.bits)
         return int_binary(op, a, b, type_.bits)
+
+    def _load(self, inst: LoadInst, frame: Frame):
+        return self.memory.load(int(self._value(inst.pointer, frame)),
+                                self._sizeof(inst.type, frame),
+                                self._default(inst.type, frame))
+
+    def _fneg(self, inst: FNegInst, frame: Frame):
+        value = -self._value(inst.operands[0], frame)
+        narrow = inst.type.is_float and inst.type.bits == 32
+        return value if isinstance(value, BigFloat) or not narrow \
+            else _f32(value)
+
+    def _select(self, inst: SelectInst, frame: Frame):
+        cond = self._value(inst.condition, frame)
+        return self._value(inst.true_value if cond else inst.false_value,
+                           frame)
 
     def _icmp(self, inst: ICmpInst, frame: Frame) -> int:
         lhs = inst.operands[0]
@@ -921,8 +920,7 @@ class Interpreter:
         b = self._builtins
         costs = self.accounting.costs
 
-        def charge(category, cycles):
-            self.accounting.charge(category, cycles)
+        charge = self.accounting.charge
 
         # ---- vpfloat runtime ------------------------------------ #
 
@@ -1099,11 +1097,10 @@ class Interpreter:
         b = self._builtins
         costs = self.accounting.costs
         report = self.accounting.report
-        cost_cache = self._mpfr_cost_cache
+        mpfr_cycles = self._mpfr_cycles
 
         by_cat = report.by_category
         mem_load = self.memory.load
-        mpfr_op_cost = costs.mpfr_op_cost
         # Telemetry is bound once at install time: handlers built with
         # registry/tracer None carry no telemetry code on their path.
         registry = self.metrics
@@ -1114,22 +1111,14 @@ class Interpreter:
 
             def charge_mpfr(name, prec):
                 report.mpfr_calls += 1
-                key = (name, prec)
-                cycles = cost_cache.get(key)
-                if cycles is None:
-                    cycles = mpfr_op_cost(name, prec)
-                    cost_cache[key] = cycles
+                cycles = mpfr_cycles(name, prec)
                 report.cycles += cycles
                 by_cat["mpfr"] += cycles
                 observe_bits("precision.mpfr.bits", prec)
         else:
             def charge_mpfr(name, prec):
                 report.mpfr_calls += 1
-                key = (name, prec)
-                cycles = cost_cache.get(key)
-                if cycles is None:
-                    cycles = mpfr_op_cost(name, prec)
-                    cost_cache[key] = cycles
+                cycles = mpfr_cycles(name, prec)
                 report.cycles += cycles
                 by_cat["mpfr"] += cycles
 
@@ -1323,11 +1312,7 @@ class Interpreter:
                 touch_limbs(dst, "w")
                 prec = dst.prec
                 report.mpfr_calls += 1
-                key = (call_name, prec)
-                cycles = cost_cache.get(key)
-                if cycles is None:
-                    cycles = mpfr_op_cost(call_name, prec)
-                    cost_cache[key] = cycles
+                cycles = mpfr_cycles(call_name, prec)
                 report.cycles += cycles
                 by_cat["mpfr"] += cycles
                 return None

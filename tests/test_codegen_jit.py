@@ -270,26 +270,11 @@ def _fault_program(fault):
     return program
 
 
-def _fault_state(report, interp):
-    """_full_state less the charges the jit makes in bulk at block
-    entry (the instruction count and every cycle category but ``mpfr``),
-    which a fault in mid-block leaves ahead of the walker's."""
-    state = _full_state(report, interp)
-    fields = state["report"]
-    del fields["instructions"]
-    by_category = fields.pop("by_category")
-    static = sum(cycles for category, cycles in by_category.items()
-                 if category != "mpfr")
-    fields["cycles"] -= static
-    fields["serial_cycles"] -= static
-    fields["mpfr_cycles"] = by_category.get("mpfr", 0)
-    return state
-
-
 class TestMpfrFastPathFaults:
     """A fault on an inlined MPFR call raises the walker's exception
-    type and message and leaves the walker's handle loads, cache
-    traffic, MPFR charges and stats."""
+    type and message and leaves the walker's state: handle loads,
+    cache traffic, MPFR charges and stats, and the step and
+    instruction counts and static charges up to the faulting call."""
 
     @pytest.mark.parametrize("fault", ("cleared", "uninitialized", "null",
                                        "cleared-set", "double-clear",
@@ -309,7 +294,7 @@ class TestMpfrFastPathFaults:
                 interp.run("f", [3.0, 2.0])
             report = interp.accounting.finalize(interp.memory)
             outcomes[engine] = (type(raised.value), str(raised.value),
-                                _fault_state(report, interp))
+                                _full_state(report, interp), interp.steps)
         assert outcomes["jit"] == outcomes["legacy"]
         assert program._codegen_store.statuses()["f"]["status"] == "jit"
 
@@ -339,6 +324,192 @@ class TestMpfrFastPathFaults:
         assert states["jit"][0] == 5.0
         assert states["jit"][1]["objects"][0] == 0  # every element cleared
         assert program._codegen_store.statuses()["g"]["status"] == "jit"
+
+
+SCALAR_FAULT_SRC = """
+double divide(long n, long m) {
+  vpfloat<mpfr, 16, 100> acc = 1.0;
+  long s = 0;
+  for (long i = 0; i < m; i = i + 1) {
+    acc = acc * 1.5;
+    s = s + 100 / (n - i);
+    acc = acc + s;
+    s = s * 3;
+  }
+  return (double) acc + s;
+}
+
+double remainder(long n, long m) {
+  vpfloat<mpfr, 16, 100> acc = 1.0;
+  long s = 0;
+  for (long i = 0; i < m; i = i + 1) {
+    acc = acc * 1.5;
+    s = s * 3 + 7 % (n - i);
+    acc = acc + s;
+  }
+  return (double) acc + s;
+}
+
+long inner(long n, long i) {
+  long q = 100 / (n - i);
+  return q * 2 + 1;
+}
+
+long middle(long n, long i) {
+  long t = inner(n, i);
+  return t * 3 + i;
+}
+
+double before_call(long n, long m) {
+  long s = 0;
+  for (long i = 0; i < m; i = i + 1) {
+    s = s + 100 / (n - i);
+    s = s + middle(n + 100, i);
+  }
+  return s;
+}
+
+double nested(long n, long m) {
+  vpfloat<mpfr, 16, 100> acc = 1.0;
+  long s = 0;
+  for (long i = 0; i < m; i = i + 1) {
+    acc = acc * 1.5;
+    s = s + middle(n, i);
+    acc = acc + s;
+  }
+  return (double) acc + s;
+}
+
+double region(long n, long m) {
+  vpfloat<mpfr, 16, 100> A[8];
+  vpfloat<mpfr, 16, 100> s = 0.0;
+  long d = 100 / (n + m);
+  #pragma omp parallel for
+  for (long i = 0; i < m; i++) {
+    A[i] = 2.0 * i;
+    A[i] = A[i] + 100 / (n - i);
+  }
+  for (long i = 0; i < m; i++) s = s + A[i];
+  return (double) s + d;
+}
+"""
+
+
+def _scalar_fault_program(backend, fault):
+    """SCALAR_FAULT_SRC without inlining.  ``unreachable`` ends the
+    loop body of ``divide`` in an ``unreachable``; ``region-entry``
+    moves ``region``'s ``__omp_parallel_begin`` ahead of its first
+    division, which then faults in the entry block's second charge
+    segment."""
+    from repro.ir import CallInst, UnreachableInst
+
+    program = compile_source(SCALAR_FAULT_SRC, backend=backend,
+                             disable_passes=("inline",))
+    if fault == "unreachable":
+        body = max(program.module.get_function("divide").blocks,
+                   key=lambda b: len(b.instructions))
+        body.instructions.pop()
+        body.append(UnreachableInst())
+    elif fault == "region-entry":
+        entry = program.module.get_function("region").entry
+        begin = next(i for i in entry.instructions
+                     if isinstance(i, CallInst)
+                     and i.callee.name == "__omp_parallel_begin")
+        entry.instructions.remove(begin)
+        first = next(i for i in entry.instructions
+                     if i.opcode in ("sdiv", "sub", "add"))
+        entry.insert_before(first, begin)
+    return program
+
+
+def _outcome(program, engine, func, args, **options):
+    """The value or exception of one run, with its whole state."""
+    interp = program.interpreter(engine=engine, **options)
+    try:
+        value = ("value", interp.run(func, args).value)
+    except Exception as error:
+        value = (type(error).__name__, str(error))
+    report = interp.accounting.finalize(interp.memory)
+    return value, _full_state(report, interp), interp.steps
+
+
+#: (fault, function, arguments): each run raises.
+SCALAR_FAULTS = (
+    ("sdiv", "divide", [3, 6]),
+    ("srem", "remainder", [4, 6]),
+    ("unreachable", "divide", [9, 6]),
+    ("nested", "nested", [2, 5]),
+    ("before-call", "before_call", [2, 5]),
+    ("region", "region", [3, 6]),
+    ("region-entry", "region", [-6, 6]),
+)
+
+
+class TestScalarFaults:
+    """A run that stops in mid-block, on a scalar fault or the step
+    limit, leaves the walker's whole state on the jit: the faulting
+    instruction is counted and charged and nothing after it, in every
+    caller too; the step limit raises at a block's entry before any of
+    it is counted."""
+
+    @pytest.mark.parametrize("backend", ("none", "mpfr"))
+    @pytest.mark.parametrize("fault,func,args", SCALAR_FAULTS)
+    def test_fault_matches_legacy(self, backend, fault, func, args):
+        program = _scalar_fault_program(backend, fault)
+        jit = _outcome(program, "jit", func, args)
+        legacy = _outcome(program, "legacy", func, args)
+        assert jit == legacy
+        assert legacy[0][0] == "VPRuntimeError"
+        assert legacy[1]["report"]["instructions"] == legacy[2] > 0
+        statuses = program._codegen_store.statuses()
+        assert {record["status"] for record in statuses.values()} == {"jit"}
+
+    @pytest.mark.parametrize("backend", ("none", "mpfr"))
+    @pytest.mark.parametrize("func,args", (("nested", [9, 3]),
+                                           ("region", [9, 3])))
+    def test_step_limit_sweep_matches_legacy(self, backend, func, args):
+        program = _scalar_fault_program(backend, None)
+        full = _outcome(program, "legacy", func, args)
+        assert full[0][0] == "value"
+        steps = full[2]
+        limited = 0
+        for max_steps in range(1, steps + 1):
+            jit = _outcome(program, "jit", func, args, max_steps=max_steps)
+            legacy = _outcome(program, "legacy", func, args,
+                              max_steps=max_steps)
+            assert jit == legacy, max_steps
+            limited += legacy[0][0] == "ExecutionLimitExceeded"
+        assert legacy == full
+        assert limited > 0
+
+
+class TestBlockChargeTelemetry:
+    """The jit's block charges count a traced call's hot blocks and
+    observe a metered run's vpfloat ops as the walker does."""
+
+    @pytest.mark.parametrize("backend", ("none", "mpfr"))
+    def test_hot_blocks_and_precision_match_legacy(self, backend):
+        program = compile_source(source_for("gemm", POLYBENCH_FTYPE),
+                                 backend=backend)
+        outcomes = {}
+        for engine in ("jit", "legacy"):
+            with telemetry_session(trace=True, metrics=True) as (tracer,
+                                                                  registry):
+                result = program.run("run", [4], engine=engine)
+            calls = [event["args"] for event in tracer.events
+                     if event["name"].startswith("call:")]
+            precision = {name: value for name, value
+                         in {**registry.histograms,
+                             **registry.counters}.items()
+                         if name.startswith("precision.")}
+            outcomes[engine] = (calls, precision,
+                                _full_state(result.report,
+                                            result.interpreter))
+        assert outcomes["jit"] == outcomes["legacy"]
+        calls, precision, _ = outcomes["jit"]
+        assert calls and all(call["hot_blocks"] for call in calls)
+        assert precision
+        assert program._codegen_store.statuses()["run"]["status"] == "jit"
 
 
 class TestMpfrLifecycleTelemetry:
