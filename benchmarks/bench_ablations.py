@@ -2,15 +2,14 @@
 
 Each toggles one optimization of the MPFR backend (or the Polly-lite /
 loop-idiom machinery) and quantifies its contribution on a
-representative kernel.  The module
-runs two ways:
+representative kernel.  Run standalone, it prints one row per
+ablation and writes the v2 reproducibility-envelope JSON artifact the
+other benches produce::
 
-* under pytest-benchmark (the perf-gate path): each ablation is one
-  test asserting its invariant;
-* standalone, emitting the v2 reproducibility-envelope JSON artifact
-  the other benches produce::
+    PYTHONPATH=src python benchmarks/bench_ablations.py --json-out out.json
 
-      PYTHONPATH=src python benchmarks/bench_ablations.py --json-out out.json
+``tests/test_backend_mpfr.py`` runs the same measurements and asserts
+each row's invariant.
 """
 
 import argparse
@@ -23,10 +22,14 @@ from repro.observability import reproducibility_envelope
 BENCH_FORMAT_VERSION = 2  # v2: carries the reproducibility envelope
 
 
-def _cycles(kernel, n=8, prec=128, **kwargs):
+def _report(kernel, n=8, prec=128, **kwargs):
     return run_kernel(kernel, f"vpfloat<mpfr, 16, {prec}>", n,
                       backend="mpfr", read_outputs=False,
-                      **kwargs).report.cycles
+                      **kwargs).report
+
+
+def _cycles(kernel, n=8, prec=128, **kwargs):
+    return _report(kernel, n, prec, **kwargs).cycles
 
 
 # ----------------------------------------------------------------- #
@@ -34,11 +37,16 @@ def _cycles(kernel, n=8, prec=128, **kwargs):
 # ----------------------------------------------------------------- #
 
 def ablate_reuse() -> dict:
-    """Paper §III-C1 item 7: reuse of dead MPFR objects."""
-    on = _cycles("durbin", n=12)
-    off = _cycles("durbin", n=12, reuse_objects=False)
-    return {"cycles_on": on, "cycles_off": off,
-            "gain": round(off / on, 3)}
+    """Paper §III-C1 item 7: reuse of dead MPFR objects.
+
+    On heat-3d reuse saves both MPFR allocations and cycles; on many
+    kernels (durbin among them) it changes neither."""
+    on = _report("heat-3d", n=6)
+    off = _report("heat-3d", n=6, reuse_objects=False)
+    return {"cycles_on": on.cycles, "cycles_off": off.cycles,
+            "mpfr_allocations_on": on.mpfr_allocations,
+            "mpfr_allocations_off": off.mpfr_allocations,
+            "gain": round(off.cycles / on.cycles, 3)}
 
 
 def ablate_specialize() -> dict:
@@ -83,49 +91,6 @@ def ablate_polly() -> dict:
             "l1_hits_plain": off.cache_hits[0],
             "llc_miss_polly": on.llc_misses,
             "llc_miss_plain": off.llc_misses}
-
-
-# ----------------------------------------------------------------- #
-# pytest-benchmark entry points (the perf-gate path)
-# ----------------------------------------------------------------- #
-
-class TestObjectReuseAblation:
-    def test_reuse_on_vs_off(self, benchmark):
-        row = benchmark.pedantic(ablate_reuse, rounds=1, iterations=1)
-        assert row["cycles_on"] <= row["cycles_off"]  # reuse never hurts
-        benchmark.extra_info.update(row)
-
-
-class TestSpecializationAblation:
-    def test_specialize_on_vs_off(self, benchmark):
-        row = benchmark.pedantic(ablate_specialize, rounds=1,
-                                 iterations=1)
-        assert row["cycles_on"] < row["cycles_off"]
-        benchmark.extra_info.update(row)
-
-
-class TestInPlaceStoresAblation:
-    def test_in_place_on_vs_off(self, benchmark):
-        row = benchmark.pedantic(ablate_in_place, rounds=1, iterations=1)
-        assert row["cycles_on"] < row["cycles_off"]
-        benchmark.extra_info.update(row)
-
-
-class TestLoopIdiomAblation:
-    def test_idiom_on_vs_off(self, benchmark):
-        row = benchmark.pedantic(ablate_loop_idiom, rounds=1,
-                                 iterations=1)
-        # idiom may be neutral on this kernel
-        assert row["cycles_on"] <= row["cycles_off"] * 1.02
-        benchmark.extra_info.update(row)
-
-
-class TestPollyAblation:
-    def test_polly_on_vs_off(self, benchmark):
-        row = benchmark.pedantic(ablate_polly, rounds=1, iterations=1)
-        # Tiling must not lose L1 locality; report both hit counts.
-        assert row["llc_miss_polly"] <= row["llc_miss_plain"] * 1.5
-        benchmark.extra_info.update(row)
 
 
 # ----------------------------------------------------------------- #

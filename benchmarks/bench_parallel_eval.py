@@ -117,7 +117,7 @@ def bench_compile(cache_dir: str):
 def bench(jobs: int, quick: bool, cache_dir=None) -> int:
     grid = QUICK_GRID if quick else FULL_GRID
     if cache_dir is None:
-        cache_dir = tempfile.mkdtemp(prefix="vpfloat-bench-cache-")
+        cache_dir = tempfile.mkdtemp(prefix="vpfloat-parallel-eval-cache-")
 
     (serial, serial_wall), (cold_res, cold_wall), (warm_res, warm_wall) = \
         bench_wall(grid, jobs, cache_dir)

@@ -111,8 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "telemetry) as JSON")
     parser.add_argument("--ledger", metavar="FILE", default=None,
                         help="append compile/run records to this JSONL "
-                             "run ledger (compare runs with "
-                             "'vpfloat-stats compare')")
+                             "run ledger (render it with vpfloat-stats)")
     return parser
 
 

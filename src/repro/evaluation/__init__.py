@@ -10,7 +10,8 @@ Run them from the command line::
     python -m repro.evaluation fig3
     python -m repro.evaluation all
 
-or via the benchmark harness in ``benchmarks/``.
+``tests/test_workloads.py`` runs each at reduced size and asserts the
+paper's claims.
 """
 
 from . import fig1, fig2, fig3, parallel, table1, table2, table3

@@ -42,7 +42,6 @@ from .ledger import (
     LEDGER_SCHEMA_VERSION,
     LedgerError,
     RunLedger,
-    compare_ledgers,
     current_ledger,
     install_ledger,
     ledger_session,
@@ -80,7 +79,7 @@ __all__ = [
     "absorb_profile", "absorb_report",
     "absorb_unum_stats",
     "NULL_OBSERVATION", "Observation",
-    "compare_ledgers", "current_ledger", "current_metrics",
+    "current_ledger", "current_metrics",
     "current_tracer", "enable_telemetry", "install_ledger",
     "install_telemetry", "ledger_session", "observe", "read_ledger",
     "report_fields", "reproducibility_envelope", "telemetry_enabled",

@@ -3,11 +3,9 @@
 Perfetto traces and metrics dumps are per-invocation artifacts, not
 history.  The ledger is the durable substrate: one JSONL file that
 every :class:`~repro.core.CompilerDriver` compile, every
-``program.run`` (``run_batch`` records a ``batch_run``), every harness
-sweep point and every ``vpfloat-bench`` case appends one
-self-describing record to, so performance has a trajectory that
-regression gating (``vpfloat-stats compare``, ``vpfloat-bench
---baseline``) can read.
+``program.run`` (``run_batch`` records a ``batch_run``) and every
+harness sweep point appends one self-describing record to, so
+performance has a trajectory that ``vpfloat-stats`` can read back.
 
 Design constraints, in order:
 
@@ -42,7 +40,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: Bump when the record envelope changes incompatibly.
 LEDGER_SCHEMA_VERSION = 1
@@ -52,7 +50,7 @@ LEDGER_SCHEMA_VERSION = 1
 LEDGER_ENV = "VPFLOAT_LEDGER"
 
 #: Record kinds the schema admits.
-EVENTS = ("compile", "run", "batch_run", "eval_point", "bench")
+EVENTS = ("compile", "run", "batch_run", "eval_point")
 
 _NUMERIC = (int, float)
 
@@ -313,38 +311,10 @@ def read_ledger(path, strict: bool = False
     return records, problems
 
 
-# ----------------------------------------------------------------- #
-# Regression comparison (the gate behind ``vpfloat-stats compare``)
-# ----------------------------------------------------------------- #
-
-#: Metrics that are deterministic model outputs: any change is real,
-#: no noise allowance applies.
-DETERMINISTIC_METRICS = ("cycles", "instructions", "mpfr_calls",
-                         "llc_misses", "dram_bytes")
-
-#: Host wall-clock metrics: gated with a median + MAD noise allowance,
-#: and only when both ledgers were written on the same host.
-WALL_METRICS = ("wall_seconds",)
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _mad(values: List[float], center: float) -> float:
-    return _median([abs(v - center) for v in values])
-
-
 def comparison_key(record: dict) -> Optional[tuple]:
-    """The benchmark identity of a record: what must match between two
-    ledgers for their samples to be comparable."""
-    if record.get("event") not in ("run", "batch_run", "eval_point",
-                                   "bench"):
+    """The benchmark identity of a record: the configuration
+    ``vpfloat-stats`` digests group run-shaped records by."""
+    if record.get("event") not in ("run", "batch_run", "eval_point"):
         return None
     return (
         record.get("event"),
@@ -356,116 +326,3 @@ def comparison_key(record: dict) -> Optional[tuple]:
         record.get("lanes"),
         record.get("opt_level"),
     )
-
-
-class Regression:
-    """One metric of one benchmark key got worse from A to B."""
-
-    def __init__(self, key: tuple, metric: str, baseline: float,
-                 candidate: float, threshold: float, kind: str):
-        self.key = key
-        self.metric = metric
-        self.baseline = baseline
-        self.candidate = candidate
-        self.threshold = threshold
-        self.kind = kind  # "deterministic" | "wall"
-
-    @property
-    def ratio(self) -> float:
-        if not self.baseline:
-            return float("inf")
-        return self.candidate / self.baseline
-
-    def render(self) -> str:
-        label = "/".join(str(p) for p in self.key if p is not None)
-        return (f"{label}: {self.metric} {self.baseline:g} -> "
-                f"{self.candidate:g} ({self.ratio:.3f}x, "
-                f"threshold {self.threshold:g}, {self.kind})")
-
-
-def _samples_by_key(records: Iterable[dict]
-                    ) -> Dict[tuple, Dict[str, List[float]]]:
-    grouped: Dict[tuple, Dict[str, List[float]]] = {}
-    for record in records:
-        key = comparison_key(record)
-        if key is None:
-            continue
-        metrics = grouped.setdefault(key, {})
-        for metric in DETERMINISTIC_METRICS + WALL_METRICS:
-            value = record.get(metric)
-            if isinstance(value, _NUMERIC) and not isinstance(value, bool):
-                metrics.setdefault(metric, []).append(float(value))
-    return grouped
-
-
-def _same_host(a_records: List[dict], b_records: List[dict]) -> bool:
-    def hosts(records):
-        return {r.get("host", {}).get("hostname") for r in records
-                if isinstance(r.get("host"), dict)}
-
-    ha, hb = hosts(a_records), hosts(b_records)
-    return bool(ha) and ha == hb
-
-
-def compare_ledgers(baseline_records: List[dict],
-                    candidate_records: List[dict],
-                    wall_mad_factor: float = 5.0,
-                    wall_rel_floor: float = 0.10,
-                    deterministic_rel_tol: float = 0.0,
-                    gate_wall: Optional[bool] = None):
-    """Noise-aware A/B comparison of two ledgers.
-
-    Returns ``(regressions, improvements, compared, skipped)`` where
-    ``compared`` counts (key, metric) pairs examined and ``skipped``
-    lists keys present in only one ledger.
-
-    Deterministic model metrics (cycles, instructions, traffic) gate on
-    the median with ``deterministic_rel_tol`` slack (default: exact --
-    the model is bit-reproducible, so any growth is a real regression).
-    Wall-clock metrics gate on median-of-k with a MAD-scaled allowance
-    (``median_B > median_A + max(wall_mad_factor * MAD_A,
-    wall_rel_floor * median_A)``) and only when both ledgers were
-    written on the same host (``gate_wall`` overrides the
-    auto-detection) -- cross-machine wall comparisons are reported as
-    informational improvements/regressions never, gated never.
-    """
-    base = _samples_by_key(baseline_records)
-    cand = _samples_by_key(candidate_records)
-    if gate_wall is None:
-        gate_wall = _same_host(baseline_records, candidate_records)
-    regressions: List[Regression] = []
-    improvements: List[Regression] = []
-    compared = 0
-    skipped = sorted(set(base) ^ set(cand))
-    for key in sorted(set(base) & set(cand)):
-        for metric, b_samples in sorted(base[key].items()):
-            c_samples = cand[key].get(metric)
-            if not c_samples:
-                continue
-            b_med = _median(b_samples)
-            c_med = _median(c_samples)
-            if metric in WALL_METRICS:
-                if not gate_wall:
-                    continue
-                allowance = max(wall_mad_factor * _mad(b_samples, b_med),
-                                wall_rel_floor * b_med)
-                compared += 1
-                threshold = b_med + allowance
-                if c_med > threshold:
-                    regressions.append(Regression(
-                        key, metric, b_med, c_med, threshold, "wall"))
-                elif c_med < b_med - allowance:
-                    improvements.append(Regression(
-                        key, metric, b_med, c_med, threshold, "wall"))
-            else:
-                compared += 1
-                threshold = b_med * (1.0 + deterministic_rel_tol)
-                if c_med > threshold:
-                    regressions.append(Regression(
-                        key, metric, b_med, c_med, threshold,
-                        "deterministic"))
-                elif c_med < b_med:
-                    improvements.append(Regression(
-                        key, metric, b_med, c_med, threshold,
-                        "deterministic"))
-    return regressions, improvements, compared, skipped

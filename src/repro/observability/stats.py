@@ -360,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vpfloat-stats",
         description="Render or validate saved vpfloat telemetry "
                     "artifacts (--metrics-out / --trace files and "
-                    "run-ledger JSONL files). "
-                    "'vpfloat-stats compare A B' gates a candidate "
-                    "ledger against a baseline (exit 3 on regression).",
+                    "run-ledger JSONL files).",
     )
     parser.add_argument("files", nargs="+", metavar="FILE",
                         help="metrics, trace, or run-ledger file(s)")
@@ -374,40 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_compare_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vpfloat-stats compare",
-        description="Noise-aware A/B comparison of two run ledgers. "
-                    "Deterministic model metrics (cycles, instructions, "
-                    "traffic) gate exactly; wall-clock gates on "
-                    "median-of-k with a MAD allowance, and only when "
-                    "both ledgers came from the same host. Exits 3 on "
-                    "regression, 1 on unusable input, else 0.",
-    )
-    parser.add_argument("baseline", help="baseline ledger (JSONL)")
-    parser.add_argument("candidate", help="candidate ledger (JSONL)")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable comparison report")
-    parser.add_argument("--wall-mad-factor", type=float, default=5.0,
-                        help="wall allowance: this many baseline MADs "
-                             "above the baseline median (default 5)")
-    parser.add_argument("--wall-rel-floor", type=float, default=0.10,
-                        help="minimum relative wall allowance "
-                             "(default 0.10 = 10%%)")
-    parser.add_argument("--det-rel-tol", type=float, default=0.0,
-                        help="relative slack on deterministic metrics "
-                             "(default 0: the model is bit-exact)")
-    parser.add_argument("--gate-wall", choices=("auto", "on", "off"),
-                        default="auto",
-                        help="gate wall metrics: auto = only when both "
-                             "ledgers share a hostname (default)")
-    parser.add_argument("--require-overlap", action="store_true",
-                        help="fail (exit 1) when the ledgers share no "
-                             "comparable benchmark keys -- CI uses this "
-                             "so an empty baseline cannot silently pass")
-    return parser
-
-
 def main(argv=None) -> int:
     try:
         return _main(argv)
@@ -416,73 +380,7 @@ def main(argv=None) -> int:
         return 0
 
 
-def _compare_main(argv: List[str]) -> int:
-    from .ledger import LedgerError, compare_ledgers, read_ledger
-
-    args = build_compare_parser().parse_args(argv)
-    loaded = {}
-    for path in (args.baseline, args.candidate):
-        try:
-            records, problems = read_ledger(path)
-        except (OSError, UnicodeDecodeError) as error:
-            print(f"{path}: {error}", file=sys.stderr)
-            return 1
-        for problem in problems:
-            print(f"{path}: skipped {problem}", file=sys.stderr)
-        loaded[path] = records
-    gate_wall = {"auto": None, "on": True, "off": False}[args.gate_wall]
-    try:
-        regressions, improvements, compared, skipped = compare_ledgers(
-            loaded[args.baseline], loaded[args.candidate],
-            wall_mad_factor=args.wall_mad_factor,
-            wall_rel_floor=args.wall_rel_floor,
-            deterministic_rel_tol=args.det_rel_tol,
-            gate_wall=gate_wall)
-    except LedgerError as error:
-        print(str(error), file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps({
-            "baseline": args.baseline,
-            "candidate": args.candidate,
-            "compared": compared,
-            "regressions": [{
-                "key": list(r.key), "metric": r.metric,
-                "baseline": r.baseline, "candidate": r.candidate,
-                "threshold": r.threshold, "kind": r.kind,
-            } for r in regressions],
-            "improvements": [{
-                "key": list(r.key), "metric": r.metric,
-                "baseline": r.baseline, "candidate": r.candidate,
-            } for r in improvements],
-            "unmatched_keys": [list(key) for key in skipped],
-        }, indent=2, sort_keys=True))
-    else:
-        print(f"compared {compared} metric(s) across ledgers: "
-              f"{len(regressions)} regression(s), "
-              f"{len(improvements)} improvement(s), "
-              f"{len(skipped)} unmatched key(s)")
-        for regression in regressions:
-            print(f"  REGRESSION {regression.render()}")
-        for improvement in improvements:
-            print(f"  improved   {improvement.render()}")
-        for key in skipped:
-            label = "/".join(str(p) for p in key if p is not None)
-            print(f"  unmatched  {label}")
-    if args.require_overlap and compared == 0:
-        print("no comparable benchmark keys between the two ledgers",
-              file=sys.stderr)
-        return 1
-    return 3 if regressions else 0
-
-
 def _main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # Subcommand dispatch by peeking, so the original positional-files
-    # usage ('vpfloat-stats m.json t.json') keeps working unchanged.
-    if argv and argv[0] == "compare":
-        return _compare_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
     status = 0
     for path in args.files:

@@ -1,5 +1,8 @@
 """MPFR backend: lowering structure, specialization, reuse, lifetimes."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro import compile_source
@@ -195,6 +198,40 @@ class TestObjectReuse:
         value_off, inits_off = self._init_count(reuse_objects=False)
         assert value_on == value_off  # semantics preserved
         assert inits_on < inits_off  # fewer MPFR objects (paper item 7)
+
+
+@pytest.fixture(scope="module")
+def ablations():
+    """The measurements behind ``results/bench_ablations.json``."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / \
+        "bench_ablations.py"
+    return runpy.run_path(str(path))
+
+
+class TestAblationRows:
+    """Each row of the ablation artifact shows its option at work."""
+
+    def test_object_reuse(self, ablations):
+        row = ablations["ablate_reuse"]()
+        assert row["cycles_on"] < row["cycles_off"]
+        assert row["mpfr_allocations_on"] < row["mpfr_allocations_off"]
+
+    def test_scalar_specialization(self, ablations):
+        row = ablations["ablate_specialize"]()
+        assert row["cycles_on"] < row["cycles_off"]
+
+    def test_in_place_stores(self, ablations):
+        row = ablations["ablate_in_place"]()
+        assert row["cycles_on"] < row["cycles_off"]
+
+    def test_loop_idiom(self, ablations):
+        row = ablations["ablate_loop_idiom"]()
+        # idiom may be neutral on this kernel
+        assert row["cycles_on"] <= row["cycles_off"] * 1.02
+
+    def test_polly_tiling(self, ablations):
+        row = ablations["ablate_polly"]()
+        assert row["llc_miss_polly"] <= row["llc_miss_plain"] * 1.5
 
 
 class TestHeapArrays:

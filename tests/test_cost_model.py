@@ -384,3 +384,58 @@ class TestCacheSwitch:
         assert off.report.dram_bytes == 0
         assert off.report.llc_misses == 0
         assert off.report.cycles < on.report.cycles
+
+
+#: The whole modeled report of three small points, pinned exactly.
+#: Any change to a cycle cost, the cache or memory model, the MPFR
+#: lowering or either engine's accounting moves at least one field.
+PINNED_REPORTS = {
+    ("gemm", "vpfloat<mpfr, 16, 128>", 6): {
+        "by_category": {"addr": 684, "alloca": 8, "branch": 872,
+                        "call": 20, "cast": 688, "f64": 2160,
+                        "icmp": 436, "int": 1263, "malloc": 80,
+                        "mpfr": 99586, "ret": 4},
+        "bytes_read": 20216, "bytes_written": 1192,
+        "cache_hits": [4888, 0, 0], "cycles": 144153, "dram_bytes": 6016,
+        "heap_allocations": 150, "instructions": 4946, "llc_misses": 94,
+        "mpfr_allocations": 149, "mpfr_calls": 1128,
+        "parallel_cycles": 0, "parallel_dram_bytes": 0,
+        "parallel_heap_allocations": 0, "serial_cycles": 144153},
+    ("jacobi-1d", "vpfloat<mpfr, 16, 128>", 12): {
+        "by_category": {"addr": 1648, "alloca": 8, "branch": 974,
+                        "call": 20, "cast": 1240, "f64": 552,
+                        "icmp": 487, "int": 847, "malloc": 80,
+                        "mpfr": 102977, "ret": 4},
+        "bytes_read": 29816, "bytes_written": 336,
+        "cache_hits": [7415, 0, 0], "cycles": 143897, "dram_bytes": 1728,
+        "heap_allocations": 43, "instructions": 6522, "llc_misses": 27,
+        "mpfr_allocations": 42, "mpfr_calls": 1321,
+        "parallel_cycles": 0, "parallel_dram_bytes": 0,
+        "parallel_heap_allocations": 0, "serial_cycles": 143897},
+    ("gemm", "vpfloat<unum, 3, 6>", 4): {
+        "by_category": {}, "bytes_read": 0, "bytes_written": 1408,
+        "cache_hits": [377, 0, 0], "cycles": 11395, "dram_bytes": 768,
+        "heap_allocations": 1, "instructions": 0, "llc_misses": 12,
+        "mpfr_allocations": 0, "mpfr_calls": 0,
+        "parallel_cycles": 0, "parallel_dram_bytes": 0,
+        "parallel_heap_allocations": 0, "serial_cycles": 11395},
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("kernel, ftype, n, backend, engine", [
+        ("gemm", "vpfloat<mpfr, 16, 128>", 6, "mpfr", "jit"),
+        ("gemm", "vpfloat<mpfr, 16, 128>", 6, "mpfr", "legacy"),
+        ("jacobi-1d", "vpfloat<mpfr, 16, 128>", 12, "mpfr", "jit"),
+        ("jacobi-1d", "vpfloat<mpfr, 16, 128>", 12, "mpfr", "legacy"),
+        ("gemm", "vpfloat<unum, 3, 6>", 4, "unum", None),
+    ])
+    def test_report_is_pinned(self, kernel, ftype, n, backend, engine):
+        from repro.evaluation.harness import run_kernel
+        from repro.validation import report_snapshot
+
+        outcome = run_kernel(kernel, ftype, n, backend=backend,
+                             engine=engine, read_outputs=False,
+                             compile_cache=None)
+        assert report_snapshot(outcome.report) == \
+            PINNED_REPORTS[kernel, ftype, n]

@@ -1,11 +1,8 @@
-"""Run-ledger tests: record shape, cross-process integrity, compare.
+"""Run-ledger tests: record shape, cross-process integrity, grouping.
 
 The ledger's contract is an append-only JSONL file that any number of
 processes may share -- each record is one ``O_APPEND`` write of a whole
-line, so concurrent writers never tear each other's records -- plus a
-noise-aware comparator (``compare_ledgers`` / ``vpfloat-stats
-compare``) that gates model metrics exactly and wall time on
-median-of-k with a MAD allowance.
+line, so concurrent writers never tear each other's records.
 """
 
 import json
@@ -20,7 +17,6 @@ from repro.observability import (
     LEDGER_SCHEMA_VERSION,
     LedgerError,
     RunLedger,
-    compare_ledgers,
     current_ledger,
     install_ledger,
     ledger_session,
@@ -73,9 +69,12 @@ def test_unknown_event_rejected(tmp_path, capsys):
     path = tmp_path / "ledger.jsonl"
     assert stats_main(["--validate", str(path)]) == 0
     record = json.loads(path.read_text())
-    path.write_text(json.dumps(dict(record, event="service")) + "\n")
-    assert stats_main(["--validate", str(path)]) == 1
-    assert "'service'" in capsys.readouterr().err
+    for retired in ("service", "bench"):
+        with pytest.raises(LedgerError):
+            validate_record(dict(record, event=retired))
+        path.write_text(json.dumps(dict(record, event=retired)) + "\n")
+        assert stats_main(["--validate", str(path)]) == 1
+        assert f"'{retired}'" in capsys.readouterr().err
 
 
 def test_validate_record_rejects_malformed():
@@ -194,92 +193,21 @@ def test_cross_process_grid_integrity(tmp_path):
 
 
 # ----------------------------------------------------------------- #
-# Comparison / regression gating
+# Grouping (the key ``vpfloat-stats`` digests records by)
 # ----------------------------------------------------------------- #
 
-def _bench_record(cycles, wall, n=6, kernel="gemm"):
-    return {"schema": LEDGER_SCHEMA_VERSION, "event": "bench",
+def _point_record(cycles, wall, n=6, kernel="gemm"):
+    return {"schema": LEDGER_SCHEMA_VERSION, "event": "eval_point",
             "ts": 0.0, "host": {"hostname": "h", "pid": 1},
             "kernel": kernel, "ftype": MPFR, "n": n, "backend": "mpfr",
             "engine": "jit", "lanes": None, "cycles": cycles,
             "instructions": cycles // 2, "wall_seconds": wall}
 
 
-def test_compare_identical_ledgers_is_clean():
-    records = [_bench_record(1000, 0.01) for _ in range(3)]
-    regressions, improvements, compared, skipped = compare_ledgers(
-        records, records)
-    assert regressions == [] and improvements == []
-    assert compared > 0
-
-
-def test_compare_flags_deterministic_regression():
-    base = [_bench_record(1000, 0.01)]
-    cand = [_bench_record(1100, 0.01)]
-    regressions, _, _, _ = compare_ledgers(base, cand)
-    assert any(r.metric == "cycles" for r in regressions)
-    # ... and improvements are not regressions.
-    _, improvements, _, _ = compare_ledgers(cand, base)
-    assert any(r.metric == "cycles" for r in improvements)
-
-
-def test_compare_wall_noise_tolerated_cycles_not():
-    base = [_bench_record(1000, 0.010 + 0.001 * i) for i in range(5)]
-    cand = [_bench_record(1000, 0.0105 + 0.001 * i) for i in range(5)]
-    regressions, _, _, _ = compare_ledgers(base, cand)
-    assert regressions == []  # within the MAD/floor allowance
-
-
-def test_compare_gate_wall_requires_same_host():
-    base = [_bench_record(1000, 0.010)]
-    cand = [dict(_bench_record(1000, 0.100),
-                 host={"hostname": "other", "pid": 2})]
-    regressions, _, compared_auto, _ = compare_ledgers(base, cand)
-    assert regressions == []  # cross-host wall deltas are not gated
-    regressions, _, compared_on, _ = compare_ledgers(base, cand,
-                                                     gate_wall=True)
-    assert compared_on > compared_auto  # wall only examined when gated
-    assert any(r.metric == "wall_seconds" for r in regressions)
-    assert any(r.metric == "wall_seconds" for r in regressions)
-
-
 def test_comparison_key_groups_by_configuration():
-    a = _bench_record(1, 0.1, n=6)
-    b = _bench_record(1, 0.1, n=8)
+    a = _point_record(1, 0.1, n=6)
+    b = _point_record(1, 0.1, n=8)
+    assert comparison_key(a) is not None
     assert comparison_key(a) != comparison_key(b)
-    assert comparison_key(a) == comparison_key(_bench_record(2, 0.2, n=6))
-
-
-def test_self_compare_of_real_bench_ledger(tmp_path):
-    """vpfloat-bench --quick round-trips through compare cleanly."""
-    from repro.observability.bench import main as bench_main
-
-    path = tmp_path / "bench.jsonl"
-    assert bench_main(["--quick", "--reps", "1",
-                       "--ledger", str(path),
-                       "--cache-dir", str(tmp_path / "cache")]) == 0
-    records, problems = read_ledger(path)
-    assert problems == []
-    assert any(r["event"] == "bench" and r["kernel"] == "gemm"
-               for r in records)
-    regressions, _, compared, _ = compare_ledgers(records, records)
-    assert regressions == [] and compared > 0
-    # ... and through the CLI spelling with its exit codes.
-    from repro.observability.stats import main as stats_main
-
-    assert stats_main(["compare", str(path), str(path)]) == 0
-
-
-def test_compare_cli_exit_codes(tmp_path):
-    from repro.observability.stats import main as stats_main
-
-    base = tmp_path / "base.jsonl"
-    cand = tmp_path / "cand.jsonl"
-    with open(base, "w") as handle:
-        handle.write(json.dumps(_bench_record(1000, 0.01)) + "\n")
-    with open(cand, "w") as handle:
-        handle.write(json.dumps(_bench_record(2000, 0.01)) + "\n")
-    assert stats_main(["compare", str(base), str(base)]) == 0
-    assert stats_main(["compare", str(base), str(cand)]) == 3
-    assert stats_main(["compare", str(base),
-                       str(tmp_path / "absent.jsonl")]) == 1
+    assert comparison_key(a) == comparison_key(_point_record(2, 0.2, n=6))
+    assert comparison_key(dict(a, event="compile")) is None
