@@ -38,8 +38,7 @@ None of this depends on the limb count: the shapes hold for any
 Zero operands are handled inline (transcribing the exact
 :mod:`repro.bigfloat.arith` special-value rules); NaN/inf operands,
 negative sqrt and mixed-precision operands fall back to the library
-function, optionally reporting the reason through the ``notes`` hooks
-so the kernel telemetry can attribute fallbacks.
+function.
 
 Bit-exactness is the contract: every result is identical to
 ``arith.<op>(..., prec, rm)``.  Hypothesis tests cross-check the
@@ -66,7 +65,6 @@ KERNEL_OPS = ("add", "sub", "mul", "div", "sqrt")
 #: out contributes only a sticky bit.
 _ALIGN_GUARD = 3
 
-_CODE_CACHE: Dict[Tuple[str, int, str, Optional[int]], object] = {}
 _KERNEL_CACHE: Dict[Tuple[str, int, str, Optional[int]], Callable] = {}
 
 
@@ -285,7 +283,6 @@ def _addsub_source(prec: int, rm: RoundingMode, flip: bool,
     A.append("    _bk = b.kind")
     A.append("    if _ak is _KF and _bk is _KF:")
     A.append(f"        if a.prec != {p} or b.prec != {p}:")
-    A.append("            _nprec()")
     A.append("            return _FB(a, b)")
     A.append("        _sa = a.sign")
     A.append(f"        _sb = {sb}")
@@ -302,19 +299,16 @@ def _addsub_source(prec: int, rm: RoundingMode, flip: bool,
     # Inline zeros (exact arith.add/sub special-value rules).
     A.append("    if _ak is _KF and _bk is _KZ:")
     A.append(f"        if a.prec != {p}:")
-    A.append("            _nprec()")
     A.append("            return _FB(a, b)")
     A.extend(_passthrough_lines(p, exp_bits, "a", False, " " * 8))
     A.append("    if _ak is _KZ and _bk is _KF:")
     A.append(f"        if b.prec != {p}:")
-    A.append("            _nprec()")
     A.append("            return _FB(a, b)")
     A.extend(_passthrough_lines(p, exp_bits, "b", flip, " " * 8))
     A.append("    if _ak is _KZ and _bk is _KZ:")
     A.append(f"        if a.sign == {sb}:")
     A.append("            return _Z1 if a.sign else _Z0")
     A.append("        return _SZERO")
-    A.append("    _nspec()")
     A.append("    return _FB(a, b)")
     return "\n".join(A) + "\n"
 
@@ -329,7 +323,6 @@ def _mul_source(prec: int, rm: RoundingMode,
     A.append("    _bk = b.kind")
     A.append("    if _ak is _KF and _bk is _KF:")
     A.append(f"        if a.prec != {p} or b.prec != {p}:")
-    A.append("            _nprec()")
     A.append("            return _FB(a, b)")
     A.append("        _s = a.sign ^ b.sign")
     A.append("        _t = a.mant * b.mant")
@@ -343,7 +336,6 @@ def _mul_source(prec: int, rm: RoundingMode,
     A.append("    if (_ak is _KF or _ak is _KZ) and "
              "(_bk is _KF or _bk is _KZ):")
     A.append("        return _Z1 if a.sign ^ b.sign else _Z0")
-    A.append("    _nspec()")
     A.append("    return _FB(a, b)")
     return "\n".join(A) + "\n"
 
@@ -358,7 +350,6 @@ def _div_source(prec: int, rm: RoundingMode,
     A.append("    _bk = b.kind")
     A.append("    if _ak is _KF and _bk is _KF:")
     A.append(f"        if a.prec != {p} or b.prec != {p}:")
-    A.append("            _nprec()")
     A.append("            return _FB(a, b)")
     A.append("        _s = a.sign ^ b.sign")
     A.append(f"        _t, _r = divmod(a.mant << {shd}, b.mant)")
@@ -374,7 +365,6 @@ def _div_source(prec: int, rm: RoundingMode,
     A.append("        return _Z1 if a.sign ^ b.sign else _Z0")
     A.append("    if _ak is _KF and _bk is _KZ:")
     A.append("        return _NINF if a.sign ^ b.sign else _PINF")
-    A.append("    _nspec()")
     A.append("    return _FB(a, b)")
     return "\n".join(A) + "\n"
 
@@ -388,7 +378,6 @@ def _sqrt_source(prec: int, rm: RoundingMode,
     A.append("    _ak = a.kind")
     A.append("    if _ak is _KF and a.sign == 0:")
     A.append(f"        if a.prec != {p}:")
-    A.append("            _nprec()")
     A.append("            return _FB(a)")
     A.append("        _ex = a.exp")
     A.append(f"        if (_ex - {sh0}) & 1:")
@@ -408,7 +397,6 @@ def _sqrt_source(prec: int, rm: RoundingMode,
     A.extend(_finish_lines(p, exp_bits, " " * 8))
     A.append("    if _ak is _KZ:")
     A.append("        return _Z1 if a.sign else _Z0")
-    A.append("    _nspec()")
     A.append("    return _FB(a)")
     return "\n".join(A) + "\n"
 
@@ -459,105 +447,23 @@ def clamped_fallback(fallback, prec: int, exp_bits: int) -> Callable:
     return clamped
 
 
-def _noop() -> None:
-    pass
-
-
-class KernelStats:
-    """Per-interpreter scalar-kernel telemetry.
-
-    Only constructed when the run is observing (metrics registry or
-    ledger active): the hot path then routes through a counting
-    closure, while unobserved runs bind the raw kernels and pay
-    nothing.  ``sites`` counts kernel specializations (one per
-    ``(op, prec, rm, exp_bits)`` call-site key), ``ops`` dynamic kernel
-    invocations, ``fallbacks`` the reasons kernels punted to the
-    library ("prec": operand/destination precision mismatch,
-    "special": NaN/Inf operand or negative sqrt).
-    """
-
-    __slots__ = ("ops", "sites", "fallbacks")
-
-    def __init__(self):
-        self.ops = 0
-        self.sites = 0
-        self.fallbacks = {"prec": 0, "special": 0}
-
-    def counting(self, kernel: Callable) -> Callable:
-        def counted(*args, _k=kernel, _stats=self):
-            _stats.ops += 1
-            return _k(*args)
-
-        return counted
-
-    def notes(self) -> Tuple[Callable, Callable]:
-        fallbacks = self.fallbacks
-
-        def note_prec():
-            fallbacks["prec"] += 1
-
-        def note_special():
-            fallbacks["special"] += 1
-
-        return note_prec, note_special
-
-    def as_dict(self) -> dict:
-        return {
-            "ops": self.ops,
-            "sites": self.sites,
-            "fallbacks": dict(self.fallbacks),
-        }
-
-    def merge(self, other: "KernelStats") -> None:
-        self.ops += other.ops
-        self.sites += other.sites
-        for reason, n in other.fallbacks.items():
-            self.fallbacks[reason] = self.fallbacks.get(reason, 0) + n
-
-
-def select_scalar_kernel(op: str, prec: int, exp_bits: Optional[int],
-                         stats: Optional[KernelStats] = None,
-                         rm: RoundingMode = RoundingMode.NEAREST_EVEN,
-                         ) -> Callable:
-    """The scalar kernel the jit binds for one call-site key.  With
-    ``stats`` the kernel is wrapped in a counting closure and reports
-    its fallback reasons."""
-    if stats is None:
-        return scalar_kernel(op, prec, rm, exp_bits)
-    stats.sites += 1
-    return stats.counting(
-        scalar_kernel(op, prec, rm, exp_bits, notes=stats.notes()))
-
-
 def scalar_kernel(op: str, prec: int,
                   rm: RoundingMode = RoundingMode.NEAREST_EVEN,
-                  exp_bits: Optional[int] = None,
-                  notes: Optional[Tuple[Callable, Callable]] = None,
-                  ) -> Callable:
+                  exp_bits: Optional[int] = None) -> Callable:
     """A compiled kernel bit-identical to ``arith.<op>(..., prec, rm)``.
 
     Binary ops take ``(a, b)``, sqrt ``(a)``; all operands must
     already be BigFloats.  With ``exp_bits``, the destination's
     exponent-range clamp is folded in (finite results only), matching
-    the jit engine's clamp block.  ``notes`` is an optional
-    ``(note_prec, note_special)`` pair called (cheaply, off the hot
-    path) whenever the kernel falls back to the library because of a
-    precision mismatch or a special value; kernels without hooks are
-    memoized globally, hooked ones are rebound per caller over the same
-    compiled code object.
+    the jit engine's clamp block.  Kernels are memoized per
+    ``(op, prec, rm, exp_bits)``.
     """
     key = (op, prec, rm.value, exp_bits)
-    if notes is None:
-        kernel = _KERNEL_CACHE.get(key)
-        if kernel is not None:
-            return kernel
-    code = _CODE_CACHE.get(key)
-    if code is None:
-        source = kernel_code(op, prec, rm, exp_bits)
-        code = compile(
-            source, f"<vpkernel:{op}/{prec}/{rm.value}/{exp_bits}>",
-            "exec")
-        _CODE_CACHE[key] = code
+    kernel = _KERNEL_CACHE.get(key)
+    if kernel is not None:
+        return kernel
+    code = compile(kernel_code(op, prec, rm, exp_bits),
+                   f"<vpkernel:{op}/{prec}/{rm.value}/{exp_bits}>", "exec")
     library = _LIBRARY[op]
     if op == "sqrt":
         def fallback(a, _lib=library, _p=prec, _r=rm):
@@ -567,8 +473,6 @@ def scalar_kernel(op: str, prec: int,
             return _lib(a, b, _p, _r)
     if exp_bits is not None:
         fallback = clamped_fallback(fallback, prec, exp_bits)
-    note_prec, note_special = notes if notes is not None \
-        else (_noop, _noop)
     namespace = {
         "_KF": Kind.FINITE,
         "_KZ": Kind.ZERO,
@@ -576,8 +480,6 @@ def scalar_kernel(op: str, prec: int,
         "_MBF": _FastBigFloat,
         "_FB": fallback,
         "_isqrt": math.isqrt,
-        "_nprec": note_prec,
-        "_nspec": note_special,
         "_SZERO": BigFloat.zero(
             prec, 1 if rm is RoundingMode.TOWARD_NEGATIVE else 0),
         "_Z0": BigFloat.zero(prec, 0),
@@ -586,7 +488,5 @@ def scalar_kernel(op: str, prec: int,
         "_NINF": BigFloat.inf(prec, 1),
     }
     exec(code, namespace)
-    kernel = namespace["_kernel"]
-    if notes is None:
-        _KERNEL_CACHE[key] = kernel
+    kernel = _KERNEL_CACHE[key] = namespace["_kernel"]
     return kernel

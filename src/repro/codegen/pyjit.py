@@ -15,10 +15,11 @@ from the walker's cost table (:func:`block_charges`).
 Observable semantics are bit-identical with the legacy walker for any
 function the emitter accepts: the same cycles land in the same
 categories, the same memory traffic reaches the cache model, runtime
-builtins run through the interpreter's *installed* handlers (so MPFR
-pool sampling, registry variants and error text are shared, not
-re-implemented), and runtime errors keep their exact types and
-messages, leaving the walker's report (:meth:`JitEngine.refund`).
+builtins run through the interpreter's *installed* handlers (so their
+error text is shared, not re-implemented), and runtime errors keep
+their exact types and messages, leaving the walker's report
+(:meth:`JitEngine.refund`).  Installed telemetry changes none of it:
+the engine reads no tracer, registry or ledger while it runs.
 Anything the emitter cannot prove static -- dynamic vpfloat
 attributes, posit arithmetic, unknown builtins, dynamically-sized
 element types, non-static GEPs -- raises :class:`_Unsupported` during
@@ -90,14 +91,14 @@ from ..ir import (
     UnreachableInst,
     VPFloatType,
 )
-from ..observability import CAT_COMPILE, observe
+from ..observability import CAT_COMPILE, current_metrics, observe
 from ..runtime.interpreter import (MPFR_STRUCT_BYTES,
                                    ExecutionLimitExceeded, VPRuntimeError,
                                    _as_bigfloat, _f32, _trunc_div,
                                    fcmp_value, fdiv, frem, static_cost,
                                    type_format)
 from . import CODEGEN_VERSION
-from .kernels import select_scalar_kernel
+from .kernels import scalar_kernel
 
 #: vpfloat binary opcodes with an inlinable specialized kernel.
 _VP_OPS = {"fadd": "add", "fsub": "sub", "fmul": "mul", "fdiv": "div"}
@@ -164,9 +165,7 @@ def block_charges(interp, func: Function) -> list:
     """Per block of ``func``, a closure charging its entry, then one per
     further segment, in the emitted prelude's order.  An entry raises
     before counting anything if the block would pass the step limit; a
-    segment's closure runs right after the call ending the one before.
-    Traced and metered entries also count the block and observe its
-    vpfloat ops, as the walker does."""
+    segment's closure runs right after the call ending the one before."""
     report = interp.accounting.report
     by_category = report.by_category
     limit = interp.max_steps
@@ -190,43 +189,12 @@ def block_charges(interp, func: Function) -> list:
     out = []
     for block in func.blocks:
         segments = _segments(block.instructions, interp.accounting.costs)
-        enter = charge(sum(count for count, _ in segments), *segments[0])
-        if interp.tracer is not None:
-            enter = _counted(interp, block.name, enter)
-        if interp.metrics is not None:
-            enter = _observed(interp.metrics, block, enter)
-        out.append(enter)
+        out.append(charge(sum(count for count, _ in segments),
+                          *segments[0]))
         # A callee may pass the step limit; the walker ends the block too.
         out.extend(charge(0, *segment, math.inf)
                    for segment in segments[1:])
     return out
-
-
-def _counted(interp, name: str, enter):
-    def counted():
-        counts = interp._block_counts  # set by a traced call
-        if counts is not None:
-            counts[name] = counts.get(name, 0) + 1
-        enter()
-    return counted
-
-
-def _observed(metrics, block, enter):
-    ops = [(f"precision.op.{inst.opcode}.bits", fmt.prec,
-            8 if fmt.format == "posit" else 0)
-           for inst in block.instructions
-           if type(inst) is BinaryInst and isinstance(inst.type, VPFloatType)
-           for fmt in (type_format(inst.type),)]
-    if not ops:
-        return enter
-
-    def observed():
-        enter()
-        for name, prec, guard in ops:
-            metrics.observe(name, prec)
-            metrics.observe("precision.guard_bits", guard)
-            metrics.inc("precision.rounding." + RNDN.value)
-    return observed
 
 
 class _MpfrSite(dict):
@@ -241,8 +209,7 @@ class _MpfrSite(dict):
     kernel (the precision-specialized RNDN kernel with the clamp folded
     in, or the ``set_d``/``set_si`` constructor; ``mpfr_set`` rounds
     inline and has none), its modeled cycle cost and the destination's
-    limb-block size.  When the run is observing, the kernels are the
-    counting wrappers.
+    limb-block size.
     """
 
     _CONSTRUCTORS = {"set_d": BigFloat.from_float,
@@ -260,8 +227,7 @@ class _MpfrSite(dict):
         if op in self._CONSTRUCTORS:
             kernel = self._CONSTRUCTORS[op]
         else:
-            kernel = select_scalar_kernel(op, prec, exp_bits,
-                                          interp.kernel_stats)
+            kernel = scalar_kernel(op, prec, exp_bits=exp_bits)
         entry = self[key] = (
             kernel, interp._mpfr_cycles(f"mpfr_{op}", prec),
             limb_bytes(prec))
@@ -318,9 +284,7 @@ class JitRuntime:
         return handler
 
     def kernel(self, opcode: str, prec: int, exp_bits=None):
-        return select_scalar_kernel(
-            _VP_OPS[opcode], prec, exp_bits,
-            getattr(self.interp, "kernel_stats", None))
+        return scalar_kernel(_VP_OPS[opcode], prec, exp_bits=exp_bits)
 
     def mpfr_kernels(self, op: str):
         """The site cache of one inlined MPFR op (see _MpfrSite)."""
@@ -406,9 +370,7 @@ def mpfr_fast_path(interp, precs):
     handle (or a cell that holds no handle), a null ``init2`` or array
     address and a precision below 2 call the installed handler with
     nothing done yet, so the error type and message, and what the call
-    left in the report, stats and cache, are the walker's.  With a
-    tracer installed the lifecycle helpers are the installed handlers,
-    which sample the pool counters.
+    left in the report, stats and cache, are the walker's.
     """
     memory = interp.memory
     cells = memory.cells
@@ -416,7 +378,6 @@ def mpfr_fast_path(interp, precs):
     by_category = report.by_category
     stats = interp.mpfr.stats
     by_name = stats.by_name
-    metrics = interp.metrics
     cache = interp.accounting.cache
     if cache is not None:
         touch = cache.touch
@@ -508,8 +469,6 @@ def mpfr_fast_path(interp, precs):
         report.mpfr_calls += 1
         report.cycles += charged
         by_category["mpfr"] += cycles
-        if metrics is not None:
-            metrics.observe("precision.mpfr.bits", prec)
         return None
 
     def set_(handler, inst, d, s):
@@ -563,8 +522,6 @@ def mpfr_fast_path(interp, precs):
         report.mpfr_calls += 1
         report.cycles += charged
         by_category["mpfr"] += cycles
-        if metrics is not None:
-            metrics.observe("precision.mpfr.bits", prec)
         return None
 
     def set_scalar(handler, inst, site, name, d, v):
@@ -605,8 +562,6 @@ def mpfr_fast_path(interp, precs):
         report.mpfr_calls += 1
         report.cycles += charged
         by_category["mpfr"] += cycles
-        if metrics is not None:
-            metrics.observe("precision.mpfr.bits", prec)
         return None
 
     builtins = interp._builtins
@@ -617,24 +572,6 @@ def mpfr_fast_path(interp, precs):
     life = interp._mpfr_life
     for prec in precs:
         life[prec]  # literal precisions resolve at bind time
-
-    if interp.tracer is not None:
-        # The installed handlers sample the pool counters every 256
-        # acquire/release operations; a traced run goes through them.
-        def init2(d, prec, exp):
-            return init2_handler([d, prec, exp], None, None)
-
-        def clear(d):
-            return clear_handler([d], None, None)
-
-        def array_init(base, count, prec, exp):
-            return array_init_handler([base, count, prec, exp], None, None)
-
-        def array_clear(base, count):
-            return array_clear_handler([base, count], None, None)
-
-        return (op3, set_, set_scalar,
-                init2, clear, array_init, array_clear)
 
     library = interp.mpfr
     pool = library._pool
@@ -693,8 +630,6 @@ def mpfr_fast_path(interp, precs):
         heap_blocks[addr] = nbytes
         report.cycles += cycles
         by_category["mpfr"] += cycles
-        if metrics is not None:
-            metrics.observe("precision.mpfr.bits", prec)
         return None
 
     def clear(d):
@@ -737,8 +672,6 @@ def mpfr_fast_path(interp, precs):
         cycles = life[prec][1]
         report.cycles += cycles
         by_category["mpfr"] += cycles
-        if metrics is not None:
-            metrics.observe("precision.mpfr.bits", prec)
         return None
 
     def array_init(base, count, prec, exp):
@@ -1589,7 +1522,7 @@ class JitEngine:
 
     def _compile(self, func: Function) -> dict:
         """Emit and compile ``func`` once, recording the outcome."""
-        metrics = self.interp.metrics
+        metrics = current_metrics()
         store = self.store
         name = func.name
         t0 = time.perf_counter()

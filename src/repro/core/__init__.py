@@ -273,10 +273,6 @@ class CompiledProgram:
             obs.attach(result.report, interpreter.mpfr.stats)
             if result.profile is not None:
                 obs.attach(result.profile)
-            kernel_stats = interpreter.kernel_stats
-            if kernel_stats is not None and kernel_stats.ops:
-                obs.attach(kernel_stats)
-                obs.note(kernels=kernel_stats.as_dict())
             obs.note(function=name, backend=backend, engine=dispatch,
                      **notes)
         return result

@@ -6,27 +6,26 @@ free list (on for mpfr/none, off for boost), and the parallel
 evaluation engine -- one observability layer:
 
 * :class:`Tracer` -- hierarchical spans (compile -> per-pass ->
-  lowering; execute -> per-function with hot-block attribution; cache
-  lookups; per-shard worker lifetimes) exported as Chrome trace-event
-  JSON, viewable in Perfetto or ``chrome://tracing``.
+  lowering; ``execute:<fn>`` with its modeled cycles; cache lookups;
+  per-shard worker lifetimes) exported as Chrome trace-event JSON,
+  viewable in Perfetto or ``chrome://tracing``.
 * :class:`MetricsRegistry` -- namespaced counters/gauges/histograms
   that absorb the stack's pre-existing private stats (CacheStats,
   MpfrStats pool traffic, the exact IRProfile, pass timings,
-  CostReport, the jit's scalar-kernel counts in KernelStats) and the
-  precision telemetry (per-opcode precision-bit histograms,
-  rounding-mode and guard-bit usage).  A run's ledger record carries
-  the kernel counts as its ``kernels`` note.  Picklable and
-  mergeable, so worker shards fold back into the parent.
+  CostReport).  Picklable and mergeable, so worker shards fold back
+  into the parent.
 
 Telemetry is **opt-in and process-global**: :func:`current_tracer` /
 :func:`current_metrics` return ``None`` until :func:`enable_telemetry`
 (or :func:`telemetry_session`) installs live instances.  Every layer
 boundary is instrumented through one primitive, :func:`observe`, which
 decides which of the three sinks (tracer, metrics, run ledger) it
-feeds; with none installed it returns a shared no-op.  Hot per-call
-hooks are bound at construction time instead, so the disabled
-configuration adds no measurable overhead and never perturbs modeled
-cycles -- traced runs are bit-identical to untraced ones.
+feeds; with none installed it returns a shared no-op.  Telemetry only
+reads what a run leaves behind: the interpreter and the jit consult no
+sink, so they run one code path whatever is installed, and traced runs
+are bit-identical to untraced ones.  Hot blocks and op counts come
+from the exact IR profiler (``run(..., profile=True)``,
+``vpfloat-cc --profile``).
 
 This module is dependency-free (stdlib only) so any layer of the stack
 may import it without cycles.
@@ -56,14 +55,12 @@ from .metrics import (
     absorb_pass_timings,
     absorb_profile,
     absorb_report,
-    absorb_kernel_stats,
     absorb_unum_stats,
 )
 from .tracer import (
     CAT_CACHE,
     CAT_COMPILE,
     CAT_PASS,
-    CAT_POOL,
     CAT_RUNTIME,
     CAT_VALIDATE,
     CAT_WORKER,
@@ -72,10 +69,10 @@ from .tracer import (
 )
 
 __all__ = [
-    "CAT_CACHE", "CAT_COMPILE", "CAT_PASS", "CAT_POOL", "CAT_RUNTIME",
+    "CAT_CACHE", "CAT_COMPILE", "CAT_PASS", "CAT_RUNTIME",
     "CAT_VALIDATE", "CAT_WORKER", "LEDGER_SCHEMA_VERSION",
     "LedgerError", "MetricsRegistry", "RunLedger", "Span", "Tracer",
-    "absorb_kernel_stats", "absorb_mpfr_stats", "absorb_pass_timings",
+    "absorb_mpfr_stats", "absorb_pass_timings",
     "absorb_profile", "absorb_report",
     "absorb_unum_stats",
     "NULL_OBSERVATION", "Observation",
@@ -133,7 +130,6 @@ def enable_telemetry(trace: bool = False, metrics: bool = False
 _ABSORB = {
     "CostReport": absorb_report,
     "MpfrStats": absorb_mpfr_stats,
-    "KernelStats": absorb_kernel_stats,
     "IRProfile": absorb_profile,
     "UnumMachine": absorb_unum_stats,
 }

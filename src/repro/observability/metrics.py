@@ -5,8 +5,9 @@ in the stack -- :class:`~repro.core.cache.CacheStats`,
 :class:`~repro.bigfloat.mpfr_api.MpfrStats` (pool hit/miss traffic),
 the exact :class:`~repro.observability.profile.IRProfile`, pass timings,
 and :class:`~repro.runtime.cost_model.CostReport` -- behind one namespaced
-API, and adds the precision telemetry the paper's evaluation needs
-(per-opcode precision-bit histograms, rounding-mode usage, guard bits).
+API.  It only reads what a run leaves behind: a run's precisions are
+its type's, and its op counts are ``runtime.opcode.<op>`` of a
+profiled run.
 
 Metric naming scheme (dotted, lowercase)::
 
@@ -19,10 +20,6 @@ Metric naming scheme (dotted, lowercase)::
     runtime.mpfr.{inits,clears,sets,ops,specialized_ops,...}
     runtime.pool.{hits,misses,releases}         MPFR free-list traffic
     eval.points                                 kernel executions absorbed
-    precision.op.<op>.bits                      histogram: vp op precisions
-    precision.mpfr.bits                         histogram: mpfr call precisions
-    precision.rounding.<mode>                   rounding-mode usage
-    precision.guard_bits                        histogram: guard bits in use
 
 The registry is picklable (plain dicts only) and :meth:`merge` is
 commutative over counters/histograms (sums) and takes the max of
@@ -250,21 +247,6 @@ def absorb_unum_stats(registry: MetricsRegistry, machine) -> None:
     registry.inc("unum.config_writes", stats.config_writes)
     for opcode, count in stats.by_opcode.items():
         registry.inc(f"unum.op.{opcode}", count)
-
-
-def absorb_kernel_stats(registry: MetricsRegistry, stats) -> None:
-    """Fold one run's scalar-kernel accounting in.
-
-    Emits ``kernel.ops`` / ``kernel.sites`` and
-    ``kernel.fallback.<reason>`` for per-call bailouts out of a kernel
-    into the library (special operands, mismatched precision)."""
-    if stats.ops:
-        registry.inc("kernel.ops", stats.ops)
-    if stats.sites:
-        registry.inc("kernel.sites", stats.sites)
-    for reason, count in stats.fallbacks.items():
-        if count:
-            registry.inc(f"kernel.fallback.{reason}", count)
 
 
 def absorb_report(registry: MetricsRegistry, report) -> None:

@@ -24,7 +24,8 @@ from typing import List
 
 from .metrics import MetricsRegistry
 
-#: Chrome trace phases this stack emits (span, instant, counter, meta).
+#: Chrome trace phases accepted: the stack emits spans and process
+#: metadata; instants and counters come from traces made elsewhere.
 _TRACE_PHASES = {"X", "i", "C", "M"}
 
 
@@ -243,26 +244,6 @@ def render_validation_summary(data: dict) -> str:
     return "\n".join(lines)
 
 
-def render_kernel_summary(data: dict) -> str:
-    """Scalar-kernel telemetry, derived from the ``kernel.*`` counters
-    (ops served, bind sites and per-call fallbacks out of a kernel).
-    Empty string when no run bound a kernel."""
-    counters = data.get("counters", {})
-    if "kernel.ops" not in counters and "kernel.sites" not in counters:
-        return ""
-    lines = [f"kernels: {int(counters.get('kernel.ops', 0))} scalar "
-             f"op(s) over {int(counters.get('kernel.sites', 0))} "
-             f"bind site(s)"]
-    fallbacks = {name[len("kernel.fallback."):]: int(value)
-                 for name, value in counters.items()
-                 if name.startswith("kernel.fallback.")}
-    if fallbacks:
-        shape = ", ".join(f"{reason}: {count}"
-                          for reason, count in sorted(fallbacks.items()))
-        lines.append(f"  fallbacks to the library: {shape}")
-    return "\n".join(lines)
-
-
 def render_unum_summary(data: dict) -> str:
     """Unum coprocessor telemetry, derived from the ``unum.*`` counters
     :func:`~repro.observability.metrics.absorb_unum_stats` emits (split
@@ -438,7 +419,6 @@ def _main(argv=None) -> int:
                 continue
             print(registry.render())
             for section in (render_codegen_summary(data),
-                            render_kernel_summary(data),
                             render_validation_summary(data),
                             render_unum_summary(data)):
                 if section:

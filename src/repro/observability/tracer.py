@@ -1,9 +1,9 @@
 """Hierarchical span tracing with Chrome trace-event export.
 
 :class:`Tracer` records *spans* -- named, timed intervals arranged in a
-strict stack per thread -- plus instant marks and counter samples, and
-serializes everything to the Chrome trace-event JSON format, directly
-loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
+strict stack per thread -- and serializes them to the Chrome
+trace-event JSON format, directly loadable in Perfetto
+(https://ui.perfetto.dev) or ``chrome://tracing``.
 
 The tracer is deliberately dependency-free and append-only: an event is
 one small dict, a span costs two clock reads and one append.  Nothing
@@ -33,7 +33,6 @@ CAT_PASS = "pass"
 CAT_RUNTIME = "runtime"
 CAT_CACHE = "cache"
 CAT_WORKER = "worker"
-CAT_POOL = "pool"
 CAT_VALIDATE = "validate"
 
 
@@ -105,34 +104,6 @@ class Tracer:
         if span.args:
             event["args"] = span.args
         self.events.append(event)
-
-    def instant(self, name: str, cat: str = CAT_RUNTIME,
-                args: Optional[dict] = None) -> None:
-        event = {
-            "name": name,
-            "cat": cat,
-            "ph": "i",
-            "s": "t",  # thread-scoped instant
-            "ts": time.perf_counter() * 1e6,
-            "pid": self.pid,
-            "tid": self._tid(),
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
-
-    def counter(self, name: str, values: Dict[str, float],
-                cat: str = CAT_POOL) -> None:
-        """One sample of a multi-series counter track."""
-        self.events.append({
-            "name": name,
-            "cat": cat,
-            "ph": "C",
-            "ts": time.perf_counter() * 1e6,
-            "pid": self.pid,
-            "tid": 0,
-            "args": dict(values),
-        })
 
     # ------------------------------------------------------------ #
     # Merging / export

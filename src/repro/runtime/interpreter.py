@@ -74,13 +74,6 @@ from ..ir import (
     VPFloatType,
 )
 from ..ir.types import _validate_mpfr_attrs
-from ..observability import (
-    CAT_POOL,
-    CAT_RUNTIME,
-    current_ledger,
-    current_metrics,
-    current_tracer,
-)
 from ..unum import (UnumConfig, UnumConfigError, decode as unum_decode,
                     encode as unum_encode)
 from ..unum.posit import PositConfig, posit_round
@@ -506,10 +499,14 @@ class Interpreter:
     skipping the modeled allocator round-trip (the run-time counterpart
     of the lowering pass's static dead-object reuse, paper §III-C1).
 
-    Profiling is not the interpreter's job: the exact IR profiler
-    (:mod:`repro.observability.profile`, reached through
-    ``CompiledProgram.run(..., profile=True)``) installs a
-    per-instruction hook on a legacy-walker interpreter.
+    Telemetry is not the interpreter's job either: it reads no tracer,
+    metrics registry or run ledger, so both engines run one code path
+    whatever sinks are installed.  The driver's ``observe()`` boundary
+    reads what a run leaves behind (its ``CostReport`` and
+    ``MpfrStats``).  Hot blocks and op counts come from the exact IR
+    profiler (:mod:`repro.observability.profile`, reached through
+    ``CompiledProgram.run(..., profile=True)`` or ``--profile``), which
+    installs a per-instruction hook on a legacy-walker interpreter.
     """
 
     def __init__(self, module: Module,
@@ -529,20 +526,6 @@ class Interpreter:
         self.max_steps = max_steps
         self.steps = 0
         self.dispatch = dispatch
-        #: Process-global telemetry, captured at construction so every
-        #: hot-path hook is a bound local (or absent entirely).  Both
-        #: are None unless repro.observability.enable_telemetry ran.
-        self.tracer = current_tracer()
-        self.metrics = current_metrics()
-        #: Scalar-kernel op/site/fallback accounting -- only constructed
-        #: when some observer (metrics registry or run ledger) will
-        #: consume it, so unobserved runs bind the raw kernels with zero
-        #: per-call overhead.
-        self.kernel_stats = None
-        if self.metrics is not None or current_ledger() is not None:
-            from ..codegen.kernels import KernelStats
-
-            self.kernel_stats = KernelStats()
         self.stdout: List[str] = []
         self.globals: Dict[str, int] = {}
         self._builtins: Dict[str, Callable] = {}
@@ -557,9 +540,6 @@ class Interpreter:
         #: jit dispatch mode first materializes a function.
         self._codegen_store = codegen_store
         self._jit_engine = None
-        #: Hot-block counts dict installed by the traced call path for
-        #: the duration of one call; None when untraced.
-        self._block_counts: Optional[Dict[str, int]] = None
         #: Per-instruction profiling hook (legacy walker only); set by
         #: repro.observability.profile, never by the interpreter.
         self._inst_hook = None
@@ -668,12 +648,6 @@ class Interpreter:
                 f"{func.name}() takes {len(func.args)} argument(s), "
                 f"got {len(args)}"
             )
-        if self.tracer is not None:
-            return self._call_function_traced(func, args)
-        return self._call_untraced(func, args)
-
-    def _call_untraced(self, func: Function, args: List[object]) -> object:
-        """Run ``func`` on its jit code, or on the walker."""
         if self.dispatch == "jit":
             entry = self._jit_entry(func)
             if entry is not None:
@@ -685,7 +659,6 @@ class Interpreter:
         return self._call_legacy(func, args)
 
     def _call_legacy(self, func: Function, args: List[object]) -> object:
-        block_counts = self._block_counts
         costs = self.accounting.costs
         self.accounting.charge("call", costs.call_overhead)
         mark = self.memory.stack_mark()
@@ -695,9 +668,6 @@ class Interpreter:
         block = func.entry
         prev_block = None
         while True:
-            if block_counts is not None:
-                block_counts[block.name] = \
-                    block_counts.get(block.name, 0) + 1
             # Phi nodes first (values computed from the edge taken).
             phis = block.phis()
             if phis:
@@ -711,34 +681,6 @@ class Interpreter:
                 self.accounting.charge("ret", costs.ret)
                 return outcome[1]
             prev_block, block = block, outcome[1]
-
-    def _call_function_traced(self, func: Function,
-                              args: List[object]) -> object:
-        """Span-wrapped function call with hot-block attribution.
-
-        Only reached when a tracer is installed; charges exactly what
-        the untraced paths charge (spans record wall-clock, never
-        modeled cycles), so reports stay bit-identical."""
-        tracer = self.tracer
-        report = self.accounting.report
-        cycles0 = report.cycles
-        instructions0 = report.instructions
-        counts: Dict[str, int] = {}
-        with tracer.span(f"call:{func.name}", cat=CAT_RUNTIME) as span:
-            previous = self._block_counts
-            self._block_counts = counts
-            try:
-                value = self._call_untraced(func, args)
-            finally:
-                self._block_counts = previous
-            span.args["cycles"] = report.cycles - cycles0
-            span.args["instructions"] = report.instructions - instructions0
-            if counts:
-                hot = sorted(counts.items(), key=lambda kv: -kv[1])[:5]
-                span.args["hot_blocks"] = [
-                    {"block": name, "executions": n} for name, n in hot
-                ]
-        return value
 
     def _jit_entry(self, func: Function):
         """The specialized callable for ``func``, or None when the
@@ -826,14 +768,7 @@ class Interpreter:
         op = inst.opcode
         type_ = inst.type
         if type_.is_vpfloat:
-            fmt = type_format(type_, frame)
-            registry = self.metrics
-            if registry is not None:
-                registry.observe(f"precision.op.{op}.bits", fmt.prec)
-                registry.observe("precision.guard_bits",
-                                 8 if fmt.format == "posit" else 0)
-                registry.inc("precision.rounding." + RNDN.value)
-            return vp_binary(op, a, b, fmt)
+            return vp_binary(op, a, b, type_format(type_, frame))
         if type_.is_float:
             return float_binary(op, a, b, type_.bits)
         return int_binary(op, a, b, type_.bits)
@@ -1101,26 +1036,12 @@ class Interpreter:
 
         by_cat = report.by_category
         mem_load = self.memory.load
-        # Telemetry is bound once at install time: handlers built with
-        # registry/tracer None carry no telemetry code on their path.
-        registry = self.metrics
-        tracer = self.tracer
 
-        if registry is not None:
-            observe_bits = registry.observe
-
-            def charge_mpfr(name, prec):
-                report.mpfr_calls += 1
-                cycles = mpfr_cycles(name, prec)
-                report.cycles += cycles
-                by_cat["mpfr"] += cycles
-                observe_bits("precision.mpfr.bits", prec)
-        else:
-            def charge_mpfr(name, prec):
-                report.mpfr_calls += 1
-                cycles = mpfr_cycles(name, prec)
-                report.cycles += cycles
-                by_cat["mpfr"] += cycles
+        def charge_mpfr(name, prec):
+            report.mpfr_calls += 1
+            cycles = mpfr_cycles(name, prec)
+            report.cycles += cycles
+            by_cat["mpfr"] += cycles
 
         pool_hit_cycles = costs.mpfr_call_overhead + costs.mpfr_pool_hit_extra
         pool_release_cycles = (costs.mpfr_call_overhead
@@ -1150,8 +1071,6 @@ class Interpreter:
             var.limb_addr = memory.alloc_heap(nbytes)
             report.cycles += cycles
             by_cat["mpfr"] += cycles
-            if registry is not None:
-                registry.observe("precision.mpfr.bits", prec)
 
         def clear_handle(addr):
             var = self._mpfr_handle(addr)
@@ -1168,35 +1087,6 @@ class Interpreter:
             cycles = life[prec][1]
             report.cycles += cycles
             by_cat["mpfr"] += cycles
-            if registry is not None:
-                registry.observe("precision.mpfr.bits", prec)
-
-        if tracer is not None:
-            # Per-call pool spans would swamp the trace (millions of
-            # events); instead emit a counter sample of the cumulative
-            # pool traffic every 256 acquire/release operations.
-            pool_stats = self.mpfr.stats
-            pool_ops = [0]
-            emit_counter = tracer.counter
-
-            def _pool_sample():
-                pool_ops[0] += 1
-                if not pool_ops[0] % 256:
-                    emit_counter("mpfr.pool", {
-                        "hits": pool_stats.pool_hits,
-                        "misses": pool_stats.pool_misses,
-                        "releases": pool_stats.pool_releases,
-                    })
-
-            _plain_init, _plain_clear = init_handle, clear_handle
-
-            def init_handle(addr, prec, exp_bits):
-                _plain_init(addr, prec, exp_bits)
-                _pool_sample()
-
-            def clear_handle(addr):
-                _plain_clear(addr)
-                _pool_sample()
 
         def init2(args, inst, frame):
             exp_bits = int(args[2]) if len(args) > 2 and args[2] else None
@@ -1279,24 +1169,6 @@ class Interpreter:
         def binary(method_name):
             method = getattr(self.mpfr, method_name)
             call_name = f"mpfr_{method_name}"
-
-            if registry is not None:
-                def handler(args, inst, frame):
-                    dst = mem_load(int(args[0]), 8)
-                    a = mem_load(int(args[1]), 8)
-                    bb = mem_load(int(args[2]), 8)
-                    if dst is None or a is None or bb is None:
-                        raise _uninitialized(
-                            args[0] if dst is None else
-                            args[1] if a is None else args[2])
-                    method(dst, a, bb)
-                    touch_limbs(a, "r")
-                    touch_limbs(bb, "r")
-                    touch_limbs(dst, "w")
-                    charge_mpfr(call_name, dst.prec)
-                    return None
-
-                return handler
 
             def handler(args, inst, frame):
                 dst = mem_load(int(args[0]), 8)

@@ -231,7 +231,8 @@ class TestAblationRows:
 
     def test_polly_tiling(self, ablations):
         row = ablations["ablate_polly"]()
-        assert row["llc_miss_polly"] <= row["llc_miss_plain"] * 1.5
+        # Tiling keeps gemm's working set in L1.
+        assert row["l1_misses_polly"] <= row["l1_misses_plain"] * 0.5
 
 
 class TestHeapArrays:

@@ -18,7 +18,7 @@ from repro.codegen import pyjit
 from repro.codegen.pyjit import CodegenStore, emit_function_source
 from repro.core import CompileCache, CompilerDriver, compile_source
 from repro.evaluation.harness import _read_interpreter_outputs
-from repro.observability import telemetry_session
+from repro.observability import ledger_session, telemetry_session
 from repro.validation.certificate import values_token
 from repro.workloads import RAJA_KERNELS, raja_source
 from repro.workloads.polybench import KERNELS, source_for
@@ -483,78 +483,85 @@ class TestScalarFaults:
         assert limited > 0
 
 
-class TestBlockChargeTelemetry:
-    """The jit's block charges count a traced call's hot blocks and
-    observe a metered run's vpfloat ops as the walker does."""
+#: (source, arguments, disabled passes) of the telemetry checks:
+#: gemm's vpfloat ops, and a callee whose temporaries cycle through
+#: the MPFR pool (its lifecycle helpers) on every call.
+TELEMETRY_WORKLOADS = {
+    "gemm": (source_for("gemm", POLYBENCH_FTYPE), [4], ()),
+    "pool": (POOL_SRC, [100], ("inline",)),
+}
+
+
+def _jit_kernels(interp):
+    """``(bound, memoized)`` pairs of every scalar kernel the jit code
+    of ``interp``'s functions closes over: its vpfloat op kernels and
+    the kernels its MPFR site caches resolved."""
+    from repro.codegen.kernels import scalar_kernel
+
+    engine = interp._jit_engine
+    pairs = []
+    for func in interp.module.functions.values():
+        entry = engine._entries.get(id(func))
+        if entry is None:
+            continue
+        closure = dict(zip(entry.__code__.co_freevars,
+                           (cell.cell_contents
+                            for cell in entry.__closure__)))
+        emitter = pyjit.FunctionEmitter(interp, func)
+        emitter.emit()
+        for (opcode, prec, exp_bits), name in \
+                emitter._kernel_refs.items():
+            pairs.append((closure[name], scalar_kernel(
+                pyjit._VP_OPS[opcode], prec, exp_bits=exp_bits)))
+        for op, name in emitter._mpfr_map_refs.items():
+            if op in pyjit._MpfrSite._CONSTRUCTORS:
+                continue
+            pairs.extend((kernel, scalar_kernel(op, prec, exp_bits=eb))
+                         for (prec, eb), (kernel, _, _)
+                         in closure[name].items())
+    return pairs
+
+
+class TestTelemetryLeavesRunAlone:
+    """Installed sinks never change the code a run executes: a run
+    under trace + metrics + a run ledger leaves the untraced run's
+    value and full state, on both engines, and the jit binds the
+    memoized scalar kernels themselves."""
+
+    @pytest.mark.parametrize("workload,backend", [
+        ("gemm", "none"), ("gemm", "mpfr"),
+        ("pool", "mpfr"), ("pool", "boost")])
+    def test_session_matches_untraced(self, workload, backend, tmp_path):
+        source, args, disabled = TELEMETRY_WORKLOADS[workload]
+        program = compile_source(source, backend=backend,
+                                 disable_passes=disabled)
+        states = {}
+        for engine in ("jit", "legacy"):
+            untraced = program.run("run", args, engine=engine)
+            with telemetry_session(trace=True, metrics=True) as (
+                    tracer, registry), \
+                    ledger_session(tmp_path / f"{engine}.jsonl"):
+                traced = program.run("run", args, engine=engine)
+            assert tracer.events and registry.counters
+            for mode, result in (("untraced", untraced),
+                                 ("traced", traced)):
+                states[engine, mode] = (
+                    result.value,
+                    _full_state(result.report, result.interpreter))
+        assert all(state == states["jit", "untraced"]
+                   for state in states.values()), states
+        assert program._codegen_store.statuses()["run"]["status"] == "jit"
 
     @pytest.mark.parametrize("backend", ("none", "mpfr"))
-    def test_hot_blocks_and_precision_match_legacy(self, backend):
-        program = compile_source(source_for("gemm", POLYBENCH_FTYPE),
-                                 backend=backend)
-        outcomes = {}
-        for engine in ("jit", "legacy"):
-            with telemetry_session(trace=True, metrics=True) as (tracer,
-                                                                  registry):
-                result = program.run("run", [4], engine=engine)
-            calls = [event["args"] for event in tracer.events
-                     if event["name"].startswith("call:")]
-            precision = {name: value for name, value
-                         in {**registry.histograms,
-                             **registry.counters}.items()
-                         if name.startswith("precision.")}
-            outcomes[engine] = (calls, precision,
-                                _full_state(result.report,
-                                            result.interpreter))
-        assert outcomes["jit"] == outcomes["legacy"]
-        calls, precision, _ = outcomes["jit"]
-        assert calls and all(call["hot_blocks"] for call in calls)
-        assert precision
-        assert program._codegen_store.statuses()["run"]["status"] == "jit"
-
-
-class TestMpfrLifecycleTelemetry:
-    """A traced or metered run takes the same lifecycle path on both
-    engines: the installed handlers sample the pool counters every 256
-    acquire/release operations, and every allocating init2 and freeing
-    clear observes its precision."""
-
-    @pytest.mark.parametrize("backend", ("mpfr", "boost"))
-    def test_pool_samples_and_precision_match_legacy(self, backend):
-        program = compile_source(POOL_SRC, backend=backend,
-                                 disable_passes=("inline",))
-        outcomes = {}
-        for engine in ("jit", "legacy"):
-            with telemetry_session(trace=True, metrics=True) as (tracer,
-                                                                  registry):
-                result = program.run("run", [100], engine=engine)
-            samples = [event["args"] for event in tracer.events
-                       if event["name"] == "mpfr.pool"]
-            outcomes[engine] = (
-                result.value, samples,
-                registry.histograms.get("precision.mpfr.bits"),
-                _full_state(result.report, result.interpreter))
-        assert outcomes["jit"] == outcomes["legacy"]
-        _, samples, precisions, state = outcomes["jit"]
-        assert precisions
-        stats = state["mpfr"]
-        operations = stats["by_name"]["mpfr_init2"] + \
-            stats["by_name"]["mpfr_clear"]
-        assert len(samples) == operations // 256 >= 2
-        assert program._codegen_store.statuses()["run"]["status"] == "jit"
-
-    @pytest.mark.parametrize("backend", ("mpfr", "boost"))
-    def test_precision_metrics_match_legacy(self, backend):
-        # Metered but untraced: the jit runs its own lifecycle helpers.
-        program = compile_source(POOL_SRC, backend=backend,
-                                 disable_passes=("inline",))
-        outcomes = {}
-        for engine in ("jit", "legacy"):
-            with telemetry_session(metrics=True) as (_, registry):
-                result = program.run("run", [12], engine=engine)
-            outcomes[engine] = (
-                result.value, registry.histograms["precision.mpfr.bits"],
-                _full_state(result.report, result.interpreter))
-        assert outcomes["jit"] == outcomes["legacy"]
+    def test_session_binds_memoized_kernels(self, backend, tmp_path):
+        source, args, _ = TELEMETRY_WORKLOADS["gemm"]
+        program = compile_source(source, backend=backend)
+        with telemetry_session(trace=True, metrics=True), \
+                ledger_session(tmp_path / "ledger.jsonl"):
+            result = program.run("run", args, engine="jit")
+        pairs = _jit_kernels(result.interpreter)
+        assert pairs
+        assert all(bound is memoized for bound, memoized in pairs)
 
 
 DYNAMIC_PREC_SRC = """
@@ -787,7 +794,6 @@ class TestCodegenCacheRoundTrip:
                 str(tmp_path))).compile(source, "gemm")
             warm = program.run("run", [4])
         assert registry.counters["compile.cache.disk_hits"] == 1
-        assert registry.counters.get("kernel.ops", 0) > 0
         warm_batch = program.run_batch("run", [4], lanes=2)
         assert warm_batch.mode == "batched"
         assert warm.report.cycles == cold.report.cycles

@@ -8,10 +8,10 @@ Four layers, matching the feature's own structure:
   1..600 (hypothesis, with the tie/exact edges enumerated);
 * the *compiled kernels* must be bit-identical to the ``arith.<op>``
   library on finite, special, and mixed-precision operands (the latter
-  exercising the fallback hooks), with and without the destination
+  two through the library fallback), with and without the destination
   clamp, including add/sub operands further apart than ``prec + 3``;
 * the *binding and plumbing*: one kernel family for every precision,
-  KernelStats accounting and metrics counters;
+  the engine as the only run choice;
 * the *certificate*: ``engine.legacy`` compares a jit run's kernels
   against the walker's library arithmetic, so a broken kernel fails
   validation.
@@ -34,15 +34,13 @@ from repro.bigfloat.rounding import (
     RNDZ,
     round_significand,
 )
-from repro.codegen import kernels
+from repro.codegen import pyjit
 from repro.codegen.kernels import (
-    KernelStats,
     _exact_round_lines,
     _window_round_lines,
     clamped_fallback,
     kernel_code,
     scalar_kernel,
-    select_scalar_kernel,
 )
 from repro.codegen.kernels import _LIBRARY as SCALAR_LIBRARY
 from repro.core import CompilerDriver
@@ -263,21 +261,20 @@ def test_addsub_alignment_edges_match_library(prec):
 
 
 def test_mixed_precision_falls_back_with_note():
-    notes_stats = KernelStats()
-    kernel = scalar_kernel("add", 24, RNDN, notes=notes_stats.notes())
+    # An operand precision mismatch takes the library fallback.
+    kernel = scalar_kernel("add", 24, RNDN)
     a = BigFloat.from_float(1.5, 24)
-    b = BigFloat.from_float(2.5, 53)  # operand precision mismatch
+    b = BigFloat.from_float(2.5, 53)
     got = kernel(a, b)
     assert value_token(got) == value_token(lib_add(a, b, 24, RNDN))
-    assert notes_stats.fallbacks["prec"] == 1
-    assert notes_stats.fallbacks["special"] == 0
 
 
 def test_special_operand_falls_back_with_note():
-    notes_stats = KernelStats()
-    kernel = scalar_kernel("add", 24, RNDN, notes=notes_stats.notes())
-    kernel(BigFloat.nan(24), BigFloat.from_float(1.0, 24))
-    assert notes_stats.fallbacks["special"] == 1
+    # A NaN operand takes the library fallback.
+    kernel = scalar_kernel("add", 24, RNDN)
+    a, b = BigFloat.nan(24), BigFloat.from_float(1.0, 24)
+    assert value_token(kernel(a, b)) == \
+        value_token(lib_add(a, b, 24, RNDN))
 
 
 def test_bad_precision_and_unknown_op_raise():
@@ -293,35 +290,8 @@ def test_bad_precision_and_unknown_op_raise():
 
 
 # ----------------------------------------------------------------- #
-# Binding, plumbing, and telemetry
+# Binding and plumbing
 # ----------------------------------------------------------------- #
-
-def test_select_scalar_kernel_policies():
-    # One kernel family for every precision: unobserved binds get the
-    # memoized kernel itself, observed ones a counting wrapper.
-    stats = KernelStats()
-    for prec in (24, 100, 256, 600):
-        assert select_scalar_kernel("add", prec, 16) \
-            is scalar_kernel("add", prec, RNDN, 16)
-        select_scalar_kernel("add", prec, 16, stats)
-    assert stats.sites == 4
-
-
-def test_counting_wrapper_and_merge():
-    stats = KernelStats()
-    kernel = stats.counting(scalar_kernel("add", 24, RNDN))
-    a = BigFloat.from_float(1.0, 24)
-    kernel(a, a)
-    kernel(a, a)
-    assert stats.ops == 2
-    other = KernelStats()
-    other.ops = 3
-    other.sites = 1
-    other.fallbacks["prec"] = 2
-    stats.merge(other)
-    assert stats.as_dict() == {"ops": 5, "sites": 1,
-                               "fallbacks": {"prec": 2, "special": 0}}
-
 
 def test_run_rejects_unknown_policy():
     # A run takes no kernel choice: one family serves every precision.
@@ -332,8 +302,8 @@ def test_run_rejects_unknown_policy():
 
 def test_per_run_override_is_bit_identical():
     # The engine is the per-run override: the jit binds the scalar
-    # kernels (test_metrics_carry_tier_counters), the legacy walker the
-    # library arithmetic.
+    # kernels (test_codegen_jit's test_session_binds_memoized_kernels),
+    # the legacy walker the library arithmetic.
     program = CompilerDriver(backend="mpfr").compile(
         SOURCE, name="k")
     runs = {engine: program.run("run", [40], engine=engine)
@@ -344,29 +314,10 @@ def test_per_run_override_is_bit_identical():
     assert len(cycles) == 1  # the kernels are not a cost-model change
 
 
-def test_metrics_carry_tier_counters():
-    from repro.observability import telemetry_session
-    with telemetry_session(metrics=True) as (_, registry):
-        program = CompilerDriver(backend="mpfr").compile(
-            SOURCE, name="k")
-        program.run("run", [10])
-    counters = registry.counters
-    assert counters.get("kernel.ops", 0) > 0
-    assert counters.get("kernel.sites", 0) > 0
-    assert not any(name.startswith("kernel.tier") for name in counters)
-
-
-def test_unobserved_runs_skip_tier_stats():
-    program = CompilerDriver(backend="mpfr").compile(
-        SOURCE, name="k")
-    interp = program.interpreter()
-    assert interp.kernel_stats is None  # raw kernels, no counting
-
-
 def test_engine_certificate_catches_broken_tier_kernel(monkeypatch):
     # A mul that doubles its result, at one- and four-limb precisions:
     # the jit binds it, the legacy walker's library arithmetic does not.
-    real_kernel = kernels.scalar_kernel
+    real_kernel = pyjit.scalar_kernel
 
     def broken_kernel(op, prec, *args, **kwargs):
         kernel = real_kernel(op, prec, *args, **kwargs)
@@ -379,7 +330,7 @@ def test_engine_certificate_catches_broken_tier_kernel(monkeypatch):
 
         return doubled
 
-    monkeypatch.setattr(kernels, "scalar_kernel", broken_kernel)
+    monkeypatch.setattr(pyjit, "scalar_kernel", broken_kernel)
     for prec in (53, 256):
         with pytest.raises(CertificateError, match="engine.legacy"):
             run_kernel("gemm", f"vpfloat<mpfr, 16, {prec}>", 4,

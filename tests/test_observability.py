@@ -85,9 +85,14 @@ class TestTracer:
                    for e in meta)
 
     def test_instant_and_counter_events(self):
+        # The stack emits spans only, but traces made elsewhere may
+        # carry instants and counter samples.
         tracer = Tracer(pid=1)
-        tracer.instant("marker")
-        tracer.counter("pool", {"hits": 3, "misses": 1})
+        tracer.extend([
+            {"name": "marker", "cat": "runtime", "ph": "i", "s": "t",
+             "ts": 1.0, "pid": 1, "tid": 1},
+            {"name": "pool", "cat": "pool", "ph": "C", "ts": 2.0,
+             "pid": 1, "tid": 0, "args": {"hits": 3, "misses": 1}}])
         doc = tracer.to_chrome()
         validate_trace_document(doc)
         phases = sorted(e["ph"] for e in tracer.events)
@@ -168,10 +173,10 @@ class TestMetricsRegistry:
     def test_render_mentions_all_names(self):
         reg = MetricsRegistry()
         reg.inc("compile.count", 2)
-        reg.observe("precision.op.fadd.bits", 256)
+        reg.observe("codegen.emit_seconds", 0.25)
         text = reg.render()
         assert "compile.count" in text
-        assert "precision.op.fadd.bits" in text
+        assert "codegen.emit_seconds" in text
 
 
 class TestInstall:
@@ -235,23 +240,11 @@ class TestCompilerTelemetry:
             program.run("run", [8])
         names = [e["name"] for e in tracer.events if e["ph"] == "X"]
         assert "execute:run" in names
-        assert "call:run" in names
-        call = next(e for e in tracer.events
-                    if e["ph"] == "X" and e["name"] == "call:run")
-        assert call["args"]["cycles"] > 0
-        assert call["args"]["hot_blocks"]
+        execute = next(e for e in tracer.events
+                       if e["ph"] == "X" and e["name"] == "execute:run")
+        assert execute["args"]["cycles"] > 0
         assert registry.counters["runtime.cycles"] > 0
         assert registry.counters["runtime.mpfr_calls"] > 0
-        assert registry.histograms["precision.mpfr.bits"]
-
-    def test_precision_histograms_per_dispatch(self):
-        for engine in ("jit", "legacy"):
-            program = compile_source(SRC, backend="none")
-            with telemetry_session(metrics=True) as (_, registry):
-                program.run("run", [8], engine=engine)
-            hist = registry.histograms.get("precision.op.fadd.bits")
-            assert hist and 256 in hist, engine
-            assert registry.counters["precision.rounding.RNDN"] > 0
 
 
 class TestValidators:
