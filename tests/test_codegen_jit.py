@@ -564,6 +564,66 @@ class TestTelemetryLeavesRunAlone:
         assert all(bound is memoized for bound, memoized in pairs)
 
 
+#: Limb bytes of one ``vpfloat<mpfr, 16, 128>`` handle of ``POOL_SRC``.
+POOL_LIMB_BYTES = 16
+
+
+def _runtime_counters(registry):
+    return {name: value for name, value in registry.counters.items()
+            if name.startswith("runtime.")}
+
+
+class TestMpfrLifecycleTelemetry:
+    """A traced or metered run takes the same lifecycle path on both
+    engines, and what ``observe()`` records of it is the run's own
+    MPFR stats: the pool traffic of every acquire/release, and every
+    allocating init2 at the type's precision."""
+
+    @pytest.mark.parametrize("backend", ("mpfr", "boost"))
+    def test_pool_samples_and_precision_match_legacy(self, backend):
+        program = compile_source(POOL_SRC, backend=backend,
+                                 disable_passes=("inline",))
+        outcomes = {}
+        for engine in ("jit", "legacy"):
+            with telemetry_session(trace=True, metrics=True) as (_,
+                                                                  registry):
+                result = program.run("run", [100], engine=engine)
+            outcomes[engine] = (
+                result.value, _runtime_counters(registry),
+                _full_state(result.report, result.interpreter))
+        assert outcomes["jit"] == outcomes["legacy"]
+        _, counters, state = outcomes["jit"]
+        stats = state["mpfr"]
+        for field in ("pool_hits", "pool_misses", "pool_releases"):
+            assert counters[f"runtime.pool.{field[5:]}"] == stats[field]
+        for name in ("mpfr_init2", "mpfr_clear"):
+            assert counters[f"runtime.mpfr.call.{name}"] == \
+                stats["by_name"][name] >= 100
+        if backend == "mpfr":
+            # Every call after the first is served from the free list.
+            assert stats["pool_hits"] > stats["pool_misses"] > 0
+        assert counters["runtime.mpfr.limb_bytes_allocated"] == \
+            counters["runtime.mpfr.inits"] * POOL_LIMB_BYTES > 0
+        assert program._codegen_store.statuses()["run"]["status"] == "jit"
+
+    @pytest.mark.parametrize("backend", ("mpfr", "boost"))
+    def test_precision_metrics_match_legacy(self, backend):
+        # Metered but untraced.
+        program = compile_source(POOL_SRC, backend=backend,
+                                 disable_passes=("inline",))
+        outcomes = {}
+        for engine in ("jit", "legacy"):
+            with telemetry_session(metrics=True) as (_, registry):
+                result = program.run("run", [12], engine=engine)
+            outcomes[engine] = (
+                result.value, _runtime_counters(registry),
+                _full_state(result.report, result.interpreter))
+        assert outcomes["jit"] == outcomes["legacy"]
+        counters = outcomes["jit"][1]
+        assert counters["runtime.mpfr.limb_bytes_allocated"] == \
+            counters["runtime.mpfr.inits"] * POOL_LIMB_BYTES > 0
+
+
 DYNAMIC_PREC_SRC = """
 vpfloat<mpfr, 16, 256> out;
 
